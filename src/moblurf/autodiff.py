@@ -48,53 +48,13 @@ class Node:
     def shape(self):
         return self.value.shape
 
-    # Arithmetic sugar so formulas read naturally.
-    def __add__(self, other):
-        return add(self, other)
-
-    def __radd__(self, other):
-        return add(other, self)
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __rsub__(self, other):
-        return sub(other, self)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    def __rmul__(self, other):
-        return mul(other, self)
-
-    def __truediv__(self, other):
-        return div(self, other)
-
-    def __rtruediv__(self, other):
-        return div(other, self)
-
-    def __neg__(self):
-        return neg(self)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
     def __repr__(self):
         return f"Node(shape={self.value.shape}, leaf={not self.parents})"
-
-
-def is_node(x) -> bool:
-    return isinstance(x, Node)
 
 
 def value_of(x) -> np.ndarray:
     """Underlying ndarray of a Node, or the input coerced to float64."""
     return x.value if isinstance(x, Node) else _arr(x)
-
-
-def constant(x) -> np.ndarray:
-    """Detach: plain float64 array, no graph."""
-    return np.array(value_of(x), dtype=np.float64, copy=True)
 
 
 def _unbroadcast(g: np.ndarray, shape) -> np.ndarray:
@@ -235,14 +195,6 @@ def cos(a):
     return _make(ov, [(a, lambda g: -g * np.sin(av))])
 
 
-def sqrt(a):
-    av = value_of(a)
-    ov = np.sqrt(av)
-    if not _any_node(a):
-        return ov
-    return _make(ov, [(a, lambda g: g * (0.5 / ov))])
-
-
 def absolute(a):
     av = value_of(a)
     ov = np.abs(av)
@@ -310,12 +262,6 @@ def mean(a, axis=None, keepdims=False):
     return div(s, float(n)) if isinstance(s, Node) else s / float(n)
 
 
-def l2norm(a, axis=-1, keepdims=False):
-    """Euclidean norm along ``axis``; gradient is x / ||x||."""
-    sq = mul(a, a)
-    return sqrt(sum_(sq, axis=axis, keepdims=keepdims))
-
-
 # ---------------------------------------------------------------------------
 # 3-vector helpers
 
@@ -333,12 +279,10 @@ def cross3(a, b):
     ])
 
 
-def normalize3(a, eps=0.0):
+def normalize3(a):
     """Unit vector along the last axis. Gradient projects out the radial part."""
     av = value_of(a)
     r = np.linalg.norm(av, axis=-1, keepdims=True)
-    if eps:
-        r = np.maximum(r, eps)
     ov = av / r
     if not _any_node(a):
         return ov
@@ -450,20 +394,6 @@ def exclusive_cumprod(a, axis=-1):
         return (tail - p) / av
 
     return _make(ov, [(a, vjp)])
-
-
-def where_const(cond, a, b):
-    """Select with a constant (non-differentiable) condition array."""
-    cond = np.asarray(cond, dtype=bool)
-    av, bv = value_of(a), value_of(b)
-    out = np.where(cond, av, bv)
-    if not _any_node(a, b):
-        return out
-    c = cond.astype(np.float64)
-    return _make(out, [
-        (a, lambda g: _unbroadcast(g * c, av.shape)),
-        (b, lambda g: _unbroadcast(g * (1.0 - c), bv.shape)),
-    ])
 
 
 # ---------------------------------------------------------------------------

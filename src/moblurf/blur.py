@@ -20,15 +20,6 @@ from .cameras import RayBatch
 from .fields import SceneModel
 from .render import RenderResult, motion_mask, render_rays
 
-# instrumentation: number of rays refined by the local MLP since last reset
-LORR_RAY_COUNT = 0
-
-
-def reset_lorr_counter():
-    global LORR_RAY_COUNT
-    LORR_RAY_COUNT = 0
-
-
 def gmrp(model: SceneModel, rays: RayBatch) -> list[RayBatch]:
     """Global motion-aware ray prediction: one warped copy per latent index."""
     out = []
@@ -41,8 +32,6 @@ def gmrp(model: SceneModel, rays: RayBatch) -> list[RayBatch]:
 
 def lorr(model: SceneModel, rays: RayBatch) -> RayBatch:
     """Local object-motion refinement: per-ray screw from the local MLP."""
-    global LORR_RAY_COUNT
-    LORR_RAY_COUNT += len(rays)
     screw = model.local_screw(rays.origins, rays.dirs, rays.t, rays.near, rays.far)
     omega = ad.narrow(screw, 0, 3, axis=1)
     v = ad.narrow(screw, 3, 3, axis=1)
@@ -72,6 +61,7 @@ class BlurryRender:
     blurry_static: dict         # keys 's','d','full' for the static partition
     blurry_dynamic: dict        # keys 's','d','full' for the dynamic partition
     latent_p_st: list           # (M,N) staticness samples of all latent rays
+    lorr_rays: int = 0          # latent rays refined by the local MLP
 
 
 def _colors(res: RenderResult) -> dict:
@@ -111,6 +101,7 @@ def blurry_render(model: SceneModel, base_rays: RayBatch, n_samples: int,
     latent = gmrp(model, base_rays)
     bundle_parts = []     # RayBatch segments, rendered in one pass
     segments = []         # (partition, q, length)
+    lorr_rays = 0
     for q, rays_q in enumerate(latent):
         if len(static_idx):
             bundle_parts.append(rays_q.select(static_idx))
@@ -118,6 +109,7 @@ def blurry_render(model: SceneModel, base_rays: RayBatch, n_samples: int,
         if len(dynamic_idx):
             bundle_parts.append(lorr(model, rays_q.select(dynamic_idx)))
             segments.append(("dynamic", q, len(dynamic_idx)))
+            lorr_rays += len(dynamic_idx)
 
     merged = _concat_rays(bundle_parts)
     latent_res = render_rays(model, merged, n_samples, rng)
@@ -143,7 +135,7 @@ def blurry_render(model: SceneModel, base_rays: RayBatch, n_samples: int,
     return BlurryRender(
         base=base, mask=mask, static_idx=static_idx, dynamic_idx=dynamic_idx,
         blurry_static=blurry_static, blurry_dynamic=blurry_dynamic,
-        latent_p_st=[latent_res.p_st_samples],
+        latent_p_st=[latent_res.p_st_samples], lorr_rays=lorr_rays,
     )
 
 

@@ -12,7 +12,7 @@ alongside for metric ray distances.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -34,6 +34,13 @@ class CameraPose:
         self.center = np.asarray(self.center, dtype=np.float64)
         if self.fx <= 0 or self.fy <= 0:
             raise ValueError("focal lengths must be positive")
+        r = self.rotation
+        ortho_err = np.abs(r.T @ r - np.eye(3)).max()
+        det = np.linalg.det(r)
+        # negated comparisons so that NaN entries are rejected too
+        if not (ortho_err <= 1e-6 and abs(det - 1.0) <= 1e-6):
+            raise ValueError(f"rotation is not orthonormal with det +1 "
+                             f"(max |R^T R - I| = {ortho_err:.3g}, det = {det:.6g})")
 
     def as_matrix34(self) -> np.ndarray:
         return np.concatenate([self.rotation, self.center[:, None]], axis=1)
@@ -79,12 +86,6 @@ class RayBatch:
 
     def __len__(self):
         return len(self.t)
-
-    def detached(self) -> "RayBatch":
-        return replace(self,
-                       origins=ad.constant(self.origins),
-                       dirs=ad.constant(self.dirs),
-                       pix_dirs=ad.constant(self.pix_dirs))
 
     def select(self, idx: np.ndarray) -> "RayBatch":
         """Row subset; geometric fields go through gather to stay in-graph."""

@@ -100,8 +100,10 @@ def cmd_train(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     manifest_path = out / "manifest.json"
-    write_manifest(manifest_path, config, config.seed, command="train",
-                   extras={"dataset": str(args.dataset), "out": str(out)})
+    # a resumed run keeps the first run's manifest and adds its timings to it
+    if not (args.resume and manifest_path.exists()):
+        write_manifest(manifest_path, config, config.seed, command="train",
+                       extras={"dataset": str(args.dataset), "out": str(out)})
     trainer = Trainer(config, dataset)
     t0 = time.time()
     info = trainer.run(out, resume=args.resume, progress=args.progress)
@@ -113,10 +115,11 @@ def cmd_train(args) -> int:
 
 def cmd_render(args) -> int:
     from .config import resolve_config, write_manifest
-    from .data import read_dataset, write_depth_raw
+    from .data import read_dataset, read_poses, write_depth_raw
     from .fields import load_checkpoint
     from .inference import infer_frame, infer_frame_base_rays
     from .pngio import write_png
+    from .training import NumericalError
     import numpy as np
 
     model, meta = load_checkpoint(args.checkpoint)
@@ -126,6 +129,10 @@ def cmd_render(args) -> int:
                                    dataset.meta.get("eval_timestamps", []))
     n_samples = int(meta.get("train_state", {}).get("config", {})
                     .get("n_samples", 32))
+    if args.pose_source == "file":
+        if not args.pose_file:
+            raise ValueError("--pose-file is required with --pose-source file")
+        file_poses = read_poses(args.pose_file, dataset.meta)
     out = Path(args.out)
     for sub in ("rgb", "mask", "p_dy", "kappa"):
         (out / sub).mkdir(parents=True, exist_ok=True)
@@ -141,9 +148,10 @@ def cmd_render(args) -> int:
             res = infer_frame(model, dataset.poses_true[t], t, h, w,
                               dataset.near, dataset.far, n_samples)
         else:  # file
-            poses = _load_pose_file(args.pose_file, dataset.meta)
-            res = infer_frame(model, poses[t], t, h, w,
+            res = infer_frame(model, file_poses[t], t, h, w,
                               dataset.near, dataset.far, n_samples)
+        if not np.all(np.isfinite(res["rgb"])):
+            raise NumericalError(f"non-finite pixels in the render of frame {t}")
         write_png(out / "rgb" / f"{t:04d}.png",
                   np.clip(np.round(res["rgb"] * 255), 0, 255).astype(np.uint8))
         write_png(out / "mask" / f"{t:04d}.png",
@@ -159,24 +167,6 @@ def cmd_render(args) -> int:
                            "dataset": str(args.dataset)})
     print(f"rendered {len(timestamps)} frames to {out}")
     return EXIT_OK
-
-
-def _load_pose_file(path, meta):
-    import numpy as np
-    from .cameras import CameraPose
-
-    if not path:
-        raise ValueError("--pose-file is required with --pose-source file")
-    poses = []
-    with open(path) as f:
-        for t, line in enumerate(f):
-            vals = [float(v) for v in line.split()]
-            if len(vals) != 12:
-                raise ValueError(f"{path}:{t + 1}: expected 12 values per line")
-            poses.append(CameraPose.from_matrix34(
-                np.array(vals).reshape(3, 4), meta["fx"], meta["fy"],
-                meta["cx"], meta["cy"], t_index=t))
-    return poses
 
 
 def cmd_eval(args) -> int:

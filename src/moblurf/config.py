@@ -57,22 +57,9 @@ class TrainConfig:
             raise ConfigError("lg_fraction must lie in [0, 1]")
 
     def field_config(self, n_frames: int) -> FieldConfig:
-        return FieldConfig(
-            n_frames=n_frames,
-            n_latent=self.n_latent,
-            pos_freqs=self.pos_freqs,
-            dir_freqs=self.dir_freqs,
-            glo_dim=self.glo_dim,
-            ray_samples=self.ray_samples,
-            ray_freqs=self.ray_freqs,
-            trunk_depth=self.trunk_depth,
-            trunk_width=self.trunk_width,
-            rgb_depth=self.rgb_depth,
-            rgb_width=self.rgb_width,
-            local_depth=self.local_depth,
-            local_width=self.local_width,
-            activation=self.activation,
-        )
+        return FieldConfig(n_frames=n_frames, **{
+            f.name: getattr(self, f.name) for f in fields(FieldConfig)
+            if f.name != "n_frames"})
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -133,9 +120,12 @@ def write_manifest(path, config: TrainConfig, seed: int, command: str,
 
 
 def update_manifest(path, timings: dict) -> None:
+    """Add ``timings`` (seconds) to the manifest's, so the time of a resumed
+    run adds to that of the run it continues."""
     with open(path) as f:
         manifest = json.load(f)
-    manifest["timings"].update(timings)
+    for key, seconds in timings.items():
+        manifest["timings"][key] = round(manifest["timings"].get(key, 0.0) + seconds, 3)
     with open(path, "w") as f:
         json.dump(manifest, f, indent=2, sort_keys=True)
 

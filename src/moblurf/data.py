@@ -198,16 +198,21 @@ def _write_poses(path, poses: list) -> None:
             f.write(" ".join(f"{v:.17g}" for v in vals) + "\n")
 
 
-def _read_poses(path, meta) -> list:
+def read_poses(path, meta) -> list:
+    """Camera poses from a text file of 12 reals per line (row-major 3x4
+    [R|c]), one line per frame, with the intrinsics in ``meta``."""
     poses = []
     with open(path) as f:
         for t, line in enumerate(f):
             vals = [float(v) for v in line.split()]
             if len(vals) != 12:
                 raise DatasetError(f"{path}:{t + 1}: expected 12 values, got {len(vals)}")
-            poses.append(CameraPose.from_matrix34(
-                np.array(vals).reshape(3, 4),
-                meta["fx"], meta["fy"], meta["cx"], meta["cy"], t_index=t))
+            try:
+                poses.append(CameraPose.from_matrix34(
+                    np.array(vals).reshape(3, 4),
+                    meta["fx"], meta["fy"], meta["cx"], meta["cy"], t_index=t))
+            except ValueError as exc:
+                raise DatasetError(f"{path}:{t + 1}: {exc}") from exc
     return poses
 
 
@@ -259,8 +264,8 @@ def read_dataset(path) -> BlurryDataset:
     mask = load_frames("mask_true", read_png, (h, w)) > 127
     pseudo = load_frames("depth_pseudo", read_depth_raw, (h, w))
     depth_true = load_frames("depth_true", read_depth_raw, (h, w))
-    poses_corrupt = _read_poses(root / "poses_corrupt.txt", meta)
-    poses_true = _read_poses(root / "poses_true.txt", meta)
+    poses_corrupt = read_poses(root / "poses_corrupt.txt", meta)
+    poses_true = read_poses(root / "poses_true.txt", meta)
     if len(poses_corrupt) != n or len(poses_true) != n:
         raise DatasetError(f"{root}: pose count does not match n_frames={n}")
     return BlurryDataset(meta=meta, blur=blur, poses_corrupt=poses_corrupt,

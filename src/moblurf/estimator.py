@@ -82,24 +82,11 @@ class MoBluRF:
         if not isinstance(dataset, BlurryDataset):
             dataset = read_dataset(dataset)
         _validate_dataset(dataset)
-        config = self._resolved_config()
-        trainer = Trainer(config, dataset)
-        if out_dir is not None:
-            run_info = trainer.run(out_dir)
-        else:
-            for it in range(config.bri_iters):
-                breakdown = trainer.bri_step(it)
-                trainer.history.append({"stage": "bri", "iteration": it,
-                                        **breakdown.as_dict()})
-            for it in range(config.mdd_iters):
-                breakdown = trainer.mdd_step(it)
-                trainer.history.append({"stage": "mdd", "iteration": it,
-                                        **breakdown.as_dict()})
-            run_info = {"checkpoint": None}
+        trainer = Trainer(self._resolved_config(), dataset)
+        self.run_info_ = trainer.run(out_dir)
         self.dataset_ = dataset
         self.trainer_ = trainer
         self.model_ = trainer.model
-        self.run_info_ = run_info
         self.history_ = trainer.history
         return self
 

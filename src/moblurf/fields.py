@@ -15,8 +15,10 @@ in one ParamStore under these groups:
 from __future__ import annotations
 
 import json
+import os
 import struct
 from dataclasses import dataclass, asdict
+from pathlib import Path
 
 import numpy as np
 
@@ -84,25 +86,34 @@ def encode_position(x, num_freqs: int):
     return ad.concat(parts, axis=-1)
 
 
-class Mlp:
-    """Fully connected stack, hidden activation between layers, linear output."""
+def init_mlp(store: ParamStore, prefix: str, group: str, sizes,
+             rng: np.random.Generator, zero_last: bool = False) -> None:
+    """Add the weights ``prefix.{i}.w``/``.b`` of a fully connected stack
+    with layer widths ``sizes`` to ``store``: uniform He-style weights, zero
+    biases, and an all-zero last layer with ``zero_last``."""
+    n_layers = len(sizes) - 1
+    for i in range(n_layers):
+        fan_in, fan_out = sizes[i], sizes[i + 1]
+        if zero_last and i == n_layers - 1:
+            w = np.zeros((fan_in, fan_out))
+        else:
+            bound = np.sqrt(6.0 / fan_in)
+            w = rng.uniform(-bound, bound, size=(fan_in, fan_out))
+        store.add(f"{prefix}.{i}.w", w, group)
+        store.add(f"{prefix}.{i}.b", np.zeros(fan_out), group)
 
-    def __init__(self, store: ParamStore, prefix: str, group: str, sizes,
-                 rng: np.random.Generator, zero_last: bool = False,
-                 activation=ad.relu):
+
+class Mlp:
+    """Fully connected stack over the ``prefix.{i}.w``/``.b`` parameters of a
+    store: hidden activation between layers, linear output."""
+
+    def __init__(self, store: ParamStore, prefix: str, activation):
         self.store = store
         self.prefix = prefix
         self.activation = activation
-        self.n_layers = len(sizes) - 1
-        for i in range(self.n_layers):
-            fan_in, fan_out = sizes[i], sizes[i + 1]
-            if zero_last and i == self.n_layers - 1:
-                w = np.zeros((fan_in, fan_out))
-            else:
-                bound = np.sqrt(6.0 / fan_in)
-                w = rng.uniform(-bound, bound, size=(fan_in, fan_out))
-            store.add(f"{prefix}.{i}.w", w, group)
-            store.add(f"{prefix}.{i}.b", np.zeros(fan_out), group)
+        self.n_layers = 0
+        while f"{prefix}.{self.n_layers}.w" in store.values:
+            self.n_layers += 1
 
     def __call__(self, x):
         h = x
@@ -126,91 +137,69 @@ class SceneModel:
     def __init__(self, config: FieldConfig, rng: np.random.Generator,
                  store: ParamStore | None = None):
         self.config = config
-        self.store = store if store is not None else ParamStore()
         if store is None:
+            self.store = ParamStore()
             self._init_params(rng)
         else:
-            self._bind()
+            self.store = store
+        self._bind()
 
     def _init_params(self, rng: np.random.Generator):
         cfg = self.config
         st = self.store
-        act = self._activation_fn()
         trunk = [cfg.trunk_width] * cfg.trunk_depth
+        rgb = [cfg.trunk_width + cfg.dir_dim] + [cfg.rgb_width] * (cfg.rgb_depth - 1) + [3]
+        local = [cfg.ray_embed_dim + cfg.glo_dim] + [cfg.local_width] * cfg.local_depth + [6]
         # static: trunk(gamma(x)) -> heads
-        Mlp(st, "static.trunk", "static", [cfg.pos_dim] + trunk, rng, activation=act)
-        Mlp(st, "static.sigma", "static", [cfg.trunk_width, 1], rng)
-        Mlp(st, "static.rgb", "static",
-            [cfg.trunk_width + cfg.dir_dim] + [cfg.rgb_width] * (cfg.rgb_depth - 1) + [3],
-            rng, activation=act)
+        init_mlp(st, "static.trunk", "static", [cfg.pos_dim] + trunk, rng)
+        init_mlp(st, "static.sigma", "static", [cfg.trunk_width, 1], rng)
+        init_mlp(st, "static.rgb", "static", rgb, rng)
         # staticness head starts at exactly sigmoid(1) ~ 0.73 everywhere
         # (zero weights, positive bias): the motion mask opens all-static and
         # dynamic regions must win territory through the photometric terms
-        Mlp(st, "static.pst", "static", [cfg.trunk_width, 1], rng, zero_last=True)
+        init_mlp(st, "static.pst", "static", [cfg.trunk_width, 1], rng, zero_last=True)
         st.values["static.pst.0.b"][:] = 1.0
         # dynamic: trunk(gamma(x), glo(t)) -> heads
-        Mlp(st, "dynamic.trunk", "dynamic", [cfg.pos_dim + cfg.glo_dim] + trunk, rng,
-            activation=act)
-        Mlp(st, "dynamic.sigma", "dynamic", [cfg.trunk_width, 1], rng)
-        Mlp(st, "dynamic.rgb", "dynamic",
-            [cfg.trunk_width + cfg.dir_dim] + [cfg.rgb_width] * (cfg.rgb_depth - 1) + [3],
-            rng, activation=act)
+        init_mlp(st, "dynamic.trunk", "dynamic", [cfg.pos_dim + cfg.glo_dim] + trunk, rng)
+        init_mlp(st, "dynamic.sigma", "dynamic", [cfg.trunk_width, 1], rng)
+        init_mlp(st, "dynamic.rgb", "dynamic", rgb, rng)
         st.add("glo", rng.normal(0.0, 0.01, size=(cfg.n_frames, cfg.glo_dim)), "dynamic")
         # near-empty initial density: surfaces condense faster than a fog
         # that must first be carved away
         st.values["static.sigma.0.b"][:] = -2.0
         st.values["dynamic.sigma.0.b"][:] = -2.0
         # local object-motion MLP: zero-init last layer -> identity refinement
-        Mlp(st, "local.mlp", "local",
-            [cfg.ray_embed_dim + cfg.glo_dim] + [cfg.local_width] * cfg.local_depth + [6],
-            rng, zero_last=True, activation=act)
+        init_mlp(st, "local.mlp", "local", local, rng, zero_last=True)
         # screw tables start at zero: identity warp
         st.add("screw.base", np.zeros((cfg.n_frames, 6)), "screw_base")
         st.add("screw.global", np.zeros((cfg.n_frames * max(cfg.n_latent, 1), 6)),
                "screw_global")
-        self._bind()
-
-    def _activation_fn(self):
-        return ad.softplus if self.config.activation == "softplus" else ad.relu
 
     def _bind(self):
-        act = self._activation_fn()
-        self.act = act
-        self.static_trunk = _bound_mlp(self.store, "static.trunk", act)
-        self.static_sigma = _bound_mlp(self.store, "static.sigma", act)
-        self.static_rgb = _bound_mlp(self.store, "static.rgb", act)
-        self.static_pst = _bound_mlp(self.store, "static.pst", act)
-        self.dynamic_trunk = _bound_mlp(self.store, "dynamic.trunk", act)
-        self.dynamic_sigma = _bound_mlp(self.store, "dynamic.sigma", act)
-        self.dynamic_rgb = _bound_mlp(self.store, "dynamic.rgb", act)
-        self.local_mlp = _bound_mlp(self.store, "local.mlp", act)
+        self.act = act = ad.softplus if self.config.activation == "softplus" else ad.relu
+        self.static_trunk = Mlp(self.store, "static.trunk", act)
+        self.static_sigma = Mlp(self.store, "static.sigma", act)
+        self.static_rgb = Mlp(self.store, "static.rgb", act)
+        self.static_pst = Mlp(self.store, "static.pst", act)
+        self.dynamic_trunk = Mlp(self.store, "dynamic.trunk", act)
+        self.dynamic_sigma = Mlp(self.store, "dynamic.sigma", act)
+        self.dynamic_rgb = Mlp(self.store, "dynamic.rgb", act)
+        self.local_mlp = Mlp(self.store, "local.mlp", act)
 
     # field evaluation -------------------------------------------------------
 
-    def static_eval(self, x, d):
-        """(color, sigma, p_st) at points x viewed along unit directions d."""
-        cfg = self.config
-        return self.static_eval_encoded(encode_position(x, cfg.pos_freqs),
-                                        encode_position(d, cfg.dir_freqs))
-
     def static_eval_encoded(self, enc_x, enc_d):
-        """Same as static_eval on pre-encoded inputs (shared-encoding path)."""
+        """(color, sigma, p_st) at encoded points ``enc_x`` viewed along
+        encoded unit directions ``enc_d`` (see :func:`encode_position`)."""
         h = self.act(self.static_trunk(enc_x))
         sigma = ad.softplus(ad.reshape(self.static_sigma(h), (-1,)))
         color = ad.sigmoid(self.static_rgb(ad.concat([h, enc_d], axis=-1)))
         p_st = ad.sigmoid(ad.reshape(self.static_pst(h), (-1,)))
         return color, sigma, p_st
 
-    def dynamic_eval(self, x, d, t_idx):
-        """(color, sigma) at points x, directions d, frame indices t_idx."""
-        cfg = self.config
-        self._check_t(t_idx)
-        return self.dynamic_eval_encoded(encode_position(x, cfg.pos_freqs),
-                                         encode_position(d, cfg.dir_freqs),
-                                         self.glo_lookup(t_idx))
-
     def dynamic_eval_encoded(self, enc_x, enc_d, glo):
-        """Same as dynamic_eval on pre-encoded inputs and GLO rows."""
+        """(color, sigma) at encoded points and directions, conditioned on
+        the GLO rows ``glo`` of their frames (see :meth:`glo_lookup`)."""
         h = self.act(self.dynamic_trunk(ad.concat([enc_x, glo], axis=-1)))
         sigma = ad.softplus(ad.reshape(self.dynamic_sigma(h), (-1,)))
         color = ad.sigmoid(self.dynamic_rgb(ad.concat([h, enc_d], axis=-1)))
@@ -271,17 +260,6 @@ class SceneModel:
         return ad.narrow(rows, 0, 3, axis=1), ad.narrow(rows, 3, 3, axis=1)
 
 
-def _bound_mlp(store: ParamStore, prefix: str, activation=ad.relu):
-    mlp = Mlp.__new__(Mlp)
-    mlp.store = store
-    mlp.prefix = prefix
-    mlp.activation = activation
-    mlp.n_layers = 0
-    while f"{prefix}.{mlp.n_layers}.w" in store.values:
-        mlp.n_layers += 1
-    return mlp
-
-
 # ---------------------------------------------------------------------------
 # checkpoint file format: magic, u32 header length, JSON header, float64
 # little-endian array payload in header order.
@@ -308,12 +286,20 @@ def save_checkpoint(path, model: SceneModel, extra_meta: dict | None = None):
         "arrays": arrays,
     }
     raw = json.dumps(header).encode("utf-8")
-    with open(path, "wb") as f:
-        f.write(CHECKPOINT_MAGIC)
-        f.write(struct.pack("<I", len(raw)))
-        f.write(raw)
-        for blob in blobs:
-            f.write(blob)
+    # write beside the target, then rename over it: a write that fails
+    # midway leaves the previous file at ``path`` intact
+    tmp = Path(f"{path}.tmp")
+    try:
+        with open(tmp, "wb") as f:
+            f.write(CHECKPOINT_MAGIC)
+            f.write(struct.pack("<I", len(raw)))
+            f.write(raw)
+            for blob in blobs:
+                f.write(blob)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def load_checkpoint(path):

@@ -12,8 +12,6 @@ import numpy as np
 
 from . import autodiff as ad
 
-LAMBDA_SM = 0.002
-LAMBDA_LG = 0.075
 DEGENERATE_CROSS_NORM = 1e-8
 
 
@@ -42,7 +40,7 @@ def masked_photometric(rendered, target, mask):
     return ad.div(ad.sum_(ad.mul(diff, diff)), float(max(n, 1)))
 
 
-def staticness_max(p_st, lam: float = LAMBDA_SM):
+def staticness_max(p_st, lam: float):
     """Pull staticness probabilities toward 1: lam * mean |log p_st|."""
     vals = ad.value_of(p_st)
     if vals.size and (vals.min() <= 0.0 or vals.max() >= 1.0):
@@ -84,8 +82,7 @@ def local_geometry_unit(origins3, dirs3, scalars3):
     return out, ok
 
 
-def lg_loss(cross_pred, ok_pred, cross_true, ok_true, n_pixels: int,
-            lam: float = LAMBDA_LG):
+def lg_loss(cross_pred, ok_pred, cross_true, ok_true, n_pixels: int, lam: float):
     """Local geometry variance distillation.
 
     Mean over the supervised pixels of ||g_hat - g||^2 between the two unit

@@ -90,9 +90,6 @@ class ParamStore:
             h.update(np.ascontiguousarray(self.values[name]).tobytes())
         return h.hexdigest()
 
-    def total_parameters(self) -> int:
-        return sum(v.size for v in self.values.values())
-
 
 def adam_step(store: ParamStore, rate: float, rates_by_group: dict[str, float] | None = None,
               beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8) -> None:

@@ -14,6 +14,7 @@ Freeze contracts are enforced by Adam skipping frozen groups; with
 
 from __future__ import annotations
 
+import contextlib
 import time
 from dataclasses import dataclass
 from pathlib import Path
@@ -318,39 +319,42 @@ class Trainer:
 
     # full runs -----------------------------------------------------------------
 
-    def run(self, out_dir, resume: bool = False,
+    def run(self, out_dir=None, resume: bool = False,
             progress: bool = False) -> dict:
+        """Train both stages. With ``out_dir`` the run writes its log and
+        checkpoints there and ``resume`` continues from the latest
+        checkpoint; without it the run stays in memory and writes no file."""
         cfg = self.config
-        out = Path(out_dir)
-        out.mkdir(parents=True, exist_ok=True)
-        log_path = out / "train_log.txt"
+        out = None if out_dir is None else Path(out_dir)
         start_stage, start_iter = "bri", 0
-        if resume and (out / "checkpoint_latest.ckpt").exists():
-            self.model, meta = load_checkpoint(out / "checkpoint_latest.ckpt")
-            state = meta["train_state"]
-            start_stage, start_iter = state["stage"], state["iteration"] + 1
-            self.rng.bit_generator.state = state["rng_state"]
-        mode = "a" if resume else "w"
+        if out is not None:
+            out.mkdir(parents=True, exist_ok=True)
+            if resume and (out / "checkpoint_latest.ckpt").exists():
+                self.model, meta = load_checkpoint(out / "checkpoint_latest.ckpt")
+                state = meta["train_state"]
+                start_stage, start_iter = state["stage"], state["iteration"] + 1
+                self.rng.bit_generator.state = state["rng_state"]
         timings = {}
-        with open(log_path, mode) as log:
+        with (contextlib.nullcontext() if out is None
+              else open(out / "train_log.txt", "a" if resume else "w")) as log:
             if start_stage == "bri":
                 t0 = time.time()
                 self._stage_loop("bri", cfg.bri_iters, start_iter, out, log, progress)
                 timings["bri_seconds"] = round(time.time() - t0, 3)
-                save_checkpoint(out / "checkpoint_bri.ckpt", self.model,
-                                self._ckpt_meta("bri", cfg.bri_iters - 1))
+                self._save(out, "checkpoint_bri.ckpt", "bri", cfg.bri_iters - 1)
                 start_iter = 0
             t0 = time.time()
             self._stage_loop("mdd", cfg.mdd_iters, start_iter, out, log, progress)
             timings["mdd_seconds"] = round(time.time() - t0, 3)
-        save_checkpoint(out / "checkpoint_final.ckpt", self.model,
-                        self._ckpt_meta("mdd", cfg.mdd_iters - 1))
+        self._save(out, "checkpoint_final.ckpt", "mdd", cfg.mdd_iters - 1)
+        if out is None:
+            return {"checkpoint": None, "timings": timings}
         return {"checkpoint": str(out / "checkpoint_final.ckpt"),
                 "bri_checkpoint": str(out / "checkpoint_bri.ckpt"),
-                "log": str(log_path), "timings": timings}
+                "log": str(out / "train_log.txt"), "timings": timings}
 
-    def _stage_loop(self, stage: str, total: int, start: int, out: Path, log,
-                    progress: bool):
+    def _stage_loop(self, stage: str, total: int, start: int, out: Path | None,
+                    log, progress: bool):
         cfg = self.config
         step = self.bri_step if stage == "bri" else self.mdd_step
         ckpt_every = max(1, int(total * cfg.checkpoint_fraction))
@@ -364,7 +368,7 @@ class Trainer:
                    "lr_screw": (self.bri_sched_screw if stage == "bri"
                                 else self.mdd_sched_screw).rate_at(it)}
             self.history.append(rec)
-            if it % cfg.log_every == 0 or it == total - 1:
+            if log is not None and (it % cfg.log_every == 0 or it == total - 1):
                 line = (f"it={it} stage={stage} parity={rec['parity']} "
                         f"photo_d={rec['photo_dynamic']:.6f} photo_f={rec['photo_full']:.6f} "
                         f"mphoto_s={rec['mphoto_static']:.6f} sm={rec['sm']:.6f} "
@@ -375,8 +379,11 @@ class Trainer:
                 if progress:
                     print(line, flush=True)
             if (it + 1) % ckpt_every == 0:
-                save_checkpoint(out / "checkpoint_latest.ckpt", self.model,
-                                self._ckpt_meta(stage, it))
+                self._save(out, "checkpoint_latest.ckpt", stage, it)
+
+    def _save(self, out: Path | None, name: str, stage: str, iteration: int):
+        if out is not None:
+            save_checkpoint(out / name, self.model, self._ckpt_meta(stage, iteration))
 
     def _ckpt_meta(self, stage: str, iteration: int) -> dict:
         return {"train_state": {

@@ -77,21 +77,35 @@ class TestLorr:
         assert np.abs(ad.value_of(refined.origins) - o).max() < 1e-15
         assert np.abs(ad.value_of(refined.dirs) - d).max() < 1e-15
 
-    def test_not_invoked_for_static_rays(self):
+    @staticmethod
+    def _count_lorr(monkeypatch):
+        """Rays passed to ``blur.lorr``, counted at the function itself."""
+        seen = []
+        orig = blur.lorr
+
+        def counting_lorr(model, rays):
+            seen.append(len(rays))
+            return orig(model, rays)
+
+        monkeypatch.setattr(blur, "lorr", counting_lorr)
+        return seen
+
+    def test_not_invoked_for_static_rays(self, monkeypatch):
         model = tiny_model()
         rays = make_rays(seed=5)
-        blur.reset_lorr_counter()
-        blur.blurry_render(model, rays, n_samples=4,
-                           mask_override=np.zeros(len(rays), dtype=int))
-        assert blur.LORR_RAY_COUNT == 0
+        seen = self._count_lorr(monkeypatch)
+        res = blur.blurry_render(model, rays, n_samples=4,
+                                 mask_override=np.zeros(len(rays), dtype=int))
+        assert res.lorr_rays == 0 and seen == []
 
-    def test_invoked_exactly_for_dynamic_rays(self):
+    def test_invoked_exactly_for_dynamic_rays(self, monkeypatch):
         model = tiny_model(n_latent=3)
         rays = make_rays(n=8, seed=6)
         mask = np.array([1, 0, 1, 1, 0, 0, 0, 1])
-        blur.reset_lorr_counter()
-        blur.blurry_render(model, rays, n_samples=4, mask_override=mask)
-        assert blur.LORR_RAY_COUNT == mask.sum() * 3
+        seen = self._count_lorr(monkeypatch)
+        res = blur.blurry_render(model, rays, n_samples=4, mask_override=mask)
+        assert res.lorr_rays == mask.sum() * 3
+        assert sum(seen) == res.lorr_rays
 
 
 class TestBlurAverage:

@@ -95,6 +95,20 @@ class TestTrain:
         assert manifest["config"]["bri_iters"] == 2
         assert manifest["config"]["mdd_iters"] == 1  # flag beats file
 
+    def test_resume_keeps_manifest(self, tmp_path, dataset_dir):
+        out = tmp_path / "run"
+        args = ["train", "--dataset", str(dataset_dir), "--out", str(out),
+                "--seed", "0", *TINY_TRAIN]
+        assert main(args) == 0
+        first = json.loads((out / "manifest.json").read_text())
+        assert main(args + ["--resume"]) == 0
+        merged = json.loads((out / "manifest.json").read_text())
+        assert merged["created"] == first["created"]
+        # the resumed run starts after the last checkpoint, in MDD, so the
+        # first run's BRI time is the only one there is
+        assert merged["timings"]["bri_seconds"] == first["timings"]["bri_seconds"]
+        assert merged["timings"]["total_seconds"] >= first["timings"]["total_seconds"]
+
     def test_unknown_config_key_rejected(self, tmp_path, dataset_dir):
         code = main(["train", "--dataset", str(dataset_dir),
                      "--out", str(tmp_path / "x"), "--set", "no_such_knob=1"])
@@ -125,16 +139,42 @@ class TestRender:
                      "--pose-source", "train", "--timestamps", "1"])
         assert code == 0
 
-    def test_pose_file_render(self, tmp_path, dataset_dir, trained_dir):
-        out = tmp_path / "frames"
+    def _render_pose_file(self, tmp_path, dataset_dir, trained_dir, line):
         pose_file = tmp_path / "poses.txt"
-        pose_file.write_text(
-            "\n".join(" ".join("1 0 0 0 1 0 0 0 1 0 0 0".split()) for _ in range(3)))
-        code = main(["render", "--checkpoint", str(trained_dir / "checkpoint_final.ckpt"),
-                     "--dataset", str(dataset_dir), "--out", str(out),
+        pose_file.write_text("\n".join(line for _ in range(3)))
+        return main(["render", "--checkpoint", str(trained_dir / "checkpoint_final.ckpt"),
+                     "--dataset", str(dataset_dir), "--out", str(tmp_path / "frames"),
                      "--pose-source", "file", "--pose-file", str(pose_file),
                      "--timestamps", "2"])
+
+    def test_pose_file_render(self, tmp_path, dataset_dir, trained_dir):
+        # identity rotation, camera at the world origin
+        code = self._render_pose_file(tmp_path, dataset_dir, trained_dir,
+                                      "1 0 0 0 0 1 0 0 0 0 1 0")
         assert code == 0
+        assert (tmp_path / "frames" / "rgb" / "0002.png").exists()
+
+    def test_pose_file_with_invalid_rotation(self, tmp_path, dataset_dir, trained_dir,
+                                             capsys):
+        # rank-1 "rotation": its rays would have zero length
+        code = self._render_pose_file(tmp_path, dataset_dir, trained_dir,
+                                      "1 0 0 0 1 0 0 0 1 0 0 0")
+        assert code == 1
+        assert "orthonormal" in capsys.readouterr().err
+        assert not (tmp_path / "frames" / "rgb" / "0002.png").exists()
+
+    def test_non_finite_render_is_numerical_error(self, tmp_path, dataset_dir,
+                                                  trained_dir):
+        from moblurf.fields import load_checkpoint, save_checkpoint
+        model, meta = load_checkpoint(trained_dir / "checkpoint_final.ckpt")
+        model.store.values["static.rgb.0.b"][:] = np.nan
+        ckpt = tmp_path / "nan.ckpt"
+        save_checkpoint(ckpt, model, meta)
+        out = tmp_path / "frames"
+        code = main(["render", "--checkpoint", str(ckpt), "--dataset", str(dataset_dir),
+                     "--out", str(out), "--pose-source", "eval", "--timestamps", "1"])
+        assert code == 2
+        assert not (out / "rgb" / "0001.png").exists()
 
     def test_out_of_range_timestamp(self, tmp_path, dataset_dir, trained_dir):
         code = main(["render", "--checkpoint", str(trained_dir / "checkpoint_final.ckpt"),

@@ -71,6 +71,19 @@ class TestFitPredict:
         with pytest.raises(ValueError, match="pseudo-depth"):
             MoBluRF(seed=0, **TINY).fit(bad)
 
+    def test_in_memory_fit_matches_run_to_directory(self, tiny_dataset, tmp_path,
+                                                    monkeypatch):
+        cwd = tmp_path / "cwd"
+        cwd.mkdir()
+        monkeypatch.chdir(cwd)
+        mem = MoBluRF(seed=3, **TINY).fit(tiny_dataset)
+        assert list(cwd.iterdir()) == []  # in-memory: no file written
+        assert mem.run_info_["checkpoint"] is None
+        disk = MoBluRF(seed=3, **TINY).fit(tiny_dataset, out_dir=tmp_path / "run")
+        assert mem.model_.store.checksum() == disk.model_.store.checksum()
+        assert mem.history_ == disk.history_
+        assert {r["parity"] for r in mem.history_} == {"even", "odd", "-"}
+
     def test_fit_from_directory(self, tiny_dataset, tmp_path):
         from moblurf.data import write_dataset
         write_dataset(tiny_dataset, tmp_path / "ds")

@@ -19,6 +19,12 @@ def tiny_model(seed=0, **kw):
     return SceneModel(tiny_config(**kw), np.random.default_rng(seed))
 
 
+def encoded(model, x, d):
+    """Positional encodings of points and directions, as rendering makes them."""
+    cfg = model.config
+    return encode_position(x, cfg.pos_freqs), encode_position(d, cfg.dir_freqs)
+
+
 class TestEncoding:
     def test_dimension_3_plus_6l(self):
         x = np.zeros((4, 3))
@@ -75,7 +81,8 @@ class TestFieldEval:
         x = rng.uniform(-10, 10, size=(40, 3))
         d = rng.normal(size=(40, 3))
         d /= np.linalg.norm(d, axis=1, keepdims=True)
-        c, sigma, p_st = (ad.value_of(v) for v in model.static_eval(x, d))
+        c, sigma, p_st = (ad.value_of(v) for v in
+                          model.static_eval_encoded(*encoded(model, x, d)))
         assert np.all((c >= 0) & (c <= 1))
         assert np.all(sigma >= 0)
         assert np.all((p_st > 0) & (p_st < 1))
@@ -88,23 +95,26 @@ class TestFieldEval:
         d = rng.normal(size=(20, 3))
         d /= np.linalg.norm(d, axis=1, keepdims=True)
         t = rng.integers(0, 5, size=20)
-        c, sigma = (ad.value_of(v) for v in model.dynamic_eval(x, d, t))
+        c, sigma = (ad.value_of(v) for v in
+                    model.dynamic_eval_encoded(*encoded(model, x, d),
+                                               model.glo_lookup(t)))
         assert np.all((c >= 0) & (c <= 1)) and np.all(sigma >= 0)
         with pytest.raises(IndexError):
-            model.dynamic_eval(x, d, np.full(20, 7))
+            model.glo_lookup(np.full(20, 7))
 
     def test_same_seed_reproduces_outputs(self):
         a, b = tiny_model(seed=9), tiny_model(seed=9)
         x = np.array([[0.3, -0.2, 2.0]])
         d = np.array([[0.0, 0.0, 1.0]])
-        for va, vb in zip(a.static_eval(x, d), b.static_eval(x, d)):
+        for va, vb in zip(a.static_eval_encoded(*encoded(a, x, d)),
+                          b.static_eval_encoded(*encoded(b, x, d))):
             assert np.array_equal(ad.value_of(va), ad.value_of(vb))
 
     def test_staticness_starts_uniform_static(self):
         model = tiny_model()
         x = np.random.default_rng(3).uniform(-5, 5, size=(30, 3))
         d = np.tile([0.0, 0.0, 1.0], (30, 1))
-        _, _, p_st = model.static_eval(x, d)
+        _, _, p_st = model.static_eval_encoded(*encoded(model, x, d))
         assert np.allclose(ad.value_of(p_st), 1 / (1 + np.exp(-1.0)))
 
 

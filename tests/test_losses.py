@@ -3,6 +3,7 @@ import pytest
 
 from moblurf import autodiff as ad
 from moblurf import losses as L
+from moblurf.config import TrainConfig
 from moblurf.cameras import CameraPose, frame_pixel_grid, rays_for_pixels
 
 
@@ -52,30 +53,35 @@ class TestMaskedPhotometric:
                 float(ad.value_of(L.photometric(a, b))) + 1e-15
 
 
+# the loss weights of the default training configuration
+LAMBDA_SM = TrainConfig.lambda_sm
+LAMBDA_LG = TrainConfig.lambda_lg
+
+
 class TestStaticnessMax:
     def test_probability_one_limit(self):
-        out = L.staticness_max(np.full(8, 1.0 - 1e-12))
+        out = L.staticness_max(np.full(8, 1.0 - 1e-12), LAMBDA_SM)
         assert float(ad.value_of(out)) < 1e-10
 
     def test_inverse_e_gives_lambda(self):
-        out = L.staticness_max(np.full(4, np.exp(-1.0)))
-        assert float(ad.value_of(out)) == pytest.approx(L.LAMBDA_SM)
+        out = L.staticness_max(np.full(4, np.exp(-1.0)), LAMBDA_SM)
+        assert float(ad.value_of(out)) == pytest.approx(LAMBDA_SM)
 
     def test_hand_mixed_values(self):
-        out = L.staticness_max(np.array([0.5, 0.25]))
-        expected = L.LAMBDA_SM * (np.log(2) + np.log(4)) / 2.0
+        out = L.staticness_max(np.array([0.5, 0.25]), LAMBDA_SM)
+        expected = LAMBDA_SM * (np.log(2) + np.log(4)) / 2.0
         assert float(ad.value_of(out)) == pytest.approx(expected, rel=1e-12)
 
     def test_rejects_boundary_values(self):
         with pytest.raises(ValueError):
-            L.staticness_max(np.array([0.5, 1.0]))
+            L.staticness_max(np.array([0.5, 1.0]), LAMBDA_SM)
         with pytest.raises(ValueError):
-            L.staticness_max(np.array([0.0, 0.5]))
+            L.staticness_max(np.array([0.0, 0.5]), LAMBDA_SM)
 
     def test_gradient_pushes_probability_up(self):
         for p in (0.05, 0.3, 0.6, 0.95):
             node = ad.Node(np.array([p]))
-            ad.backward(L.staticness_max(node))
+            ad.backward(L.staticness_max(node, LAMBDA_SM))
             assert node.grad[0] < 0.0  # decreasing loss raises p_st
 
 
@@ -136,32 +142,32 @@ class TestLgLoss:
 
     def test_equal_vectors_zero(self):
         cr, ok = self._unit_crosses([[0, 0, 2.0]])
-        out = L.lg_loss(cr, ok, cr.copy(), ok.copy(), n_pixels=1)
+        out = L.lg_loss(cr, ok, cr.copy(), ok.copy(), n_pixels=1, lam=LAMBDA_LG)
         assert float(ad.value_of(out)) == pytest.approx(0.0)
 
     def test_antipodal_vectors(self):
         a, ok = self._unit_crosses([[0, 0, 2.0]])
         b, _ = self._unit_crosses([[0, 0, -3.0]])
-        out = L.lg_loss(a, ok, b, ok.copy(), n_pixels=1)
-        assert float(ad.value_of(out)) == pytest.approx(L.LAMBDA_LG * 4.0)
+        out = L.lg_loss(a, ok, b, ok.copy(), n_pixels=1, lam=LAMBDA_LG)
+        assert float(ad.value_of(out)) == pytest.approx(LAMBDA_LG * 4.0)
 
     def test_orthogonal_unit_vectors(self):
         a, ok = self._unit_crosses([[5.0, 0, 0]])
         b, _ = self._unit_crosses([[0, 0.1, 0]])
-        out = L.lg_loss(a, ok, b, ok.copy(), n_pixels=1)
-        assert float(ad.value_of(out)) == pytest.approx(L.LAMBDA_LG * 2.0)
+        out = L.lg_loss(a, ok, b, ok.copy(), n_pixels=1, lam=LAMBDA_LG)
+        assert float(ad.value_of(out)) == pytest.approx(LAMBDA_LG * 2.0)
 
     def test_degenerate_pixels_contribute_zero(self):
         a = np.array([[0, 0, 1.0], [1.0, 0, 0]])
         b = np.array([[0, 0, 1.0], [0, 1.0, 0]])
         ok_a = np.array([True, False])  # second pixel degenerate on one side
         ok_b = np.array([True, True])
-        out = L.lg_loss(a, ok_a, b, ok_b, n_pixels=2)
+        out = L.lg_loss(a, ok_a, b, ok_b, n_pixels=2, lam=LAMBDA_LG)
         assert float(ad.value_of(out)) == pytest.approx(0.0)
 
     def test_all_degenerate_returns_zero_in_graph(self):
         a = ad.Node(np.array([[0.0, 0, 1.0]]))
         ok = np.array([False])
-        out = L.lg_loss(a, ok, np.array([[0.0, 0, 1.0]]), ok, n_pixels=1)
+        out = L.lg_loss(a, ok, np.array([[0.0, 0, 1.0]]), ok, n_pixels=1, lam=LAMBDA_LG)
         assert float(ad.value_of(out)) == 0.0
         ad.backward(out)  # must be differentiable even in the empty case

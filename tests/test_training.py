@@ -119,13 +119,12 @@ class TestNoOpStart:
         batch = tr.sample_batch()
         store.begin_step()
         store.zero_grad()
-        blur.reset_lorr_counter()
         base = tr.warp_base(batch.rays, in_graph=False)
         res = blur.blurry_render(tr.model, base, tr.config.n_samples, rng=None,
                                  mask_override=np.zeros(len(batch.rays), dtype=int))
         loss = ad.sum_(ad.mul(res.blurry_static["full"], 1.0))
         ad.backward(loss)
-        assert blur.LORR_RAY_COUNT == 0
+        assert res.lorr_rays == 0
         for name in store.names("local"):
             assert np.all(store.grads[name] == 0.0)
 
@@ -154,6 +153,51 @@ class TestRunAndResume:
             tr_a.bri_step(it)
         save_checkpoint(out / "checkpoint_latest.ckpt", tr_a.model,
                         tr_a._ckpt_meta("bri", 2))
+        tr_b = tiny_trainer(tiny_dataset, seed=5)
+        tr_b.run(out, resume=True)
+        ref_model, _ = load_checkpoint(tmp_path / "ref" / "checkpoint_final.ckpt")
+        res_model, _ = load_checkpoint(out / "checkpoint_final.ckpt")
+        assert ref_model.store.checksum() == res_model.store.checksum()
+
+    def test_failed_checkpoint_write_keeps_previous_one(self, tiny_dataset, tmp_path,
+                                                        monkeypatch):
+        from moblurf import fields
+        tr_ref = tiny_trainer(tiny_dataset, seed=5)
+        tr_ref.run(tmp_path / "ref")
+        tr_a = tiny_trainer(tiny_dataset, seed=5)
+        out = tmp_path / "crashed"
+        out.mkdir()
+        latest = out / "checkpoint_latest.ckpt"
+        for it in range(3):
+            tr_a.bri_step(it)
+        save_checkpoint(latest, tr_a.model, tr_a._ckpt_meta("bri", 2))
+        tr_a.bri_step(3)
+
+        class FailingFile:
+            """Takes the first two writes, then fails like a full disk."""
+            def __init__(self, f):
+                self.f, self.writes = f, 0
+
+            def write(self, data):
+                self.writes += 1
+                if self.writes > 2:
+                    raise OSError("no space left on device")
+                return self.f.write(data)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.f.close()
+
+        monkeypatch.setattr(fields, "open", raising=False,
+                            value=lambda path, mode="r": FailingFile(open(path, mode)))
+        with pytest.raises(OSError, match="no space"):
+            save_checkpoint(latest, tr_a.model, tr_a._ckpt_meta("bri", 3))
+        monkeypatch.undo()
+        assert [p.name for p in out.iterdir()] == ["checkpoint_latest.ckpt"]
+        _, meta = load_checkpoint(latest)
+        assert meta["train_state"]["iteration"] == 2
         tr_b = tiny_trainer(tiny_dataset, seed=5)
         tr_b.run(out, resume=True)
         ref_model, _ = load_checkpoint(tmp_path / "ref" / "checkpoint_final.ckpt")
