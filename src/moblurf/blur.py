@@ -6,6 +6,9 @@ whose base pixel is dynamic get a second, per-ray refinement screw from the
 local object-motion MLP. The observed blurry color is the plain average of
 the base color and all latent colors, so with all screws at zero and the
 refinement MLP at its zero initialization the whole stage is a no-op.
+
+The N_b latent copies of a B-ray batch travel as one copy-major bundle of
+N_b*B rays: rows q*B ... q*B+B-1 hold latent copy q.
 """
 
 from __future__ import annotations
@@ -20,14 +23,14 @@ from .cameras import RayBatch
 from .fields import SceneModel
 from .render import RenderResult, motion_mask, render_rays
 
-def gmrp(model: SceneModel, rays: RayBatch) -> list[RayBatch]:
-    """Global motion-aware ray prediction: one warped copy per latent index."""
-    out = []
-    for q in range(model.config.n_latent):
-        omega, v = model.global_screws(rays.t, q)
-        o, d, pix = se3.warp_ray(rays.origins, rays.dirs, omega, v, rays.pix_dirs)
-        out.append(RayBatch(o, d, pix, rays.t, rays.uv, rays.near, rays.far))
-    return out
+
+def gmrp(model: SceneModel, rays: RayBatch) -> RayBatch:
+    """Global motion-aware ray prediction: the copy-major latent bundle."""
+    n_latent, b = model.config.n_latent, len(rays)
+    tiled = rays.select(np.tile(np.arange(b), n_latent))
+    omega, v = model.global_screws(tiled.t, np.repeat(np.arange(n_latent), b))
+    o, d, pix = se3.warp_ray(tiled.origins, tiled.dirs, omega, v, tiled.pix_dirs)
+    return RayBatch(o, d, pix, tiled.t, tiled.uv, rays.near, rays.far)
 
 
 def lorr(model: SceneModel, rays: RayBatch) -> RayBatch:
@@ -40,107 +43,55 @@ def lorr(model: SceneModel, rays: RayBatch) -> RayBatch:
 
 
 def blur_average(base_color, latent_colors):
-    """Mean of the base color and its latent colors: (C + sum C_q)/(N_b+1)."""
-    if not latent_colors:
-        return base_color
-    acc = base_color
-    for c in latent_colors:
-        acc = ad.add(acc, c)
-    return ad.div(acc, float(len(latent_colors) + 1))
+    """Mean of the (B,3) base color and its copy-major (N_b*B,3) latent
+    colors: (C + sum_q C_q)/(N_b+1)."""
+    b = ad.value_of(base_color).shape[0]
+    n_latent = ad.value_of(latent_colors).shape[0] // b
+    latents = ad.sum_(ad.reshape(latent_colors, (n_latent, b, 3)), axis=0)
+    return ad.div(ad.add(base_color, latents), float(n_latent + 1))
 
 
 @dataclass
 class BlurryRender:
-    """Blurry composites for one ray batch, split by the base-ray mask."""
+    """Blurry composites of one ray batch, named as in ``RenderResult``."""
 
-    base: RenderResult          # sharp render of the base rays (full batch)
+    base: RenderResult          # sharp render of the base rays
     mask: np.ndarray            # (B,) binary motion mask of the base rays
-    static_idx: np.ndarray      # rows with mask == 0
-    dynamic_idx: np.ndarray     # rows with mask == 1
-    # per-partition blurry colors, each (len(partition), 3)
-    blurry_static: dict         # keys 's','d','full' for the static partition
-    blurry_dynamic: dict        # keys 's','d','full' for the dynamic partition
-    latent_p_st: list           # (M,N) staticness samples of all latent rays
-    lorr_rays: int = 0          # latent rays refined by the local MLP
-
-
-def _colors(res: RenderResult) -> dict:
-    return {"s": res.color_static, "d": res.color_dynamic, "full": res.color_full}
-
-
-def _select_colors(res: dict, start: int, length: int) -> dict:
-    return {k: ad.narrow(v, start, length, axis=0) for k, v in res.items()}
+    color_static: object        # (B,3) blurry static composite
+    color_dynamic: object       # (B,3) blurry dynamic composite
+    color_full: object          # (B,3) blurry full composite
+    p_st_samples: object        # ((N_b+1)*B,N) staticness, base rows first
+    lorr_rays: int              # latent rays refined by the local MLP
 
 
 def blurry_render(model: SceneModel, base_rays: RayBatch, n_samples: int,
                   rng: np.random.Generator | None = None,
                   mask_override: np.ndarray | None = None) -> BlurryRender:
-    """Render the base rays and the full latent bundle; average per branch.
+    """Render the base rays and their latent bundle; average per branch.
 
-    The base-ray motion mask picks the branch once per base ray: static rows
-    use the global latent rays as-is, dynamic rows get the local refinement
-    before rendering. Averages are taken separately over the static, dynamic
-    and full composites. ``mask_override`` substitutes the predicted mask
-    (testing/gradient-check hook).
+    The base-ray motion mask picks the branch once per base ray: latent
+    copies of static rows keep their global warp, those of dynamic rows get
+    the local refinement before rendering. ``mask_override`` substitutes the
+    predicted mask (testing/gradient-check hook).
     """
     base = render_rays(model, base_rays, n_samples, rng)
     mask = motion_mask(base.p_dy) if mask_override is None else np.asarray(mask_override)
-    static_idx = np.where(mask == 0)[0]
-    dynamic_idx = np.where(mask == 1)[0]
-    n_latent = model.config.n_latent
-
-    base_cols = _colors(base)
-    if n_latent == 0:
-        return BlurryRender(
-            base=base, mask=mask, static_idx=static_idx, dynamic_idx=dynamic_idx,
-            blurry_static={k: _gather_rows(v, static_idx) for k, v in base_cols.items()},
-            blurry_dynamic={k: _gather_rows(v, dynamic_idx) for k, v in base_cols.items()},
-            latent_p_st=[],
-        )
-
     latent = gmrp(model, base_rays)
-    bundle_parts = []     # RayBatch segments, rendered in one pass
-    segments = []         # (partition, q, length)
-    lorr_rays = 0
-    for q, rays_q in enumerate(latent):
-        if len(static_idx):
-            bundle_parts.append(rays_q.select(static_idx))
-            segments.append(("static", q, len(static_idx)))
-        if len(dynamic_idx):
-            bundle_parts.append(lorr(model, rays_q.select(dynamic_idx)))
-            segments.append(("dynamic", q, len(dynamic_idx)))
-            lorr_rays += len(dynamic_idx)
-
-    merged = _concat_rays(bundle_parts)
-    latent_res = render_rays(model, merged, n_samples, rng)
-    latent_cols = _colors(latent_res)
-
-    start = 0
-    static_latents = {k: [] for k in base_cols}
-    dynamic_latents = {k: [] for k in base_cols}
-    for part, _q, length in segments:
-        cols = _select_colors(latent_cols, start, length)
-        dest = static_latents if part == "static" else dynamic_latents
-        for k in base_cols:
-            dest[k].append(cols[k])
-        start += length
-
-    blurry_static = {
-        k: blur_average(_gather_rows(base_cols[k], static_idx), static_latents[k])
-        for k in base_cols}
-    blurry_dynamic = {
-        k: blur_average(_gather_rows(base_cols[k], dynamic_idx), dynamic_latents[k])
-        for k in base_cols}
-
+    dyn = np.flatnonzero(np.tile(mask, model.config.n_latent))
+    if len(dyn):
+        refined = lorr(model, latent.select(dyn))
+        rows = np.arange(len(latent))
+        rows[dyn] = len(latent) + np.arange(len(dyn))
+        latent = _concat_rays([latent, refined]).select(rows)
+    res = render_rays(model, latent, n_samples, rng)
     return BlurryRender(
-        base=base, mask=mask, static_idx=static_idx, dynamic_idx=dynamic_idx,
-        blurry_static=blurry_static, blurry_dynamic=blurry_dynamic,
-        latent_p_st=[latent_res.p_st_samples], lorr_rays=lorr_rays,
+        base=base, mask=mask,
+        color_static=blur_average(base.color_static, res.color_static),
+        color_dynamic=blur_average(base.color_dynamic, res.color_dynamic),
+        color_full=blur_average(base.color_full, res.color_full),
+        p_st_samples=ad.concat([base.p_st_samples, res.p_st_samples], axis=0),
+        lorr_rays=len(dyn),
     )
-
-
-def _gather_rows(x, idx):
-    return ad.gather(x, idx, axis=0)
 
 
 def _concat_rays(parts: list[RayBatch]) -> RayBatch:

@@ -14,7 +14,6 @@ import argparse
 import json
 import os
 import sys
-import time
 from pathlib import Path
 
 EXIT_OK = 0
@@ -100,14 +99,13 @@ def cmd_train(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     manifest_path = out / "manifest.json"
-    # a resumed run keeps the first run's manifest and adds its timings to it
+    # a resumed run keeps the first run's manifest; its timings come from the
+    # run, which carries the seconds of the part before the last checkpoint
     if not (args.resume and manifest_path.exists()):
         write_manifest(manifest_path, config, config.seed, command="train",
                        extras={"dataset": str(args.dataset), "out": str(out)})
     trainer = Trainer(config, dataset)
-    t0 = time.time()
     info = trainer.run(out, resume=args.resume, progress=args.progress)
-    info["timings"]["total_seconds"] = round(time.time() - t0, 3)
     update_manifest(manifest_path, info["timings"])
     print(f"final checkpoint: {info['checkpoint']}")
     return EXIT_OK

@@ -120,12 +120,10 @@ def write_manifest(path, config: TrainConfig, seed: int, command: str,
 
 
 def update_manifest(path, timings: dict) -> None:
-    """Add ``timings`` (seconds) to the manifest's, so the time of a resumed
-    run adds to that of the run it continues."""
+    """Set the manifest's ``timings`` (seconds)."""
     with open(path) as f:
         manifest = json.load(f)
-    for key, seconds in timings.items():
-        manifest["timings"][key] = round(manifest["timings"].get(key, 0.0) + seconds, 3)
+    manifest["timings"].update(timings)
     with open(path, "w") as f:
         json.dump(manifest, f, indent=2, sort_keys=True)
 

@@ -249,12 +249,15 @@ class SceneModel:
         rows = ad.gather(table, np.asarray(t_idx, dtype=np.int64))
         return ad.narrow(rows, 0, 3, axis=1), ad.narrow(rows, 3, 3, axis=1)
 
-    def global_screws(self, t_idx, q: int):
-        """(omega, v) rows of the q-th global screw for frame indices t_idx."""
+    def global_screws(self, t_idx, q):
+        """(omega, v) rows of the q-th global screw for frame indices t_idx;
+        ``q`` is one latent index or one per row."""
         self._check_t(t_idx)
-        if not 0 <= q < max(self.config.n_latent, 1):
+        n = max(self.config.n_latent, 1)
+        q = np.asarray(q, dtype=np.int64)
+        if q.size and (q.min() < 0 or q.max() >= n):
             raise IndexError(f"latent ray index {q} out of range")
-        flat = np.asarray(t_idx, dtype=np.int64) * max(self.config.n_latent, 1) + q
+        flat = np.asarray(t_idx, dtype=np.int64) * n + q
         table = self.store.leaf("screw.global")
         rows = ad.gather(table, flat)
         return ad.narrow(rows, 0, 3, axis=1), ad.narrow(rows, 3, 3, axis=1)

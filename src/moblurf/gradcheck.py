@@ -99,6 +99,10 @@ def _op_cases(rng):
         "reshape": ([rng.normal(size=(6, 2))], lambda x: ad.reshape(x, (3, 4))),
         "exclusive_cumprod": ([_positive(rng, (3, 6))],
                               lambda x: ad.exclusive_cumprod(x, axis=-1)),
+        # saturated compositing: factors that underflowed to exactly zero
+        "exclusive_cumprod_zeros": (
+            [_positive(rng, (3, 6)) * (rng.random((3, 6)) > 0.3)],
+            lambda x: ad.exclusive_cumprod(x, axis=-1)),
         "rot_coef_a": ([_positive(rng, (6,), floor=1e-4)], ad.rot_coef_a),
         "rot_coef_b": ([_positive(rng, (6,), floor=1e-4)], ad.rot_coef_b),
         "rot_coef_c": ([_positive(rng, (6,), floor=1e-4)], ad.rot_coef_c),

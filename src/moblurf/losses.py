@@ -1,9 +1,7 @@
 """Training objectives.
 
 All losses are means over the ray batch rather than raw sums, so the
-weighting constants are batch-size independent. The photometric terms
-return per-batch sums too (``*_sum``) so a caller that split the batch into
-masked partitions can recombine them under one denominator.
+weighting constants are batch-size independent.
 """
 
 from __future__ import annotations
@@ -15,16 +13,11 @@ from . import autodiff as ad
 DEGENERATE_CROSS_NORM = 1e-8
 
 
-def photometric_sum(rendered, target):
-    """Sum over rays of squared color error (summed over channels)."""
-    diff = ad.sub(rendered, target)
-    return ad.sum_(ad.mul(diff, diff))
-
-
 def photometric(rendered, target):
     """Mean over the batch of per-ray squared color error."""
+    diff = ad.sub(rendered, target)
     n = ad.value_of(rendered).shape[0]
-    return ad.div(photometric_sum(rendered, target), float(max(n, 1)))
+    return ad.div(ad.sum_(ad.mul(diff, diff)), float(max(n, 1)))
 
 
 def masked_photometric(rendered, target, mask):

@@ -73,14 +73,14 @@ def warp_ray(origin, direction, omega, v, pix_dirs=None):
     """Rigidly transform a ray: rotate origin and direction, shift origin.
 
     origin'    = exp([omega]x) origin + G(omega) v
-    direction' = exp([omega]x) direction, renormalized to unit length
+    direction' = exp([omega]x) direction
 
-    ``pix_dirs`` (unit camera-z directions used for depth unprojection), if
-    given, are rotated without renormalization so their scaling convention
-    survives the warp.
+    A rotation keeps unit directions unit and zero screws return the inputs
+    exactly. ``pix_dirs`` (unit camera-z directions used for depth
+    unprojection), if given, are rotated the same way.
     """
     new_origin = ad.add(rotate_vec(omega, origin), translate_vec(omega, v))
-    new_dir = ad.normalize3(rotate_vec(omega, direction))
+    new_dir = rotate_vec(omega, direction)
     if pix_dirs is None:
         return new_origin, new_dir
     new_pix = rotate_vec(omega, pix_dirs)

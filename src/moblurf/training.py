@@ -81,6 +81,7 @@ class Trainer:
     def __init__(self, config: TrainConfig, dataset: BlurryDataset,
                  model: SceneModel | None = None,
                  rng: np.random.Generator | None = None):
+        ad.keep_freed_memory()
         self.config = config
         self.dataset = dataset
         self.rng = rng if rng is not None else np.random.default_rng(config.seed)
@@ -102,6 +103,7 @@ class Trainer:
         h, w = dataset.shape
         self._h, self._w = h, w
         self.history: list[dict] = []
+        self.timings: dict = {}     # seconds spent per stage, kept in checkpoints
 
     # batching ---------------------------------------------------------------
 
@@ -166,37 +168,24 @@ class Trainer:
     def _lg_terms(self, batch: Batch, kappa_primary, supervise: np.ndarray,
                   base_rays: RayBatch, rng):
         """Local geometry loss over the supervised subset of lg pixels."""
-        cfg = self.config
         k = batch.lg_count
         if k == 0 or not supervise.any():
             return None
         nb = self.warp_base(batch.neighbors, in_graph=False)
-        kappa_n = render_kappa(self.model, nb, cfg.n_samples, rng)
-        o0 = ad.narrow(base_rays.origins, 0, k, axis=0)
-        d0 = ad.narrow(base_rays.dirs, 0, k, axis=0)
-        p0 = ad.narrow(base_rays.pix_dirs, 0, k, axis=0)
-        ou, du_, pu = (ad.narrow(nb.origins, 0, k, axis=0),
-                       ad.narrow(nb.dirs, 0, k, axis=0),
-                       ad.narrow(nb.pix_dirs, 0, k, axis=0))
-        ov, dv_, pv = (ad.narrow(nb.origins, k, k, axis=0),
-                       ad.narrow(nb.dirs, k, k, axis=0),
-                       ad.narrow(nb.pix_dirs, k, k, axis=0))
-        kap0 = ad.narrow(kappa_primary, 0, k, axis=0)
-        kapu = ad.narrow(kappa_n, 0, k, axis=0)
-        kapv = ad.narrow(kappa_n, k, k, axis=0)
+        kappa_n = render_kappa(self.model, nb, self.config.n_samples, rng)
+        # origins, dirs, pix_dirs and kappa of the pixel, its right and its
+        # down neighbour
+        rows = [[ad.narrow(x, s, k, axis=0) for x in (r.origins, r.dirs, r.pix_dirs, kap)]
+                for r, kap, s in ((base_rays, kappa_primary, 0), (nb, kappa_n, 0),
+                                  (nb, kappa_n, k))]
         # predicted side: metric ray distances along unit directions
-        x0 = L.surface_points(o0, d0, kap0)
-        xu = L.surface_points(ou, du_, kapu)
-        xv = L.surface_points(ov, dv_, kapv)
-        cr_pred, ok_pred = L.local_geometry_cross(x0, xu, xv)
+        cr_pred, ok_pred = L.local_geometry_cross(
+            *[L.surface_points(o, d, kap) for o, d, _, kap in rows])
         # pseudo-GT side: camera-z depths along unit-camera-z directions
-        pd = batch.pdepth
-        y0 = L.surface_points(ad.value_of(o0), ad.value_of(p0), pd[0])
-        yu = L.surface_points(ad.value_of(ou), ad.value_of(pu), pd[1])
-        yv = L.surface_points(ad.value_of(ov), ad.value_of(pv), pd[2])
-        cr_true, ok_true = L.local_geometry_cross(y0, yu, yv)
-        keep = np.asarray(supervise, dtype=bool)
-        ok_pred = ok_pred & keep
+        cr_true, ok_true = L.local_geometry_cross(
+            *[L.surface_points(ad.value_of(o), ad.value_of(p), depth)
+              for (o, _, p, _), depth in zip(rows, batch.pdepth)])
+        ok_pred = ok_pred & np.asarray(supervise, dtype=bool)
         return L.lg_loss(cr_pred, ok_pred, cr_true, ok_true, n_pixels=k,
                          lam=self.config.lambda_lg)
 
@@ -219,56 +208,35 @@ class Trainer:
 
     def compute_bri_odd_loss(self, batch: Batch, rng):
         """All loss terms on sharp renders; base screws held fixed."""
-        cfg = self.config
         base = self.warp_base(batch.rays, in_graph=False)
-        res = render_rays(self.model, base, cfg.n_samples, rng)
-        mask = motion_mask(res.p_dy)
-        mphoto = L.masked_photometric(res.color_static, batch.targets, mask)
-        photo_d = L.photometric(res.color_dynamic, batch.targets)
-        photo_f = L.photometric(res.color_full, batch.targets)
-        sm = L.staticness_max(res.p_st_samples, cfg.lambda_sm)
-        loss = ad.add(ad.add(ad.add(mphoto, photo_d), photo_f), sm)
-        breakdown = LossBreakdown(
-            photo_dynamic=float(ad.value_of(photo_d)),
-            photo_full=float(ad.value_of(photo_f)),
-            mphoto_static=float(ad.value_of(mphoto)),
-            sm=float(ad.value_of(sm)))
-        lg = self._lg_terms(batch, res.kappa_star,
-                            np.ones(batch.lg_count, dtype=bool), base, rng)
-        if lg is not None:
-            loss = ad.add(loss, lg)
-            breakdown.lg = float(ad.value_of(lg))
-        return loss, breakdown
+        res = render_rays(self.model, base, self.config.n_samples, rng)
+        return self._all_terms(batch, res, motion_mask(res.p_dy), res.kappa_star,
+                               np.ones(batch.lg_count, dtype=bool), base, rng)
 
     def compute_mdd_loss(self, batch: Batch, rng, mask_override=None):
         """Blur-model training loss on latent bundles; base screws frozen."""
-        cfg = self.config
         base = self.warp_base(batch.rays, in_graph=False)
-        blur = blurry_render(self.model, base, cfg.n_samples, rng,
+        blur = blurry_render(self.model, base, self.config.n_samples, rng,
                              mask_override=mask_override)
-        b = len(batch.rays)
-        mphoto = ad.div(L.photometric_sum(blur.blurry_static["s"],
-                                          batch.targets[blur.static_idx]), float(b))
-        photo_d = ad.div(ad.add(
-            L.photometric_sum(blur.blurry_static["d"], batch.targets[blur.static_idx]),
-            L.photometric_sum(blur.blurry_dynamic["d"], batch.targets[blur.dynamic_idx])),
-            float(b))
-        photo_f = ad.div(ad.add(
-            L.photometric_sum(blur.blurry_static["full"], batch.targets[blur.static_idx]),
-            L.photometric_sum(blur.blurry_dynamic["full"], batch.targets[blur.dynamic_idx])),
-            float(b))
-        p_st_all = [ad.reshape(blur.base.p_st_samples, (-1,))]
-        p_st_all += [ad.reshape(p, (-1,)) for p in blur.latent_p_st]
-        sm = L.staticness_max(ad.concat(p_st_all, axis=0), cfg.lambda_sm)
+        supervise = blur.mask[:batch.lg_count].astype(bool) \
+            if self.config.lg_dynamic_only_mdd else np.ones(batch.lg_count, dtype=bool)
+        return self._all_terms(batch, blur, blur.mask, blur.base.kappa_star,
+                               supervise, base, rng)
+
+    def _all_terms(self, batch: Batch, res, mask, kappa, supervise, base, rng):
+        """Masked static, dynamic, full, staticness and lg terms of a sharp
+        (``RenderResult``) or blurry (``BlurryRender``) render."""
+        mphoto = L.masked_photometric(res.color_static, batch.targets, mask)
+        photo_d = L.photometric(res.color_dynamic, batch.targets)
+        photo_f = L.photometric(res.color_full, batch.targets)
+        sm = L.staticness_max(res.p_st_samples, self.config.lambda_sm)
         loss = ad.add(ad.add(ad.add(mphoto, photo_d), photo_f), sm)
         breakdown = LossBreakdown(
             photo_dynamic=float(ad.value_of(photo_d)),
             photo_full=float(ad.value_of(photo_f)),
             mphoto_static=float(ad.value_of(mphoto)),
             sm=float(ad.value_of(sm)))
-        supervise = blur.mask[:batch.lg_count].astype(bool) \
-            if cfg.lg_dynamic_only_mdd else np.ones(batch.lg_count, dtype=bool)
-        lg = self._lg_terms(batch, blur.base.kappa_star, supervise, base, rng)
+        lg = self._lg_terms(batch, kappa, supervise, base, rng)
         if lg is not None:
             loss = ad.add(loss, lg)
             breakdown.lg = float(ad.value_of(lg))
@@ -323,7 +291,8 @@ class Trainer:
             progress: bool = False) -> dict:
         """Train both stages. With ``out_dir`` the run writes its log and
         checkpoints there and ``resume`` continues from the latest
-        checkpoint; without it the run stays in memory and writes no file."""
+        checkpoint, and from the seconds each stage had spent by then;
+        without it the run stays in memory and writes no file."""
         cfg = self.config
         out = None if out_dir is None else Path(out_dir)
         start_stage, start_iter = "bri", 0
@@ -334,19 +303,16 @@ class Trainer:
                 state = meta["train_state"]
                 start_stage, start_iter = state["stage"], state["iteration"] + 1
                 self.rng.bit_generator.state = state["rng_state"]
-        timings = {}
+                self.timings = dict(state.get("timings", {}))
         with (contextlib.nullcontext() if out is None
               else open(out / "train_log.txt", "a" if resume else "w")) as log:
             if start_stage == "bri":
-                t0 = time.time()
                 self._stage_loop("bri", cfg.bri_iters, start_iter, out, log, progress)
-                timings["bri_seconds"] = round(time.time() - t0, 3)
                 self._save(out, "checkpoint_bri.ckpt", "bri", cfg.bri_iters - 1)
                 start_iter = 0
-            t0 = time.time()
             self._stage_loop("mdd", cfg.mdd_iters, start_iter, out, log, progress)
-            timings["mdd_seconds"] = round(time.time() - t0, 3)
         self._save(out, "checkpoint_final.ckpt", "mdd", cfg.mdd_iters - 1)
+        timings = {**self.timings, "total_seconds": round(sum(self.timings.values()), 3)}
         if out is None:
             return {"checkpoint": None, "timings": timings}
         return {"checkpoint": str(out / "checkpoint_final.ckpt"),
@@ -358,8 +324,11 @@ class Trainer:
         cfg = self.config
         step = self.bri_step if stage == "bri" else self.mdd_step
         ckpt_every = max(1, int(total * cfg.checkpoint_fraction))
+        # seconds spent in this stage, carried over from a resumed checkpoint
+        t0 = time.time() - self.timings.get(f"{stage}_seconds", 0.0)
         for it in range(start, total):
             breakdown = step(it)
+            self.timings[f"{stage}_seconds"] = round(time.time() - t0, 3)
             rec = {"stage": stage, "iteration": it,
                    "parity": ("even" if it % 2 == 0 else "odd") if stage == "bri" else "-",
                    **breakdown.as_dict(),
@@ -391,4 +360,5 @@ class Trainer:
             "iteration": iteration,
             "rng_state": self.rng.bit_generator.state,
             "config": self.config.to_dict(),
+            "timings": dict(self.timings),
         }}

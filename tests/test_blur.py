@@ -31,15 +31,18 @@ class TestGmrp:
     def test_zero_table_reproduces_base_ray(self):
         model = tiny_model()
         rays = make_rays()
-        for latent in blur.gmrp(model, rays):
-            assert np.array_equal(ad.value_of(latent.origins), rays.origins)
-            assert np.abs(ad.value_of(latent.dirs) - rays.dirs).max() < 1e-12
-            assert np.array_equal(latent.t, rays.t)
-            assert np.array_equal(latent.uv, rays.uv)
+        latent = blur.gmrp(model, rays)
+        assert len(latent) == model.config.n_latent * len(rays)
+        for q in range(model.config.n_latent):
+            rows = slice(q * len(rays), (q + 1) * len(rays))
+            assert np.array_equal(ad.value_of(latent.origins)[rows], rays.origins)
+            assert np.array_equal(ad.value_of(latent.dirs)[rows], rays.dirs)
+            assert np.array_equal(latent.t[rows], rays.t)
+            assert np.array_equal(latent.uv[rows], rays.uv)
 
     def test_zero_latent_rays_gives_empty_bundle(self):
         model = tiny_model(n_latent=0)
-        assert blur.gmrp(model, make_rays()) == []
+        assert len(blur.gmrp(model, make_rays())) == 0
 
     def test_matches_standalone_warp(self):
         model = tiny_model()
@@ -47,13 +50,14 @@ class TestGmrp:
         table = rng.normal(size=model.store.values["screw.global"].shape) * 0.1
         model.store.values["screw.global"][:] = table
         rays = make_rays(seed=2)
-        latents = blur.gmrp(model, rays)
-        n_latent = model.config.n_latent
-        for q, latent in enumerate(latents):
+        latent = blur.gmrp(model, rays)
+        n_latent, b = model.config.n_latent, len(rays)
+        for q in range(n_latent):
             rows = table[rays.t * n_latent + q]
             o, d = se3.warp_ray(rays.origins, rays.dirs, rows[:, :3], rows[:, 3:])
-            assert np.abs(ad.value_of(latent.origins) - o).max() < 1e-15
-            assert np.abs(ad.value_of(latent.dirs) - d).max() < 1e-15
+            got = slice(q * b, (q + 1) * b)
+            assert np.abs(ad.value_of(latent.origins)[got] - o).max() < 1e-15
+            assert np.abs(ad.value_of(latent.dirs)[got] - d).max() < 1e-15
 
 
 class TestLorr:
@@ -62,7 +66,7 @@ class TestLorr:
         rays = make_rays(seed=3)
         refined = blur.lorr(model, rays)
         assert np.array_equal(ad.value_of(refined.origins), rays.origins)
-        assert np.abs(ad.value_of(refined.dirs) - rays.dirs).max() < 1e-12
+        assert np.array_equal(ad.value_of(refined.dirs), rays.dirs)
 
     def test_matches_warp_with_predicted_screw(self):
         model = tiny_model()
@@ -108,36 +112,44 @@ class TestLorr:
         assert sum(seen) == res.lorr_rays
 
 
+def _latents(copies):
+    """Copy-major (N_b*B,3) stack of per-copy (B,3) colors."""
+    return np.concatenate(copies, axis=0) if copies else np.empty((0, 3))
+
+
 class TestBlurAverage:
     def test_empty_bundle_returns_base(self):
         base = np.array([[0.2, 0.4, 0.6]])
-        assert blur.blur_average(base, []) is base
+        assert np.array_equal(blur.blur_average(base, _latents([])), base)
 
     def test_two_term_mean(self):
-        out = blur.blur_average(np.zeros((1, 3)), [np.ones((1, 3))])
+        out = blur.blur_average(np.zeros((1, 3)), np.ones((1, 3)))
         assert np.allclose(out, 0.5)
 
     def test_idempotent_on_identical_colors(self):
         c = np.array([[0.3, 0.5, 0.7]])
-        out = blur.blur_average(c, [c.copy(), c.copy(), c.copy()])
+        out = blur.blur_average(c, _latents([c.copy(), c.copy(), c.copy()]))
         assert np.abs(out - c).max() < 1e-15
 
     def test_permutation_invariant(self):
         rng = np.random.default_rng(7)
         base = rng.random((2, 3))
         latents = [rng.random((2, 3)) for _ in range(4)]
-        a = blur.blur_average(base, latents)
-        b = blur.blur_average(base, latents[::-1])
+        a = blur.blur_average(base, _latents(latents))
+        b = blur.blur_average(base, _latents(latents[::-1]))
         assert np.abs(a - b).max() < 1e-15
 
     def test_convex_hull_per_channel(self):
         rng = np.random.default_rng(8)
         base = rng.random((3, 3))
         latents = [rng.random((3, 3)) for _ in range(3)]
-        out = blur.blur_average(base, latents)
+        out = blur.blur_average(base, _latents(latents))
         stack = np.stack([base] + latents)
         assert np.all(out >= stack.min(axis=0) - 1e-15)
         assert np.all(out <= stack.max(axis=0) + 1e-15)
+
+
+COLORS = ("color_static", "color_dynamic", "color_full")
 
 
 class TestBlurryRender:
@@ -146,16 +158,14 @@ class TestBlurryRender:
         # the plain sharp render coincide ray for ray
         model = tiny_model()
         rays = make_rays(n=10, seed=9)
-        res = blur.blurry_render(model, rays, n_samples=8, rng=None)
+        mask = np.arange(len(rays)) % 2
+        res = blur.blurry_render(model, rays, n_samples=8, rng=None,
+                                 mask_override=mask)
+        assert res.lorr_rays == mask.sum() * model.config.n_latent
         sharp = render_rays(model, rays, n_samples=8, rng=None)
-        for key, field in (("s", "color_static"), ("d", "color_dynamic"),
-                           ("full", "color_full")):
-            sharp_v = ad.value_of(getattr(sharp, field))
-            blur_s = ad.value_of(res.blurry_static[key])
-            blur_d = ad.value_of(res.blurry_dynamic[key])
-            assert np.abs(blur_s - sharp_v[res.static_idx]).max() < 1e-12
-            if len(res.dynamic_idx):
-                assert np.abs(blur_d - sharp_v[res.dynamic_idx]).max() < 1e-12
+        for field in COLORS:
+            got = ad.value_of(getattr(res, field))
+            assert np.abs(got - ad.value_of(getattr(sharp, field))).max() < 1e-12
 
     def test_hand_set_screws_match_mean_of_independent_renders(self):
         model = tiny_model(n_latent=2)
@@ -166,15 +176,48 @@ class TestBlurryRender:
         res = blur.blurry_render(model, rays, n_samples=8, rng=None,
                                  mask_override=np.zeros(len(rays), dtype=int))
         base = render_rays(model, rays, n_samples=8, rng=None)
-        latent_results = [render_rays(model, latent, n_samples=8, rng=None)
-                          for latent in blur.gmrp(model, rays)]
-        for key, field in (("s", "color_static"), ("full", "color_full")):
+        latent = blur.gmrp(model, rays)
+        copies = [render_rays(model, latent.select(np.arange(q * 5, q * 5 + 5)),
+                              n_samples=8, rng=None) for q in range(2)]
+        for field in COLORS:
             expected = ad.value_of(getattr(base, field)).copy()
-            for lr_ in latent_results:
-                expected += ad.value_of(getattr(lr_, field))
+            for r in copies:
+                expected += ad.value_of(getattr(r, field))
             expected /= 3.0
-            got = ad.value_of(res.blurry_static[key])
-            assert np.abs(got - expected[res.static_idx]).max() < 1e-12
+            assert np.abs(ad.value_of(getattr(res, field)) - expected).max() < 1e-12
+
+    def test_rows_stitch_static_and_refined_copies(self):
+        # every row's blurry colors are the mean of its base render and its
+        # N_b copy renders, the dynamic rows' copies refined through lorr
+        model = tiny_model(n_latent=3)
+        rng = np.random.default_rng(14)
+        table = rng.normal(size=model.store.values["screw.global"].shape) * 0.05
+        model.store.values["screw.global"][:] = table
+        model.store.values["local.mlp.2.b"][:] = [0.03, -0.02, 0.05, 0.01, 0.02, -0.04]
+        rays = make_rays(n=7, seed=15)
+        mask = np.array([1, 0, 0, 1, 1, 0, 1])
+        res = blur.blurry_render(model, rays, n_samples=8, rng=None, mask_override=mask)
+        base = render_rays(model, rays, n_samples=8, rng=None)
+        latent = blur.gmrp(model, rays)
+        for row in range(len(rays)):
+            copies = [latent.select(np.array([q * len(rays) + row])) for q in range(3)]
+            if mask[row]:
+                copies = [blur.lorr(model, c) for c in copies]
+            renders = [render_rays(model, c, n_samples=8, rng=None) for c in copies]
+            for field in COLORS:
+                expected = ad.value_of(getattr(base, field))[row]
+                expected = expected + sum(ad.value_of(getattr(r, field))[0]
+                                          for r in renders)
+                got = ad.value_of(getattr(res, field))[row]
+                assert np.abs(got - expected / 4.0).max() < 1e-12, (row, field)
+
+    def test_one_lorr_call_over_all_copies(self, monkeypatch):
+        model = tiny_model(n_latent=3)
+        rays = make_rays(n=8, seed=16)
+        mask = np.array([0, 1, 1, 0, 0, 1, 0, 0])
+        seen = TestLorr._count_lorr(monkeypatch)
+        res = blur.blurry_render(model, rays, n_samples=4, mask_override=mask)
+        assert seen == [mask.sum() * 3] and res.lorr_rays == mask.sum() * 3
 
     def test_static_branch_ignores_local_mlp(self):
         model = tiny_model()
@@ -184,16 +227,18 @@ class TestBlurryRender:
         model.store.values["local.mlp.2.b"][:] = 0.3  # would move rays if used
         model.store.begin_step()
         res_b = blur.blurry_render(model, rays, 8, rng=None, mask_override=mask)
-        assert np.array_equal(ad.value_of(res_a.blurry_static["full"]),
-                              ad.value_of(res_b.blurry_static["full"]))
+        for field in COLORS:
+            assert np.array_equal(ad.value_of(getattr(res_a, field)),
+                                  ad.value_of(getattr(res_b, field)))
 
     def test_zero_latent_count_passes_base_through(self):
         model = tiny_model(n_latent=0)
         rays = make_rays(n=4, seed=13)
         res = blur.blurry_render(model, rays, 8, rng=None)
         base = render_rays(model, rays, 8, rng=None)
-        full = ad.value_of(base.color_full)
-        assert np.array_equal(ad.value_of(res.blurry_static["full"]),
-                              full[res.static_idx])
-        assert np.array_equal(ad.value_of(res.blurry_dynamic["full"]),
-                              full[res.dynamic_idx])
+        assert res.lorr_rays == 0
+        for field in COLORS:
+            assert np.array_equal(ad.value_of(getattr(res, field)),
+                                  ad.value_of(getattr(base, field)))
+        assert np.array_equal(ad.value_of(res.p_st_samples),
+                              ad.value_of(base.p_st_samples))

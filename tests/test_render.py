@@ -108,6 +108,19 @@ class TestComposite:
         assert np.abs(weights.sum(axis=1) - (1.0 - t_end)).max() < 1e-12
         assert np.all(weights.sum(axis=1) <= 1.0 + 1e-9)
 
+    def test_saturated_sample_backpropagates_finite_gradients(self):
+        # sigma * delta = 800 underflows exp to exactly 0: transmittance
+        # past that sample is 0 and the gradient must stay finite
+        grid = make_grid()
+        sig = np.full((2, 4), 0.5)
+        sig[0, 1] = 800.0 / grid.deltas[1]
+        colors = ad.Node(np.random.default_rng(3).random((2, 4, 3)))
+        sigmas = ad.Node(sig)
+        color, _, _ = composite(colors, sigmas, grid)
+        ad.backward(ad.sum_(color))
+        assert np.all(np.isfinite(sigmas.grad)) and np.all(np.isfinite(colors.grad))
+        assert np.all(colors.grad[0, 2:] == 0.0)  # hidden behind the opaque sample
+
 
 class TestRenderFull:
     def test_all_static_collapses_to_static(self):

@@ -122,7 +122,7 @@ class TestNoOpStart:
         base = tr.warp_base(batch.rays, in_graph=False)
         res = blur.blurry_render(tr.model, base, tr.config.n_samples, rng=None,
                                  mask_override=np.zeros(len(batch.rays), dtype=int))
-        loss = ad.sum_(ad.mul(res.blurry_static["full"], 1.0))
+        loss = ad.sum_(ad.mul(res.color_full, 1.0))
         ad.backward(loss)
         assert res.lorr_rays == 0
         for name in store.names("local"):
@@ -203,6 +203,35 @@ class TestRunAndResume:
         ref_model, _ = load_checkpoint(tmp_path / "ref" / "checkpoint_final.ckpt")
         res_model, _ = load_checkpoint(out / "checkpoint_final.ckpt")
         assert ref_model.store.checksum() == res_model.store.checksum()
+
+    def test_resumed_run_counts_killed_part_seconds(self, tiny_dataset, tmp_path,
+                                                    monkeypatch):
+        from types import SimpleNamespace
+        from moblurf import training
+        clock = SimpleNamespace(now=0.0)
+        monkeypatch.setattr(training, "time", SimpleNamespace(time=lambda: clock.now))
+
+        class Killed(Exception):
+            pass
+
+        def timed(tr, kill_at=None):
+            """Every step takes 10 fake seconds; ``kill_at`` dies before it."""
+            for name in ("bri_step", "mdd_step"):
+                def step(it, batch=None, orig=getattr(tr, name), stage=name[:3]):
+                    if (stage, it) == kill_at:
+                        raise Killed
+                    clock.now += 10.0
+                    return orig(it, batch)
+                setattr(tr, name, step)
+            return tr
+
+        out = tmp_path / "run"
+        # a checkpoint after every step: the kill loses no finished step
+        with pytest.raises(Killed):
+            timed(tiny_trainer(tiny_dataset), kill_at=("bri", 4)).run(out)
+        info = timed(tiny_trainer(tiny_dataset)).run(out, resume=True)
+        assert info["timings"] == {"bri_seconds": 60.0, "mdd_seconds": 40.0,
+                                   "total_seconds": 100.0}
 
     def test_nan_parameter_aborts_with_breakdown(self, tiny_dataset):
         tr = tiny_trainer(tiny_dataset)
