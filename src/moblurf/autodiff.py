@@ -4,7 +4,13 @@ Every op below is polymorphic: given plain ndarrays it returns an ndarray,
 given at least one :class:`Node` it returns a Node that remembers how to
 push gradients back to its parents. This keeps the training path (graph
 mode) and the inference path (plain NumPy) numerically identical, since
-both run the exact same forward arithmetic.
+both run the exact same forward arithmetic. Inference gets plain arrays by
+rendering after ``ParamStore.begin_step(graph=False)``, so it builds no
+graph at all.
+
+Ops are as coarse as the hot path needs: :func:`linear` is a whole dense
+layer (matmul, bias and optional relu) in one node, so a field layer costs
+one node and one backward visit.
 
 Gradient arrays are never mutated in place; accumulation always allocates.
 That makes it safe for a vector-Jacobian product to return a view of the
@@ -149,16 +155,37 @@ def neg(a):
     return _make(-av, [(a, lambda g: -g)])
 
 
-def matmul(a, b):
-    av, bv = value_of(a), value_of(b)
-    if av.ndim != 2 or bv.ndim != 2 or av.shape[1] != bv.shape[0]:
-        raise ShapeMismatch(f"matmul: shapes {av.shape} and {bv.shape} do not conform")
-    out = av @ bv
-    if not _any_node(a, b):
+def linear(x, w, b, relu=False):
+    """Dense layer ``x @ w + b`` over the rows of ``x``, with the relu fused
+    in when ``relu`` is set: one node however many of x, w, b are Nodes."""
+    xv, wv, bv = value_of(x), value_of(w), value_of(b)
+    if xv.ndim != 2 or wv.ndim != 2 or xv.shape[1] != wv.shape[0] \
+            or bv.shape != wv.shape[1:]:
+        raise ShapeMismatch(
+            f"linear: shapes {xv.shape} @ {wv.shape} + {bv.shape} do not conform")
+    out = xv @ wv
+    out += bv
+    if relu:
+        np.maximum(out, 0.0, out=out)
+    if not _any_node(x, w, b):
         return out
+    # the relu-masked gradient is made once per backward visit and shared by
+    # the parents; the last parent drops it
+    last = [p for p in (x, w, b) if isinstance(p, Node)][-1]
+    visit = {}
+
+    def masked(g, parent):
+        if visit.get("g") is not g:
+            visit["g"], visit["gz"] = g, (g * (out > 0) if relu else g)
+        gz = visit["gz"]
+        if parent is last:
+            visit.clear()
+        return gz
+
     return _make(out, [
-        (a, lambda g: g @ bv.T),
-        (b, lambda g: av.T @ g),
+        (x, lambda g: masked(g, x) @ wv.T),
+        (w, lambda g: xv.T @ masked(g, w)),
+        (b, lambda g: masked(g, b).sum(axis=0)),
     ])
 
 
@@ -179,22 +206,6 @@ def log(a):
     if not _any_node(a):
         return ov
     return _make(ov, [(a, lambda g: g / av)])
-
-
-def sin(a):
-    av = value_of(a)
-    ov = np.sin(av)
-    if not _any_node(a):
-        return ov
-    return _make(ov, [(a, lambda g: g * np.cos(av))])
-
-
-def cos(a):
-    av = value_of(a)
-    ov = np.cos(av)
-    if not _any_node(a):
-        return ov
-    return _make(ov, [(a, lambda g: -g * np.sin(av))])
 
 
 def absolute(a):
@@ -221,8 +232,7 @@ def relu(a):
     ov = np.maximum(av, 0.0)
     if not _any_node(a):
         return ov
-    gate = (av > 0).astype(np.float64)
-    return _make(ov, [(a, lambda g: g * gate)])
+    return _make(ov, [(a, lambda g: g * (av > 0))])
 
 
 def softplus(a):

@@ -77,13 +77,34 @@ class FieldConfig:
 
 
 def encode_position(x, num_freqs: int):
-    """[x, sin(2^k pi x), cos(2^k pi x)] for k = 0..L-1 along the last axis."""
-    parts = [x]
-    for k in range(num_freqs):
-        scaled = ad.mul(x, float(np.pi * (2.0 ** k)))
-        parts.append(ad.sin(scaled))
-        parts.append(ad.cos(scaled))
-    return ad.concat(parts, axis=-1)
+    """[x, sin(2^k pi x), cos(2^k pi x)] for k = 0..L-1 along the last axis.
+
+    One node: the forward takes one sin and one cos over all frequencies,
+    and the gradient reuses them, so the backward evaluates neither again.
+    """
+    xv = ad.value_of(x)
+    *lead, d = xv.shape
+    freqs = np.pi * 2.0 ** np.arange(num_freqs)
+    scaled = xv[..., None, :] * freqs[:, None]          # (..., L, d)
+    s, c = np.sin(scaled), np.cos(scaled)
+    out = np.empty((*lead, d * (1 + 2 * num_freqs)))
+    out[..., :d] = xv
+    bands = out[..., d:].reshape(*lead, num_freqs, 2, d)    # a view of out
+    bands[..., 0, :], bands[..., 1, :] = s, c
+    if not isinstance(x, ad.Node):
+        return out
+
+    def vjp(g):
+        gsc = g[..., d:].reshape(*lead, num_freqs, 2, d)
+        terms = (gsc[..., 0, :] * c - gsc[..., 1, :] * s) * freqs[:, None]
+        # x's columns first, then one frequency at a time, as a chain of
+        # per-frequency sin and cos nodes would sum them
+        dx = g[..., :d]
+        for k in range(num_freqs):
+            dx = dx + terms[..., k, :]
+        return dx
+
+    return ad._make(out, [(x, vjp)])
 
 
 def init_mlp(store: ParamStore, prefix: str, group: str, sizes,
@@ -116,12 +137,15 @@ class Mlp:
             self.n_layers += 1
 
     def __call__(self, x):
+        # a relu is fused into its layer's node; other activations are nodes
+        # of their own
+        fuse = self.activation is ad.relu
         h = x
         for i in range(self.n_layers):
-            w = self.store.leaf(f"{self.prefix}.{i}.w")
-            b = self.store.leaf(f"{self.prefix}.{i}.b")
-            h = ad.add(ad.matmul(h, w), b)
-            if i < self.n_layers - 1:
+            hidden = i < self.n_layers - 1
+            h = ad.linear(h, self.store.leaf(f"{self.prefix}.{i}.w"),
+                          self.store.leaf(f"{self.prefix}.{i}.b"), relu=hidden and fuse)
+            if hidden and not fuse:
                 h = self.activation(h)
         return h
 

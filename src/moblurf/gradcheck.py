@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
+from .fields import encode_position
 
 FD_STEP = 1e-6
 OP_TOL = 1e-4
@@ -60,6 +61,15 @@ def _positive(rng, shape, floor=0.2):
     return rng.random(shape) + floor
 
 
+def _dense_inputs(rng, margin=0.05):
+    """x (3,5), w (5,2), b (2,) whose pre-activations all keep ``margin``
+    from the relu kink, so finite differences never straddle it."""
+    while True:
+        x, w, b = rng.normal(size=(3, 5)), rng.normal(size=(5, 2)), rng.normal(size=2)
+        if np.abs(x @ w + b).min() > margin:
+            return [x, w, b]
+
+
 # Each case: name -> (input generator, op over nodes). The op may return any
 # shape; the harness contracts it with fixed random weights.
 def _op_cases(rng):
@@ -75,12 +85,14 @@ def _op_cases(rng):
         "div": ([rng.normal(size=b), _away_from_zero(rng, b)],
                 lambda x, y: ad.div(x, y)),
         "neg": ([rng.normal(size=b)], ad.neg),
-        "matmul": ([rng.normal(size=(3, 5)), rng.normal(size=(5, 2))],
-                   lambda x, y: ad.matmul(x, y)),
+        "linear": ([rng.normal(size=(3, 5)), rng.normal(size=(5, 2)),
+                    rng.normal(size=2)], ad.linear),
+        "linear_relu": (_dense_inputs(rng),
+                        lambda x, w, b: ad.linear(x, w, b, relu=True)),
         "exp": ([rng.normal(size=b)], ad.exp),
         "log": ([_positive(rng, b)], ad.log),
-        "sin": ([rng.normal(size=b)], ad.sin),
-        "cos": ([rng.normal(size=b)], ad.cos),
+        "encode_position": ([rng.normal(size=(4, 3))],
+                            lambda x: encode_position(x, 3)),
         "absolute": ([_away_from_zero(rng, b)], ad.absolute),
         "sigmoid": ([rng.normal(size=b) * 3], ad.sigmoid),
         "relu": ([_away_from_zero(rng, b)], ad.relu),

@@ -9,15 +9,14 @@ from __future__ import annotations
 
 import numpy as np
 
-from . import autodiff as ad
 from . import se3
 from .cameras import CameraPose, RayBatch, rays_for_frame
 from .fields import SceneModel
 from .render import motion_mask, render_rays
 
 # rays per render pass: bounds the field activations held at once
-# (4096 rays x 32 samples = 131072 rows)
-CHUNK = 4096
+# (1024 rays x 32 samples = 32768 rows, 16 MiB per 64-wide activation)
+CHUNK = 1024
 
 
 def infer_frame(model: SceneModel, pose: CameraPose, t: int, height: int,
@@ -56,13 +55,17 @@ def _render_frame(model: SceneModel, rays: RayBatch, n_samples: int,
     rgb = np.empty((height * width, 3))
     p_dy = np.empty(height * width)
     kappa = np.empty(height * width)
-    model.store.begin_step()
-    for start in range(0, len(rays), CHUNK):
-        rows = np.arange(start, min(start + CHUNK, len(rays)))
-        res = render_rays(model, rays.select(rows), n_samples, rng=None)
-        rgb[rows] = ad.value_of(res.color_full)
-        p_dy[rows] = res.p_dy
-        kappa[rows] = ad.value_of(res.kappa_star)
+    # forward only: the fields see plain arrays, so no graph is kept alive
+    model.store.begin_step(graph=False)
+    try:
+        for start in range(0, len(rays), CHUNK):
+            rows = np.arange(start, min(start + CHUNK, len(rays)))
+            res = render_rays(model, rays.select(rows), n_samples, rng=None)
+            rgb[rows] = res.color_full
+            p_dy[rows] = res.p_dy
+            kappa[rows] = res.kappa_star
+    finally:
+        model.store.begin_step()
     return {
         "rgb": rgb.reshape(height, width, 3),
         "p_dy": p_dy.reshape(height, width),

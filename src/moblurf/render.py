@@ -10,7 +10,9 @@ p_k and (1 - p_k). Per-ray dynamicness is the probability-weighted mass of
 (1 - p) over the full-model compositing weights.
 
 Functions take either ndarrays or autodiff Nodes; training uses the graph
-path, inference feeds plain arrays through the identical arithmetic.
+path, inference feeds plain arrays through the identical arithmetic: it
+renders after ``store.begin_step(graph=False)``, so the field weights are
+plain arrays too and no op builds a node.
 """
 
 from __future__ import annotations

@@ -15,6 +15,7 @@ Freeze contracts are enforced by Adam skipping frozen groups; with
 from __future__ import annotations
 
 import contextlib
+import os
 import time
 from dataclasses import dataclass
 from pathlib import Path
@@ -304,6 +305,11 @@ class Trainer:
                 start_stage, start_iter = state["stage"], state["iteration"] + 1
                 self.rng.bit_generator.state = state["rng_state"]
                 self.timings = dict(state.get("timings", {}))
+                # drop the lines logged after the checkpoint: those
+                # iterations run again
+                log_bytes = state.get("log_bytes")
+                if log_bytes is not None and (out / "train_log.txt").exists():
+                    os.truncate(out / "train_log.txt", log_bytes)
         with (contextlib.nullcontext() if out is None
               else open(out / "train_log.txt", "a" if resume else "w")) as log:
             if start_stage == "bri":
@@ -348,11 +354,17 @@ class Trainer:
                 if progress:
                     print(line, flush=True)
             if (it + 1) % ckpt_every == 0:
-                self._save(out, "checkpoint_latest.ckpt", stage, it)
+                self._save(out, "checkpoint_latest.ckpt", stage, it, log)
 
-    def _save(self, out: Path | None, name: str, stage: str, iteration: int):
+    def _save(self, out: Path | None, name: str, stage: str, iteration: int,
+              log=None):
         if out is not None:
-            save_checkpoint(out / name, self.model, self._ckpt_meta(stage, iteration))
+            meta = self._ckpt_meta(stage, iteration)
+            if log is not None:
+                # the log's length at this checkpoint, so a resume can cut
+                # what the interrupted run logged after it
+                meta["train_state"]["log_bytes"] = log.tell()
+            save_checkpoint(out / name, self.model, meta)
 
     def _ckpt_meta(self, stage: str, iteration: int) -> dict:
         return {"train_state": {

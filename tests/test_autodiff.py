@@ -3,6 +3,7 @@ import pytest
 
 from moblurf import autodiff as ad
 from moblurf import gradcheck as gc
+from moblurf.fields import encode_position
 from moblurf.optim import LrSchedule, OptimError, ParamStore, adam_step
 
 
@@ -26,9 +27,11 @@ def test_shape_mismatch_reports_both_shapes():
     assert "(2, 3)" in str(exc.value) and "(4, 5)" in str(exc.value)
 
 
-def test_matmul_shape_error():
+def test_linear_shape_error():
     with pytest.raises(ad.ShapeMismatch):
-        ad.matmul(np.zeros((2, 3)), np.zeros((2, 3)))
+        ad.linear(np.zeros((2, 3)), np.zeros((2, 3)), np.zeros(3))
+    with pytest.raises(ad.ShapeMismatch, match=r"\(4,\)"):
+        ad.linear(np.zeros((2, 3)), np.zeros((3, 3)), np.zeros(4))
 
 
 def test_backward_square():
@@ -38,10 +41,39 @@ def test_backward_square():
     assert np.allclose(x.grad, 6.0)
 
 
-def test_backward_sin_at_zero():
-    x = ad.Node(np.array(0.0))
-    ad.backward(ad.sin(x))
-    assert np.allclose(x.grad, 1.0)
+def test_encoding_gradient_at_zero():
+    # d/dx of x + sum_k sin(f_k x) at 0 is 1 + sum_k f_k, f_k = 2^k pi
+    x = ad.Node(np.zeros((1, 3)))
+    enc = encode_position(x, 3)
+    pick = np.zeros((1, 21))
+    pick[0, 0] = 1.0
+    for k in range(3):
+        pick[0, 3 + 6 * k] = 1.0
+    ad.backward(ad.sum_(ad.mul(enc, pick)))
+    assert np.allclose(x.grad, [[1.0 + 7.0 * np.pi, 0.0, 0.0]])
+
+
+def test_zero_preactivation_gets_zero_gradient():
+    # the relu's kink passes no gradient, fused into a layer or not
+    x = ad.Node(np.array([[1.0, -1.0], [2.0, 3.0]]))
+    w = ad.Node(np.array([[1.0], [1.0]]))   # row 0 sums to exactly zero
+    b = ad.Node(np.zeros(1))
+    ad.backward(ad.sum_(ad.linear(x, w, b, relu=True)))
+    assert np.array_equal(x.grad, [[0.0, 0.0], [1.0, 1.0]])
+    assert np.array_equal(w.grad, [[2.0], [3.0]])
+    assert np.array_equal(b.grad, [1.0])
+    a = ad.Node(np.array([-1.0, 0.0, 2.0]))
+    ad.backward(ad.sum_(ad.relu(a)))
+    assert np.array_equal(a.grad, [0.0, 0.0, 1.0])
+
+
+def test_linear_matches_unfused_arithmetic():
+    rng = np.random.default_rng(4)
+    x, w, b = rng.normal(size=(7, 5)), rng.normal(size=(5, 3)), rng.normal(size=3)
+    assert np.array_equal(ad.linear(x, w, b), x @ w + b)
+    assert np.array_equal(ad.linear(x, w, b, relu=True), np.maximum(x @ w + b, 0.0))
+    node = ad.linear(ad.Node(x), w, b, relu=True)
+    assert np.array_equal(node.value, np.maximum(x @ w + b, 0.0))
 
 
 def test_backward_rejects_nonscalar_root():

@@ -19,6 +19,15 @@ def tiny_model(seed=0, **kw):
     return SceneModel(tiny_config(**kw), np.random.default_rng(seed))
 
 
+def encode_per_frequency(x, num_freqs):
+    """Reference encoding: one scale, sin and cos per frequency, in turn."""
+    parts = [x]
+    for k in range(num_freqs):
+        scaled = x * float(np.pi * (2.0 ** k))
+        parts += [np.sin(scaled), np.cos(scaled)]
+    return np.concatenate(parts, axis=-1)
+
+
 def encoded(model, x, d):
     """Positional encodings of points and directions, as rendering makes them."""
     cfg = model.config
@@ -43,6 +52,30 @@ class TestEncoding:
     def test_deterministic(self):
         x = np.random.default_rng(0).normal(size=(5, 3))
         assert np.array_equal(encode_position(x, 6), encode_position(x, 6))
+
+    @pytest.mark.parametrize("num_freqs", [1, 4, 8])
+    def test_matches_per_frequency_reference_bitwise(self, num_freqs):
+        x = np.random.default_rng(2).normal(size=(1000, 3)) * 3.0
+        ref = encode_per_frequency(x, num_freqs)
+        assert np.array_equal(encode_position(x, num_freqs), ref)
+        assert np.array_equal(encode_position(ad.Node(x), num_freqs).value, ref)
+
+
+class TestMlp:
+    def test_forward_matches_dense_arithmetic_bitwise(self):
+        model = tiny_model()
+        store = model.store
+        x = np.random.default_rng(3).normal(size=(50, model.config.pos_dim))
+        ref = x
+        for i in range(model.static_trunk.n_layers):
+            ref = ref @ store.values[f"static.trunk.{i}.w"] + store.values[f"static.trunk.{i}.b"]
+            if i < model.static_trunk.n_layers - 1:
+                ref = np.maximum(ref, 0.0)
+        store.begin_step()
+        assert np.array_equal(model.static_trunk(x).value, ref)
+        store.begin_step(graph=False)
+        assert np.array_equal(model.static_trunk(x), ref)
+        store.begin_step()
 
 
 class TestGlo:

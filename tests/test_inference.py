@@ -47,6 +47,21 @@ def test_chunks_match_one_pass():
 
 
 @pytest.mark.parametrize("fn", [infer_frame, infer_frame_base_rays])
+def test_frame_rendering_builds_no_graph(fn, monkeypatch):
+    model = tiny_model()
+
+    def no_node(*args):
+        raise AssertionError("inference built a graph node")
+
+    monkeypatch.setattr(ad, "_make", no_node)
+    out = fn(model, pose(), 1, HEIGHT, WIDTH, 1.0, 5.0, 8)
+    assert np.isfinite(out["rgb"]).all()
+    monkeypatch.undo()
+    # graph mode is back for the next training step
+    assert isinstance(model.store.leaf("glo"), ad.Node)
+
+
+@pytest.mark.parametrize("fn", [infer_frame, infer_frame_base_rays])
 def test_rejects_untrained_time_index(fn):
     with pytest.raises(IndexError, match="outside trained range"):
         fn(tiny_model(), pose(), 3, HEIGHT, WIDTH, 1.0, 5.0, 8)

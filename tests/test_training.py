@@ -233,6 +233,33 @@ class TestRunAndResume:
         assert info["timings"] == {"bri_seconds": 60.0, "mdd_seconds": 40.0,
                                    "total_seconds": 100.0}
 
+    def test_resumed_log_matches_uninterrupted_log(self, tiny_dataset, tmp_path):
+        class Killed(Exception):
+            pass
+
+        def trainer(kill_at=None):
+            tr = tiny_trainer(tiny_dataset, seed=5, log_every=1,
+                              checkpoint_fraction=0.5)
+            orig = tr.bri_step
+
+            def step(it, batch=None):
+                if it == kill_at:
+                    raise Killed
+                return orig(it, batch)
+            tr.bri_step = step
+            return tr
+
+        trainer().run(tmp_path / "ref")
+        out = tmp_path / "run"
+        # checkpoints follow BRI iterations 2 and 5; iterations 3 and 4 are
+        # logged, then lost with the kill
+        with pytest.raises(Killed):
+            trainer(kill_at=5).run(out)
+        assert "it=4 stage=bri" in (out / "train_log.txt").read_text()
+        trainer().run(out, resume=True)
+        assert (out / "train_log.txt").read_bytes() == \
+            (tmp_path / "ref" / "train_log.txt").read_bytes()
+
     def test_nan_parameter_aborts_with_breakdown(self, tiny_dataset):
         tr = tiny_trainer(tiny_dataset)
         tr.model.store.values["static.trunk.0.w"][0, 0] = np.nan
