@@ -1,12 +1,12 @@
 """Reverse-mode automatic differentiation over dense float64 arrays.
 
-Every op below is polymorphic: given plain ndarrays it returns an ndarray,
-given at least one :class:`Node` it returns a Node that remembers how to
-push gradients back to its parents. This keeps the training path (graph
-mode) and the inference path (plain NumPy) numerically identical, since
-both run the exact same forward arithmetic. Inference gets plain arrays by
-rendering after ``ParamStore.begin_step(graph=False)``, so it builds no
-graph at all.
+Every op below is polymorphic, and one rule, in :func:`_make`, decides
+what it returns: a :class:`Node` that remembers how to push gradients back
+to its parents when at least one operand is a Node, the plain ndarray
+otherwise. Training and inference therefore run the exact same forward
+arithmetic. Frozen parameters are plain arrays (``ParamStore.leaf``), so
+what depends on nothing but them and on data builds no graph; inference
+freezes every group and builds none at all.
 
 Ops are as coarse as the hot path needs: :func:`linear` is a whole dense
 layer (matmul, bias and optional relu) in one node, so a field layer costs
@@ -78,14 +78,12 @@ def _unbroadcast(g: np.ndarray, shape) -> np.ndarray:
     return g
 
 
-def _make(out_value, pairs) -> Node:
-    """Wrap ``out_value`` in a Node, keeping only parents that are Nodes."""
+def _make(out_value, pairs):
+    """An op's result: a Node whose parents are the operands in ``pairs``
+    that are Nodes, or ``out_value`` itself when none is (no graph). Work
+    that only the backward pass needs belongs inside the vjps."""
     parents = tuple((p, vjp) for p, vjp in pairs if isinstance(p, Node))
-    return Node(out_value, parents)
-
-
-def _any_node(*xs) -> bool:
-    return any(isinstance(x, Node) for x in xs)
+    return Node(out_value, parents) if parents else out_value
 
 
 # ---------------------------------------------------------------------------
@@ -98,8 +96,6 @@ def add(a, b):
         out = av + bv
     except ValueError:
         raise ShapeMismatch(f"add: shapes {av.shape} and {bv.shape} do not broadcast")
-    if not _any_node(a, b):
-        return out
     return _make(out, [
         (a, lambda g: _unbroadcast(g, av.shape)),
         (b, lambda g: _unbroadcast(g, bv.shape)),
@@ -112,8 +108,6 @@ def sub(a, b):
         out = av - bv
     except ValueError:
         raise ShapeMismatch(f"sub: shapes {av.shape} and {bv.shape} do not broadcast")
-    if not _any_node(a, b):
-        return out
     return _make(out, [
         (a, lambda g: _unbroadcast(g, av.shape)),
         (b, lambda g: _unbroadcast(-g, bv.shape)),
@@ -126,8 +120,6 @@ def mul(a, b):
         out = av * bv
     except ValueError:
         raise ShapeMismatch(f"mul: shapes {av.shape} and {bv.shape} do not broadcast")
-    if not _any_node(a, b):
-        return out
     return _make(out, [
         (a, lambda g: _unbroadcast(g * bv, av.shape)),
         (b, lambda g: _unbroadcast(g * av, bv.shape)),
@@ -140,8 +132,6 @@ def div(a, b):
         out = av / bv
     except ValueError:
         raise ShapeMismatch(f"div: shapes {av.shape} and {bv.shape} do not broadcast")
-    if not _any_node(a, b):
-        return out
     return _make(out, [
         (a, lambda g: _unbroadcast(g / bv, av.shape)),
         (b, lambda g: _unbroadcast(-g * av / (bv * bv), bv.shape)),
@@ -150,8 +140,6 @@ def div(a, b):
 
 def neg(a):
     av = value_of(a)
-    if not _any_node(a):
-        return -av
     return _make(-av, [(a, lambda g: -g)])
 
 
@@ -167,11 +155,9 @@ def linear(x, w, b, relu=False):
     out += bv
     if relu:
         np.maximum(out, 0.0, out=out)
-    if not _any_node(x, w, b):
-        return out
     # the relu-masked gradient is made once per backward visit and shared by
     # the parents; the last parent drops it
-    last = [p for p in (x, w, b) if isinstance(p, Node)][-1]
+    last = next((p for p in (b, w, x) if isinstance(p, Node)), None)
     visit = {}
 
     def masked(g, parent):
@@ -195,26 +181,19 @@ def linear(x, w, b, relu=False):
 
 def exp(a):
     ov = np.exp(value_of(a))
-    if not _any_node(a):
-        return ov
     return _make(ov, [(a, lambda g: g * ov)])
 
 
 def log(a):
     av = value_of(a)
     ov = np.log(av)
-    if not _any_node(a):
-        return ov
     return _make(ov, [(a, lambda g: g / av)])
 
 
 def absolute(a):
     av = value_of(a)
     ov = np.abs(av)
-    if not _any_node(a):
-        return ov
-    sgn = np.sign(av)
-    return _make(ov, [(a, lambda g: g * sgn)])
+    return _make(ov, [(a, lambda g: g * np.sign(av))])
 
 
 def sigmoid(a):
@@ -222,26 +201,19 @@ def sigmoid(a):
     # numerically stable in both tails
     ov = np.where(av >= 0, 1.0 / (1.0 + np.exp(-np.abs(av))),
                   np.exp(-np.abs(av)) / (1.0 + np.exp(-np.abs(av))))
-    if not _any_node(a):
-        return ov
     return _make(ov, [(a, lambda g: g * ov * (1.0 - ov))])
 
 
 def relu(a):
     av = value_of(a)
     ov = np.maximum(av, 0.0)
-    if not _any_node(a):
-        return ov
     return _make(ov, [(a, lambda g: g * (av > 0))])
 
 
 def softplus(a):
     av = value_of(a)
     ov = np.maximum(av, 0.0) + np.log1p(np.exp(-np.abs(av)))
-    if not _any_node(a):
-        return ov
-    sig = 1.0 / (1.0 + np.exp(-np.clip(av, -500, 500)))
-    return _make(ov, [(a, lambda g: g * sig)])
+    return _make(ov, [(a, lambda g: g * (1.0 / (1.0 + np.exp(-np.clip(av, -500, 500)))))])
 
 
 # ---------------------------------------------------------------------------
@@ -251,8 +223,6 @@ def softplus(a):
 def sum_(a, axis=None, keepdims=False):
     av = value_of(a)
     ov = av.sum(axis=axis, keepdims=keepdims)
-    if not _any_node(a):
-        return ov
 
     def vjp(g):
         if axis is None:
@@ -266,12 +236,8 @@ def sum_(a, axis=None, keepdims=False):
 
 def mean(a, axis=None, keepdims=False):
     av = value_of(a)
-    if axis is None:
-        n = av.size
-    else:
-        n = av.shape[axis]
-    s = sum_(a, axis=axis, keepdims=keepdims)
-    return div(s, float(n)) if isinstance(s, Node) else s / float(n)
+    n = av.size if axis is None else av.shape[axis]
+    return div(sum_(a, axis=axis, keepdims=keepdims), float(n))
 
 
 # ---------------------------------------------------------------------------
@@ -283,8 +249,6 @@ def cross3(a, b):
     if av.shape[-1] != 3 or bv.shape[-1] != 3:
         raise ShapeMismatch(f"cross3: last axis must be 3, got {av.shape} x {bv.shape}")
     out = np.cross(av, bv)
-    if not _any_node(a, b):
-        return out
     return _make(out, [
         (a, lambda g: _unbroadcast(np.cross(bv, g), av.shape)),
         (b, lambda g: _unbroadcast(np.cross(g, av), bv.shape)),
@@ -296,8 +260,6 @@ def normalize3(a):
     av = value_of(a)
     r = np.linalg.norm(av, axis=-1, keepdims=True)
     ov = av / r
-    if not _any_node(a):
-        return ov
 
     def vjp(g):
         dot = np.sum(g * ov, axis=-1, keepdims=True)
@@ -313,8 +275,6 @@ def normalize3(a):
 def concat(parts, axis=-1):
     vals = [value_of(p) for p in parts]
     out = np.concatenate(vals, axis=axis)
-    if not _any_node(*parts):
-        return out
     pairs = []
     offset = 0
     ax = axis if axis >= 0 else out.ndim + axis
@@ -329,8 +289,6 @@ def concat(parts, axis=-1):
 def reshape(a, shape):
     av = value_of(a)
     ov = av.reshape(shape)
-    if not _any_node(a):
-        return ov
     return _make(ov, [(a, lambda g: g.reshape(av.shape))])
 
 
@@ -340,8 +298,6 @@ def narrow(a, start, length, axis=0):
     sl = tuple(slice(None) if i != axis else slice(start, start + length)
                for i in range(av.ndim))
     ov = av[sl]
-    if not _any_node(a):
-        return ov
 
     def vjp(g):
         full = np.zeros_like(av)
@@ -356,8 +312,6 @@ def gather(a, idx, axis=0):
     av = value_of(a)
     idx = np.asarray(idx)
     ov = np.take(av, idx, axis=axis)
-    if not _any_node(a):
-        return ov
 
     def vjp(g):
         full = np.zeros_like(av)
@@ -375,8 +329,6 @@ def repeat(a, k, axis=0):
     """np.repeat along one axis; gradient sums the repeats."""
     av = value_of(a)
     ov = np.repeat(av, k, axis=axis)
-    if not _any_node(a):
-        return ov
 
     def vjp(g):
         shp = av.shape[:axis] + (av.shape[axis], k) + av.shape[axis + 1:]
@@ -398,8 +350,6 @@ def exclusive_cumprod(a, axis=-1):
                  for i in range(av.ndim))
     shifted[idx0] = 1.0
     ov = np.cumprod(shifted, axis=axis)
-    if not _any_node(a):
-        return ov
 
     def vjp(g):
         gm, xm = np.moveaxis(g, axis, -1), np.moveaxis(av, axis, -1)
@@ -489,30 +439,27 @@ COEF_BRANCHES = {
 }
 
 
-def _coef(u, closed, series, dclosed, dseries, differentiable):
+def _coef(u, closed, series, dclosed, dseries):
     uv = value_of(u)
     small = uv < _U_SWITCH
     us = np.where(small, 0.0, uv)  # avoid div-by-zero in the closed branch
     ov = np.where(small, series(uv), closed(us))
-    if not differentiable:
-        return ov
-    dv = np.where(small, dseries(uv), dclosed(us))
-    return _make(ov, [(u, lambda g: g * dv)])
+    return _make(ov, [(u, lambda g: g * np.where(small, dseries(uv), dclosed(us)))])
 
 
 def rot_coef_a(u):
     """sin(theta)/theta as a function of u = theta**2."""
-    return _coef(u, _a_closed, _a_series, _da_closed, _da_series, _any_node(u))
+    return _coef(u, _a_closed, _a_series, _da_closed, _da_series)
 
 
 def rot_coef_b(u):
     """(1 - cos(theta)) / theta**2 as a function of u = theta**2."""
-    return _coef(u, _b_closed, _b_series, _db_closed, _db_series, _any_node(u))
+    return _coef(u, _b_closed, _b_series, _db_closed, _db_series)
 
 
 def rot_coef_c(u):
     """(theta - sin(theta)) / theta**3 as a function of u = theta**2."""
-    return _coef(u, _c_closed, _c_series, _dc_closed, _dc_series, _any_node(u))
+    return _coef(u, _c_closed, _c_series, _dc_closed, _dc_series)
 
 
 # ---------------------------------------------------------------------------
@@ -544,6 +491,8 @@ def backward(root: Node):
 
     Tagged parameter leaves additionally flush their gradients into the
     owning ParamStore, so unreachable parameters keep their zero grads.
+    An interior node's gradient is dropped once its vjps have run; leaves
+    keep theirs.
     """
     if not isinstance(root, Node):
         raise TypeError("backward expects a Node")
@@ -559,6 +508,8 @@ def backward(root: Node):
         for parent, vjp in node.parents:
             contrib = vjp(node.grad)
             parent.grad = contrib if parent.grad is None else parent.grad + contrib
+        if node.parents:
+            node.grad = None
     for node in order:
         if node.param_ref is not None and node.grad is not None:
             store, name = node.param_ref

@@ -117,7 +117,6 @@ def cmd_render(args) -> int:
     from .fields import load_checkpoint
     from .inference import infer_frame, infer_frame_base_rays
     from .pngio import write_png
-    from .training import NumericalError
     import numpy as np
 
     model, meta = load_checkpoint(args.checkpoint)
@@ -148,8 +147,6 @@ def cmd_render(args) -> int:
         else:  # file
             res = infer_frame(model, file_poses[t], t, h, w,
                               dataset.near, dataset.far, n_samples)
-        if not np.all(np.isfinite(res["rgb"])):
-            raise NumericalError(f"non-finite pixels in the render of frame {t}")
         write_png(out / "rgb" / f"{t:04d}.png",
                   np.clip(np.round(res["rgb"] * 255), 0, 255).astype(np.uint8))
         write_png(out / "mask" / f"{t:04d}.png",

@@ -91,8 +91,6 @@ def encode_position(x, num_freqs: int):
     out[..., :d] = xv
     bands = out[..., d:].reshape(*lead, num_freqs, 2, d)    # a view of out
     bands[..., 0, :], bands[..., 1, :] = s, c
-    if not isinstance(x, ad.Node):
-        return out
 
     def vjp(g):
         gsc = g[..., d:].reshape(*lead, num_freqs, 2, d)
@@ -155,7 +153,8 @@ class SceneModel:
 
     Evaluation is pure given a parameter snapshot: call
     ``store.begin_step()`` before each training forward pass so parameter
-    leaves pick up current values.
+    leaves pick up current values. Parameters of frozen groups enter as
+    constants (see :meth:`ParamStore.leaf`).
     """
 
     def __init__(self, config: FieldConfig, rng: np.random.Generator,
@@ -221,11 +220,17 @@ class SceneModel:
         p_st = ad.sigmoid(ad.reshape(self.static_pst(h), (-1,)))
         return color, sigma, p_st
 
+    def dynamic_density(self, enc_x, glo):
+        """(trunk features, sigma) of the dynamic net at encoded points,
+        conditioned on the GLO rows ``glo`` of their frames (see
+        :meth:`glo_lookup`)."""
+        h = self.act(self.dynamic_trunk(ad.concat([enc_x, glo], axis=-1)))
+        return h, ad.softplus(ad.reshape(self.dynamic_sigma(h), (-1,)))
+
     def dynamic_eval_encoded(self, enc_x, enc_d, glo):
         """(color, sigma) at encoded points and directions, conditioned on
-        the GLO rows ``glo`` of their frames (see :meth:`glo_lookup`)."""
-        h = self.act(self.dynamic_trunk(ad.concat([enc_x, glo], axis=-1)))
-        sigma = ad.softplus(ad.reshape(self.dynamic_sigma(h), (-1,)))
+        the GLO rows ``glo`` of their frames."""
+        h, sigma = self.dynamic_density(enc_x, glo)
         color = ad.sigmoid(self.dynamic_rgb(ad.concat([h, enc_d], axis=-1)))
         return color, sigma
 

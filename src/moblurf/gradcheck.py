@@ -220,14 +220,18 @@ def check_full_loss(kind: str, seed: int = 0, per_group: int = 5,
                     sabotage: bool = False) -> CheckResult:
     """FD-verify d(loss)/d(theta) for the stage losses on a 4-ray batch.
 
-    ``kind`` is one of bri_even, bri_odd, mdd. Probes the largest-gradient
-    components of each parameter group plus a few random ones; the loss is
-    evaluated with deterministic midpoint sampling so finite differences
-    see a smooth function.
+    ``kind`` is one of bri_even, bri_odd, mdd, each under its stage's
+    freeze set. Probes the largest-gradient components of each parameter
+    group plus a few random ones; the loss is evaluated with deterministic
+    midpoint sampling so finite differences see a smooth function.
     """
+    from .training import FREEZE_BRI_EVEN, FREEZE_BRI_ODD, FREEZE_MDD
+
     trainer = _tiny_trainer(seed)
     batch = trainer.sample_batch()
     store = trainer.model.store
+    store.set_frozen_groups({"bri_even": FREEZE_BRI_EVEN, "bri_odd": FREEZE_BRI_ODD,
+                             "mdd": FREEZE_MDD}.get(kind, set()))
     mask_override = None
     if kind == "mdd":
         mask_override = (np.arange(len(batch.rays)) % 2).astype(np.int64)

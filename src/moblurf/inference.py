@@ -13,6 +13,7 @@ from . import se3
 from .cameras import CameraPose, RayBatch, rays_for_frame
 from .fields import SceneModel
 from .render import motion_mask, render_rays
+from .training import NumericalError
 
 # rays per render pass: bounds the field activations held at once
 # (1024 rays x 32 samples = 32768 rows, 16 MiB per 64-wide activation)
@@ -55,8 +56,11 @@ def _render_frame(model: SceneModel, rays: RayBatch, n_samples: int,
     rgb = np.empty((height * width, 3))
     p_dy = np.empty(height * width)
     kappa = np.empty(height * width)
-    # forward only: the fields see plain arrays, so no graph is kept alive
-    model.store.begin_step(graph=False)
+    # forward only: with every group frozen the fields see plain arrays, so
+    # no graph is built
+    store = model.store
+    frozen = store.frozen
+    store.set_frozen_groups(set(store.groups()))
     try:
         for start in range(0, len(rays), CHUNK):
             rows = np.arange(start, min(start + CHUNK, len(rays)))
@@ -65,7 +69,9 @@ def _render_frame(model: SceneModel, rays: RayBatch, n_samples: int,
             p_dy[rows] = res.p_dy
             kappa[rows] = res.kappa_star
     finally:
-        model.store.begin_step()
+        store.set_frozen_groups(frozen)
+    if not np.all(np.isfinite(rgb)):
+        raise NumericalError(f"non-finite pixels in the render of frame {rays.t[0]}")
     return {
         "rgb": rgb.reshape(height, width, 3),
         "p_dy": p_dy.reshape(height, width),

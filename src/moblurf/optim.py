@@ -20,9 +20,9 @@ class ParamStore:
     Each parameter belongs to a group (e.g. ``"static"``, ``"screw_base"``);
     groups are frozen/unfrozen as a unit. ``leaf(name)`` hands out one graph
     node per parameter per forward pass, so reuse of the same parameter in
-    several places accumulates gradients through graph fan-out; after
-    ``begin_step(graph=False)`` it hands out the plain arrays, and the ops
-    build no graph.
+    several places accumulates gradients through graph fan-out. A frozen
+    group's parameters are constants: ``leaf`` hands out the plain arrays,
+    and what is computed from them and from data alone builds no graph.
     """
 
     def __init__(self):
@@ -34,7 +34,6 @@ class ParamStore:
         self.adam_v: dict[str, np.ndarray] = {}
         self.adam_t: dict[str, int] = {}
         self._leaves: dict[str, ad.Node] = {}
-        self._graph = True
 
     def add(self, name: str, value, group: str) -> None:
         if name in self.values:
@@ -56,7 +55,7 @@ class ParamStore:
         return sorted(set(self.group_of.values()))
 
     def leaf(self, name: str) -> ad.Node | np.ndarray:
-        if not self._graph:
+        if self.is_frozen(name):
             return self.values[name]
         node = self._leaves.get(name)
         if node is None:
@@ -65,11 +64,9 @@ class ParamStore:
             self._leaves[name] = node
         return node
 
-    def begin_step(self, graph: bool = True) -> None:
-        """Drop cached leaves so the next forward pass sees current values;
-        with ``graph=False`` the pass builds no graph (forward only)."""
+    def begin_step(self) -> None:
+        """Drop cached leaves so the next forward pass sees current values."""
         self._leaves = {}
-        self._graph = graph
 
     def accumulate_grad(self, name: str, grad: np.ndarray) -> None:
         self.grads[name] = self.grads[name] + grad

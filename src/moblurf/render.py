@@ -9,10 +9,10 @@ and each sample contributes its static and dynamic colors weighted by
 p_k and (1 - p_k). Per-ray dynamicness is the probability-weighted mass of
 (1 - p) over the full-model compositing weights.
 
-Functions take either ndarrays or autodiff Nodes; training uses the graph
-path, inference feeds plain arrays through the identical arithmetic: it
-renders after ``store.begin_step(graph=False)``, so the field weights are
-plain arrays too and no op builds a node.
+Functions take either ndarrays or autodiff Nodes and run the identical
+arithmetic on both. Training renders with graph leaves for its unfrozen
+parameter groups; inference freezes every group, so the field weights are
+plain arrays and no op builds a node.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .cameras import RayBatch
-from .fields import SceneModel
+from .fields import SceneModel, encode_position
 
 
 @dataclass
@@ -145,31 +145,25 @@ def motion_mask(p_dy: np.ndarray) -> np.ndarray:
     return (np.asarray(p_dy) > 0.5).astype(np.int64)
 
 
-def eval_fields_on_grid(model: SceneModel, rays: RayBatch, grid: SampleGrid,
-                        branch: str = "all"):
-    """Evaluate the nets at every sample of every ray.
-
-    branch="all"   -> (static_out, dynamic_out) ready for render_full
-    branch="kappa" -> dynamic sigmas only (for expected-distance supervision)
-    """
-    from .fields import encode_position
-
-    cfg = model.config
-    b = len(rays)
-    n = grid.n_samples
+def _encoded_samples(model: SceneModel, rays: RayBatch, grid: SampleGrid):
+    """Encoded sample points (B*N, pos_dim) and their GLO rows (B*N, glo_dim)."""
+    b, n = len(rays), grid.n_samples
     o3 = ad.reshape(rays.origins, (b, 1, 3))
     d3 = ad.reshape(rays.dirs, (b, 1, 3))
     pts = ad.add(o3, ad.mul(d3, grid.dists.reshape(b, n, 1)))
-    x = ad.reshape(pts, (b * n, 3))
-    enc_x = encode_position(x, cfg.pos_freqs)
-    # directions and GLO codes are constant along a ray: encode per-ray,
-    # then repeat rows to per-sample
-    glo = ad.repeat(model.glo_lookup(rays.t), n, axis=0)
-    if branch == "kappa":
-        h = model.act(model.dynamic_trunk(ad.concat([enc_x, glo], axis=-1)))
-        sigma = ad.softplus(ad.reshape(model.dynamic_sigma(h), (-1,)))
-        return ad.reshape(sigma, (b, n))
-    enc_d = ad.repeat(encode_position(rays.dirs, cfg.dir_freqs), n, axis=0)
+    enc_x = encode_position(ad.reshape(pts, (b * n, 3)), model.config.pos_freqs)
+    # GLO codes are constant along a ray: look up per ray, then repeat rows
+    # to per-sample
+    return enc_x, ad.repeat(model.glo_lookup(rays.t), n, axis=0)
+
+
+def eval_fields_on_grid(model: SceneModel, rays: RayBatch, grid: SampleGrid):
+    """Evaluate both nets at every sample of every ray: (static_out,
+    dynamic_out) ready for render_full."""
+    b, n = len(rays), grid.n_samples
+    enc_x, glo = _encoded_samples(model, rays, grid)
+    # directions are constant along a ray too: encode per ray
+    enc_d = ad.repeat(encode_position(rays.dirs, model.config.dir_freqs), n, axis=0)
     c_s, sigma_s, p_st = model.static_eval_encoded(enc_x, enc_d)
     c_d, sigma_d = model.dynamic_eval_encoded(enc_x, enc_d, glo)
     static_out = (ad.reshape(c_s, (b, n, 3)), ad.reshape(sigma_s, (b, n)),
@@ -190,7 +184,8 @@ def render_kappa(model: SceneModel, rays: RayBatch, n_samples: int,
                  rng: np.random.Generator | None = None):
     """Expected dynamic ray distance only (cheap path for neighbor rays)."""
     grid = sample_along_ray(rays.near, rays.far, n_samples, len(rays), rng)
-    sigma_d = eval_fields_on_grid(model, rays, grid, branch="kappa")
+    _, sigma = model.dynamic_density(*_encoded_samples(model, rays, grid))
+    sigma_d = ad.reshape(sigma, (len(rays), grid.n_samples))
     alpha = ad.sub(1.0, ad.exp(ad.neg(ad.mul(sigma_d, grid.deltas))))
     trans = ad.exclusive_cumprod(ad.sub(1.0, alpha), axis=-1)
     return ad.sum_(ad.mul(ad.mul(trans, alpha), grid.dists), axis=-1)

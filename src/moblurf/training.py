@@ -8,8 +8,10 @@ table stays frozen. Stage 2 freezes base screws for good and trains the
 blur model: latent bundles, their local refinement, and both fields against
 the blurry targets.
 
-Freeze contracts are enforced by Adam skipping frozen groups; with
-``debug_freeze_check`` on, checksum comparisons verify them every step.
+The freeze set alone decides what each step trains: a frozen group's
+parameters enter the forward pass as constants, so no graph is built
+through them, and Adam skips them. With ``debug_freeze_check`` on,
+checksum comparisons verify the contract every step.
 """
 
 from __future__ import annotations
@@ -154,13 +156,10 @@ class Trainer:
 
     # ray warping ------------------------------------------------------------
 
-    def warp_base(self, rays: RayBatch, in_graph: bool) -> RayBatch:
-        """Base rays = input rays warped by the per-frame screw table."""
-        if in_graph:
-            omega, v = self.model.base_screws(rays.t)
-        else:
-            table = self.model.store.values["screw.base"][rays.t]
-            omega, v = table[:, :3], table[:, 3:]
+    def warp_base(self, rays: RayBatch) -> RayBatch:
+        """Base rays = input rays warped by the per-frame screw table: in the
+        graph while the ``screw_base`` group trains, constants while frozen."""
+        omega, v = self.model.base_screws(rays.t)
         o, d, pix = se3.warp_ray(rays.origins, rays.dirs, omega, v, rays.pix_dirs)
         return RayBatch(o, d, pix, rays.t, rays.uv, rays.near, rays.far)
 
@@ -172,7 +171,7 @@ class Trainer:
         k = batch.lg_count
         if k == 0 or not supervise.any():
             return None
-        nb = self.warp_base(batch.neighbors, in_graph=False)
+        nb = self.warp_base(batch.neighbors)
         kappa_n = render_kappa(self.model, nb, self.config.n_samples, rng)
         # origins, dirs, pix_dirs and kappa of the pixel, its right and its
         # down neighbour
@@ -200,7 +199,7 @@ class Trainer:
 
     def compute_bri_even_loss(self, batch: Batch, rng):
         """Warp rays in-graph, fit the static field on unmasked pixels."""
-        base = self.warp_base(batch.rays, in_graph=True)
+        base = self.warp_base(batch.rays)
         res = render_rays(self.model, base, self.config.n_samples, rng)
         mask = motion_mask(res.p_dy)
         loss = L.masked_photometric(res.color_static, batch.targets, mask)
@@ -209,14 +208,14 @@ class Trainer:
 
     def compute_bri_odd_loss(self, batch: Batch, rng):
         """All loss terms on sharp renders; base screws held fixed."""
-        base = self.warp_base(batch.rays, in_graph=False)
+        base = self.warp_base(batch.rays)
         res = render_rays(self.model, base, self.config.n_samples, rng)
         return self._all_terms(batch, res, motion_mask(res.p_dy), res.kappa_star,
                                np.ones(batch.lg_count, dtype=bool), base, rng)
 
     def compute_mdd_loss(self, batch: Batch, rng, mask_override=None):
         """Blur-model training loss on latent bundles; base screws frozen."""
-        base = self.warp_base(batch.rays, in_graph=False)
+        base = self.warp_base(batch.rays)
         blur = blurry_render(self.model, base, self.config.n_samples, rng,
                              mask_override=mask_override)
         supervise = blur.mask[:batch.lg_count].astype(bool) \

@@ -98,6 +98,46 @@ def test_every_op_matches_central_differences():
     assert not failed, f"ops off finite differences: {failed}"
 
 
+@pytest.mark.parametrize("name", sorted(gc._op_cases(np.random.default_rng(0))))
+def test_plain_inputs_build_no_graph(name):
+    # the same arithmetic with and without a graph, bit for bit
+    inputs, op = gc._op_cases(np.random.default_rng(7))[name]
+    plain = op(*[x.copy() for x in inputs])
+    graph = op(*[ad.Node(x.copy()) for x in inputs])
+    assert type(plain) is np.ndarray
+    assert isinstance(graph, ad.Node)
+    assert np.array_equal(plain, graph.value)
+
+
+def test_backward_keeps_only_leaf_gradients():
+    store = ParamStore()
+    store.add("p", np.array([0.5, -2.0, 3.0]), group="a")
+    x = ad.Node(np.array([1.0, 0.25, -0.5]))
+    p = store.leaf("p")
+    y = ad.mul(x, p)
+    z = ad.exp(y)
+    root = ad.sum_(z)
+    ad.backward(root)
+    # interior gradients are dropped once their vjps have run
+    assert y.grad is None and z.grad is None and root.grad is None
+    e = np.exp(x.value * store.values["p"])
+    assert np.array_equal(x.grad, e * store.values["p"])
+    assert np.array_equal(p.grad, e * x.value)
+    assert np.array_equal(store.grads["p"], e * x.value)
+
+
+def test_frozen_group_leaf_is_a_constant():
+    store = ParamStore()
+    store.add("w", np.array([1.5]), group="a")
+    store.add("v", np.array([2.0]), group="b")
+    store.set_frozen_groups({"b"})
+    assert store.leaf("v") is store.values["v"]
+    assert isinstance(store.leaf("w"), ad.Node)
+    ad.backward(ad.sum_(ad.mul(store.leaf("w"), store.leaf("v"))))
+    assert np.array_equal(store.grads["w"], [2.0])
+    assert np.array_equal(store.grads["v"], [0.0])
+
+
 def test_unreached_parameter_gradient_stays_zero():
     store = ParamStore()
     store.add("used", np.array([2.0]), group="a")

@@ -5,6 +5,7 @@ from moblurf import MoBluRF
 from moblurf.data import synthesize_dataset
 from moblurf.estimator import NotFittedError
 from moblurf.scene import static_scene
+from moblurf.training import NumericalError
 
 
 @pytest.fixture(scope="module")
@@ -58,6 +59,15 @@ class TestFitPredict:
         frames, maps = est.predict([1], pose_source="base", return_maps=True)
         assert maps[0]["p_dy"].shape == (24, 24)
         assert maps[0]["mask"].dtype == np.int64
+
+    def test_non_finite_render_raises(self, tiny_dataset):
+        # a NaN frame must not drop silently out of score's mean
+        est = MoBluRF(seed=0, **TINY).fit(tiny_dataset)
+        est.model_.store.values["static.rgb.0.b"][:] = np.nan
+        with pytest.raises(NumericalError, match="non-finite pixels"):
+            est.score([0, 2], pose_source="base")
+        with pytest.raises(NumericalError, match="frame 1"):
+            est.predict([1], pose_source="true")
 
     def test_unknown_pose_source(self, tiny_dataset):
         est = MoBluRF(seed=0, **TINY).fit(tiny_dataset)

@@ -49,15 +49,17 @@ def test_chunks_match_one_pass():
 @pytest.mark.parametrize("fn", [infer_frame, infer_frame_base_rays])
 def test_frame_rendering_builds_no_graph(fn, monkeypatch):
     model = tiny_model()
+    model.store.set_frozen_groups({"screw_base"})
 
     def no_node(*args):
         raise AssertionError("inference built a graph node")
 
-    monkeypatch.setattr(ad, "_make", no_node)
+    monkeypatch.setattr(ad.Node, "__init__", no_node)
     out = fn(model, pose(), 1, HEIGHT, WIDTH, 1.0, 5.0, 8)
     assert np.isfinite(out["rgb"]).all()
     monkeypatch.undo()
-    # graph mode is back for the next training step
+    # the caller's freeze set is back for the next training step
+    assert model.store.frozen == {"screw_base"}
     assert isinstance(model.store.leaf("glo"), ad.Node)
 
 

@@ -70,6 +70,25 @@ class TestInterleaveContract:
             tr.mdd_step(it)
         assert tr.model.store.checksum("screw_base") == digest
 
+    @pytest.mark.parametrize("kind", ["bri_even", "bri_odd", "mdd"])
+    def test_frozen_base_screws_get_no_gradient(self, tiny_dataset, kind):
+        # the freeze set alone keeps the base screws out of the graph
+        tr = tiny_trainer(tiny_dataset)
+        store = tr.model.store
+        store.values["screw.base"][:] = np.random.default_rng(4).normal(
+            0.0, 0.02, size=store.values["screw.base"].shape)
+        frozen, compute = {"bri_even": (FREEZE_BRI_EVEN, tr.compute_bri_even_loss),
+                           "bri_odd": (FREEZE_BRI_ODD, tr.compute_bri_odd_loss),
+                           "mdd": (FREEZE_MDD, tr.compute_mdd_loss)}[kind]
+        store.set_frozen_groups(frozen)
+        store.begin_step()
+        store.zero_grad()
+        batch = tr.sample_batch()
+        loss, _ = compute(batch, rng=None)
+        assert isinstance(store.leaf("screw.base"), np.ndarray) == (kind != "bri_even")
+        ad.backward(loss)
+        assert store.grads["screw.base"].any() == (kind == "bri_even")
+
     def test_freeze_sets_partition_all_groups(self):
         assert FREEZE_BRI_EVEN | {"static", "screw_base"} == \
             {"static", "dynamic", "local", "screw_base", "screw_global"}
@@ -117,9 +136,10 @@ class TestNoOpStart:
         tr = tiny_trainer(tiny_dataset)
         store = tr.model.store
         batch = tr.sample_batch()
+        store.set_frozen_groups(FREEZE_MDD)
         store.begin_step()
         store.zero_grad()
-        base = tr.warp_base(batch.rays, in_graph=False)
+        base = tr.warp_base(batch.rays)
         res = blur.blurry_render(tr.model, base, tr.config.n_samples, rng=None,
                                  mask_override=np.zeros(len(batch.rays), dtype=int))
         loss = ad.sum_(ad.mul(res.color_full, 1.0))
