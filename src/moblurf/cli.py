@@ -112,7 +112,7 @@ def cmd_train(args) -> int:
 
 
 def cmd_render(args) -> int:
-    from .config import resolve_config, write_manifest
+    from .config import TrainConfig, write_manifest
     from .data import read_dataset, read_poses, write_depth_raw
     from .fields import load_checkpoint
     from .inference import infer_frame, infer_frame_base_rays
@@ -124,8 +124,9 @@ def cmd_render(args) -> int:
     h, w = dataset.shape
     timestamps = _parse_timestamps(args.timestamps,
                                    dataset.meta.get("eval_timestamps", []))
-    n_samples = int(meta.get("train_state", {}).get("config", {})
-                    .get("n_samples", 32))
+    # the config the checkpoint was trained with (defaults if it has none)
+    config = TrainConfig(**meta.get("train_state", {}).get("config", {}))
+    n_samples = config.n_samples
     if args.pose_source == "file":
         if not args.pose_file:
             raise ValueError("--pose-file is required with --pose-source file")
@@ -156,8 +157,7 @@ def cmd_render(args) -> int:
     with open(out / "render_meta.json", "w") as f:
         json.dump({"timestamps": timestamps, "pose_source": args.pose_source,
                    "checkpoint": str(args.checkpoint)}, f, indent=2)
-    write_manifest(out / "manifest.json", resolve_config(args.profile),
-                   args.seed or 0, command="render",
+    write_manifest(out / "manifest.json", config, args.seed or 0, command="render",
                    extras={"checkpoint": str(args.checkpoint),
                            "dataset": str(args.dataset)})
     print(f"rendered {len(timestamps)} frames to {out}")

@@ -124,28 +124,25 @@ def init_mlp(store: ParamStore, prefix: str, group: str, sizes,
 
 class Mlp:
     """Fully connected stack over the ``prefix.{i}.w``/``.b`` parameters of a
-    store: hidden activation between layers, linear output."""
+    store, evaluated as one :func:`autodiff.mlp` node: ``activation``
+    ("relu" or "softplus") between layers and, with ``activate_output``,
+    after the last one too."""
 
-    def __init__(self, store: ParamStore, prefix: str, activation):
+    def __init__(self, store: ParamStore, prefix: str, activation: str,
+                 activate_output: bool = False):
         self.store = store
         self.prefix = prefix
         self.activation = activation
+        self.activate_output = activate_output
         self.n_layers = 0
         while f"{prefix}.{self.n_layers}.w" in store.values:
             self.n_layers += 1
 
     def __call__(self, x):
-        # a relu is fused into its layer's node; other activations are nodes
-        # of their own
-        fuse = self.activation is ad.relu
-        h = x
-        for i in range(self.n_layers):
-            hidden = i < self.n_layers - 1
-            h = ad.linear(h, self.store.leaf(f"{self.prefix}.{i}.w"),
-                          self.store.leaf(f"{self.prefix}.{i}.b"), relu=hidden and fuse)
-            if hidden and not fuse:
-                h = self.activation(h)
-        return h
+        leaf, p = self.store.leaf, self.prefix
+        return ad.mlp(x, [(leaf(f"{p}.{i}.w"), leaf(f"{p}.{i}.b"))
+                          for i in range(self.n_layers)],
+                      self.activation, self.activate_output)
 
 
 class SceneModel:
@@ -199,12 +196,13 @@ class SceneModel:
                "screw_global")
 
     def _bind(self):
-        self.act = act = ad.softplus if self.config.activation == "softplus" else ad.relu
-        self.static_trunk = Mlp(self.store, "static.trunk", act)
+        act = self.config.activation
+        # the trunks end in the activation, inside their node
+        self.static_trunk = Mlp(self.store, "static.trunk", act, activate_output=True)
         self.static_sigma = Mlp(self.store, "static.sigma", act)
         self.static_rgb = Mlp(self.store, "static.rgb", act)
         self.static_pst = Mlp(self.store, "static.pst", act)
-        self.dynamic_trunk = Mlp(self.store, "dynamic.trunk", act)
+        self.dynamic_trunk = Mlp(self.store, "dynamic.trunk", act, activate_output=True)
         self.dynamic_sigma = Mlp(self.store, "dynamic.sigma", act)
         self.dynamic_rgb = Mlp(self.store, "dynamic.rgb", act)
         self.local_mlp = Mlp(self.store, "local.mlp", act)
@@ -214,7 +212,7 @@ class SceneModel:
     def static_eval_encoded(self, enc_x, enc_d):
         """(color, sigma, p_st) at encoded points ``enc_x`` viewed along
         encoded unit directions ``enc_d`` (see :func:`encode_position`)."""
-        h = self.act(self.static_trunk(enc_x))
+        h = self.static_trunk(enc_x)
         sigma = ad.softplus(ad.reshape(self.static_sigma(h), (-1,)))
         color = ad.sigmoid(self.static_rgb(ad.concat([h, enc_d], axis=-1)))
         p_st = ad.sigmoid(ad.reshape(self.static_pst(h), (-1,)))
@@ -224,7 +222,7 @@ class SceneModel:
         """(trunk features, sigma) of the dynamic net at encoded points,
         conditioned on the GLO rows ``glo`` of their frames (see
         :meth:`glo_lookup`)."""
-        h = self.act(self.dynamic_trunk(ad.concat([enc_x, glo], axis=-1)))
+        h = self.dynamic_trunk(ad.concat([enc_x, glo], axis=-1))
         return h, ad.softplus(ad.reshape(self.dynamic_sigma(h), (-1,)))
 
     def dynamic_eval_encoded(self, enc_x, enc_d, glo):

@@ -61,13 +61,36 @@ def _positive(rng, shape, floor=0.2):
     return rng.random(shape) + floor
 
 
-def _dense_inputs(rng, margin=0.05):
-    """x (3,5), w (5,2), b (2,) whose pre-activations all keep ``margin``
-    from the relu kink, so finite differences never straddle it."""
+def _dense_inputs(rng, sizes=(5, 4, 3, 2), margin=0.05):
+    """x (3, sizes[0]) and the w, b of each layer of a stack with layer
+    widths ``sizes``, as one list x, w0, b0, w1, b1, ..., whose relu
+    pre-activations all keep ``margin`` from the kink, so finite differences
+    never straddle it."""
     while True:
-        x, w, b = rng.normal(size=(3, 5)), rng.normal(size=(5, 2)), rng.normal(size=2)
-        if np.abs(x @ w + b).min() > margin:
-            return [x, w, b]
+        h = x = rng.normal(size=(3, sizes[0]))
+        params, clear = [], True
+        for fan_in, fan_out in zip(sizes, sizes[1:]):
+            w, b = rng.normal(size=(fan_in, fan_out)), rng.normal(size=fan_out)
+            z = h @ w + b
+            clear = clear and np.abs(z).min() > margin
+            h = np.maximum(z, 0.0)
+            params += [w, b]
+        if clear:
+            return [x, *params]
+
+
+def _mlp(activation, activate_output):
+    """``ad.mlp`` over x, w0, b0, w1, b1, ... as separate arguments."""
+    def op(x, *params):
+        return ad.mlp(x, list(zip(params[::2], params[1::2])), activation,
+                      activate_output)
+    return op
+
+
+def _frozen_weights(inputs):
+    """A relu stack over ``x`` alone, its weights ``inputs[1:]`` constants."""
+    x, *params = inputs
+    return [x], lambda x: _mlp("relu", True)(x, *params)
 
 
 # Each case: name -> (input generator, op over nodes). The op may return any
@@ -85,17 +108,17 @@ def _op_cases(rng):
         "div": ([rng.normal(size=b), _away_from_zero(rng, b)],
                 lambda x, y: ad.div(x, y)),
         "neg": ([rng.normal(size=b)], ad.neg),
-        "linear": ([rng.normal(size=(3, 5)), rng.normal(size=(5, 2)),
-                    rng.normal(size=2)], ad.linear),
-        "linear_relu": (_dense_inputs(rng),
-                        lambda x, w, b: ad.linear(x, w, b, relu=True)),
+        # the trunks' form: activated output layer
+        "mlp_relu": (_dense_inputs(rng), _mlp("relu", True)),
+        # the heads' form: linear output layer
+        "mlp_softplus": (_dense_inputs(rng, margin=0.0), _mlp("softplus", False)),
+        "mlp_frozen": _frozen_weights(_dense_inputs(rng)),
         "exp": ([rng.normal(size=b)], ad.exp),
         "log": ([_positive(rng, b)], ad.log),
         "encode_position": ([rng.normal(size=(4, 3))],
                             lambda x: encode_position(x, 3)),
         "absolute": ([_away_from_zero(rng, b)], ad.absolute),
         "sigmoid": ([rng.normal(size=b) * 3], ad.sigmoid),
-        "relu": ([_away_from_zero(rng, b)], ad.relu),
         "softplus": ([rng.normal(size=b) * 3], ad.softplus),
         "sum": ([rng.normal(size=b)], lambda x: ad.sum_(x, axis=1)),
         "mean": ([rng.normal(size=b)], lambda x: ad.mean(x, axis=0)),

@@ -15,9 +15,12 @@ from .fields import SceneModel
 from .render import motion_mask, render_rays
 from .training import NumericalError
 
-# rays per render pass: bounds the field activations held at once
-# (1024 rays x 32 samples = 32768 rows, 16 MiB per 64-wide activation)
-CHUNK = 1024
+# rays per render pass: bounds the rows evaluated at once. 512 rays x 32
+# samples = 16384 rows; of each network only the output and the last hidden
+# layer span them all (8 MiB per 64-wide array), the other hidden layers
+# live in one buffer of autodiff.BLOCK rows. The peak RSS of a 64x64 desk
+# frame follows it: ~132 MB at 512 rays, ~180 MB at 1024
+CHUNK = 512
 
 
 def infer_frame(model: SceneModel, pose: CameraPose, t: int, height: int,

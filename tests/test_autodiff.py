@@ -27,11 +27,19 @@ def test_shape_mismatch_reports_both_shapes():
     assert "(2, 3)" in str(exc.value) and "(4, 5)" in str(exc.value)
 
 
-def test_linear_shape_error():
+def test_mlp_shape_error():
+    x = np.zeros((2, 3))
     with pytest.raises(ad.ShapeMismatch):
-        ad.linear(np.zeros((2, 3)), np.zeros((2, 3)), np.zeros(3))
-    with pytest.raises(ad.ShapeMismatch, match=r"\(4,\)"):
-        ad.linear(np.zeros((2, 3)), np.zeros((3, 3)), np.zeros(4))
+        ad.mlp(np.zeros(3), [(np.zeros((3, 3)), np.zeros(3))], "relu")
+    with pytest.raises(ad.ShapeMismatch):
+        ad.mlp(x, [(np.zeros((2, 3)), np.zeros(3))], "relu")
+    with pytest.raises(ad.ShapeMismatch, match=r"layer 0: .*\(4,\)"):
+        ad.mlp(x, [(np.zeros((3, 3)), np.zeros(4))], "relu")
+    with pytest.raises(ad.ShapeMismatch, match=r"layer 1: .*\(4, 2\)"):
+        ad.mlp(x, [(np.zeros((3, 3)), np.zeros(3)),
+                   (np.zeros((4, 2)), np.zeros(2))], "relu")
+    with pytest.raises(ValueError, match="tanh"):
+        ad.mlp(x, [(np.zeros((3, 3)), np.zeros(3))], "tanh")
 
 
 def test_backward_square():
@@ -54,26 +62,105 @@ def test_encoding_gradient_at_zero():
 
 
 def test_zero_preactivation_gets_zero_gradient():
-    # the relu's kink passes no gradient, fused into a layer or not
+    # the relu's kink passes no gradient
     x = ad.Node(np.array([[1.0, -1.0], [2.0, 3.0]]))
     w = ad.Node(np.array([[1.0], [1.0]]))   # row 0 sums to exactly zero
     b = ad.Node(np.zeros(1))
-    ad.backward(ad.sum_(ad.linear(x, w, b, relu=True)))
+    ad.backward(ad.sum_(ad.mlp(x, [(w, b)], "relu", activate_output=True)))
     assert np.array_equal(x.grad, [[0.0, 0.0], [1.0, 1.0]])
     assert np.array_equal(w.grad, [[2.0], [3.0]])
     assert np.array_equal(b.grad, [1.0])
-    a = ad.Node(np.array([-1.0, 0.0, 2.0]))
-    ad.backward(ad.sum_(ad.relu(a)))
-    assert np.array_equal(a.grad, [0.0, 0.0, 1.0])
 
 
-def test_linear_matches_unfused_arithmetic():
-    rng = np.random.default_rng(4)
-    x, w, b = rng.normal(size=(7, 5)), rng.normal(size=(5, 3)), rng.normal(size=3)
-    assert np.array_equal(ad.linear(x, w, b), x @ w + b)
-    assert np.array_equal(ad.linear(x, w, b, relu=True), np.maximum(x @ w + b, 0.0))
-    node = ad.linear(ad.Node(x), w, b, relu=True)
-    assert np.array_equal(node.value, np.maximum(x @ w + b, 0.0))
+MLP_SIZES = (9, 16, 16, 3)   # two hidden layers, an RGB head's 3-wide output
+
+
+def _mlp_inputs(rows, seed=11):
+    rng = np.random.default_rng(seed)
+    x = rng.normal(size=(rows, MLP_SIZES[0]))
+    layers = [(rng.normal(size=(fan_in, fan_out)) / np.sqrt(fan_in),
+               rng.normal(size=fan_out) * 0.1)
+              for fan_in, fan_out in zip(MLP_SIZES, MLP_SIZES[1:])]
+    return x, layers, rng.normal(size=(rows, MLP_SIZES[-1]))
+
+
+def _layer_by_layer(x, layers, activation, activate_output, g):
+    """Output, dx, dws, dbs of the stack evaluated one layer at a time over
+    all rows, with the arithmetic of separate dense and activation nodes."""
+    hs, zs = [x], []
+    for i, (w, b) in enumerate(layers):
+        z = hs[-1] @ w
+        z += b
+        zs.append(z)
+        acted = i < len(layers) - 1 or activate_output
+        if acted and activation == "relu":
+            z = np.maximum(z, 0.0)
+        elif acted:
+            z = np.maximum(z, 0.0) + np.log1p(np.exp(-np.abs(z)))
+        hs.append(z)
+    dws, dbs = [], []
+    for i in reversed(range(len(layers))):
+        if i < len(layers) - 1 or activate_output:
+            g = g * ((hs[i + 1] > 0) if activation == "relu"
+                     else 1.0 / (1.0 + np.exp(-np.clip(zs[i], -500, 500))))
+        dws.insert(0, hs[i].T @ g)
+        dbs.insert(0, g.sum(axis=0))
+        g = g @ layers[i][0].T
+    return hs[-1], g, dws, dbs
+
+
+def _close(a, b, rel=1e-13):
+    return np.linalg.norm(a - b) <= rel * np.linalg.norm(b)
+
+
+@pytest.mark.parametrize("activation", ["relu", "softplus"])
+@pytest.mark.parametrize("activate_output", [False, True])
+@pytest.mark.parametrize("rows", [0, 1, ad.BLOCK, ad.BLOCK + 1, 2 * ad.BLOCK + 37])
+def test_mlp_matches_layer_by_layer_reference(rows, activation, activate_output):
+    x, layers, g = _mlp_inputs(rows)
+    out, dx, dws, dbs = _layer_by_layer(x, layers, activation, activate_output, g)
+    # rows cross block boundaries: forward and dx bit for bit, dw and db to
+    # rounding of their block-by-block sums
+    plain = ad.mlp(x, layers, activation, activate_output)
+    assert type(plain) is np.ndarray and np.array_equal(plain, out)
+    xn = ad.Node(x)
+    params = [(ad.Node(w), ad.Node(b)) for w, b in layers]
+    node = ad.mlp(xn, params, activation, activate_output)
+    assert np.array_equal(node.value, out)
+    ad.backward(ad.sum_(ad.mul(node, g)))
+    assert np.array_equal(xn.grad, dx)
+    for (w, b), dw, db in zip(params, dws, dbs):
+        assert _close(w.grad, dw) and _close(b.grad, db)
+
+
+@pytest.mark.parametrize("x_node", [False, True], ids=["plain_x", "node_x"])
+@pytest.mark.parametrize("trainable", [False, True], ids=["frozen", "trainable"])
+def test_mlp_gradients_reach_node_operands_only(x_node, trainable, monkeypatch):
+    x, layers, g = _mlp_inputs(ad.BLOCK + 5)
+    out, dx, dws, dbs = _layer_by_layer(x, layers, "relu", True, g)
+    xin = ad.Node(x) if x_node else x
+    params = [(ad.Node(w), ad.Node(b)) if trainable else (w, b) for w, b in layers]
+    built = []
+    init = ad.Node.__init__
+    monkeypatch.setattr(ad.Node, "__init__",
+                        lambda self, *a, **k: built.append(1) or init(self, *a, **k))
+    res = ad.mlp(xin, params, "relu", True)
+    if not (x_node or trainable):
+        # nothing to differentiate: a plain array and no graph at all
+        assert type(res) is np.ndarray and np.array_equal(res, out)
+        assert not built
+        return
+    assert isinstance(res, ad.Node) and np.array_equal(res.value, out)
+    # one parent per Node operand, none for the constants
+    nodes = [p for p in (xin, *(p for pair in params for p in pair))
+             if isinstance(p, ad.Node)]
+    assert [p for p, _ in res.parents] == nodes
+    ad.backward(ad.sum_(ad.mul(res, g)))
+    if x_node:
+        assert np.array_equal(xin.grad, dx)
+    if trainable:
+        for (w, b), dw, db in zip(params, dws, dbs):
+            assert _close(w.grad, dw) and _close(b.grad, db)
 
 
 def test_backward_rejects_nonscalar_root():

@@ -176,6 +176,18 @@ class TestRender:
         assert code == 2
         assert not (out / "rgb" / "0001.png").exists()
 
+    def test_manifest_records_checkpoint_config(self, tmp_path, dataset_dir,
+                                                trained_dir):
+        # the run trained with TINY_TRAIN's overrides, not the desk profile's
+        out = tmp_path / "frames"
+        assert main(["render", "--checkpoint", str(trained_dir / "checkpoint_final.ckpt"),
+                     "--dataset", str(dataset_dir), "--out", str(out),
+                     "--timestamps", "1"]) == 0
+        config = json.loads((out / "manifest.json").read_text())["config"]
+        trained = json.loads((trained_dir / "manifest.json").read_text())["config"]
+        assert config == trained
+        assert config["trunk_width"] == 16 and config["n_samples"] == 8
+
     def test_out_of_range_timestamp(self, tmp_path, dataset_dir, trained_dir):
         code = main(["render", "--checkpoint", str(trained_dir / "checkpoint_final.ckpt"),
                      "--dataset", str(dataset_dir), "--out", str(tmp_path / "x"),
@@ -212,6 +224,6 @@ class TestGradcheckCommand:
         assert "loss:mdd" in out and "all" in out
 
     def test_sabotage_fails_naming_op(self, capsys):
-        assert main(["gradcheck", "--seed", "1", "--sabotage", "relu"]) == 2
+        assert main(["gradcheck", "--seed", "1", "--sabotage", "mlp_relu"]) == 2
         captured = capsys.readouterr()
-        assert "relu" in captured.err
+        assert "mlp_relu" in captured.err
