@@ -18,7 +18,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
-from . import se3
 from .cameras import RayBatch
 from .fields import SceneModel
 from .render import RenderResult, motion_mask, render_rays
@@ -28,18 +27,13 @@ def gmrp(model: SceneModel, rays: RayBatch) -> RayBatch:
     """Global motion-aware ray prediction: the copy-major latent bundle."""
     n_latent, b = model.config.n_latent, len(rays)
     tiled = rays.select(np.tile(np.arange(b), n_latent))
-    omega, v = model.global_screws(tiled.t, np.repeat(np.arange(n_latent), b))
-    o, d, pix = se3.warp_ray(tiled.origins, tiled.dirs, omega, v, tiled.pix_dirs)
-    return RayBatch(o, d, pix, tiled.t, tiled.uv, rays.near, rays.far)
+    return tiled.warp(*model.global_screws(tiled.t, np.repeat(np.arange(n_latent), b)))
 
 
 def lorr(model: SceneModel, rays: RayBatch) -> RayBatch:
     """Local object-motion refinement: per-ray screw from the local MLP."""
     screw = model.local_screw(rays.origins, rays.dirs, rays.t, rays.near, rays.far)
-    omega = ad.narrow(screw, 0, 3, axis=1)
-    v = ad.narrow(screw, 3, 3, axis=1)
-    o, d, pix = se3.warp_ray(rays.origins, rays.dirs, omega, v, rays.pix_dirs)
-    return RayBatch(o, d, pix, rays.t, rays.uv, rays.near, rays.far)
+    return rays.warp(ad.narrow(screw, 0, 3, axis=1), ad.narrow(screw, 3, 3, axis=1))
 
 
 def blur_average(base_color, latent_colors):

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
+from . import se3
 
 
 @dataclass
@@ -98,6 +99,12 @@ class RayBatch:
             near=self.near,
             far=self.far,
         )
+
+    def warp(self, omega, v) -> "RayBatch":
+        """The rays rigidly moved by one screw (omega, v) per row; in the
+        graph when either screw part is a Node."""
+        o, d, pix = se3.warp_ray(self.origins, self.dirs, omega, v, self.pix_dirs)
+        return RayBatch(o, d, pix, self.t, self.uv, self.near, self.far)
 
 
 def rays_for_frame(pose: CameraPose, height: int, width: int, near: float,

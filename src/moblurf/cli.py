@@ -50,10 +50,8 @@ def _parse_overrides(pairs):
     return out
 
 
-def _parse_timestamps(text, default):
-    if not text:
-        return list(default)
-    return [int(v) for v in text.replace(",", " ").split()]
+def _parse_timestamps(text):
+    return [int(v) for v in text.replace(",", " ").split()] if text else None
 
 
 # ---------------------------------------------------------------------------
@@ -115,45 +113,31 @@ def cmd_render(args) -> int:
     from .config import TrainConfig, write_manifest
     from .data import read_dataset, read_poses, write_depth_raw
     from .fields import load_checkpoint
-    from .inference import infer_frame, infer_frame_base_rays
+    from .inference import render_frames
     from .pngio import write_png
     import numpy as np
 
     model, meta = load_checkpoint(args.checkpoint)
     dataset = read_dataset(args.dataset)
-    h, w = dataset.shape
-    timestamps = _parse_timestamps(args.timestamps,
-                                   dataset.meta.get("eval_timestamps", []))
     # the config the checkpoint was trained with (defaults if it has none)
     config = TrainConfig(**meta.get("train_state", {}).get("config", {}))
-    n_samples = config.n_samples
-    if args.pose_source == "file":
-        if not args.pose_file:
-            raise ValueError("--pose-file is required with --pose-source file")
-        file_poses = read_poses(args.pose_file, dataset.meta)
+    if args.pose_source == "file" and not args.pose_file:
+        raise ValueError("--pose-file is required with --pose-source file")
+    poses = (read_poses(args.pose_file, dataset.meta) if args.pose_source == "file"
+             else {"train": None, "eval": dataset.poses_true}[args.pose_source])
+    frames = render_frames(model, dataset, _parse_timestamps(args.timestamps), poses,
+                           n_samples=config.n_samples)
     out = Path(args.out)
     for sub in ("rgb", "mask", "p_dy", "kappa"):
         (out / sub).mkdir(parents=True, exist_ok=True)
-    for t in timestamps:
-        if not 0 <= t < dataset.n_frames:
-            print(f"error: timestamp {t} outside trained range "
-                  f"[0, {dataset.n_frames})", file=sys.stderr)
-            return EXIT_VALIDATION
-        if args.pose_source == "train":
-            res = infer_frame_base_rays(model, dataset.poses_corrupt[t], t, h, w,
-                                        dataset.near, dataset.far, n_samples)
-        elif args.pose_source == "eval":
-            res = infer_frame(model, dataset.poses_true[t], t, h, w,
-                              dataset.near, dataset.far, n_samples)
-        else:  # file
-            res = infer_frame(model, file_poses[t], t, h, w,
-                              dataset.near, dataset.far, n_samples)
-        write_png(out / "rgb" / f"{t:04d}.png",
+    for res in frames:
+        name = f"{res['t']:04d}"
+        write_png(out / "rgb" / f"{name}.png",
                   np.clip(np.round(res["rgb"] * 255), 0, 255).astype(np.uint8))
-        write_png(out / "mask" / f"{t:04d}.png",
-                  (res["mask"] * 255).astype(np.uint8))
-        write_depth_raw(out / "p_dy" / f"{t:04d}.raw", res["p_dy"])
-        write_depth_raw(out / "kappa" / f"{t:04d}.raw", res["kappa"])
+        write_png(out / "mask" / f"{name}.png", (res["mask"] * 255).astype(np.uint8))
+        write_depth_raw(out / "p_dy" / f"{name}.raw", res["p_dy"])
+        write_depth_raw(out / "kappa" / f"{name}.raw", res["kappa"])
+    timestamps = [res["t"] for res in frames]
     with open(out / "render_meta.json", "w") as f:
         json.dump({"timestamps": timestamps, "pose_source": args.pose_source,
                    "checkpoint": str(args.checkpoint)}, f, indent=2)
@@ -165,9 +149,8 @@ def cmd_render(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    import numpy as np
     from .data import read_dataset, read_depth_raw
-    from .metrics import MetricReport, mask_iou, psnr, ssim
+    from .metrics import evaluate
     from .pngio import read_png
 
     dataset = read_dataset(args.dataset)
@@ -176,40 +159,21 @@ def cmd_eval(args) -> int:
     if not meta_path.exists():
         print(f"error: {render_dir} has no render_meta.json", file=sys.stderr)
         return EXIT_VALIDATION
-    timestamps = json.loads(meta_path.read_text())["timestamps"]
-
-    report = MetricReport()
-    gains = []
-    for t in timestamps:
+    frames = []
+    for t in json.loads(meta_path.read_text())["timestamps"]:
         rgb_path = render_dir / "rgb" / f"{t:04d}.png"
         if not rgb_path.exists():
             print(f"error: missing rendered frame {rgb_path}", file=sys.stderr)
             return EXIT_VALIDATION
-        pred = read_png(rgb_path) / 255.0
-        sharp = dataset.sharp[t]
-        if pred.shape != sharp.shape:
-            print(f"error: {rgb_path} shape {pred.shape} vs dataset {sharp.shape}",
-                  file=sys.stderr)
-            return EXIT_VALIDATION
-        row = {
-            "psnr": psnr(pred, sharp),
-            "ssim": ssim(pred, sharp),
-            "baseline_psnr": psnr(dataset.blur[t], sharp),
-            "baseline_ssim": ssim(dataset.blur[t], sharp),
-        }
-        row["psnr_gain"] = row["psnr"] - row["baseline_psnr"]
-        gains.append(row["psnr_gain"])
+        frame = {"t": t, "rgb": read_png(rgb_path) / 255.0}
         mask_path = render_dir / "mask" / f"{t:04d}.png"
         if mask_path.exists():
-            pred_mask = read_png(mask_path) > 127
-            row["mask_iou"] = mask_iou(pred_mask, dataset.mask_true[t])
+            frame["mask"] = read_png(mask_path) > 127
         pdy_path = render_dir / "p_dy" / f"{t:04d}.raw"
         if pdy_path.exists():
-            p_dy = read_depth_raw(pdy_path)
-            static_px = ~dataset.mask_true[t]
-            if static_px.any():
-                row["static_p_st"] = float((1.0 - p_dy)[static_px].mean())
-        report.add(t, **row)
+            frame["p_dy"] = read_depth_raw(pdy_path)
+        frames.append(frame)
+    report = evaluate(dataset, frames)
 
     out = Path(args.out) if args.out else render_dir
     out.mkdir(parents=True, exist_ok=True)

@@ -105,45 +105,24 @@ class MoBluRF:
         pose + learned per-frame warp), "true" uses the held-out true poses,
         "corrupt" the raw corrupted poses.
         """
-        from .inference import infer_frame, infer_frame_base_rays
+        from .inference import render_frames
 
         self._require_fitted()
         ds = self.dataset_
-        h, w = ds.shape
-        if timestamps is None:
-            timestamps = ds.meta.get("eval_timestamps") or list(range(ds.n_frames))
-        frames, maps = [], []
-        for t in timestamps:
-            t = int(t)
-            if pose_source == "base":
-                out = infer_frame_base_rays(self.model_, ds.poses_corrupt[t], t,
-                                            h, w, ds.near, ds.far,
-                                            self.trainer_.config.n_samples)
-            elif pose_source == "true":
-                out = infer_frame(self.model_, ds.poses_true[t], t, h, w,
-                                  ds.near, ds.far, self.trainer_.config.n_samples)
-            elif pose_source == "corrupt":
-                out = infer_frame(self.model_, ds.poses_corrupt[t], t, h, w,
-                                  ds.near, ds.far, self.trainer_.config.n_samples)
-            else:
-                raise ValueError(f"unknown pose_source {pose_source!r}")
-            frames.append(out["rgb"])
-            maps.append(out)
-        stacked = np.stack(frames)
+        poses = {"base": None, "true": ds.poses_true, "corrupt": ds.poses_corrupt}
+        if pose_source not in poses:
+            raise ValueError(f"unknown pose_source {pose_source!r}")
+        maps = render_frames(self.model_, ds, timestamps, poses[pose_source],
+                             n_samples=self.trainer_.config.n_samples)
+        stacked = np.stack([m["rgb"] for m in maps])
         return (stacked, maps) if return_maps else stacked
 
     def score(self, timestamps=None, pose_source: str = "base") -> float:
         """Mean PSNR of rendered frames against the held-out sharp frames."""
-        from .metrics import psnr
+        from .metrics import evaluate
 
-        self._require_fitted()
-        ds = self.dataset_
-        if timestamps is None:
-            timestamps = ds.meta.get("eval_timestamps") or list(range(ds.n_frames))
-        frames = self.predict(timestamps, pose_source=pose_source)
-        vals = [psnr(frames[i], ds.sharp[int(t)]) for i, t in enumerate(timestamps)]
-        finite = [v for v in vals if np.isfinite(v)]
-        return float(np.mean(finite)) if finite else float("inf")
+        _, maps = self.predict(timestamps, pose_source=pose_source, return_maps=True)
+        return evaluate(self.dataset_, maps).means()["psnr"]
 
 
 def _validate_dataset(ds) -> None:

@@ -9,8 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from . import se3
-from .cameras import CameraPose, RayBatch, rays_for_frame
+from .cameras import CameraPose, rays_for_frame
 from .fields import SceneModel
 from .render import motion_mask, render_rays
 from .training import NumericalError
@@ -23,6 +22,34 @@ from .training import NumericalError
 CHUNK = 512
 
 
+def render_frames(model: SceneModel, dataset, timestamps=None, poses=None, *,
+                  n_samples: int) -> list[dict]:
+    """Render sharp frames of ``dataset`` at trained time indices.
+
+    ``timestamps`` defaults to the dataset's ``eval_timestamps``, or every
+    frame when it lists none. ``poses`` (indexed by time) gives the cameras;
+    ``None`` renders along the trained base rays. Every index is checked
+    before any frame renders. Returns one ``infer_frame`` dict per frame,
+    with its time index under ``t``.
+    """
+    if model.config.n_frames != dataset.n_frames:
+        raise ValueError(f"model built for {model.config.n_frames} frames, "
+                         f"dataset has {dataset.n_frames}")
+    if timestamps is None:
+        timestamps = dataset.meta.get("eval_timestamps") or range(dataset.n_frames)
+    timestamps = [int(t) for t in timestamps]
+    render = infer_frame_base_rays if poses is None else infer_frame
+    poses = dataset.poses_corrupt if poses is None else poses
+    limit = min(dataset.n_frames, len(poses))
+    for t in timestamps:
+        if not 0 <= t < limit:
+            raise IndexError(f"time index {t} outside trained range [0, {limit})")
+    h, w = dataset.shape
+    return [{"t": t, **render(model, poses[t], t, h, w, dataset.near, dataset.far,
+                              n_samples)}
+            for t in timestamps]
+
+
 def infer_frame(model: SceneModel, pose: CameraPose, t: int, height: int,
                 width: int, near: float, far: float, n_samples: int) -> dict:
     """Render one sharp frame at a trained time index.
@@ -30,8 +57,8 @@ def infer_frame(model: SceneModel, pose: CameraPose, t: int, height: int,
     Returns rgb (H,W,3) in [0,1], dynamicness map, predicted motion mask,
     and the expected dynamic ray distance map.
     """
-    rays = _frame_rays(model, pose, t, height, width, near, far)
-    return _render_frame(model, rays, n_samples, height, width)
+    return _render_frame(model, pose, t, height, width, near, far, n_samples,
+                         base_rays=False)
 
 
 def infer_frame_base_rays(model: SceneModel, pose: CameraPose, t: int,
@@ -39,32 +66,28 @@ def infer_frame_base_rays(model: SceneModel, pose: CameraPose, t: int,
                           n_samples: int) -> dict:
     """Render along the trained base rays: input rays warped by the frozen
     per-frame screw. This is what training optimized the fields against."""
-    rays = _frame_rays(model, pose, t, height, width, near, far)
-    screw = model.store.values["screw.base"][rays.t]
-    rays.origins, rays.dirs, rays.pix_dirs = se3.warp_ray(
-        rays.origins, rays.dirs, screw[:, :3], screw[:, 3:], rays.pix_dirs)
-    return _render_frame(model, rays, n_samples, height, width)
+    return _render_frame(model, pose, t, height, width, near, far, n_samples,
+                         base_rays=True)
 
 
-def _frame_rays(model: SceneModel, pose: CameraPose, t: int, height: int,
-                width: int, near: float, far: float) -> RayBatch:
+def _render_frame(model: SceneModel, pose: CameraPose, t: int, height: int,
+                  width: int, near: float, far: float, n_samples: int,
+                  base_rays: bool) -> dict:
     if not 0 <= t < model.config.n_frames:
         raise IndexError(f"time index {t} outside trained range "
                          f"[0, {model.config.n_frames})")
-    return rays_for_frame(pose, height, width, near, far, t_index=t)
-
-
-def _render_frame(model: SceneModel, rays: RayBatch, n_samples: int,
-                  height: int, width: int) -> dict:
+    rays = rays_for_frame(pose, height, width, near, far, t_index=t)
     rgb = np.empty((height * width, 3))
     p_dy = np.empty(height * width)
     kappa = np.empty(height * width)
-    # forward only: with every group frozen the fields see plain arrays, so
-    # no graph is built
+    # forward only: with every group frozen the fields and the base screws
+    # are plain arrays, so no graph is built
     store = model.store
     frozen = store.frozen
     store.set_frozen_groups(set(store.groups()))
     try:
+        if base_rays:
+            rays = rays.warp(*model.base_screws(rays.t))
         for start in range(0, len(rays), CHUNK):
             rows = np.arange(start, min(start + CHUNK, len(rays)))
             res = render_rays(model, rays.select(rows), n_samples, rng=None)
@@ -74,7 +97,7 @@ def _render_frame(model: SceneModel, rays: RayBatch, n_samples: int,
     finally:
         store.set_frozen_groups(frozen)
     if not np.all(np.isfinite(rgb)):
-        raise NumericalError(f"non-finite pixels in the render of frame {rays.t[0]}")
+        raise NumericalError(f"non-finite pixels in the render of frame {t}")
     return {
         "rgb": rgb.reshape(height, width, 3),
         "p_dy": p_dy.reshape(height, width),

@@ -1,4 +1,4 @@
-"""Image-quality metrics: PSNR, SSIM, mask IoU, and report containers."""
+"""Image-quality metrics (PSNR, SSIM, mask IoU), reports, per-frame evaluation."""
 
 from __future__ import annotations
 
@@ -108,14 +108,15 @@ class MetricReport:
     def add(self, frame: int, **metrics):
         self.rows.append({"frame": int(frame), **metrics})
 
+    def columns(self) -> list:
+        """Metric names over all rows, in first-seen order."""
+        return list(dict.fromkeys(k for r in self.rows for k in r if k != "frame"))
+
     def means(self) -> dict:
-        if not self.rows:
-            return {}
-        keys = [k for k in self.rows[0] if k != "frame"]
         out = {}
-        for k in keys:
-            vals = [r[k] for r in self.rows if r.get(k) is not None]
-            finite = [v for v in vals if np.isfinite(v)]
+        for k in self.columns():
+            finite = [r[k] for r in self.rows
+                      if r.get(k) is not None and np.isfinite(r[k])]
             out[k] = float(np.mean(finite)) if finite else math.inf
         return out
 
@@ -138,14 +139,43 @@ class MetricReport:
     def to_text(self) -> str:
         if not self.rows:
             return "(no frames)\n"
-        keys = [k for k in self.rows[0] if k != "frame"]
+        keys = self.columns()
+
+        def cells(row):
+            # a metric a frame lacks is a blank cell
+            return " ".join(f"{'':>14}" if row.get(k) is None else f"{row[k]:14.4f}"
+                            for k in keys)
+
         header = "frame " + " ".join(f"{k:>14}" for k in keys)
         lines = [header, "-" * len(header)]
-        for r in self.rows:
-            lines.append(f"{r['frame']:5d} " + " ".join(
-                f"{r[k]:14.4f}" if np.isfinite(r[k]) else f"{'inf':>14}" for k in keys))
-        means = self.means()
-        lines.append("-" * len(header))
-        lines.append(" mean " + " ".join(
-            f"{means[k]:14.4f}" if np.isfinite(means[k]) else f"{'inf':>14}" for k in keys))
+        lines += [f"{r['frame']:5d} " + cells(r) for r in self.rows]
+        lines += ["-" * len(header), " mean " + cells(self.means())]
         return "\n".join(lines) + "\n"
+
+
+def evaluate(dataset, frames) -> MetricReport:
+    """One report row per rendered frame, against the dataset's held-out
+    sharp frames and true motion masks.
+
+    Each frame is a dict with its time index ``t`` and ``rgb`` (H,W,3) in
+    [0,1]. A binary ``mask`` adds ``mask_iou``; a dynamicness map ``p_dy``
+    adds ``static_p_st``, the mean staticness over the truly static pixels
+    (none on a frame without static pixels).
+    """
+    report = MetricReport()
+    for frame in frames:
+        t, pred = frame["t"], frame["rgb"]
+        sharp, blur = dataset.sharp[t], dataset.blur[t]
+        if pred.shape != sharp.shape:
+            raise MetricError(f"frame {t}: rendered shape {pred.shape} vs "
+                              f"dataset {sharp.shape}")
+        row = {"psnr": psnr(pred, sharp), "ssim": ssim(pred, sharp),
+               "baseline_psnr": psnr(blur, sharp), "baseline_ssim": ssim(blur, sharp)}
+        row["psnr_gain"] = row["psnr"] - row["baseline_psnr"]
+        if "mask" in frame:
+            row["mask_iou"] = mask_iou(frame["mask"], dataset.mask_true[t])
+        static_px = ~dataset.mask_true[t]
+        if "p_dy" in frame and static_px.any():
+            row["static_p_st"] = float((1.0 - frame["p_dy"])[static_px].mean())
+        report.add(t, **row)
+    return report

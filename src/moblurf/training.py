@@ -26,7 +26,6 @@ import numpy as np
 
 from . import autodiff as ad
 from . import losses as L
-from . import se3
 from .blur import blurry_render
 from .cameras import RayBatch, rays_for_pixels
 from .config import TrainConfig
@@ -159,9 +158,7 @@ class Trainer:
     def warp_base(self, rays: RayBatch) -> RayBatch:
         """Base rays = input rays warped by the per-frame screw table: in the
         graph while the ``screw_base`` group trains, constants while frozen."""
-        omega, v = self.model.base_screws(rays.t)
-        o, d, pix = se3.warp_ray(rays.origins, rays.dirs, omega, v, rays.pix_dirs)
-        return RayBatch(o, d, pix, rays.t, rays.uv, rays.near, rays.far)
+        return rays.warp(*self.model.base_screws(rays.t))
 
     # loss helpers -----------------------------------------------------------
 

@@ -194,6 +194,33 @@ class TestRender:
                      "--timestamps", "99"])
         assert code == 1
 
+    def test_bad_timestamp_renders_nothing(self, tmp_path, dataset_dir, trained_dir):
+        # every index is checked before the first frame is written
+        out = tmp_path / "x"
+        code = main(["render", "--checkpoint", str(trained_dir / "checkpoint_final.ckpt"),
+                     "--dataset", str(dataset_dir), "--out", str(out),
+                     "--timestamps", "1,99"])
+        assert code == 1
+        assert not list((out / "rgb").glob("*"))
+        assert not (out / "render_meta.json").exists()
+
+    def test_empty_eval_list_renders_every_frame(self, tmp_path, dataset_dir,
+                                                 trained_dir):
+        # the rule predict() follows: no eval_timestamps means every frame
+        import shutil
+        ds = tmp_path / "ds"
+        shutil.copytree(dataset_dir, ds)
+        meta = json.loads((ds / "meta.json").read_text())
+        meta["eval_timestamps"] = []
+        (ds / "meta.json").write_text(json.dumps(meta))
+        out = tmp_path / "frames"
+        assert main(["render", "--checkpoint", str(trained_dir / "checkpoint_final.ckpt"),
+                     "--dataset", str(ds), "--out", str(out)]) == 0
+        frames = list(range(meta["n_frames"]))
+        assert json.loads((out / "render_meta.json").read_text())["timestamps"] == frames
+        assert sorted(p.name for p in (out / "rgb").iterdir()) == [
+            f"{t:04d}.png" for t in frames]
+
 
 class TestEval:
     def test_report_with_baseline_and_iou(self, tmp_path, dataset_dir, trained_dir):

@@ -54,6 +54,14 @@ class TestFitPredict:
         assert np.isfinite(score)
         assert hasattr(est, "model_") and est.history_
 
+    def test_predict_without_eval_list_renders_every_frame(self, tiny_dataset):
+        import dataclasses
+        ds = dataclasses.replace(tiny_dataset,
+                                 meta={**tiny_dataset.meta, "eval_timestamps": []})
+        est = MoBluRF(seed=0, **TINY).fit(ds)
+        _, maps = est.predict(return_maps=True)
+        assert [m["t"] for m in maps] == list(range(ds.n_frames))
+
     def test_predict_with_maps(self, tiny_dataset):
         est = MoBluRF(seed=0, **TINY).fit(tiny_dataset)
         frames, maps = est.predict([1], pose_source="base", return_maps=True)

@@ -2,10 +2,13 @@ import numpy as np
 import pytest
 
 from moblurf import autodiff as ad
+from moblurf import inference
 from moblurf.cameras import CameraPose, rays_for_frame
+from moblurf.data import synthesize_dataset
 from moblurf.fields import FieldConfig, SceneModel
-from moblurf.inference import CHUNK, infer_frame, infer_frame_base_rays
+from moblurf.inference import CHUNK, infer_frame, infer_frame_base_rays, render_frames
 from moblurf.render import render_rays
+from moblurf.scene import static_scene
 
 # more pixels than one render pass takes, so frames span two chunks
 HEIGHT, WIDTH = 40, 112
@@ -46,10 +49,14 @@ def test_chunks_match_one_pass():
     assert np.abs(out["p_dy"] - whole.p_dy.reshape(HEIGHT, WIDTH)).max() < 1e-12
 
 
-@pytest.mark.parametrize("fn", [infer_frame, infer_frame_base_rays])
-def test_frame_rendering_builds_no_graph(fn, monkeypatch):
+@pytest.mark.parametrize("fn, frozen", [
+    pytest.param(fn, frozen, id=fn.__name__ + suffix)
+    for frozen, suffix in (({"screw_base"}, ""), (set(), "-screw_base_trains"))
+    for fn in (infer_frame, infer_frame_base_rays)])
+def test_frame_rendering_builds_no_graph(fn, frozen, monkeypatch):
+    # with screw_base training, the base warp must still read plain arrays
     model = tiny_model()
-    model.store.set_frozen_groups({"screw_base"})
+    model.store.set_frozen_groups(frozen)
 
     def no_node(*args):
         raise AssertionError("inference built a graph node")
@@ -59,7 +66,7 @@ def test_frame_rendering_builds_no_graph(fn, monkeypatch):
     assert np.isfinite(out["rgb"]).all()
     monkeypatch.undo()
     # the caller's freeze set is back for the next training step
-    assert model.store.frozen == {"screw_base"}
+    assert model.store.frozen == frozen
     assert isinstance(model.store.leaf("glo"), ad.Node)
 
 
@@ -67,3 +74,44 @@ def test_frame_rendering_builds_no_graph(fn, monkeypatch):
 def test_rejects_untrained_time_index(fn):
     with pytest.raises(IndexError, match="outside trained range"):
         fn(tiny_model(), pose(), 3, HEIGHT, WIDTH, 1.0, 5.0, 8)
+
+
+def tiny_dataset(n_frames=3):
+    return synthesize_dataset(static_scene(size=24, n_frames=n_frames), seed=2,
+                              preset_name="inference-test")
+
+
+def test_render_frames_matches_frame_functions():
+    ds, model = tiny_dataset(), tiny_model(seed=1)
+    h, w = ds.shape
+    base = render_frames(model, ds, [2, 0], n_samples=8)
+    true = render_frames(model, ds, [1], ds.poses_true, n_samples=8)
+    assert [f["t"] for f in base] == [2, 0] and true[0]["t"] == 1
+    for frame, fn, pose in ((base[0], infer_frame_base_rays, ds.poses_corrupt[2]),
+                            (true[0], infer_frame, ds.poses_true[1])):
+        ref = fn(model, pose, frame["t"], h, w, ds.near, ds.far, 8)
+        for key in ref:
+            assert np.array_equal(frame[key], ref[key]), key
+
+
+def test_render_frames_default_timestamps():
+    ds, model = tiny_dataset(), tiny_model()
+    ds.meta["eval_timestamps"] = [1]
+    assert [f["t"] for f in render_frames(model, ds, n_samples=4)] == [1]
+    ds.meta["eval_timestamps"] = []
+    assert [f["t"] for f in render_frames(model, ds, n_samples=4)] == [0, 1, 2]
+
+
+def test_render_frames_checks_before_rendering(monkeypatch):
+    rendered = []
+    monkeypatch.setattr(inference, "infer_frame", lambda *a: rendered.append(a))
+    monkeypatch.setattr(inference, "infer_frame_base_rays", lambda *a: rendered.append(a))
+    ds, model = tiny_dataset(), tiny_model()
+    with pytest.raises(IndexError, match="outside trained range"):
+        render_frames(model, ds, [1, 3], n_samples=8)
+    # two poses cover only frames 0 and 1
+    with pytest.raises(IndexError, match="outside trained range"):
+        render_frames(model, ds, [0, 2], ds.poses_true[:2], n_samples=8)
+    with pytest.raises(ValueError, match="model built for 3 frames, dataset has 4"):
+        render_frames(model, tiny_dataset(n_frames=4), [0], n_samples=8)
+    assert rendered == []

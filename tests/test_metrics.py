@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from moblurf.metrics import (MetricError, MetricReport, mask_iou, psnr, ssim,
+from moblurf.metrics import (MetricError, MetricReport, evaluate, mask_iou, psnr, ssim,
                              SSIM_C1, SSIM_C2, SSIM_SIGMA, SSIM_WINDOW,
                              _gaussian_kernel)
 
@@ -141,3 +141,59 @@ class TestMetricReport:
         data = json.loads(rep.to_json())
         assert data["frames"][0]["psnr"] == "inf"
         assert "inf" in rep.to_text()
+
+    def test_columns_are_the_union_of_all_rows(self):
+        # a fully dynamic frame has no static_p_st; a frame without a mask
+        # file has no mask_iou
+        rep = MetricReport()
+        rep.add(0, psnr=30.0, static_p_st=0.9)
+        rep.add(1, psnr=32.0, mask_iou=0.5)
+        assert rep.means() == {"psnr": 31.0, "static_p_st": 0.9, "mask_iou": 0.5}
+        lines = rep.to_text().splitlines()
+        assert lines[0].split() == ["frame", "psnr", "static_p_st", "mask_iou"]
+        # the missing cell is blank, so every row keeps the header's width
+        assert lines[2] == f"{0:5d} {30.0:14.4f} {0.9:14.4f} {'':>14}"
+        assert lines[3] == f"{1:5d} {32.0:14.4f} {'':>14} {0.5:14.4f}"
+        assert json.loads(rep.to_json())["means"]["mask_iou"] == 0.5
+        assert rep.columns() == ["psnr", "static_p_st", "mask_iou"]
+
+
+class TestEvaluate:
+    def dataset(self):
+        from types import SimpleNamespace
+        rng = np.random.default_rng(0)
+        sharp = rng.random((2, 16, 16, 3))
+        mask = np.zeros((2, 16, 16), dtype=bool)
+        mask[0, 4:8, 4:8] = True
+        mask[1] = True  # fully dynamic: no static pixel
+        return SimpleNamespace(sharp=sharp, blur=np.clip(sharp + 0.1, 0, 1),
+                               mask_true=mask)
+
+    def test_row_per_frame(self):
+        ds = self.dataset()
+        pred = np.clip(ds.sharp[0] + 0.05, 0, 1)
+        p_dy = np.full((16, 16), 0.25)
+        rep = evaluate(ds, [{"t": 0, "rgb": pred, "mask": ds.mask_true[0], "p_dy": p_dy}])
+        row = rep.rows[0]
+        assert row["frame"] == 0
+        assert row["psnr"] == psnr(pred, ds.sharp[0])
+        assert row["ssim"] == ssim(pred, ds.sharp[0])
+        assert row["baseline_psnr"] == psnr(ds.blur[0], ds.sharp[0])
+        assert row["baseline_ssim"] == ssim(ds.blur[0], ds.sharp[0])
+        assert row["psnr_gain"] == row["psnr"] - row["baseline_psnr"]
+        assert row["mask_iou"] == 1.0
+        assert row["static_p_st"] == 0.75
+
+    def test_optional_columns(self):
+        ds = self.dataset()
+        rep = evaluate(ds, [{"t": 0, "rgb": ds.sharp[0]},
+                            {"t": 1, "rgb": ds.sharp[1], "p_dy": np.zeros((16, 16))}])
+        assert "mask_iou" not in rep.columns()
+        # frame 1 has no static pixel to score staticness on
+        assert "static_p_st" not in rep.columns()
+        assert rep.means()["psnr"] == math.inf
+
+    def test_shape_mismatch_names_the_frame(self):
+        ds = self.dataset()
+        with pytest.raises(MetricError, match="frame 1"):
+            evaluate(ds, [{"t": 1, "rgb": np.zeros((8, 8, 3))}])
