@@ -45,13 +45,12 @@ class Node:
     parent (already reduced to the parent's shape).
     """
 
-    __slots__ = ("value", "grad", "parents", "param_ref")
+    __slots__ = ("value", "grad", "parents")
 
     def __init__(self, value, parents=()):
         self.value = _arr(value)
         self.grad = None
         self.parents = parents
-        self.param_ref = None  # (ParamStore, name) for trainable leaves
 
     @property
     def shape(self):
@@ -137,11 +136,6 @@ def div(a, b):
         (a, lambda g: _unbroadcast(g / bv, av.shape)),
         (b, lambda g: _unbroadcast(-g * av / (bv * bv), bv.shape)),
     ])
-
-
-def neg(a):
-    av = value_of(a)
-    return _make(-av, [(a, lambda g: -g)])
 
 
 # rows per block of :func:`mlp`: 512 rows of a 64-wide float64 activation
@@ -296,12 +290,6 @@ def log(a):
     av = value_of(a)
     ov = np.log(av)
     return _make(ov, [(a, lambda g: g / av)])
-
-
-def absolute(a):
-    av = value_of(a)
-    ov = np.abs(av)
-    return _make(ov, [(a, lambda g: g * np.sign(av))])
 
 
 def sigmoid(a):
@@ -590,10 +578,8 @@ def topo_order(root: Node):
 def backward(root: Node):
     """Accumulate d(root)/d(node) for every node reachable from ``root``.
 
-    Tagged parameter leaves additionally flush their gradients into the
-    owning ParamStore, so unreachable parameters keep their zero grads.
-    An interior node's gradient is dropped once its vjps have run; leaves
-    keep theirs.
+    An interior node's gradient is dropped once its vjps have run; leaves,
+    parameter leaves (``ParamStore.leaf``) among them, keep theirs.
     """
     if not isinstance(root, Node):
         raise TypeError("backward expects a Node")
@@ -611,10 +597,6 @@ def backward(root: Node):
             parent.grad = contrib if parent.grad is None else parent.grad + contrib
         if node.parents:
             node.grad = None
-    for node in order:
-        if node.param_ref is not None and node.grad is not None:
-            store, name = node.param_ref
-            store.accumulate_grad(name, node.grad)
 
 
 def keep_freed_memory() -> None:

@@ -212,7 +212,7 @@ def build_parser() -> argparse.ArgumentParser:
                     "synthesis, two-stage training, rendering, evaluation.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, out_required=True):
+    def common(p):
         p.add_argument("--seed", type=int, default=None)
         p.add_argument("--threads", type=int, default=None,
                        help="cap worker/BLAS threads")

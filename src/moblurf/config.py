@@ -68,15 +68,13 @@ class TrainConfig:
 PROFILES = {
     # full-scale settings; impractical without accelerators but kept as the
     # named reference configuration
-    "paper": dict(profile="paper", bri_iters=200_000, mdd_iters=100_000,
+    "paper": dict(bri_iters=200_000, mdd_iters=100_000,
                   batch_size=128, n_samples=128, n_latent=6,
                   trunk_depth=9, trunk_width=256, rgb_depth=2, rgb_width=128,
                   local_depth=8, local_width=128),
-    # desk scale: fits a full two-stage run in tens of minutes on CPUs
-    "desk": dict(profile="desk", bri_iters=3000, mdd_iters=1500,
-                 batch_size=256, n_samples=32, n_latent=4,
-                 trunk_depth=4, trunk_width=64, rgb_depth=2, rgb_width=64,
-                 local_depth=4, local_width=64),
+    # desk scale, the TrainConfig defaults: fits a full two-stage run in tens
+    # of minutes on CPUs
+    "desk": {},
 }
 
 _VALID_KEYS = {f.name for f in fields(TrainConfig)}

@@ -183,7 +183,10 @@ def read_depth_raw(path) -> np.ndarray:
         magic = f.read(len(DEPTH_MAGIC))
         if magic != DEPTH_MAGIC:
             raise DatasetError(f"{path}: bad depth magic {magic!r}")
-        h, w = struct.unpack("<II", f.read(8))
+        dims = f.read(8)
+        if len(dims) != 8:
+            raise DatasetError(f"{path}: truncated depth header")
+        h, w = struct.unpack("<II", dims)
         payload = f.read()
     if len(payload) != 4 * h * w:
         raise DatasetError(f"{path}: depth payload is {len(payload)} bytes, "

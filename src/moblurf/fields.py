@@ -338,8 +338,12 @@ def load_checkpoint(path):
         magic = f.read(len(CHECKPOINT_MAGIC))
         if magic != CHECKPOINT_MAGIC:
             raise CheckpointError(f"{path}: not a checkpoint file")
-        (hlen,) = struct.unpack("<I", f.read(4))
-        header = json.loads(f.read(hlen).decode("utf-8"))
+        size = f.read(4)
+        hlen = int.from_bytes(size, "little")
+        raw = f.read(hlen)
+        if len(size) + len(raw) != 4 + hlen:
+            raise CheckpointError(f"{path}: truncated header")
+        header = json.loads(raw.decode("utf-8"))
         if header.get("version") != CHECKPOINT_VERSION:
             raise CheckpointError(
                 f"{path}: unsupported checkpoint version {header.get('version')}")

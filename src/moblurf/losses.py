@@ -34,11 +34,12 @@ def masked_photometric(rendered, target, mask):
 
 
 def staticness_max(p_st, lam: float):
-    """Pull staticness probabilities toward 1: lam * mean |log p_st|."""
+    """Pull staticness probabilities toward 1: lam * mean |log p_st|, which
+    is -lam * mean log p_st, as every p_st lies in (0, 1)."""
     vals = ad.value_of(p_st)
     if vals.size and (vals.min() <= 0.0 or vals.max() >= 1.0):
         raise ValueError("staticness probabilities must lie strictly in (0, 1)")
-    return ad.mul(ad.mean(ad.absolute(ad.log(p_st))), lam)
+    return ad.mul(ad.mean(ad.log(p_st)), -lam)
 
 
 def surface_points(origins, dirs, scalars):

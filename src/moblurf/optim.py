@@ -19,15 +19,16 @@ class ParamStore:
 
     Each parameter belongs to a group (e.g. ``"static"``, ``"screw_base"``);
     groups are frozen/unfrozen as a unit. ``leaf(name)`` hands out one graph
-    node per parameter per forward pass, so reuse of the same parameter in
-    several places accumulates gradients through graph fan-out. A frozen
-    group's parameters are constants: ``leaf`` hands out the plain arrays,
-    and what is computed from them and from data alone builds no graph.
+    node per parameter per step, so reuse of the same parameter in several
+    places accumulates gradients through graph fan-out, and that leaf is
+    where ``backward`` leaves the parameter's gradient (``grad(name)``). A
+    frozen group's parameters are constants: ``leaf`` hands out the plain
+    arrays, and what is computed from them and from data alone builds no
+    graph.
     """
 
     def __init__(self):
         self.values: dict[str, np.ndarray] = {}
-        self.grads: dict[str, np.ndarray] = {}
         self.group_of: dict[str, str] = {}
         self.frozen: set[str] = set()
         self.adam_m: dict[str, np.ndarray] = {}
@@ -40,7 +41,6 @@ class ParamStore:
             raise OptimError(f"duplicate parameter {name!r}")
         v = np.array(value, dtype=np.float64)
         self.values[name] = v
-        self.grads[name] = np.zeros_like(v)
         self.group_of[name] = group
         self.adam_m[name] = np.zeros_like(v)
         self.adam_v[name] = np.zeros_like(v)
@@ -59,21 +59,21 @@ class ParamStore:
             return self.values[name]
         node = self._leaves.get(name)
         if node is None:
-            node = ad.Node(self.values[name])
-            node.param_ref = (self, name)
-            self._leaves[name] = node
+            node = self._leaves[name] = ad.Node(self.values[name])
         return node
 
+    def grad(self, name: str) -> np.ndarray:
+        """Gradient of the last ``backward`` at this step's leaf of ``name``;
+        zeros when no graph reached it."""
+        node = self._leaves.get(name)
+        if node is None or node.grad is None:
+            return np.zeros_like(self.values[name])
+        return node.grad
+
     def begin_step(self) -> None:
-        """Drop cached leaves so the next forward pass sees current values."""
+        """Drop cached leaves, and their gradients, so the next forward pass
+        sees current values."""
         self._leaves = {}
-
-    def accumulate_grad(self, name: str, grad: np.ndarray) -> None:
-        self.grads[name] = self.grads[name] + grad
-
-    def zero_grad(self) -> None:
-        for name in self.grads:
-            self.grads[name] = np.zeros_like(self.values[name])
 
     # freezing -------------------------------------------------------------
 
@@ -95,22 +95,19 @@ class ParamStore:
         return h.hexdigest()
 
 
-def adam_step(store: ParamStore, rate: float, rates_by_group: dict[str, float] | None = None,
-              beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8) -> None:
-    """One Adam update over all unfrozen parameters; zeroes every gradient.
-
-    ``rates_by_group`` overrides ``rate`` per parameter group, which is how
-    the screw tables and the MLPs run on different schedules.
+def adam_step(store: ParamStore, rates: dict[str, float], beta1: float = 0.9,
+              beta2: float = 0.999, eps: float = 1e-8) -> None:
+    """One Adam update over all unfrozen parameters, each at its group's
+    rate in ``rates``: the screw tables and the MLPs run on different
+    schedules. Ends the step, so every gradient reads zero afterwards.
     """
     for name, value in store.values.items():
         if store.is_frozen(name):
             continue
-        g = store.grads[name]
+        g = store.grad(name)
         if not np.all(np.isfinite(g)):
             raise OptimError(f"non-finite gradient in parameter {name!r}")
-        lr = rate
-        if rates_by_group is not None:
-            lr = rates_by_group.get(store.group_of[name], rate)
+        lr = rates[store.group_of[name]]
         t = store.adam_t[name] + 1
         m = beta1 * store.adam_m[name] + (1.0 - beta1) * g
         v = beta2 * store.adam_v[name] + (1.0 - beta2) * g * g
@@ -120,7 +117,6 @@ def adam_step(store: ParamStore, rate: float, rates_by_group: dict[str, float] |
         store.adam_m[name] = m
         store.adam_v[name] = v
         store.values[name] = value - lr * m_hat / (np.sqrt(v_hat) + eps)
-    store.zero_grad()
     store.begin_step()
 
 

@@ -59,10 +59,12 @@ def read_png(path) -> np.ndarray:
     width = height = channels = None
     idat = b""
     while pos < len(blob):
-        (length,) = struct.unpack(">I", blob[pos:pos + 4])
+        length = int.from_bytes(blob[pos:pos + 4], "big")
         tag = blob[pos + 4:pos + 8]
         payload = blob[pos + 8:pos + 8 + length]
         pos += 12 + length
+        if pos > len(blob):
+            raise PngError(f"{path}: truncated {tag!r} chunk")
         if tag == b"IHDR":
             width, height, depth, color_type, comp, filt, interlace = \
                 struct.unpack(">IIBBBBB", payload)
@@ -76,7 +78,10 @@ def read_png(path) -> np.ndarray:
             break
     if width is None:
         raise PngError(f"{path}: missing IHDR")
-    raw = zlib.decompress(idat)
+    try:
+        raw = zlib.decompress(idat)
+    except zlib.error as exc:
+        raise PngError(f"{path}: bad image data: {exc}") from exc
     stride = width * channels
     if len(raw) != height * (stride + 1):
         raise PngError(f"{path}: scanline payload has wrong size")

@@ -63,7 +63,7 @@ def composite(colors, sigmas, grid: SampleGrid):
 
     Returns (color (B,3), weights (B,N), transmittances (B,N)).
     """
-    alpha = ad.sub(1.0, ad.exp(ad.neg(ad.mul(sigmas, grid.deltas))))
+    alpha = ad.sub(1.0, ad.exp(ad.mul(sigmas, -grid.deltas)))
     trans = ad.exclusive_cumprod(ad.sub(1.0, alpha), axis=-1)
     weights = ad.mul(trans, alpha)
     color = ad.sum_(ad.mul(ad.reshape(weights, (-1, grid.n_samples, 1)), colors), axis=1)
@@ -99,8 +99,8 @@ def render_full(static_out, dynamic_out, grid: SampleGrid) -> RenderResult:
     color_d, w_d, _ = composite(c_d, sigma_d, grid)
     kappa = ad.sum_(ad.mul(w_d, grid.dists), axis=-1)
 
-    alpha_s = ad.sub(1.0, ad.exp(ad.neg(ad.mul(sigma_s, grid.deltas))))
-    alpha_d = ad.sub(1.0, ad.exp(ad.neg(ad.mul(sigma_d, grid.deltas))))
+    alpha_s = ad.sub(1.0, ad.exp(ad.mul(sigma_s, -grid.deltas)))
+    alpha_d = ad.sub(1.0, ad.exp(ad.mul(sigma_d, -grid.deltas)))
     p_dyn = ad.sub(1.0, p_st)
     pa_s = ad.mul(p_st, alpha_s)
     pa_d = ad.mul(p_dyn, alpha_d)
@@ -186,6 +186,6 @@ def render_kappa(model: SceneModel, rays: RayBatch, n_samples: int,
     grid = sample_along_ray(rays.near, rays.far, n_samples, len(rays), rng)
     _, sigma = model.dynamic_density(*_encoded_samples(model, rays, grid))
     sigma_d = ad.reshape(sigma, (len(rays), grid.n_samples))
-    alpha = ad.sub(1.0, ad.exp(ad.neg(ad.mul(sigma_d, grid.deltas))))
+    alpha = ad.sub(1.0, ad.exp(ad.mul(sigma_d, -grid.deltas)))
     trans = ad.exclusive_cumprod(ad.sub(1.0, alpha), axis=-1)
     return ad.sum_(ad.mul(ad.mul(trans, alpha), grid.dists), axis=-1)

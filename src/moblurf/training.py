@@ -31,7 +31,7 @@ from .cameras import RayBatch, rays_for_pixels
 from .config import TrainConfig
 from .data import BlurryDataset
 from .fields import SceneModel, save_checkpoint, load_checkpoint
-from .optim import LrSchedule, ParamStore, adam_step
+from .optim import LrSchedule, adam_step
 from .render import motion_mask, render_kappa, render_rays
 
 ALL_GROUPS = {"static", "dynamic", "local", "screw_base", "screw_global"}
@@ -186,12 +186,6 @@ class Trainer:
         return L.lg_loss(cr_pred, ok_pred, cr_true, ok_true, n_pixels=k,
                          lam=self.config.lambda_lg)
 
-    def _check_losses(self, breakdown: LossBreakdown, iteration: int, stage: str):
-        if not np.isfinite(breakdown.total):
-            raise NumericalError(
-                f"non-finite loss at {stage} iteration {iteration}",
-                breakdown.as_dict())
-
     # steps --------------------------------------------------------------------
 
     def compute_bri_even_loss(self, batch: Batch, rng):
@@ -240,32 +234,36 @@ class Trainer:
         return loss, breakdown
 
     def bri_step(self, iteration: int, batch: Batch | None = None) -> LossBreakdown:
-        store = self.model.store
-        store.begin_step()
-        if batch is None:
-            batch = self.sample_batch()
-        if iteration % 2 == 0:
-            store.set_frozen_groups(FREEZE_BRI_EVEN)
-            loss, breakdown = self.compute_bri_even_loss(batch, self.rng)
-        else:
-            store.set_frozen_groups(FREEZE_BRI_ODD)
-            loss, breakdown = self.compute_bri_odd_loss(batch, self.rng)
-        self._check_losses(breakdown, iteration, "bri")
-        self._optimize(loss, self.bri_sched_screw.rate_at(iteration),
-                       self.bri_sched_mlp.rate_at(iteration))
-        return breakdown
+        even = iteration % 2 == 0
+        return self._step("bri", iteration, FREEZE_BRI_EVEN if even else FREEZE_BRI_ODD,
+                          self.compute_bri_even_loss if even else self.compute_bri_odd_loss,
+                          batch)
 
     def mdd_step(self, iteration: int, batch: Batch | None = None) -> LossBreakdown:
+        return self._step("mdd", iteration, FREEZE_MDD, self.compute_mdd_loss, batch)
+
+    def _step(self, stage: str, iteration: int, frozen: set[str], compute,
+              batch: Batch | None) -> LossBreakdown:
+        """One step: fresh leaves under the freeze set ``frozen``, the loss
+        ``compute`` makes of ``batch`` (sampled when None), then the update
+        at the stage's rates."""
         store = self.model.store
         store.begin_step()
-        store.set_frozen_groups(FREEZE_MDD)
+        store.set_frozen_groups(frozen)
         if batch is None:
             batch = self.sample_batch()
-        loss, breakdown = self.compute_mdd_loss(batch, self.rng)
-        self._check_losses(breakdown, iteration, "mdd")
-        self._optimize(loss, self.mdd_sched_screw.rate_at(iteration),
-                       self.mdd_sched_mlp.rate_at(iteration))
+        loss, breakdown = compute(batch, self.rng)
+        if not np.isfinite(breakdown.total):
+            raise NumericalError(f"non-finite loss at {stage} iteration {iteration}",
+                                 breakdown.as_dict())
+        self._optimize(loss, *self._rates(stage, iteration))
         return breakdown
+
+    def _rates(self, stage: str, iteration: int) -> tuple[float, float]:
+        """(screw, MLP) learning rates of a stage's iteration."""
+        screw, mlp = ((self.bri_sched_screw, self.bri_sched_mlp) if stage == "bri"
+                      else (self.mdd_sched_screw, self.mdd_sched_mlp))
+        return screw.rate_at(iteration), mlp.rate_at(iteration)
 
     def _optimize(self, loss, screw_rate: float, mlp_rate: float):
         store = self.model.store
@@ -273,10 +271,8 @@ class Trainer:
         if self.config.debug_freeze_check:
             pre = {g: store.checksum(g) for g in store.frozen}
         ad.backward(loss)
-        adam_step(store, mlp_rate, rates_by_group={
-            "static": mlp_rate, "dynamic": mlp_rate, "local": mlp_rate,
-            "screw_base": screw_rate, "screw_global": screw_rate,
-        })
+        adam_step(store, {g: screw_rate if g.startswith("screw") else mlp_rate
+                          for g in ALL_GROUPS})
         if pre is not None:
             for g, digest in pre.items():
                 if store.checksum(g) != digest:
@@ -331,13 +327,10 @@ class Trainer:
         for it in range(start, total):
             breakdown = step(it)
             self.timings[f"{stage}_seconds"] = round(time.time() - t0, 3)
+            screw_rate, mlp_rate = self._rates(stage, it)
             rec = {"stage": stage, "iteration": it,
                    "parity": ("even" if it % 2 == 0 else "odd") if stage == "bri" else "-",
-                   **breakdown.as_dict(),
-                   "lr_mlp": (self.bri_sched_mlp if stage == "bri"
-                              else self.mdd_sched_mlp).rate_at(it),
-                   "lr_screw": (self.bri_sched_screw if stage == "bri"
-                                else self.mdd_sched_screw).rate_at(it)}
+                   **breakdown.as_dict(), "lr_mlp": mlp_rate, "lr_screw": screw_rate}
             self.history.append(rec)
             if log is not None and (it % cfg.log_every == 0 or it == total - 1):
                 line = (f"it={it} stage={stage} parity={rec['parity']} "

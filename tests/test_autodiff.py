@@ -210,7 +210,7 @@ def test_backward_keeps_only_leaf_gradients():
     e = np.exp(x.value * store.values["p"])
     assert np.array_equal(x.grad, e * store.values["p"])
     assert np.array_equal(p.grad, e * x.value)
-    assert np.array_equal(store.grads["p"], e * x.value)
+    assert np.array_equal(store.grad("p"), e * x.value)
 
 
 def test_frozen_group_leaf_is_a_constant():
@@ -221,8 +221,8 @@ def test_frozen_group_leaf_is_a_constant():
     assert store.leaf("v") is store.values["v"]
     assert isinstance(store.leaf("w"), ad.Node)
     ad.backward(ad.sum_(ad.mul(store.leaf("w"), store.leaf("v"))))
-    assert np.array_equal(store.grads["w"], [2.0])
-    assert np.array_equal(store.grads["v"], [0.0])
+    assert np.array_equal(store.grad("w"), [2.0])
+    assert np.array_equal(store.grad("v"), [0.0])
 
 
 def test_unreached_parameter_gradient_stays_zero():
@@ -231,8 +231,8 @@ def test_unreached_parameter_gradient_stays_zero():
     store.add("unused", np.array([5.0]), group="a")
     root = ad.sum_(ad.mul(store.leaf("used"), 3.0))
     ad.backward(root)
-    assert np.allclose(store.grads["used"], 3.0)
-    assert np.all(store.grads["unused"] == 0.0)
+    assert np.allclose(store.grad("used"), 3.0)
+    assert np.all(store.grad("unused") == 0.0)
 
 
 def test_leaf_reuse_accumulates_through_fanout():
@@ -241,7 +241,7 @@ def test_leaf_reuse_accumulates_through_fanout():
     w = store.leaf("w")
     root = ad.sum_(ad.add(ad.mul(w, 2.0), ad.mul(w, w)))
     ad.backward(root)
-    assert np.allclose(store.grads["w"], 2.0 + 2 * 1.5)
+    assert np.allclose(store.grad("w"), 2.0 + 2 * 1.5)
 
 
 class TestAdam:
@@ -252,30 +252,30 @@ class TestAdam:
 
     def test_zero_gradient_is_identity(self):
         store = self._store([1.0, -2.0, 3.0])
-        adam_step(store, rate=1e-2)
+        adam_step(store, {"g": 1e-2})
         assert np.array_equal(store.values["p"], [1.0, -2.0, 3.0])
 
     def test_first_step_magnitude_equals_rate(self):
         # bias correction makes the very first update exactly rate-sized
         store = self._store([0.0])
-        store.grads["p"] = np.array([1.0])
-        adam_step(store, rate=1e-3)
+        store.leaf("p").grad = np.array([1.0])
+        adam_step(store, {"g": 1e-3})
         assert store.values["p"][0] == pytest.approx(-1e-3, rel=1e-6)
 
     def test_frozen_group_untouched(self):
         store = self._store([4.0])
-        store.grads["p"] = np.array([10.0])
+        store.leaf("p").grad = np.array([10.0])
         store.set_frozen_groups({"g"})
         before = store.values["p"].tobytes()
-        adam_step(store, rate=1e-2)
+        adam_step(store, {"g": 1e-2})
         assert store.values["p"].tobytes() == before
-        assert np.all(store.grads["p"] == 0.0)  # grads still zeroed
+        assert np.all(store.grad("p") == 0.0)  # grads still zeroed
 
     def test_nan_gradient_names_parameter(self):
         store = self._store([1.0])
-        store.grads["p"] = np.array([np.nan])
+        store.leaf("p").grad = np.array([np.nan])
         with pytest.raises(OptimError, match="'p'"):
-            adam_step(store, rate=1e-2)
+            adam_step(store, {"g": 1e-2})
 
     def test_matches_hand_run_recurrence(self):
         store = self._store([1.0])
@@ -283,12 +283,31 @@ class TestAdam:
         x = 1.0
         for t in range(1, 4):
             g = 0.5 * t
-            store.grads["p"] = np.array([g])
-            adam_step(store, rate=1e-2)
+            store.leaf("p").grad = np.array([g])
+            adam_step(store, {"g": 1e-2})
             m = 0.9 * m + 0.1 * g
             v = 0.999 * v + 0.001 * g * g
             x -= 1e-2 * (m / (1 - 0.9 ** t)) / (np.sqrt(v / (1 - 0.999 ** t)) + 1e-8)
             assert store.values["p"][0] == pytest.approx(x, rel=1e-12)
+
+    def test_group_without_rate_raises(self):
+        # a trainable group missing from the rates never trains at a default
+        store = self._store([1.0])
+        store.add("q", np.array([2.0]), group="h")
+        store.leaf("q").grad = np.array([1.0])
+        with pytest.raises(KeyError, match="'h'"):
+            adam_step(store, {"g": 1e-2})
+        store.set_frozen_groups({"h"})
+        adam_step(store, {"g": 1e-2})  # a frozen group needs no rate
+
+    def test_step_leaves_every_gradient_zero(self):
+        store = self._store([1.0, 2.0])
+        store.add("q", np.array([3.0]), group="h")
+        ad.backward(ad.sum_(ad.mul(store.leaf("p"), store.leaf("q"))))
+        assert store.grad("p").any() and store.grad("q").any()
+        adam_step(store, {"g": 1e-2, "h": 1e-3})
+        for name in store.names():
+            assert np.array_equal(store.grad(name), np.zeros_like(store.values[name]))
 
 
 class TestLrSchedule:

@@ -1,11 +1,19 @@
 import filecmp
 import json
+import os
+import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import moblurf
 from moblurf.cli import main
+from moblurf.config import TrainConfig, resolve_config
+from moblurf.data import DEPTH_MAGIC
+from moblurf.fields import CHECKPOINT_MAGIC
 
 TINY_TRAIN = [
     "--set", "bri_iters=4", "--set", "mdd_iters=2", "--set", "batch_size=16",
@@ -35,6 +43,23 @@ def trained_dir(tmp_path_factory, dataset_dir):
 def tree_bytes(root: Path) -> dict:
     return {str(p.relative_to(root)): p.read_bytes()
             for p in sorted(root.rglob("*")) if p.is_file()}
+
+
+def run_cli(*args) -> subprocess.CompletedProcess:
+    """``moblurf`` in a fresh interpreter, as a user runs it: an exception
+    that ``main`` does not handle shows as a traceback on stderr."""
+    src = str(Path(moblurf.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, "-m", "moblurf.cli", *args],
+                          capture_output=True, text=True, env=env)
+
+
+def assert_clean_error(res, name: str):
+    assert res.returncode == 1, res.stderr
+    assert res.stderr.startswith("error:"), res.stderr
+    assert "Traceback" not in res.stderr
+    assert name in res.stderr
 
 
 class TestSynth:
@@ -108,6 +133,11 @@ class TestTrain:
         # first run's BRI time is the only one there is
         assert merged["timings"]["bri_seconds"] == first["timings"]["bri_seconds"]
         assert merged["timings"]["total_seconds"] >= first["timings"]["total_seconds"]
+
+    def test_desk_profile_is_the_default_config(self):
+        # train resolves the desk profile; render falls back to TrainConfig()
+        # for a checkpoint without a config: the two must agree
+        assert resolve_config("desk") == TrainConfig()
 
     def test_unknown_config_key_rejected(self, tmp_path, dataset_dir):
         code = main(["train", "--dataset", str(dataset_dir),
@@ -220,6 +250,28 @@ class TestRender:
         assert json.loads((out / "render_meta.json").read_text())["timestamps"] == frames
         assert sorted(p.name for p in (out / "rgb").iterdir()) == [
             f"{t:04d}.png" for t in frames]
+
+
+class TestTruncatedFiles:
+    @pytest.mark.parametrize("rel, keep", [("blur/0000.png", 40),
+                                           ("depth_pseudo/0000.raw", len(DEPTH_MAGIC))])
+    def test_truncated_dataset_file(self, tmp_path, dataset_dir, rel, keep):
+        ds = tmp_path / "ds"
+        shutil.copytree(dataset_dir, ds)
+        path = ds / rel
+        path.write_bytes(path.read_bytes()[:keep])
+        res = run_cli("train", "--dataset", str(ds), "--out", str(tmp_path / "run"),
+                      *TINY_TRAIN)
+        assert_clean_error(res, str(path))
+
+    def test_truncated_checkpoint(self, tmp_path, dataset_dir, trained_dir):
+        ckpt = tmp_path / "cut.ckpt"
+        ckpt.write_bytes((trained_dir / "checkpoint_final.ckpt").read_bytes()
+                         [:len(CHECKPOINT_MAGIC) + 2])
+        res = run_cli("render", "--checkpoint", str(ckpt), "--dataset", str(dataset_dir),
+                      "--out", str(tmp_path / "frames"))
+        assert_clean_error(res, str(ckpt))
+        assert not (tmp_path / "frames").exists()
 
 
 class TestEval:

@@ -104,7 +104,7 @@ class TestGlo:
         model.store.begin_step()
         out = model.glo_lookup(np.array([1, 3]))
         ad.backward(ad.sum_(ad.mul(out, 2.0)))
-        g = model.store.grads["glo"]
+        g = model.store.grad("glo")
         assert np.all(g[[1, 3]] == 2.0)
         assert np.all(g[[0, 2, 4]] == 0.0)
 
@@ -212,10 +212,9 @@ class TestLocalScrew:
             screw = model.local_screw(o, d, t, 1.0, 5.0)
             return ad.sum_(ad.mul(screw, w))
 
-        store.zero_grad()
         ad.backward(loss())
         name = "local.mlp.2.w"
-        analytic = store.grads[name].reshape(-1)
+        analytic = store.grad(name).reshape(-1)
         idx = int(np.argmax(np.abs(analytic)))
         assert analytic[idx] != 0.0
         h = 1e-6

@@ -82,12 +82,11 @@ class TestInterleaveContract:
                            "mdd": (FREEZE_MDD, tr.compute_mdd_loss)}[kind]
         store.set_frozen_groups(frozen)
         store.begin_step()
-        store.zero_grad()
         batch = tr.sample_batch()
         loss, _ = compute(batch, rng=None)
         assert isinstance(store.leaf("screw.base"), np.ndarray) == (kind != "bri_even")
         ad.backward(loss)
-        assert store.grads["screw.base"].any() == (kind == "bri_even")
+        assert store.grad("screw.base").any() == (kind == "bri_even")
 
     def test_freeze_sets_partition_all_groups(self):
         assert FREEZE_BRI_EVEN | {"static", "screw_base"} == \
@@ -138,7 +137,6 @@ class TestNoOpStart:
         batch = tr.sample_batch()
         store.set_frozen_groups(FREEZE_MDD)
         store.begin_step()
-        store.zero_grad()
         base = tr.warp_base(batch.rays)
         res = blur.blurry_render(tr.model, base, tr.config.n_samples, rng=None,
                                  mask_override=np.zeros(len(batch.rays), dtype=int))
@@ -146,7 +144,7 @@ class TestNoOpStart:
         ad.backward(loss)
         assert res.lorr_rays == 0
         for name in store.names("local"):
-            assert np.all(store.grads[name] == 0.0)
+            assert np.all(store.grad(name) == 0.0)
 
 
 class TestRunAndResume:
