@@ -145,12 +145,12 @@ def div(a, b):
 BLOCK = 512
 
 
-def _row_blocks(n: int) -> list:
-    """(start, stop) of :func:`mlp`'s row blocks. A one-row remainder joins
-    the block before it: NumPy hands a one-row product to gemv, which sums
-    in another order than gemm, so that row would not match the product over
-    all rows bit for bit."""
-    bounds = list(range(0, n, BLOCK)) + [n]
+def _row_blocks(n: int, k: int) -> list:
+    """(start, stop) of :func:`mlp`'s row blocks, each of whole runs of ``k``
+    rows. A one-row remainder joins the block before it: NumPy hands a
+    one-row product to gemv, which sums in another order than gemm, so that
+    row would not match the product over all rows bit for bit."""
+    bounds = list(range(0, n, k * max(1, BLOCK // k))) + [n]
     if len(bounds) > 2 and n - bounds[-2] == 1:
         del bounds[-2]
     return list(zip(bounds[:-1], bounds[1:]))
@@ -164,24 +164,35 @@ def _softplus_slope(z):
     return 1.0 / (1.0 + np.exp(-np.clip(z, -500, 500)))
 
 
-def mlp(x, layers, activation: str, activate_output: bool = False):
+def mlp(x, layers, activation: str, activate_output: bool = False,
+        u=None, k: int = 1):
     """Fully connected stack over the rows of ``x``: layer i of ``layers``,
     a ``(w, b)`` pair, computes ``h @ w + b``, and ``activation`` ("relu"
     or "softplus") follows every layer but the last, and the last too with
     ``activate_output``. One node however many operands are Nodes.
 
-    The hidden layers run in blocks of :data:`BLOCK` rows, each block
-    through all of them while it stays in cache; the output layer is one
-    product over all rows. Rows of a matrix product are independent, so the
-    output is bit-identical to one layer at a time over all rows. The output
-    layer is not blocked because OpenBLAS multiplies small products (under
-    10^6 multiply-adds) with another kernel, which rounds 2-4 column
-    outputs, such as an RGB head's, differently from the whole product.
+    ``u`` is an optional per-ray operand: one row per run of ``k``
+    consecutive rows of ``x``, joined to the first layer's input as if each
+    row of ``x`` were followed by the columns of its ray's row of ``u``. The
+    first weight splits by rows, ``w = [w_x; w_u]``, so the first layer is
+    ``x @ w_x + repeat(u @ w_u + b, k)``: the per-ray part runs once per ray.
+    Only the order of the first layer's sum differs from the joined input.
+
+    The hidden layers run in blocks of about :data:`BLOCK` rows of whole
+    rays, each block through all of them while it stays in cache; the output
+    layer is one product over all rows. Rows of a matrix product are
+    independent, so the output is bit-identical to one layer at a time over
+    all rows. The output layer is not blocked because OpenBLAS multiplies
+    small products (under 10^6 multiply-adds) with another kernel, which
+    rounds 2-4 column outputs, such as an RGB head's, differently from the
+    whole product.
 
     The gradient walks the same blocks back through the layers and makes
     the gradients of all Node operands in one pass, on the first parent's
     visit; dx is bit-identical to one layer at a time, dw and db are summed
-    block by block. The node then drops its hidden activations, so one
+    block by block; with ``u``, the first layer's gradient is summed over
+    each ray's rows, and ``u``, ``w_u`` and the first bias take theirs from
+    those per-ray sums. The node then drops its hidden activations, so one
     backward pass can run through it. Without a Node operand, the hidden
     layers but the last live in one block-sized buffer each.
     """
@@ -191,6 +202,12 @@ def mlp(x, layers, activation: str, activate_output: bool = False):
     if xv.ndim != 2:
         raise ShapeMismatch(f"mlp: x must be rows of features, got shape {xv.shape}")
     n, width = xv.shape
+    uv = None if u is None else value_of(u)
+    if uv is not None:
+        if uv.ndim != 2 or k < 1 or uv.shape[0] * k != n:
+            raise ShapeMismatch(f"mlp: per-ray u of shape {uv.shape} with {k} rows "
+                                f"per ray does not cover {n} rows")
+        width += uv.shape[1]
     for i, (wv, bv) in enumerate(zip(ws, bs)):
         if wv.ndim != 2 or wv.shape[0] != width or bv.shape != wv.shape[1:]:
             raise ShapeMismatch(f"mlp: layer {i}: ({n}, {width}) @ {wv.shape} "
@@ -200,9 +217,18 @@ def mlp(x, layers, activation: str, activate_output: bool = False):
         raise ValueError(f"unknown activation {activation!r}")
     relu = activation == "relu"
     operands = [x, *(p for pair in layers for p in pair)]
+    # wins[i] is the part of layer i's weight that meets x's rows
+    wins = list(ws)
+    if uv is None:
+        k = 1
+    else:
+        operands.append(u)
+        wins[0], w_u = np.split(ws[0], [xv.shape[1]])
+        per_ray = uv @ w_u
+        per_ray += bs[0]
     graph = any(isinstance(p, Node) for p in operands)
     last = len(layers) - 1
-    blocks = _row_blocks(n)
+    blocks = _row_blocks(n, k)
     acted = [True] * last + [activate_output]
 
     # post[i] is layer i's output, pre[i] its pre-activation where the
@@ -217,10 +243,15 @@ def mlp(x, layers, activation: str, activate_output: bool = False):
     pre = [np.empty_like(h) if graph and acted[i] and not relu else h
            for i, h in enumerate(post)]
 
-    def dense(i, h, rows):
+    def dense(i, h, lo, hi):
+        rows = slice(lo, hi) if len(post[i]) == n else slice(hi - lo)
         z, out = pre[i][rows], post[i][rows]
-        np.matmul(h, ws[i], out=z)
-        z += bs[i]
+        np.matmul(h, wins[i], out=z)
+        if i == 0 and uv is not None:
+            by_ray = z.reshape(-1, k, z.shape[1])     # a view of z
+            by_ray += per_ray[lo // k:hi // k, None]
+        else:
+            z += bs[i]
         if acted[i]:
             if relu:
                 np.maximum(z, 0.0, out=out)
@@ -231,50 +262,65 @@ def mlp(x, layers, activation: str, activate_output: bool = False):
     for lo, hi in blocks:
         h = xv[lo:hi]
         for i in range(last):
-            h = dense(i, h, slice(lo, hi) if len(post[i]) == n else slice(hi - lo))
-    dense(last, xv if last == 0 else post[last - 1], slice(None))
+            h = dense(i, h, lo, hi)
+    dense(last, xv if last == 0 else post[last - 1], 0, n)
 
     def gradients(g):
         """Gradient of every Node operand, in ``operands`` order."""
         want = [isinstance(p, Node) for p in operands]
-        # operands are x, w0, b0, w1, b1, ...: the gradient goes down to the
-        # lowest layer with a Node operand
-        lowest = max(want.index(True) - 1, 0) // 2
+        # operands are x, w0, b0, w1, b1, ... and u: the gradient goes down
+        # to the lowest layer with a Node operand
+        lowest = (0 if uv is not None and want[-1]
+                  else max(want.index(True) - 1, 0) // 2)
         dx = np.empty(xv.shape) if want[0] else None
         dws = [np.zeros_like(w) if t else None for w, t in zip(ws, want[1::2])]
         dbs = [np.zeros_like(b) if t else None for b, t in zip(bs, want[2::2])]
+        # the rows of each dw that x's rows reach, as views
+        dwins = [d if d is None else d[:len(w)] for d, w in zip(dws, wins)]
+        # the first layer's gradient summed over each ray's rows
+        d_ray = (np.empty((len(uv), ws[0].shape[1]))
+                 if uv is not None and lowest == 0 else None)
         for lo, hi in blocks:
             gz = g[lo:hi]
             for i in range(last, lowest - 1, -1):
                 if acted[i]:
                     gz = gz * (post[i][lo:hi] > 0 if relu
                                else _softplus_slope(pre[i][lo:hi]))
-                if dws[i] is not None:
-                    dws[i] += (xv[lo:hi] if i == 0 else post[i - 1][lo:hi]).T @ gz
-                if dbs[i] is not None:
+                if dwins[i] is not None:
+                    dwins[i] += (xv[lo:hi] if i == 0 else post[i - 1][lo:hi]).T @ gz
+                if i == 0 and d_ray is not None:
+                    d_ray[lo // k:hi // k] = gz.reshape(-1, k, gz.shape[1]).sum(axis=1)
+                elif dbs[i] is not None:
                     dbs[i] += gz.sum(axis=0)
                 if i > lowest:
-                    gz = gz @ ws[i].T
+                    gz = gz @ wins[i].T
                 elif dx is not None:
-                    np.matmul(gz, ws[0].T, out=dx[lo:hi])
+                    np.matmul(gz, wins[0].T, out=dx[lo:hi])
+        grads = [dx, *(d for pair in zip(dws, dbs) for d in pair)]
+        if d_ray is not None:
+            if dws[0] is not None:
+                dws[0][len(wins[0]):] = uv.T @ d_ray
+            if dbs[0] is not None:
+                dbs[0] += d_ray.sum(axis=0)
+            grads.append(d_ray @ w_u.T if want[-1] else None)
         # the node's one visit is over: its activations go with it
         post.clear()
         pre.clear()
-        return [dx, *(d for pair in zip(dws, dbs) for d in pair)]
+        return grads
 
     # the gradients are made once per backward visit and handed out one
     # parent at a time; once the last parent has its own, nothing is kept
     served = {}
 
-    def vjp(k):
+    def vjp(j):
         def pull(g):
             if not served:
-                served.update((j, d) for j, d in enumerate(gradients(g))
+                served.update((i, d) for i, d in enumerate(gradients(g))
                               if d is not None)
-            return served.pop(k)
+            return served.pop(j)
         return pull
 
-    return _make(post[last], [(p, vjp(k)) for k, p in enumerate(operands)])
+    return _make(post[last], [(p, vjp(j)) for j, p in enumerate(operands)])
 
 
 # ---------------------------------------------------------------------------
@@ -410,18 +456,6 @@ def gather(a, idx, axis=0):
             full_m = np.moveaxis(full, axis, 0)
             np.add.at(full_m, idx, np.moveaxis(g, axis, 0))
         return full
-
-    return _make(ov, [(a, vjp)])
-
-
-def repeat(a, k, axis=0):
-    """np.repeat along one axis; gradient sums the repeats."""
-    av = value_of(a)
-    ov = np.repeat(av, k, axis=axis)
-
-    def vjp(g):
-        shp = av.shape[:axis] + (av.shape[axis], k) + av.shape[axis + 1:]
-        return g.reshape(shp).sum(axis=axis + 1)
 
     return _make(ov, [(a, vjp)])
 

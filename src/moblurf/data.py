@@ -243,7 +243,10 @@ def read_dataset(path) -> BlurryDataset:
     meta_path = root / "meta.json"
     if not meta_path.exists():
         raise DatasetError(f"{root}: missing meta.json")
-    meta = json.loads(meta_path.read_text())
+    try:
+        meta = json.loads(meta_path.read_text())
+    except ValueError as exc:
+        raise DatasetError(f"{meta_path}: corrupt JSON: {exc}") from exc
     if meta.get("version") != DATASET_VERSION:
         raise DatasetError(f"{root}: unsupported dataset version "
                            f"{meta.get('version')!r} (expected {DATASET_VERSION})")

@@ -14,6 +14,7 @@ in one ParamStore under these groups:
 
 from __future__ import annotations
 
+import copy
 import json
 import os
 import struct
@@ -128,6 +129,10 @@ class Mlp:
     ("relu" or "softplus") between layers and, with ``activate_output``,
     after the last one too."""
 
+    # no per-ray operand until :meth:`per_ray` binds one
+    u = None
+    k = 1
+
     def __init__(self, store: ParamStore, prefix: str, activation: str,
                  activate_output: bool = False):
         self.store = store
@@ -138,11 +143,21 @@ class Mlp:
         while f"{prefix}.{self.n_layers}.w" in store.values:
             self.n_layers += 1
 
+    def per_ray(self, u, k: int) -> "Mlp":
+        """This stack with the per-ray rows ``u`` joined to the input of
+        each run of ``k`` consecutive rows (see :func:`autodiff.mlp`); the
+        first weight's trailing rows are ``u``'s. A new binding: ``self``
+        is left as it is, and the call keeps its one argument, the rows
+        that ``perfbench/tracer.py`` counts."""
+        bound = copy.copy(self)
+        bound.u, bound.k = u, k
+        return bound
+
     def __call__(self, x):
         leaf, p = self.store.leaf, self.prefix
         return ad.mlp(x, [(leaf(f"{p}.{i}.w"), leaf(f"{p}.{i}.b"))
                           for i in range(self.n_layers)],
-                      self.activation, self.activate_output)
+                      self.activation, self.activate_output, self.u, self.k)
 
 
 class SceneModel:
@@ -209,27 +224,29 @@ class SceneModel:
 
     # field evaluation -------------------------------------------------------
 
-    def static_eval_encoded(self, enc_x, enc_d):
-        """(color, sigma, p_st) at encoded points ``enc_x`` viewed along
-        encoded unit directions ``enc_d`` (see :func:`encode_position`)."""
+    def static_eval_encoded(self, enc_x, enc_d, k: int):
+        """(color, sigma, p_st) at encoded points ``enc_x``, ``k`` per ray,
+        viewed along their rays' encoded unit directions ``enc_d`` (see
+        :func:`encode_position`)."""
         h = self.static_trunk(enc_x)
         sigma = ad.softplus(ad.reshape(self.static_sigma(h), (-1,)))
-        color = ad.sigmoid(self.static_rgb(ad.concat([h, enc_d], axis=-1)))
+        color = ad.sigmoid(self.static_rgb.per_ray(enc_d, k)(h))
         p_st = ad.sigmoid(ad.reshape(self.static_pst(h), (-1,)))
         return color, sigma, p_st
 
-    def dynamic_density(self, enc_x, glo):
+    def dynamic_density(self, enc_x, glo, k: int):
         """(trunk features, sigma) of the dynamic net at encoded points,
-        conditioned on the GLO rows ``glo`` of their frames (see
-        :meth:`glo_lookup`)."""
-        h = self.dynamic_trunk(ad.concat([enc_x, glo], axis=-1))
+        ``k`` per ray, conditioned on the GLO rows ``glo`` of their rays'
+        frames (see :meth:`glo_lookup`)."""
+        h = self.dynamic_trunk.per_ray(glo, k)(enc_x)
         return h, ad.softplus(ad.reshape(self.dynamic_sigma(h), (-1,)))
 
-    def dynamic_eval_encoded(self, enc_x, enc_d, glo):
-        """(color, sigma) at encoded points and directions, conditioned on
-        the GLO rows ``glo`` of their frames."""
-        h, sigma = self.dynamic_density(enc_x, glo)
-        color = ad.sigmoid(self.dynamic_rgb(ad.concat([h, enc_d], axis=-1)))
+    def dynamic_eval_encoded(self, enc_x, enc_d, glo, k: int):
+        """(color, sigma) at encoded points, ``k`` per ray, and their rays'
+        encoded directions, conditioned on the GLO rows ``glo`` of their
+        rays' frames."""
+        h, sigma = self.dynamic_density(enc_x, glo, k)
+        color = ad.sigmoid(self.dynamic_rgb.per_ray(enc_d, k)(h))
         return color, sigma
 
     def glo_lookup(self, t_idx):
@@ -343,7 +360,10 @@ def load_checkpoint(path):
         raw = f.read(hlen)
         if len(size) + len(raw) != 4 + hlen:
             raise CheckpointError(f"{path}: truncated header")
-        header = json.loads(raw.decode("utf-8"))
+        try:
+            header = json.loads(raw.decode("utf-8"))
+        except ValueError as exc:
+            raise CheckpointError(f"{path}: corrupt header: {exc}") from exc
         if header.get("version") != CHECKPOINT_VERSION:
             raise CheckpointError(
                 f"{path}: unsupported checkpoint version {header.get('version')}")

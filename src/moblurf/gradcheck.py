@@ -61,13 +61,18 @@ def _positive(rng, shape, floor=0.2):
     return rng.random(shape) + floor
 
 
-def _dense_inputs(rng, sizes=(5, 4, 3, 2), margin=0.05):
+def _dense_inputs(rng, sizes=(5, 4, 3, 2), margin=0.05, per_ray=None):
     """x (3, sizes[0]) and the w, b of each layer of a stack with layer
     widths ``sizes``, as one list x, w0, b0, w1, b1, ..., whose relu
     pre-activations all keep ``margin`` from the kink, so finite differences
-    never straddle it."""
+    never straddle it. With ``per_ray`` = (k, c), x is (3k, sizes[0] - c)
+    and is followed in the list by u (3, c), one row per ray of k rows of x,
+    whose columns are the input's last c."""
+    k, c = per_ray or (1, 0)
     while True:
-        h = x = rng.normal(size=(3, sizes[0]))
+        h = joined = rng.normal(size=(3 * k, sizes[0]))
+        if c:
+            joined[:, -c:] = np.repeat(rng.normal(size=(3, c)), k, axis=0)
         params, clear = [], True
         for fan_in, fan_out in zip(sizes, sizes[1:]):
             w, b = rng.normal(size=(fan_in, fan_out)), rng.normal(size=fan_out)
@@ -76,14 +81,18 @@ def _dense_inputs(rng, sizes=(5, 4, 3, 2), margin=0.05):
             h = np.maximum(z, 0.0)
             params += [w, b]
         if clear:
-            return [x, *params]
+            if c:
+                return [joined[:, :-c], joined[::k, -c:], *params]
+            return [joined, *params]
 
 
-def _mlp(activation, activate_output):
-    """``ad.mlp`` over x, w0, b0, w1, b1, ... as separate arguments."""
+def _mlp(activation, activate_output, k=None):
+    """``ad.mlp`` over x, w0, b0, w1, b1, ... as separate arguments; with
+    ``k``, over x, u, w0, b0, ... with u per ray of k rows of x."""
     def op(x, *params):
+        u, params = (params[0], params[1:]) if k else (None, params)
         return ad.mlp(x, list(zip(params[::2], params[1::2])), activation,
-                      activate_output)
+                      activate_output, u, k or 1)
     return op
 
 
@@ -112,6 +121,8 @@ def _op_cases(rng):
         # the heads' form: linear output layer
         "mlp_softplus": (_dense_inputs(rng, margin=0.0), _mlp("softplus", False)),
         "mlp_frozen": _frozen_weights(_dense_inputs(rng)),
+        # the RGB heads' and the dynamic trunk's form: a per-ray operand
+        "mlp_per_ray": (_dense_inputs(rng, per_ray=(2, 2)), _mlp("relu", True, 2)),
         "exp": ([rng.normal(size=b)], ad.exp),
         "log": ([_positive(rng, b)], ad.log),
         "encode_position": ([rng.normal(size=(4, 3))],
@@ -127,7 +138,6 @@ def _op_cases(rng):
                    lambda x, y: ad.concat([x, y], axis=1)),
         "gather": ([rng.normal(size=(6, 3))],
                    lambda x: ad.gather(x, np.array([0, 2, 2, 5]))),
-        "repeat": ([rng.normal(size=(3, 2))], lambda x: ad.repeat(x, 4, axis=0)),
         "narrow": ([rng.normal(size=(6, 3))], lambda x: ad.narrow(x, 1, 3, axis=0)),
         "reshape": ([rng.normal(size=(6, 2))], lambda x: ad.reshape(x, (3, 4))),
         "exclusive_cumprod": ([_positive(rng, (3, 6))],

@@ -100,14 +100,16 @@ def adam_step(store: ParamStore, rates: dict[str, float], beta1: float = 0.9,
     """One Adam update over all unfrozen parameters, each at its group's
     rate in ``rates``: the screw tables and the MLPs run on different
     schedules. Ends the step, so every gradient reads zero afterwards.
+    Every gradient and every rate is checked before any parameter moves, so
+    a step that raises leaves the model as it was.
     """
-    for name, value in store.values.items():
-        if store.is_frozen(name):
-            continue
-        g = store.grad(name)
+    steps = {name: (store.grad(name), rates[store.group_of[name]])
+             for name in store.values if not store.is_frozen(name)}
+    for name, (g, _) in steps.items():
         if not np.all(np.isfinite(g)):
             raise OptimError(f"non-finite gradient in parameter {name!r}")
-        lr = rates[store.group_of[name]]
+    for name, (g, lr) in steps.items():
+        value = store.values[name]
         t = store.adam_t[name] + 1
         m = beta1 * store.adam_m[name] + (1.0 - beta1) * g
         v = beta2 * store.adam_v[name] + (1.0 - beta2) * g * g

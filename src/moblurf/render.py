@@ -146,15 +146,15 @@ def motion_mask(p_dy: np.ndarray) -> np.ndarray:
 
 
 def _encoded_samples(model: SceneModel, rays: RayBatch, grid: SampleGrid):
-    """Encoded sample points (B*N, pos_dim) and their GLO rows (B*N, glo_dim)."""
+    """Encoded sample points (B*N, pos_dim), ray by ray, and the rays' GLO
+    rows (B, glo_dim): GLO codes are constant along a ray, so the fields
+    take them once per ray."""
     b, n = len(rays), grid.n_samples
     o3 = ad.reshape(rays.origins, (b, 1, 3))
     d3 = ad.reshape(rays.dirs, (b, 1, 3))
     pts = ad.add(o3, ad.mul(d3, grid.dists.reshape(b, n, 1)))
     enc_x = encode_position(ad.reshape(pts, (b * n, 3)), model.config.pos_freqs)
-    # GLO codes are constant along a ray: look up per ray, then repeat rows
-    # to per-sample
-    return enc_x, ad.repeat(model.glo_lookup(rays.t), n, axis=0)
+    return enc_x, model.glo_lookup(rays.t)
 
 
 def eval_fields_on_grid(model: SceneModel, rays: RayBatch, grid: SampleGrid):
@@ -162,10 +162,10 @@ def eval_fields_on_grid(model: SceneModel, rays: RayBatch, grid: SampleGrid):
     dynamic_out) ready for render_full."""
     b, n = len(rays), grid.n_samples
     enc_x, glo = _encoded_samples(model, rays, grid)
-    # directions are constant along a ray too: encode per ray
-    enc_d = ad.repeat(encode_position(rays.dirs, model.config.dir_freqs), n, axis=0)
-    c_s, sigma_s, p_st = model.static_eval_encoded(enc_x, enc_d)
-    c_d, sigma_d = model.dynamic_eval_encoded(enc_x, enc_d, glo)
+    # directions are constant along a ray too: encoded and taken per ray
+    enc_d = encode_position(rays.dirs, model.config.dir_freqs)
+    c_s, sigma_s, p_st = model.static_eval_encoded(enc_x, enc_d, n)
+    c_d, sigma_d = model.dynamic_eval_encoded(enc_x, enc_d, glo, n)
     static_out = (ad.reshape(c_s, (b, n, 3)), ad.reshape(sigma_s, (b, n)),
                   ad.reshape(p_st, (b, n)))
     dynamic_out = (ad.reshape(c_d, (b, n, 3)), ad.reshape(sigma_d, (b, n)))
@@ -184,7 +184,8 @@ def render_kappa(model: SceneModel, rays: RayBatch, n_samples: int,
                  rng: np.random.Generator | None = None):
     """Expected dynamic ray distance only (cheap path for neighbor rays)."""
     grid = sample_along_ray(rays.near, rays.far, n_samples, len(rays), rng)
-    _, sigma = model.dynamic_density(*_encoded_samples(model, rays, grid))
+    _, sigma = model.dynamic_density(*_encoded_samples(model, rays, grid),
+                                     grid.n_samples)
     sigma_d = ad.reshape(sigma, (len(rays), grid.n_samples))
     alpha = ad.sub(1.0, ad.exp(ad.mul(sigma_d, -grid.deltas)))
     trans = ad.exclusive_cumprod(ad.sub(1.0, alpha), axis=-1)

@@ -163,6 +163,88 @@ def test_mlp_gradients_reach_node_operands_only(x_node, trainable, monkeypatch):
             assert _close(w.grad, dw) and _close(b.grad, db)
 
 
+def _per_ray_inputs(rays, k, c=4):
+    """x (rays * k, MLP_SIZES[0] - c), per-ray u (rays, c), the layers and an
+    output gradient, and the joined input [x, repeat(u, k)]."""
+    joined, layers, g = _mlp_inputs(rays * k)
+    u = joined[::k, -c:].copy()
+    joined[:, -c:] = np.repeat(u, k, axis=0)
+    return joined[:, :-c].copy(), u, layers, g, joined
+
+
+@pytest.mark.parametrize("nodes", ["x_layers", "x_layers_u", "u"])
+@pytest.mark.parametrize("activation, activate_output",
+                         [("relu", True), ("softplus", False)])
+@pytest.mark.parametrize("k", [1, 24, 32])
+@pytest.mark.parametrize("rays", [0, 1, 3, None], ids=["0", "1", "3", "3_blocks"])
+def test_mlp_per_ray_matches_joined_input(rays, k, activation, activate_output,
+                                          nodes):
+    # the per-ray operand is the joined input with the first layer's sum
+    # reassociated; 24 rows per ray do not divide BLOCK. ``nodes`` names the
+    # operands that are Nodes
+    if rays is None:
+        rays = 2 * (ad.BLOCK // k) + 2      # two full blocks and a third
+    x, u, layers, g, joined = _per_ray_inputs(rays, k)
+    ref_in = ad.Node(joined)
+    ref_params = [(ad.Node(w), ad.Node(b)) for w, b in layers]
+    ref = ad.mlp(ref_in, ref_params, activation, activate_output)
+    ad.backward(ad.sum_(ad.mul(ref, g)))
+    xin = ad.Node(x) if "x" in nodes else x
+    uin = ad.Node(u) if "u" in nodes else u
+    params = [(ad.Node(w), ad.Node(b)) if "layers" in nodes else (w, b)
+              for w, b in layers]
+    out = ad.mlp(xin, params, activation, activate_output, uin, k)
+    assert _close(out.value, ref.value, rel=1e-14)
+    assert np.array_equal(ad.mlp(x, layers, activation, activate_output, u, k),
+                          out.value)
+    ad.backward(ad.sum_(ad.mul(out, g)))
+    c = u.shape[1]
+    if "x" in nodes:
+        assert _close(xin.grad, ref_in.grad[:, :-c])
+    if "u" in nodes:
+        assert _close(uin.grad, ref_in.grad[:, -c:].reshape(rays, k, c).sum(axis=1))
+    if "layers" in nodes:
+        for (w, b), (rw, rb) in zip(params, ref_params):
+            assert _close(w.grad, rw.grad) and _close(b.grad, rb.grad)
+
+
+def test_mlp_per_ray_through_one_layer():
+    # the first layer is the output layer too: the per-ray addend covers
+    # every row at once
+    x, u, layers, g, joined = _per_ray_inputs(5, 3)
+    w, b = layers[0]
+    un, wn, bn = ad.Node(u), ad.Node(w), ad.Node(b)
+    out = ad.mlp(x, [(wn, bn)], "relu", True, un, 3)
+    ref = np.maximum(joined @ w + b, 0.0)
+    assert _close(out.value, ref, rel=1e-14)
+    ad.backward(ad.sum_(out))
+    gz = (ref > 0).astype(float)
+    per_ray = gz.reshape(5, 3, -1).sum(axis=1)
+    assert _close(un.grad, per_ray @ w[-4:].T)
+    assert _close(wn.grad, joined.T @ gz) and _close(bn.grad, gz.sum(axis=0))
+
+
+def test_mlp_per_ray_plain_operands_build_no_graph(monkeypatch):
+    x, u, layers, _, joined = _per_ray_inputs(3, 24)
+    built = []
+    init = ad.Node.__init__
+    monkeypatch.setattr(ad.Node, "__init__",
+                        lambda self, *a, **k: built.append(1) or init(self, *a, **k))
+    out = ad.mlp(x, layers, "relu", False, u, 24)
+    assert type(out) is np.ndarray and not built
+    assert _close(out, ad.mlp(joined, layers, "relu"), rel=1e-14)
+
+
+def test_mlp_per_ray_shape_errors():
+    x, u, layers, _, _ = _per_ray_inputs(3, 4)
+    with pytest.raises(ad.ShapeMismatch, match="per-ray"):
+        ad.mlp(x, layers, "relu", u=u[:2], k=4)
+    with pytest.raises(ad.ShapeMismatch, match="per-ray"):
+        ad.mlp(x, layers, "relu", u=u, k=3)
+    with pytest.raises(ad.ShapeMismatch, match="layer 0"):
+        ad.mlp(x, layers, "relu", u=u[:, :2], k=4)
+
+
 def test_backward_rejects_nonscalar_root():
     x = ad.Node(np.zeros(3))
     with pytest.raises(ad.NonScalarRoot):
@@ -277,6 +359,18 @@ class TestAdam:
         with pytest.raises(OptimError, match="'p'"):
             adam_step(store, {"g": 1e-2})
 
+    def test_nan_gradient_moves_no_parameter(self):
+        # the finite first parameter is checked and not stepped before the
+        # second's NaN raises
+        store = self._store([1.0])
+        store.add("q", np.array([2.0]), group="g")
+        store.leaf("p").grad = np.array([1.0])
+        store.leaf("q").grad = np.array([np.nan])
+        with pytest.raises(OptimError, match="'q'"):
+            adam_step(store, {"g": 0.1})
+        assert store.values["p"][0] == 1.0 and store.adam_t["p"] == 0
+        assert store.adam_m["p"][0] == 0.0 and store.adam_v["p"][0] == 0.0
+
     def test_matches_hand_run_recurrence(self):
         store = self._store([1.0])
         m = v = 0.0
@@ -295,8 +389,11 @@ class TestAdam:
         store = self._store([1.0])
         store.add("q", np.array([2.0]), group="h")
         store.leaf("q").grad = np.array([1.0])
+        store.leaf("p").grad = np.array([1.0])
         with pytest.raises(KeyError, match="'h'"):
             adam_step(store, {"g": 1e-2})
+        # and raises before the rated group moves
+        assert store.values["p"][0] == 1.0 and store.adam_t["p"] == 0
         store.set_frozen_groups({"h"})
         adam_step(store, {"g": 1e-2})  # a frozen group needs no rate
 

@@ -55,9 +55,9 @@ def test_install_then_uninstall_restores_every_attribute(monkeypatch):
     assert [k for k, v in before.items() if after[k] is not v] == []
 
 
-def test_workload_units_run_on_a_tiny_model(monkeypatch, tmp_path):
-    # one unit of each workload, through the same calls the benchmark makes
-    wl = load_module(monkeypatch, "workloads")
+def run_units(wl, tmp_path):
+    """One unit of each workload on a tiny model, through the same calls the
+    benchmark makes; their outputs."""
     ds = synthesize_dataset(moving_quad_scene(size=24, n_frames=5), seed=3,
                             preset_name="hooks-test")
     cfg = resolve_config("desk", overrides=dict(
@@ -68,8 +68,32 @@ def test_workload_units_run_on_a_tiny_model(monkeypatch, tmp_path):
     out = wl.Outputs()
     assert wl.BriTrain().run_unit(trainer, 0, out) == 2 * cfg.batch_size
     assert wl.MddTrain().run_unit(trainer, 0, out) == cfg.batch_size
-    assert len(out.losses) == 3 and np.all(np.isfinite(out.losses))
     model = fields.SceneModel(cfg.field_config(ds.n_frames), np.random.default_rng(0))
+    tmp_path.mkdir()
     state = wl.InferState(model, ds, cfg.n_samples, [1], tmp_path)
     assert wl.InferFrame().run_unit(state, 0, out) == 24 * 24
+    return out
+
+
+def test_workload_units_run_on_a_tiny_model(monkeypatch, tmp_path):
+    out = run_units(load_module(monkeypatch, "workloads"), tmp_path / "run")
+    assert len(out.losses) == 3 and np.all(np.isfinite(out.losses))
     assert np.isfinite(out.psnr[1])
+
+
+def test_traced_units_match_untraced(monkeypatch, tmp_path):
+    # the tracer's wrappers pass every call through unchanged and can count
+    # each field network's rows
+    wl = load_module(monkeypatch, "workloads")
+    tracer = load_module(monkeypatch, "tracer").Tracer()
+    plain = run_units(wl, tmp_path / "plain")
+    tracer.install()
+    try:
+        traced = run_units(wl, tmp_path / "traced")
+    finally:
+        tracer.uninstall()
+    assert traced.losses == plain.losses
+    assert traced.psnr == plain.psnr
+    spans = tracer.summary(0)
+    for name in ("fields.static.rgb", "fields.dynamic.trunk"):
+        assert spans[name]["counts"]["rows"] > 0, name

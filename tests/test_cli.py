@@ -274,6 +274,26 @@ class TestTruncatedFiles:
         assert not (tmp_path / "frames").exists()
 
 
+class TestCorruptJson:
+    def test_corrupt_checkpoint_header(self, tmp_path, dataset_dir, trained_dir):
+        ckpt = tmp_path / "bad.ckpt"
+        raw = bytearray((trained_dir / "checkpoint_final.ckpt").read_bytes())
+        raw[len(CHECKPOINT_MAGIC) + 4] = ord("#")   # the header's first byte
+        ckpt.write_bytes(bytes(raw))
+        res = run_cli("render", "--checkpoint", str(ckpt), "--dataset", str(dataset_dir),
+                      "--out", str(tmp_path / "frames"))
+        assert_clean_error(res, str(ckpt))
+
+    def test_corrupt_dataset_meta(self, tmp_path, dataset_dir):
+        ds = tmp_path / "ds"
+        shutil.copytree(dataset_dir, ds)
+        meta = ds / "meta.json"
+        meta.write_text("#" + meta.read_text()[1:])
+        res = run_cli("train", "--dataset", str(ds), "--out", str(tmp_path / "run"),
+                      *TINY_TRAIN)
+        assert_clean_error(res, str(meta))
+
+
 class TestEval:
     def test_report_with_baseline_and_iou(self, tmp_path, dataset_dir, trained_dir):
         frames = tmp_path / "frames"

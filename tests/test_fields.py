@@ -29,7 +29,8 @@ def encode_per_frequency(x, num_freqs):
 
 
 def encoded(model, x, d):
-    """Positional encodings of points and directions, as rendering makes them."""
+    """Positional encodings of points and directions, as rendering makes them,
+    each point on a ray of its own."""
     cfg = model.config
     return encode_position(x, cfg.pos_freqs), encode_position(d, cfg.dir_freqs)
 
@@ -117,7 +118,7 @@ class TestFieldEval:
         d = rng.normal(size=(40, 3))
         d /= np.linalg.norm(d, axis=1, keepdims=True)
         c, sigma, p_st = (ad.value_of(v) for v in
-                          model.static_eval_encoded(*encoded(model, x, d)))
+                          model.static_eval_encoded(*encoded(model, x, d), 1))
         assert np.all((c >= 0) & (c <= 1))
         assert np.all(sigma >= 0)
         assert np.all((p_st > 0) & (p_st < 1))
@@ -132,7 +133,7 @@ class TestFieldEval:
         t = rng.integers(0, 5, size=20)
         c, sigma = (ad.value_of(v) for v in
                     model.dynamic_eval_encoded(*encoded(model, x, d),
-                                               model.glo_lookup(t)))
+                                               model.glo_lookup(t), 1))
         assert np.all((c >= 0) & (c <= 1)) and np.all(sigma >= 0)
         with pytest.raises(IndexError):
             model.glo_lookup(np.full(20, 7))
@@ -141,15 +142,15 @@ class TestFieldEval:
         a, b = tiny_model(seed=9), tiny_model(seed=9)
         x = np.array([[0.3, -0.2, 2.0]])
         d = np.array([[0.0, 0.0, 1.0]])
-        for va, vb in zip(a.static_eval_encoded(*encoded(a, x, d)),
-                          b.static_eval_encoded(*encoded(b, x, d))):
+        for va, vb in zip(a.static_eval_encoded(*encoded(a, x, d), 1),
+                          b.static_eval_encoded(*encoded(b, x, d), 1)):
             assert np.array_equal(ad.value_of(va), ad.value_of(vb))
 
     def test_staticness_starts_uniform_static(self):
         model = tiny_model()
         x = np.random.default_rng(3).uniform(-5, 5, size=(30, 3))
         d = np.tile([0.0, 0.0, 1.0], (30, 1))
-        _, _, p_st = model.static_eval_encoded(*encoded(model, x, d))
+        _, _, p_st = model.static_eval_encoded(*encoded(model, x, d), 1)
         assert np.allclose(ad.value_of(p_st), 1 / (1 + np.exp(-1.0)))
 
 
