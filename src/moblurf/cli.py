@@ -81,14 +81,12 @@ def cmd_synth(args) -> int:
 
 
 def cmd_train(args) -> int:
-    from .config import resolve_config, write_manifest, update_manifest
+    from .config import (read_json, read_manifest, resolve_config, save_manifest,
+                         write_manifest)
     from .data import read_dataset
     from .training import Trainer
 
-    file_values = None
-    if args.config:
-        with open(args.config) as f:
-            file_values = json.load(f)
+    file_values = read_json(args.config) if args.config else None
     overrides = _parse_overrides(args.set)
     if args.seed is not None:
         overrides["seed"] = args.seed
@@ -97,14 +95,18 @@ def cmd_train(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     manifest_path = out / "manifest.json"
-    # a resumed run keeps the first run's manifest; its timings come from the
-    # run, which carries the seconds of the part before the last checkpoint
-    if not (args.resume and manifest_path.exists()):
-        write_manifest(manifest_path, config, config.seed, command="train",
-                       extras={"dataset": str(args.dataset), "out": str(out)})
+    # a resumed run keeps the first run's manifest, read before training so
+    # a corrupt one fails first; its timings come from the run, which carries
+    # the seconds of the part before the last checkpoint
+    if args.resume and manifest_path.exists():
+        manifest = read_manifest(manifest_path)
+    else:
+        manifest = write_manifest(manifest_path, config, config.seed, command="train",
+                                  extras={"dataset": str(args.dataset), "out": str(out)})
     trainer = Trainer(config, dataset)
     info = trainer.run(out, resume=args.resume, progress=args.progress)
-    update_manifest(manifest_path, info["timings"])
+    manifest["timings"].update(info["timings"])
+    save_manifest(manifest_path, manifest)
     print(f"final checkpoint: {info['checkpoint']}")
     return EXIT_OK
 
@@ -149,6 +151,7 @@ def cmd_render(args) -> int:
 
 
 def cmd_eval(args) -> int:
+    from .config import read_json
     from .data import read_dataset, read_depth_raw
     from .metrics import evaluate
     from .pngio import read_png
@@ -160,7 +163,7 @@ def cmd_eval(args) -> int:
         print(f"error: {render_dir} has no render_meta.json", file=sys.stderr)
         return EXIT_VALIDATION
     frames = []
-    for t in json.loads(meta_path.read_text())["timestamps"]:
+    for t in read_json(meta_path)["timestamps"]:
         rgb_path = render_dir / "rgb" / f"{t:04d}.png"
         if not rgb_path.exists():
             print(f"error: missing rendered frame {rgb_path}", file=sys.stderr)
@@ -280,8 +283,7 @@ def main(argv=None) -> int:
                   + (f" breakdown={detail}" if detail else ""), file=sys.stderr)
             return EXIT_NUMERICAL
         if isinstance(exc, (ValueError, KeyError, IndexError, OSError,
-                            DatasetError, CheckpointError,
-                            json.JSONDecodeError)):
+                            DatasetError, CheckpointError)):
             print(f"error: {exc}", file=sys.stderr)
             return EXIT_VALIDATION
         raise

@@ -112,18 +112,31 @@ def write_manifest(path, config: TrainConfig, seed: int, command: str,
     }
     if extras:
         manifest.update(extras)
-    with open(path, "w") as f:
-        json.dump(manifest, f, indent=2, sort_keys=True)
+    save_manifest(path, manifest)
     return manifest
 
 
-def update_manifest(path, timings: dict) -> None:
-    """Set the manifest's ``timings`` (seconds)."""
-    with open(path) as f:
-        manifest = json.load(f)
-    manifest["timings"].update(timings)
+def read_manifest(path) -> dict:
+    """The run manifest at ``path``, as :func:`write_manifest` wrote it."""
+    manifest = read_json(path)
+    if not isinstance(manifest, dict) or not isinstance(manifest.get("timings"), dict):
+        raise ConfigError(f"{path}: not a run manifest")
+    return manifest
+
+
+def save_manifest(path, manifest: dict) -> None:
     with open(path, "w") as f:
         json.dump(manifest, f, indent=2, sort_keys=True)
+
+
+def read_json(path):
+    """The JSON document in the file at ``path``; a malformed one raises
+    :class:`ConfigError` naming the file."""
+    try:
+        with open(path) as f:
+            return json.load(f)
+    except ValueError as exc:   # bad JSON or bad UTF-8
+        raise ConfigError(f"{path}: corrupt JSON: {exc}") from exc
 
 
 def _version() -> str:

@@ -80,27 +80,35 @@ class FieldConfig:
 def encode_position(x, num_freqs: int):
     """[x, sin(2^k pi x), cos(2^k pi x)] for k = 0..L-1 along the last axis.
 
-    One node: the forward takes one sin and one cos over all frequencies,
-    and the gradient reuses them, so the backward evaluates neither again.
+    One node. The forward takes one sin and one cos, of pi x, and gets each
+    higher octave from the one below by the double angle:
+    sin 2a = 2 sin a cos a, cos 2a = (cos a - sin a)(cos a + sin a). The
+    rounding error doubles with each octave, as the error of sin(2^k pi x)
+    taken directly grows with its rounded argument, so both are about as
+    accurate. The gradient reads sin and cos back from the output.
     """
     xv = ad.value_of(x)
     *lead, d = xv.shape
     freqs = np.pi * 2.0 ** np.arange(num_freqs)
-    scaled = xv[..., None, :] * freqs[:, None]          # (..., L, d)
-    s, c = np.sin(scaled), np.cos(scaled)
     out = np.empty((*lead, d * (1 + 2 * num_freqs)))
     out[..., :d] = xv
     bands = out[..., d:].reshape(*lead, num_freqs, 2, d)    # a view of out
-    bands[..., 0, :], bands[..., 1, :] = s, c
+    # contiguous (..., d) octaves, each copied into its band
+    scaled = xv * np.pi
+    s, c = np.sin(scaled), np.cos(scaled)
+    for k in range(num_freqs):
+        if k:
+            s, c = 2.0 * s * c, (c - s) * (c + s)
+        bands[..., k, 0, :], bands[..., k, 1, :] = s, c
 
     def vjp(g):
         gsc = g[..., d:].reshape(*lead, num_freqs, 2, d)
-        terms = (gsc[..., 0, :] * c - gsc[..., 1, :] * s) * freqs[:, None]
         # x's columns first, then one frequency at a time, as a chain of
         # per-frequency sin and cos nodes would sum them
         dx = g[..., :d]
         for k in range(num_freqs):
-            dx = dx + terms[..., k, :]
+            s, c = bands[..., k, 0, :], bands[..., k, 1, :]
+            dx = dx + (gsc[..., k, 0, :] * c - gsc[..., k, 1, :] * s) * freqs[k]
         return dx
 
     return ad._make(out, [(x, vjp)])
@@ -171,6 +179,9 @@ class SceneModel:
 
     def __init__(self, config: FieldConfig, rng: np.random.Generator,
                  store: ParamStore | None = None):
+        # every process that trains or renders holds a model: all of them
+        # keep their freed graphs' memory for the next step or frame chunk
+        ad.keep_freed_memory()
         self.config = config
         if store is None:
             self.store = ParamStore()

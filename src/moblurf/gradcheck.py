@@ -125,8 +125,9 @@ def _op_cases(rng):
         "mlp_per_ray": (_dense_inputs(rng, per_ray=(2, 2)), _mlp("relu", True, 2)),
         "exp": ([rng.normal(size=b)], ad.exp),
         "log": ([_positive(rng, b)], ad.log),
+        # the desk's pos_freqs: bands built by seven doublings
         "encode_position": ([rng.normal(size=(4, 3))],
-                            lambda x: encode_position(x, 3)),
+                            lambda x: encode_position(x, 8)),
         "sigmoid": ([rng.normal(size=b) * 3], ad.sigmoid),
         "softplus": ([rng.normal(size=b) * 3], ad.softplus),
         "sum": ([rng.normal(size=b)], lambda x: ad.sum_(x, axis=1)),

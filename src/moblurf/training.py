@@ -83,7 +83,6 @@ class Trainer:
     def __init__(self, config: TrainConfig, dataset: BlurryDataset,
                  model: SceneModel | None = None,
                  rng: np.random.Generator | None = None):
-        ad.keep_freed_memory()
         self.config = config
         self.dataset = dataset
         self.rng = rng if rng is not None else np.random.default_rng(config.seed)

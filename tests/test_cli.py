@@ -293,6 +293,39 @@ class TestCorruptJson:
                       *TINY_TRAIN)
         assert_clean_error(res, str(meta))
 
+    def test_corrupt_config_file(self, tmp_path, dataset_dir):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"x":')
+        res = run_cli("train", "--dataset", str(dataset_dir), "--out", str(tmp_path / "run"),
+                      "--config", str(cfg))
+        assert_clean_error(res, str(cfg))
+        assert not (tmp_path / "run").exists()
+
+    def test_corrupt_render_meta(self, tmp_path, dataset_dir):
+        frames = tmp_path / "frames"
+        frames.mkdir()
+        meta = frames / "render_meta.json"
+        meta.write_text("#")
+        res = run_cli("eval", "--render-dir", str(frames), "--dataset", str(dataset_dir))
+        assert_clean_error(res, str(meta))
+
+    @pytest.mark.parametrize("text", ["#", "[]"])
+    def test_corrupt_manifest_fails_before_resuming(self, tmp_path, dataset_dir,
+                                                    trained_dir, text):
+        run = tmp_path / "run"
+        shutil.copytree(trained_dir, run)
+        # as if killed after BRI: resuming would run MDD, log and checkpoint
+        shutil.copy(run / "checkpoint_bri.ckpt", run / "checkpoint_latest.ckpt")
+        manifest = run / "manifest.json"
+        manifest.write_text(text)
+        kept = {name: (run / name).read_bytes()
+                for name in ("train_log.txt", "checkpoint_latest.ckpt")}
+        res = run_cli("train", "--dataset", str(dataset_dir), "--out", str(run),
+                      "--seed", "0", *TINY_TRAIN, "--resume")
+        assert_clean_error(res, str(manifest))
+        for name, data in kept.items():
+            assert (run / name).read_bytes() == data, name
+
 
 class TestEval:
     def test_report_with_baseline_and_iou(self, tmp_path, dataset_dir, trained_dir):

@@ -23,7 +23,7 @@ def encode_per_frequency(x, num_freqs):
     """Reference encoding: one scale, sin and cos per frequency, in turn."""
     parts = [x]
     for k in range(num_freqs):
-        scaled = x * float(np.pi * (2.0 ** k))
+        scaled = x * x.dtype.type(np.pi * (2.0 ** k))
         parts += [np.sin(scaled), np.cos(scaled)]
     return np.concatenate(parts, axis=-1)
 
@@ -55,11 +55,27 @@ class TestEncoding:
         assert np.array_equal(encode_position(x, 6), encode_position(x, 6))
 
     @pytest.mark.parametrize("num_freqs", [1, 4, 8])
-    def test_matches_per_frequency_reference_bitwise(self, num_freqs):
-        x = np.random.default_rng(2).normal(size=(1000, 3)) * 3.0
-        ref = encode_per_frequency(x, num_freqs)
-        assert np.array_equal(encode_position(x, num_freqs), ref)
-        assert np.array_equal(encode_position(ad.Node(x), num_freqs).value, ref)
+    def test_matches_per_frequency_reference_to_rounding(self, num_freqs):
+        rng = np.random.default_rng(2)
+        for scale in (3.0, 30.0):
+            x = rng.normal(size=(1000, 3)) * scale
+            out = encode_position(x, num_freqs)
+            ref = encode_per_frequency(x, num_freqs)
+            # x and the first octave are the reference's bits
+            assert np.array_equal(out[:, :9], ref[:, :9])
+            assert np.array_equal(encode_position(ad.Node(x), num_freqs).value, out)
+            if np.finfo(np.longdouble).eps >= 1e-18:
+                continue    # no wider type to take the exact value in
+            # the recurrence's error doubles with each octave, as rounding
+            # the argument 2^k pi x costs sin(2^k pi x) taken directly: both
+            # stay within 2^k (1 + pi|x|) eps
+            exact = encode_per_frequency(x.astype(np.longdouble), num_freqs)
+            eps = np.finfo(np.float64).eps
+            for k in range(num_freqs):
+                cols = slice(3 + 6 * k, 9 + 6 * k)
+                err = np.abs(out[:, cols] - exact[:, cols]).astype(np.float64)
+                bound = 2.0 ** k * (1 + np.pi * np.abs(x)) * eps
+                assert np.all(err <= np.tile(bound, 2)), (scale, k)
 
 
 class TestMlp:

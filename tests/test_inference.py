@@ -1,6 +1,13 @@
+import ctypes
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import moblurf
 from moblurf import autodiff as ad
 from moblurf import inference
 from moblurf.cameras import CameraPose, rays_for_frame
@@ -115,3 +122,45 @@ def test_render_frames_checks_before_rendering(monkeypatch):
     with pytest.raises(ValueError, match="model built for 3 frames, dataset has 4"):
         render_frames(model, tiny_dataset(n_frames=4), [0], n_samples=8)
     assert rendered == []
+
+
+def _has_mallopt() -> bool:
+    try:
+        return hasattr(ctypes.CDLL(None), "mallopt")
+    except OSError:
+        return False
+
+
+# the frames' minor page faults, each counted in the rendering process
+SECOND_FRAME_FAULTS = """
+import resource
+import numpy as np
+from moblurf.config import TrainConfig
+from moblurf.fields import SceneModel
+from moblurf.inference import infer_frame_base_rays
+from moblurf.scene import build_preset
+
+scene = build_preset("moving-quad-64")
+cfg = TrainConfig()
+model = SceneModel(cfg.field_config(scene.n_frames), np.random.default_rng(0))
+poses = scene.true_poses()
+for t in (3, 4):
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    infer_frame_base_rays(model, poses[t], t, 24, 24, scene.near, scene.far,
+                          cfg.n_samples)
+    print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+
+
+@pytest.mark.skipif(not _has_mallopt(), reason="no glibc mallopt")
+def test_second_frame_takes_no_page_faults():
+    # a desk model fixes the allocator's thresholds, so the second frame
+    # reuses the first one's heap instead of faulting it in again
+    src = str(Path(moblurf.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    res = subprocess.run([sys.executable, "-c", SECOND_FRAME_FAULTS],
+                         capture_output=True, text=True, env=env)
+    assert res.returncode == 0, res.stderr
+    first, second = (int(v) for v in res.stdout.split())
+    assert second < 100, (first, second)
