@@ -13,9 +13,9 @@ connected stack (matmuls, biases and activations) in one node, evaluated in
 cache-sized row blocks, so a field network costs one node and one backward
 visit.
 
-Gradient arrays are never mutated in place; accumulation always allocates.
-That makes it safe for a vector-Jacobian product to return a view of the
-incoming gradient (e.g. ``add``).
+Gradient arrays handed between nodes are never mutated in place;
+accumulation always allocates. That makes it safe for a vector-Jacobian
+product to return a view of the incoming gradient (e.g. ``add``).
 """
 
 from __future__ import annotations
@@ -164,6 +164,15 @@ def _softplus_slope(z):
     return 1.0 / (1.0 + np.exp(-np.clip(z, -500, 500)))
 
 
+def _times_t(g, w, out=None):
+    """``g @ w.T``. With one column in ``w`` each entry is one product, so
+    a broadcast multiply gives the same bits without a BLAS call of inner
+    dimension 1."""
+    if w.shape[1] == 1:
+        return np.multiply(g, w.T, out=out)
+    return np.matmul(g, w.T, out=out)
+
+
 def mlp(x, layers, activation: str, activate_output: bool = False,
         u=None, k: int = 1):
     """Fully connected stack over the rows of ``x``: layer i of ``layers``,
@@ -178,14 +187,14 @@ def mlp(x, layers, activation: str, activate_output: bool = False,
     ``x @ w_x + repeat(u @ w_u + b, k)``: the per-ray part runs once per ray.
     Only the order of the first layer's sum differs from the joined input.
 
-    The hidden layers run in blocks of about :data:`BLOCK` rows of whole
-    rays, each block through all of them while it stays in cache; the output
-    layer is one product over all rows. Rows of a matrix product are
-    independent, so the output is bit-identical to one layer at a time over
-    all rows. The output layer is not blocked because OpenBLAS multiplies
-    small products (under 10^6 multiply-adds) with another kernel, which
-    rounds 2-4 column outputs, such as an RGB head's, differently from the
-    whole product.
+    The layers run in blocks of about :data:`BLOCK` rows of whole rays,
+    each block through all of them, the output layer too, while it stays in
+    cache; each bias is added from a block of copies of it. Every product
+    is one block's, so a row's bits do not depend on how many rows share
+    the call. They may differ in the last place from one product over all
+    rows: OpenBLAS multiplies small products (under about 10^6
+    multiply-adds) with another kernel, which rounds some widths, such as
+    an RGB head's 3 columns, differently.
 
     The gradient walks the same blocks back through the layers and makes
     the gradients of all Node operands in one pass, on the first parent's
@@ -193,8 +202,8 @@ def mlp(x, layers, activation: str, activate_output: bool = False,
     block by block; with ``u``, the first layer's gradient is summed over
     each ray's rows, and ``u``, ``w_u`` and the first bias take theirs from
     those per-ray sums. The node then drops its hidden activations, so one
-    backward pass can run through it. Without a Node operand, the hidden
-    layers but the last live in one block-sized buffer each.
+    backward pass can run through it. Without a Node operand, every hidden
+    layer lives in one block-sized buffer; only the output spans all rows.
     """
     xv = value_of(x)
     ws = [value_of(w) for w, _ in layers]
@@ -234,24 +243,26 @@ def mlp(x, layers, activation: str, activate_output: bool = False,
     # post[i] is layer i's output, pre[i] its pre-activation where the
     # softplus gradient needs it, else the same array. What the gradient
     # reads is kept over all rows; without a graph a hidden layer's rows live
-    # only while their block goes through the stack, except the last hidden
-    # layer's, which feed the output product
+    # only while their block goes through the stack
     span = max((hi - lo for lo, hi in blocks), default=0)
-    post = [np.empty((n if graph or i == last - 1 else span, ws[i].shape[1]))
-            for i in range(last)]
-    post.append(np.empty((n, ws[last].shape[1])))
+    post = [np.empty((n if graph or i == last else span, ws[i].shape[1]))
+            for i in range(last + 1)]
     pre = [np.empty_like(h) if graph and acted[i] and not relu else h
            for i, h in enumerate(post)]
+    # each bias as a block of rows: a contiguous add instead of a broadcast
+    # one, with the same bits; the per-ray first layer adds its own
+    tiles = [None if i == 0 and uv is not None else np.tile(b, (span, 1))
+             for i, b in enumerate(bs)]
 
     def dense(i, h, lo, hi):
         rows = slice(lo, hi) if len(post[i]) == n else slice(hi - lo)
         z, out = pre[i][rows], post[i][rows]
         np.matmul(h, wins[i], out=z)
-        if i == 0 and uv is not None:
+        if tiles[i] is None:
             by_ray = z.reshape(-1, k, z.shape[1])     # a view of z
             by_ray += per_ray[lo // k:hi // k, None]
         else:
-            z += bs[i]
+            z += tiles[i][:hi - lo]
         if acted[i]:
             if relu:
                 np.maximum(z, 0.0, out=out)
@@ -261,9 +272,8 @@ def mlp(x, layers, activation: str, activate_output: bool = False,
 
     for lo, hi in blocks:
         h = xv[lo:hi]
-        for i in range(last):
+        for i in range(last + 1):
             h = dense(i, h, lo, hi)
-    dense(last, xv if last == 0 else post[last - 1], 0, n)
 
     def gradients(g):
         """Gradient of every Node operand, in ``operands`` order."""
@@ -281,11 +291,16 @@ def mlp(x, layers, activation: str, activate_output: bool = False,
         d_ray = (np.empty((len(uv), ws[0].shape[1]))
                  if uv is not None and lowest == 0 else None)
         for lo, hi in blocks:
-            gz = g[lo:hi]
+            # g's rows until a product makes a block this node owns
+            gz, owned = g[lo:hi], False
             for i in range(last, lowest - 1, -1):
                 if acted[i]:
-                    gz = gz * (post[i][lo:hi] > 0 if relu
-                               else _softplus_slope(pre[i][lo:hi]))
+                    slope = (post[i][lo:hi] > 0 if relu
+                             else _softplus_slope(pre[i][lo:hi]))
+                    if owned:
+                        gz *= slope
+                    else:
+                        gz, owned = gz * slope, True
                 if dwins[i] is not None:
                     dwins[i] += (xv[lo:hi] if i == 0 else post[i - 1][lo:hi]).T @ gz
                 if i == 0 and d_ray is not None:
@@ -293,9 +308,9 @@ def mlp(x, layers, activation: str, activate_output: bool = False,
                 elif dbs[i] is not None:
                     dbs[i] += gz.sum(axis=0)
                 if i > lowest:
-                    gz = gz @ wins[i].T
+                    gz, owned = _times_t(gz, wins[i]), True
                 elif dx is not None:
-                    np.matmul(gz, wins[0].T, out=dx[lo:hi])
+                    _times_t(gz, wins[0], out=dx[lo:hi])
         grads = [dx, *(d for pair in zip(dws, dbs) for d in pair)]
         if d_ray is not None:
             if dws[0] is not None:
@@ -341,8 +356,8 @@ def log(a):
 def sigmoid(a):
     av = value_of(a)
     # numerically stable in both tails
-    ov = np.where(av >= 0, 1.0 / (1.0 + np.exp(-np.abs(av))),
-                  np.exp(-np.abs(av)) / (1.0 + np.exp(-np.abs(av))))
+    e = np.exp(-np.abs(av))
+    ov = np.where(av >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
     return _make(ov, [(a, lambda g: g * ov * (1.0 - ov))])
 
 

@@ -151,7 +151,7 @@ def cmd_render(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    from .config import read_json
+    from .config import ConfigError, read_json
     from .data import read_dataset, read_depth_raw
     from .metrics import evaluate
     from .pngio import read_png
@@ -162,8 +162,14 @@ def cmd_eval(args) -> int:
     if not meta_path.exists():
         print(f"error: {render_dir} has no render_meta.json", file=sys.stderr)
         return EXIT_VALIDATION
+    meta = read_json(meta_path)
+    stamps = meta.get("timestamps") if isinstance(meta, dict) else None
+    if not (isinstance(stamps, list) and all(
+            type(t) is int and 0 <= t < dataset.n_frames for t in stamps)):
+        raise ConfigError(f"{meta_path}: timestamps must be a list of frame "
+                          f"indices in [0, {dataset.n_frames})")
     frames = []
-    for t in read_json(meta_path)["timestamps"]:
+    for t in stamps:
         rgb_path = render_dir / "rgb" / f"{t:04d}.png"
         if not rgb_path.exists():
             print(f"error: missing rendered frame {rgb_path}", file=sys.stderr)

@@ -86,30 +86,43 @@ def encode_position(x, num_freqs: int):
     rounding error doubles with each octave, as the error of sin(2^k pi x)
     taken directly grows with its rounded argument, so both are about as
     accurate. The gradient reads sin and cos back from the output.
+
+    Both run in blocks of :data:`autodiff.BLOCK` rows, so a block's octaves
+    and bands stay in cache; every entry is computed as over all rows.
     """
     xv = ad.value_of(x)
     *lead, d = xv.shape
     freqs = np.pi * 2.0 ** np.arange(num_freqs)
-    out = np.empty((*lead, d * (1 + 2 * num_freqs)))
-    out[..., :d] = xv
-    bands = out[..., d:].reshape(*lead, num_freqs, 2, d)    # a view of out
-    # contiguous (..., d) octaves, each copied into its band
-    scaled = xv * np.pi
-    s, c = np.sin(scaled), np.cos(scaled)
-    for k in range(num_freqs):
-        if k:
-            s, c = 2.0 * s * c, (c - s) * (c + s)
-        bands[..., k, 0, :], bands[..., k, 1, :] = s, c
+    width = d * (1 + 2 * num_freqs)
+    out = np.empty((*lead, width))
+    rows = xv.reshape(-1, d)
+    n = len(rows)
+    flat = out.reshape(n, width)                            # a view of out
+    flat[:, :d] = rows
+    bands = flat[:, d:].reshape(n, num_freqs, 2, d)         # a view of out
+    blocks = [slice(lo, lo + ad.BLOCK) for lo in range(0, n, ad.BLOCK)]
+    for blk in blocks:
+        # contiguous (rows, d) octaves, each copied into its band
+        scaled = rows[blk] * np.pi
+        s, c = np.sin(scaled), np.cos(scaled)
+        for k in range(num_freqs):
+            if k:
+                s, c = 2.0 * s * c, (c - s) * (c + s)
+            bands[blk, k, 0], bands[blk, k, 1] = s, c
 
     def vjp(g):
-        gsc = g[..., d:].reshape(*lead, num_freqs, 2, d)
-        # x's columns first, then one frequency at a time, as a chain of
-        # per-frequency sin and cos nodes would sum them
-        dx = g[..., :d]
-        for k in range(num_freqs):
-            s, c = bands[..., k, 0, :], bands[..., k, 1, :]
-            dx = dx + (gsc[..., k, 0, :] * c - gsc[..., k, 1, :] * s) * freqs[k]
-        return dx
+        g = g.reshape(n, width)
+        gsc = g[:, d:].reshape(n, num_freqs, 2, d)
+        dx = np.empty(rows.shape)
+        for blk in blocks:
+            # x's columns first, then one frequency at a time, as a chain of
+            # per-frequency sin and cos nodes would sum them
+            dxb = g[blk, :d]
+            for k in range(num_freqs):
+                s, c = bands[blk, k, 0], bands[blk, k, 1]
+                dxb = dxb + (gsc[blk, k, 0] * c - gsc[blk, k, 1] * s) * freqs[k]
+            dx[blk] = dxb
+        return dx.reshape(xv.shape)
 
     return ad._make(out, [(x, vjp)])
 

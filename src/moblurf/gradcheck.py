@@ -121,6 +121,9 @@ def _op_cases(rng):
         # the heads' form: linear output layer
         "mlp_softplus": (_dense_inputs(rng, margin=0.0), _mlp("softplus", False)),
         "mlp_frozen": _frozen_weights(_dense_inputs(rng)),
+        # the sigma and staticness heads' form: one linear layer to one
+        # column, whose input gradient is a product of inner dimension 1
+        "mlp_head": (_dense_inputs(rng, sizes=(4, 1), margin=0.0), _mlp("relu", False)),
         # the RGB heads' and the dynamic trunk's form: a per-ray operand
         "mlp_per_ray": (_dense_inputs(rng, per_ray=(2, 2)), _mlp("relu", True, 2)),
         "exp": ([rng.normal(size=b)], ad.exp),

@@ -15,10 +15,12 @@ from .render import motion_mask, render_rays
 from .training import NumericalError
 
 # rays per render pass: bounds the rows evaluated at once. 512 rays x 32
-# samples = 16384 rows; of each network only the output and the last hidden
-# layer span them all (8 MiB per 64-wide array), the other hidden layers
-# live in one buffer of autodiff.BLOCK rows. The peak RSS of a 64x64 desk
-# frame follows it: ~132 MB at 512 rays, ~180 MB at 1024
+# samples = 16384 rows; of each network only the output spans them all
+# (8 MiB for a 64-wide trunk), every hidden layer lives in one buffer of
+# autodiff.BLOCK rows. The peak RSS of a process rendering 64x64 desk
+# frames follows it: ~63 MiB at 512 rays, ~76 MiB at 1024 (perfbench's
+# infer-frame, which also holds its dataset, reads ~97 MB at 512). A frame's
+# bits do not depend on it for chunks of two rays or more
 CHUNK = 512
 
 

@@ -75,13 +75,13 @@ def test_zero_preactivation_gets_zero_gradient():
 MLP_SIZES = (9, 16, 16, 3)   # two hidden layers, an RGB head's 3-wide output
 
 
-def _mlp_inputs(rows, seed=11):
+def _mlp_inputs(rows, seed=11, sizes=MLP_SIZES):
     rng = np.random.default_rng(seed)
-    x = rng.normal(size=(rows, MLP_SIZES[0]))
+    x = rng.normal(size=(rows, sizes[0]))
     layers = [(rng.normal(size=(fan_in, fan_out)) / np.sqrt(fan_in),
                rng.normal(size=fan_out) * 0.1)
-              for fan_in, fan_out in zip(MLP_SIZES, MLP_SIZES[1:])]
-    return x, layers, rng.normal(size=(rows, MLP_SIZES[-1]))
+              for fan_in, fan_out in zip(sizes, sizes[1:])]
+    return x, layers, rng.normal(size=(rows, sizes[-1]))
 
 
 def _layer_by_layer(x, layers, activation, activate_output, g):
@@ -115,9 +115,17 @@ def _close(a, b, rel=1e-13):
 
 @pytest.mark.parametrize("activation", ["relu", "softplus"])
 @pytest.mark.parametrize("activate_output", [False, True])
-@pytest.mark.parametrize("rows", [0, 1, ad.BLOCK, ad.BLOCK + 1, 2 * ad.BLOCK + 37])
-def test_mlp_matches_layer_by_layer_reference(rows, activation, activate_output):
-    x, layers, g = _mlp_inputs(rows)
+@pytest.mark.parametrize("rows, sizes", [
+    *(pytest.param(rows, MLP_SIZES, id=str(rows))
+      for rows in (0, 1, ad.BLOCK, ad.BLOCK + 1, 2 * ad.BLOCK + 37)),
+    # a trunk's 64-wide output layer, blocked with the hidden ones
+    pytest.param(3 * ad.BLOCK + 37, (64, 64, 64), id="wide_out"),
+    # the sigma and staticness heads' form: dx is a product of inner
+    # dimension 1, taken as a broadcast multiply
+    pytest.param(2 * ad.BLOCK + 37, (64, 1), id="one_column_head"),
+])
+def test_mlp_matches_layer_by_layer_reference(rows, sizes, activation, activate_output):
+    x, layers, g = _mlp_inputs(rows, sizes=sizes)
     out, dx, dws, dbs = _layer_by_layer(x, layers, activation, activate_output, g)
     # rows cross block boundaries: forward and dx bit for bit, dw and db to
     # rounding of their block-by-block sums

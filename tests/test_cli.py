@@ -309,6 +309,19 @@ class TestCorruptJson:
         res = run_cli("eval", "--render-dir", str(frames), "--dataset", str(dataset_dir))
         assert_clean_error(res, str(meta))
 
+    # valid JSON of the wrong shape: no timestamps, strings, an index past
+    # the last frame, a bool (a boolean index to NumPy), a top-level list
+    @pytest.mark.parametrize("text", ['{}', '{"timestamps": ["a"]}',
+                                      '{"timestamps": [999]}',
+                                      '{"timestamps": [true]}', '[1, 2]'])
+    def test_misshapen_render_meta(self, tmp_path, dataset_dir, text):
+        frames = tmp_path / "frames"
+        frames.mkdir()
+        meta = frames / "render_meta.json"
+        meta.write_text(text)
+        res = run_cli("eval", "--render-dir", str(frames), "--dataset", str(dataset_dir))
+        assert_clean_error(res, str(meta))
+
     @pytest.mark.parametrize("text", ["#", "[]"])
     def test_corrupt_manifest_fails_before_resuming(self, tmp_path, dataset_dir,
                                                     trained_dir, text):

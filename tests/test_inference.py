@@ -11,11 +11,12 @@ import moblurf
 from moblurf import autodiff as ad
 from moblurf import inference
 from moblurf.cameras import CameraPose, rays_for_frame
+from moblurf.config import TrainConfig
 from moblurf.data import synthesize_dataset
 from moblurf.fields import FieldConfig, SceneModel
 from moblurf.inference import CHUNK, infer_frame, infer_frame_base_rays, render_frames
 from moblurf.render import render_rays
-from moblurf.scene import static_scene
+from moblurf.scene import build_preset, static_scene
 
 # more pixels than one render pass takes, so frames span two chunks
 HEIGHT, WIDTH = 40, 112
@@ -164,3 +165,21 @@ def test_second_frame_takes_no_page_faults():
     assert res.returncode == 0, res.stderr
     first, second = (int(v) for v in res.stdout.split())
     assert second < 100, (first, second)
+
+
+def test_frame_bits_do_not_depend_on_chunk_size(monkeypatch):
+    # every product of a network is one row block's, whose rows keep their
+    # bits however many rays render together; 37 rays leave a short last
+    # block in every chunk
+    scene = build_preset("moving-quad-64")
+    cfg = TrainConfig()
+    model = SceneModel(cfg.field_config(scene.n_frames), np.random.default_rng(0))
+    pose, t = scene.true_poses()[2], 2
+    h, w = scene.height, scene.width
+    whole = infer_frame_base_rays(model, pose, t, h, w, scene.near, scene.far,
+                                  cfg.n_samples)
+    monkeypatch.setattr(inference, "CHUNK", 37)
+    small = infer_frame_base_rays(model, pose, t, h, w, scene.near, scene.far,
+                                  cfg.n_samples)
+    for key in ("rgb", "p_dy", "kappa"):
+        assert np.array_equal(whole[key], small[key]), key
