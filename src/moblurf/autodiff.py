@@ -13,9 +13,13 @@ connected stack (matmuls, biases and activations) in one node, evaluated in
 cache-sized row blocks, so a field network costs one node and one backward
 visit.
 
-Gradient arrays handed between nodes are never mutated in place;
-accumulation always allocates. That makes it safe for a vector-Jacobian
-product to return a view of the incoming gradient (e.g. ``add``).
+A vector-Jacobian product may return a view of the incoming gradient
+(``add``, ``reshape``, ``concat``, ``narrow``), so :func:`backward` writes
+into a gradient array only when it owns it: when it allocated the array to
+sum two contributions, or when an ``mlp`` vjp returned it (those are always
+fresh). Every later contribution is added into an owned array in place, an
+``mlp``'s input gradient block by block; any other array is never mutated,
+and the first sum into it allocates.
 """
 
 from __future__ import annotations
@@ -275,14 +279,17 @@ def mlp(x, layers, activation: str, activate_output: bool = False,
         for i in range(last + 1):
             h = dense(i, h, lo, hi)
 
-    def gradients(g):
-        """Gradient of every Node operand, in ``operands`` order."""
+    def gradients(g, into):
+        """Gradient of every Node operand, in ``operands`` order; x's is
+        added into ``into`` when that is given."""
         want = [isinstance(p, Node) for p in operands]
         # operands are x, w0, b0, w1, b1, ... and u: the gradient goes down
         # to the lowest layer with a Node operand
         lowest = (0 if uv is not None and want[-1]
                   else max(want.index(True) - 1, 0) // 2)
-        dx = np.empty(xv.shape) if want[0] else None
+        dx = (np.empty(xv.shape) if into is None else into) if want[0] else None
+        # with ``into``, each block's product is made here, then added in
+        scratch = None if into is None else np.empty((span, xv.shape[1]))
         dws = [np.zeros_like(w) if t else None for w, t in zip(ws, want[1::2])]
         dbs = [np.zeros_like(b) if t else None for b, t in zip(bs, want[2::2])]
         # the rows of each dw that x's rows reach, as views
@@ -309,6 +316,8 @@ def mlp(x, layers, activation: str, activate_output: bool = False,
                     dbs[i] += gz.sum(axis=0)
                 if i > lowest:
                     gz, owned = _times_t(gz, wins[i]), True
+                elif scratch is not None:
+                    dx[lo:hi] += _times_t(gz, wins[0], out=scratch[:hi - lo])
                 elif dx is not None:
                     _times_t(gz, wins[0], out=dx[lo:hi])
         grads = [dx, *(d for pair in zip(dws, dbs) for d in pair)]
@@ -328,11 +337,19 @@ def mlp(x, layers, activation: str, activate_output: bool = False,
     served = {}
 
     def vjp(j):
-        def pull(g):
+        def pull(g, into=None):
+            """Operand j's gradient, a fresh array; with ``into``, an array
+            that backward owns holding j's gradient so far, added into it."""
             if not served:
-                served.update((i, d) for i, d in enumerate(gradients(g))
-                              if d is not None)
-            return served.pop(j)
+                served.update((i, d) for i, d in enumerate(
+                    gradients(g, into if j == 0 else None)) if d is not None)
+            d = served.pop(j)
+            if into is None:
+                return d
+            if d is not into:
+                into += d
+            return into
+        pull.fresh = True   # see backward
         return pull
 
     return _make(post[last], [(p, vjp(j)) for j, p in enumerate(operands)])
@@ -629,6 +646,13 @@ def backward(root: Node):
 
     An interior node's gradient is dropped once its vjps have run; leaves,
     parameter leaves (``ParamStore.leaf``) among them, keep theirs.
+
+    A node owns its gradient array for this pass when backward allocated it,
+    summing two contributions, or an ``mlp`` vjp returned it. Later
+    contributions are added into an owned array in place (an ``mlp`` vjp
+    adds its input gradient into it block by block); an array that is not
+    owned may be a view of another node's gradient and is never written to.
+    Sums run in the same order either way, so the bits do not depend on it.
     """
     if not isinstance(root, Node):
         raise TypeError("backward expects a Node")
@@ -638,12 +662,26 @@ def backward(root: Node):
     for node in order:
         node.grad = None
     root.grad = np.ones_like(root.value)
+    # the nodes whose gradient array is this pass's own; they stay alive in
+    # ``order`` until it ends
+    owned = set()
     for node in reversed(order):
         if node.grad is None:
             continue
         for parent, vjp in node.parents:
-            contrib = vjp(node.grad)
-            parent.grad = contrib if parent.grad is None else parent.grad + contrib
+            fresh = getattr(vjp, "fresh", False)
+            if parent.grad is None:
+                parent.grad = vjp(node.grad)
+                if fresh:
+                    owned.add(parent)
+            elif parent in owned:
+                if fresh:
+                    vjp(node.grad, into=parent.grad)
+                else:
+                    parent.grad += vjp(node.grad)
+            else:
+                parent.grad = parent.grad + vjp(node.grad)
+                owned.add(parent)
         if node.parents:
             node.grad = None
 

@@ -87,8 +87,11 @@ def encode_position(x, num_freqs: int):
     taken directly grows with its rounded argument, so both are about as
     accurate. The gradient reads sin and cos back from the output.
 
-    Both run in blocks of :data:`autodiff.BLOCK` rows, so a block's octaves
-    and bands stay in cache; every entry is computed as over all rows.
+    Both run in blocks of :data:`autodiff.BLOCK` rows. A block is worked
+    on feature-major, as a (width, rows) array whose octaves are contiguous
+    rows in cache, and copied out of it (forward) or into it (gradient)
+    transposed, once. Every entry is computed as over all rows, by the same
+    operations in the same order.
     """
     xv = ad.value_of(x)
     *lead, d = xv.shape
@@ -98,30 +101,45 @@ def encode_position(x, num_freqs: int):
     rows = xv.reshape(-1, d)
     n = len(rows)
     flat = out.reshape(n, width)                            # a view of out
-    flat[:, :d] = rows
-    bands = flat[:, d:].reshape(n, num_freqs, 2, d)         # a view of out
     blocks = [slice(lo, lo + ad.BLOCK) for lo in range(0, n, ad.BLOCK)]
+    span = min(n, ad.BLOCK)
+    # octave k's sin and cos as rows of a feature-major block
+    sin_at = [slice(d * (1 + 2 * k), d * (2 + 2 * k)) for k in range(num_freqs)]
+    cos_at = [slice(d * (2 + 2 * k), d * (3 + 2 * k)) for k in range(num_freqs)]
+    fm = np.empty((width, span))
     for blk in blocks:
-        # contiguous (rows, d) octaves, each copied into its band
-        scaled = rows[blk] * np.pi
-        s, c = np.sin(scaled), np.cos(scaled)
-        for k in range(num_freqs):
-            if k:
-                s, c = 2.0 * s * c, (c - s) * (c + s)
-            bands[blk, k, 0], bands[blk, k, 1] = s, c
+        t = fm[:, :len(rows[blk])]
+        t[:d] = rows[blk].T
+        # pi x in the first sin rows, then its cos, then its sin in place
+        np.multiply(t[:d], np.pi, out=t[sin_at[0]])
+        np.cos(t[sin_at[0]], out=t[cos_at[0]])
+        np.sin(t[sin_at[0]], out=t[sin_at[0]])
+        for k in range(1, num_freqs):
+            s, c = t[sin_at[k]], t[cos_at[k]]
+            s0, c0 = t[sin_at[k - 1]], t[cos_at[k - 1]]
+            np.multiply(2.0, s0, out=s)
+            s *= c0
+            np.subtract(c0, s0, out=c)
+            c *= c0 + s0
+        flat[blk] = t.T
 
     def vjp(g):
         g = g.reshape(n, width)
-        gsc = g[:, d:].reshape(n, num_freqs, 2, d)
         dx = np.empty(rows.shape)
+        gfm, ofm = np.empty((width, span)), np.empty((width, span))
         for blk in blocks:
+            gt, ot = gfm[:, :len(rows[blk])], ofm[:, :len(rows[blk])]
+            gt[:] = g[blk].T
+            ot[:] = flat[blk].T
             # x's columns first, then one frequency at a time, as a chain of
             # per-frequency sin and cos nodes would sum them
-            dxb = g[blk, :d]
+            acc = gt[:d]
             for k in range(num_freqs):
-                s, c = bands[blk, k, 0], bands[blk, k, 1]
-                dxb = dxb + (gsc[blk, k, 0] * c - gsc[blk, k, 1] * s) * freqs[k]
-            dx[blk] = dxb
+                term = gt[sin_at[k]] * ot[cos_at[k]]
+                term -= gt[cos_at[k]] * ot[sin_at[k]]
+                term *= freqs[k]
+                acc += term
+            dx[blk] = acc.T
         return dx.reshape(xv.shape)
 
     return ad._make(out, [(x, vjp)])

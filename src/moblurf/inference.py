@@ -14,14 +14,17 @@ from .fields import SceneModel
 from .render import motion_mask, render_rays
 from .training import NumericalError
 
-# rays per render pass: bounds the rows evaluated at once. 512 rays x 32
-# samples = 16384 rows; of each network only the output spans them all
-# (8 MiB for a 64-wide trunk), every hidden layer lives in one buffer of
+# rays per render pass: bounds the rows evaluated at once. 256 rays x 32
+# samples = 8192 rows; of each network only the output spans them all
+# (4 MiB for a 64-wide trunk), every hidden layer lives in one buffer of
 # autodiff.BLOCK rows. The peak RSS of a process rendering 64x64 desk
-# frames follows it: ~63 MiB at 512 rays, ~76 MiB at 1024 (perfbench's
-# infer-frame, which also holds its dataset, reads ~97 MB at 512). A frame's
-# bits do not depend on it for chunks of two rays or more
-CHUNK = 512
+# frames follows it: ~63 MiB at 512 rays, ~76 MiB at 1024. It also decides
+# whether a chunk's arrays fit the holes that freed arrays leave in the
+# heap: perfbench's infer-frame, which frees one set-up's dataset after
+# building the next, read 97.3 or 103.7 MB at 512 rays, by code layout
+# alone, and 92.0-93.2 MB at 256 in every layout tried. A frame's bits do
+# not depend on it for chunks of two rays or more
+CHUNK = 256
 
 
 def render_frames(model: SceneModel, dataset, timestamps=None, poses=None, *,

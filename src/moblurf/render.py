@@ -180,10 +180,9 @@ def render_rays(model: SceneModel, rays: RayBatch, n_samples: int,
     return render_full(static_out, dynamic_out, grid)
 
 
-def render_kappa(model: SceneModel, rays: RayBatch, n_samples: int,
-                 rng: np.random.Generator | None = None):
-    """Expected dynamic ray distance only (cheap path for neighbor rays)."""
-    grid = sample_along_ray(rays.near, rays.far, n_samples, len(rays), rng)
+def render_kappa(model: SceneModel, rays: RayBatch, grid: SampleGrid):
+    """Expected dynamic ray distance only (cheap path for neighbor rays),
+    at the samples of ``grid``, one row of distances per ray."""
     _, sigma = model.dynamic_density(*_encoded_samples(model, rays, grid),
                                      grid.n_samples)
     sigma_d = ad.reshape(sigma, (len(rays), grid.n_samples))

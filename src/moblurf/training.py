@@ -19,7 +19,7 @@ from __future__ import annotations
 import contextlib
 import os
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -32,7 +32,7 @@ from .config import TrainConfig
 from .data import BlurryDataset
 from .fields import SceneModel, save_checkpoint, load_checkpoint
 from .optim import LrSchedule, adam_step
-from .render import motion_mask, render_kappa, render_rays
+from .render import motion_mask, render_kappa, render_rays, sample_along_ray
 
 ALL_GROUPS = {"static", "dynamic", "local", "screw_base", "screw_global"}
 FREEZE_BRI_EVEN = ALL_GROUPS - {"static", "screw_base"}
@@ -163,25 +163,38 @@ class Trainer:
 
     def _lg_terms(self, batch: Batch, kappa_primary, supervise: np.ndarray,
                   base_rays: RayBatch, rng):
-        """Local geometry loss over the supervised subset of lg pixels."""
+        """Local geometry loss over the supervised subset of lg pixels.
+
+        Only the supervised pixels' neighbours are rendered. Their jitter is
+        drawn for all 2k neighbours first, so the random stream, and every
+        later batch, do not depend on which pixels are supervised."""
         k = batch.lg_count
         if k == 0 or not supervise.any():
             return None
         nb = self.warp_base(batch.neighbors)
-        kappa_n = render_kappa(self.model, nb, self.config.n_samples, rng)
+        grid = sample_along_ray(nb.near, nb.far, self.config.n_samples, 2 * k, rng)
+        pdepth = batch.pdepth
+        keep = np.flatnonzero(supervise)
+        m = len(keep)
+        # with every pixel supervised (BRI-odd) the rows stay as they are
+        if m < k:
+            both = np.concatenate([keep, k + keep])
+            nb, grid = nb.select(both), replace(grid, dists=grid.dists[both])
+            base_rays, kappa_primary = base_rays.select(keep), ad.gather(kappa_primary, keep)
+            pdepth = pdepth[:, keep]
+        kappa_n = render_kappa(self.model, nb, grid)
         # origins, dirs, pix_dirs and kappa of the pixel, its right and its
         # down neighbour
-        rows = [[ad.narrow(x, s, k, axis=0) for x in (r.origins, r.dirs, r.pix_dirs, kap)]
+        rows = [[ad.narrow(x, s, m, axis=0) for x in (r.origins, r.dirs, r.pix_dirs, kap)]
                 for r, kap, s in ((base_rays, kappa_primary, 0), (nb, kappa_n, 0),
-                                  (nb, kappa_n, k))]
+                                  (nb, kappa_n, m))]
         # predicted side: metric ray distances along unit directions
         cr_pred, ok_pred = L.local_geometry_cross(
             *[L.surface_points(o, d, kap) for o, d, _, kap in rows])
         # pseudo-GT side: camera-z depths along unit-camera-z directions
         cr_true, ok_true = L.local_geometry_cross(
             *[L.surface_points(ad.value_of(o), ad.value_of(p), depth)
-              for (o, _, p, _), depth in zip(rows, batch.pdepth)])
-        ok_pred = ok_pred & np.asarray(supervise, dtype=bool)
+              for (o, _, p, _), depth in zip(rows, pdepth)])
         return L.lg_loss(cr_pred, ok_pred, cr_true, ok_true, n_pixels=k,
                          lam=self.config.lambda_lg)
 

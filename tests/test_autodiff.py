@@ -269,6 +269,72 @@ def test_backward_accumulates_shared_subexpressions():
     assert np.allclose(y.grad, 3.0)
 
 
+def reference_backward(root):
+    """The backward pass with every sum of two contributions allocating a
+    new array: in-place sums must give its gradients bit for bit."""
+    order = ad.topo_order(root)
+    for node in order:
+        node.grad = None
+    root.grad = np.ones_like(root.value)
+    for node in reversed(order):
+        if node.grad is None:
+            continue
+        for parent, vjp in node.parents:
+            contrib = vjp(node.grad)
+            parent.grad = contrib if parent.grad is None else parent.grad + contrib
+        if node.parents:
+            node.grad = None
+
+
+FANOUT_ROWS, FANOUT_K = 2 * ad.BLOCK + 40, 8
+
+
+def _fanout_leaves():
+    rng = np.random.default_rng(21)
+    n, rays = FANOUT_ROWS, FANOUT_ROWS // FANOUT_K
+    shapes = {"x": (n, 5), "x2": (n, 6), "u": (rays, 4), "w0": (5, 6), "b0": (6,),
+              "ws": (6, 1), "bs": (1,), "wc": (10, 3), "bc": (3,), "p": (n, 1)}
+    return {name: ad.Node(rng.normal(size=shape)) for name, shape in shapes.items()}
+
+
+def _fanout_loss(v, order):
+    """A scalar over a graph whose gradients fan out three ways: one trunk
+    output read by three ``mlp`` heads (two one-column heads that share a
+    weight leaf, and one with a per-ray operand), by an ``add`` whose vjp
+    hands the same array to both operands, and through ``reshape``,
+    ``concat`` and ``narrow`` views; the leaf ``p`` is used twice. ``order``
+    permutes the summed terms, and with them the order of the visits."""
+    n, k = FANOUT_ROWS, FANOUT_K
+    h = ad.mlp(v["x"], [(v["w0"], v["b0"])], "relu", activate_output=True)
+    s1 = ad.mlp(h, [(v["ws"], v["bs"])], "relu")
+    s2 = ad.mlp(h, [(v["ws"], v["bs"])], "softplus", activate_output=True)
+    c = ad.mlp(h, [(v["wc"], v["bc"])], "relu", u=v["u"], k=k)
+    a = ad.add(h, v["x2"])                       # one array to h and x2
+    j = ad.concat([a, ad.reshape(s1, (n, 1)), c], axis=1)
+    top, rest = ad.narrow(j, 0, n // 2), ad.narrow(j, n // 2, n - n // 2)
+    terms = [ad.sum_(ad.mul(top, top)), ad.sum_(ad.exp(ad.mul(rest, 0.1))),
+             ad.sum_(ad.mul(ad.mul(s2, v["p"]), v["p"])), ad.sum_(ad.mul(a, s1)),
+             ad.sum_(ad.mul(ad.reshape(c, (n // k, k, 3)), 0.5))]
+    loss = terms[order[0]]
+    for i in order[1:]:
+        loss = ad.add(loss, terms[i])
+    return loss
+
+
+@pytest.mark.parametrize("order", [(0, 1, 2, 3, 4), (0, 1, 3, 2, 4), (1, 3, 0, 4, 2),
+                                   (4, 3, 2, 1, 0)])
+def test_in_place_sums_match_allocating_backward(order):
+    # every leaf gradient bit for bit against the backward that never
+    # writes into an array; a sum into a view that another node or leaf
+    # holds would change some leaf's gradient
+    ref = _fanout_leaves()
+    reference_backward(_fanout_loss(ref, order))
+    got = _fanout_leaves()
+    ad.backward(_fanout_loss(got, order))
+    for name, leaf in got.items():
+        assert leaf.grad is not None and np.array_equal(leaf.grad, ref[name].grad), name
+
+
 def test_every_op_matches_central_differences():
     results = gc.run_op_checks(seed=1, trials=20)
     failed = [(r.name, r.max_rel_err) for r in results if not r.passed]

@@ -78,6 +78,44 @@ class TestEncoding:
                 assert np.all(err <= np.tile(bound, 2)), (scale, k)
 
 
+def encode_octave_doubling(x, num_freqs, g):
+    """The encoding and its input gradient for output gradient ``g``, one
+    octave at a time over all rows, row-major: what the blocked,
+    feature-major encoding must give bit for bit."""
+    rows = x.reshape(-1, x.shape[-1])
+    scaled = rows * np.pi
+    s, c = np.sin(scaled), np.cos(scaled)
+    parts, octaves = [rows], []
+    for k in range(num_freqs):
+        if k:
+            s, c = 2.0 * s * c, (c - s) * (c + s)
+        parts += [s, c]
+        octaves.append((s, c))
+    out = np.concatenate(parts, axis=1)
+    d = rows.shape[1]
+    g = g.reshape(len(rows), -1)
+    dx = g[:, :d]
+    for k, (s, c) in enumerate(octaves):
+        gs, gc = g[:, d * (1 + 2 * k):d * (2 + 2 * k)], g[:, d * (2 + 2 * k):d * (3 + 2 * k)]
+        dx = dx + (gs * c - gc * s) * (np.pi * 2.0 ** k)
+    return out.reshape(*x.shape[:-1], -1), dx.reshape(x.shape)
+
+
+@pytest.mark.parametrize("num_freqs", [2, 4, 8])
+@pytest.mark.parametrize("shape", [(1, 3), (512, 3), (2049, 3), (5632, 3)])
+def test_encoding_blocks_keep_octave_doubling_bits(shape, num_freqs):
+    rng = np.random.default_rng(8)
+    x = rng.normal(size=shape) * 4.0
+    g = rng.normal(size=(shape[0], 3 + 6 * num_freqs))
+    ref_out, ref_dx = encode_octave_doubling(x, num_freqs, g)
+    node = ad.Node(x)
+    out = encode_position(node, num_freqs)
+    ad.backward(ad.sum_(ad.mul(out, g)))
+    assert np.array_equal(out.value, ref_out)
+    assert np.array_equal(encode_position(x, num_freqs), ref_out)
+    assert np.array_equal(node.grad, ref_dx)
+
+
 class TestMlp:
     def test_forward_matches_dense_arithmetic_bitwise(self):
         model = tiny_model()

@@ -2,13 +2,16 @@ import numpy as np
 import pytest
 
 from moblurf import autodiff as ad
-from moblurf import blur
+from moblurf import blur, training
+from moblurf import losses as L
 from moblurf.config import resolve_config
 from moblurf.data import synthesize_dataset
 from moblurf.fields import load_checkpoint, save_checkpoint
-from moblurf.scene import moving_quad_scene
+from moblurf.render import sample_along_ray
+from moblurf.scene import build_preset, moving_quad_scene
 from moblurf.training import (FREEZE_BRI_EVEN, FREEZE_BRI_ODD, FREEZE_MDD,
                               NumericalError, Trainer)
+from test_autodiff import reference_backward
 
 
 @pytest.fixture(scope="module")
@@ -145,6 +148,99 @@ class TestNoOpStart:
         assert res.lorr_rays == 0
         for name in store.names("local"):
             assert np.all(store.grad(name) == 0.0)
+
+
+def lg_terms_every_neighbour(self, batch, kappa_primary, supervise, base_rays, rng):
+    """``Trainer._lg_terms`` rendering every neighbour and masking the loss
+    to the supervised pixels afterwards: the subset must match it."""
+    k = batch.lg_count
+    if k == 0 or not supervise.any():
+        return None
+    nb = self.warp_base(batch.neighbors)
+    kappa_n = training.render_kappa(self.model, nb, sample_along_ray(
+        nb.near, nb.far, self.config.n_samples, 2 * k, rng))
+    rows = [[ad.narrow(x, s, k, axis=0) for x in (r.origins, r.dirs, r.pix_dirs, kap)]
+            for r, kap, s in ((base_rays, kappa_primary, 0), (nb, kappa_n, 0),
+                              (nb, kappa_n, k))]
+    cr_pred, ok_pred = L.local_geometry_cross(
+        *[L.surface_points(o, d, kap) for o, d, _, kap in rows])
+    cr_true, ok_true = L.local_geometry_cross(
+        *[L.surface_points(ad.value_of(o), ad.value_of(p), depth)
+          for (o, _, p, _), depth in zip(rows, batch.pdepth)])
+    return L.lg_loss(cr_pred, ok_pred & supervise, cr_true, ok_true, n_pixels=k,
+                     lam=self.config.lambda_lg)
+
+
+def _mdd_gradients(tr, batch, mask, rng_state, backward):
+    """Loss value, every parameter gradient and the RNG state after one MDD
+    forward and backward pass from ``rng_state``."""
+    store = tr.model.store
+    store.set_frozen_groups(FREEZE_MDD)
+    store.begin_step()
+    tr.rng.bit_generator.state = rng_state
+    loss, _ = tr.compute_mdd_loss(batch, tr.rng, mask_override=mask)
+    backward(loss)
+    grads = {n: store.grad(n).copy() for n in store.values}
+    return float(ad.value_of(loss)), grads, tr.rng.bit_generator.state
+
+
+class TestLocalGeometrySubset:
+    def test_subset_matches_every_neighbour_rendered(self, tiny_dataset, monkeypatch):
+        tr = tiny_trainer(tiny_dataset)
+        for it in range(2):
+            tr.bri_step(it)
+        batch = tr.sample_batch()
+        mask = np.arange(len(batch.rays)) % 2    # half the lg pixels supervised
+        rendered = []
+        kappa = training.render_kappa
+        monkeypatch.setattr(training, "render_kappa",
+                            lambda model, rays, grid: rendered.append(len(rays))
+                            or kappa(model, rays, grid))
+        state = tr.rng.bit_generator.state
+        loss, grads, after = _mdd_gradients(tr, batch, mask, state, ad.backward)
+        m = int(mask[:batch.lg_count].sum())
+        assert rendered == [2 * m] and 0 < m < batch.lg_count
+        monkeypatch.setattr(Trainer, "_lg_terms", lg_terms_every_neighbour)
+        ref_loss, ref_grads, ref_after = _mdd_gradients(tr, batch, mask, state,
+                                                        ad.backward)
+        assert rendered == [2 * m, 2 * batch.lg_count]
+        assert after == ref_after
+        assert loss == pytest.approx(ref_loss, rel=1e-12)
+        for name, g in ref_grads.items():
+            assert np.linalg.norm(grads[name] - g) <= 1e-12 * np.linalg.norm(g), name
+
+    def test_all_supervised_renders_every_neighbour(self, tiny_dataset, monkeypatch):
+        # BRI-odd supervises every lg pixel: the same path as rendering all
+        tr = tiny_trainer(tiny_dataset)
+        batch = tr.sample_batch()
+        mask = np.ones(len(batch.rays), dtype=np.int64)
+        state = tr.rng.bit_generator.state
+        loss, grads, after = _mdd_gradients(tr, batch, mask, state, ad.backward)
+        monkeypatch.setattr(Trainer, "_lg_terms", lg_terms_every_neighbour)
+        ref = _mdd_gradients(tr, batch, mask, state, ad.backward)
+        assert (loss, after) == (ref[0], ref[2])
+        for name, g in ref[1].items():
+            assert np.array_equal(grads[name], g), name
+
+
+def test_desk_mdd_step_gradients_match_allocating_backward(monkeypatch):
+    # one desk-sized MDD step on moving-quad-64 with the true motion mask,
+    # rendering every lg neighbour as before the subset: in-place sums give
+    # every gradient of the always-allocating backward bit for bit
+    monkeypatch.setattr(Trainer, "_lg_terms", lg_terms_every_neighbour)
+    ds = synthesize_dataset(build_preset("moving-quad-64"), seed=3,
+                            preset_name="moving-quad-64")
+    tr = Trainer(resolve_config("desk", overrides={"seed": 3}), ds)
+    batch = tr.sample_batch()
+    rays = batch.rays
+    mask = ds.mask_true[rays.t, rays.uv[:, 1], rays.uv[:, 0]].astype(np.int64)
+    state = tr.rng.bit_generator.state
+    loss, grads, after = _mdd_gradients(tr, batch, mask, state, ad.backward)
+    ref = _mdd_gradients(tr, batch, mask, state, reference_backward)
+    assert (loss, after) == (ref[0], ref[2])
+    assert grads.keys() == ref[1].keys()
+    for name, g in ref[1].items():
+        assert np.array_equal(grads[name], g), name
 
 
 class TestRunAndResume:
