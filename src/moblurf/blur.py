@@ -93,7 +93,6 @@ def _concat_rays(parts: list[RayBatch]) -> RayBatch:
     return RayBatch(
         origins=ad.concat([p.origins for p in parts], axis=0),
         dirs=ad.concat([p.dirs for p in parts], axis=0),
-        pix_dirs=ad.concat([p.pix_dirs for p in parts], axis=0),
         t=np.concatenate([p.t for p in parts]),
         uv=np.concatenate([p.uv for p in parts]),
         near=first.near,

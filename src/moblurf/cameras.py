@@ -6,8 +6,10 @@ Conventions:
   * pixel (u, v) maps to the camera-frame direction ((u-cx)/fx, (v-cy)/fy, 1)
 
 The unnormalized direction above has unit camera-z component, so a point at
-camera depth D is origin + D * pix_dir. Unit-length directions are kept
-alongside for metric ray distances.
+camera depth D is origin + D * pix_dir, at distance D * |pix_dir| along the
+unit direction. Ray batches carry only the unit direction: a rigid warp
+keeps |pix_dir|, so depths convert to ray distances once, where they are
+read.
 """
 
 from __future__ import annotations
@@ -79,7 +81,6 @@ class RayBatch:
 
     origins: object       # (B,3)
     dirs: object          # (B,3) unit length
-    pix_dirs: object      # (B,3) unit camera-z component
     t: np.ndarray         # (B,) frame indices
     uv: np.ndarray        # (B,2) integer pixel coords
     near: float
@@ -93,7 +94,6 @@ class RayBatch:
         return RayBatch(
             origins=ad.gather(self.origins, idx, axis=0),
             dirs=ad.gather(self.dirs, idx, axis=0),
-            pix_dirs=ad.gather(self.pix_dirs, idx, axis=0),
             t=self.t[idx],
             uv=self.uv[idx],
             near=self.near,
@@ -103,13 +103,13 @@ class RayBatch:
     def warp(self, omega, v) -> "RayBatch":
         """The rays rigidly moved by one screw (omega, v) per row; in the
         graph when either screw part is a Node."""
-        o, d, pix = se3.warp_ray(self.origins, self.dirs, omega, v, self.pix_dirs)
-        return RayBatch(o, d, pix, self.t, self.uv, self.near, self.far)
+        o, d = se3.warp_ray(self.origins, self.dirs, omega, v)
+        return RayBatch(o, d, self.t, self.uv, self.near, self.far)
 
 
 def rays_for_frame(pose: CameraPose, height: int, width: int, near: float,
                    far: float, t_index: int | None = None) -> RayBatch:
     uv = frame_pixel_grid(height, width)
-    origins, dirs, pix_dirs = rays_for_pixels(pose, uv)
+    origins, dirs, _ = rays_for_pixels(pose, uv)
     t = np.full(len(uv), pose.t_index if t_index is None else t_index, dtype=np.int64)
-    return RayBatch(origins, dirs, pix_dirs, t, uv, near, far)
+    return RayBatch(origins, dirs, t, uv, near, far)

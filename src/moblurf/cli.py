@@ -214,8 +214,17 @@ def cmd_gradcheck(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors exit 1, as validation errors do, not argparse's 2, the
+    code for numerical failures; subparsers share the class."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_VALIDATION, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="moblurf",
         description="Motion-deblurring dynamic radiance fields: dataset "
                     "synthesis, two-stage training, rendering, evaluation.")

@@ -47,7 +47,7 @@ class DatasetError(RuntimeError):
 
 
 def synth_blurry_frame(scene: AnalyticScene, t: int, window: int = 4,
-                       subrate: int = 8, return_subframes: bool = False):
+                       subrate: int = 8):
     """Average 2*window+1 sharp sub-frames around frame t (linear color)."""
     tau_t = scene.frame_tau(t)
     step = scene.frame_delta() / subrate
@@ -56,10 +56,7 @@ def synth_blurry_frame(scene: AnalyticScene, t: int, window: int = 4,
         tau = tau_t + k * step
         rgb, _, _ = render_sharp(scene, scene.pose_fn(tau), tau)
         subframes.append(rgb)
-    blurry = np.mean(subframes, axis=0)
-    if return_subframes:
-        return blurry, subframes
-    return blurry
+    return np.mean(subframes, axis=0)
 
 
 def synth_corrupt_pose(true_poses: list, t: int, window: int = 4,

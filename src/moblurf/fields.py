@@ -354,16 +354,18 @@ class SceneModel:
 # little-endian array payload in header order.
 
 
+# the arrays stored per parameter, in file order, and the ParamStore dict
+# that holds each
+ARRAY_KINDS = {"value": "values", "adam_m": "adam_m", "adam_v": "adam_v"}
+
+
 def save_checkpoint(path, model: SceneModel, extra_meta: dict | None = None):
     store = model.store
-    names = sorted(store.values)
     arrays = []
     blobs = []
-    for name in names:
-        for kind in ("value", "adam_m", "adam_v"):
-            src = {"value": store.values, "adam_m": store.adam_m,
-                   "adam_v": store.adam_v}[kind][name]
-            arr = np.ascontiguousarray(src, dtype="<f8")
+    for name in sorted(store.values):
+        for kind, attr in ARRAY_KINDS.items():
+            arr = np.ascontiguousarray(getattr(store, attr)[name], dtype="<f8")
             arrays.append({"name": name, "kind": kind, "shape": list(arr.shape)})
             blobs.append(arr.tobytes())
     header = {
@@ -392,7 +394,11 @@ def save_checkpoint(path, model: SceneModel, extra_meta: dict | None = None):
 
 
 def load_checkpoint(path):
-    """Restore a SceneModel (with optimizer state) and its metadata dict."""
+    """Restore a SceneModel (with optimizer state) and its metadata dict.
+
+    The header must list the arrays of a model built from its
+    ``field_config``, in ``save_checkpoint``'s order, with their shapes and
+    groups; the payload must end after the last of them."""
     with open(path, "rb") as f:
         magic = f.read(len(CHECKPOINT_MAGIC))
         if magic != CHECKPOINT_MAGIC:
@@ -404,27 +410,33 @@ def load_checkpoint(path):
             raise CheckpointError(f"{path}: truncated header")
         try:
             header = json.loads(raw.decode("utf-8"))
-        except ValueError as exc:
+            if header["version"] != CHECKPOINT_VERSION:
+                raise CheckpointError(
+                    f"{path}: unsupported checkpoint version {header['version']}")
+            listed = [(a["name"], a["kind"], a["shape"]) for a in header["arrays"]]
+            adam_t = {k: int(v) for k, v in header["adam_t"].items()}
+            model = SceneModel(FieldConfig(**header["field_config"]),
+                               np.random.default_rng(0))
+            store = model.store
+            if (listed != [(name, kind, list(store.values[name].shape))
+                           for name in sorted(store.values) for kind in ARRAY_KINDS]
+                    or header["groups"] != store.group_of
+                    or adam_t.keys() != store.values.keys()):
+                raise CheckpointError(f"{path}: the arrays are not those of its "
+                                      f"field_config")
+            meta = header["meta"]
+        except KeyError as exc:
+            raise CheckpointError(f"{path}: header has no {exc}") from exc
+        except (AttributeError, TypeError, ValueError) as exc:
             raise CheckpointError(f"{path}: corrupt header: {exc}") from exc
-        if header.get("version") != CHECKPOINT_VERSION:
-            raise CheckpointError(
-                f"{path}: unsupported checkpoint version {header.get('version')}")
-        store = ParamStore()
-        for spec in header["arrays"]:
-            shape = tuple(spec["shape"])
-            count = int(np.prod(shape)) if shape else 1
+        for name, kind, shape in listed:
+            count = int(np.prod(shape))
             data = f.read(8 * count)
             if len(data) != 8 * count:
-                raise CheckpointError(f"{path}: truncated payload at {spec['name']}")
-            arr = np.frombuffer(data, dtype="<f8").reshape(shape).astype(np.float64)
-            name, kind = spec["name"], spec["kind"]
-            if kind == "value":
-                store.add(name, arr, header["groups"][name])
-            elif kind == "adam_m":
-                store.adam_m[name] = arr.copy()
-            elif kind == "adam_v":
-                store.adam_v[name] = arr.copy()
-        store.adam_t = {k: int(v) for k, v in header["adam_t"].items()}
-    config = FieldConfig(**header["field_config"])
-    model = SceneModel(config, rng=None, store=store)
-    return model, header["meta"]
+                raise CheckpointError(f"{path}: truncated payload at {name}")
+            getattr(store, ARRAY_KINDS[kind])[name] = \
+                np.frombuffer(data, dtype="<f8").reshape(shape).astype(np.float64)
+        if f.read(1):
+            raise CheckpointError(f"{path}: data after the last array")
+        store.adam_t = adam_t
+    return model, meta

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
+from . import se3
 from .fields import encode_position
 
 FD_STEP = 1e-6
@@ -153,6 +154,11 @@ def _op_cases(rng):
         "rot_coef_a": ([_positive(rng, (6,), floor=1e-4)], ad.rot_coef_a),
         "rot_coef_b": ([_positive(rng, (6,), floor=1e-4)], ad.rot_coef_b),
         "rot_coef_c": ([_positive(rng, (6,), floor=1e-4)], ad.rot_coef_c),
+        # u = |omega|^2 and its coefficients feed all three moved vectors;
+        # |omega| >= 0.4 keeps the finite differences on the closed branch
+        "warp_ray": ([rng.normal(size=v3), rng.normal(size=v3),
+                      _away_from_zero(rng, v3), rng.normal(size=v3)],
+                     lambda o, d, w, v: ad.concat(list(se3.warp_ray(o, d, w, v)), axis=1)),
     }
 
 

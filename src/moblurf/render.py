@@ -6,8 +6,10 @@ staticness probability: transmittance decays through both fields at once,
     T_n = prod_{k<n} (1 - p_k a^s_k) (1 - (1 - p_k) a^d_k),
 
 and each sample contributes its static and dynamic colors weighted by
-p_k and (1 - p_k). Per-ray dynamicness is the probability-weighted mass of
-(1 - p) over the full-model compositing weights.
+p_k and (1 - p_k). Each field's opacities a = 1 - exp(-sigma delta) are
+taken once (``opacity``) and serve both its own composite and the full
+one. Per-ray dynamicness is the probability-weighted mass of (1 - p) over
+the full-model compositing weights.
 
 Functions take either ndarrays or autodiff Nodes and run the identical
 arithmetic on both. Training renders with graph leaves for its unfrozen
@@ -58,16 +60,22 @@ def sample_along_ray(near: float, far: float, n: int, batch: int,
     return SampleGrid(edges=edges, dists=dists, deltas=deltas)
 
 
-def composite(colors, sigmas, grid: SampleGrid):
-    """Single-field alpha compositing.
-
-    Returns (color (B,3), weights (B,N), transmittances (B,N)).
-    """
+def opacity(sigmas, grid: SampleGrid):
+    """One field's opacities alpha = 1 - exp(-sigma delta) and compositing
+    weights T alpha, with T the exclusive product of (1 - alpha): (B,N) each."""
     alpha = ad.sub(1.0, ad.exp(ad.mul(sigmas, -grid.deltas)))
-    trans = ad.exclusive_cumprod(ad.sub(1.0, alpha), axis=-1)
-    weights = ad.mul(trans, alpha)
-    color = ad.sum_(ad.mul(ad.reshape(weights, (-1, grid.n_samples, 1)), colors), axis=1)
-    return color, weights, trans
+    return alpha, ad.mul(ad.exclusive_cumprod(ad.sub(1.0, alpha), axis=-1), alpha)
+
+
+def _shade(weights, colors, n: int):
+    """sum_n weights * colors over the N samples of each ray: (B,3)."""
+    return ad.sum_(ad.mul(ad.reshape(weights, (-1, n, 1)), colors), axis=1)
+
+
+def composite(colors, sigmas, grid: SampleGrid):
+    """Single-field alpha compositing: (color (B,3), weights (B,N))."""
+    _, weights = opacity(sigmas, grid)
+    return _shade(weights, colors, grid.n_samples), weights
 
 
 @dataclass
@@ -79,9 +87,6 @@ class RenderResult:
     color_full: object      # (B,3)
     kappa_star: object      # (B,) expected dynamic ray distance
     p_st_samples: object    # (B,N) staticness probabilities
-    weights_full: np.ndarray    # (B,N), detached
-    weights_static: np.ndarray  # (B,N), detached
-    weights_dynamic: np.ndarray  # (B,N), detached
     p_dy: np.ndarray        # (B,) dynamicness probability, detached
 
 
@@ -95,34 +100,25 @@ def render_full(static_out, dynamic_out, grid: SampleGrid) -> RenderResult:
     c_d, sigma_d = dynamic_out
     n = grid.n_samples
 
-    color_s, w_s, _ = composite(c_s, sigma_s, grid)
-    color_d, w_d, _ = composite(c_d, sigma_d, grid)
+    alpha_s, w_s = opacity(sigma_s, grid)
+    alpha_d, w_d = opacity(sigma_d, grid)
     kappa = ad.sum_(ad.mul(w_d, grid.dists), axis=-1)
 
-    alpha_s = ad.sub(1.0, ad.exp(ad.mul(sigma_s, -grid.deltas)))
-    alpha_d = ad.sub(1.0, ad.exp(ad.mul(sigma_d, -grid.deltas)))
-    p_dyn = ad.sub(1.0, p_st)
     pa_s = ad.mul(p_st, alpha_s)
-    pa_d = ad.mul(p_dyn, alpha_d)
+    pa_d = ad.mul(ad.sub(1.0, p_st), alpha_d)
     factor = ad.mul(ad.sub(1.0, pa_s), ad.sub(1.0, pa_d))
     trans_full = ad.exclusive_cumprod(factor, axis=-1)
-    w_full = ad.mul(trans_full, ad.add(pa_s, pa_d))
     contrib = ad.add(ad.mul(ad.reshape(ad.mul(trans_full, pa_s), (-1, n, 1)), c_s),
                      ad.mul(ad.reshape(ad.mul(trans_full, pa_d), (-1, n, 1)), c_d))
-    color_full = ad.sum_(contrib, axis=1)
-
-    w_full_v = ad.value_of(w_full)
-    p_dy = dynamicness(w_full_v, ad.value_of(p_st))
+    # the full weights only feed the detached dynamicness
+    w_full = ad.value_of(trans_full) * (ad.value_of(pa_s) + ad.value_of(pa_d))
     return RenderResult(
-        color_static=color_s,
-        color_dynamic=color_d,
-        color_full=color_full,
+        color_static=_shade(w_s, c_s, n),
+        color_dynamic=_shade(w_d, c_d, n),
+        color_full=ad.sum_(contrib, axis=1),
         kappa_star=kappa,
         p_st_samples=p_st,
-        weights_full=w_full_v,
-        weights_static=ad.value_of(w_s),
-        weights_dynamic=ad.value_of(w_d),
-        p_dy=p_dy,
+        p_dy=dynamicness(w_full, ad.value_of(p_st)),
     )
 
 
@@ -157,27 +153,20 @@ def _encoded_samples(model: SceneModel, rays: RayBatch, grid: SampleGrid):
     return enc_x, model.glo_lookup(rays.t)
 
 
-def eval_fields_on_grid(model: SceneModel, rays: RayBatch, grid: SampleGrid):
-    """Evaluate both nets at every sample of every ray: (static_out,
-    dynamic_out) ready for render_full."""
-    b, n = len(rays), grid.n_samples
+def render_rays(model: SceneModel, rays: RayBatch, n_samples: int,
+                rng: np.random.Generator | None = None) -> RenderResult:
+    """Sample, evaluate both fields at every sample of every ray, and
+    composite one ray batch."""
+    b, n = len(rays), n_samples
+    grid = sample_along_ray(rays.near, rays.far, n, b, rng)
     enc_x, glo = _encoded_samples(model, rays, grid)
     # directions are constant along a ray too: encoded and taken per ray
     enc_d = encode_position(rays.dirs, model.config.dir_freqs)
     c_s, sigma_s, p_st = model.static_eval_encoded(enc_x, enc_d, n)
     c_d, sigma_d = model.dynamic_eval_encoded(enc_x, enc_d, glo, n)
-    static_out = (ad.reshape(c_s, (b, n, 3)), ad.reshape(sigma_s, (b, n)),
-                  ad.reshape(p_st, (b, n)))
-    dynamic_out = (ad.reshape(c_d, (b, n, 3)), ad.reshape(sigma_d, (b, n)))
-    return static_out, dynamic_out
-
-
-def render_rays(model: SceneModel, rays: RayBatch, n_samples: int,
-                rng: np.random.Generator | None = None) -> RenderResult:
-    """Sample, evaluate both fields, and composite one ray batch."""
-    grid = sample_along_ray(rays.near, rays.far, n_samples, len(rays), rng)
-    static_out, dynamic_out = eval_fields_on_grid(model, rays, grid)
-    return render_full(static_out, dynamic_out, grid)
+    return render_full((ad.reshape(c_s, (b, n, 3)), ad.reshape(sigma_s, (b, n)),
+                        ad.reshape(p_st, (b, n))),
+                       (ad.reshape(c_d, (b, n, 3)), ad.reshape(sigma_d, (b, n))), grid)
 
 
 def render_kappa(model: SceneModel, rays: RayBatch, grid: SampleGrid):
@@ -185,7 +174,5 @@ def render_kappa(model: SceneModel, rays: RayBatch, grid: SampleGrid):
     at the samples of ``grid``, one row of distances per ray."""
     _, sigma = model.dynamic_density(*_encoded_samples(model, rays, grid),
                                      grid.n_samples)
-    sigma_d = ad.reshape(sigma, (len(rays), grid.n_samples))
-    alpha = ad.sub(1.0, ad.exp(ad.mul(sigma_d, -grid.deltas)))
-    trans = ad.exclusive_cumprod(ad.sub(1.0, alpha), axis=-1)
-    return ad.sum_(ad.mul(ad.mul(trans, alpha), grid.dists), axis=-1)
+    _, weights = opacity(ad.reshape(sigma, (len(rays), grid.n_samples)), grid)
+    return ad.sum_(ad.mul(weights, grid.dists), axis=-1)

@@ -3,10 +3,11 @@
 The rotation part of a screw (omega, v) acts through the rotation
 exponential; the translation part goes through the companion matrix G.
 Both are expressed via three scalar coefficients of u = ||omega||^2 (see
-``autodiff.rot_coef_*``), so everything here works elementwise on batches
-and stays differentiable through zero rotation.
+``autodiff.rot_coef_*``), so the ray warp works elementwise on batches and
+stays differentiable through zero rotation.
 
-All functions accept plain ndarrays or graph Nodes and return the same kind.
+``warp_ray`` accepts plain ndarrays or graph Nodes and returns the same
+kind; the matrix and quaternion helpers take ndarrays.
 """
 
 from __future__ import annotations
@@ -29,26 +30,6 @@ def skew(w: np.ndarray) -> np.ndarray:
     ])
 
 
-def rotate_vec(omega, x):
-    """Apply exp([omega]x) to x. Batched over leading axes, last axis 3."""
-    u = ad.sum_(ad.mul(omega, omega), axis=-1, keepdims=True)
-    a = ad.rot_coef_a(u)
-    b = ad.rot_coef_b(u)
-    wx = ad.cross3(omega, x)
-    wwx = ad.cross3(omega, wx)
-    return ad.add(x, ad.add(ad.mul(a, wx), ad.mul(b, wwx)))
-
-
-def translate_vec(omega, v):
-    """Apply the companion translation matrix G(omega) to v."""
-    u = ad.sum_(ad.mul(omega, omega), axis=-1, keepdims=True)
-    b = ad.rot_coef_b(u)
-    c = ad.rot_coef_c(u)
-    wv = ad.cross3(omega, v)
-    wwv = ad.cross3(omega, wv)
-    return ad.add(v, ad.add(ad.mul(b, wv), ad.mul(c, wwv)))
-
-
 def exp_rotation(omega) -> np.ndarray:
     """3x3 rotation matrix for one axis-angle vector."""
     omega = np.asarray(omega, dtype=np.float64)
@@ -69,22 +50,25 @@ def translation_matrix(omega) -> np.ndarray:
     return np.eye(3) + b * k + c * (k @ k)
 
 
-def warp_ray(origin, direction, omega, v, pix_dirs=None):
+def warp_ray(origin, direction, omega, v):
     """Rigidly transform a ray: rotate origin and direction, shift origin.
 
-    origin'    = exp([omega]x) origin + G(omega) v
-    direction' = exp([omega]x) direction
+    origin'    = R origin + G v,  R = I + A [omega]x + B [omega]x^2
+    direction' = R direction,     G = I + B [omega]x + C [omega]x^2
 
-    A rotation keeps unit directions unit and zero screws return the inputs
-    exactly. ``pix_dirs`` (unit camera-z directions used for depth
-    unprojection), if given, are rotated the same way.
+    u = ||omega||^2 and its coefficients A, B, C are taken once per call and
+    shared by the three vectors. A rotation keeps unit directions unit and
+    zero screws return the inputs exactly.
     """
-    new_origin = ad.add(rotate_vec(omega, origin), translate_vec(omega, v))
-    new_dir = rotate_vec(omega, direction)
-    if pix_dirs is None:
-        return new_origin, new_dir
-    new_pix = rotate_vec(omega, pix_dirs)
-    return new_origin, new_dir, new_pix
+    u = ad.sum_(ad.mul(omega, omega), axis=-1, keepdims=True)
+    a, b, c = ad.rot_coef_a(u), ad.rot_coef_b(u), ad.rot_coef_c(u)
+
+    def turn(x, p, q):
+        """x + p [omega]x x + q [omega]x^2 x"""
+        wx = ad.cross3(omega, x)
+        return ad.add(x, ad.add(ad.mul(p, wx), ad.mul(q, ad.cross3(omega, wx))))
+
+    return ad.add(turn(origin, a, b), turn(v, b, c)), turn(direction, a, b)
 
 
 # ---------------------------------------------------------------------------

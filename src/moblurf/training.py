@@ -76,7 +76,8 @@ class Batch:
     targets: np.ndarray     # (B,3) blurry colors
     lg_count: int           # first lg_count rows carry geometry supervision
     neighbors: RayBatch | None   # (2K,) right then down neighbor rays
-    pdepth: np.ndarray | None    # (3,K) pseudo-depth at p, p+du, p+dv
+    pdist: np.ndarray | None     # (3,K) pseudo-depth at p, p+du, p+dv, as
+                                 # distances along the unit rays
 
 
 class Trainer:
@@ -108,11 +109,10 @@ class Trainer:
 
     # batching ---------------------------------------------------------------
 
-    def sample_batch(self, lg_fraction: float | None = None) -> Batch:
+    def sample_batch(self) -> Batch:
         cfg = self.config
         b = cfg.batch_size
-        frac = cfg.lg_fraction if lg_fraction is None else lg_fraction
-        k = int(round(b * frac))
+        k = int(round(b * cfg.lg_fraction))
         h, w = self._h, self._w
         n = self.dataset.n_frames
         t = self.rng.integers(0, n, size=b)
@@ -122,35 +122,37 @@ class Trainer:
         v[:k] = self.rng.integers(0, h - 1, size=k)
         u[k:] = self.rng.integers(0, w, size=b - k)
         v[k:] = self.rng.integers(0, h, size=b - k)
-        rays = self._input_rays(t, u, v)
+        rays, scale = self._input_rays(t, u, v)
         targets = self.dataset.blur[t, v, u]
         neighbors = None
-        pdepth = None
+        pdist = None
         if k:
             t3 = np.concatenate([t[:k], t[:k]])
             u3 = np.concatenate([u[:k] + 1, u[:k]])
             v3 = np.concatenate([v[:k], v[:k] + 1])
-            neighbors = self._input_rays(t3, u3, v3)
+            neighbors, nb_scale = self._input_rays(t3, u3, v3)
             pd = self.dataset.pseudo_depth
-            pdepth = np.stack([pd[t[:k], v[:k], u[:k]],
-                               pd[t[:k], v[:k], u[:k] + 1],
-                               pd[t[:k], v[:k] + 1, u[:k]]])
+            pdist = np.stack([pd[t[:k], v[:k], u[:k]] * scale[:k],
+                              pd[t[:k], v[:k], u[:k] + 1] * nb_scale[:k],
+                              pd[t[:k], v[:k] + 1, u[:k]] * nb_scale[k:]])
         return Batch(rays=rays, targets=targets, lg_count=k,
-                     neighbors=neighbors, pdepth=pdepth)
+                     neighbors=neighbors, pdist=pdist)
 
-    def _input_rays(self, t, u, v) -> RayBatch:
+    def _input_rays(self, t, u, v) -> tuple[RayBatch, np.ndarray]:
+        """The rays of pixels (u, v) of frames t from the corrupted poses,
+        and each ray's |pix_dir|: its distance per unit of camera depth,
+        which a rigid warp keeps."""
         ds = self.dataset
         b = len(t)
         origins = np.empty((b, 3))
         dirs = np.empty((b, 3))
-        pix = np.empty((b, 3))
+        scale = np.empty(b)
         uv = np.stack([u, v], axis=1)
         for ti in np.unique(t):
             rows = np.where(t == ti)[0]
             o, d, p = rays_for_pixels(ds.poses_corrupt[ti], uv[rows])
-            origins[rows], dirs[rows], pix[rows] = o, d, p
-        return RayBatch(origins, dirs, pix, t.astype(np.int64), uv,
-                        ds.near, ds.far)
+            origins[rows], dirs[rows], scale[rows] = o, d, np.linalg.norm(p, axis=1)
+        return RayBatch(origins, dirs, t.astype(np.int64), uv, ds.near, ds.far), scale
 
     # ray warping ------------------------------------------------------------
 
@@ -173,7 +175,7 @@ class Trainer:
             return None
         nb = self.warp_base(batch.neighbors)
         grid = sample_along_ray(nb.near, nb.far, self.config.n_samples, 2 * k, rng)
-        pdepth = batch.pdepth
+        pdist = batch.pdist
         keep = np.flatnonzero(supervise)
         m = len(keep)
         # with every pixel supervised (BRI-odd) the rows stay as they are
@@ -181,20 +183,18 @@ class Trainer:
             both = np.concatenate([keep, k + keep])
             nb, grid = nb.select(both), replace(grid, dists=grid.dists[both])
             base_rays, kappa_primary = base_rays.select(keep), ad.gather(kappa_primary, keep)
-            pdepth = pdepth[:, keep]
+            pdist = pdist[:, keep]
         kappa_n = render_kappa(self.model, nb, grid)
-        # origins, dirs, pix_dirs and kappa of the pixel, its right and its
-        # down neighbour
-        rows = [[ad.narrow(x, s, m, axis=0) for x in (r.origins, r.dirs, r.pix_dirs, kap)]
+        # origins, dirs and kappa of the pixel and its right and down neighbours
+        rows = [[ad.narrow(x, s, m, axis=0) for x in (r.origins, r.dirs, kap)]
                 for r, kap, s in ((base_rays, kappa_primary, 0), (nb, kappa_n, 0),
                                   (nb, kappa_n, m))]
-        # predicted side: metric ray distances along unit directions
+        # the rendered and the pseudo-depth distances along the same rays
         cr_pred, ok_pred = L.local_geometry_cross(
-            *[L.surface_points(o, d, kap) for o, d, _, kap in rows])
-        # pseudo-GT side: camera-z depths along unit-camera-z directions
+            *[L.surface_points(o, d, kap) for o, d, kap in rows])
         cr_true, ok_true = L.local_geometry_cross(
-            *[L.surface_points(ad.value_of(o), ad.value_of(p), depth)
-              for (o, _, p, _), depth in zip(rows, pdepth)])
+            *[L.surface_points(ad.value_of(o), ad.value_of(d), dist)
+              for (o, d, _), dist in zip(rows, pdist)])
         return L.lg_loss(cr_pred, ok_pred, cr_true, ok_true, n_pixels=k,
                          lam=self.config.lambda_lg)
 

@@ -24,7 +24,7 @@ def make_rays(n=6, seed=0, near=1.0, far=5.0):
     dirs = pix / np.linalg.norm(pix, axis=1, keepdims=True)
     t = rng.integers(0, 4, size=n)
     uv = rng.integers(0, 16, size=(n, 2))
-    return RayBatch(origins, dirs, pix, t, uv, near, far)
+    return RayBatch(origins, dirs, t, uv, near, far)
 
 
 class TestGmrp:

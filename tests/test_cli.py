@@ -150,6 +150,24 @@ class TestTrain:
         assert code == 1
 
 
+class TestUsage:
+    # argparse's own usage errors: a missing required flag, a bad choice
+    @pytest.mark.parametrize("args", [
+        ["train", "--out", "{tmp}/x"],
+        ["render", "--checkpoint", "{tmp}/a", "--dataset", "{tmp}/b",
+         "--out", "{tmp}/c", "--pose-source", "bogus"],
+    ])
+    def test_usage_errors_exit_1(self, tmp_path, args):
+        res = run_cli(*[a.format(tmp=tmp_path) for a in args])
+        assert res.returncode == 1, res.stderr
+        assert "error:" in res.stderr and "Traceback" not in res.stderr
+        assert list(tmp_path.iterdir()) == []
+
+    def test_help_exits_0(self):
+        res = run_cli("render", "--help")
+        assert res.returncode == 0 and "--pose-source" in res.stdout
+
+
 class TestRender:
     def test_eval_pose_render(self, tmp_path, dataset_dir, trained_dir):
         out = tmp_path / "frames"
@@ -283,6 +301,46 @@ class TestCorruptJson:
         res = run_cli("render", "--checkpoint", str(ckpt), "--dataset", str(dataset_dir),
                       "--out", str(tmp_path / "frames"))
         assert_clean_error(res, str(ckpt))
+
+    @pytest.mark.parametrize("case", ["no_groups", "unknown_config_key",
+                                      "negative_width", "missing_layer",
+                                      "trailing_bytes"])
+    def test_checkpoint_header_content(self, tmp_path, dataset_dir, trained_dir,
+                                       case):
+        raw = (trained_dir / "checkpoint_final.ckpt").read_bytes()
+        start = len(CHECKPOINT_MAGIC) + 4
+        end = start + int.from_bytes(raw[start - 4:start], "little")
+        header = json.loads(raw[start:end])
+        payload = raw[end:]
+        if case == "no_groups":
+            del header["groups"]
+        elif case == "unknown_config_key":
+            header["field_config"]["no_such_key"] = 1
+        elif case == "negative_width":
+            header["field_config"]["trunk_width"] = -3
+        elif case == "missing_layer":
+            # a consistent file without the static trunk's second layer
+            kept, blobs, at = [], [], 0
+            for spec in header["arrays"]:
+                n = 8 * int(np.prod(spec["shape"]))
+                if spec["name"] != "static.trunk.1.w":
+                    kept.append(spec)
+                    blobs.append(payload[at:at + n])
+                at += n
+            header["arrays"], payload = kept, b"".join(blobs)
+            del header["groups"]["static.trunk.1.w"]
+            del header["adam_t"]["static.trunk.1.w"]
+        else:
+            payload += bytes(8)
+        text = json.dumps(header).encode()
+        ckpt = tmp_path / "bad.ckpt"
+        ckpt.write_bytes(CHECKPOINT_MAGIC + len(text).to_bytes(4, "little") + text
+                         + payload)
+        res = run_cli("render", "--checkpoint", str(ckpt), "--dataset", str(dataset_dir),
+                      "--out", str(tmp_path / "frames"))
+        assert_clean_error(res, str(ckpt))
+        assert res.stderr.startswith(f"error: {ckpt}:"), res.stderr
+        assert not (tmp_path / "frames").exists()
 
     def test_corrupt_dataset_meta(self, tmp_path, dataset_dir):
         ds = tmp_path / "ds"

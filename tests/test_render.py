@@ -74,17 +74,16 @@ class TestComposite:
     def test_zero_density_renders_black(self):
         grid = make_grid()
         colors = np.random.default_rng(0).random((2, 4, 3))
-        color, weights, trans = composite(colors, np.zeros((2, 4)), grid)
+        color, weights = composite(colors, np.zeros((2, 4)), grid)
         assert np.all(color == 0)
         assert np.all(weights == 0)
-        assert np.all(trans == 1.0)
 
     def test_opaque_first_sample_dominates(self):
         grid = make_grid()
         colors = np.random.default_rng(1).random((1, 4, 3))
         sig = np.zeros((1, 4))
         sig[0, 0] = 30.0 / grid.deltas[0]  # sigma * delta = 30
-        color, _, _ = composite(colors, sig, grid)
+        color, _ = composite(colors, sig, grid)
         assert np.abs(color[0] - colors[0, 0]).max() < 1e-9
 
     def test_two_sample_hand_recurrence(self):
@@ -93,7 +92,7 @@ class TestComposite:
                           deltas=np.array([1.0, 1.0]))
         sig = np.array([[0.7, 0.7]])
         colors = np.array([[[1.0, 0.0, 0.5], [0.0, 1.0, 0.5]]])
-        color, weights, _ = composite(colors, sig, grid)
+        color, weights = composite(colors, sig, grid)
         a = 1 - np.exp(-0.7)
         w1, w2 = a, (1 - a) * a
         assert np.allclose(weights, [[w1, w2]])
@@ -103,7 +102,7 @@ class TestComposite:
         rng = np.random.default_rng(2)
         grid = make_grid(n=32, batch=8)
         sig = rng.random((8, 32)) * 5
-        _, weights, _ = composite(rng.random((8, 32, 3)), sig, grid)
+        _, weights = composite(rng.random((8, 32, 3)), sig, grid)
         t_end = np.exp(-(sig * grid.deltas).sum(axis=1))
         assert np.abs(weights.sum(axis=1) - (1.0 - t_end)).max() < 1e-12
         assert np.all(weights.sum(axis=1) <= 1.0 + 1e-9)
@@ -116,7 +115,7 @@ class TestComposite:
         sig[0, 1] = 800.0 / grid.deltas[1]
         colors = ad.Node(np.random.default_rng(3).random((2, 4, 3)))
         sigmas = ad.Node(sig)
-        color, _, _ = composite(colors, sigmas, grid)
+        color, _ = composite(colors, sigmas, grid)
         ad.backward(ad.sum_(color))
         assert np.all(np.isfinite(sigmas.grad)) and np.all(np.isfinite(colors.grad))
         assert np.all(colors.grad[0, 2:] == 0.0)  # hidden behind the opaque sample
@@ -153,7 +152,8 @@ class TestRenderFull:
             res = render_full((c_s, sig_s, p), (c_d, sig_d), grid)
             color, weights = brute_force_full(c_s, sig_s, p, c_d, sig_d, grid)
             assert np.abs(ad.value_of(res.color_full) - color).max() < 1e-12
-            assert np.abs(res.weights_full - weights).max() < 1e-12
+            # the full weights reach the result through the dynamicness
+            assert np.abs(res.p_dy - dynamicness(weights, p)).max() < 1e-12
 
     def test_kappa_star_within_bounds(self):
         rng = np.random.default_rng(6)
@@ -164,7 +164,7 @@ class TestRenderFull:
         kappa = ad.value_of(res.kappa_star)
         assert np.all(kappa >= 0) and np.all(kappa <= 7.0)
         # normalizing by accumulated weight puts the expectation in bounds
-        wsum = res.weights_dynamic.sum(axis=1)
+        wsum = composite(c_d, sig_d, grid)[1].sum(axis=1)
         assert np.all(kappa / wsum >= 2.0 - 1e-9)
         assert np.all(kappa / wsum <= 7.0 + 1e-9)
 

@@ -88,10 +88,15 @@ class TestBlurSynthesis:
         assert np.array_equal(blurry, sharp)
 
     def test_blurry_is_exact_mean_of_subframes(self):
+        # the 9 sub-frames of the default window, 1/8 of a frame apart
         scene = moving_quad_scene()
-        blurry, subframes = synth_blurry_frame(scene, 7, return_subframes=True)
-        assert len(subframes) == 9
+        t = 7
+        taus = [scene.frame_tau(t) + k * scene.frame_delta() / 8 for k in range(-4, 5)]
+        subframes = [render_sharp(scene, scene.pose_fn(tau), tau)[0] for tau in taus]
+        blurry = synth_blurry_frame(scene, t)
         assert np.abs(blurry - np.mean(subframes, axis=0)).max() < 1e-15
+        # the quad moves within the window, so the mean is not the centre frame
+        assert np.abs(blurry - subframes[4]).max() > 0.1
 
     def test_streak_length_matches_box_filter_prediction(self):
         # bright quad at uniform velocity on a dark background: the blurred

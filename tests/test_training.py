@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 
 from moblurf import autodiff as ad
-from moblurf import blur, training
+from moblurf import blur, se3, training
 from moblurf import losses as L
+from moblurf.cameras import rays_for_pixels
 from moblurf.config import resolve_config
 from moblurf.data import synthesize_dataset
 from moblurf.fields import load_checkpoint, save_checkpoint
@@ -159,14 +160,14 @@ def lg_terms_every_neighbour(self, batch, kappa_primary, supervise, base_rays, r
     nb = self.warp_base(batch.neighbors)
     kappa_n = training.render_kappa(self.model, nb, sample_along_ray(
         nb.near, nb.far, self.config.n_samples, 2 * k, rng))
-    rows = [[ad.narrow(x, s, k, axis=0) for x in (r.origins, r.dirs, r.pix_dirs, kap)]
+    rows = [[ad.narrow(x, s, k, axis=0) for x in (r.origins, r.dirs, kap)]
             for r, kap, s in ((base_rays, kappa_primary, 0), (nb, kappa_n, 0),
                               (nb, kappa_n, k))]
     cr_pred, ok_pred = L.local_geometry_cross(
-        *[L.surface_points(o, d, kap) for o, d, _, kap in rows])
+        *[L.surface_points(o, d, kap) for o, d, kap in rows])
     cr_true, ok_true = L.local_geometry_cross(
-        *[L.surface_points(ad.value_of(o), ad.value_of(p), depth)
-          for (o, _, p, _), depth in zip(rows, batch.pdepth)])
+        *[L.surface_points(ad.value_of(o), ad.value_of(d), dist)
+          for (o, d, _), dist in zip(rows, batch.pdist)])
     return L.lg_loss(cr_pred, ok_pred & supervise, cr_true, ok_true, n_pixels=k,
                      lam=self.config.lambda_lg)
 
@@ -221,6 +222,35 @@ class TestLocalGeometrySubset:
         assert (loss, after) == (ref[0], ref[2])
         for name, g in ref[1].items():
             assert np.array_equal(grads[name], g), name
+
+
+def test_pseudo_depth_is_a_distance_along_the_unit_rays(tiny_dataset):
+    # a pixel at camera depth D lies at origin + D * pix_dir; the batch gives
+    # it as a distance along the unit ray, which stays right through a warp
+    tr = tiny_trainer(tiny_dataset)
+    ds = tr.dataset
+    batch = tr.sample_batch()
+    k = batch.lg_count
+    t, (u, v) = batch.rays.t[:k], batch.rays.uv[:k].T
+    pixels = [(u, v), (u + 1, v), (u, v + 1)]
+    rays = [batch.rays.select(np.arange(k)),
+            batch.neighbors.select(np.arange(k)),
+            batch.neighbors.select(np.arange(k, 2 * k))]
+    screws = np.random.default_rng(4).normal(0.0, 0.1, size=(ds.n_frames, 6))
+    for (pu, pv), r, dist in zip(pixels, rays, batch.pdist):
+        for i in range(k):
+            pose = ds.poses_corrupt[t[i]]
+            o, _, pix = rays_for_pixels(pose, np.array([[pu[i], pv[i]]]))
+            point = o[0] + ds.pseudo_depth[t[i], pv[i], pu[i]] * pix[0]
+            assert np.allclose(r.origins[i] + dist[i] * r.dirs[i], point,
+                               rtol=0, atol=1e-12)
+        w = r.warp(screws[t, :3], screws[t, 3:])
+        for i in range(k):
+            omega, shift = screws[t[i], :3], screws[t[i], 3:]
+            moved = (se3.exp_rotation(omega) @ (r.origins[i] + dist[i] * r.dirs[i])
+                     + se3.translation_matrix(omega) @ shift)
+            assert np.allclose(w.origins[i] + dist[i] * w.dirs[i], moved,
+                               rtol=0, atol=1e-12)
 
 
 def test_desk_mdd_step_gradients_match_allocating_backward(monkeypatch):
