@@ -9,22 +9,24 @@ what depends on nothing but them and on data builds no graph; inference
 freezes every group and builds none at all.
 
 Ops are as coarse as the hot path needs: :func:`mlp` is a whole fully
-connected stack (matmuls, biases and activations) in one node, evaluated in
-cache-sized row blocks, so a field network costs one node and one backward
-visit.
+connected stack (matmuls, biases and activations), with the heads that read
+its last layer, in one node, evaluated in cache-sized row blocks, so a
+field costs one node and one backward visit.
 
 A vector-Jacobian product may return a view of the incoming gradient
-(``add``, ``reshape``, ``concat``, ``narrow``), so :func:`backward` writes
-into a gradient array only when it owns it: when it allocated the array to
-sum two contributions, or when an ``mlp`` vjp returned it (those are always
-fresh). Every later contribution is added into an owned array in place, an
-``mlp``'s input gradient block by block; any other array is never mutated,
-and the first sum into it allocates.
+(``add``, ``reshape``, ``concat``), so :func:`backward` writes into a
+gradient array only when it owns it: when it allocated the array to sum two
+contributions, or when an ``mlp`` or ``narrow`` vjp returned it (those are
+always fresh). Every later contribution is added into an owned array in
+place, an ``mlp``'s input gradient block by block and a ``narrow``'s into
+its slice; any other array is never mutated, and the first sum into it
+allocates.
 """
 
 from __future__ import annotations
 
 import ctypes
+import math
 
 import numpy as np
 
@@ -168,17 +170,162 @@ def _softplus_slope(z):
     return 1.0 / (1.0 + np.exp(-np.clip(z, -500, 500)))
 
 
-def _times_t(g, w, out=None):
-    """``g @ w.T``. With one column in ``w`` each entry is one product, so
-    a broadcast multiply gives the same bits without a BLAS call of inner
-    dimension 1."""
-    if w.shape[1] == 1:
-        return np.multiply(g, w.T, out=out)
-    return np.matmul(g, w.T, out=out)
+class _Stack:
+    """One fully connected stack of :func:`mlp`, the trunk or a head: its
+    weights and biases, its optional per-ray operand, and, once
+    :meth:`allocate` has run, the arrays its layers write. ``operands`` are
+    its w0, b0, w1, b1, ... and then its u, if it has one; ``width`` is
+    its input's width (``self.width`` its output's) and ``n`` the rows';
+    ``acted_out`` says whether the activation follows the output layer
+    too."""
+
+    def __init__(self, name: str, layers, u, k: int, width: int, n: int,
+                 relu: bool, acted_out: bool):
+        self.n, self.relu = n, relu
+        self.acted = [True] * (len(layers) - 1) + [acted_out]
+        self.ws = [value_of(w) for w, _ in layers]
+        self.bs = [value_of(b) for _, b in layers]
+        self.operands = [p for pair in layers for p in pair]
+        self.uv = None if u is None else value_of(u)
+        self.k = 1
+        fan_in = width
+        if self.uv is not None:
+            if self.uv.ndim != 2 or k < 1 or self.uv.shape[0] * k != n:
+                raise ShapeMismatch(f"{name}: per-ray u of shape {self.uv.shape} with "
+                                    f"{k} rows per ray does not cover {n} rows")
+            self.operands.append(u)
+            self.k = k
+            width += self.uv.shape[1]
+        for i, (wv, bv) in enumerate(zip(self.ws, self.bs)):
+            if wv.ndim != 2 or wv.shape[0] != width or bv.shape != wv.shape[1:]:
+                raise ShapeMismatch(f"{name}: layer {i}: ({n}, {width}) @ {wv.shape} "
+                                    f"+ {bv.shape} do not conform")
+            width = wv.shape[1]
+        self.width = width
+        # wins[i] is the part of layer i's weight that meets the input rows
+        self.wins = list(self.ws)
+        if self.uv is not None:
+            self.wins[0], self.w_u = np.split(self.ws[0], [fan_in])
+            self.per_ray = self.uv @ self.w_u
+            self.per_ray += self.bs[0]
+
+    def allocate(self, graph: bool, span: int, out_rows: int) -> None:
+        """Allocate the layers' outputs: over all rows with a graph, whose
+        gradient reads them, else over one block of ``span`` rows; the
+        output layer over ``out_rows``."""
+        self.span, last = span, len(self.ws) - 1
+        # post[i] is layer i's output, pre[i] its pre-activation where the
+        # softplus gradient needs it, else the same array
+        self.post = [np.empty((out_rows if i == last else self.n if graph else span,
+                               w.shape[1])) for i, w in enumerate(self.ws)]
+        self.pre = [np.empty_like(h) if graph and self.acted[i] and not self.relu
+                    else h for i, h in enumerate(self.post)]
+        # each bias as a block of rows: a contiguous add instead of a
+        # broadcast one, with the same bits; the per-ray first layer adds its
+        # own
+        self.tiles = [None if i == 0 and self.uv is not None else np.tile(b, (span, 1))
+                      for i, b in enumerate(self.bs)]
+
+    def forward(self, h, lo: int, hi: int):
+        """Rows ``lo:hi`` through every layer; ``h`` is their input."""
+        for i, wv in enumerate(self.wins):
+            rows = slice(lo, hi) if len(self.post[i]) == self.n else slice(hi - lo)
+            z, out = self.pre[i][rows], self.post[i][rows]
+            np.matmul(h, wv, out=z)
+            if self.tiles[i] is None:
+                by_ray = z.reshape(-1, self.k, z.shape[1])     # a view of z
+                by_ray += self.per_ray[lo // self.k:hi // self.k, None]
+            else:
+                z += self.tiles[i][:hi - lo]
+            if self.acted[i]:
+                if self.relu:
+                    np.maximum(z, 0.0, out=out)
+                else:
+                    out[...] = _softplus(z)
+            h = out
+        return h
+
+    def begin_gradients(self, want_in: bool, want: list) -> bool:
+        """Zeroed sums for the gradients of the operands that ``want`` marks;
+        ``want_in`` marks the input. False when none is wanted."""
+        if not (want_in or any(want)):
+            self.lowest = None
+            return False
+        # the gradient goes down to the lowest layer with a wanted operand
+        self.lowest = (0 if want_in or self.uv is not None and want[-1]
+                       else want.index(True) // 2)
+        self.dws = [np.zeros_like(w) if t else None for w, t in zip(self.ws, want[::2])]
+        self.dbs = [np.zeros_like(b) if t else None for b, t in zip(self.bs, want[1::2])]
+        # the rows of each dw that the input rows reach, as views
+        self.dwins = [d if d is None else d[:len(w)] for d, w in zip(self.dws, self.wins)]
+        # the first layer's gradient summed over each ray's rows
+        self.d_ray = (np.empty((len(self.uv), self.ws[0].shape[1]))
+                      if self.uv is not None and self.lowest == 0 else None)
+        # a block's bias gradient is a product with ones: one BLAS call, where
+        # a NumPy sum over the rows loops over them one at a time
+        self.ones = np.ones(self.span)
+        # each weight transposed for g @ w.T; a one-column weight as its row
+        # tiled to a block: each entry of the product is one product then,
+        # and a multiply by the tile gives its bits without a BLAS call of
+        # inner dimension 1 or a broadcast multiply's short inner loops
+        self.wts = [np.tile(w.T, (self.span, 1)) if w.shape[1] == 1 else w.T
+                    for w in self.wins]
+        return True
+
+    def _times_t(self, i: int, g, out=None):
+        """``g @ wins[i].T`` (see :meth:`begin_gradients`)."""
+        if self.wins[i].shape[1] == 1:
+            return np.multiply(self.wts[i][:len(g)], g, out=out)
+        return np.matmul(g, self.wts[i], out=out)
+
+    def backward(self, gz, owned: bool, lo: int, hi: int, h_in, d_in=None,
+                 scratch=None) -> None:
+        """Walk ``gz``, the gradient of rows ``lo:hi`` of the output, back
+        through the layers, whose input rows are ``h_in``, and add to the
+        sums; ``owned`` says ``gz`` may be written. With ``d_in``, the rows'
+        input gradient is written into it, or, with ``scratch``, made there
+        and then added in."""
+        relu, k = self.relu, self.k
+        for i in range(len(self.ws) - 1, self.lowest - 1, -1):
+            if self.acted[i]:
+                slope = (self.post[i][lo:hi] > 0 if relu
+                         else _softplus_slope(self.pre[i][lo:hi]))
+                if owned:
+                    gz *= slope
+                else:
+                    gz, owned = gz * slope, True
+            if self.dwins[i] is not None:
+                self.dwins[i] += (h_in if i == 0 else self.post[i - 1][lo:hi]).T @ gz
+            if i == 0 and self.d_ray is not None:
+                self.d_ray[lo // k:hi // k] = gz.reshape(-1, k, gz.shape[1]).sum(axis=1)
+            elif self.dbs[i] is not None:
+                self.dbs[i] += self.ones[:len(gz)] @ gz
+            if i > self.lowest:
+                gz, owned = self._times_t(i, gz), True
+            elif scratch is not None:
+                d_in += self._times_t(0, gz, scratch)
+            elif d_in is not None:
+                self._times_t(0, gz, d_in)
+
+    def gradients(self, want: list) -> list:
+        """The gradients of the operands, in order, None where not wanted;
+        the layers' outputs are dropped."""
+        self.post = self.pre = None
+        if self.lowest is None:
+            return [None] * len(self.operands)
+        if self.d_ray is not None:
+            if self.dws[0] is not None:
+                self.dws[0][len(self.wins[0]):] = self.uv.T @ self.d_ray
+            if self.dbs[0] is not None:
+                self.dbs[0] += self.d_ray.sum(axis=0)
+        grads = [d for pair in zip(self.dws, self.dbs) for d in pair]
+        if self.uv is not None:
+            grads.append(self.d_ray @ self.w_u.T if want[-1] else None)
+        return grads
 
 
 def mlp(x, layers, activation: str, activate_output: bool = False,
-        u=None, k: int = 1):
+        u=None, k: int = 1, heads=()):
     """Fully connected stack over the rows of ``x``: layer i of ``layers``,
     a ``(w, b)`` pair, computes ``h @ w + b``, and ``activation`` ("relu"
     or "softplus") follows every layer but the last, and the last too with
@@ -191,146 +338,102 @@ def mlp(x, layers, activation: str, activate_output: bool = False,
     ``x @ w_x + repeat(u @ w_u + b, k)``: the per-ray part runs once per ray.
     Only the order of the first layer's sum differs from the joined input.
 
-    The layers run in blocks of about :data:`BLOCK` rows of whole rays,
-    each block through all of them, the output layer too, while it stays in
-    cache; each bias is added from a block of copies of it. Every product
-    is one block's, so a row's bits do not depend on how many rows share
-    the call. They may differ in the last place from one product over all
+    ``heads`` are further stacks, each a ``(layers, u, k)`` triple as above,
+    that read the stack's last layer as their input, with ``activation``
+    between their layers and none after the last. With heads the node's
+    value is their outputs side by side, in order; the stack's own last
+    layer is hidden.
+
+    The layers run in blocks of about :data:`BLOCK` rows of whole rays of
+    every ``k``, each block through all of them, the heads and the output
+    layers too, while it stays in cache; each bias is added from a block of
+    copies of it. Every product is one block's and one stack's, so a row's
+    bits do not depend on how many rows share the call, or on the stacks
+    beside it. They may differ in the last place from one product over all
     rows: OpenBLAS multiplies small products (under about 10^6
     multiply-adds) with another kernel, which rounds some widths, such as
     an RGB head's 3 columns, differently.
 
-    The gradient walks the same blocks back through the layers and makes
-    the gradients of all Node operands in one pass, on the first parent's
-    visit; dx is bit-identical to one layer at a time, dw and db are summed
-    block by block; with ``u``, the first layer's gradient is summed over
-    each ray's rows, and ``u``, ``w_u`` and the first bias take theirs from
-    those per-ray sums. The node then drops its hidden activations, so one
-    backward pass can run through it. Without a Node operand, every hidden
-    layer lives in one block-sized buffer; only the output spans all rows.
+    The gradient walks the same blocks back, through each head and then
+    through the stack, and makes the gradients of all Node operands in one
+    pass, on the first parent's visit. The heads' gradients of the stack's
+    output are summed in a block-sized buffer in their order, each product
+    made in a scratch block and added, as separate nodes' vjps would be
+    summed; the input gradient is bit-identical to one layer at a time,
+    dw and db are summed block by block, each block's db a product with a
+    ones vector; with ``u``, the first layer's
+    gradient is summed over each ray's rows, and ``u``, ``w_u`` and the
+    first bias take theirs from those per-ray sums. The node then drops its
+    hidden activations, so one backward pass can run through it. Without a
+    Node operand every hidden layer lives in one block-sized buffer; only
+    the value spans all rows.
     """
     xv = value_of(x)
-    ws = [value_of(w) for w, _ in layers]
-    bs = [value_of(b) for _, b in layers]
     if xv.ndim != 2:
         raise ShapeMismatch(f"mlp: x must be rows of features, got shape {xv.shape}")
-    n, width = xv.shape
-    uv = None if u is None else value_of(u)
-    if uv is not None:
-        if uv.ndim != 2 or k < 1 or uv.shape[0] * k != n:
-            raise ShapeMismatch(f"mlp: per-ray u of shape {uv.shape} with {k} rows "
-                                f"per ray does not cover {n} rows")
-        width += uv.shape[1]
-    for i, (wv, bv) in enumerate(zip(ws, bs)):
-        if wv.ndim != 2 or wv.shape[0] != width or bv.shape != wv.shape[1:]:
-            raise ShapeMismatch(f"mlp: layer {i}: ({n}, {width}) @ {wv.shape} "
-                                f"+ {bv.shape} do not conform")
-        width = wv.shape[1]
     if activation not in ("relu", "softplus"):
         raise ValueError(f"unknown activation {activation!r}")
-    relu = activation == "relu"
-    operands = [x, *(p for pair in layers for p in pair)]
-    # wins[i] is the part of layer i's weight that meets x's rows
-    wins = list(ws)
-    if uv is None:
-        k = 1
-    else:
-        operands.append(u)
-        wins[0], w_u = np.split(ws[0], [xv.shape[1]])
-        per_ray = uv @ w_u
-        per_ray += bs[0]
+    n, relu = len(xv), activation == "relu"
+    trunk = _Stack("mlp", layers, u, k, xv.shape[1], n, relu, activate_output)
+    heads = [_Stack(f"mlp: head {j}", *head, trunk.width, n, relu, False)
+             for j, head in enumerate(heads)]
+    stacks = [trunk, *heads]
+    operands = [x, *(p for s in stacks for p in s.operands)]
     graph = any(isinstance(p, Node) for p in operands)
-    last = len(layers) - 1
-    blocks = _row_blocks(n, k)
-    acted = [True] * last + [activate_output]
-
-    # post[i] is layer i's output, pre[i] its pre-activation where the
-    # softplus gradient needs it, else the same array. What the gradient
-    # reads is kept over all rows; without a graph a hidden layer's rows live
-    # only while their block goes through the stack
+    blocks = _row_blocks(n, math.lcm(*(s.k for s in stacks)))
     span = max((hi - lo for lo, hi in blocks), default=0)
-    post = [np.empty((n if graph or i == last else span, ws[i].shape[1]))
-            for i in range(last + 1)]
-    pre = [np.empty_like(h) if graph and acted[i] and not relu else h
-           for i, h in enumerate(post)]
-    # each bias as a block of rows: a contiguous add instead of a broadcast
-    # one, with the same bits; the per-ray first layer adds its own
-    tiles = [None if i == 0 and uv is not None else np.tile(b, (span, 1))
-             for i, b in enumerate(bs)]
-
-    def dense(i, h, lo, hi):
-        rows = slice(lo, hi) if len(post[i]) == n else slice(hi - lo)
-        z, out = pre[i][rows], post[i][rows]
-        np.matmul(h, wins[i], out=z)
-        if tiles[i] is None:
-            by_ray = z.reshape(-1, k, z.shape[1])     # a view of z
-            by_ray += per_ray[lo // k:hi // k, None]
-        else:
-            z += tiles[i][:hi - lo]
-        if acted[i]:
-            if relu:
-                np.maximum(z, 0.0, out=out)
-            else:
-                out[...] = _softplus(z)
-        return out
+    # a head's output layer is copied into the value block by block
+    trunk.allocate(graph, span, n if graph or not heads else span)
+    for head in heads:
+        head.allocate(graph, span, span)
+    # the heads' columns of the value
+    ends = np.cumsum([0] + [h.width for h in heads])
+    cols = [slice(a, b) for a, b in zip(ends[:-1], ends[1:])]
+    value = np.empty((n, ends[-1])) if heads else trunk.post[-1]
 
     for lo, hi in blocks:
-        h = xv[lo:hi]
-        for i in range(last + 1):
-            h = dense(i, h, lo, hi)
+        h = trunk.forward(xv[lo:hi], lo, hi)
+        for head, c in zip(heads, cols):
+            value[lo:hi, c] = head.forward(h, lo, hi)
+    # what only the forward reads is not kept for the gradient
+    for s in stacks:
+        s.tiles = s.per_ray = None
 
     def gradients(g, into):
         """Gradient of every Node operand, in ``operands`` order; x's is
         added into ``into`` when that is given."""
         want = [isinstance(p, Node) for p in operands]
-        # operands are x, w0, b0, w1, b1, ... and u: the gradient goes down
-        # to the lowest layer with a Node operand
-        lowest = (0 if uv is not None and want[-1]
-                  else max(want.index(True) - 1, 0) // 2)
+        at = np.cumsum([1] + [len(s.operands) for s in stacks])
+        wants = [want[a:b] for a, b in zip(at[:-1], at[1:])]
+        deep = trunk.begin_gradients(want[0], wants[0])
+        heads_on = [h.begin_gradients(deep, w) for h, w in zip(heads, wants[1:])]
         dx = (np.empty(xv.shape) if into is None else into) if want[0] else None
         # with ``into``, each block's product is made here, then added in
         scratch = None if into is None else np.empty((span, xv.shape[1]))
-        dws = [np.zeros_like(w) if t else None for w, t in zip(ws, want[1::2])]
-        dbs = [np.zeros_like(b) if t else None for b, t in zip(bs, want[2::2])]
-        # the rows of each dw that x's rows reach, as views
-        dwins = [d if d is None else d[:len(w)] for d, w in zip(dws, wins)]
-        # the first layer's gradient summed over each ray's rows
-        d_ray = (np.empty((len(uv), ws[0].shape[1]))
-                 if uv is not None and lowest == 0 else None)
+        # a block of the stack's output gradient, the scratch its sums use,
+        # and each head's output gradient, copied out of g's columns
+        g_out = np.empty((span, trunk.width)) if heads and deep else None
+        g_sum = np.empty_like(g_out) if len(heads) > 1 and deep else None
+        g_heads = [np.empty((span, h.width)) for h in heads]
         for lo, hi in blocks:
-            # g's rows until a product makes a block this node owns
-            gz, owned = g[lo:hi], False
-            for i in range(last, lowest - 1, -1):
-                if acted[i]:
-                    slope = (post[i][lo:hi] > 0 if relu
-                             else _softplus_slope(pre[i][lo:hi]))
-                    if owned:
-                        gz *= slope
-                    else:
-                        gz, owned = gz * slope, True
-                if dwins[i] is not None:
-                    dwins[i] += (xv[lo:hi] if i == 0 else post[i - 1][lo:hi]).T @ gz
-                if i == 0 and d_ray is not None:
-                    d_ray[lo // k:hi // k] = gz.reshape(-1, k, gz.shape[1]).sum(axis=1)
-                elif dbs[i] is not None:
-                    dbs[i] += gz.sum(axis=0)
-                if i > lowest:
-                    gz, owned = _times_t(gz, wins[i]), True
-                elif scratch is not None:
-                    dx[lo:hi] += _times_t(gz, wins[0], out=scratch[:hi - lo])
-                elif dx is not None:
-                    _times_t(gz, wins[0], out=dx[lo:hi])
-        grads = [dx, *(d for pair in zip(dws, dbs) for d in pair)]
-        if d_ray is not None:
-            if dws[0] is not None:
-                dws[0][len(wins[0]):] = uv.T @ d_ray
-            if dbs[0] is not None:
-                dbs[0] += d_ray.sum(axis=0)
-            grads.append(d_ray @ w_u.T if want[-1] else None)
+            m = hi - lo
+            if heads:
+                d_in = None if g_out is None else g_out[:m]
+                for j, (head, c) in enumerate(zip(heads, cols)):
+                    if heads_on[j]:
+                        gz = g_heads[j][:m]
+                        gz[...] = g[lo:hi, c]
+                        head.backward(gz, True, lo, hi, trunk.post[-1][lo:hi], d_in,
+                                      g_sum[:m] if j and d_in is not None else None)
+                gz, owned = d_in, True
+            else:
+                gz, owned = g[lo:hi], False
+            if deep:
+                trunk.backward(gz, owned, lo, hi, xv[lo:hi],
+                               None if dx is None else dx[lo:hi],
+                               None if scratch is None else scratch[:m])
         # the node's one visit is over: its activations go with it
-        post.clear()
-        pre.clear()
-        return grads
+        return [dx, *(d for s, w in zip(stacks, wants) for d in s.gradients(w))]
 
     # the gradients are made once per backward visit and handed out one
     # parent at a time; once the last parent has its own, nothing is kept
@@ -352,7 +455,7 @@ def mlp(x, layers, activation: str, activate_output: bool = False,
         pull.fresh = True   # see backward
         return pull
 
-    return _make(post[last], [(p, vjp(j)) for j, p in enumerate(operands)])
+    return _make(value, [(p, vjp(j)) for j, p in enumerate(operands)])
 
 
 # ---------------------------------------------------------------------------
@@ -466,11 +569,17 @@ def narrow(a, start, length, axis=0):
                for i in range(av.ndim))
     ov = av[sl]
 
-    def vjp(g):
-        full = np.zeros_like(av)
-        full[sl] = g
-        return full
+    def vjp(g, into=None):
+        """A fresh zero-padded gradient; with ``into``, an array that
+        backward owns, ``g`` added into its slice."""
+        if into is None:
+            into = np.zeros_like(av)
+            into[sl] = g
+        else:
+            into[sl] += g
+        return into
 
+    vjp.fresh = True    # see backward
     return _make(ov, [(a, vjp)])
 
 
@@ -648,11 +757,13 @@ def backward(root: Node):
     parameter leaves (``ParamStore.leaf``) among them, keep theirs.
 
     A node owns its gradient array for this pass when backward allocated it,
-    summing two contributions, or an ``mlp`` vjp returned it. Later
-    contributions are added into an owned array in place (an ``mlp`` vjp
-    adds its input gradient into it block by block); an array that is not
-    owned may be a view of another node's gradient and is never written to.
-    Sums run in the same order either way, so the bits do not depend on it.
+    summing two contributions, or an ``mlp`` or ``narrow`` vjp returned it.
+    Later contributions are added into an owned array in place (an ``mlp``
+    vjp adds its input gradient into it block by block, a ``narrow`` vjp
+    into its slice alone, where a sum would add zeros); an array that is
+    not owned may be a view of another node's gradient and is never written
+    to. Sums run in the same order either way, so the bits do not depend on
+    it, but for the sign of a zero.
     """
     if not isinstance(root, Node):
         raise TypeError("backward expects a Node")

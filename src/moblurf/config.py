@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 import platform
 import time
 from dataclasses import dataclass, asdict, fields
@@ -12,6 +13,11 @@ from .fields import FieldConfig
 
 class ConfigError(ValueError):
     pass
+
+
+# what a value of each annotated type must be
+_KINDS = {"int": "an integer", "float": "a finite number", "bool": "true or false",
+          "str": "a string"}
 
 
 @dataclass
@@ -48,13 +54,37 @@ class TrainConfig:
     debug_freeze_check: bool = False
 
     def __post_init__(self):
-        for name in ("bri_iters", "mdd_iters", "batch_size", "n_samples"):
+        """Every value checked before any work: the type its field is
+        annotated with (a bool is not an int, a float is not an int, an int
+        is a float), then its range; the architecture's by
+        :class:`FieldConfig`."""
+        for f in fields(self):
+            v = getattr(self, f.name)
+            number = isinstance(v, (int, float)) and not isinstance(v, bool)
+            ok = {"int": number and isinstance(v, int),
+                  "float": number and math.isfinite(v),
+                  "bool": isinstance(v, bool), "str": isinstance(v, str)}[f.type]
+            if not ok:
+                raise ConfigError(f"{f.name} must be {_KINDS[f.type]}, got {v!r}")
+        for name in ("bri_iters", "mdd_iters", "batch_size", "n_samples", "log_every"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be positive")
-        if self.n_latent < 0:
-            raise ConfigError("n_latent must be >= 0")
+        if self.seed < 0:
+            raise ConfigError("seed must be >= 0")
+        for name in ("screw_lr_start", "screw_lr_end", "mlp_lr_start", "mlp_lr_end"):
+            if getattr(self, name) <= 0:
+                raise ConfigError(f"{name} must be positive")
+        for name in ("lambda_sm", "lambda_lg"):
+            if getattr(self, name) < 0:
+                raise ConfigError(f"{name} must be >= 0")
         if not 0.0 <= self.lg_fraction <= 1.0:
             raise ConfigError("lg_fraction must lie in [0, 1]")
+        if not 0.0 < self.checkpoint_fraction <= 1.0:
+            raise ConfigError("checkpoint_fraction must lie in (0, 1]")
+        try:
+            self.field_config(1)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
 
     def field_config(self, n_frames: int) -> FieldConfig:
         return FieldConfig(n_frames=n_frames, **{

@@ -2,8 +2,10 @@
 
 Houses the static net (color, density, staticness probability), the dynamic
 net (time-conditioned color and density), the local object-motion MLP, the
-per-frame GLO codes, and the screw-axis embedding tables. Everything lives
-in one ParamStore under these groups:
+per-frame GLO codes, and the screw-axis embedding tables. Each net is one
+:func:`autodiff.mlp` node: its trunk carries its heads, which run inside
+the trunk's row blocks (:meth:`Mlp.with_heads`). Everything lives in one
+ParamStore under these groups:
 
   static      static net weights
   dynamic     dynamic net weights + GLO codes
@@ -55,12 +57,11 @@ class FieldConfig:
 
     def __post_init__(self):
         for name, v in asdict(self).items():
-            if name in ("n_latent", "activation"):
+            if name == "activation":
                 continue
-            if v < 1:
-                raise ValueError(f"{name} must be a positive integer, got {v}")
-        if self.n_latent < 0:
-            raise ValueError("n_latent must be >= 0")
+            least = 0 if name == "n_latent" else 1
+            if not isinstance(v, int) or isinstance(v, bool) or v < least:
+                raise ValueError(f"{name} must be an integer >= {least}, got {v!r}")
         if self.activation not in ("relu", "softplus"):
             raise ValueError(f"unknown activation {self.activation!r}")
 
@@ -168,9 +169,11 @@ class Mlp:
     ("relu" or "softplus") between layers and, with ``activate_output``,
     after the last one too."""
 
-    # no per-ray operand until :meth:`per_ray` binds one
+    # no per-ray operand until :meth:`per_ray` binds one, no heads until
+    # :meth:`with_heads` does
     u = None
     k = 1
+    heads = ()
 
     def __init__(self, store: ParamStore, prefix: str, activation: str,
                  activate_output: bool = False):
@@ -192,11 +195,23 @@ class Mlp:
         bound.u, bound.k = u, k
         return bound
 
-    def __call__(self, x):
+    def with_heads(self, *heads: "Mlp") -> "Mlp":
+        """This stack with ``heads`` reading its last layer inside its node,
+        each with its own per-ray binding, this stack's activation and a
+        linear output: the call returns their outputs side by side (see
+        :func:`autodiff.mlp`). A new binding, as with :meth:`per_ray`."""
+        bound = copy.copy(self)
+        bound.heads = heads
+        return bound
+
+    def layers(self) -> list:
+        """The ``(w, b)`` pairs, as the store's leaves for this step."""
         leaf, p = self.store.leaf, self.prefix
-        return ad.mlp(x, [(leaf(f"{p}.{i}.w"), leaf(f"{p}.{i}.b"))
-                          for i in range(self.n_layers)],
-                      self.activation, self.activate_output, self.u, self.k)
+        return [(leaf(f"{p}.{i}.w"), leaf(f"{p}.{i}.b")) for i in range(self.n_layers)]
+
+    def __call__(self, x):
+        return ad.mlp(x, self.layers(), self.activation, self.activate_output,
+                      self.u, self.k, [(h.layers(), h.u, h.k) for h in self.heads])
 
 
 class SceneModel:
@@ -254,7 +269,8 @@ class SceneModel:
 
     def _bind(self):
         act = self.config.activation
-        # the trunks end in the activation, inside their node
+        # the trunks end in the activation, inside their node, and carry
+        # their heads there (see the field evaluations below)
         self.static_trunk = Mlp(self.store, "static.trunk", act, activate_output=True)
         self.static_sigma = Mlp(self.store, "static.sigma", act)
         self.static_rgb = Mlp(self.store, "static.rgb", act)
@@ -269,27 +285,30 @@ class SceneModel:
     def static_eval_encoded(self, enc_x, enc_d, k: int):
         """(color, sigma, p_st) at encoded points ``enc_x``, ``k`` per ray,
         viewed along their rays' encoded unit directions ``enc_d`` (see
-        :func:`encode_position`)."""
-        h = self.static_trunk(enc_x)
-        sigma = ad.softplus(ad.reshape(self.static_sigma(h), (-1,)))
-        color = ad.sigmoid(self.static_rgb.per_ray(enc_d, k)(h))
-        p_st = ad.sigmoid(ad.reshape(self.static_pst(h), (-1,)))
+        :func:`encode_position`): one node, the trunk and its RGB, sigma and
+        staticness heads."""
+        out = self.static_trunk.with_heads(
+            self.static_rgb.per_ray(enc_d, k), self.static_sigma, self.static_pst)(enc_x)
+        color = ad.sigmoid(ad.narrow(out, 0, 3, axis=1))
+        sigma = ad.softplus(ad.reshape(ad.narrow(out, 3, 1, axis=1), (-1,)))
+        p_st = ad.sigmoid(ad.reshape(ad.narrow(out, 4, 1, axis=1), (-1,)))
         return color, sigma, p_st
 
     def dynamic_density(self, enc_x, glo, k: int):
-        """(trunk features, sigma) of the dynamic net at encoded points,
-        ``k`` per ray, conditioned on the GLO rows ``glo`` of their rays'
-        frames (see :meth:`glo_lookup`)."""
-        h = self.dynamic_trunk.per_ray(glo, k)(enc_x)
-        return h, ad.softplus(ad.reshape(self.dynamic_sigma(h), (-1,)))
+        """sigma of the dynamic net at encoded points, ``k`` per ray,
+        conditioned on the GLO rows ``glo`` of their rays' frames (see
+        :meth:`glo_lookup`): the trunk and its sigma head alone."""
+        out = self.dynamic_trunk.per_ray(glo, k).with_heads(self.dynamic_sigma)(enc_x)
+        return ad.softplus(ad.reshape(out, (-1,)))
 
     def dynamic_eval_encoded(self, enc_x, enc_d, glo, k: int):
         """(color, sigma) at encoded points, ``k`` per ray, and their rays'
         encoded directions, conditioned on the GLO rows ``glo`` of their
-        rays' frames."""
-        h, sigma = self.dynamic_density(enc_x, glo, k)
-        color = ad.sigmoid(self.dynamic_rgb.per_ray(enc_d, k)(h))
-        return color, sigma
+        rays' frames: one node, the trunk and its RGB and sigma heads."""
+        out = self.dynamic_trunk.per_ray(glo, k).with_heads(
+            self.dynamic_rgb.per_ray(enc_d, k), self.dynamic_sigma)(enc_x)
+        color = ad.sigmoid(ad.narrow(out, 0, 3, axis=1))
+        return color, ad.softplus(ad.reshape(ad.narrow(out, 3, 1, axis=1), (-1,)))
 
     def glo_lookup(self, t_idx):
         self._check_t(t_idx)

@@ -97,6 +97,31 @@ def _mlp(activation, activate_output, k=None):
     return op
 
 
+def _heads_inputs(rng, k=2, margin=0.05):
+    """The fields' form: x (3k, 5), a relu trunk's w0, b0, w1, b1 (5 -> 4
+    -> 3, activated output), a one-column head's w, b, and a per-ray head's
+    u (3, 2), w0, b0, w1, b1 (3 + 2 -> 4 -> 2), every relu pre-activation
+    ``margin`` from the kink."""
+    x, *trunk = _dense_inputs(rng, sizes=(5, 4, 3), margin=margin, per_ray=(k, 0))
+    h = x
+    for w, b in zip(trunk[::2], trunk[1::2]):
+        h = np.maximum(h @ w + b, 0.0)
+    while True:
+        u, w0, b0 = rng.normal(size=(3, 2)), rng.normal(size=(5, 4)), rng.normal(size=4)
+        if np.abs(np.hstack([h, np.repeat(u, k, axis=0)]) @ w0 + b0).min() > margin:
+            break
+    return [x, *trunk, rng.normal(size=(3, 1)), rng.normal(size=1),
+            u, w0, b0, rng.normal(size=(4, 2)), rng.normal(size=2)]
+
+
+def _mlp_heads(k=2):
+    """``ad.mlp`` over :func:`_heads_inputs`' operands, the heads bound."""
+    def op(x, tw0, tb0, tw1, tb1, sw, sb, u, hw0, hb0, hw1, hb1):
+        return ad.mlp(x, [(tw0, tb0), (tw1, tb1)], "relu", True,
+                      heads=[([(sw, sb)], None, 1), ([(hw0, hb0), (hw1, hb1)], u, k)])
+    return op
+
+
 def _frozen_weights(inputs):
     """A relu stack over ``x`` alone, its weights ``inputs[1:]`` constants."""
     x, *params = inputs
@@ -159,6 +184,10 @@ def _op_cases(rng):
         "warp_ray": ([rng.normal(size=v3), rng.normal(size=v3),
                       _away_from_zero(rng, v3), rng.normal(size=v3)],
                      lambda o, d, w, v: ad.concat(list(se3.warp_ray(o, d, w, v)), axis=1)),
+        # the fields' form: a trunk whose one-column and per-ray two-layer
+        # heads run inside its node; drawn from a spawned generator, which
+        # leaves the stream of the other cases and of the weighting as it was
+        "mlp_heads": (_heads_inputs(rng.spawn(1)[0]), _mlp_heads()),
     }
 
 

@@ -15,15 +15,15 @@ from .render import motion_mask, render_rays
 from .training import NumericalError
 
 # rays per render pass: bounds the rows evaluated at once. 256 rays x 32
-# samples = 8192 rows; of each network only the output spans them all
-# (4 MiB for a 64-wide trunk), every hidden layer lives in one buffer of
-# autodiff.BLOCK rows. The peak RSS of a process rendering 64x64 desk
-# frames follows it: ~63 MiB at 512 rays, ~76 MiB at 1024. It also decides
-# whether a chunk's arrays fit the holes that freed arrays leave in the
-# heap: perfbench's infer-frame, which frees one set-up's dataset after
-# building the next, read 97.3 or 103.7 MB at 512 rays, by code layout
-# alone, and 92.0-93.2 MB at 256 in every layout tried. A frame's bits do
-# not depend on it for chunks of two rays or more
+# samples = 8192 rows; of each field only its heads' outputs span them all
+# (5 columns), and every layer of its trunk and heads lives in one buffer
+# of autodiff.BLOCK rows. The encoded samples span them too (3.3 MiB). The
+# size also decides whether a chunk's arrays fit the holes that freed
+# arrays leave in the heap: perfbench's infer-frame, which frees one
+# set-up's dataset after building the next, read 97.3 or 103.7 MB at 512
+# rays, by code layout alone, and 92.0-93.2 MB at 256 in every layout
+# tried, while each trunk's output still spanned a chunk. A frame's bits
+# do not depend on it for chunks of two rays or more
 CHUNK = 256
 
 

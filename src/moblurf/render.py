@@ -20,6 +20,7 @@ plain arrays and no op builds a node.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -78,6 +79,11 @@ def composite(colors, sigmas, grid: SampleGrid):
     return _shade(weights, colors, grid.n_samples), weights
 
 
+def _expected_distance(weights, grid: SampleGrid):
+    """sum_n weights * distances over the N samples of each ray: (B,)."""
+    return ad.sum_(ad.mul(weights, grid.dists), axis=-1)
+
+
 @dataclass
 class RenderResult:
     """Per-ray outputs of a full render; color fields may be graph Nodes."""
@@ -85,9 +91,16 @@ class RenderResult:
     color_static: object    # (B,3)
     color_dynamic: object   # (B,3)
     color_full: object      # (B,3)
-    kappa_star: object      # (B,) expected dynamic ray distance
     p_st_samples: object    # (B,N) staticness probabilities
     p_dy: np.ndarray        # (B,) dynamicness probability, detached
+    weights_dynamic: object  # (B,N) dynamic compositing weights
+    grid: SampleGrid
+
+    @cached_property
+    def kappa_star(self):
+        """(B,) expected dynamic ray distance. Built when first read: a
+        latent bundle's is read by no loss term."""
+        return _expected_distance(self.weights_dynamic, self.grid)
 
 
 def render_full(static_out, dynamic_out, grid: SampleGrid) -> RenderResult:
@@ -102,7 +115,6 @@ def render_full(static_out, dynamic_out, grid: SampleGrid) -> RenderResult:
 
     alpha_s, w_s = opacity(sigma_s, grid)
     alpha_d, w_d = opacity(sigma_d, grid)
-    kappa = ad.sum_(ad.mul(w_d, grid.dists), axis=-1)
 
     pa_s = ad.mul(p_st, alpha_s)
     pa_d = ad.mul(ad.sub(1.0, p_st), alpha_d)
@@ -116,9 +128,10 @@ def render_full(static_out, dynamic_out, grid: SampleGrid) -> RenderResult:
         color_static=_shade(w_s, c_s, n),
         color_dynamic=_shade(w_d, c_d, n),
         color_full=ad.sum_(contrib, axis=1),
-        kappa_star=kappa,
         p_st_samples=p_st,
         p_dy=dynamicness(w_full, ad.value_of(p_st)),
+        weights_dynamic=w_d,
+        grid=grid,
     )
 
 
@@ -172,7 +185,7 @@ def render_rays(model: SceneModel, rays: RayBatch, n_samples: int,
 def render_kappa(model: SceneModel, rays: RayBatch, grid: SampleGrid):
     """Expected dynamic ray distance only (cheap path for neighbor rays),
     at the samples of ``grid``, one row of distances per ray."""
-    _, sigma = model.dynamic_density(*_encoded_samples(model, rays, grid),
-                                     grid.n_samples)
+    sigma = model.dynamic_density(*_encoded_samples(model, rays, grid),
+                                  grid.n_samples)
     _, weights = opacity(ad.reshape(sigma, (len(rays), grid.n_samples)), grid)
-    return ad.sum_(ad.mul(weights, grid.dists), axis=-1)
+    return _expected_distance(weights, grid)

@@ -163,9 +163,11 @@ class Trainer:
 
     # loss helpers -----------------------------------------------------------
 
-    def _lg_terms(self, batch: Batch, kappa_primary, supervise: np.ndarray,
+    def _lg_terms(self, batch: Batch, sharp, supervise: np.ndarray,
                   base_rays: RayBatch, rng):
-        """Local geometry loss over the supervised subset of lg pixels.
+        """Local geometry loss over the supervised subset of lg pixels, whose
+        depth is the sharp render ``sharp``'s κ*, read only when some pixel
+        is supervised.
 
         Only the supervised pixels' neighbours are rendered. Their jitter is
         drawn for all 2k neighbours first, so the random stream, and every
@@ -173,6 +175,7 @@ class Trainer:
         k = batch.lg_count
         if k == 0 or not supervise.any():
             return None
+        kappa_primary = sharp.kappa_star
         nb = self.warp_base(batch.neighbors)
         grid = sample_along_ray(nb.near, nb.far, self.config.n_samples, 2 * k, rng)
         pdist = batch.pdist
@@ -213,7 +216,7 @@ class Trainer:
         """All loss terms on sharp renders; base screws held fixed."""
         base = self.warp_base(batch.rays)
         res = render_rays(self.model, base, self.config.n_samples, rng)
-        return self._all_terms(batch, res, motion_mask(res.p_dy), res.kappa_star,
+        return self._all_terms(batch, res, motion_mask(res.p_dy), res,
                                np.ones(batch.lg_count, dtype=bool), base, rng)
 
     def compute_mdd_loss(self, batch: Batch, rng, mask_override=None):
@@ -223,12 +226,12 @@ class Trainer:
                              mask_override=mask_override)
         supervise = blur.mask[:batch.lg_count].astype(bool) \
             if self.config.lg_dynamic_only_mdd else np.ones(batch.lg_count, dtype=bool)
-        return self._all_terms(batch, blur, blur.mask, blur.base.kappa_star,
-                               supervise, base, rng)
+        return self._all_terms(batch, blur, blur.mask, blur.base, supervise, base, rng)
 
-    def _all_terms(self, batch: Batch, res, mask, kappa, supervise, base, rng):
+    def _all_terms(self, batch: Batch, res, mask, sharp, supervise, base, rng):
         """Masked static, dynamic, full, staticness and lg terms of a sharp
-        (``RenderResult``) or blurry (``BlurryRender``) render."""
+        (``RenderResult``) or blurry (``BlurryRender``) render; the lg term
+        reads the depth of the sharp render ``sharp``."""
         mphoto = L.masked_photometric(res.color_static, batch.targets, mask)
         photo_d = L.photometric(res.color_dynamic, batch.targets)
         photo_f = L.photometric(res.color_full, batch.targets)
@@ -239,7 +242,7 @@ class Trainer:
             photo_full=float(ad.value_of(photo_f)),
             mphoto_static=float(ad.value_of(mphoto)),
             sm=float(ad.value_of(sm)))
-        lg = self._lg_terms(batch, kappa, supervise, base, rng)
+        lg = self._lg_terms(batch, sharp, supervise, base, rng)
         if lg is not None:
             loss = ad.add(loss, lg)
             breakdown.lg = float(ad.value_of(lg))

@@ -253,6 +253,101 @@ def test_mlp_per_ray_shape_errors():
         ad.mlp(x, layers, "relu", u=u[:, :2], k=4)
 
 
+HEAD_RAYS, HEAD_K = 2 * (ad.BLOCK // 8) + 3, 8   # two full blocks and a third
+
+
+def _field_inputs(trunk_u):
+    """A field's operands over HEAD_RAYS rays of HEAD_K rows: x, the trunk's
+    layers and optional per-ray u, an RGB-like per-ray two-layer head and
+    two one-column heads, and an output gradient for each head."""
+    rng = np.random.default_rng(31)
+    n, rays = HEAD_RAYS * HEAD_K, HEAD_RAYS
+
+    def layers(*sizes):
+        return [(rng.normal(size=(a, b)) / np.sqrt(a), rng.normal(size=b) * 0.1)
+                for a, b in zip(sizes, sizes[1:])]
+
+    x = rng.normal(size=(n, 9))
+    u = rng.normal(size=(rays, 3)) if trunk_u else None
+    trunk = layers(9 + 3 * trunk_u, 16, 16)
+    heads = [(layers(16 + 4, 8, 3), rng.normal(size=(rays, 4)), HEAD_K),
+             (layers(16, 1), None, 1), (layers(16, 1), None, 1)]
+    return x, u, trunk, heads, [rng.normal(size=(n, 3)), rng.normal(size=(n, 1)),
+                                rng.normal(size=(n, 1))]
+
+
+def _as_nodes(x, u, trunk, heads):
+    node = lambda a: None if a is None else ad.Node(a)
+    pairs = lambda ls: [(ad.Node(w), ad.Node(b)) for w, b in ls]
+    return (node(x), node(u), pairs(trunk),
+            [(pairs(ls), node(hu), hk) for ls, hu, hk in heads])
+
+
+def _leaves(x, u, trunk, heads):
+    return [p for p in (x, u, *(a for pair in trunk for a in pair),
+                        *(a for ls, hu, _ in heads for a in (*(q for pr in ls for q in pr), hu)))
+            if p is not None]
+
+
+@pytest.mark.parametrize("activation", ["relu", "softplus"])
+@pytest.mark.parametrize("trunk_u", [False, True], ids=["static", "per_ray_trunk"])
+def test_mlp_heads_match_separate_nodes(trunk_u, activation):
+    # a field as one node against the trunk and heads as separate nodes,
+    # their outputs weighted in head order, so that backward sums the heads'
+    # gradients of the trunk output in head order too
+    x, u, trunk, heads, gs = _field_inputs(trunk_u)
+    ref = _as_nodes(x, u, trunk, heads)
+    h = ad.mlp(ref[0], ref[2], activation, True, ref[1], HEAD_K)
+    outs = [ad.mlp(h, ls, activation, False, hu, hk) for ls, hu, hk in ref[3]]
+    loss = ad.sum_(ad.mul(outs[0], gs[0]))
+    for out, g in zip(outs[1:], gs[1:]):
+        loss = ad.add(loss, ad.sum_(ad.mul(out, g)))
+    reference_backward(loss)
+
+    got = _as_nodes(x, u, trunk, heads)
+    fused = ad.mlp(got[0], got[2], activation, True, got[1], HEAD_K, got[3])
+    # forward bit for bit, with and without a graph
+    assert np.array_equal(fused.value, np.hstack([o.value for o in outs]))
+    assert np.array_equal(ad.mlp(x, trunk, activation, True, u, HEAD_K, heads),
+                          fused.value)
+    ad.backward(ad.sum_(ad.mul(fused, np.hstack(gs))))
+    # every gradient bit for bit: the same products, summed in the same order
+    for a, b in zip(_leaves(*got), _leaves(*ref)):
+        assert np.array_equal(a.grad, b.grad)
+
+
+def test_mlp_heads_gradients_reach_node_operands_only():
+    # a frozen trunk under trainable heads: the heads' weights get their
+    # gradients, and nothing walks down the trunk
+    x, u, trunk, heads, gs = _field_inputs(False)
+    _, _, _, node_heads = _as_nodes(x, u, trunk, heads)
+    out = ad.mlp(x, trunk, "relu", True, heads=node_heads)
+    assert [p for p, _ in out.parents] == _leaves(None, None, [], node_heads)
+    ad.backward(ad.sum_(ad.mul(out, np.hstack(gs))))
+    h = ad.mlp(x, trunk, "relu", True)
+    w, b = node_heads[1][0][0]
+    assert _close(w.grad, h.T @ gs[1]) and _close(b.grad, gs[1].sum(axis=0))
+    # x alone a Node: its gradient walks through the constant heads and
+    # trunk, bit for bit as with every operand a Node
+    xn = ad.Node(x)
+    ad.backward(ad.sum_(ad.mul(ad.mlp(xn, trunk, "relu", True, heads=heads),
+                               np.hstack(gs))))
+    ref = _as_nodes(x, u, trunk, heads)
+    ad.backward(ad.sum_(ad.mul(ad.mlp(ref[0], ref[2], "relu", True, heads=ref[3]),
+                               np.hstack(gs))))
+    assert np.array_equal(xn.grad, ref[0].grad)
+
+
+def test_mlp_head_shape_error():
+    # a head whose first layer does not fit the trunk's width
+    x, u, trunk, heads, _ = _field_inputs(False)
+    bad = [(np.zeros((15, 1)), np.zeros(1))]
+    with pytest.raises(ad.ShapeMismatch, match=r"head 1: layer 0: \(\d+, 16\) @ \(15, 1\)"):
+        ad.mlp(x, trunk, "relu", True, heads=[heads[0], (bad, None, 1)])
+    with pytest.raises(ad.ShapeMismatch, match="head 0: per-ray"):
+        ad.mlp(x, trunk, "relu", True, heads=[(heads[0][0], heads[0][1][:-1], HEAD_K)])
+
+
 def test_backward_rejects_nonscalar_root():
     x = ad.Node(np.zeros(3))
     with pytest.raises(ad.NonScalarRoot):

@@ -83,7 +83,7 @@ def test_workload_units_run_on_a_tiny_model(monkeypatch, tmp_path):
 
 def test_traced_units_match_untraced(monkeypatch, tmp_path):
     # the tracer's wrappers pass every call through unchanged and can count
-    # each field network's rows
+    # each field network's rows; the heads run inside their trunk's call
     wl = load_module(monkeypatch, "workloads")
     tracer = load_module(monkeypatch, "tracer").Tracer()
     plain = run_units(wl, tmp_path / "plain")
@@ -95,5 +95,5 @@ def test_traced_units_match_untraced(monkeypatch, tmp_path):
     assert traced.losses == plain.losses
     assert traced.psnr == plain.psnr
     spans = tracer.summary(0)
-    for name in ("fields.static.rgb", "fields.dynamic.trunk"):
+    for name in ("fields.static.trunk", "fields.dynamic.trunk"):
         assert spans[name]["counts"]["rows"] > 0, name

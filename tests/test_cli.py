@@ -149,6 +149,19 @@ class TestTrain:
                      "--out", str(tmp_path / "x"), *TINY_TRAIN])
         assert code == 1
 
+    @pytest.mark.parametrize("value", [
+        "trunk_width=2.5", "trunk_width=true", "bri_iters=2.5", "log_every=0",
+        "lambda_sm=-5"])
+    def test_bad_config_value_fails_before_any_work(self, tmp_path, dataset_dir,
+                                                    value):
+        # each once failed with a traceback, after training began, or with
+        # a non-finite gradient
+        out = tmp_path / "run"
+        res = run_cli("train", "--dataset", str(dataset_dir), "--out", str(out),
+                      *TINY_TRAIN, "--set", value)
+        assert_clean_error(res, value.partition("=")[0])
+        assert not out.exists()
+
 
 class TestUsage:
     # argparse's own usage errors: a missing required flag, a bad choice

@@ -151,12 +151,13 @@ class TestNoOpStart:
             assert np.all(store.grad(name) == 0.0)
 
 
-def lg_terms_every_neighbour(self, batch, kappa_primary, supervise, base_rays, rng):
+def lg_terms_every_neighbour(self, batch, sharp, supervise, base_rays, rng):
     """``Trainer._lg_terms`` rendering every neighbour and masking the loss
     to the supervised pixels afterwards: the subset must match it."""
     k = batch.lg_count
     if k == 0 or not supervise.any():
         return None
+    kappa_primary = sharp.kappa_star
     nb = self.warp_base(batch.neighbors)
     kappa_n = training.render_kappa(self.model, nb, sample_along_ray(
         nb.near, nb.far, self.config.n_samples, 2 * k, rng))
@@ -271,6 +272,29 @@ def test_desk_mdd_step_gradients_match_allocating_backward(monkeypatch):
     assert grads.keys() == ref[1].keys()
     for name, g in ref[1].items():
         assert np.array_equal(grads[name], g), name
+
+
+def test_mdd_step_builds_only_nodes_its_loss_reaches(tiny_dataset, monkeypatch):
+    # every node an MDD step builds, parameter leaves included, is one its
+    # backward visits: the latent bundle's expected distance, which no loss
+    # term reads, is not built
+    tr = tiny_trainer(tiny_dataset)
+    batch = tr.sample_batch()
+    built = []
+    init = ad.Node.__init__
+    monkeypatch.setattr(ad.Node, "__init__",
+                        lambda self, *a, **k: built.append(self) or init(self, *a, **k))
+    # LORR refining half the rays and half the lg pixels supervised, then
+    # every ray static: no lg pixel supervised, so the base render's depth
+    # is not built either
+    for mask in (np.arange(len(batch.rays)) % 2, np.zeros(len(batch.rays), int)):
+        built.clear()
+        tr.model.store.begin_step()
+        tr.model.store.set_frozen_groups(FREEZE_MDD)
+        loss, _ = tr.compute_mdd_loss(batch, tr.rng, mask_override=mask)
+        reached = {id(node) for node in ad.topo_order(loss)}
+        assert len(built) > 50
+        assert [node for node in built if id(node) not in reached] == []
 
 
 class TestRunAndResume:
