@@ -4,8 +4,20 @@ A base ray maps to N_b latent rays through per-frame global screws (one
 shared rigid warp per latent index, covering camera-scale motion). Rays
 whose base pixel is dynamic get a second, per-ray refinement screw from the
 local object-motion MLP. The observed blurry color is the plain average of
-the base color and all latent colors, so with all screws at zero and the
-refinement MLP at its zero initialization the whole stage is a no-op.
+the base color and all latent colors.
+
+The base ray renders on the N uniform samples of training. Its latent rays
+render on a k = ``LATENT_SAMPLES`` proposal grid instead, drawn once per
+base ray from the base render's detached full-model weights
+(:func:`render.sample_from_weights`, hierarchical sampling with the base ray
+as the proposal) and shared by its N_b copies and by a second render of the
+base ray itself on that grid. Each latent color is corrected by the base
+ray: C_q = C(N) + C_q(k) - C(k), so the k-sample grid's quadrature error,
+which the base ray's two renders measure, cancels to first order. With all
+screws at zero and the refinement MLP at its zero initialization every copy
+is the base ray, C_q(k) = C(k), and the whole stage is a no-op. The
+staticness term reads the base ray's N samples alone, which keeps that no-op
+exact for it too.
 
 The N_b latent copies of a B-ray batch travel as one copy-major bundle of
 N_b*B rays: rows q*B ... q*B+B-1 hold latent copy q.
@@ -20,7 +32,11 @@ import numpy as np
 from . import autodiff as ad
 from .cameras import RayBatch
 from .fields import SceneModel
-from .render import RenderResult, motion_mask, render_rays
+from .render import (RenderResult, motion_mask, render_on_grid, render_rays,
+                     sample_from_weights)
+
+# samples per latent ray, on its base ray's proposal grid
+LATENT_SAMPLES = 8
 
 
 def gmrp(model: SceneModel, rays: RayBatch) -> RayBatch:
@@ -54,8 +70,17 @@ class BlurryRender:
     color_static: object        # (B,3) blurry static composite
     color_dynamic: object       # (B,3) blurry dynamic composite
     color_full: object          # (B,3) blurry full composite
-    p_st_samples: object        # ((N_b+1)*B,N) staticness, base rows first
+    p_st_samples: object        # (B,N) staticness of the base render
     lorr_rays: int              # latent rays refined by the local MLP
+
+
+def _corrected(copies, base_color, base_on_grid, n_latent: int):
+    """Copy-major (N_b*B,3) latent colors C_q(k) moved by their base ray's
+    C(N) - C(k)."""
+    b = ad.value_of(base_color).shape[0]
+    shift = ad.sub(base_color, base_on_grid)
+    return ad.reshape(ad.add(ad.reshape(copies, (n_latent, b, 3)), shift),
+                      (n_latent * b, 3))
 
 
 def blurry_render(model: SceneModel, base_rays: RayBatch, n_samples: int,
@@ -66,26 +91,35 @@ def blurry_render(model: SceneModel, base_rays: RayBatch, n_samples: int,
     The base-ray motion mask picks the branch once per base ray: latent
     copies of static rows keep their global warp, those of dynamic rows get
     the local refinement before rendering. ``mask_override`` substitutes the
-    predicted mask (testing/gradient-check hook).
+    predicted mask (testing/gradient-check hook). With N_b = 0 the base
+    render passes through, and nothing more is drawn from ``rng``.
     """
     base = render_rays(model, base_rays, n_samples, rng)
     mask = motion_mask(base.p_dy) if mask_override is None else np.asarray(mask_override)
+    n_latent, b = model.config.n_latent, len(base_rays)
+    if n_latent == 0:
+        return BlurryRender(base=base, mask=mask, color_static=base.color_static,
+                            color_dynamic=base.color_dynamic, color_full=base.color_full,
+                            p_st_samples=base.p_st_samples, lorr_rays=0)
+    grid = sample_from_weights(base.w_full, base.grid.edges, LATENT_SAMPLES, rng)
     latent = gmrp(model, base_rays)
-    dyn = np.flatnonzero(np.tile(mask, model.config.n_latent))
+    # the copies, then the base ray again, all on the base ray's k-grid
+    parts = [latent, base_rays]
+    rows = np.arange(len(latent) + b)
+    dyn = np.flatnonzero(np.tile(mask, n_latent))
     if len(dyn):
-        refined = lorr(model, latent.select(dyn))
-        rows = np.arange(len(latent))
-        rows[dyn] = len(latent) + np.arange(len(dyn))
-        latent = _concat_rays([latent, refined]).select(rows)
-    res = render_rays(model, latent, n_samples, rng)
-    return BlurryRender(
-        base=base, mask=mask,
-        color_static=blur_average(base.color_static, res.color_static),
-        color_dynamic=blur_average(base.color_dynamic, res.color_dynamic),
-        color_full=blur_average(base.color_full, res.color_full),
-        p_st_samples=ad.concat([base.p_st_samples, res.p_st_samples], axis=0),
-        lorr_rays=len(dyn),
-    )
+        parts.append(lorr(model, latent.select(dyn)))
+        rows[dyn] = len(latent) + b + np.arange(len(dyn))
+    res = render_on_grid(model, _concat_rays(parts).select(rows),
+                         grid.select(np.tile(np.arange(b), n_latent + 1)))
+    blurred = {}
+    for name in ("color_static", "color_dynamic", "color_full"):
+        out = getattr(res, name)
+        sharp = getattr(base, name)
+        blurred[name] = blur_average(sharp, _corrected(
+            ad.narrow(out, 0, n_latent * b), sharp, ad.narrow(out, n_latent * b, b), n_latent))
+    return BlurryRender(base=base, mask=mask, p_st_samples=base.p_st_samples,
+                        lorr_rays=len(dyn), **blurred)
 
 
 def _concat_rays(parts: list[RayBatch]) -> RayBatch:

@@ -21,6 +21,7 @@ import json
 import os
 import struct
 from dataclasses import dataclass, asdict
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -214,6 +215,47 @@ class Mlp:
                       self.u, self.k, [(h.layers(), h.u, h.k) for h in self.heads])
 
 
+class FieldSamples:
+    """A field's output at ``k`` samples per ray, one row per sample: the
+    pre-activation columns of its heads, in the order ``heads`` names them
+    (``color`` 3 wide, ``sigma`` and ``p_st`` 1 wide). Each head is decoded
+    on first read, one row per ray, (B,k,3) or (B,k): colours and
+    staticness by sigmoid, densities by softplus, so an output nothing
+    reads builds no node. Unpacks to the decoded heads in that order."""
+
+    WIDTH = {"color": 3, "sigma": 1, "p_st": 1}
+
+    def __init__(self, out, heads: tuple, k: int):
+        self.out, self.heads, self.k = out, heads, k
+
+    def _head(self, name: str, activation):
+        start = sum(self.WIDTH[h] for h in self.heads[:self.heads.index(name)])
+        width = self.WIDTH[name]
+        col = ad.narrow(self.out, start, width, axis=1)
+        return activation(ad.reshape(col, (-1, self.k, width) if width > 1 else (-1, self.k)))
+
+    @cached_property
+    def color(self):
+        return self._head("color", ad.sigmoid)
+
+    @cached_property
+    def sigma(self):
+        return self._head("sigma", ad.softplus)
+
+    @cached_property
+    def p_st(self):
+        return self._head("p_st", ad.sigmoid)
+
+    def values(self) -> "FieldSamples":
+        """The same samples, detached: ``self`` when they carry no graph."""
+        if not isinstance(self.out, ad.Node):
+            return self
+        return FieldSamples(self.out.value, self.heads, self.k)
+
+    def __iter__(self):
+        return (getattr(self, head) for head in self.heads)
+
+
 class SceneModel:
     """All trainable pieces plus their evaluation functions.
 
@@ -283,16 +325,13 @@ class SceneModel:
     # field evaluation -------------------------------------------------------
 
     def static_eval_encoded(self, enc_x, enc_d, k: int):
-        """(color, sigma, p_st) at encoded points ``enc_x``, ``k`` per ray,
-        viewed along their rays' encoded unit directions ``enc_d`` (see
-        :func:`encode_position`): one node, the trunk and its RGB, sigma and
-        staticness heads."""
-        out = self.static_trunk.with_heads(
-            self.static_rgb.per_ray(enc_d, k), self.static_sigma, self.static_pst)(enc_x)
-        color = ad.sigmoid(ad.narrow(out, 0, 3, axis=1))
-        sigma = ad.softplus(ad.reshape(ad.narrow(out, 3, 1, axis=1), (-1,)))
-        p_st = ad.sigmoid(ad.reshape(ad.narrow(out, 4, 1, axis=1), (-1,)))
-        return color, sigma, p_st
+        """(color, sigma, p_st) samples at encoded points ``enc_x``, ``k``
+        per ray, viewed along their rays' encoded unit directions ``enc_d``
+        (see :func:`encode_position`): one node, the trunk and its RGB,
+        sigma and staticness heads."""
+        return FieldSamples(self.static_trunk.with_heads(
+            self.static_rgb.per_ray(enc_d, k), self.static_sigma, self.static_pst)(enc_x),
+            ("color", "sigma", "p_st"), k)
 
     def dynamic_density(self, enc_x, glo, k: int):
         """sigma of the dynamic net at encoded points, ``k`` per ray,
@@ -302,13 +341,13 @@ class SceneModel:
         return ad.softplus(ad.reshape(out, (-1,)))
 
     def dynamic_eval_encoded(self, enc_x, enc_d, glo, k: int):
-        """(color, sigma) at encoded points, ``k`` per ray, and their rays'
-        encoded directions, conditioned on the GLO rows ``glo`` of their
-        rays' frames: one node, the trunk and its RGB and sigma heads."""
-        out = self.dynamic_trunk.per_ray(glo, k).with_heads(
-            self.dynamic_rgb.per_ray(enc_d, k), self.dynamic_sigma)(enc_x)
-        color = ad.sigmoid(ad.narrow(out, 0, 3, axis=1))
-        return color, ad.softplus(ad.reshape(ad.narrow(out, 3, 1, axis=1), (-1,)))
+        """(color, sigma) samples at encoded points, ``k`` per ray, and
+        their rays' encoded directions, conditioned on the GLO rows ``glo``
+        of their rays' frames: one node, the trunk and its RGB and sigma
+        heads."""
+        return FieldSamples(self.dynamic_trunk.per_ray(glo, k).with_heads(
+            self.dynamic_rgb.per_ray(enc_d, k), self.dynamic_sigma)(enc_x),
+            ("color", "sigma"), k)
 
     def glo_lookup(self, t_idx):
         self._check_t(t_idx)

@@ -34,8 +34,15 @@ class CheckResult:
         return self.max_rel_err < self.tol
 
 
-def _rel_err(analytic: np.ndarray, numeric: np.ndarray) -> float:
-    scale = np.maximum(np.maximum(np.abs(analytic), np.abs(numeric)), 1e-6)
+def _rel_err(analytic: np.ndarray, numeric: np.ndarray, magnitude: float,
+             tol: float) -> float:
+    """Largest error relative to the larger of the two gradients, where an
+    error within the difference quotient's own rounding, eps * magnitude / h
+    for a function summed from terms of total size ``magnitude``, counts as
+    ``tol`` at most: a component fails only on an error beyond both."""
+    rounding = np.finfo(np.float64).eps * magnitude / FD_STEP
+    scale = np.maximum(np.maximum(np.abs(analytic), np.abs(numeric)),
+                       max(rounding / tol, np.finfo(np.float64).tiny))
     return float((np.abs(analytic - numeric) / scale).max())
 
 
@@ -207,6 +214,7 @@ def check_op(name: str, seed: int = 0, trials: int = 20,
         w = rng.normal(size=out.value.shape)
         root = ad.sum_(ad.mul(out, w))
         ad.backward(root)
+        magnitude = float(np.abs(out.value * w).sum())
         for i, (node, x) in enumerate(zip(nodes, inputs)):
             analytic = node.grad if node.grad is not None else np.zeros_like(x)
             if sabotage == name:
@@ -219,7 +227,7 @@ def check_op(name: str, seed: int = 0, trials: int = 20,
                 return float(np.sum(ad.value_of(op(*args)) * w))
 
             numeric = _fd_grad(f, x.copy())
-            worst = max(worst, _rel_err(analytic, numeric))
+            worst = max(worst, _rel_err(analytic, numeric, magnitude, OP_TOL))
     return CheckResult(name=name, max_rel_err=worst, tol=OP_TOL)
 
 
@@ -319,8 +327,10 @@ def check_full_loss(kind: str, seed: int = 0, per_group: int = 5,
             raise KeyError(f"unknown loss kind {kind!r}")
         return loss
 
-    ad.backward(build_loss())
+    loss = build_loss()
+    ad.backward(loss)
     grads = {n: store.grad(n) for n in store.values}
+    magnitude = abs(float(ad.value_of(loss)))
 
     rng = np.random.default_rng(seed + 17)
     worst = 0.0
@@ -341,7 +351,8 @@ def check_full_loss(kind: str, seed: int = 0, per_group: int = 5,
             vals[idx] = orig
             numeric = (fp - fm) / (2 * FD_STEP)
             analytic = flat[idx] * (1.01 if sabotage else 1.0)
-            worst = max(worst, _rel_err(np.array(analytic), np.array(numeric)))
+            worst = max(worst, _rel_err(np.array(analytic), np.array(numeric),
+                                        magnitude, END_TO_END_TOL))
     return CheckResult(name=f"loss:{kind}", max_rel_err=worst, tol=END_TO_END_TOL)
 
 

@@ -19,7 +19,7 @@ plain arrays and no op builds a node.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
@@ -29,17 +29,39 @@ from .cameras import RayBatch
 from .fields import SceneModel, encode_position
 
 
+# share of each ray's proposal mass spread uniformly over [near, far], so a
+# proposal grid keeps samples where the base render saw nothing
+UNIFORM_FLOOR = 0.25
+
+
 @dataclass
 class SampleGrid:
-    """N segments over [near, far]: boundaries, sample distances, lengths."""
+    """N segments per ray over [near, far]: boundaries, sample distances,
+    lengths. A uniform grid shares its boundaries (N+1,) and lengths (N,)
+    between rays; a proposal grid holds one row of each per ray."""
 
-    edges: np.ndarray    # (N+1,) strictly increasing boundaries
+    edges: np.ndarray    # (N+1,) or (B, N+1) strictly increasing boundaries
     dists: np.ndarray    # (B, N) sample distance per ray and segment
-    deltas: np.ndarray   # (N,) segment lengths
+    deltas: np.ndarray   # (N,) or (B, N) segment lengths
 
     @property
     def n_samples(self) -> int:
-        return len(self.deltas)
+        return self.deltas.shape[-1]
+
+    def select(self, rows: np.ndarray) -> "SampleGrid":
+        """The grid of the rays ``rows``."""
+        if self.deltas.ndim == 1:
+            return replace(self, dists=self.dists[rows])
+        return SampleGrid(self.edges[rows], self.dists[rows], self.deltas[rows])
+
+
+def _draw(edges: np.ndarray, batch: int, rng) -> np.ndarray:
+    """One distance per segment of ``edges`` and ray: a uniform draw inside
+    it with ``rng``, its midpoint without."""
+    lo, hi = edges[..., :-1], edges[..., 1:]
+    if rng is None:
+        return np.broadcast_to(0.5 * (lo + hi), (batch, lo.shape[-1])).copy()
+    return lo + rng.random((batch, lo.shape[-1])) * (hi - lo)
 
 
 def sample_along_ray(near: float, far: float, n: int, batch: int,
@@ -51,20 +73,48 @@ def sample_along_ray(near: float, far: float, n: int, batch: int,
     if not 0 < near < far:
         raise ValueError(f"invalid ray bounds near={near} far={far}")
     edges = near + (far - near) * np.arange(n + 1) / n
-    deltas = np.diff(edges)
-    if rng is None:
-        mids = 0.5 * (edges[:-1] + edges[1:])
-        dists = np.broadcast_to(mids, (batch, n)).copy()
-    else:
-        u = rng.random((batch, n))
-        dists = edges[:-1] + u * deltas
-    return SampleGrid(edges=edges, dists=dists, deltas=deltas)
+    return SampleGrid(edges=edges, dists=_draw(edges, batch, rng), deltas=np.diff(edges))
+
+
+def sample_from_weights(weights: np.ndarray, edges: np.ndarray, k: int,
+                        rng: np.random.Generator | None = None) -> SampleGrid:
+    """A k-segment grid per ray from compositing weights ``weights`` (B,N)
+    over the shared boundaries ``edges`` (N+1,): hierarchical sampling.
+
+    Each ray's normalized weights, mixed with the uniform density over
+    [near, far] at share ``UNIFORM_FLOOR``, form a piecewise-constant pdf;
+    its inverse CDF cuts [near, far] into k segments of equal mass, and each
+    segment gets one draw as in :func:`sample_along_ray` (a jittered one
+    with ``rng``, its midpoint without). A ray without weight gets the
+    uniform grid."""
+    if k < 1:
+        raise ValueError(f"need at least one sample per ray, got {k}")
+    lengths = np.diff(edges)
+    total = weights.sum(axis=-1, keepdims=True)
+    share = np.divide(weights, total, out=np.zeros_like(weights), where=total > 0)
+    pdf = (1.0 - UNIFORM_FLOOR) * share + UNIFORM_FLOOR * lengths / (edges[-1] - edges[0])
+    cdf = np.zeros((len(weights), len(edges)))
+    np.cumsum(pdf, axis=-1, out=cdf[:, 1:])
+    cdf /= cdf[:, -1:]
+    # the base segment j each target mass falls in, and the point in it
+    targets = np.arange(k + 1) / k
+    j = (cdf[:, None, :-1] <= targets[:, None]).sum(axis=-1) - 1
+    lo = np.take_along_axis(cdf, j, axis=-1)
+    mass = np.take_along_axis(cdf, j + 1, axis=-1) - lo
+    out = edges[j] + (targets - lo) / mass * lengths[j]
+    out[:, 0], out[:, -1] = edges[0], edges[-1]
+    return SampleGrid(edges=out, dists=_draw(out, len(weights), rng), deltas=np.diff(out))
+
+
+def _alpha(sigmas, grid: SampleGrid):
+    """alpha = 1 - exp(-sigma delta): (B,N)."""
+    return ad.sub(1.0, ad.exp(ad.mul(sigmas, -grid.deltas)))
 
 
 def opacity(sigmas, grid: SampleGrid):
     """One field's opacities alpha = 1 - exp(-sigma delta) and compositing
     weights T alpha, with T the exclusive product of (1 - alpha): (B,N) each."""
-    alpha = ad.sub(1.0, ad.exp(ad.mul(sigmas, -grid.deltas)))
+    alpha = _alpha(sigmas, grid)
     return alpha, ad.mul(ad.exclusive_cumprod(ad.sub(1.0, alpha), axis=-1), alpha)
 
 
@@ -84,22 +134,111 @@ def _expected_distance(weights, grid: SampleGrid):
     return ad.sum_(ad.mul(weights, grid.dists), axis=-1)
 
 
-@dataclass
-class RenderResult:
-    """Per-ray outputs of a full render; color fields may be graph Nodes."""
+def _full_parts(p_st, alpha_s, alpha_d):
+    """The full model's transmittance T and its two opacities p a^s and
+    (1 - p) a^d: its compositing weights are T p a^s and T (1 - p) a^d."""
+    pa_s = ad.mul(p_st, alpha_s)
+    pa_d = ad.mul(ad.sub(1.0, p_st), alpha_d)
+    factor = ad.mul(ad.sub(1.0, pa_s), ad.sub(1.0, pa_d))
+    return ad.exclusive_cumprod(factor, axis=-1), pa_s, pa_d
 
-    color_static: object    # (B,3)
-    color_dynamic: object   # (B,3)
-    color_full: object      # (B,3)
-    p_st_samples: object    # (B,N) staticness probabilities
-    p_dy: np.ndarray        # (B,) dynamicness probability, detached
-    weights_dynamic: object  # (B,N) dynamic compositing weights
-    grid: SampleGrid
+
+@dataclass
+class _Decoded:
+    """Samples of one field already decoded, in the form of
+    :class:`fields.FieldSamples`."""
+
+    color: object
+    sigma: object
+    p_st: object = None
+
+    def values(self) -> "_Decoded":
+        parts = (self.color, self.sigma, self.p_st)
+        if not any(isinstance(x, ad.Node) for x in parts):
+            return self
+        return _Decoded(*(None if x is None else ad.value_of(x) for x in parts))
+
+
+class RenderResult:
+    """Per-ray outputs of a full render of B rays on ``grid`` from the static
+    and dynamic fields' samples (``color`` (B,N,3), ``sigma`` (B,N) and,
+    static only, ``p_st`` (B,N)).
+
+    Each output is built on first read, its graph nodes with it. The
+    detached ``w_full`` and ``p_dy`` come from the samples' values, so a
+    loss that reads ``color_static`` and the motion mask alone (BRI-even)
+    builds no node that it does not reach."""
+
+    def __init__(self, static, dynamic, grid: SampleGrid):
+        self._static, self._dynamic, self.grid = static, dynamic, grid
+
+    @cached_property
+    def _opacity_static(self):
+        return opacity(self._static.sigma, self.grid)
+
+    @cached_property
+    def _opacity_dynamic(self):
+        return opacity(self._dynamic.sigma, self.grid)
+
+    @cached_property
+    def color_static(self):
+        """(B,3) static composite."""
+        return _shade(self._opacity_static[1], self._static.color, self.grid.n_samples)
+
+    @cached_property
+    def color_dynamic(self):
+        """(B,3) dynamic composite."""
+        return _shade(self.weights_dynamic, self._dynamic.color, self.grid.n_samples)
+
+    @cached_property
+    def weights_dynamic(self):
+        """(B,N) dynamic compositing weights."""
+        return self._opacity_dynamic[1]
+
+    @property
+    def p_st_samples(self):
+        """(B,N) staticness probabilities."""
+        return self._static.p_st
+
+    @cached_property
+    def _full(self):
+        return _full_parts(self.p_st_samples, self._opacity_static[0],
+                           self._opacity_dynamic[0])
+
+    @cached_property
+    def color_full(self):
+        """(B,3) full composite: each sample's static and dynamic colours
+        weighted by T p a^s and T (1 - p) a^d."""
+        n = self.grid.n_samples
+        trans, pa_s, pa_d = self._full
+        contrib = ad.add(
+            ad.mul(ad.reshape(ad.mul(trans, pa_s), (-1, n, 1)), self._static.color),
+            ad.mul(ad.reshape(ad.mul(trans, pa_d), (-1, n, 1)), self._dynamic.color))
+        return ad.sum_(contrib, axis=1)
+
+    @cached_property
+    def _values(self):
+        return self._static.values(), self._dynamic.values()
+
+    @cached_property
+    def w_full(self) -> np.ndarray:
+        """(B,N) full-model compositing weights, detached."""
+        static, dynamic = self._values
+        if static is self._static and dynamic is self._dynamic:
+            trans, pa_s, pa_d = self._full     # no graph: the composite's own
+        else:
+            trans, pa_s, pa_d = _full_parts(static.p_st, _alpha(static.sigma, self.grid),
+                                            _alpha(dynamic.sigma, self.grid))
+        return trans * (pa_s + pa_d)
+
+    @cached_property
+    def p_dy(self) -> np.ndarray:
+        """(B,) dynamicness probability, detached."""
+        return dynamicness(self.w_full, self._values[0].p_st)
 
     @cached_property
     def kappa_star(self):
-        """(B,) expected dynamic ray distance. Built when first read: a
-        latent bundle's is read by no loss term."""
+        """(B,) expected dynamic ray distance."""
         return _expected_distance(self.weights_dynamic, self.grid)
 
 
@@ -109,30 +248,7 @@ def render_full(static_out, dynamic_out, grid: SampleGrid) -> RenderResult:
     ``static_out``  = (colors (B,N,3), sigmas (B,N), p_st (B,N))
     ``dynamic_out`` = (colors (B,N,3), sigmas (B,N))
     """
-    c_s, sigma_s, p_st = static_out
-    c_d, sigma_d = dynamic_out
-    n = grid.n_samples
-
-    alpha_s, w_s = opacity(sigma_s, grid)
-    alpha_d, w_d = opacity(sigma_d, grid)
-
-    pa_s = ad.mul(p_st, alpha_s)
-    pa_d = ad.mul(ad.sub(1.0, p_st), alpha_d)
-    factor = ad.mul(ad.sub(1.0, pa_s), ad.sub(1.0, pa_d))
-    trans_full = ad.exclusive_cumprod(factor, axis=-1)
-    contrib = ad.add(ad.mul(ad.reshape(ad.mul(trans_full, pa_s), (-1, n, 1)), c_s),
-                     ad.mul(ad.reshape(ad.mul(trans_full, pa_d), (-1, n, 1)), c_d))
-    # the full weights only feed the detached dynamicness
-    w_full = ad.value_of(trans_full) * (ad.value_of(pa_s) + ad.value_of(pa_d))
-    return RenderResult(
-        color_static=_shade(w_s, c_s, n),
-        color_dynamic=_shade(w_d, c_d, n),
-        color_full=ad.sum_(contrib, axis=1),
-        p_st_samples=p_st,
-        p_dy=dynamicness(w_full, ad.value_of(p_st)),
-        weights_dynamic=w_d,
-        grid=grid,
-    )
+    return RenderResult(_Decoded(*static_out), _Decoded(*dynamic_out), grid)
 
 
 def dynamicness(weights_full: np.ndarray, p_st: np.ndarray) -> np.ndarray:
@@ -168,18 +284,26 @@ def _encoded_samples(model: SceneModel, rays: RayBatch, grid: SampleGrid):
 
 def render_rays(model: SceneModel, rays: RayBatch, n_samples: int,
                 rng: np.random.Generator | None = None) -> RenderResult:
-    """Sample, evaluate both fields at every sample of every ray, and
-    composite one ray batch."""
-    b, n = len(rays), n_samples
-    grid = sample_along_ray(rays.near, rays.far, n, b, rng)
+    """Render one ray batch on ``n_samples`` uniform bins per ray."""
+    return render_on_grid(model, rays, sample_along_ray(rays.near, rays.far, n_samples,
+                                                        len(rays), rng))
+
+
+def render_on_grid(model: SceneModel, rays: RayBatch, grid: SampleGrid) -> RenderResult:
+    """Evaluate both fields at every sample of ``grid`` on every ray and
+    composite the batch.
+
+    A frozen dynamic net sees the samples' values: its output then feeds
+    only the detached dynamicness (BRI-even freezes it and trains the base
+    screws that move the samples), so it builds no node."""
+    n = grid.n_samples
     enc_x, glo = _encoded_samples(model, rays, grid)
     # directions are constant along a ray too: encoded and taken per ray
     enc_d = encode_position(rays.dirs, model.config.dir_freqs)
-    c_s, sigma_s, p_st = model.static_eval_encoded(enc_x, enc_d, n)
-    c_d, sigma_d = model.dynamic_eval_encoded(enc_x, enc_d, glo, n)
-    return render_full((ad.reshape(c_s, (b, n, 3)), ad.reshape(sigma_s, (b, n)),
-                        ad.reshape(p_st, (b, n))),
-                       (ad.reshape(c_d, (b, n, 3)), ad.reshape(sigma_d, (b, n))), grid)
+    static = model.static_eval_encoded(enc_x, enc_d, n)
+    if "dynamic" in model.store.frozen:
+        enc_x, enc_d = ad.value_of(enc_x), ad.value_of(enc_d)
+    return RenderResult(static, model.dynamic_eval_encoded(enc_x, enc_d, glo, n), grid)
 
 
 def render_kappa(model: SceneModel, rays: RayBatch, grid: SampleGrid):

@@ -19,7 +19,7 @@ from __future__ import annotations
 import contextlib
 import os
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -184,7 +184,7 @@ class Trainer:
         # with every pixel supervised (BRI-odd) the rows stay as they are
         if m < k:
             both = np.concatenate([keep, k + keep])
-            nb, grid = nb.select(both), replace(grid, dists=grid.dists[both])
+            nb, grid = nb.select(both), grid.select(both)
             base_rays, kappa_primary = base_rays.select(keep), ad.gather(kappa_primary, keep)
             pdist = pdist[:, keep]
         kappa_n = render_kappa(self.model, nb, grid)

@@ -436,6 +436,17 @@ def test_every_op_matches_central_differences():
     assert not failed, f"ops off finite differences: {failed}"
 
 
+@pytest.mark.parametrize("name, seed", [("mlp_heads", 3), ("softplus", 12),
+                                        ("softplus", 22), ("mlp_softplus", 5),
+                                        ("mlp_softplus", 17), ("mlp_softplus", 19)])
+def test_difference_quotient_rounding_fails_no_correct_gradient(name, seed):
+    # draws whose weighted output sum cancels, so the central difference
+    # carries rounding of eps * sum|terms| / h: correct gradients pass, and
+    # a 1 % error still fails
+    assert gc.check_op(name, seed=seed).passed
+    assert not gc.check_op(name, seed=seed, sabotage=name).passed
+
+
 @pytest.mark.parametrize("name", sorted(gc._op_cases(np.random.default_rng(0))))
 def test_plain_inputs_build_no_graph(name):
     # the same arithmetic with and without a graph, bit for bit

@@ -6,7 +6,7 @@ from moblurf import blur
 from moblurf import se3
 from moblurf.cameras import RayBatch
 from moblurf.fields import FieldConfig, SceneModel
-from moblurf.render import render_rays
+from moblurf.render import render_on_grid, render_rays, sample_from_weights
 
 
 def tiny_model(n_latent=2, seed=0):
@@ -168,6 +168,8 @@ class TestBlurryRender:
             assert np.abs(got - ad.value_of(getattr(sharp, field))).max() < 1e-12
 
     def test_hand_set_screws_match_mean_of_independent_renders(self):
+        # each latent color is its copy's render on the base ray's proposal
+        # grid, corrected by the base ray: C(N) + C_q(k) - C(k)
         model = tiny_model(n_latent=2)
         rng = np.random.default_rng(10)
         table = rng.normal(size=model.store.values["screw.global"].shape) * 0.05
@@ -176,19 +178,21 @@ class TestBlurryRender:
         res = blur.blurry_render(model, rays, n_samples=8, rng=None,
                                  mask_override=np.zeros(len(rays), dtype=int))
         base = render_rays(model, rays, n_samples=8, rng=None)
+        grid = sample_from_weights(base.w_full, base.grid.edges, blur.LATENT_SAMPLES)
+        base_k = render_on_grid(model, rays, grid)
         latent = blur.gmrp(model, rays)
-        copies = [render_rays(model, latent.select(np.arange(q * 5, q * 5 + 5)),
-                              n_samples=8, rng=None) for q in range(2)]
+        copies = [render_on_grid(model, latent.select(np.arange(q * 5, q * 5 + 5)), grid)
+                  for q in range(2)]
         for field in COLORS:
-            expected = ad.value_of(getattr(base, field)).copy()
-            for r in copies:
-                expected += ad.value_of(getattr(r, field))
-            expected /= 3.0
-            assert np.abs(ad.value_of(getattr(res, field)) - expected).max() < 1e-12
+            sharp = ad.value_of(getattr(base, field))
+            shift = sharp - ad.value_of(getattr(base_k, field))
+            expected = sharp + sum(ad.value_of(getattr(r, field)) + shift for r in copies)
+            assert np.abs(ad.value_of(getattr(res, field)) - expected / 3.0).max() < 1e-12
 
     def test_rows_stitch_static_and_refined_copies(self):
         # every row's blurry colors are the mean of its base render and its
-        # N_b copy renders, the dynamic rows' copies refined through lorr
+        # N_b corrected copies, each copy rendered alone on its base ray's
+        # proposal grid, the dynamic rows' copies refined through lorr
         model = tiny_model(n_latent=3)
         rng = np.random.default_rng(14)
         table = rng.normal(size=model.store.values["screw.global"].shape) * 0.05
@@ -200,16 +204,51 @@ class TestBlurryRender:
         base = render_rays(model, rays, n_samples=8, rng=None)
         latent = blur.gmrp(model, rays)
         for row in range(len(rays)):
+            one = np.array([row])
+            grid = sample_from_weights(base.w_full[one], base.grid.edges,
+                                       blur.LATENT_SAMPLES)
+            base_k = render_on_grid(model, rays.select(one), grid)
             copies = [latent.select(np.array([q * len(rays) + row])) for q in range(3)]
             if mask[row]:
                 copies = [blur.lorr(model, c) for c in copies]
-            renders = [render_rays(model, c, n_samples=8, rng=None) for c in copies]
+            renders = [render_on_grid(model, c, grid) for c in copies]
             for field in COLORS:
-                expected = ad.value_of(getattr(base, field))[row]
-                expected = expected + sum(ad.value_of(getattr(r, field))[0]
-                                          for r in renders)
+                sharp = ad.value_of(getattr(base, field))[row]
+                shift = sharp - ad.value_of(getattr(base_k, field))[0]
+                expected = sharp + sum(ad.value_of(getattr(r, field))[0] + shift
+                                       for r in renders)
                 got = ad.value_of(getattr(res, field))[row]
                 assert np.abs(got - expected / 4.0).max() < 1e-12, (row, field)
+
+    def test_copies_render_on_one_proposal_grid_drawn_once(self, monkeypatch):
+        # one (B, k) jitter draw, after the base render's, whose grid every
+        # copy and the base ray's second render share, row by row
+        model = tiny_model(n_latent=3)
+        rays = make_rays(n=6, seed=17)
+        grids = []
+        orig = blur.render_on_grid
+
+        def spy(model, rays, grid):
+            grids.append(grid)
+            return orig(model, rays, grid)
+
+        monkeypatch.setattr(blur, "render_on_grid", spy)
+        rng = np.random.default_rng(18)
+        res = blur.blurry_render(model, rays, 8, rng=rng,
+                                 mask_override=np.array([0, 1, 0, 0, 1, 1]))
+        ref = np.random.default_rng(18)
+        render_rays(model, rays, 8, rng=ref)
+        jitter = ref.random((6, blur.LATENT_SAMPLES))
+        assert rng.random() == ref.random()
+        (grid,) = grids
+        own = sample_from_weights(res.base.w_full, res.base.grid.edges,
+                                  blur.LATENT_SAMPLES)
+        assert grid.n_samples == blur.LATENT_SAMPLES and len(grid.dists) == 4 * 6
+        for q in range(4):
+            rows = slice(q * 6, q * 6 + 6)
+            assert np.array_equal(grid.edges[rows], own.edges)
+            assert np.array_equal(grid.dists[rows],
+                                  own.edges[:, :-1] + jitter * own.deltas)
 
     def test_one_lorr_call_over_all_copies(self, monkeypatch):
         model = tiny_model(n_latent=3)
@@ -242,3 +281,20 @@ class TestBlurryRender:
                                   ad.value_of(getattr(base, field)))
         assert np.array_equal(ad.value_of(res.p_st_samples),
                               ad.value_of(base.p_st_samples))
+
+    def test_zero_latent_count_renders_and_draws_nothing_more(self, monkeypatch):
+        model = tiny_model(n_latent=0)
+        rays = make_rays(n=4, seed=19)
+        calls = []
+        monkeypatch.setattr(blur, "render_on_grid",
+                            lambda *a: calls.append(a))
+        rng, ref = np.random.default_rng(20), np.random.default_rng(20)
+        blur.blurry_render(model, rays, 8, rng=rng)
+        render_rays(model, rays, 8, rng=ref)
+        assert calls == [] and rng.random() == ref.random()
+
+    def test_staticness_term_reads_the_base_samples(self):
+        model = tiny_model(n_latent=2)
+        rays = make_rays(n=5, seed=21)
+        res = blur.blurry_render(model, rays, 8, rng=None)
+        assert res.p_st_samples is res.base.p_st_samples

@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 
 from moblurf import autodiff as ad
-from moblurf.render import (SampleGrid, composite, dynamicness, motion_mask,
-                            render_full, sample_along_ray)
+from moblurf.render import (UNIFORM_FLOOR, SampleGrid, composite, dynamicness,
+                            motion_mask, render_full, sample_along_ray,
+                            sample_from_weights)
 
 
 def make_grid(near=1.0, far=5.0, n=4, batch=2, rng=None):
@@ -68,6 +69,95 @@ class TestSampling:
             sample_along_ray(5.0, 1.0, 4, 2)
         with pytest.raises(ValueError):
             sample_along_ray(0.0, 1.0, 4, 2)
+
+
+def mixed_cdf(weights, edges, x):
+    """The proposal's mixed CDF at distances ``x`` (B, M), segment by
+    segment: each ray's normalized weights at share 1 - UNIFORM_FLOOR plus
+    the uniform density over [near, far]."""
+    lengths = np.diff(edges)
+    pdf = ((1 - UNIFORM_FLOOR) * weights / weights.sum(axis=1, keepdims=True)
+           + UNIFORM_FLOOR * lengths / (edges[-1] - edges[0]))
+    part = np.clip((x[..., None] - edges[:-1]) / lengths, 0.0, 1.0)
+    return (part * pdf[:, None, :]).sum(axis=-1)
+
+
+def proposal_weights(batch=5, n=16, seed=0):
+    """Peaked compositing weights, one ray without any."""
+    rng = np.random.default_rng(seed)
+    w = rng.random((batch, n)) ** 8
+    w[0] = 0.0
+    return w, 1.0 + 4.0 * np.arange(n + 1) / n
+
+
+class TestProposalSampling:
+    def test_endpoints_are_near_and_far(self):
+        w, edges = proposal_weights()
+        grid = sample_from_weights(w, edges, 8, np.random.default_rng(1))
+        assert np.all(grid.edges[:, 0] == 1.0) and np.all(grid.edges[:, -1] == 5.0)
+        assert grid.edges.shape == (5, 9) and grid.dists.shape == grid.deltas.shape == (5, 8)
+        assert grid.n_samples == 8
+
+    def test_edges_strictly_increase_and_samples_stay_in_their_bins(self):
+        w, edges = proposal_weights(seed=2)
+        for rng in (None, np.random.default_rng(3)):
+            grid = sample_from_weights(w, edges, 8, rng)
+            assert np.all(np.diff(grid.edges, axis=1) > 0)
+            assert np.array_equal(grid.deltas, np.diff(grid.edges, axis=1))
+            assert np.all((grid.dists >= grid.edges[:, :-1])
+                          & (grid.dists <= grid.edges[:, 1:]))
+        mids = sample_from_weights(w, edges, 8).dists
+        assert np.abs(mids - 0.5 * (grid.edges[:, :-1] + grid.edges[:, 1:])).max() < 1e-15
+
+    def test_each_bin_holds_an_equal_share_of_the_mixed_mass(self):
+        w, edges = proposal_weights(seed=4)
+        w[0, 3] = 1.0                     # a ray whose weight is one segment's
+        for k in (1, 3, 8, 12):
+            grid = sample_from_weights(w, edges, k)
+            cdf = mixed_cdf(w, edges, grid.edges)
+            assert np.abs(cdf - np.arange(k + 1) / k).max() < 1e-12, k
+
+    def test_peaked_weights_draw_samples_to_the_peak(self):
+        w = np.full((1, 16), 1e-3)
+        w[0, 10] = 1.0
+        edges = 1.0 + 4.0 * np.arange(17) / 16
+        grid = sample_from_weights(w, edges, 8)
+        inside = (grid.dists >= edges[10]) & (grid.dists <= edges[11])
+        assert inside.sum() >= 5
+
+    def test_uniform_weights_reproduce_the_uniform_grid(self):
+        edges = 1.0 + 4.0 * np.arange(9) / 8
+        for w in (np.ones((3, 8)), np.zeros((3, 8))):
+            got = sample_from_weights(w, edges, 8, np.random.default_rng(5))
+            ref = sample_along_ray(1.0, 5.0, 8, 3, np.random.default_rng(5))
+            assert np.abs(got.edges - ref.edges).max() < 1e-14
+            assert np.abs(got.dists - ref.dists).max() < 1e-14
+            assert np.abs(got.deltas - ref.deltas).max() < 1e-14
+
+    def test_same_seed_same_bits_and_one_draw_per_sample(self):
+        w, edges = proposal_weights(seed=6)
+        rng_a, rng_b = np.random.default_rng(7), np.random.default_rng(7)
+        a = sample_from_weights(w, edges, 8, rng_a)
+        b = sample_from_weights(w, edges, 8, rng_b)
+        assert np.array_equal(a.dists, b.dists) and np.array_equal(a.edges, b.edges)
+        rng_c = np.random.default_rng(7)
+        rng_c.random((5, 8))
+        assert rng_a.random() == rng_c.random()
+
+    def test_select_takes_rows_of_a_per_ray_grid(self):
+        w, edges = proposal_weights(seed=8)
+        grid = sample_from_weights(w, edges, 4)
+        rows = np.array([3, 3, 0])
+        sub = grid.select(rows)
+        for name in ("edges", "dists", "deltas"):
+            assert np.array_equal(getattr(sub, name), getattr(grid, name)[rows])
+        uniform = sample_along_ray(1.0, 5.0, 4, 5)
+        assert uniform.select(rows).edges is uniform.edges
+
+    def test_rejects_no_samples(self):
+        w, edges = proposal_weights()
+        with pytest.raises(ValueError):
+            sample_from_weights(w, edges, 0)
 
 
 class TestComposite:

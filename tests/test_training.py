@@ -297,6 +297,84 @@ def test_mdd_step_builds_only_nodes_its_loss_reaches(tiny_dataset, monkeypatch):
         assert [node for node in built if id(node) not in reached] == []
 
 
+def test_bri_even_step_builds_only_nodes_its_loss_reaches(tiny_dataset, monkeypatch):
+    # the BRI-even loss reads the static composite and the detached motion
+    # mask: the full composite, the dynamic composite, the staticness head
+    # and the frozen dynamic net build no node
+    tr = tiny_trainer(tiny_dataset)
+    built = []
+    init = ad.Node.__init__
+    monkeypatch.setattr(ad.Node, "__init__",
+                        lambda self, *a, **k: built.append(self) or init(self, *a, **k))
+    for it in range(2):
+        batch = tr.sample_batch()
+        built.clear()
+        tr.model.store.begin_step()
+        tr.model.store.set_frozen_groups(FREEZE_BRI_EVEN)
+        loss, _ = tr.compute_bri_even_loss(batch, tr.rng)
+        reached = {id(node) for node in ad.topo_order(loss)}
+        assert len(built) > 30
+        assert [node for node in built if id(node) not in reached] == []
+        tr.bri_step(2 * it)
+
+
+def test_mdd_loss_matches_finite_differences_off_the_no_op(monkeypatch):
+    # non-zero global screws, a local MLP that moves the refined rows, and
+    # half the rows refined: the MDD loss against central differences, with
+    # the latent proposal grid held where the unperturbed render put it
+    from moblurf import gradcheck as gc
+    tr = gc._tiny_trainer(4)
+    for it in range(4):
+        tr.bri_step(it)
+    store = tr.model.store
+    rng = np.random.default_rng(5)
+    store.values["screw.global"][:] = rng.normal(0.0, 0.05, store.values["screw.global"].shape)
+    last = max(int(n.split(".")[2]) for n in store.names("local") if n.endswith(".w"))
+    store.values[f"local.mlp.{last}.b"][:] = [0.04, -0.03, 0.05, 0.02, 0.03, -0.04]
+    store.values[f"local.mlp.{last}.w"][:] = rng.normal(0.0, 0.05,
+                                                        store.values[f"local.mlp.{last}.w"].shape)
+    batch = tr.sample_batch()
+    mask = (np.arange(len(batch.rays)) % 2).astype(np.int64)
+    store.set_frozen_groups(FREEZE_MDD)
+    grids = []
+    draw = blur.sample_from_weights
+
+    def held_grid(*args):
+        if not grids:
+            grids.append(draw(*args))
+        return grids[0]
+
+    monkeypatch.setattr(blur, "sample_from_weights", held_grid)
+
+    def loss_value():
+        store.begin_step()
+        loss, _ = tr.compute_mdd_loss(batch, None, mask_override=mask)
+        return loss
+
+    ad.backward(loss_value())
+    grads = {name: store.grad(name).reshape(-1) for name in store.values}
+    blurred = blur.blurry_render(tr.model, tr.warp_base(batch.rays),
+                                 tr.config.n_samples, None, mask)
+    assert blurred.lorr_rays == mask.sum() * tr.config.n_latent
+    h = gc.FD_STEP
+    checked = 0
+    for group in ("screw_global", "local", "static", "dynamic"):
+        for name in store.names(group):
+            g = grads[name]
+            vals = store.values[name].reshape(-1)
+            for idx in np.argsort(-np.abs(g))[:2]:
+                orig = vals[idx]
+                vals[idx] = orig + h
+                fp = float(ad.value_of(loss_value()))
+                vals[idx] = orig - h
+                fm = float(ad.value_of(loss_value()))
+                vals[idx] = orig
+                numeric = (fp - fm) / (2 * h)
+                assert abs(g[idx] - numeric) <= 1e-4 * abs(numeric) + 1e-9, (name, idx)
+                checked += 1
+    assert checked > 20 and np.abs(grads["screw.global"]).max() > 1e-6
+
+
 class TestRunAndResume:
     def test_run_writes_checkpoints_logs_and_history(self, tiny_dataset, tmp_path):
         tr = tiny_trainer(tiny_dataset)
