@@ -143,22 +143,6 @@ def _full_parts(p_st, alpha_s, alpha_d):
     return ad.exclusive_cumprod(factor, axis=-1), pa_s, pa_d
 
 
-@dataclass
-class _Decoded:
-    """Samples of one field already decoded, in the form of
-    :class:`fields.FieldSamples`."""
-
-    color: object
-    sigma: object
-    p_st: object = None
-
-    def values(self) -> "_Decoded":
-        parts = (self.color, self.sigma, self.p_st)
-        if not any(isinstance(x, ad.Node) for x in parts):
-            return self
-        return _Decoded(*(None if x is None else ad.value_of(x) for x in parts))
-
-
 class RenderResult:
     """Per-ray outputs of a full render of B rays on ``grid`` from the static
     and dynamic fields' samples (``color`` (B,N,3), ``sigma`` (B,N) and,
@@ -167,10 +151,15 @@ class RenderResult:
     Each output is built on first read, its graph nodes with it. The
     detached ``w_full`` and ``p_dy`` come from the samples' values, so a
     loss that reads ``color_static`` and the motion mask alone (BRI-even)
-    builds no node that it does not reach."""
+    builds no node that it does not reach.
 
-    def __init__(self, static, dynamic, grid: SampleGrid):
+    ``dynamic_cut`` marks dynamic samples taken at the values of sample
+    points that carry a graph: the dynamic, full and kappa outputs would
+    then drop the points' gradient, so reading them raises."""
+
+    def __init__(self, static, dynamic, grid: SampleGrid, dynamic_cut: bool = False):
         self._static, self._dynamic, self.grid = static, dynamic, grid
+        self._dynamic_cut = dynamic_cut
 
     @cached_property
     def _opacity_static(self):
@@ -178,6 +167,9 @@ class RenderResult:
 
     @cached_property
     def _opacity_dynamic(self):
+        if self._dynamic_cut:
+            raise RuntimeError("the frozen dynamic net saw the sample points' values; "
+                               "its composites would drop their gradient")
         return opacity(self._dynamic.sigma, self.grid)
 
     @cached_property
@@ -201,54 +193,40 @@ class RenderResult:
         return self._static.p_st
 
     @cached_property
-    def _full(self):
-        return _full_parts(self.p_st_samples, self._opacity_static[0],
-                           self._opacity_dynamic[0])
-
-    @cached_property
     def color_full(self):
         """(B,3) full composite: each sample's static and dynamic colours
         weighted by T p a^s and T (1 - p) a^d."""
         n = self.grid.n_samples
-        trans, pa_s, pa_d = self._full
+        trans, pa_s, pa_d = _full_parts(self.p_st_samples, self._opacity_static[0],
+                                        self._opacity_dynamic[0])
         contrib = ad.add(
             ad.mul(ad.reshape(ad.mul(trans, pa_s), (-1, n, 1)), self._static.color),
             ad.mul(ad.reshape(ad.mul(trans, pa_d), (-1, n, 1)), self._dynamic.color))
         return ad.sum_(contrib, axis=1)
 
     @cached_property
-    def _values(self):
-        return self._static.values(), self._dynamic.values()
+    def _detached(self):
+        # decoded from the samples' values and dropped once w_full is taken
+        static, dynamic = self._static.values(), self._dynamic.values()
+        trans, pa_s, pa_d = _full_parts(static.p_st, _alpha(static.sigma, self.grid),
+                                        _alpha(dynamic.sigma, self.grid))
+        w_full = trans * (pa_s + pa_d)
+        return w_full, dynamicness(w_full, static.p_st)
 
-    @cached_property
+    @property
     def w_full(self) -> np.ndarray:
         """(B,N) full-model compositing weights, detached."""
-        static, dynamic = self._values
-        if static is self._static and dynamic is self._dynamic:
-            trans, pa_s, pa_d = self._full     # no graph: the composite's own
-        else:
-            trans, pa_s, pa_d = _full_parts(static.p_st, _alpha(static.sigma, self.grid),
-                                            _alpha(dynamic.sigma, self.grid))
-        return trans * (pa_s + pa_d)
+        return self._detached[0]
 
-    @cached_property
+    @property
     def p_dy(self) -> np.ndarray:
         """(B,) dynamicness probability, detached."""
-        return dynamicness(self.w_full, self._values[0].p_st)
+        return self._detached[1]
 
     @cached_property
     def kappa_star(self):
         """(B,) expected dynamic ray distance."""
         return _expected_distance(self.weights_dynamic, self.grid)
-
-
-def render_full(static_out, dynamic_out, grid: SampleGrid) -> RenderResult:
-    """Compose static, dynamic, and probabilistic full colors for a batch.
-
-    ``static_out``  = (colors (B,N,3), sigmas (B,N), p_st (B,N))
-    ``dynamic_out`` = (colors (B,N,3), sigmas (B,N))
-    """
-    return RenderResult(_Decoded(*static_out), _Decoded(*dynamic_out), grid)
 
 
 def dynamicness(weights_full: np.ndarray, p_st: np.ndarray) -> np.ndarray:
@@ -293,17 +271,19 @@ def render_on_grid(model: SceneModel, rays: RayBatch, grid: SampleGrid) -> Rende
     """Evaluate both fields at every sample of ``grid`` on every ray and
     composite the batch.
 
-    A frozen dynamic net sees the samples' values: its output then feeds
-    only the detached dynamicness (BRI-even freezes it and trains the base
-    screws that move the samples), so it builds no node."""
+    A frozen dynamic net sees the samples' values, so it builds no node:
+    BRI-even freezes it, trains the base screws that move the samples and
+    reads only the detached dynamicness. The result refuses the dynamic
+    outputs whose gradient that cuts."""
     n = grid.n_samples
     enc_x, glo = _encoded_samples(model, rays, grid)
     # directions are constant along a ray too: encoded and taken per ray
     enc_d = encode_position(rays.dirs, model.config.dir_freqs)
     static = model.static_eval_encoded(enc_x, enc_d, n)
-    if "dynamic" in model.store.frozen:
+    cut = "dynamic" in model.store.frozen and isinstance(enc_x, ad.Node)
+    if cut:
         enc_x, enc_d = ad.value_of(enc_x), ad.value_of(enc_d)
-    return RenderResult(static, model.dynamic_eval_encoded(enc_x, enc_d, glo, n), grid)
+    return RenderResult(static, model.dynamic_eval_encoded(enc_x, enc_d, glo, n), grid, cut)
 
 
 def render_kappa(model: SceneModel, rays: RayBatch, grid: SampleGrid):

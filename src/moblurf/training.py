@@ -35,6 +35,8 @@ from .optim import LrSchedule, adam_step
 from .render import motion_mask, render_kappa, render_rays, sample_along_ray
 
 ALL_GROUPS = {"static", "dynamic", "local", "screw_base", "screw_global"}
+# a stage that freezes the dynamic net and moves rays by screws reads no
+# dynamic output but the detached dynamicness (render.render_on_grid)
 FREEZE_BRI_EVEN = ALL_GROUPS - {"static", "screw_base"}
 FREEZE_BRI_ODD = ALL_GROUPS - {"static", "dynamic"}
 FREEZE_MDD = {"screw_base"}

@@ -6,7 +6,9 @@ from moblurf import blur
 from moblurf import se3
 from moblurf.cameras import RayBatch
 from moblurf.fields import FieldConfig, SceneModel
-from moblurf.render import render_on_grid, render_rays, sample_from_weights
+from moblurf.render import (render_on_grid, render_rays, sample_along_ray,
+                            sample_from_weights)
+from moblurf.training import FREEZE_BRI_EVEN, FREEZE_BRI_ODD, FREEZE_MDD
 
 
 def tiny_model(n_latent=2, seed=0):
@@ -298,3 +300,40 @@ class TestBlurryRender:
         rays = make_rays(n=5, seed=21)
         res = blur.blurry_render(model, rays, 8, rng=None)
         assert res.p_st_samples is res.base.p_st_samples
+
+
+class TestFrozenDynamicNet:
+    """A frozen dynamic net sees the sample points' values; the outputs
+    whose gradient that would cut refuse to build."""
+
+    def _render(self, frozen, moving=True):
+        model = tiny_model()
+        model.store.set_frozen_groups(frozen)
+        rays = make_rays(n=5, seed=23)
+        if moving:
+            rays.origins = ad.Node(rays.origins)
+        grid = sample_along_ray(rays.near, rays.far, 8, len(rays), np.random.default_rng(24))
+        return render_on_grid(model, rays, grid), rays
+
+    def test_moving_rays_refuse_dynamic_outputs(self):
+        res, rays = self._render(FREEZE_BRI_EVEN)
+        for name in ("color_dynamic", "color_full", "kappa_star", "weights_dynamic"):
+            with pytest.raises(RuntimeError, match="frozen dynamic net"):
+                getattr(res, name)
+        # what BRI-even reads still builds, its gradient reaching the rays
+        assert np.all(np.isfinite(res.p_dy))
+        ad.backward(ad.sum_(res.color_static))
+        assert np.abs(rays.origins.grad).max() > 0
+
+    def test_fixed_rays_read_every_output(self):
+        res, _ = self._render(FREEZE_BRI_EVEN, moving=False)
+        for name in ("color_dynamic", "color_full", "kappa_star"):
+            assert np.all(np.isfinite(ad.value_of(getattr(res, name))))
+
+    @pytest.mark.parametrize("frozen", [FREEZE_BRI_ODD, FREEZE_MDD])
+    def test_trained_dynamic_net_passes_the_rays_gradient(self, frozen):
+        for name in ("color_dynamic", "color_full", "kappa_star"):
+            res, rays = self._render(frozen)
+            out = getattr(res, name)
+            ad.backward(ad.sum_(ad.mul(out, out)))
+            assert np.abs(rays.origins.grad).max() > 0, name

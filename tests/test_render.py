@@ -2,9 +2,26 @@ import numpy as np
 import pytest
 
 from moblurf import autodiff as ad
-from moblurf.render import (UNIFORM_FLOOR, SampleGrid, composite, dynamicness,
-                            motion_mask, render_full, sample_along_ray,
+from moblurf.render import (UNIFORM_FLOOR, RenderResult, SampleGrid, composite,
+                            dynamicness, motion_mask, sample_along_ray,
                             sample_from_weights)
+
+
+class Samples:
+    """One field's decoded samples as plain arrays, in the form of
+    ``fields.FieldSamples``."""
+
+    def __init__(self, color, sigma, p_st=None):
+        self.color, self.sigma, self.p_st = color, sigma, p_st
+
+    def values(self):
+        return self
+
+
+def render_full(static_out, dynamic_out, grid):
+    """RenderResult of (colors, sigmas, p_st) static and (colors, sigmas)
+    dynamic samples."""
+    return RenderResult(Samples(*static_out), Samples(*dynamic_out), grid)
 
 
 def make_grid(near=1.0, far=5.0, n=4, batch=2, rng=None):
