@@ -583,44 +583,37 @@ def narrow(a, start, length, axis=0):
     return _make(ov, [(a, vjp)])
 
 
-def gather(a, idx, axis=0):
+def gather(a, idx):
     """Row lookup (embedding-table style); gradient scatter-adds."""
     av = value_of(a)
     idx = np.asarray(idx)
-    ov = np.take(av, idx, axis=axis)
+    ov = np.take(av, idx, axis=0)
 
     def vjp(g):
         full = np.zeros_like(av)
-        if axis == 0:
-            np.add.at(full, idx, g)
-        else:
-            full_m = np.moveaxis(full, axis, 0)
-            np.add.at(full_m, idx, np.moveaxis(g, axis, 0))
+        np.add.at(full, idx, g)
         return full
 
     return _make(ov, [(a, vjp)])
 
 
-def exclusive_cumprod(a, axis=-1):
-    """y_n = prod_{k<n} x_k with y_0 = 1, along ``axis``.
+def exclusive_cumprod(a):
+    """y_n = prod_{k<n} x_k with y_0 = 1, along the last axis.
 
     The gradient runs the reverse recurrence s_k = g_{k+1} + x_{k+1} s_{k+1}
     and returns y_k s_k. It never divides by x, so factors that underflow to
     zero (saturated compositing) keep finite gradients.
     """
     av = value_of(a)
-    shifted = np.roll(av, 1, axis=axis)
-    idx0 = tuple(slice(None) if i != (axis % av.ndim) else slice(0, 1)
-                 for i in range(av.ndim))
-    shifted[idx0] = 1.0
-    ov = np.cumprod(shifted, axis=axis)
+    shifted = np.roll(av, 1, axis=-1)
+    shifted[..., 0] = 1.0
+    ov = np.cumprod(shifted, axis=-1)
 
     def vjp(g):
-        gm, xm = np.moveaxis(g, axis, -1), np.moveaxis(av, axis, -1)
-        s = np.zeros_like(gm)
-        for k in range(gm.shape[-1] - 2, -1, -1):
-            s[..., k] = gm[..., k + 1] + xm[..., k + 1] * s[..., k + 1]
-        return ov * np.moveaxis(s, -1, axis)
+        s = np.zeros_like(g)
+        for k in range(g.shape[-1] - 2, -1, -1):
+            s[..., k] = g[..., k + 1] + av[..., k + 1] * s[..., k + 1]
+        return ov * s
 
     return _make(ov, [(a, vjp)])
 

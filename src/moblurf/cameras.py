@@ -92,8 +92,8 @@ class RayBatch:
     def select(self, idx: np.ndarray) -> "RayBatch":
         """Row subset; geometric fields go through gather to stay in-graph."""
         return RayBatch(
-            origins=ad.gather(self.origins, idx, axis=0),
-            dirs=ad.gather(self.dirs, idx, axis=0),
+            origins=ad.gather(self.origins, idx),
+            dirs=ad.gather(self.dirs, idx),
             t=self.t[idx],
             uv=self.uv[idx],
             near=self.near,

@@ -74,8 +74,9 @@ def cmd_synth(args) -> int:
     scene = build_preset(args.preset)
     ds = synthesize_dataset(scene, seed=args.seed, preset_name=args.preset)
     write_dataset(ds, out, force=True)
-    write_manifest(out / "manifest.json", resolve_config(args.profile), args.seed,
-                   command="synth", extras={"preset": args.preset, "out": str(out)})
+    write_manifest(out / "manifest.json", resolve_config(args.profile).to_dict(),
+                   args.seed, command="synth",
+                   extras={"preset": args.preset, "out": str(out)})
     print(f"wrote {ds.n_frames} frames ({ds.shape[0]}x{ds.shape[1]}) to {out}")
     return EXIT_OK
 
@@ -101,7 +102,8 @@ def cmd_train(args) -> int:
     if args.resume and manifest_path.exists():
         manifest = read_manifest(manifest_path)
     else:
-        manifest = write_manifest(manifest_path, config, config.seed, command="train",
+        manifest = write_manifest(manifest_path, config.to_dict(), config.seed,
+                                  command="train",
                                   extras={"dataset": str(args.dataset), "out": str(out)})
     trainer = Trainer(config, dataset)
     info = trainer.run(out, resume=args.resume, progress=args.progress)
@@ -112,7 +114,7 @@ def cmd_train(args) -> int:
 
 
 def cmd_render(args) -> int:
-    from .config import TrainConfig, write_manifest
+    from .config import ConfigError, TrainConfig, write_manifest
     from .data import read_dataset, read_poses, write_depth_raw
     from .fields import load_checkpoint
     from .inference import render_frames
@@ -120,15 +122,21 @@ def cmd_render(args) -> int:
     import numpy as np
 
     model, meta = load_checkpoint(args.checkpoint)
+    # the config the checkpoint was trained with, as stored (the defaults if
+    # it has none); render reads only its n_samples, so a config holding
+    # keys this version has dropped still renders
+    config = meta.get("train_state", {}).get("config") or TrainConfig().to_dict()
+    n_samples = config.get("n_samples") if isinstance(config, dict) else None
+    if type(n_samples) is not int or n_samples < 1:
+        raise ConfigError(f"{args.checkpoint}: stored config has no positive "
+                          f"integer n_samples")
     dataset = read_dataset(args.dataset)
-    # the config the checkpoint was trained with (defaults if it has none)
-    config = TrainConfig(**meta.get("train_state", {}).get("config", {}))
     if args.pose_source == "file" and not args.pose_file:
         raise ValueError("--pose-file is required with --pose-source file")
     poses = (read_poses(args.pose_file, dataset.meta) if args.pose_source == "file"
              else {"train": None, "eval": dataset.poses_true}[args.pose_source])
     frames = render_frames(model, dataset, _parse_timestamps(args.timestamps), poses,
-                           n_samples=config.n_samples)
+                           n_samples=n_samples)
     out = Path(args.out)
     for sub in ("rgb", "mask", "p_dy", "kappa"):
         (out / sub).mkdir(parents=True, exist_ok=True)
@@ -175,12 +183,15 @@ def cmd_eval(args) -> int:
             print(f"error: missing rendered frame {rgb_path}", file=sys.stderr)
             return EXIT_VALIDATION
         frame = {"t": t, "rgb": read_png(rgb_path) / 255.0}
-        mask_path = render_dir / "mask" / f"{t:04d}.png"
-        if mask_path.exists():
-            frame["mask"] = read_png(mask_path) > 127
-        pdy_path = render_dir / "p_dy" / f"{t:04d}.raw"
-        if pdy_path.exists():
-            frame["p_dy"] = read_depth_raw(pdy_path)
+        for key, path, read in (
+                ("mask", render_dir / "mask" / f"{t:04d}.png", lambda p: read_png(p) > 127),
+                ("p_dy", render_dir / "p_dy" / f"{t:04d}.raw", read_depth_raw)):
+            if path.exists():
+                frame[key] = read(path)
+                if frame[key].shape != dataset.shape:
+                    print(f"error: {path}: shape {frame[key].shape}, dataset frames "
+                          f"are {dataset.shape}", file=sys.stderr)
+                    return EXIT_VALIDATION
         frames.append(frame)
     report = evaluate(dataset, frames)
 
@@ -291,8 +302,8 @@ def main(argv=None) -> int:
         from .data import DatasetError
         from .fields import CheckpointError
         from .optim import OptimError
-        from .training import FreezeViolation, NumericalError
-        if isinstance(exc, (NumericalError, OptimError, FreezeViolation)):
+        from .training import NumericalError
+        if isinstance(exc, (NumericalError, OptimError)):
             detail = getattr(exc, "breakdown", None)
             print(f"numerical failure: {exc}"
                   + (f" breakdown={detail}" if detail else ""), file=sys.stderr)

@@ -35,7 +35,6 @@ class TrainConfig:
     rgb_width: int = 64
     local_depth: int = 4
     local_width: int = 64
-    activation: str = "relu"
     pos_freqs: int = 8
     dir_freqs: int = 4
     glo_dim: int = 8
@@ -47,11 +46,9 @@ class TrainConfig:
     mlp_lr_end: float = 1e-4
     lambda_sm: float = 0.002
     lambda_lg: float = 0.075
-    lg_fraction: float = 0.25
     lg_dynamic_only_mdd: bool = True
     checkpoint_fraction: float = 0.1
     log_every: int = 25
-    debug_freeze_check: bool = False
 
     def __post_init__(self):
         """Every value checked before any work: the type its field is
@@ -77,8 +74,6 @@ class TrainConfig:
         for name in ("lambda_sm", "lambda_lg"):
             if getattr(self, name) < 0:
                 raise ConfigError(f"{name} must be >= 0")
-        if not 0.0 <= self.lg_fraction <= 1.0:
-            raise ConfigError("lg_fraction must lie in [0, 1]")
         if not 0.0 < self.checkpoint_fraction <= 1.0:
             raise ConfigError("checkpoint_fraction must lie in (0, 1]")
         try:
@@ -87,9 +82,10 @@ class TrainConfig:
             raise ConfigError(str(exc)) from None
 
     def field_config(self, n_frames: int) -> FieldConfig:
+        """The architecture; the trunk activation keeps its default, relu."""
         return FieldConfig(n_frames=n_frames, **{
             f.name: getattr(self, f.name) for f in fields(FieldConfig)
-            if f.name != "n_frames"})
+            if f.name in _VALID_KEYS})
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -127,12 +123,12 @@ def resolve_config(profile: str = "desk", file_values: dict | None = None,
     return TrainConfig(**merged)
 
 
-def write_manifest(path, config: TrainConfig, seed: int, command: str,
+def write_manifest(path, config: dict, seed: int, command: str,
                    extras: dict | None = None) -> dict:
     """Materialize the run manifest (written before work begins)."""
     manifest = {
         "command": command,
-        "config": config.to_dict(),
+        "config": config,
         "seed": seed,
         "version": _version(),
         "platform": platform.platform(),

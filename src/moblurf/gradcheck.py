@@ -10,7 +10,7 @@ and probe a sample of parameter components per group.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -178,11 +178,11 @@ def _op_cases(rng):
         "narrow": ([rng.normal(size=(6, 3))], lambda x: ad.narrow(x, 1, 3, axis=0)),
         "reshape": ([rng.normal(size=(6, 2))], lambda x: ad.reshape(x, (3, 4))),
         "exclusive_cumprod": ([_positive(rng, (3, 6))],
-                              lambda x: ad.exclusive_cumprod(x, axis=-1)),
+                              ad.exclusive_cumprod),
         # saturated compositing: factors that underflowed to exactly zero
         "exclusive_cumprod_zeros": (
             [_positive(rng, (3, 6)) * (rng.random((3, 6)) > 0.3)],
-            lambda x: ad.exclusive_cumprod(x, axis=-1)),
+            ad.exclusive_cumprod),
         "rot_coef_a": ([_positive(rng, (6,), floor=1e-4)], ad.rot_coef_a),
         "rot_coef_b": ([_positive(rng, (6,), floor=1e-4)], ad.rot_coef_b),
         "rot_coef_c": ([_positive(rng, (6,), floor=1e-4)], ad.rot_coef_c),
@@ -278,6 +278,7 @@ def _tiny_scene():
 def _tiny_trainer(seed: int):
     from .config import resolve_config
     from .data import synthesize_dataset
+    from .fields import SceneModel
     from .training import Trainer
 
     dataset = synthesize_dataset(_tiny_scene(), seed=seed, preset_name="gradcheck")
@@ -289,9 +290,11 @@ def _tiny_trainer(seed: int):
         seed=seed, batch_size=4, n_samples=8, n_latent=2,
         trunk_depth=2, trunk_width=24, rgb_width=16,
         local_depth=2, local_width=16, ray_samples=8,
-        pos_freqs=5, dir_freqs=3, ray_freqs=2, activation="softplus",
-        lg_fraction=0.25, lg_dynamic_only_mdd=False))
-    return Trainer(cfg, dataset)
+        pos_freqs=5, dir_freqs=3, ray_freqs=2, lg_dynamic_only_mdd=False))
+    rng = np.random.default_rng(seed)
+    model = SceneModel(replace(cfg.field_config(dataset.n_frames), activation="softplus"),
+                       rng)
+    return Trainer(cfg, dataset, model, rng)
 
 
 def check_full_loss(kind: str, seed: int = 0, per_group: int = 5,

@@ -86,7 +86,7 @@ def lg_loss(cross_pred, ok_pred, cross_true, ok_true, n_pixels: int, lam: float)
     if not ok.any():
         return ad.mul(ad.sum_(ad.mul(cross_pred, 0.0)), 0.0)  # zero, in-graph
     idx = np.where(ok)[0]
-    g_pred = ad.normalize3(ad.gather(cross_pred, idx, axis=0))
-    g_true = ad.normalize3(ad.gather(ad.value_of(cross_true), idx, axis=0))
+    g_pred = ad.normalize3(ad.gather(cross_pred, idx))
+    g_true = ad.normalize3(ad.gather(ad.value_of(cross_true), idx))
     diff = ad.sub(g_pred, g_true)
     return ad.mul(ad.div(ad.sum_(ad.mul(diff, diff)), float(max(n_pixels, 1))), lam)

@@ -78,13 +78,19 @@ def ssim(a: np.ndarray, b: np.ndarray, mask: np.ndarray | None = None) -> float:
     ssim_map = ((2 * mu_x * mu_y + SSIM_C1) * (2 * xy + SSIM_C2)) / \
                ((mu_x ** 2 + mu_y ** 2 + SSIM_C1) * (xx + yy + SSIM_C2))
     if mask is not None:
-        mask = np.asarray(mask, dtype=bool)
-        half = win // 2
-        centers = mask[half:mask.shape[0] - half, half:mask.shape[1] - half]
+        centers = _window_centers(mask)
         if not centers.any():
             raise MetricError("ssim: mask excludes every window center")
         return float(ssim_map[centers].mean())
     return float(ssim_map.mean())
+
+
+def _window_centers(mask: np.ndarray) -> np.ndarray:
+    """The part of ``mask`` that :func:`ssim` reads: the centers of the
+    windows that lie inside the frame."""
+    half = SSIM_WINDOW // 2
+    mask = np.asarray(mask, dtype=bool)
+    return mask[half:mask.shape[0] - half, half:mask.shape[1] - half]
 
 
 def mask_iou(pred: np.ndarray, true: np.ndarray) -> float:
@@ -140,13 +146,14 @@ class MetricReport:
         if not self.rows:
             return "(no frames)\n"
         keys = self.columns()
+        width = {k: max(14, len(k)) for k in keys}
 
         def cells(row):
             # a metric a frame lacks is a blank cell
-            return " ".join(f"{'':>14}" if row.get(k) is None else f"{row[k]:14.4f}"
-                            for k in keys)
+            return " ".join(f"{'':>{width[k]}}" if row.get(k) is None
+                            else f"{row[k]:{width[k]}.4f}" for k in keys)
 
-        header = "frame " + " ".join(f"{k:>14}" for k in keys)
+        header = "frame " + " ".join(f"{k:>{width[k]}}" for k in keys)
         lines = [header, "-" * len(header)]
         lines += [f"{r['frame']:5d} " + cells(r) for r in self.rows]
         lines += ["-" * len(header), " mean " + cells(self.means())]
@@ -158,9 +165,12 @@ def evaluate(dataset, frames) -> MetricReport:
     sharp frames and true motion masks.
 
     Each frame is a dict with its time index ``t`` and ``rgb`` (H,W,3) in
-    [0,1]. A binary ``mask`` adds ``mask_iou``; a dynamicness map ``p_dy``
-    adds ``static_p_st``, the mean staticness over the truly static pixels
-    (none on a frame without static pixels).
+    [0,1]. PSNR and SSIM, of the render and of the blurry baseline, are
+    also scored inside the true motion mask (``*_moving``) and outside it
+    (``*_static``); a region a frame lacks leaves its cells blank. A binary
+    ``mask`` adds ``mask_iou``; a dynamicness map ``p_dy`` adds
+    ``static_p_st``, the mean staticness over the truly static pixels (none
+    on a frame without static pixels).
     """
     report = MetricReport()
     for frame in frames:
@@ -172,6 +182,13 @@ def evaluate(dataset, frames) -> MetricReport:
         row = {"psnr": psnr(pred, sharp), "ssim": ssim(pred, sharp),
                "baseline_psnr": psnr(blur, sharp), "baseline_ssim": ssim(blur, sharp)}
         row["psnr_gain"] = row["psnr"] - row["baseline_psnr"]
+        moving = dataset.mask_true[t]
+        for region, px in (("moving", moving), ("static", ~moving)):
+            for prefix, img in (("", pred), ("baseline_", blur)):
+                if px.any():
+                    row[f"{prefix}psnr_{region}"] = psnr(img, sharp, px)
+                if _window_centers(px).any():
+                    row[f"{prefix}ssim_{region}"] = ssim(img, sharp, px)
         if "mask" in frame:
             row["mask_iou"] = mask_iou(frame["mask"], dataset.mask_true[t])
         static_px = ~dataset.mask_true[t]

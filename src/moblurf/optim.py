@@ -87,7 +87,8 @@ class ParamStore:
         return self.group_of[name] in self.frozen
 
     def checksum(self, group: str | None = None) -> str:
-        """Digest of parameter bytes; used to enforce freeze contracts."""
+        """Digest of parameter bytes, of one group or of all: what tests
+        and the acceptance gate compare weights by."""
         h = hashlib.sha256()
         for name in sorted(self.names(group)):
             h.update(name.encode())

@@ -115,7 +115,7 @@ def opacity(sigmas, grid: SampleGrid):
     """One field's opacities alpha = 1 - exp(-sigma delta) and compositing
     weights T alpha, with T the exclusive product of (1 - alpha): (B,N) each."""
     alpha = _alpha(sigmas, grid)
-    return alpha, ad.mul(ad.exclusive_cumprod(ad.sub(1.0, alpha), axis=-1), alpha)
+    return alpha, ad.mul(ad.exclusive_cumprod(ad.sub(1.0, alpha)), alpha)
 
 
 def _shade(weights, colors, n: int):
@@ -140,7 +140,7 @@ def _full_parts(p_st, alpha_s, alpha_d):
     pa_s = ad.mul(p_st, alpha_s)
     pa_d = ad.mul(ad.sub(1.0, p_st), alpha_d)
     factor = ad.mul(ad.sub(1.0, pa_s), ad.sub(1.0, pa_d))
-    return ad.exclusive_cumprod(factor, axis=-1), pa_s, pa_d
+    return ad.exclusive_cumprod(factor), pa_s, pa_d
 
 
 class RenderResult:

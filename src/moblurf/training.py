@@ -10,8 +10,7 @@ the blurry targets.
 
 The freeze set alone decides what each step trains: a frozen group's
 parameters enter the forward pass as constants, so no graph is built
-through them, and Adam skips them. With ``debug_freeze_check`` on,
-checksum comparisons verify the contract every step.
+through them, and Adam skips them.
 """
 
 from __future__ import annotations
@@ -40,16 +39,14 @@ ALL_GROUPS = {"static", "dynamic", "local", "screw_base", "screw_global"}
 FREEZE_BRI_EVEN = ALL_GROUPS - {"static", "screw_base"}
 FREEZE_BRI_ODD = ALL_GROUPS - {"static", "dynamic"}
 FREEZE_MDD = {"screw_base"}
+# share of each batch's pixels that carry local geometry supervision
+LG_FRACTION = 0.25
 
 
 class NumericalError(RuntimeError):
     def __init__(self, message: str, breakdown: dict | None = None):
         super().__init__(message)
         self.breakdown = breakdown or {}
-
-
-class FreezeViolation(RuntimeError):
-    pass
 
 
 @dataclass
@@ -112,9 +109,8 @@ class Trainer:
     # batching ---------------------------------------------------------------
 
     def sample_batch(self) -> Batch:
-        cfg = self.config
-        b = cfg.batch_size
-        k = int(round(b * cfg.lg_fraction))
+        b = self.config.batch_size
+        k = int(round(b * LG_FRACTION))
         h, w = self._h, self._w
         n = self.dataset.n_frames
         t = self.rng.integers(0, n, size=b)
@@ -283,17 +279,9 @@ class Trainer:
         return screw.rate_at(iteration), mlp.rate_at(iteration)
 
     def _optimize(self, loss, screw_rate: float, mlp_rate: float):
-        store = self.model.store
-        pre = None
-        if self.config.debug_freeze_check:
-            pre = {g: store.checksum(g) for g in store.frozen}
         ad.backward(loss)
-        adam_step(store, {g: screw_rate if g.startswith("screw") else mlp_rate
-                          for g in ALL_GROUPS})
-        if pre is not None:
-            for g, digest in pre.items():
-                if store.checksum(g) != digest:
-                    raise FreezeViolation(f"frozen group {g!r} changed during a step")
+        adam_step(self.model.store, {g: screw_rate if g.startswith("screw") else mlp_rate
+                                     for g in ALL_GROUPS})
 
     # full runs -----------------------------------------------------------------
 

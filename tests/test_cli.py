@@ -144,6 +144,16 @@ class TestTrain:
                      "--out", str(tmp_path / "x"), "--set", "no_such_knob=1"])
         assert code == 1
 
+    @pytest.mark.parametrize("value", [
+        "debug_freeze_check=true", "lg_fraction=0.25", "activation=softplus"])
+    def test_removed_config_key_rejected(self, tmp_path, dataset_dir, capsys, value):
+        # these were options once; every run set them alike, and they are code now
+        out = tmp_path / "run"
+        assert main(["train", "--dataset", str(dataset_dir), "--out", str(out),
+                     *TINY_TRAIN, "--set", value]) == 1
+        assert value.partition("=")[0] in capsys.readouterr().err
+        assert not out.exists()
+
     def test_missing_dataset_is_validation_error(self, tmp_path):
         code = main(["train", "--dataset", str(tmp_path / "nowhere"),
                      "--out", str(tmp_path / "x"), *TINY_TRAIN])
@@ -249,6 +259,28 @@ class TestRender:
         assert config == trained
         assert config["trunk_width"] == 16 and config["n_samples"] == 8
 
+    def test_checkpoint_with_older_config_keys_renders_the_same(
+            self, tmp_path, dataset_dir, trained_dir):
+        # a checkpoint written before three options became code stores them
+        # in its config; render reads only n_samples from it
+        from moblurf.fields import load_checkpoint, save_checkpoint
+        model, meta = load_checkpoint(trained_dir / "checkpoint_final.ckpt")
+        outs = {}
+        for name, extra in (("now", {}), ("older", {
+                "activation": "relu", "lg_fraction": 0.25, "debug_freeze_check": False})):
+            ckpt = tmp_path / f"{name}.ckpt"
+            state = dict(meta["train_state"])
+            state["config"] = {**state["config"], **extra}
+            save_checkpoint(ckpt, model, {**meta, "train_state": state})
+            outs[name] = tmp_path / name
+            assert main(["render", "--checkpoint", str(ckpt), "--dataset", str(dataset_dir),
+                         "--out", str(outs[name]), "--timestamps", "1,5"]) == 0
+            config = json.loads((outs[name] / "manifest.json").read_text())["config"]
+            assert config == state["config"]
+        assert len(config) == 30
+        for sub in ("rgb", "mask", "p_dy", "kappa"):
+            assert tree_bytes(outs["now"] / sub) == tree_bytes(outs["older"] / sub)
+
     def test_out_of_range_timestamp(self, tmp_path, dataset_dir, trained_dir):
         code = main(["render", "--checkpoint", str(trained_dir / "checkpoint_final.ckpt"),
                      "--dataset", str(dataset_dir), "--out", str(tmp_path / "x"),
@@ -317,7 +349,8 @@ class TestCorruptJson:
 
     @pytest.mark.parametrize("case", ["no_groups", "unknown_config_key",
                                       "negative_width", "missing_layer",
-                                      "trailing_bytes"])
+                                      "trailing_bytes", "no_n_samples",
+                                      "zero_n_samples"])
     def test_checkpoint_header_content(self, tmp_path, dataset_dir, trained_dir,
                                        case):
         raw = (trained_dir / "checkpoint_final.ckpt").read_bytes()
@@ -331,6 +364,11 @@ class TestCorruptJson:
             header["field_config"]["no_such_key"] = 1
         elif case == "negative_width":
             header["field_config"]["trunk_width"] = -3
+        elif case == "no_n_samples":
+            # render reads n_samples alone from the stored training config
+            del header["meta"]["train_state"]["config"]["n_samples"]
+        elif case == "zero_n_samples":
+            header["meta"]["train_state"]["config"]["n_samples"] = 0
         elif case == "missing_layer":
             # a consistent file without the static trunk's second layer
             kept, blobs, at = [], [], 0
@@ -426,6 +464,25 @@ class TestEval:
                     "psnr_gain", "mask_iou", "static_p_st"):
             assert key in row
         assert (frames / "report.txt").read_text().startswith("frame")
+
+    @pytest.mark.parametrize("rel", ["mask/0001.png", "p_dy/0001.raw"])
+    def test_misshapen_map_names_the_file(self, tmp_path, dataset_dir, trained_dir,
+                                          capsys, rel):
+        from moblurf.data import write_depth_raw
+        from moblurf.pngio import write_png
+        frames = tmp_path / "frames"
+        assert main(["render", "--checkpoint", str(trained_dir / "checkpoint_final.ckpt"),
+                     "--dataset", str(dataset_dir), "--out", str(frames),
+                     "--timestamps", "1"]) == 0
+        path = frames / rel
+        if rel.startswith("mask"):
+            write_png(path, np.zeros((8, 8), dtype=np.uint8))
+        else:
+            write_depth_raw(path, np.zeros((8, 8)))
+        assert main(["eval", "--render-dir", str(frames),
+                     "--dataset", str(dataset_dir)]) == 1
+        assert str(path) in capsys.readouterr().err
+        assert not (frames / "report.json").exists()
 
     def test_eval_without_renders_fails_cleanly(self, tmp_path, dataset_dir):
         code = main(["eval", "--render-dir", str(tmp_path / "empty"),

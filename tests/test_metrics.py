@@ -197,3 +197,59 @@ class TestEvaluate:
         ds = self.dataset()
         with pytest.raises(MetricError, match="frame 1"):
             evaluate(ds, [{"t": 1, "rgb": np.zeros((8, 8, 3))}])
+
+
+class TestRegions:
+    @pytest.fixture(scope="class")
+    def quad(self):
+        from moblurf.data import synthesize_dataset
+        from moblurf.scene import moving_quad_scene
+        return synthesize_dataset(moving_quad_scene(size=32, n_frames=3), seed=0,
+                                  preset_name="moving-quad")
+
+    def test_moving_and_static_regions(self, quad):
+        t = 1
+        moving, sharp, blur = quad.mask_true[t], quad.sharp[t], quad.blur[t]
+        assert moving.any() and (~moving).any()
+        # exact on static pixels, off by 0.1 on moving ones
+        pred = np.where(moving[..., None], np.clip(sharp + 0.1, 0, 1), sharp)
+        row = evaluate(quad, [{"t": t, "rgb": pred}]).rows[0]
+        assert row["psnr_static"] == math.inf and row["psnr_moving"] < 30
+        for region, px in (("moving", moving), ("static", ~moving)):
+            assert row[f"psnr_{region}"] == psnr(pred, sharp, px)
+            assert row[f"ssim_{region}"] == ssim(pred, sharp, px)
+            assert row[f"baseline_psnr_{region}"] == psnr(blur, sharp, px)
+            assert row[f"baseline_ssim_{region}"] == ssim(blur, sharp, px)
+
+    def test_missing_region_leaves_blank_cells(self):
+        from types import SimpleNamespace
+        rng = np.random.default_rng(0)
+        sharp = rng.random((3, 16, 16, 3))
+        mask = np.zeros((3, 16, 16), dtype=bool)  # frame 0: nothing moves
+        mask[1] = True                            # frame 1: nothing static
+        mask[2, :2, :] = True                     # frame 2: moves on the border only
+        ds = SimpleNamespace(sharp=sharp, blur=np.clip(sharp + 0.1, 0, 1),
+                             mask_true=mask)
+        rows = evaluate(ds, [{"t": t, "rgb": np.clip(sharp[t] + 0.05, 0, 1)}
+                             for t in range(3)]).rows
+        assert not any(k.endswith("_moving") for k in rows[0])
+        assert not any(k.endswith("_static") for k in rows[1])
+        # no SSIM window centre lies in the border
+        assert "psnr_moving" in rows[2] and "ssim_moving" not in rows[2]
+
+    def test_means_skip_blank_cells(self):
+        from types import SimpleNamespace
+        rng = np.random.default_rng(1)
+        sharp = rng.random((2, 16, 16, 3))
+        mask = np.zeros((2, 16, 16), dtype=bool)
+        mask[1, 4:12, 4:12] = True
+        ds = SimpleNamespace(sharp=sharp, blur=np.clip(sharp + 0.1, 0, 1),
+                             mask_true=mask)
+        rep = evaluate(ds, [{"t": t, "rgb": np.clip(sharp[t] + 0.05 * (t + 1), 0, 1)}
+                            for t in range(2)])
+        assert rep.means()["psnr_moving"] == rep.rows[1]["psnr_moving"]
+        assert rep.means()["psnr_static"] == pytest.approx(
+            np.mean([r["psnr_static"] for r in rep.rows]))
+        line = rep.to_text().splitlines()[2]   # frame 0's row
+        assert line.startswith(f"{0:5d} ")
+        assert len(line) == len(rep.to_text().splitlines()[0])

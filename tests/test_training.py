@@ -25,8 +25,7 @@ def tiny_trainer(dataset, seed=0, **overrides):
     base = dict(seed=seed, batch_size=24, n_samples=8, n_latent=2,
                 trunk_depth=2, trunk_width=16, rgb_width=8,
                 local_depth=2, local_width=8, ray_samples=8,
-                bri_iters=6, mdd_iters=4, debug_freeze_check=True,
-                log_every=2)
+                bri_iters=6, mdd_iters=4, log_every=2)
     base.update(overrides)
     return Trainer(resolve_config("desk", overrides=base), dataset)
 
