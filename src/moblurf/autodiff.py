@@ -9,7 +9,7 @@ what depends on nothing but them and on data builds no graph; inference
 freezes every group and builds none at all.
 
 Ops are as coarse as the hot path needs: :func:`mlp` is a whole fully
-connected stack (matmuls, biases and activations), with the heads that read
+connected relu stack (matmuls, biases and relus), with the heads that read
 its last layer, in one node, evaluated in cache-sized row blocks, so a
 field costs one node and one backward visit.
 
@@ -162,26 +162,17 @@ def _row_blocks(n: int, k: int) -> list:
     return list(zip(bounds[:-1], bounds[1:]))
 
 
-def _softplus(z):
-    return np.maximum(z, 0.0) + np.log1p(np.exp(-np.abs(z)))
-
-
-def _softplus_slope(z):
-    return 1.0 / (1.0 + np.exp(-np.clip(z, -500, 500)))
-
-
 class _Stack:
     """One fully connected stack of :func:`mlp`, the trunk or a head: its
     weights and biases, its optional per-ray operand, and, once
     :meth:`allocate` has run, the arrays its layers write. ``operands`` are
     its w0, b0, w1, b1, ... and then its u, if it has one; ``width`` is
     its input's width (``self.width`` its output's) and ``n`` the rows';
-    ``acted_out`` says whether the activation follows the output layer
-    too."""
+    ``acted_out`` says whether the relu follows the output layer too."""
 
     def __init__(self, name: str, layers, u, k: int, width: int, n: int,
-                 relu: bool, acted_out: bool):
-        self.n, self.relu = n, relu
+                 acted_out: bool):
+        self.n = n
         self.acted = [True] * (len(layers) - 1) + [acted_out]
         self.ws = [value_of(w) for w, _ in layers]
         self.bs = [value_of(b) for _, b in layers]
@@ -214,12 +205,9 @@ class _Stack:
         gradient reads them, else over one block of ``span`` rows; the
         output layer over ``out_rows``."""
         self.span, last = span, len(self.ws) - 1
-        # post[i] is layer i's output, pre[i] its pre-activation where the
-        # softplus gradient needs it, else the same array
+        # post[i] is layer i's output, its relu applied in place
         self.post = [np.empty((out_rows if i == last else self.n if graph else span,
                                w.shape[1])) for i, w in enumerate(self.ws)]
-        self.pre = [np.empty_like(h) if graph and self.acted[i] and not self.relu
-                    else h for i, h in enumerate(self.post)]
         # each bias as a block of rows: a contiguous add instead of a
         # broadcast one, with the same bits; the per-ray first layer adds its
         # own
@@ -230,7 +218,7 @@ class _Stack:
         """Rows ``lo:hi`` through every layer; ``h`` is their input."""
         for i, wv in enumerate(self.wins):
             rows = slice(lo, hi) if len(self.post[i]) == self.n else slice(hi - lo)
-            z, out = self.pre[i][rows], self.post[i][rows]
+            z = self.post[i][rows]
             np.matmul(h, wv, out=z)
             if self.tiles[i] is None:
                 by_ray = z.reshape(-1, self.k, z.shape[1])     # a view of z
@@ -238,11 +226,8 @@ class _Stack:
             else:
                 z += self.tiles[i][:hi - lo]
             if self.acted[i]:
-                if self.relu:
-                    np.maximum(z, 0.0, out=out)
-                else:
-                    out[...] = _softplus(z)
-            h = out
+                np.maximum(z, 0.0, out=z)
+            h = z
         return h
 
     def begin_gradients(self, want_in: bool, want: list) -> bool:
@@ -285,11 +270,10 @@ class _Stack:
         sums; ``owned`` says ``gz`` may be written. With ``d_in``, the rows'
         input gradient is written into it, or, with ``scratch``, made there
         and then added in."""
-        relu, k = self.relu, self.k
+        k = self.k
         for i in range(len(self.ws) - 1, self.lowest - 1, -1):
             if self.acted[i]:
-                slope = (self.post[i][lo:hi] > 0 if relu
-                         else _softplus_slope(self.pre[i][lo:hi]))
+                slope = self.post[i][lo:hi] > 0
                 if owned:
                     gz *= slope
                 else:
@@ -310,7 +294,7 @@ class _Stack:
     def gradients(self, want: list) -> list:
         """The gradients of the operands, in order, None where not wanted;
         the layers' outputs are dropped."""
-        self.post = self.pre = None
+        self.post = None
         if self.lowest is None:
             return [None] * len(self.operands)
         if self.d_ray is not None:
@@ -324,12 +308,12 @@ class _Stack:
         return grads
 
 
-def mlp(x, layers, activation: str, activate_output: bool = False,
-        u=None, k: int = 1, heads=()):
+def mlp(x, layers, *, activate_output: bool = False, u=None, k: int = 1, heads=()):
     """Fully connected stack over the rows of ``x``: layer i of ``layers``,
-    a ``(w, b)`` pair, computes ``h @ w + b``, and ``activation`` ("relu"
-    or "softplus") follows every layer but the last, and the last too with
-    ``activate_output``. One node however many operands are Nodes.
+    a ``(w, b)`` pair, computes ``h @ w + b``, and a relu follows every
+    layer but the last, and the last too with ``activate_output``. One node
+    however many operands are Nodes. The arguments after ``layers`` are
+    keyword-only.
 
     ``u`` is an optional per-ray operand: one row per run of ``k``
     consecutive rows of ``x``, joined to the first layer's input as if each
@@ -339,10 +323,10 @@ def mlp(x, layers, activation: str, activate_output: bool = False,
     Only the order of the first layer's sum differs from the joined input.
 
     ``heads`` are further stacks, each a ``(layers, u, k)`` triple as above,
-    that read the stack's last layer as their input, with ``activation``
-    between their layers and none after the last. With heads the node's
-    value is their outputs side by side, in order; the stack's own last
-    layer is hidden.
+    that read the stack's last layer as their input, with a relu between
+    their layers and none after the last. With heads the node's value is
+    their outputs side by side, in order; the stack's own last layer is
+    hidden.
 
     The layers run in blocks of about :data:`BLOCK` rows of whole rays of
     every ``k``, each block through all of them, the heads and the output
@@ -371,11 +355,9 @@ def mlp(x, layers, activation: str, activate_output: bool = False,
     xv = value_of(x)
     if xv.ndim != 2:
         raise ShapeMismatch(f"mlp: x must be rows of features, got shape {xv.shape}")
-    if activation not in ("relu", "softplus"):
-        raise ValueError(f"unknown activation {activation!r}")
-    n, relu = len(xv), activation == "relu"
-    trunk = _Stack("mlp", layers, u, k, xv.shape[1], n, relu, activate_output)
-    heads = [_Stack(f"mlp: head {j}", *head, trunk.width, n, relu, False)
+    n = len(xv)
+    trunk = _Stack("mlp", layers, u, k, xv.shape[1], n, activate_output)
+    heads = [_Stack(f"mlp: head {j}", *head, trunk.width, n, False)
              for j, head in enumerate(heads)]
     stacks = [trunk, *heads]
     operands = [x, *(p for s in stacks for p in s.operands)]
@@ -483,7 +465,8 @@ def sigmoid(a):
 
 def softplus(a):
     av = value_of(a)
-    return _make(_softplus(av), [(a, lambda g: g * _softplus_slope(av))])
+    ov = np.maximum(av, 0.0) + np.log1p(np.exp(-np.abs(av)))
+    return _make(ov, [(a, lambda g: g * (1.0 / (1.0 + np.exp(-np.clip(av, -500, 500)))))])
 
 
 # ---------------------------------------------------------------------------

@@ -122,10 +122,13 @@ def cmd_render(args) -> int:
     import numpy as np
 
     model, meta = load_checkpoint(args.checkpoint)
+    state = meta.get("train_state")
+    if not isinstance(state, dict):
+        raise ConfigError(f"{args.checkpoint}: meta has no train_state object")
     # the config the checkpoint was trained with, as stored (the defaults if
     # it has none); render reads only its n_samples, so a config holding
     # keys this version has dropped still renders
-    config = meta.get("train_state", {}).get("config") or TrainConfig().to_dict()
+    config = state.get("config") or TrainConfig().to_dict()
     n_samples = config.get("n_samples") if isinstance(config, dict) else None
     if type(n_samples) is not int or n_samples < 1:
         raise ConfigError(f"{args.checkpoint}: stored config has no positive "

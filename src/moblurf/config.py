@@ -82,10 +82,10 @@ class TrainConfig:
             raise ConfigError(str(exc)) from None
 
     def field_config(self, n_frames: int) -> FieldConfig:
-        """The architecture; the trunk activation keeps its default, relu."""
+        """The architecture for ``n_frames`` frames, from this config's options."""
         return FieldConfig(n_frames=n_frames, **{
             f.name: getattr(self, f.name) for f in fields(FieldConfig)
-            if f.name in _VALID_KEYS})
+            if f.name != "n_frames"})
 
     def to_dict(self) -> dict:
         return asdict(self)

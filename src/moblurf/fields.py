@@ -54,17 +54,12 @@ class FieldConfig:
     rgb_width: int = 128
     local_depth: int = 8
     local_width: int = 128
-    activation: str = "relu"
 
     def __post_init__(self):
         for name, v in asdict(self).items():
-            if name == "activation":
-                continue
             least = 0 if name == "n_latent" else 1
             if not isinstance(v, int) or isinstance(v, bool) or v < least:
                 raise ValueError(f"{name} must be an integer >= {least}, got {v!r}")
-        if self.activation not in ("relu", "softplus"):
-            raise ValueError(f"unknown activation {self.activation!r}")
 
     @property
     def pos_dim(self) -> int:
@@ -166,9 +161,8 @@ def init_mlp(store: ParamStore, prefix: str, group: str, sizes,
 
 class Mlp:
     """Fully connected stack over the ``prefix.{i}.w``/``.b`` parameters of a
-    store, evaluated as one :func:`autodiff.mlp` node: ``activation``
-    ("relu" or "softplus") between layers and, with ``activate_output``,
-    after the last one too."""
+    store, evaluated as one :func:`autodiff.mlp` node: a relu between
+    layers and, with ``activate_output``, after the last one too."""
 
     # no per-ray operand until :meth:`per_ray` binds one, no heads until
     # :meth:`with_heads` does
@@ -176,11 +170,9 @@ class Mlp:
     k = 1
     heads = ()
 
-    def __init__(self, store: ParamStore, prefix: str, activation: str,
-                 activate_output: bool = False):
+    def __init__(self, store: ParamStore, prefix: str, activate_output: bool = False):
         self.store = store
         self.prefix = prefix
-        self.activation = activation
         self.activate_output = activate_output
         self.n_layers = 0
         while f"{prefix}.{self.n_layers}.w" in store.values:
@@ -198,7 +190,7 @@ class Mlp:
 
     def with_heads(self, *heads: "Mlp") -> "Mlp":
         """This stack with ``heads`` reading its last layer inside its node,
-        each with its own per-ray binding, this stack's activation and a
+        each with its own per-ray binding, relus between its layers and a
         linear output: the call returns their outputs side by side (see
         :func:`autodiff.mlp`). A new binding, as with :meth:`per_ray`."""
         bound = copy.copy(self)
@@ -211,8 +203,8 @@ class Mlp:
         return [(leaf(f"{p}.{i}.w"), leaf(f"{p}.{i}.b")) for i in range(self.n_layers)]
 
     def __call__(self, x):
-        return ad.mlp(x, self.layers(), self.activation, self.activate_output,
-                      self.u, self.k, [(h.layers(), h.u, h.k) for h in self.heads])
+        return ad.mlp(x, self.layers(), activate_output=self.activate_output, u=self.u,
+                      k=self.k, heads=[(h.layers(), h.u, h.k) for h in self.heads])
 
 
 class FieldSamples:
@@ -310,17 +302,16 @@ class SceneModel:
                "screw_global")
 
     def _bind(self):
-        act = self.config.activation
-        # the trunks end in the activation, inside their node, and carry
-        # their heads there (see the field evaluations below)
-        self.static_trunk = Mlp(self.store, "static.trunk", act, activate_output=True)
-        self.static_sigma = Mlp(self.store, "static.sigma", act)
-        self.static_rgb = Mlp(self.store, "static.rgb", act)
-        self.static_pst = Mlp(self.store, "static.pst", act)
-        self.dynamic_trunk = Mlp(self.store, "dynamic.trunk", act, activate_output=True)
-        self.dynamic_sigma = Mlp(self.store, "dynamic.sigma", act)
-        self.dynamic_rgb = Mlp(self.store, "dynamic.rgb", act)
-        self.local_mlp = Mlp(self.store, "local.mlp", act)
+        # the trunks end in their relu, inside their node, and carry their
+        # heads there (see the field evaluations below)
+        self.static_trunk = Mlp(self.store, "static.trunk", activate_output=True)
+        self.static_sigma = Mlp(self.store, "static.sigma")
+        self.static_rgb = Mlp(self.store, "static.rgb")
+        self.static_pst = Mlp(self.store, "static.pst")
+        self.dynamic_trunk = Mlp(self.store, "dynamic.trunk", activate_output=True)
+        self.dynamic_sigma = Mlp(self.store, "dynamic.sigma")
+        self.dynamic_rgb = Mlp(self.store, "dynamic.rgb")
+        self.local_mlp = Mlp(self.store, "local.mlp")
 
     # field evaluation -------------------------------------------------------
 
@@ -456,7 +447,9 @@ def load_checkpoint(path):
 
     The header must list the arrays of a model built from its
     ``field_config``, in ``save_checkpoint``'s order, with their shapes and
-    groups; the payload must end after the last of them."""
+    groups; the payload must end after the last of them, and ``meta`` must
+    be an object. A ``field_config`` that names the trunk activation, as
+    those written before relu became the only one do, must name relu."""
     with open(path, "rb") as f:
         magic = f.read(len(CHECKPOINT_MAGIC))
         if magic != CHECKPOINT_MAGIC:
@@ -473,8 +466,10 @@ def load_checkpoint(path):
                     f"{path}: unsupported checkpoint version {header['version']}")
             listed = [(a["name"], a["kind"], a["shape"]) for a in header["arrays"]]
             adam_t = {k: int(v) for k, v in header["adam_t"].items()}
-            model = SceneModel(FieldConfig(**header["field_config"]),
-                               np.random.default_rng(0))
+            field_config = dict(header["field_config"])
+            if field_config.pop("activation", "relu") != "relu":
+                raise CheckpointError(f"{path}: trunk activation is not relu")
+            model = SceneModel(FieldConfig(**field_config), np.random.default_rng(0))
             store = model.store
             if (listed != [(name, kind, list(store.values[name].shape))
                            for name in sorted(store.values) for kind in ARRAY_KINDS]
@@ -483,6 +478,8 @@ def load_checkpoint(path):
                 raise CheckpointError(f"{path}: the arrays are not those of its "
                                       f"field_config")
             meta = header["meta"]
+            if not isinstance(meta, dict):
+                raise CheckpointError(f"{path}: meta is not an object")
         except KeyError as exc:
             raise CheckpointError(f"{path}: header has no {exc}") from exc
         except (AttributeError, TypeError, ValueError) as exc:

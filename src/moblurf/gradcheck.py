@@ -1,16 +1,18 @@
-"""Central finite-difference verification of every differentiable op and of
-the end-to-end training losses on a small ray batch.
+"""Finite-difference verification of every differentiable op and of the
+end-to-end training losses on a small ray batch.
 
 Each op case generates random inputs, reduces the op output to a scalar
-through a random weighting, and compares backward() gradients against
-central differences component by component. The end-to-end checks rebuild
-the actual stage losses as deterministic functions of the parameter store
-and probe a sample of parameter components per group.
+through a random weighting, and compares backward() gradients component by
+component against Richardson's extrapolation of central differences. The
+end-to-end checks rebuild the stage losses of the relu model that training
+builds as deterministic functions of the parameter store and probe a sample
+of parameter components per group by central differences, off relu kinks.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+import itertools
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -46,18 +48,36 @@ def _rel_err(analytic: np.ndarray, numeric: np.ndarray, magnitude: float,
     return float((np.abs(analytic - numeric) / scale).max())
 
 
-def _fd_grad(f, x: np.ndarray, h: float = FD_STEP) -> np.ndarray:
+def _kinked(fp: float, f0: float, fm: float, tol: float) -> bool:
+    """True when the one-sided slopes from f(x + h), f(x) and f(x - h)
+    differ by more than ``tol`` of the larger or than the rounding of f(x)
+    allows (as in :func:`_rel_err`): a kink lies within h of x, where a
+    central difference is no reference."""
+    up, down = (fp - f0) / FD_STEP, (f0 - fm) / FD_STEP
+    rounding = np.finfo(np.float64).eps * abs(f0) / FD_STEP
+    return abs(up - down) / 2 > max(tol * abs(up), tol * abs(down), rounding)
+
+
+def _fd_grad(f, x: np.ndarray) -> np.ndarray:
+    """Richardson's extrapolation (4 D(h/2) - D(h)) / 3 of the central
+    differences D at h = ``FD_STEP`` and h / 2: its truncation is O(h^4),
+    where a central difference's h^2 term alone reaches several tolerances
+    at the positional encoding's eighth octave. Its rounding is about three
+    times one central difference's."""
     g = np.zeros_like(x)
     flat = x.reshape(-1)
     gf = g.reshape(-1)
     for i in range(flat.size):
         orig = flat[i]
-        flat[i] = orig + h
-        fp = f(x)
-        flat[i] = orig - h
-        fm = f(x)
+        d = []
+        for h in (FD_STEP, FD_STEP / 2):
+            flat[i] = orig + h
+            fp = f(x)
+            flat[i] = orig - h
+            fm = f(x)
+            d.append((fp - fm) / (2 * h))
         flat[i] = orig
-        gf[i] = (fp - fm) / (2 * h)
+        gf[i] = (4 * d[1] - d[0]) / 3
     return g
 
 
@@ -94,13 +114,13 @@ def _dense_inputs(rng, sizes=(5, 4, 3, 2), margin=0.05, per_ray=None):
             return [joined, *params]
 
 
-def _mlp(activation, activate_output, k=None):
+def _mlp(activate_output, k=None):
     """``ad.mlp`` over x, w0, b0, w1, b1, ... as separate arguments; with
     ``k``, over x, u, w0, b0, ... with u per ray of k rows of x."""
     def op(x, *params):
         u, params = (params[0], params[1:]) if k else (None, params)
-        return ad.mlp(x, list(zip(params[::2], params[1::2])), activation,
-                      activate_output, u, k or 1)
+        return ad.mlp(x, list(zip(params[::2], params[1::2])),
+                      activate_output=activate_output, u=u, k=k or 1)
     return op
 
 
@@ -124,7 +144,7 @@ def _heads_inputs(rng, k=2, margin=0.05):
 def _mlp_heads(k=2):
     """``ad.mlp`` over :func:`_heads_inputs`' operands, the heads bound."""
     def op(x, tw0, tb0, tw1, tb1, sw, sb, u, hw0, hb0, hw1, hb1):
-        return ad.mlp(x, [(tw0, tb0), (tw1, tb1)], "relu", True,
+        return ad.mlp(x, [(tw0, tb0), (tw1, tb1)], activate_output=True,
                       heads=[([(sw, sb)], None, 1), ([(hw0, hb0), (hw1, hb1)], u, k)])
     return op
 
@@ -132,7 +152,7 @@ def _mlp_heads(k=2):
 def _frozen_weights(inputs):
     """A relu stack over ``x`` alone, its weights ``inputs[1:]`` constants."""
     x, *params = inputs
-    return [x], lambda x: _mlp("relu", True)(x, *params)
+    return [x], lambda x: _mlp(True)(x, *params)
 
 
 # Each case: name -> (input generator, op over nodes). The op may return any
@@ -150,15 +170,13 @@ def _op_cases(rng):
         "div": ([rng.normal(size=b), _away_from_zero(rng, b)],
                 lambda x, y: ad.div(x, y)),
         # the trunks' form: activated output layer
-        "mlp_relu": (_dense_inputs(rng), _mlp("relu", True)),
-        # the heads' form: linear output layer
-        "mlp_softplus": (_dense_inputs(rng, margin=0.0), _mlp("softplus", False)),
+        "mlp_relu": (_dense_inputs(rng), _mlp(True)),
         "mlp_frozen": _frozen_weights(_dense_inputs(rng)),
         # the sigma and staticness heads' form: one linear layer to one
         # column, whose input gradient is a product of inner dimension 1
-        "mlp_head": (_dense_inputs(rng, sizes=(4, 1), margin=0.0), _mlp("relu", False)),
+        "mlp_head": (_dense_inputs(rng, sizes=(4, 1), margin=0.0), _mlp(False)),
         # the RGB heads' and the dynamic trunk's form: a per-ray operand
-        "mlp_per_ray": (_dense_inputs(rng, per_ray=(2, 2)), _mlp("relu", True, 2)),
+        "mlp_per_ray": (_dense_inputs(rng, per_ray=(2, 2)), _mlp(True, 2)),
         "exp": ([rng.normal(size=b)], ad.exp),
         "log": ([_positive(rng, b)], ad.log),
         # the desk's pos_freqs: bands built by seven doublings
@@ -200,8 +218,8 @@ def _op_cases(rng):
 
 def check_op(name: str, seed: int = 0, trials: int = 20,
              sabotage: str | None = None) -> CheckResult:
-    """Compare one op's backward gradients against central differences at
-    ``trials`` random input points."""
+    """Compare one op's backward gradients against finite differences
+    (:func:`_fd_grad`) at ``trials`` random input points."""
     worst = 0.0
     for trial in range(trials):
         rng = np.random.default_rng(seed * 1000 + trial)
@@ -227,7 +245,8 @@ def check_op(name: str, seed: int = 0, trials: int = 20,
                 return float(np.sum(ad.value_of(op(*args)) * w))
 
             numeric = _fd_grad(f, x.copy())
-            worst = max(worst, _rel_err(analytic, numeric, magnitude, OP_TOL))
+            # the extrapolation rounds about three times as much as D(h)
+            worst = max(worst, _rel_err(analytic, numeric, 3 * magnitude, OP_TOL))
     return CheckResult(name=name, max_rel_err=worst, tol=OP_TOL)
 
 
@@ -278,23 +297,19 @@ def _tiny_scene():
 def _tiny_trainer(seed: int):
     from .config import resolve_config
     from .data import synthesize_dataset
-    from .fields import SceneModel
     from .training import Trainer
 
     dataset = synthesize_dataset(_tiny_scene(), seed=seed, preset_name="gradcheck")
     # low encoding bands keep the h^2 truncation of central differences far
-    # below the tolerance at the mandated step size, and the smooth hidden
-    # activation keeps the probe window free of relu kinks; every op in the
-    # loss is exercised either here or in the per-op checks
+    # below the tolerance at the mandated step size; the fields are the relu
+    # MLPs of training; every op in the loss is exercised either here or in
+    # the per-op checks
     cfg = resolve_config("desk", overrides=dict(
         seed=seed, batch_size=4, n_samples=8, n_latent=2,
         trunk_depth=2, trunk_width=24, rgb_width=16,
         local_depth=2, local_width=16, ray_samples=8,
         pos_freqs=5, dir_freqs=3, ray_freqs=2, lg_dynamic_only_mdd=False))
-    rng = np.random.default_rng(seed)
-    model = SceneModel(replace(cfg.field_config(dataset.n_frames), activation="softplus"),
-                       rng)
-    return Trainer(cfg, dataset, model, rng)
+    return Trainer(cfg, dataset)
 
 
 def check_full_loss(kind: str, seed: int = 0, per_group: int = 5,
@@ -304,7 +319,9 @@ def check_full_loss(kind: str, seed: int = 0, per_group: int = 5,
     ``kind`` is one of bri_even, bri_odd, mdd, each under its stage's
     freeze set. Probes the largest-gradient components of each parameter
     group plus a few random ones; the loss is evaluated with deterministic
-    midpoint sampling so finite differences see a smooth function.
+    midpoint sampling. A probe whose window holds a relu kink
+    (:func:`_kinked`) gives way to the group's largest component not yet
+    probed, while one is left.
     """
     from .training import FREEZE_BRI_EVEN, FREEZE_BRI_ODD, FREEZE_MDD
 
@@ -333,7 +350,7 @@ def check_full_loss(kind: str, seed: int = 0, per_group: int = 5,
     loss = build_loss()
     ad.backward(loss)
     grads = {n: store.grad(n) for n in store.values}
-    magnitude = abs(float(ad.value_of(loss)))
+    f0 = float(ad.value_of(loss))
 
     rng = np.random.default_rng(seed + 17)
     worst = 0.0
@@ -344,18 +361,23 @@ def check_full_loss(kind: str, seed: int = 0, per_group: int = 5,
         order = np.argsort(-np.abs(flat))
         picks = list(order[:max(per_group - 2, 1)])
         picks += list(rng.choice(flat.size, size=min(2, flat.size), replace=False))
+        picks = list(dict.fromkeys(int(i) for i in picks))
+        spares = (int(i) for i in order if int(i) not in picks)
         vals = store.values[name].reshape(-1)
-        for idx in dict.fromkeys(int(i) for i in picks):
-            orig = vals[idx]
-            vals[idx] = orig + FD_STEP
-            fp = float(ad.value_of(build_loss()))
-            vals[idx] = orig - FD_STEP
-            fm = float(ad.value_of(build_loss()))
-            vals[idx] = orig
+        for pick in picks:
+            for idx in itertools.chain([pick], spares):
+                orig = vals[idx]
+                vals[idx] = orig + FD_STEP
+                fp = float(ad.value_of(build_loss()))
+                vals[idx] = orig - FD_STEP
+                fm = float(ad.value_of(build_loss()))
+                vals[idx] = orig
+                if not _kinked(fp, f0, fm, END_TO_END_TOL):
+                    break
             numeric = (fp - fm) / (2 * FD_STEP)
             analytic = flat[idx] * (1.01 if sabotage else 1.0)
             worst = max(worst, _rel_err(np.array(analytic), np.array(numeric),
-                                        magnitude, END_TO_END_TOL))
+                                        abs(f0), END_TO_END_TOL))
     return CheckResult(name=f"loss:{kind}", max_rel_err=worst, tol=END_TO_END_TOL)
 
 

@@ -29,7 +29,7 @@ from .blur import blurry_render
 from .cameras import RayBatch, rays_for_pixels
 from .config import TrainConfig
 from .data import BlurryDataset
-from .fields import SceneModel, save_checkpoint, load_checkpoint
+from .fields import CheckpointError, SceneModel, save_checkpoint, load_checkpoint
 from .optim import LrSchedule, adam_step
 from .render import motion_mask, render_kappa, render_rays, sample_along_ray
 
@@ -296,9 +296,12 @@ class Trainer:
         start_stage, start_iter = "bri", 0
         if out is not None:
             out.mkdir(parents=True, exist_ok=True)
-            if resume and (out / "checkpoint_latest.ckpt").exists():
-                self.model, meta = load_checkpoint(out / "checkpoint_latest.ckpt")
-                state = meta["train_state"]
+            ckpt = out / "checkpoint_latest.ckpt"
+            if resume and ckpt.exists():
+                self.model, meta = load_checkpoint(ckpt)
+                state = meta.get("train_state")
+                if not isinstance(state, dict):
+                    raise CheckpointError(f"{ckpt}: meta has no train_state object")
                 start_stage, start_iter = state["stage"], state["iteration"] + 1
                 self.rng.bit_generator.state = state["rng_state"]
                 self.timings = dict(state.get("timings", {}))

@@ -30,16 +30,18 @@ def test_shape_mismatch_reports_both_shapes():
 def test_mlp_shape_error():
     x = np.zeros((2, 3))
     with pytest.raises(ad.ShapeMismatch):
-        ad.mlp(np.zeros(3), [(np.zeros((3, 3)), np.zeros(3))], "relu")
+        ad.mlp(np.zeros(3), [(np.zeros((3, 3)), np.zeros(3))])
     with pytest.raises(ad.ShapeMismatch):
-        ad.mlp(x, [(np.zeros((2, 3)), np.zeros(3))], "relu")
+        ad.mlp(x, [(np.zeros((2, 3)), np.zeros(3))])
     with pytest.raises(ad.ShapeMismatch, match=r"layer 0: .*\(4,\)"):
-        ad.mlp(x, [(np.zeros((3, 3)), np.zeros(4))], "relu")
+        ad.mlp(x, [(np.zeros((3, 3)), np.zeros(4))])
     with pytest.raises(ad.ShapeMismatch, match=r"layer 1: .*\(4, 2\)"):
         ad.mlp(x, [(np.zeros((3, 3)), np.zeros(3)),
-                   (np.zeros((4, 2)), np.zeros(2))], "relu")
-    with pytest.raises(ValueError, match="tanh"):
-        ad.mlp(x, [(np.zeros((3, 3)), np.zeros(3))], "tanh")
+                   (np.zeros((4, 2)), np.zeros(2))])
+    # the options are keyword-only: a third positional argument raises
+    # instead of being read as activate_output
+    with pytest.raises(TypeError):
+        ad.mlp(x, [(np.zeros((3, 3)), np.zeros(3))], "relu")
 
 
 def test_backward_square():
@@ -66,7 +68,7 @@ def test_zero_preactivation_gets_zero_gradient():
     x = ad.Node(np.array([[1.0, -1.0], [2.0, 3.0]]))
     w = ad.Node(np.array([[1.0], [1.0]]))   # row 0 sums to exactly zero
     b = ad.Node(np.zeros(1))
-    ad.backward(ad.sum_(ad.mlp(x, [(w, b)], "relu", activate_output=True)))
+    ad.backward(ad.sum_(ad.mlp(x, [(w, b)], activate_output=True)))
     assert np.array_equal(x.grad, [[0.0, 0.0], [1.0, 1.0]])
     assert np.array_equal(w.grad, [[2.0], [3.0]])
     assert np.array_equal(b.grad, [1.0])
@@ -84,25 +86,20 @@ def _mlp_inputs(rows, seed=11, sizes=MLP_SIZES):
     return x, layers, rng.normal(size=(rows, sizes[-1]))
 
 
-def _layer_by_layer(x, layers, activation, activate_output, g):
+def _layer_by_layer(x, layers, activate_output, g):
     """Output, dx, dws, dbs of the stack evaluated one layer at a time over
-    all rows, with the arithmetic of separate dense and activation nodes."""
-    hs, zs = [x], []
+    all rows, with the arithmetic of separate dense and relu nodes."""
+    hs = [x]
     for i, (w, b) in enumerate(layers):
         z = hs[-1] @ w
         z += b
-        zs.append(z)
-        acted = i < len(layers) - 1 or activate_output
-        if acted and activation == "relu":
+        if i < len(layers) - 1 or activate_output:
             z = np.maximum(z, 0.0)
-        elif acted:
-            z = np.maximum(z, 0.0) + np.log1p(np.exp(-np.abs(z)))
         hs.append(z)
     dws, dbs = [], []
     for i in reversed(range(len(layers))):
         if i < len(layers) - 1 or activate_output:
-            g = g * ((hs[i + 1] > 0) if activation == "relu"
-                     else 1.0 / (1.0 + np.exp(-np.clip(zs[i], -500, 500))))
+            g = g * (hs[i + 1] > 0)
         dws.insert(0, hs[i].T @ g)
         dbs.insert(0, g.sum(axis=0))
         g = g @ layers[i][0].T
@@ -113,8 +110,8 @@ def _close(a, b, rel=1e-13):
     return np.linalg.norm(a - b) <= rel * np.linalg.norm(b)
 
 
-@pytest.mark.parametrize("activation", ["relu", "softplus"])
-@pytest.mark.parametrize("activate_output", [False, True])
+# the ids name the hidden layers' relu after the output layer's choice
+@pytest.mark.parametrize("activate_output", [False, True], ids=["False-relu", "True-relu"])
 @pytest.mark.parametrize("rows, sizes", [
     *(pytest.param(rows, MLP_SIZES, id=str(rows))
       for rows in (0, 1, ad.BLOCK, ad.BLOCK + 1, 2 * ad.BLOCK + 37)),
@@ -124,16 +121,16 @@ def _close(a, b, rel=1e-13):
     # dimension 1, taken as a broadcast multiply
     pytest.param(2 * ad.BLOCK + 37, (64, 1), id="one_column_head"),
 ])
-def test_mlp_matches_layer_by_layer_reference(rows, sizes, activation, activate_output):
+def test_mlp_matches_layer_by_layer_reference(rows, sizes, activate_output):
     x, layers, g = _mlp_inputs(rows, sizes=sizes)
-    out, dx, dws, dbs = _layer_by_layer(x, layers, activation, activate_output, g)
+    out, dx, dws, dbs = _layer_by_layer(x, layers, activate_output, g)
     # rows cross block boundaries: forward and dx bit for bit, dw and db to
     # rounding of their block-by-block sums
-    plain = ad.mlp(x, layers, activation, activate_output)
+    plain = ad.mlp(x, layers, activate_output=activate_output)
     assert type(plain) is np.ndarray and np.array_equal(plain, out)
     xn = ad.Node(x)
     params = [(ad.Node(w), ad.Node(b)) for w, b in layers]
-    node = ad.mlp(xn, params, activation, activate_output)
+    node = ad.mlp(xn, params, activate_output=activate_output)
     assert np.array_equal(node.value, out)
     ad.backward(ad.sum_(ad.mul(node, g)))
     assert np.array_equal(xn.grad, dx)
@@ -145,14 +142,14 @@ def test_mlp_matches_layer_by_layer_reference(rows, sizes, activation, activate_
 @pytest.mark.parametrize("trainable", [False, True], ids=["frozen", "trainable"])
 def test_mlp_gradients_reach_node_operands_only(x_node, trainable, monkeypatch):
     x, layers, g = _mlp_inputs(ad.BLOCK + 5)
-    out, dx, dws, dbs = _layer_by_layer(x, layers, "relu", True, g)
+    out, dx, dws, dbs = _layer_by_layer(x, layers, True, g)
     xin = ad.Node(x) if x_node else x
     params = [(ad.Node(w), ad.Node(b)) if trainable else (w, b) for w, b in layers]
     built = []
     init = ad.Node.__init__
     monkeypatch.setattr(ad.Node, "__init__",
                         lambda self, *a, **k: built.append(1) or init(self, *a, **k))
-    res = ad.mlp(xin, params, "relu", True)
+    res = ad.mlp(xin, params, activate_output=True)
     if not (x_node or trainable):
         # nothing to differentiate: a plain array and no graph at all
         assert type(res) is np.ndarray and np.array_equal(res, out)
@@ -181,12 +178,11 @@ def _per_ray_inputs(rays, k, c=4):
 
 
 @pytest.mark.parametrize("nodes", ["x_layers", "x_layers_u", "u"])
-@pytest.mark.parametrize("activation, activate_output",
-                         [("relu", True), ("softplus", False)])
+# the trunks' form and the RGB heads' (a linear output layer)
+@pytest.mark.parametrize("activate_output", [True, False], ids=["relu-True", "relu-False"])
 @pytest.mark.parametrize("k", [1, 24, 32])
 @pytest.mark.parametrize("rays", [0, 1, 3, None], ids=["0", "1", "3", "3_blocks"])
-def test_mlp_per_ray_matches_joined_input(rays, k, activation, activate_output,
-                                          nodes):
+def test_mlp_per_ray_matches_joined_input(rays, k, activate_output, nodes):
     # the per-ray operand is the joined input with the first layer's sum
     # reassociated; 24 rows per ray do not divide BLOCK. ``nodes`` names the
     # operands that are Nodes
@@ -195,15 +191,15 @@ def test_mlp_per_ray_matches_joined_input(rays, k, activation, activate_output,
     x, u, layers, g, joined = _per_ray_inputs(rays, k)
     ref_in = ad.Node(joined)
     ref_params = [(ad.Node(w), ad.Node(b)) for w, b in layers]
-    ref = ad.mlp(ref_in, ref_params, activation, activate_output)
+    ref = ad.mlp(ref_in, ref_params, activate_output=activate_output)
     ad.backward(ad.sum_(ad.mul(ref, g)))
     xin = ad.Node(x) if "x" in nodes else x
     uin = ad.Node(u) if "u" in nodes else u
     params = [(ad.Node(w), ad.Node(b)) if "layers" in nodes else (w, b)
               for w, b in layers]
-    out = ad.mlp(xin, params, activation, activate_output, uin, k)
+    out = ad.mlp(xin, params, activate_output=activate_output, u=uin, k=k)
     assert _close(out.value, ref.value, rel=1e-14)
-    assert np.array_equal(ad.mlp(x, layers, activation, activate_output, u, k),
+    assert np.array_equal(ad.mlp(x, layers, activate_output=activate_output, u=u, k=k),
                           out.value)
     ad.backward(ad.sum_(ad.mul(out, g)))
     c = u.shape[1]
@@ -222,7 +218,7 @@ def test_mlp_per_ray_through_one_layer():
     x, u, layers, g, joined = _per_ray_inputs(5, 3)
     w, b = layers[0]
     un, wn, bn = ad.Node(u), ad.Node(w), ad.Node(b)
-    out = ad.mlp(x, [(wn, bn)], "relu", True, un, 3)
+    out = ad.mlp(x, [(wn, bn)], activate_output=True, u=un, k=3)
     ref = np.maximum(joined @ w + b, 0.0)
     assert _close(out.value, ref, rel=1e-14)
     ad.backward(ad.sum_(out))
@@ -238,19 +234,19 @@ def test_mlp_per_ray_plain_operands_build_no_graph(monkeypatch):
     init = ad.Node.__init__
     monkeypatch.setattr(ad.Node, "__init__",
                         lambda self, *a, **k: built.append(1) or init(self, *a, **k))
-    out = ad.mlp(x, layers, "relu", False, u, 24)
+    out = ad.mlp(x, layers, u=u, k=24)
     assert type(out) is np.ndarray and not built
-    assert _close(out, ad.mlp(joined, layers, "relu"), rel=1e-14)
+    assert _close(out, ad.mlp(joined, layers), rel=1e-14)
 
 
 def test_mlp_per_ray_shape_errors():
     x, u, layers, _, _ = _per_ray_inputs(3, 4)
     with pytest.raises(ad.ShapeMismatch, match="per-ray"):
-        ad.mlp(x, layers, "relu", u=u[:2], k=4)
+        ad.mlp(x, layers, u=u[:2], k=4)
     with pytest.raises(ad.ShapeMismatch, match="per-ray"):
-        ad.mlp(x, layers, "relu", u=u, k=3)
+        ad.mlp(x, layers, u=u, k=3)
     with pytest.raises(ad.ShapeMismatch, match="layer 0"):
-        ad.mlp(x, layers, "relu", u=u[:, :2], k=4)
+        ad.mlp(x, layers, u=u[:, :2], k=4)
 
 
 HEAD_RAYS, HEAD_K = 2 * (ad.BLOCK // 8) + 3, 8   # two full blocks and a third
@@ -289,26 +285,25 @@ def _leaves(x, u, trunk, heads):
             if p is not None]
 
 
-@pytest.mark.parametrize("activation", ["relu", "softplus"])
-@pytest.mark.parametrize("trunk_u", [False, True], ids=["static", "per_ray_trunk"])
-def test_mlp_heads_match_separate_nodes(trunk_u, activation):
+@pytest.mark.parametrize("trunk_u", [False, True], ids=["static-relu", "per_ray_trunk-relu"])
+def test_mlp_heads_match_separate_nodes(trunk_u):
     # a field as one node against the trunk and heads as separate nodes,
     # their outputs weighted in head order, so that backward sums the heads'
     # gradients of the trunk output in head order too
     x, u, trunk, heads, gs = _field_inputs(trunk_u)
     ref = _as_nodes(x, u, trunk, heads)
-    h = ad.mlp(ref[0], ref[2], activation, True, ref[1], HEAD_K)
-    outs = [ad.mlp(h, ls, activation, False, hu, hk) for ls, hu, hk in ref[3]]
+    h = ad.mlp(ref[0], ref[2], activate_output=True, u=ref[1], k=HEAD_K)
+    outs = [ad.mlp(h, ls, u=hu, k=hk) for ls, hu, hk in ref[3]]
     loss = ad.sum_(ad.mul(outs[0], gs[0]))
     for out, g in zip(outs[1:], gs[1:]):
         loss = ad.add(loss, ad.sum_(ad.mul(out, g)))
     reference_backward(loss)
 
     got = _as_nodes(x, u, trunk, heads)
-    fused = ad.mlp(got[0], got[2], activation, True, got[1], HEAD_K, got[3])
+    fused = ad.mlp(got[0], got[2], activate_output=True, u=got[1], k=HEAD_K, heads=got[3])
     # forward bit for bit, with and without a graph
     assert np.array_equal(fused.value, np.hstack([o.value for o in outs]))
-    assert np.array_equal(ad.mlp(x, trunk, activation, True, u, HEAD_K, heads),
+    assert np.array_equal(ad.mlp(x, trunk, activate_output=True, u=u, k=HEAD_K, heads=heads),
                           fused.value)
     ad.backward(ad.sum_(ad.mul(fused, np.hstack(gs))))
     # every gradient bit for bit: the same products, summed in the same order
@@ -321,19 +316,19 @@ def test_mlp_heads_gradients_reach_node_operands_only():
     # gradients, and nothing walks down the trunk
     x, u, trunk, heads, gs = _field_inputs(False)
     _, _, _, node_heads = _as_nodes(x, u, trunk, heads)
-    out = ad.mlp(x, trunk, "relu", True, heads=node_heads)
+    out = ad.mlp(x, trunk, activate_output=True, heads=node_heads)
     assert [p for p, _ in out.parents] == _leaves(None, None, [], node_heads)
     ad.backward(ad.sum_(ad.mul(out, np.hstack(gs))))
-    h = ad.mlp(x, trunk, "relu", True)
+    h = ad.mlp(x, trunk, activate_output=True)
     w, b = node_heads[1][0][0]
     assert _close(w.grad, h.T @ gs[1]) and _close(b.grad, gs[1].sum(axis=0))
     # x alone a Node: its gradient walks through the constant heads and
     # trunk, bit for bit as with every operand a Node
     xn = ad.Node(x)
-    ad.backward(ad.sum_(ad.mul(ad.mlp(xn, trunk, "relu", True, heads=heads),
+    ad.backward(ad.sum_(ad.mul(ad.mlp(xn, trunk, activate_output=True, heads=heads),
                                np.hstack(gs))))
     ref = _as_nodes(x, u, trunk, heads)
-    ad.backward(ad.sum_(ad.mul(ad.mlp(ref[0], ref[2], "relu", True, heads=ref[3]),
+    ad.backward(ad.sum_(ad.mul(ad.mlp(ref[0], ref[2], activate_output=True, heads=ref[3]),
                                np.hstack(gs))))
     assert np.array_equal(xn.grad, ref[0].grad)
 
@@ -343,9 +338,10 @@ def test_mlp_head_shape_error():
     x, u, trunk, heads, _ = _field_inputs(False)
     bad = [(np.zeros((15, 1)), np.zeros(1))]
     with pytest.raises(ad.ShapeMismatch, match=r"head 1: layer 0: \(\d+, 16\) @ \(15, 1\)"):
-        ad.mlp(x, trunk, "relu", True, heads=[heads[0], (bad, None, 1)])
+        ad.mlp(x, trunk, activate_output=True, heads=[heads[0], (bad, None, 1)])
     with pytest.raises(ad.ShapeMismatch, match="head 0: per-ray"):
-        ad.mlp(x, trunk, "relu", True, heads=[(heads[0][0], heads[0][1][:-1], HEAD_K)])
+        ad.mlp(x, trunk, activate_output=True,
+               heads=[(heads[0][0], heads[0][1][:-1], HEAD_K)])
 
 
 def test_backward_rejects_nonscalar_root():
@@ -400,10 +396,10 @@ def _fanout_loss(v, order):
     ``concat`` and ``narrow`` views; the leaf ``p`` is used twice. ``order``
     permutes the summed terms, and with them the order of the visits."""
     n, k = FANOUT_ROWS, FANOUT_K
-    h = ad.mlp(v["x"], [(v["w0"], v["b0"])], "relu", activate_output=True)
-    s1 = ad.mlp(h, [(v["ws"], v["bs"])], "relu")
-    s2 = ad.mlp(h, [(v["ws"], v["bs"])], "softplus", activate_output=True)
-    c = ad.mlp(h, [(v["wc"], v["bc"])], "relu", u=v["u"], k=k)
+    h = ad.mlp(v["x"], [(v["w0"], v["b0"])], activate_output=True)
+    s1 = ad.mlp(h, [(v["ws"], v["bs"])])
+    s2 = ad.mlp(h, [(v["ws"], v["bs"])], activate_output=True)
+    c = ad.mlp(h, [(v["wc"], v["bc"])], u=v["u"], k=k)
     a = ad.add(h, v["x2"])                       # one array to h and x2
     j = ad.concat([a, ad.reshape(s1, (n, 1)), c], axis=1)
     top, rest = ad.narrow(j, 0, n // 2), ad.narrow(j, n // 2, n - n // 2)
@@ -437,14 +433,36 @@ def test_every_op_matches_central_differences():
 
 
 @pytest.mark.parametrize("name, seed", [("mlp_heads", 3), ("softplus", 12),
-                                        ("softplus", 22), ("mlp_softplus", 5),
-                                        ("mlp_softplus", 17), ("mlp_softplus", 19)])
+                                        ("softplus", 22), ("mlp_head", 3),
+                                        ("encode_position", 7), ("encode_position", 15)])
 def test_difference_quotient_rounding_fails_no_correct_gradient(name, seed):
-    # draws whose weighted output sum cancels, so the central difference
-    # carries rounding of eps * sum|terms| / h: correct gradients pass, and
-    # a 1 % error still fails
+    # draws whose weighted output sum cancels, so the difference quotient
+    # carries rounding of eps * sum|terms| / h, and encode_position draws
+    # whose eighth octave gives a central difference h^2 truncation of
+    # several tolerances: correct gradients pass, and a 1 % error still
+    # fails
     assert gc.check_op(name, seed=seed).passed
     assert not gc.check_op(name, seed=seed, sabotage=name).passed
+
+
+@pytest.mark.parametrize("x0, kinked", [(0.4, True), (-0.4, True), (1.5, False),
+                                       (-1.5, False)])
+def test_kink_rule_flags_a_kink_within_the_probe_window(x0, kinked):
+    # relu(x - x0) with its kink at x0 in units of h from x: flagged inside
+    # (x - h, x + h), straight to either side
+    h, x = gc.FD_STEP, 0.3
+    f = lambda v: max(v - (x + x0 * h), 0.0) + 0.5 * v
+    assert gc._kinked(f(x + h), f(x), f(x - h), gc.END_TO_END_TOL) == kinked
+
+
+def test_kink_rule_passes_a_smooth_function():
+    # sin(50 x): curvature 2500 sin(50 x) moves the one-sided slopes apart by
+    # about 2.5e-3 h-units, far below the tolerance of the slope itself
+    h = gc.FD_STEP
+    f = lambda v: np.sin(50.0 * v)
+    for x in np.linspace(-1.0, 1.0, 41):
+        if abs(np.cos(50.0 * x)) > 0.1:
+            assert not gc._kinked(f(x + h), f(x), f(x - h), gc.END_TO_END_TOL), x
 
 
 @pytest.mark.parametrize("name", sorted(gc._op_cases(np.random.default_rng(0))))

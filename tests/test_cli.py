@@ -55,6 +55,18 @@ def run_cli(*args) -> subprocess.CompletedProcess:
                           capture_output=True, text=True, env=env)
 
 
+def rewrite_header(src: Path, dst: Path, edit) -> None:
+    """Copy the checkpoint ``src`` to ``dst`` with ``edit`` applied to its
+    parsed JSON header."""
+    raw = src.read_bytes()
+    start = len(CHECKPOINT_MAGIC) + 4
+    end = start + int.from_bytes(raw[start - 4:start], "little")
+    header = json.loads(raw[start:end])
+    edit(header)
+    text = json.dumps(header).encode()
+    dst.write_bytes(CHECKPOINT_MAGIC + len(text).to_bytes(4, "little") + text + raw[end:])
+
+
 def assert_clean_error(res, name: str):
     assert res.returncode == 1, res.stderr
     assert res.stderr.startswith("error:"), res.stderr
@@ -281,6 +293,21 @@ class TestRender:
         for sub in ("rgb", "mask", "p_dy", "kappa"):
             assert tree_bytes(outs["now"] / sub) == tree_bytes(outs["older"] / sub)
 
+    def test_checkpoint_naming_the_relu_trunk_renders_the_same(
+            self, tmp_path, dataset_dir, trained_dir):
+        # checkpoints written while the trunk activation was an architecture
+        # option store "activation": "relu" in their field_config
+        final = trained_dir / "checkpoint_final.ckpt"
+        relu = tmp_path / "relu.ckpt"
+        rewrite_header(final, relu, lambda h: h["field_config"].update(activation="relu"))
+        outs = {}
+        for name, ckpt in (("now", final), ("relu", relu)):
+            outs[name] = tmp_path / name
+            assert main(["render", "--checkpoint", str(ckpt), "--dataset", str(dataset_dir),
+                         "--out", str(outs[name]), "--timestamps", "1,5"]) == 0
+        for sub in ("rgb", "mask", "p_dy", "kappa"):
+            assert tree_bytes(outs["now"] / sub) == tree_bytes(outs["relu"] / sub)
+
     def test_out_of_range_timestamp(self, tmp_path, dataset_dir, trained_dir):
         code = main(["render", "--checkpoint", str(trained_dir / "checkpoint_final.ckpt"),
                      "--dataset", str(dataset_dir), "--out", str(tmp_path / "x"),
@@ -350,7 +377,7 @@ class TestCorruptJson:
     @pytest.mark.parametrize("case", ["no_groups", "unknown_config_key",
                                       "negative_width", "missing_layer",
                                       "trailing_bytes", "no_n_samples",
-                                      "zero_n_samples"])
+                                      "zero_n_samples", "softplus_trunk"])
     def test_checkpoint_header_content(self, tmp_path, dataset_dir, trained_dir,
                                        case):
         raw = (trained_dir / "checkpoint_final.ckpt").read_bytes()
@@ -369,6 +396,9 @@ class TestCorruptJson:
             del header["meta"]["train_state"]["config"]["n_samples"]
         elif case == "zero_n_samples":
             header["meta"]["train_state"]["config"]["n_samples"] = 0
+        elif case == "softplus_trunk":
+            # the trunks are relu MLPs; no other activation loads
+            header["field_config"]["activation"] = "softplus"
         elif case == "missing_layer":
             # a consistent file without the static trunk's second layer
             kept, blobs, at = [], [], 0
@@ -392,6 +422,33 @@ class TestCorruptJson:
         assert_clean_error(res, str(ckpt))
         assert res.stderr.startswith(f"error: {ckpt}:"), res.stderr
         assert not (tmp_path / "frames").exists()
+
+    @pytest.mark.parametrize("case", ["meta_list", "train_state_string",
+                                      "render_without_train_state",
+                                      "resume_without_train_state"])
+    def test_meta_without_train_state_object(self, tmp_path, dataset_dir, trained_dir,
+                                             case):
+        run = tmp_path / "run"
+        shutil.copytree(trained_dir, run)
+        ckpt = run / "checkpoint_latest.ckpt"
+
+        def edit(header):
+            if case == "meta_list":
+                header["meta"] = []
+            elif case == "train_state_string":
+                header["meta"]["train_state"] = "x"
+            else:
+                del header["meta"]["train_state"]
+
+        rewrite_header(run / "checkpoint_bri.ckpt", ckpt, edit)
+        if case == "resume_without_train_state":
+            res = run_cli("train", "--dataset", str(dataset_dir), "--out", str(run),
+                          "--seed", "0", *TINY_TRAIN, "--resume")
+        else:
+            res = run_cli("render", "--checkpoint", str(ckpt), "--dataset",
+                          str(dataset_dir), "--out", str(tmp_path / "frames"))
+            assert not (tmp_path / "frames").exists()
+        assert_clean_error(res, str(ckpt))
 
     def test_corrupt_dataset_meta(self, tmp_path, dataset_dir):
         ds = tmp_path / "ds"

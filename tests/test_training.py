@@ -531,3 +531,14 @@ class TestGradientOracleHooks:
     def test_sabotage_detected(self):
         from moblurf.gradcheck import check_full_loss
         assert not check_full_loss("bri_odd", seed=3, sabotage=True).passed
+
+    def test_mdd_probe_steps_off_a_relu_kink(self, monkeypatch):
+        # at seed 41 a relu kink lies within one probe's window; the probe
+        # moves to the next-largest component, and a 1 % error still fails
+        from moblurf import gradcheck as gc
+        flagged = []
+        kinked = gc._kinked
+        monkeypatch.setattr(gc, "_kinked", lambda *a: flagged.append(kinked(*a)) or flagged[-1])
+        assert gc.check_full_loss("mdd", seed=41).passed
+        assert any(flagged)
+        assert not gc.check_full_loss("mdd", seed=41, sabotage=True).passed
