@@ -86,9 +86,16 @@ def _mlp_inputs(rows, seed=11, sizes=MLP_SIZES):
     return x, layers, rng.normal(size=(rows, sizes[-1]))
 
 
-def _layer_by_layer(x, layers, activate_output, g):
+def _softplus_decode(z, g):
+    """softplus(z) and g times its slope, with ``ad.softplus``'s arithmetic."""
+    slope = 1.0 / (1.0 + np.exp(-np.clip(z, -500, 500)))
+    return np.maximum(z, 0.0) + np.log1p(np.exp(-np.abs(z))), g * slope
+
+
+def _layer_by_layer(x, layers, activate_output, g, decode=False):
     """Output, dx, dws, dbs of the stack evaluated one layer at a time over
-    all rows, with the arithmetic of separate dense and relu nodes."""
+    all rows, with the arithmetic of separate dense and relu nodes; with
+    ``decode``, of its output decoded by a softplus node as well."""
     hs = [x]
     for i, (w, b) in enumerate(layers):
         z = hs[-1] @ w
@@ -96,6 +103,9 @@ def _layer_by_layer(x, layers, activate_output, g):
         if i < len(layers) - 1 or activate_output:
             z = np.maximum(z, 0.0)
         hs.append(z)
+    out = hs[-1]
+    if decode:
+        out, g = _softplus_decode(out, g)
     dws, dbs = [], []
     for i in reversed(range(len(layers))):
         if i < len(layers) - 1 or activate_output:
@@ -103,15 +113,27 @@ def _layer_by_layer(x, layers, activate_output, g):
         dws.insert(0, hs[i].T @ g)
         dbs.insert(0, g.sum(axis=0))
         g = g @ layers[i][0].T
-    return hs[-1], g, dws, dbs
+    return out, g, dws, dbs
 
 
 def _close(a, b, rel=1e-13):
     return np.linalg.norm(a - b) <= rel * np.linalg.norm(b)
 
 
-# the ids name the hidden layers' relu after the output layer's choice
-@pytest.mark.parametrize("activate_output", [False, True], ids=["False-relu", "True-relu"])
+def _decoded(out, decode):
+    """``out``, or ``out`` decoded by ``ad.softplus`` as the fields decode
+    their densities."""
+    return ad.softplus(out) if decode else out
+
+
+# the ids name the output layer's choice, then the relu stack's output as it
+# is or decoded by softplus
+@pytest.mark.parametrize("activate_output, decode", [
+    pytest.param(False, False, id="False-relu"),
+    pytest.param(True, False, id="True-relu"),
+    pytest.param(False, True, id="False-softplus"),
+    pytest.param(True, True, id="True-softplus"),
+])
 @pytest.mark.parametrize("rows, sizes", [
     *(pytest.param(rows, MLP_SIZES, id=str(rows))
       for rows in (0, 1, ad.BLOCK, ad.BLOCK + 1, 2 * ad.BLOCK + 37)),
@@ -121,16 +143,16 @@ def _close(a, b, rel=1e-13):
     # dimension 1, taken as a broadcast multiply
     pytest.param(2 * ad.BLOCK + 37, (64, 1), id="one_column_head"),
 ])
-def test_mlp_matches_layer_by_layer_reference(rows, sizes, activate_output):
+def test_mlp_matches_layer_by_layer_reference(rows, sizes, activate_output, decode):
     x, layers, g = _mlp_inputs(rows, sizes=sizes)
-    out, dx, dws, dbs = _layer_by_layer(x, layers, activate_output, g)
+    out, dx, dws, dbs = _layer_by_layer(x, layers, activate_output, g, decode)
     # rows cross block boundaries: forward and dx bit for bit, dw and db to
     # rounding of their block-by-block sums
-    plain = ad.mlp(x, layers, activate_output=activate_output)
+    plain = _decoded(ad.mlp(x, layers, activate_output=activate_output), decode)
     assert type(plain) is np.ndarray and np.array_equal(plain, out)
     xn = ad.Node(x)
     params = [(ad.Node(w), ad.Node(b)) for w, b in layers]
-    node = ad.mlp(xn, params, activate_output=activate_output)
+    node = _decoded(ad.mlp(xn, params, activate_output=activate_output), decode)
     assert np.array_equal(node.value, out)
     ad.backward(ad.sum_(ad.mul(node, g)))
     assert np.array_equal(xn.grad, dx)
@@ -178,11 +200,16 @@ def _per_ray_inputs(rays, k, c=4):
 
 
 @pytest.mark.parametrize("nodes", ["x_layers", "x_layers_u", "u"])
-# the trunks' form and the RGB heads' (a linear output layer)
-@pytest.mark.parametrize("activate_output", [True, False], ids=["relu-True", "relu-False"])
+# the trunks' form, the RGB heads' (a linear output layer) and the sigma
+# heads' (a linear output layer decoded by softplus)
+@pytest.mark.parametrize("activate_output, decode", [
+    pytest.param(True, False, id="relu-True"),
+    pytest.param(False, False, id="relu-False"),
+    pytest.param(False, True, id="softplus-False"),
+])
 @pytest.mark.parametrize("k", [1, 24, 32])
 @pytest.mark.parametrize("rays", [0, 1, 3, None], ids=["0", "1", "3", "3_blocks"])
-def test_mlp_per_ray_matches_joined_input(rays, k, activate_output, nodes):
+def test_mlp_per_ray_matches_joined_input(rays, k, activate_output, decode, nodes):
     # the per-ray operand is the joined input with the first layer's sum
     # reassociated; 24 rows per ray do not divide BLOCK. ``nodes`` names the
     # operands that are Nodes
@@ -191,16 +218,18 @@ def test_mlp_per_ray_matches_joined_input(rays, k, activate_output, nodes):
     x, u, layers, g, joined = _per_ray_inputs(rays, k)
     ref_in = ad.Node(joined)
     ref_params = [(ad.Node(w), ad.Node(b)) for w, b in layers]
-    ref = ad.mlp(ref_in, ref_params, activate_output=activate_output)
+    ref = _decoded(ad.mlp(ref_in, ref_params, activate_output=activate_output), decode)
     ad.backward(ad.sum_(ad.mul(ref, g)))
     xin = ad.Node(x) if "x" in nodes else x
     uin = ad.Node(u) if "u" in nodes else u
     params = [(ad.Node(w), ad.Node(b)) if "layers" in nodes else (w, b)
               for w, b in layers]
-    out = ad.mlp(xin, params, activate_output=activate_output, u=uin, k=k)
+    out = _decoded(ad.mlp(xin, params, activate_output=activate_output, u=uin, k=k),
+                   decode)
     assert _close(out.value, ref.value, rel=1e-14)
-    assert np.array_equal(ad.mlp(x, layers, activate_output=activate_output, u=u, k=k),
-                          out.value)
+    assert np.array_equal(
+        _decoded(ad.mlp(x, layers, activate_output=activate_output, u=u, k=k), decode),
+        out.value)
     ad.backward(ad.sum_(ad.mul(out, g)))
     c = u.shape[1]
     if "x" in nodes:
@@ -285,26 +314,30 @@ def _leaves(x, u, trunk, heads):
             if p is not None]
 
 
-@pytest.mark.parametrize("trunk_u", [False, True], ids=["static-relu", "per_ray_trunk-relu"])
-def test_mlp_heads_match_separate_nodes(trunk_u):
+# the heads' outputs as they are, or decoded by softplus
+@pytest.mark.parametrize("decode", [False, True], ids=["relu", "softplus"])
+@pytest.mark.parametrize("trunk_u", [False, True], ids=["static", "per_ray_trunk"])
+def test_mlp_heads_match_separate_nodes(trunk_u, decode):
     # a field as one node against the trunk and heads as separate nodes,
     # their outputs weighted in head order, so that backward sums the heads'
     # gradients of the trunk output in head order too
     x, u, trunk, heads, gs = _field_inputs(trunk_u)
     ref = _as_nodes(x, u, trunk, heads)
     h = ad.mlp(ref[0], ref[2], activate_output=True, u=ref[1], k=HEAD_K)
-    outs = [ad.mlp(h, ls, u=hu, k=hk) for ls, hu, hk in ref[3]]
+    outs = [_decoded(ad.mlp(h, ls, u=hu, k=hk), decode) for ls, hu, hk in ref[3]]
     loss = ad.sum_(ad.mul(outs[0], gs[0]))
     for out, g in zip(outs[1:], gs[1:]):
         loss = ad.add(loss, ad.sum_(ad.mul(out, g)))
     reference_backward(loss)
 
     got = _as_nodes(x, u, trunk, heads)
-    fused = ad.mlp(got[0], got[2], activate_output=True, u=got[1], k=HEAD_K, heads=got[3])
+    fused = _decoded(ad.mlp(got[0], got[2], activate_output=True, u=got[1], k=HEAD_K,
+                            heads=got[3]), decode)
     # forward bit for bit, with and without a graph
     assert np.array_equal(fused.value, np.hstack([o.value for o in outs]))
-    assert np.array_equal(ad.mlp(x, trunk, activate_output=True, u=u, k=HEAD_K, heads=heads),
-                          fused.value)
+    assert np.array_equal(
+        _decoded(ad.mlp(x, trunk, activate_output=True, u=u, k=HEAD_K, heads=heads), decode),
+        fused.value)
     ad.backward(ad.sum_(ad.mul(fused, np.hstack(gs))))
     # every gradient bit for bit: the same products, summed in the same order
     for a, b in zip(_leaves(*got), _leaves(*ref)):
