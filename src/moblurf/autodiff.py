@@ -604,102 +604,47 @@ def exclusive_cumprod(a):
 # ---------------------------------------------------------------------------
 # rotation-exponential coefficients (elementwise in u = theta^2)
 #
-# A(u) = sin(t)/t, B(u) = (1-cos t)/t^2, C(u) = (t - sin t)/t^3 with t = sqrt(u).
-# Expressed in u they are smooth at zero, which keeps screw-axis gradients
-# finite at the all-zeros initialization. Below the switch the 3-term Taylor
-# series is used; both branches agree to ~1e-25 there.
+# A = sin(t)/t, B = (1 - cos t)/u, C = (1 - A)/u with t = sqrt(u). Each is
+# F_m(u) = sum_n (-u)^n / (2n + m)! for m = 1, 2, 3, smooth at zero, which
+# keeps screw-axis gradients finite at the all-zeros initialization. Through
+# 1 - cos t the closed forms round as eps/u, their derivatives as eps/u^2,
+# so below the switch the series serves: there its 10 terms truncate below
+# 1e-17, and on both sides each value and derivative is exact to ~1e-14.
 
-_U_SWITCH = 1e-12  # u = theta^2 switch, i.e. theta < 1e-6
-
-
-def _a_closed(u):
-    t = np.sqrt(u)
-    return np.sin(t) / np.where(t == 0, 1.0, t)
+_U_SWITCH = 1.0
 
 
-def _a_series(u):
-    return 1.0 - u / 6.0 + u * u / 120.0
+def _series(u, m):
+    """F_m(u) and F_m'(u) = -sum_n (n + 1) (-u)^n / (2n + m + 2)!, each over
+    10 terms by Horner's rule."""
+    f = df = 0.0
+    for n in reversed(range(10)):
+        f = 1 / math.factorial(2 * n + m) - u * f
+        df = (n + 1) / math.factorial(2 * n + m + 2) - u * df
+    return f, -df
 
 
-def _da_closed(u):
-    t = np.sqrt(u)
-    t3 = np.where(t == 0, 1.0, t * t * t)
-    return (t * np.cos(t) - np.sin(t)) / (2.0 * t3)
-
-
-def _da_series(u):
-    return -1.0 / 6.0 + u / 60.0
-
-
-def _b_closed(u):
-    t = np.sqrt(u)
-    return (1.0 - np.cos(t)) / np.where(u == 0, 1.0, u)
-
-
-def _b_series(u):
-    return 0.5 - u / 24.0 + u * u / 720.0
-
-
-def _db_closed(u):
-    t = np.sqrt(u)
-    u2 = np.where(u == 0, 1.0, u * u)
-    return (t * np.sin(t) / 2.0 - (1.0 - np.cos(t))) / u2
-
-
-def _db_series(u):
-    return -1.0 / 24.0 + u / 360.0
-
-
-def _c_closed(u):
-    t = np.sqrt(u)
-    t3 = np.where(t == 0, 1.0, t * t * t)
-    return (t - np.sin(t)) / t3
-
-
-def _c_series(u):
-    return 1.0 / 6.0 - u / 120.0 + u * u / 5040.0
-
-
-def _dc_closed(u):
-    t = np.sqrt(u)
-    t5 = np.where(t == 0, 1.0, t ** 5)
-    return ((1.0 - np.cos(t)) * t - 3.0 * (t - np.sin(t))) / (2.0 * t5)
-
-
-def _dc_series(u):
-    return -1.0 / 120.0 + u / 2520.0
-
-
-COEF_BRANCHES = {
-    # closed-form and small-angle series per coefficient, for the
-    # branch-continuity oracle
-    "a": (_a_closed, _a_series),
-    "b": (_b_closed, _b_series),
-    "c": (_c_closed, _c_series),
-}
-
-
-def _coef(u, closed, series, dclosed, dseries):
+def rot_coefs(u):
+    """The rotation coefficients A, B, C of u = theta**2, one node each:
+    I + A [w]x + B [w]x^2 is the rotation by w, I + B [w]x + C [w]x^2 the
+    translation matrix, with |w|^2 = u."""
     uv = value_of(u)
-    small = uv < _U_SWITCH
-    us = np.where(small, 0.0, uv)  # avoid div-by-zero in the closed branch
-    ov = np.where(small, series(uv), closed(us))
-    return _make(ov, [(u, lambda g: g * np.where(small, dseries(uv), dclosed(us)))])
-
-
-def rot_coef_a(u):
-    """sin(theta)/theta as a function of u = theta**2."""
-    return _coef(u, _a_closed, _a_series, _da_closed, _da_series)
-
-
-def rot_coef_b(u):
-    """(1 - cos(theta)) / theta**2 as a function of u = theta**2."""
-    return _coef(u, _b_closed, _b_series, _db_closed, _db_series)
-
-
-def rot_coef_c(u):
-    """(theta - sin(theta)) / theta**3 as a function of u = theta**2."""
-    return _coef(u, _c_closed, _c_series, _dc_closed, _dc_series)
+    big = uv >= _U_SWITCH
+    # each branch sees only the u it serves: no division by zero, no overflow
+    ub = np.where(big, uv, 1.0)
+    t = np.sqrt(ub)
+    a = np.sin(t) / t
+    b = (1.0 - np.cos(t)) / ub
+    c = (1.0 - a) / ub
+    closed = ((a, (c - b) / 2.0), (b, (a - 2.0 * b) / (2.0 * ub)),
+              (c, (b - 3.0 * c) / (2.0 * ub)))
+    us = np.where(big, 0.0, uv)
+    out = []
+    for m, (f, df) in enumerate(closed, start=1):
+        fs, dfs = _series(us, m)
+        slope = np.where(big, df, dfs)
+        out.append(_make(np.where(big, f, fs), [(u, lambda g, slope=slope: g * slope)]))
+    return tuple(out)
 
 
 # ---------------------------------------------------------------------------

@@ -35,12 +35,16 @@ class CameraPose:
     def __post_init__(self):
         self.rotation = np.asarray(self.rotation, dtype=np.float64)
         self.center = np.asarray(self.center, dtype=np.float64)
-        if self.fx <= 0 or self.fy <= 0:
-            raise ValueError("focal lengths must be positive")
+        # negated comparisons so that NaN entries are rejected too
+        if not (0 < self.fx < np.inf and 0 < self.fy < np.inf):
+            raise ValueError(f"focal lengths must be positive and finite "
+                             f"(fx = {self.fx}, fy = {self.fy})")
+        if not np.isfinite(np.append(self.center, (self.cx, self.cy))).all():
+            raise ValueError(f"center and principal point must be finite "
+                             f"(center = {self.center}, cx = {self.cx}, cy = {self.cy})")
         r = self.rotation
         ortho_err = np.abs(r.T @ r - np.eye(3)).max()
         det = np.linalg.det(r)
-        # negated comparisons so that NaN entries are rejected too
         if not (ortho_err <= 1e-6 and abs(det - 1.0) <= 1e-6):
             raise ValueError(f"rotation is not orthonormal with det +1 "
                              f"(max |R^T R - I| = {ortho_err:.3g}, det = {det:.6g})")

@@ -23,6 +23,7 @@ Directory layout (all little-endian):
 from __future__ import annotations
 
 import json
+import math
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -149,7 +150,8 @@ def synthesize_dataset(scene: AnalyticScene, seed: int, window: int = 4,
         "window": window, "subrate": subrate,
         "preset": preset_name, "seed": seed,
         "linear_color": True,
-        "eval_timestamps": list(scene.eval_timestamps),
+        # a preset's evaluation frames that a shortened scene still has
+        "eval_timestamps": [t for t in scene.eval_timestamps if t < scene.n_frames],
     }
     return BlurryDataset(
         meta=meta,
@@ -204,10 +206,10 @@ def read_poses(path, meta) -> list:
     poses = []
     with open(path) as f:
         for t, line in enumerate(f):
-            vals = [float(v) for v in line.split()]
-            if len(vals) != 12:
-                raise DatasetError(f"{path}:{t + 1}: expected 12 values, got {len(vals)}")
             try:
+                vals = [float(v) for v in line.split()]
+                if len(vals) != 12:
+                    raise ValueError(f"expected 12 values, got {len(vals)}")
                 poses.append(CameraPose.from_matrix34(
                     np.array(vals).reshape(3, 4),
                     meta["fx"], meta["fy"], meta["cx"], meta["cy"], t_index=t))
@@ -235,6 +237,43 @@ def write_dataset(ds: BlurryDataset, path, force: bool = False) -> None:
     _write_poses(root / "poses_true.txt", ds.poses_true)
 
 
+def _check_meta(meta, path) -> None:
+    """Raise :class:`DatasetError` naming ``path`` unless ``meta`` is an
+    object of this version whose sizes are positive ints, whose intrinsics
+    and bounds are finite numbers with fx, fy > 0 and 0 < near < far, and
+    whose ``eval_timestamps``, if any, are frame indices."""
+    if not isinstance(meta, dict):
+        raise DatasetError(f"{path}: expected a JSON object, got {type(meta).__name__}")
+    if meta.get("version") != DATASET_VERSION:
+        raise DatasetError(f"{path}: unsupported dataset version "
+                           f"{meta.get('version')!r} (expected {DATASET_VERSION})")
+    sizes, reals = ("n_frames", "height", "width"), ("fx", "fy", "cx", "cy", "near", "far")
+    missing = [k for k in sizes + reals if k not in meta]
+    if missing:
+        raise DatasetError(f"{path}: missing {', '.join(missing)}")
+
+    def is_int(v):
+        return isinstance(v, int) and not isinstance(v, bool)
+
+    for k in sizes:
+        if not (is_int(meta[k]) and meta[k] > 0):
+            raise DatasetError(f"{path}: {k} must be a positive integer, got {meta[k]!r}")
+    for k in reals:
+        v = meta[k]
+        if not (is_int(v) or isinstance(v, float) and math.isfinite(v)):
+            raise DatasetError(f"{path}: {k} must be a finite number, got {v!r}")
+    if not (meta["fx"] > 0 and meta["fy"] > 0):
+        raise DatasetError(f"{path}: fx and fy must be positive")
+    if not 0 < meta["near"] < meta["far"]:
+        raise DatasetError(f"{path}: need 0 < near < far, got near = {meta['near']}, "
+                           f"far = {meta['far']}")
+    stamps = meta.get("eval_timestamps", [])
+    if not (isinstance(stamps, list)
+            and all(is_int(t) and 0 <= t < meta["n_frames"] for t in stamps)):
+        raise DatasetError(f"{path}: eval_timestamps must be a list of frame indices "
+                           f"in [0, {meta['n_frames']}), got {stamps!r}")
+
+
 def read_dataset(path) -> BlurryDataset:
     root = Path(path)
     meta_path = root / "meta.json"
@@ -244,11 +283,8 @@ def read_dataset(path) -> BlurryDataset:
         meta = json.loads(meta_path.read_text())
     except ValueError as exc:
         raise DatasetError(f"{meta_path}: corrupt JSON: {exc}") from exc
-    if meta.get("version") != DATASET_VERSION:
-        raise DatasetError(f"{root}: unsupported dataset version "
-                           f"{meta.get('version')!r} (expected {DATASET_VERSION})")
-    n = int(meta["n_frames"])
-    h, w = int(meta["height"]), int(meta["width"])
+    _check_meta(meta, meta_path)
+    n, h, w = meta["n_frames"], meta["height"], meta["width"]
 
     def load_frames(sub, loader, expect_shape):
         out = []

@@ -85,8 +85,8 @@ def _away_from_zero(rng, shape, margin=0.25):
     return (rng.random(shape) + margin) * rng.choice([-1.0, 1.0], size=shape)
 
 
-def _positive(rng, shape, floor=0.2):
-    return rng.random(shape) + floor
+def _positive(rng, shape):
+    return rng.random(shape) + 0.2
 
 
 def _dense_inputs(rng, sizes=(5, 4, 3, 2), margin=0.05, per_ray=None):
@@ -201,11 +201,13 @@ def _op_cases(rng):
         "exclusive_cumprod_zeros": (
             [_positive(rng, (3, 6)) * (rng.random((3, 6)) > 0.3)],
             ad.exclusive_cumprod),
-        "rot_coef_a": ([_positive(rng, (6,), floor=1e-4)], ad.rot_coef_a),
-        "rot_coef_b": ([_positive(rng, (6,), floor=1e-4)], ad.rot_coef_b),
-        "rot_coef_c": ([_positive(rng, (6,), floor=1e-4)], ad.rot_coef_c),
+        # u = theta^2 log-uniform over [2e-6, 4]: from where a closed-form
+        # derivative would cancel, across the series/closed-form switch at 1
+        "rot_coef_a": ([2e-6 * 2e6 ** rng.random((6,))], lambda u: ad.rot_coefs(u)[0]),
+        "rot_coef_b": ([2e-6 * 2e6 ** rng.random((6,))], lambda u: ad.rot_coefs(u)[1]),
+        "rot_coef_c": ([2e-6 * 2e6 ** rng.random((6,))], lambda u: ad.rot_coefs(u)[2]),
         # u = |omega|^2 and its coefficients feed all three moved vectors;
-        # |omega| >= 0.4 keeps the finite differences on the closed branch
+        # |omega| from 0.43 to 2.2 puts u on both sides of the switch
         "warp_ray": ([rng.normal(size=v3), rng.normal(size=v3),
                       _away_from_zero(rng, v3), rng.normal(size=v3)],
                      lambda o, d, w, v: ad.concat(list(se3.warp_ray(o, d, w, v)), axis=1)),

@@ -123,12 +123,6 @@ def _shade(weights, colors, n: int):
     return ad.sum_(ad.mul(ad.reshape(weights, (-1, n, 1)), colors), axis=1)
 
 
-def composite(colors, sigmas, grid: SampleGrid):
-    """Single-field alpha compositing: (color (B,3), weights (B,N))."""
-    _, weights = opacity(sigmas, grid)
-    return _shade(weights, colors, grid.n_samples), weights
-
-
 def _expected_distance(weights, grid: SampleGrid):
     """sum_n weights * distances over the N samples of each ray: (B,)."""
     return ad.sum_(ad.mul(weights, grid.dists), axis=-1)

@@ -3,7 +3,7 @@
 The rotation part of a screw (omega, v) acts through the rotation
 exponential; the translation part goes through the companion matrix G.
 Both are expressed via three scalar coefficients of u = ||omega||^2 (see
-``autodiff.rot_coef_*``), so the ray warp works elementwise on batches and
+``autodiff.rot_coefs``), so the ray warp works elementwise on batches and
 stays differentiable through zero rotation.
 
 ``warp_ray`` accepts plain ndarrays or graph Nodes and returns the same
@@ -35,8 +35,7 @@ def exp_rotation(omega) -> np.ndarray:
     omega = np.asarray(omega, dtype=np.float64)
     u = float(omega @ omega)
     k = skew(omega)
-    a = float(ad.rot_coef_a(np.array(u)))
-    b = float(ad.rot_coef_b(np.array(u)))
+    a, b, _ = ad.rot_coefs(np.array(u))
     return np.eye(3) + a * k + b * (k @ k)
 
 
@@ -45,8 +44,7 @@ def translation_matrix(omega) -> np.ndarray:
     omega = np.asarray(omega, dtype=np.float64)
     u = float(omega @ omega)
     k = skew(omega)
-    b = float(ad.rot_coef_b(np.array(u)))
-    c = float(ad.rot_coef_c(np.array(u)))
+    _, b, c = ad.rot_coefs(np.array(u))
     return np.eye(3) + b * k + c * (k @ k)
 
 
@@ -61,7 +59,7 @@ def warp_ray(origin, direction, omega, v):
     zero screws return the inputs exactly.
     """
     u = ad.sum_(ad.mul(omega, omega), axis=-1, keepdims=True)
-    a, b, c = ad.rot_coef_a(u), ad.rot_coef_b(u), ad.rot_coef_c(u)
+    a, b, c = ad.rot_coefs(u)
 
     def turn(x, p, q):
         """x + p [omega]x x + q [omega]x^2 x"""

@@ -246,6 +246,20 @@ class TestRender:
         assert "orthonormal" in capsys.readouterr().err
         assert not (tmp_path / "frames" / "rgb" / "0002.png").exists()
 
+    # a token that is no number once escaped as a bare ValueError; a NaN
+    # or infinite center rendered NaN pixels and exited 2
+    @pytest.mark.parametrize("line, why", [
+        ("1 0 0 0 0 1 0 0 0 0 1 abc", "could not convert"),
+        ("1 0 0 nan 0 1 0 0 0 0 1 0", "must be finite"),
+        ("1 0 0 0 0 1 0 -inf 0 0 1 0", "must be finite"),
+    ], ids=["text", "nan_center", "inf_center"])
+    def test_pose_file_with_bad_values(self, tmp_path, dataset_dir, trained_dir,
+                                       capsys, line, why):
+        code = self._render_pose_file(tmp_path, dataset_dir, trained_dir, line)
+        err = capsys.readouterr().err
+        assert code == 1 and f"{tmp_path / 'poses.txt'}:1: " in err and why in err, err
+        assert not (tmp_path / "frames" / "rgb" / "0002.png").exists()
+
     def test_non_finite_render_is_numerical_error(self, tmp_path, dataset_dir,
                                                   trained_dir):
         from moblurf.fields import load_checkpoint, save_checkpoint
@@ -458,6 +472,40 @@ class TestCorruptJson:
         res = run_cli("train", "--dataset", str(ds), "--out", str(tmp_path / "run"),
                       *TINY_TRAIN)
         assert_clean_error(res, str(meta))
+
+    # valid JSON of the wrong shape, each once read past the check: an
+    # AttributeError traceback, a bare key, int() of text, an empty stack,
+    # near and far swapped failing in sampling without the file's name
+    @pytest.mark.parametrize("edit, why", [
+        (list, "JSON object"),
+        (lambda m: {k: v for k, v in m.items() if k != "n_frames"}, "missing n_frames"),
+        (lambda m: {k: v for k, v in m.items() if k != "fx"}, "missing fx"),
+        (lambda m: {**m, "height": "x"}, "height must be a positive integer"),
+        (lambda m: {**m, "n_frames": -1}, "n_frames must be a positive integer"),
+        (lambda m: {**m, "width": True}, "width must be a positive integer"),
+        (lambda m: {**m, "width": 64.0}, "width must be a positive integer"),
+        (lambda m: {**m, "fx": float("nan")}, "fx must be a finite number"),
+        (lambda m: {**m, "cy": "32"}, "cy must be a finite number"),
+        (lambda m: {**m, "fy": 0}, "fx and fy must be positive"),
+        (lambda m: {**m, "near": m["far"], "far": m["near"]}, "0 < near < far"),
+        (lambda m: {**m, "near": 0.0}, "0 < near < far"),
+        (lambda m: {**m, "eval_timestamps": [m["n_frames"]]}, "eval_timestamps"),
+        (lambda m: {**m, "eval_timestamps": [-1]}, "eval_timestamps"),
+        (lambda m: {**m, "eval_timestamps": 1}, "eval_timestamps"),
+    ], ids=["list", "no_n_frames", "no_fx", "height_text", "n_frames_negative",
+            "width_bool", "width_float", "fx_nan", "cy_text", "fy_zero",
+            "near_far_swapped", "near_zero", "eval_past_last_frame",
+            "eval_negative", "eval_not_list"])
+    def test_misshapen_dataset_meta(self, tmp_path, dataset_dir, capsys, edit, why):
+        ds = tmp_path / "ds"
+        shutil.copytree(dataset_dir, ds)
+        meta = ds / "meta.json"
+        meta.write_text(json.dumps(edit(json.loads(meta.read_text()))))
+        code = main(["train", "--dataset", str(ds), "--out", str(tmp_path / "run"),
+                     *TINY_TRAIN])
+        err = capsys.readouterr().err
+        assert code == 1 and err.startswith("error:") and str(meta) in err, err
+        assert why in err, err
 
     def test_corrupt_config_file(self, tmp_path, dataset_dir):
         cfg = tmp_path / "cfg.json"

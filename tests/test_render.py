@@ -2,9 +2,8 @@ import numpy as np
 import pytest
 
 from moblurf import autodiff as ad
-from moblurf.render import (UNIFORM_FLOOR, RenderResult, SampleGrid, composite,
-                            dynamicness, motion_mask, sample_along_ray,
-                            sample_from_weights)
+from moblurf.render import (UNIFORM_FLOOR, RenderResult, SampleGrid, dynamicness,
+                            motion_mask, sample_along_ray, sample_from_weights)
 
 
 class Samples:
@@ -22,6 +21,13 @@ def render_full(static_out, dynamic_out, grid):
     """RenderResult of (colors, sigmas, p_st) static and (colors, sigmas)
     dynamic samples."""
     return RenderResult(Samples(*static_out), Samples(*dynamic_out), grid)
+
+
+def dynamic_composite(colors, sigmas, grid):
+    """One field's own composite, as the dynamic field's: (color (B,3),
+    weights (B,N))."""
+    res = render_full((None, None), (colors, sigmas), grid)
+    return res.color_dynamic, res.weights_dynamic
 
 
 def make_grid(near=1.0, far=5.0, n=4, batch=2, rng=None):
@@ -181,7 +187,7 @@ class TestComposite:
     def test_zero_density_renders_black(self):
         grid = make_grid()
         colors = np.random.default_rng(0).random((2, 4, 3))
-        color, weights = composite(colors, np.zeros((2, 4)), grid)
+        color, weights = dynamic_composite(colors, np.zeros((2, 4)), grid)
         assert np.all(color == 0)
         assert np.all(weights == 0)
 
@@ -190,7 +196,7 @@ class TestComposite:
         colors = np.random.default_rng(1).random((1, 4, 3))
         sig = np.zeros((1, 4))
         sig[0, 0] = 30.0 / grid.deltas[0]  # sigma * delta = 30
-        color, _ = composite(colors, sig, grid)
+        color, _ = dynamic_composite(colors, sig, grid)
         assert np.abs(color[0] - colors[0, 0]).max() < 1e-9
 
     def test_two_sample_hand_recurrence(self):
@@ -199,7 +205,7 @@ class TestComposite:
                           deltas=np.array([1.0, 1.0]))
         sig = np.array([[0.7, 0.7]])
         colors = np.array([[[1.0, 0.0, 0.5], [0.0, 1.0, 0.5]]])
-        color, weights = composite(colors, sig, grid)
+        color, weights = dynamic_composite(colors, sig, grid)
         a = 1 - np.exp(-0.7)
         w1, w2 = a, (1 - a) * a
         assert np.allclose(weights, [[w1, w2]])
@@ -209,7 +215,7 @@ class TestComposite:
         rng = np.random.default_rng(2)
         grid = make_grid(n=32, batch=8)
         sig = rng.random((8, 32)) * 5
-        _, weights = composite(rng.random((8, 32, 3)), sig, grid)
+        _, weights = dynamic_composite(rng.random((8, 32, 3)), sig, grid)
         t_end = np.exp(-(sig * grid.deltas).sum(axis=1))
         assert np.abs(weights.sum(axis=1) - (1.0 - t_end)).max() < 1e-12
         assert np.all(weights.sum(axis=1) <= 1.0 + 1e-9)
@@ -222,7 +228,7 @@ class TestComposite:
         sig[0, 1] = 800.0 / grid.deltas[1]
         colors = ad.Node(np.random.default_rng(3).random((2, 4, 3)))
         sigmas = ad.Node(sig)
-        color, _ = composite(colors, sigmas, grid)
+        color, _ = dynamic_composite(colors, sigmas, grid)
         ad.backward(ad.sum_(color))
         assert np.all(np.isfinite(sigmas.grad)) and np.all(np.isfinite(colors.grad))
         assert np.all(colors.grad[0, 2:] == 0.0)  # hidden behind the opaque sample
@@ -271,7 +277,7 @@ class TestRenderFull:
         kappa = ad.value_of(res.kappa_star)
         assert np.all(kappa >= 0) and np.all(kappa <= 7.0)
         # normalizing by accumulated weight puts the expectation in bounds
-        wsum = composite(c_d, sig_d, grid)[1].sum(axis=1)
+        wsum = dynamic_composite(c_d, sig_d, grid)[1].sum(axis=1)
         assert np.all(kappa / wsum >= 2.0 - 1e-9)
         assert np.all(kappa / wsum <= 7.0 + 1e-9)
 

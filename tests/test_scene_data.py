@@ -167,6 +167,20 @@ class TestCorruptPose:
             assert abs(np.linalg.det(r) - 1) < 1e-10
 
 
+class TestCameraPose:
+    # negated comparisons: fx = NaN once passed "fx <= 0"
+    @pytest.mark.parametrize("field, value", [
+        ("fx", np.nan), ("fy", np.inf), ("fx", 0.0), ("cx", np.nan), ("cy", -np.inf),
+        ("center", np.array([0.0, np.nan, 0.0])), ("center", np.array([np.inf, 0, 0]))],
+        ids=["fx_nan", "fy_inf", "fx_zero", "cx_nan", "cy_inf", "center_nan", "center_inf"])
+    def test_camera_pose_rejects_non_finite_values(self, field, value):
+        kwargs = dict(rotation=np.eye(3), center=np.zeros(3), fx=64.0, fy=64.0,
+                      cx=32.0, cy=32.0)
+        CameraPose(**kwargs)
+        with pytest.raises(ValueError, match="finite"):
+            CameraPose(**{**kwargs, field: value})
+
+
 class TestPerturbDepth:
     def test_identity_when_forced(self):
         depth = np.random.default_rng(0).random((8, 8)) + 2.0

@@ -1,3 +1,6 @@
+import math
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -53,21 +56,35 @@ class TestTranslationMatrix:
         integral = (vals * w[:, None, None]).sum(axis=0) / (3.0 * n)
         assert np.abs(se3.translation_matrix(omega) - integral).max() < 1e-10
 
-    def test_branch_continuity_at_switch(self):
-        # both branches of each coefficient, evaluated at the exact switch
-        # point theta = 1e-6, must assemble matrices that agree to 1e-9
-        theta = 1e-6
-        u = np.array(theta ** 2)
-        k = se3.skew([theta, 0, 0])
-        a_c, a_s = (f(u) for f in ad.COEF_BRANCHES["a"])
-        b_c, b_s = (f(u) for f in ad.COEF_BRANCHES["b"])
-        c_c, c_s = (f(u) for f in ad.COEF_BRANCHES["c"])
-        r_closed = np.eye(3) + a_c * k + b_c * (k @ k)
-        r_series = np.eye(3) + a_s * k + b_s * (k @ k)
-        g_closed = np.eye(3) + b_c * k + c_c * (k @ k)
-        g_series = np.eye(3) + b_s * k + c_s * (k @ k)
-        assert np.abs(r_closed - r_series).max() < 1e-9
-        assert np.abs(g_closed - g_series).max() < 1e-9
+
+class TestRotationCoefficients:
+    # from zero through the series' range, across the switch at u = 1, into
+    # the closed forms'; the closed-form derivatives of B and C once served
+    # u >= 1e-12 and were off by 1e9 at 1.01e-12
+    U = [0.0, 1e-12, 1.01e-12, 1e-10, 1e-8, 1e-6, 1e-4, 1e-2, 0.1, 0.5, 0.999,
+         1.0, 1.001, 2.0, 4.0]
+
+    @staticmethod
+    def exact(u, m, terms=30):
+        """F_m(u) = sum_n (-u)^n / (2n + m)! and its derivative in u, summed
+        in exact rationals: A, B and C are F_1, F_2 and F_3."""
+        x = Fraction(u)
+        f = sum(Fraction((-x) ** n, math.factorial(2 * n + m)) for n in range(terms))
+        df = sum(Fraction(n * (-x) ** (n - 1), -math.factorial(2 * n + m))
+                 for n in range(1, terms))
+        return f, df
+
+    def test_values_and_derivatives_match_exact_series(self):
+        for u in self.U:
+            for m in (1, 2, 3):
+                node = ad.Node(np.array([u]))
+                coef = ad.rot_coefs(node)[m - 1]
+                ad.backward(ad.sum_(coef))
+                for got, want in zip((coef.value[0], node.grad[0]), self.exact(u, m)):
+                    err = abs(Fraction(float(got)) - want) / abs(want)
+                    assert err < 1e-13, (u, m, float(err))
+                    if u == 0:  # 1, 1/2, 1/6 and -1/6, -1/24, -1/120, rounded once
+                        assert got == float(want)
 
 
 class TestWarpRay:
