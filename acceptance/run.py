@@ -1,6 +1,7 @@
 """Acceptance gate: does a desk run deblur `moving-quad-64`?
 
     python3 acceptance/run.py [--seed 0] [--work DIR] [--out BENCH_acceptance.json]
+                              [--ablations]
 
 At one seed it synthesizes `moving-quad-64`, trains the `desk` profile and
 the N_b = 0 ablation (`--set n_latent=0`) as two concurrent processes with
@@ -18,9 +19,14 @@ and that training is reproducible: two fresh processes run the first 20
 steps of a seed (10 BRI, then 10 MDD, on the desk architecture) and must
 agree bit for bit on every loss and on the final weights.
 
+With `--ablations` it then trains, renders and scores two more desk runs,
+`--set lambda_lg=0` and `--set lambda_sm=0`, again as a concurrent pair.
+They are reported under "ablations" and never change the verdict.
+
 The verdict, every measured value and the stage wall times go to
 `BENCH_acceptance.json` at the repo root; the exit code is 0 only when
-every check passes. A full run takes about 12 minutes on two cores.
+every check passes. A full run takes about 12 minutes on two cores, twice
+that with `--ablations`.
 """
 
 from __future__ import annotations
@@ -38,6 +44,10 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 PRESET = "moving-quad-64"
 PROBE_STEPS = 10                       # BRI steps, then as many MDD steps
+
+# report-only desk runs of --ablations: name -> extra train arguments
+ABLATIONS = {"lambda_lg_0": ["--set", "lambda_lg=0"],
+             "lambda_sm_0": ["--set", "lambda_sm=0"]}
 
 CRITERIA = {
     # name: (threshold, what it measures)
@@ -66,9 +76,9 @@ def _run(cmd: list[str]) -> None:
                          f"{proc.stdout[-2000:]}{proc.stderr[-2000:]}")
 
 
-def _train_both(data: Path, work: Path, seed: int) -> dict:
-    """Desk run and N_b = 0 ablation, concurrently; their manifests' timings."""
-    runs = {"desk": [], "n_latent_0": ["--set", "n_latent=0"]}
+def _train(data: Path, work: Path, seed: int, runs: dict) -> dict:
+    """Desk runs with the extra train arguments of ``runs``, concurrently;
+    their manifests' timings."""
     procs = {name: subprocess.Popen(
         _moblurf("train", "--dataset", str(data), "--out", str(work / name),
                  "--profile", "desk", "--seed", str(seed), *extra),
@@ -129,6 +139,8 @@ def main(argv=None) -> int:
     ap.add_argument("--seed", type=int, default=0)
     ap.add_argument("--work", help="working directory (default: a temporary one)")
     ap.add_argument("--out", default=str(ROOT / "BENCH_acceptance.json"))
+    ap.add_argument("--ablations", action="store_true",
+                    help="also report desk runs with lambda_lg=0 and lambda_sm=0")
     ap.add_argument("--first-steps", metavar="DATASET", help=argparse.SUPPRESS)
     args = ap.parse_args(argv)
     if args.first_steps:
@@ -142,8 +154,14 @@ def main(argv=None) -> int:
         start = time.time()
         _run(_moblurf("synth", "--preset", PRESET, "--out", str(data),
                       "--seed", str(args.seed), "--force"))
-        timings = _train_both(data, work, args.seed)
+        timings = _train(data, work, args.seed,
+                         {"desk": [], "n_latent_0": ["--set", "n_latent=0"]})
         desk, ablation = _score(data, work / "desk"), _score(data, work / "n_latent_0")
+        ablations = None
+        if args.ablations:
+            extra = _train(data, work, args.seed, ABLATIONS)
+            ablations = {name: {**_score(data, work / name), "timings_s": extra[name]}
+                         for name in ABLATIONS}
         reproducible = _reproducible(data, args.seed)
         wall = time.time() - start
 
@@ -167,6 +185,7 @@ def main(argv=None) -> int:
         "checks": checks,
         "desk": {**desk, "timings_s": timings["desk"]},
         "n_latent_0": {**ablation, "timings_s": timings["n_latent_0"]},
+        **({"ablations": ablations} if ablations else {}),
         "wall_s": round(wall, 1),
         "host": {"cores": os.cpu_count(), "machine": platform.machine(),
                  "python": platform.python_version()},
@@ -175,6 +194,8 @@ def main(argv=None) -> int:
     for name, c in checks.items():
         print(f"{'ok  ' if c['passed'] else 'MISS'} {name:<26} {c['value']!s:>22}"
               f"  (needs {c['threshold']})")
+    for name, res in (ablations or {}).items():
+        print(f"info {name:<26} {res['psnr']:>22}  (report only: PSNR dB)")
     print(f"verdict: {'pass' if passed else 'FAIL'}; wrote {args.out}")
     return 0 if passed else 1
 

@@ -10,14 +10,16 @@ The base ray renders on the N uniform samples of training. Its latent rays
 render on a k = ``LATENT_SAMPLES`` proposal grid instead, drawn once per
 base ray from the base render's detached full-model weights
 (:func:`render.sample_from_weights`, hierarchical sampling with the base ray
-as the proposal) and shared by its N_b copies and by a second render of the
-base ray itself on that grid. Each latent color is corrected by the base
-ray: C_q = C(N) + C_q(k) - C(k), so the k-sample grid's quadrature error,
-which the base ray's two renders measure, cancels to first order. With all
-screws at zero and the refinement MLP at its zero initialization every copy
-is the base ray, C_q(k) = C(k), and the whole stage is a no-op. The
-staticness term reads the base ray's N samples alone, which keeps that no-op
-exact for it too.
+as the proposal) and shared by its N_b copies. The grid's k samples are
+picked from the base ray's own N, so the base ray's composite on it, C(k),
+re-composites the base render's field rows at the picks
+(:meth:`render.RenderResult.at`) and evaluates no field. Each latent color
+is corrected by the base ray: C_q = C(N) + C_q(k) - C(k), so the k-sample
+grid's quadrature error, which C(N) - C(k) measures, cancels to first
+order. With all screws at zero and the refinement MLP at its zero
+initialization every copy is the base ray, C_q(k) = C(k), and the whole
+stage is a no-op. The staticness term reads the base ray's N samples alone,
+which keeps that no-op exact for it too.
 
 The N_b latent copies of a B-ray batch travel as one copy-major bundle of
 N_b*B rays: rows q*B ... q*B+B-1 hold latent copy q.
@@ -101,23 +103,20 @@ def blurry_render(model: SceneModel, base_rays: RayBatch, n_samples: int,
         return BlurryRender(base=base, mask=mask, color_static=base.color_static,
                             color_dynamic=base.color_dynamic, color_full=base.color_full,
                             p_st_samples=base.p_st_samples, lorr_rays=0)
-    grid = sample_from_weights(base.w_full, base.grid.edges, LATENT_SAMPLES, rng)
+    picks, grid = sample_from_weights(base.w_full, base.grid, LATENT_SAMPLES, rng)
+    base_on_grid = base.at(picks, grid)
     latent = gmrp(model, base_rays)
-    # the copies, then the base ray again, all on the base ray's k-grid
-    parts = [latent, base_rays]
-    rows = np.arange(len(latent) + b)
     dyn = np.flatnonzero(np.tile(mask, n_latent))
     if len(dyn):
-        parts.append(lorr(model, latent.select(dyn)))
-        rows[dyn] = len(latent) + b + np.arange(len(dyn))
-    res = render_on_grid(model, _concat_rays(parts).select(rows),
-                         grid.select(np.tile(np.arange(b), n_latent + 1)))
+        rows = np.arange(len(latent))
+        rows[dyn] = len(latent) + np.arange(len(dyn))
+        latent = _concat_rays([latent, lorr(model, latent.select(dyn))]).select(rows)
+    res = render_on_grid(model, latent, grid.select(np.tile(np.arange(b), n_latent)))
     blurred = {}
     for name in ("color_static", "color_dynamic", "color_full"):
-        out = getattr(res, name)
         sharp = getattr(base, name)
         blurred[name] = blur_average(sharp, _corrected(
-            ad.narrow(out, 0, n_latent * b), sharp, ad.narrow(out, n_latent * b, b), n_latent))
+            getattr(res, name), sharp, getattr(base_on_grid, name), n_latent))
     return BlurryRender(base=base, mask=mask, p_st_samples=base.p_st_samples,
                         lorr_rays=len(dyn), **blurred)
 

@@ -244,6 +244,10 @@ class FieldSamples:
             return self
         return FieldSamples(self.out.value, self.heads, self.k)
 
+    def rows(self, idx: np.ndarray, k: int) -> "FieldSamples":
+        """The samples of rows ``idx``, ``k`` per ray: one row gather."""
+        return FieldSamples(ad.gather(self.out, idx), self.heads, k)
+
     def __iter__(self):
         return (getattr(self, head) for head in self.heads)
 

@@ -35,10 +35,11 @@ def masked_photometric(rendered, target, mask):
 
 def staticness_max(p_st, lam: float):
     """Pull staticness probabilities toward 1: lam * mean |log p_st|, which
-    is -lam * mean log p_st, as every p_st lies in (0, 1)."""
+    is -lam * mean log p_st, as every p_st lies in (0, 1]. A saturated
+    sigmoid gives exactly 1, where the term is 0 with a finite gradient."""
     vals = ad.value_of(p_st)
-    if vals.size and (vals.min() <= 0.0 or vals.max() >= 1.0):
-        raise ValueError("staticness probabilities must lie strictly in (0, 1)")
+    if vals.size and (vals.min() <= 0.0 or vals.max() > 1.0):
+        raise ValueError("staticness probabilities must lie in (0, 1]")
     return ad.mul(ad.mean(ad.log(p_st)), -lam)
 
 

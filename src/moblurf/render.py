@@ -56,8 +56,8 @@ class SampleGrid:
 
 
 def _draw(edges: np.ndarray, batch: int, rng) -> np.ndarray:
-    """One distance per segment of ``edges`` and ray: a uniform draw inside
-    it with ``rng``, its midpoint without."""
+    """One point per segment of ``edges`` (distances or masses) and ray: a
+    uniform draw inside it with ``rng``, its midpoint without."""
     lo, hi = edges[..., :-1], edges[..., 1:]
     if rng is None:
         return np.broadcast_to(0.5 * (lo + hi), (batch, lo.shape[-1])).copy()
@@ -76,19 +76,26 @@ def sample_along_ray(near: float, far: float, n: int, batch: int,
     return SampleGrid(edges=edges, dists=_draw(edges, batch, rng), deltas=np.diff(edges))
 
 
-def sample_from_weights(weights: np.ndarray, edges: np.ndarray, k: int,
-                        rng: np.random.Generator | None = None) -> SampleGrid:
-    """A k-segment grid per ray from compositing weights ``weights`` (B,N)
-    over the shared boundaries ``edges`` (N+1,): hierarchical sampling.
+def sample_from_weights(weights: np.ndarray, grid: SampleGrid, k: int,
+                        rng: np.random.Generator | None = None
+                        ) -> tuple[np.ndarray, SampleGrid]:
+    """A k-segment grid per ray from the compositing weights ``weights``
+    (B,N) of a render on the uniform ``grid``, whose samples it reuses:
+    hierarchical sampling.
 
     Each ray's normalized weights, mixed with the uniform density over
     [near, far] at share ``UNIFORM_FLOOR``, form a piecewise-constant pdf;
-    its inverse CDF cuts [near, far] into k segments of equal mass, and each
-    segment gets one draw as in :func:`sample_along_ray` (a jittered one
-    with ``rng``, its midpoint without). A ray without weight gets the
-    uniform grid."""
+    its inverse CDF cuts [near, far] into k segments of equal mass. Each
+    segment gets one mass target, drawn as :func:`sample_along_ray` draws a
+    distance (a jittered one with ``rng``, its midpoint without), and takes
+    the sample of the ``grid`` segment that target falls in. Returns those
+    picks (B,k), non-decreasing along each ray, and the grid of the k
+    segments at the picked samples' distances. A segment holding more than
+    1/k of a ray's mass is picked more than once, harmlessly: two cells of
+    one sample composite as one cell of their summed length."""
     if k < 1:
         raise ValueError(f"need at least one sample per ray, got {k}")
+    edges = grid.edges
     lengths = np.diff(edges)
     total = weights.sum(axis=-1, keepdims=True)
     share = np.divide(weights, total, out=np.zeros_like(weights), where=total > 0)
@@ -96,14 +103,21 @@ def sample_from_weights(weights: np.ndarray, edges: np.ndarray, k: int,
     cdf = np.zeros((len(weights), len(edges)))
     np.cumsum(pdf, axis=-1, out=cdf[:, 1:])
     cdf /= cdf[:, -1:]
-    # the base segment j each target mass falls in, and the point in it
+
+    def segment(mass):
+        """The base segment each mass target, (k+1,) or (B,k), falls in."""
+        return (cdf[:, None, :-1] <= mass[..., None]).sum(axis=-1) - 1
+
+    # each cut: the base segment its mass falls in, and the point in it
     targets = np.arange(k + 1) / k
-    j = (cdf[:, None, :-1] <= targets[:, None]).sum(axis=-1) - 1
+    j = segment(targets)
     lo = np.take_along_axis(cdf, j, axis=-1)
     mass = np.take_along_axis(cdf, j + 1, axis=-1) - lo
     out = edges[j] + (targets - lo) / mass * lengths[j]
     out[:, 0], out[:, -1] = edges[0], edges[-1]
-    return SampleGrid(edges=out, dists=_draw(out, len(weights), rng), deltas=np.diff(out))
+    picks = segment(_draw(targets, len(weights), rng))
+    return picks, SampleGrid(edges=out, dists=np.take_along_axis(grid.dists, picks, axis=-1),
+                             deltas=np.diff(out))
 
 
 def _alpha(sigmas, grid: SampleGrid):
@@ -149,11 +163,21 @@ class RenderResult:
 
     ``dynamic_cut`` marks dynamic samples taken at the values of sample
     points that carry a graph: the dynamic, full and kappa outputs would
-    then drop the points' gradient, so reading them raises."""
+    then drop the points' gradient, so reading them raises. :meth:`at`
+    re-composites picked samples on a coarser grid, evaluating no field."""
 
     def __init__(self, static, dynamic, grid: SampleGrid, dynamic_cut: bool = False):
         self._static, self._dynamic, self.grid = static, dynamic, grid
         self._dynamic_cut = dynamic_cut
+
+    def at(self, picks: np.ndarray, grid: SampleGrid) -> "RenderResult":
+        """The same rays rendered on ``grid``, whose samples are this
+        render's samples ``picks`` (B,k) (see :func:`sample_from_weights`):
+        both fields' rows gathered, their graphs shared with this render."""
+        rows = (np.arange(len(picks))[:, None] * self.grid.n_samples + picks).reshape(-1)
+        k = grid.n_samples
+        return RenderResult(self._static.rows(rows, k), self._dynamic.rows(rows, k), grid,
+                            self._dynamic_cut)
 
     @cached_property
     def _opacity_static(self):

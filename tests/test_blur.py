@@ -180,7 +180,7 @@ class TestBlurryRender:
         res = blur.blurry_render(model, rays, n_samples=8, rng=None,
                                  mask_override=np.zeros(len(rays), dtype=int))
         base = render_rays(model, rays, n_samples=8, rng=None)
-        grid = sample_from_weights(base.w_full, base.grid.edges, blur.LATENT_SAMPLES)
+        _, grid = sample_from_weights(base.w_full, base.grid, blur.LATENT_SAMPLES)
         base_k = render_on_grid(model, rays, grid)
         latent = blur.gmrp(model, rays)
         copies = [render_on_grid(model, latent.select(np.arange(q * 5, q * 5 + 5)), grid)
@@ -207,8 +207,8 @@ class TestBlurryRender:
         latent = blur.gmrp(model, rays)
         for row in range(len(rays)):
             one = np.array([row])
-            grid = sample_from_weights(base.w_full[one], base.grid.edges,
-                                       blur.LATENT_SAMPLES)
+            _, grid = sample_from_weights(base.w_full[one], base.grid.select(one),
+                                          blur.LATENT_SAMPLES)
             base_k = render_on_grid(model, rays.select(one), grid)
             copies = [latent.select(np.array([q * len(rays) + row])) for q in range(3)]
             if mask[row]:
@@ -223,8 +223,8 @@ class TestBlurryRender:
                 assert np.abs(got - expected / 4.0).max() < 1e-12, (row, field)
 
     def test_copies_render_on_one_proposal_grid_drawn_once(self, monkeypatch):
-        # one (B, k) jitter draw, after the base render's, whose grid every
-        # copy and the base ray's second render share, row by row
+        # one (B, k) draw, after the base render's, picks the grid that every
+        # copy shares, row by row; only the N_b * B latent rays render on it
         model = tiny_model(n_latent=3)
         rays = make_rays(n=6, seed=17)
         grids = []
@@ -240,17 +240,47 @@ class TestBlurryRender:
                                  mask_override=np.array([0, 1, 0, 0, 1, 1]))
         ref = np.random.default_rng(18)
         render_rays(model, rays, 8, rng=ref)
-        jitter = ref.random((6, blur.LATENT_SAMPLES))
+        _, own = sample_from_weights(res.base.w_full, res.base.grid, blur.LATENT_SAMPLES, ref)
         assert rng.random() == ref.random()
         (grid,) = grids
-        own = sample_from_weights(res.base.w_full, res.base.grid.edges,
-                                  blur.LATENT_SAMPLES)
-        assert grid.n_samples == blur.LATENT_SAMPLES and len(grid.dists) == 4 * 6
-        for q in range(4):
+        assert grid.n_samples == blur.LATENT_SAMPLES and len(grid.dists) == 3 * 6
+        for q in range(3):
             rows = slice(q * 6, q * 6 + 6)
-            assert np.array_equal(grid.edges[rows], own.edges)
-            assert np.array_equal(grid.dists[rows],
-                                  own.edges[:, :-1] + jitter * own.deltas)
+            for name in ("edges", "dists", "deltas"):
+                assert np.array_equal(getattr(grid, name)[rows], getattr(own, name))
+
+    def test_base_ray_on_the_grid_is_gathered_not_rendered(self):
+        # moved global screws and trained-looking fields: the base ray's C(k),
+        # re-composited from the base render's rows at the picks, is its
+        # independent render on the proposal grid, values and gradients
+        model = tiny_model(n_latent=2, seed=3)
+        rng = np.random.default_rng(25)
+        store = model.store
+        store.values["screw.global"][:] = rng.normal(0.0, 0.05, store.values["screw.global"].shape)
+        for name in store.names("static") + store.names("dynamic"):
+            store.values[name] += rng.normal(0.0, 0.2, store.values[name].shape)
+        rays = make_rays(n=7, seed=26)
+        params = store.names("static") + store.names("dynamic")
+        base = render_rays(model, rays, 16, rng=np.random.default_rng(27))
+        picks, grid = sample_from_weights(base.w_full, base.grid, blur.LATENT_SAMPLES,
+                                          np.random.default_rng(28))
+        assert np.any(np.diff(picks, axis=1) == 0)      # some segment picked twice
+
+        def colors_and_grads(render):
+            store.begin_step()
+            res = render()
+            ad.backward(ad.sum_(ad.mul(res.color_full, res.color_dynamic)))
+            return ([ad.value_of(getattr(res, f)) for f in COLORS],
+                    [store.grad(n).copy() for n in params])
+
+        got, got_grads = colors_and_grads(lambda: render_rays(
+            model, rays, 16, rng=np.random.default_rng(27)).at(picks, grid))
+        want, want_grads = colors_and_grads(lambda: render_on_grid(model, rays, grid))
+        for field, a, b in zip(COLORS, got, want):
+            assert np.abs(a - b).max() < 1e-12, field
+        assert all(np.abs(b).max() > 0 for b in want_grads)
+        for name, a, b in zip(params, got_grads, want_grads):
+            assert np.abs(a - b).max() <= 1e-12 * max(np.abs(b).max(), 1.0), name
 
     def test_one_lorr_call_over_all_copies(self, monkeypatch):
         model = tiny_model(n_latent=3)

@@ -72,11 +72,22 @@ class TestStaticnessMax:
         expected = LAMBDA_SM * (np.log(2) + np.log(4)) / 2.0
         assert float(ad.value_of(out)) == pytest.approx(expected, rel=1e-12)
 
-    def test_rejects_boundary_values(self):
-        with pytest.raises(ValueError):
-            L.staticness_max(np.array([0.5, 1.0]), LAMBDA_SM)
-        with pytest.raises(ValueError):
-            L.staticness_max(np.array([0.0, 0.5]), LAMBDA_SM)
+    def test_admits_one_and_rejects_zero_or_above_one(self):
+        # a saturated sigmoid gives exactly 1: the term is 0 there
+        out = L.staticness_max(np.array([1.0, 1.0]), LAMBDA_SM)
+        assert float(ad.value_of(out)) == 0.0
+        for bad in ([0.0, 0.5], [0.5, 1.0 + 1e-12], [-0.1, 1.0]):
+            with pytest.raises(ValueError):
+                L.staticness_max(np.array(bad), LAMBDA_SM)
+
+    def test_saturated_logit_backpropagates_finite_gradients(self):
+        # sigmoid(40) rounds to 1.0: the loss and its logit gradient stay finite
+        logit = ad.Node(np.array([[40.0, 38.0], [0.5, -2.0]]))
+        p_st = ad.sigmoid(logit)
+        assert np.all(ad.value_of(p_st)[0] == 1.0)
+        ad.backward(L.staticness_max(p_st, LAMBDA_SM))
+        assert np.all(np.isfinite(logit.grad))
+        assert np.all(logit.grad[0] == 0.0) and np.all(logit.grad[1] < 0.0)
 
     def test_gradient_pushes_probability_up(self):
         for p in (0.05, 0.3, 0.6, 0.95):

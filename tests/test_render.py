@@ -106,70 +106,98 @@ def mixed_cdf(weights, edges, x):
 
 
 def proposal_weights(batch=5, n=16, seed=0):
-    """Peaked compositing weights, one ray without any."""
+    """Peaked compositing weights, one ray without any, and the jittered
+    uniform grid of the render they come from."""
     rng = np.random.default_rng(seed)
     w = rng.random((batch, n)) ** 8
     w[0] = 0.0
-    return w, 1.0 + 4.0 * np.arange(n + 1) / n
+    return w, sample_along_ray(1.0, 5.0, n, batch, rng)
 
 
 class TestProposalSampling:
     def test_endpoints_are_near_and_far(self):
-        w, edges = proposal_weights()
-        grid = sample_from_weights(w, edges, 8, np.random.default_rng(1))
+        w, base = proposal_weights()
+        picks, grid = sample_from_weights(w, base, 8, np.random.default_rng(1))
         assert np.all(grid.edges[:, 0] == 1.0) and np.all(grid.edges[:, -1] == 5.0)
         assert grid.edges.shape == (5, 9) and grid.dists.shape == grid.deltas.shape == (5, 8)
-        assert grid.n_samples == 8
+        assert picks.shape == (5, 8) and grid.n_samples == 8
 
-    def test_edges_strictly_increase_and_samples_stay_in_their_bins(self):
-        w, edges = proposal_weights(seed=2)
+    def test_picks_are_base_samples_in_order(self):
+        # each pick is a base segment, non-decreasing along its ray, and the
+        # grid's sample distances are the base samples' at the picks
+        w, base = proposal_weights(seed=2)
         for rng in (None, np.random.default_rng(3)):
-            grid = sample_from_weights(w, edges, 8, rng)
+            picks, grid = sample_from_weights(w, base, 8, rng)
+            assert picks.dtype.kind == "i"
+            assert np.all((picks >= 0) & (picks < base.n_samples))
+            assert np.all(np.diff(picks, axis=1) >= 0)
+            assert np.array_equal(grid.dists, np.take_along_axis(base.dists, picks, axis=1))
+
+    def test_edges_strictly_increase_and_picks_overlap_their_segments(self):
+        # a segment's mass target lies in its picked base segment, so the
+        # two overlap along the ray
+        w, base = proposal_weights(seed=2)
+        for rng in (None, np.random.default_rng(3)):
+            picks, grid = sample_from_weights(w, base, 8, rng)
             assert np.all(np.diff(grid.edges, axis=1) > 0)
             assert np.array_equal(grid.deltas, np.diff(grid.edges, axis=1))
-            assert np.all((grid.dists >= grid.edges[:, :-1])
-                          & (grid.dists <= grid.edges[:, 1:]))
-        mids = sample_from_weights(w, edges, 8).dists
-        assert np.abs(mids - 0.5 * (grid.edges[:, :-1] + grid.edges[:, 1:])).max() < 1e-15
+            assert np.all(base.edges[picks] <= grid.edges[:, 1:] + 1e-12)
+            assert np.all(base.edges[picks + 1] >= grid.edges[:, :-1] - 1e-12)
 
     def test_each_bin_holds_an_equal_share_of_the_mixed_mass(self):
-        w, edges = proposal_weights(seed=4)
+        w, base = proposal_weights(seed=4)
         w[0, 3] = 1.0                     # a ray whose weight is one segment's
         for k in (1, 3, 8, 12):
-            grid = sample_from_weights(w, edges, k)
-            cdf = mixed_cdf(w, edges, grid.edges)
+            _, grid = sample_from_weights(w, base, k)
+            cdf = mixed_cdf(w, base.edges, grid.edges)
             assert np.abs(cdf - np.arange(k + 1) / k).max() < 1e-12, k
 
     def test_peaked_weights_draw_samples_to_the_peak(self):
         w = np.full((1, 16), 1e-3)
         w[0, 10] = 1.0
-        edges = 1.0 + 4.0 * np.arange(17) / 16
-        grid = sample_from_weights(w, edges, 8)
-        inside = (grid.dists >= edges[10]) & (grid.dists <= edges[11])
-        assert inside.sum() >= 5
+        base = sample_along_ray(1.0, 5.0, 16, 1, np.random.default_rng(0))
+        picks, grid = sample_from_weights(w, base, 8)
+        assert (picks == 10).sum() >= 5
+        assert np.all(grid.dists[picks == 10] == base.dists[0, 10])
 
     def test_uniform_weights_reproduce_the_uniform_grid(self):
-        edges = 1.0 + 4.0 * np.arange(9) / 8
+        base = sample_along_ray(1.0, 5.0, 8, 3, np.random.default_rng(5))
         for w in (np.ones((3, 8)), np.zeros((3, 8))):
-            got = sample_from_weights(w, edges, 8, np.random.default_rng(5))
-            ref = sample_along_ray(1.0, 5.0, 8, 3, np.random.default_rng(5))
-            assert np.abs(got.edges - ref.edges).max() < 1e-14
-            assert np.abs(got.dists - ref.dists).max() < 1e-14
-            assert np.abs(got.deltas - ref.deltas).max() < 1e-14
+            picks, got = sample_from_weights(w, base, 8, np.random.default_rng(6))
+            assert np.array_equal(picks, np.tile(np.arange(8), (3, 1)))
+            assert np.array_equal(got.dists, base.dists)
+            assert np.abs(got.edges - base.edges).max() < 1e-14
+            assert np.abs(got.deltas - base.deltas).max() < 1e-14
 
     def test_same_seed_same_bits_and_one_draw_per_sample(self):
-        w, edges = proposal_weights(seed=6)
+        w, base = proposal_weights(seed=6)
         rng_a, rng_b = np.random.default_rng(7), np.random.default_rng(7)
-        a = sample_from_weights(w, edges, 8, rng_a)
-        b = sample_from_weights(w, edges, 8, rng_b)
-        assert np.array_equal(a.dists, b.dists) and np.array_equal(a.edges, b.edges)
+        pa, a = sample_from_weights(w, base, 8, rng_a)
+        pb, b = sample_from_weights(w, base, 8, rng_b)
+        assert np.array_equal(pa, pb) and np.array_equal(a.dists, b.dists)
+        assert np.array_equal(a.edges, b.edges)
         rng_c = np.random.default_rng(7)
         rng_c.random((5, 8))
         assert rng_a.random() == rng_c.random()
 
+    @pytest.mark.parametrize("seed", [None, 10])
+    def test_targets_are_midpoints_or_one_draw(self, seed):
+        # segment i's mass target is (i + r_i) / k, for the one (B, k) draw
+        # r with rng and r = 1/2 without; its pick is the base segment
+        # whose mixed mass holds it
+        w, base = proposal_weights(seed=9)
+        w[0, 3] = 1.0
+        rng = None if seed is None else np.random.default_rng(seed)
+        picks, _ = sample_from_weights(w, base, 8, rng)
+        r = 0.5 if seed is None else np.random.default_rng(seed).random((5, 8))
+        cdf = mixed_cdf(w, base.edges, np.broadcast_to(base.edges, (5, 17)))
+        targets = np.broadcast_to((np.arange(8) + r) / 8, (5, 8))
+        want = (cdf[:, None, :-1] <= targets[..., None]).sum(-1) - 1
+        assert np.array_equal(picks, want)
+
     def test_select_takes_rows_of_a_per_ray_grid(self):
-        w, edges = proposal_weights(seed=8)
-        grid = sample_from_weights(w, edges, 4)
+        w, base = proposal_weights(seed=8)
+        _, grid = sample_from_weights(w, base, 4)
         rows = np.array([3, 3, 0])
         sub = grid.select(rows)
         for name in ("edges", "dists", "deltas"):
@@ -178,9 +206,9 @@ class TestProposalSampling:
         assert uniform.select(rows).edges is uniform.edges
 
     def test_rejects_no_samples(self):
-        w, edges = proposal_weights()
+        w, base = proposal_weights()
         with pytest.raises(ValueError):
-            sample_from_weights(w, edges, 0)
+            sample_from_weights(w, base, 0)
 
 
 class TestComposite:
