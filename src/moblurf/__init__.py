@@ -8,12 +8,4 @@ NumPy float64 with an in-package reverse-mode autodiff.
 
 __version__ = "0.1.0"
 
-__all__ = ["MoBluRF", "__version__"]
-
-
-def __getattr__(name):
-    # estimator pulls in the heavy modules; keep base import light
-    if name == "MoBluRF":
-        from .estimator import MoBluRF
-        return MoBluRF
-    raise AttributeError(name)
+__all__ = ["__version__"]

@@ -50,6 +50,13 @@ def _parse_overrides(pairs):
     return out
 
 
+def _positive_int(text: str) -> int:
+    n = int(text)
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {n}")
+    return n
+
+
 def _parse_timestamps(text):
     return [int(v) for v in text.replace(",", " ").split()] if text else None
 
@@ -244,17 +251,23 @@ def build_parser() -> argparse.ArgumentParser:
                     "synthesis, two-stage training, rendering, evaluation.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--threads", type=int, default=None,
-                       help="cap worker/BLAS threads")
-        p.add_argument("--profile", choices=("paper", "desk"), default="desk")
-        p.add_argument("--force", action="store_true")
+    shared = {
+        "--seed": dict(type=int, default=None),
+        "--threads": dict(type=_positive_int, default=None,
+                          help="cap worker/BLAS threads"),
+        "--profile": dict(choices=("paper", "desk"), default="desk"),
+        "--force": dict(action="store_true"),
+    }
+
+    def common(p, *flags):
+        """``--threads`` and those of the other shared flags the command reads."""
+        for flag in ("--threads", *flags):
+            p.add_argument(flag, **shared[flag])
 
     p = sub.add_parser("synth", help="generate a synthetic blurry dataset")
     p.add_argument("--preset", default="moving-quad-64")
     p.add_argument("--out", required=True)
-    common(p)
+    common(p, "--seed", "--profile", "--force")
     p.set_defaults(seed=0, func=cmd_synth)
 
     p = sub.add_parser("train", help="run BRI + MDD training")
@@ -267,7 +280,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--resume", action="store_true")
     p.add_argument("--progress", action="store_true",
                    help="echo log lines to stdout")
-    common(p)
+    common(p, "--seed", "--profile")
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("render", help="render sharp frames from a checkpoint")
@@ -278,7 +291,7 @@ def build_parser() -> argparse.ArgumentParser:
                    default="eval")
     p.add_argument("--pose-file")
     p.add_argument("--timestamps", help="comma-separated frame indices")
-    common(p)
+    common(p, "--seed")
     p.set_defaults(func=cmd_render)
 
     p = sub.add_parser("eval", help="image-quality report for rendered frames")
@@ -290,7 +303,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gradcheck", help="finite-difference gradient suite")
     p.add_argument("--sabotage", help=argparse.SUPPRESS)  # test hook
-    common(p)
+    common(p, "--seed")
     p.set_defaults(seed=0, func=cmd_gradcheck)
 
     return parser

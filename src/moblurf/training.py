@@ -290,7 +290,8 @@ class Trainer:
         """Train both stages. With ``out_dir`` the run writes its log and
         checkpoints there and ``resume`` continues from the latest
         checkpoint, and from the seconds each stage had spent by then;
-        without it the run stays in memory and writes no file."""
+        without it the run stays in memory and writes no file. Returns the
+        final checkpoint's path (None in memory) and the stage timings."""
         cfg = self.config
         out = None if out_dir is None else Path(out_dir)
         start_stage, start_iter = "bri", 0
@@ -302,8 +303,18 @@ class Trainer:
                 state = meta.get("train_state")
                 if not isinstance(state, dict):
                     raise CheckpointError(f"{ckpt}: meta has no train_state object")
-                start_stage, start_iter = state["stage"], state["iteration"] + 1
-                self.rng.bit_generator.state = state["rng_state"]
+                start_stage, iteration = state.get("stage"), state.get("iteration")
+                if start_stage not in ("bri", "mdd"):
+                    raise CheckpointError(f"{ckpt}: train_state stage must be \"bri\" "
+                                          f"or \"mdd\", got {start_stage!r}")
+                if type(iteration) is not int or iteration < 0:
+                    raise CheckpointError(f"{ckpt}: train_state iteration must be an "
+                                          f"integer >= 0, got {iteration!r}")
+                start_iter = iteration + 1
+                try:
+                    self.rng.bit_generator.state = state.get("rng_state")
+                except (TypeError, ValueError, KeyError, OverflowError) as exc:
+                    raise CheckpointError(f"{ckpt}: train_state rng_state: {exc}") from exc
                 self.timings = dict(state.get("timings", {}))
                 # drop the lines logged after the checkpoint: those
                 # iterations run again
@@ -318,12 +329,9 @@ class Trainer:
                 start_iter = 0
             self._stage_loop("mdd", cfg.mdd_iters, start_iter, out, log, progress)
         self._save(out, "checkpoint_final.ckpt", "mdd", cfg.mdd_iters - 1)
-        timings = {**self.timings, "total_seconds": round(sum(self.timings.values()), 3)}
-        if out is None:
-            return {"checkpoint": None, "timings": timings}
-        return {"checkpoint": str(out / "checkpoint_final.ckpt"),
-                "bri_checkpoint": str(out / "checkpoint_bri.ckpt"),
-                "log": str(out / "train_log.txt"), "timings": timings}
+        return {"checkpoint": None if out is None else str(out / "checkpoint_final.ckpt"),
+                "timings": {**self.timings,
+                            "total_seconds": round(sum(self.timings.values()), 3)}}
 
     def _stage_loop(self, stage: str, total: int, start: int, out: Path | None,
                     log, progress: bool):

@@ -1,3 +1,4 @@
+import argparse
 import filecmp
 import json
 import os
@@ -10,7 +11,7 @@ import numpy as np
 import pytest
 
 import moblurf
-from moblurf.cli import main
+from moblurf.cli import build_parser, main
 from moblurf.config import TrainConfig, resolve_config
 from moblurf.data import DEPTH_MAGIC
 from moblurf.fields import CHECKPOINT_MAGIC
@@ -197,6 +198,52 @@ class TestUsage:
         assert res.returncode == 1, res.stderr
         assert "error:" in res.stderr and "Traceback" not in res.stderr
         assert list(tmp_path.iterdir()) == []
+
+    def test_each_command_takes_only_the_flags_it_reads(self):
+        subparsers = next(a for a in build_parser()._actions
+                          if isinstance(a, argparse._SubParsersAction))
+        options = {name: {s for a in p._actions for s in a.option_strings}
+                   for name, p in subparsers.choices.items()}
+        every = {"-h", "--help", "--threads"}
+        assert options == {
+            "synth": every | {"--preset", "--out", "--seed", "--profile", "--force"},
+            "train": every | {"--dataset", "--out", "--config", "--set", "--resume",
+                              "--progress", "--seed", "--profile"},
+            "render": every | {"--checkpoint", "--dataset", "--out", "--pose-source",
+                               "--pose-file", "--timestamps", "--seed"},
+            "eval": every | {"--render-dir", "--dataset", "--out"},
+            "gradcheck": every | {"--sabotage", "--seed"},
+        }
+
+    # the flags each once parsed and ignored, and thread counts below one,
+    # which synth exported as OPENBLAS_NUM_THREADS=-2
+    @pytest.mark.parametrize("args, why", [
+        (["train", "--dataset", "{tmp}/d", "--out", "{tmp}/o", "--force"], "--force"),
+        (["render", "--checkpoint", "{tmp}/c", "--dataset", "{tmp}/d", "--out", "{tmp}/o",
+          "--profile", "desk"], "--profile"),
+        (["render", "--checkpoint", "{tmp}/c", "--dataset", "{tmp}/d", "--out", "{tmp}/o",
+          "--force"], "--force"),
+        (["eval", "--render-dir", "{tmp}/r", "--dataset", "{tmp}/d", "--seed", "1"],
+         "--seed"),
+        (["eval", "--render-dir", "{tmp}/r", "--dataset", "{tmp}/d", "--profile", "paper"],
+         "--profile"),
+        (["eval", "--render-dir", "{tmp}/r", "--dataset", "{tmp}/d", "--force"], "--force"),
+        (["gradcheck", "--profile", "desk"], "--profile"),
+        (["gradcheck", "--force"], "--force"),
+        (["gradcheck", "--threads", "0"], "--threads: must be >= 1"),
+        (["synth", "--out", "{tmp}/o", "--threads", "-2"], "--threads: must be >= 1"),
+    ], ids=["train_force", "render_profile", "render_force", "eval_seed", "eval_profile",
+            "eval_force", "gradcheck_profile", "gradcheck_force", "threads_0",
+            "threads_negative"])
+    def test_flag_the_command_does_not_read_is_a_usage_error(self, tmp_path, capsys,
+                                                             monkeypatch, args, why):
+        monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+        with pytest.raises(SystemExit) as exc:
+            main([a.format(tmp=tmp_path) for a in args])
+        assert exc.value.code == 1
+        assert why in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+        assert "OPENBLAS_NUM_THREADS" not in os.environ
 
     def test_help_exits_0(self):
         res = run_cli("render", "--help")
@@ -463,6 +510,35 @@ class TestCorruptJson:
                           str(dataset_dir), "--out", str(tmp_path / "frames"))
             assert not (tmp_path / "frames").exists()
         assert_clean_error(res, str(ckpt))
+
+    # each once trusted by a resume: a stage in capitals skipped BRI and
+    # exited 0, a text iteration died with a TypeError traceback, and a
+    # missing stage or an empty RNG state printed no file name
+    @pytest.mark.parametrize("key, value", [
+        ("stage", "BRI"), ("iteration", "3"), ("iteration", True), ("iteration", -1),
+        ("stage", None), ("rng_state", {}),
+    ], ids=["stage_capitals", "iteration_text", "iteration_bool", "iteration_negative",
+            "no_stage", "rng_state_empty"])
+    def test_resume_checks_train_state_before_any_step(self, tmp_path, dataset_dir,
+                                                       trained_dir, capsys, key, value):
+        run = tmp_path / "run"
+        shutil.copytree(trained_dir, run)
+        ckpt = run / "checkpoint_latest.ckpt"
+
+        def edit(header):
+            state = header["meta"]["train_state"]
+            if value is None:
+                del state[key]
+            else:
+                state[key] = value
+
+        rewrite_header(run / "checkpoint_bri.ckpt", ckpt, edit)
+        kept = tree_bytes(run)
+        code = main(["train", "--dataset", str(dataset_dir), "--out", str(run),
+                     "--seed", "0", *TINY_TRAIN, "--resume"])
+        err = capsys.readouterr().err
+        assert code == 1 and err.startswith(f"error: {ckpt}: train_state {key}"), err
+        assert tree_bytes(run) == kept
 
     def test_corrupt_dataset_meta(self, tmp_path, dataset_dir):
         ds = tmp_path / "ds"

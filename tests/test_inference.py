@@ -17,6 +17,7 @@ from moblurf.fields import FieldConfig, SceneModel
 from moblurf.inference import CHUNK, infer_frame, infer_frame_base_rays, render_frames
 from moblurf.render import render_rays
 from moblurf.scene import build_preset, static_scene
+from moblurf.training import NumericalError
 
 # more pixels than one render pass takes, so frames span two chunks
 HEIGHT, WIDTH = 40, 112
@@ -123,6 +124,16 @@ def test_render_frames_checks_before_rendering(monkeypatch):
     with pytest.raises(ValueError, match="model built for 3 frames, dataset has 4"):
         render_frames(model, tiny_dataset(n_frames=4), [0], n_samples=8)
     assert rendered == []
+
+
+@pytest.mark.parametrize("poses", ["base", "true"])
+def test_render_frames_names_a_non_finite_frame(poses):
+    # a NaN frame must not drop silently out of a score's mean
+    ds, model = tiny_dataset(), tiny_model()
+    model.store.values["static.rgb.0.b"][:] = np.nan
+    with pytest.raises(NumericalError, match="non-finite pixels in the render of frame 1"):
+        render_frames(model, ds, [1], None if poses == "base" else ds.poses_true,
+                      n_samples=8)
 
 
 def _has_mallopt() -> bool:

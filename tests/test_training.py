@@ -416,6 +416,22 @@ class TestRunAndResume:
         assert "lr_mlp" in log and "total=" in log
         assert info["timings"]["bri_seconds"] >= 0
 
+    def test_in_memory_run_matches_run_to_directory(self, tiny_dataset, tmp_path,
+                                                    monkeypatch):
+        cwd = tmp_path / "cwd"
+        cwd.mkdir()
+        monkeypatch.chdir(cwd)
+        mem = tiny_trainer(tiny_dataset, seed=3)
+        assert mem.run()["checkpoint"] is None
+        assert list(cwd.iterdir()) == []  # in memory: no file written
+        disk = tiny_trainer(tiny_dataset, seed=3)
+        info = disk.run(tmp_path / "run")
+        assert info.keys() == {"checkpoint", "timings"}
+        assert info["checkpoint"] == str(tmp_path / "run" / "checkpoint_final.ckpt")
+        assert mem.model.store.checksum() == disk.model.store.checksum()
+        assert mem.history == disk.history
+        assert {r["parity"] for r in mem.history} == {"even", "odd", "-"}
+
     def test_resume_reproduces_uninterrupted_run(self, tiny_dataset, tmp_path):
         # uninterrupted reference
         tr_ref = tiny_trainer(tiny_dataset, seed=5)
