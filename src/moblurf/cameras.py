@@ -30,7 +30,6 @@ class CameraPose:
     fy: float
     cx: float
     cy: float
-    t_index: int = -1
 
     def __post_init__(self):
         self.rotation = np.asarray(self.rotation, dtype=np.float64)
@@ -53,9 +52,9 @@ class CameraPose:
         return np.concatenate([self.rotation, self.center[:, None]], axis=1)
 
     @staticmethod
-    def from_matrix34(m, fx, fy, cx, cy, t_index=-1) -> "CameraPose":
+    def from_matrix34(m, fx, fy, cx, cy) -> "CameraPose":
         m = np.asarray(m, dtype=np.float64).reshape(3, 4)
-        return CameraPose(m[:, :3], m[:, 3], fx, fy, cx, cy, t_index)
+        return CameraPose(m[:, :3], m[:, 3], fx, fy, cx, cy)
 
 
 def frame_pixel_grid(height: int, width: int) -> np.ndarray:
@@ -111,9 +110,9 @@ class RayBatch:
         return RayBatch(o, d, self.t, self.uv, self.near, self.far)
 
 
-def rays_for_frame(pose: CameraPose, height: int, width: int, near: float,
-                   far: float, t_index: int | None = None) -> RayBatch:
+def rays_for_frame(pose: CameraPose, t: int, height: int, width: int, near: float,
+                   far: float) -> RayBatch:
+    """Every pixel's ray of frame ``t`` seen from ``pose``, row-major."""
     uv = frame_pixel_grid(height, width)
     origins, dirs, _ = rays_for_pixels(pose, uv)
-    t = np.full(len(uv), pose.t_index if t_index is None else t_index, dtype=np.int64)
-    return RayBatch(origins, dirs, t, uv, near, far)
+    return RayBatch(origins, dirs, np.full(len(uv), t, dtype=np.int64), uv, near, far)

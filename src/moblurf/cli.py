@@ -216,7 +216,7 @@ def cmd_eval(args) -> int:
 def cmd_gradcheck(args) -> int:
     from .gradcheck import run_all
 
-    results = run_all(seed=args.seed or 0, sabotage=args.sabotage)
+    results = run_all(seed=args.seed or 0)
     width = max(len(r.name) for r in results)
     failed = []
     for r in results:
@@ -302,7 +302,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("gradcheck", help="finite-difference gradient suite")
-    p.add_argument("--sabotage", help=argparse.SUPPRESS)  # test hook
     common(p, "--seed")
     p.set_defaults(seed=0, func=cmd_gradcheck)
 

@@ -37,6 +37,8 @@ from .scene import AnalyticScene, render_sharp
 
 DATASET_VERSION = "MBRFDS1"
 DEPTH_MAGIC = b"MBRFDPT1"
+# a blurry frame: 2 * WINDOW + 1 sub-frames, 1 / SUBRATE of a frame apart
+WINDOW, SUBRATE = 4, 8
 
 
 class DatasetError(RuntimeError):
@@ -47,21 +49,19 @@ class DatasetError(RuntimeError):
 # synthesis
 
 
-def synth_blurry_frame(scene: AnalyticScene, t: int, window: int = 4,
-                       subrate: int = 8):
-    """Average 2*window+1 sharp sub-frames around frame t (linear color)."""
+def synth_blurry_frame(scene: AnalyticScene, t: int):
+    """Average 2*WINDOW+1 sharp sub-frames around frame t (linear color)."""
     tau_t = scene.frame_tau(t)
-    step = scene.frame_delta() / subrate
+    step = scene.frame_delta() / SUBRATE
     subframes = []
-    for k in range(-window, window + 1):
+    for k in range(-WINDOW, WINDOW + 1):
         tau = tau_t + k * step
         rgb, _, _ = render_sharp(scene, scene.pose_fn(tau), tau)
         subframes.append(rgb)
     return np.mean(subframes, axis=0)
 
 
-def synth_corrupt_pose(true_poses: list, t: int, window: int = 4,
-                       subrate: int = 8) -> CameraPose:
+def synth_corrupt_pose(true_poses: list, t: int) -> CameraPose:
     """Exposure-averaged pose: Slerp rotations + linear translations,
     averaged with the center pose. Indices clamp at the sequence ends."""
     n = len(true_poses)
@@ -69,27 +69,26 @@ def synth_corrupt_pose(true_poses: list, t: int, window: int = 4,
     q_center = se3.quat_from_matrix(center.rotation)
     quats = []
     centers = []
-    for k in range(-window, window + 1):
+    for k in range(-WINDOW, WINDOW + 1):
         if k == 0:
             quats.append(q_center)
             centers.append(center.center)
             continue
         j = min(max(t + (1 if k > 0 else -1), 0), n - 1)
-        u = abs(k) / subrate
+        u = abs(k) / SUBRATE
         q_n = se3.quat_from_matrix(true_poses[j].rotation)
         quats.append(se3.slerp(q_center, q_n, u))
         centers.append((1 - u) * center.center + u * true_poses[j].center)
     q_avg = se3.average_quaternions(quats)
     c_avg = np.mean(centers, axis=0)
     return CameraPose(se3.matrix_from_quat(q_avg), c_avg,
-                      center.fx, center.fy, center.cx, center.cy, center.t_index)
+                      center.fx, center.fy, center.cx, center.cy)
 
 
-def perturb_depth(depth: np.ndarray, rng: np.random.Generator,
-                  scale_range=(0.5, 2.0), shift_range=(-0.5, 0.5)) -> np.ndarray:
+def perturb_depth(depth: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     """Apply one random scale/shift per frame, clamped positive."""
-    a = rng.uniform(*scale_range)
-    b = rng.uniform(*shift_range)
+    a = rng.uniform(0.5, 2.0)
+    b = rng.uniform(-0.5, 0.5)
     return np.maximum(a * depth + b, 1e-3)
 
 
@@ -125,8 +124,8 @@ def _quantize(frame: np.ndarray) -> np.ndarray:
     return np.clip(np.round(frame * 255.0), 0, 255).astype(np.uint8)
 
 
-def synthesize_dataset(scene: AnalyticScene, seed: int, window: int = 4,
-                       subrate: int = 8, preset_name: str = "") -> BlurryDataset:
+def synthesize_dataset(scene: AnalyticScene, seed: int,
+                       preset_name: str = "") -> BlurryDataset:
     rng = np.random.default_rng(seed)
     poses_true = scene.true_poses()
     blur, sharp, masks, depths, pseudo = [], [], [], [], []
@@ -138,8 +137,8 @@ def synthesize_dataset(scene: AnalyticScene, seed: int, window: int = 4,
         masks.append(mask)
         depths.append(depth)
         pseudo.append(perturb_depth(depth, rng).astype(np.float32).astype(np.float64))
-        blur.append(_quantize(synth_blurry_frame(scene, t, window, subrate)) / 255.0)
-        poses_corrupt.append(synth_corrupt_pose(poses_true, t, window, subrate))
+        blur.append(_quantize(synth_blurry_frame(scene, t)) / 255.0)
+        poses_corrupt.append(synth_corrupt_pose(poses_true, t))
     meta = {
         "version": DATASET_VERSION,
         "height": scene.height,
@@ -147,7 +146,7 @@ def synthesize_dataset(scene: AnalyticScene, seed: int, window: int = 4,
         "n_frames": scene.n_frames,
         "fx": scene.fx, "fy": scene.fy, "cx": scene.cx, "cy": scene.cy,
         "near": scene.near, "far": scene.far,
-        "window": window, "subrate": subrate,
+        "window": WINDOW, "subrate": SUBRATE,
         "preset": preset_name, "seed": seed,
         "linear_color": True,
         # a preset's evaluation frames that a shortened scene still has
@@ -212,7 +211,7 @@ def read_poses(path, meta) -> list:
                     raise ValueError(f"expected 12 values, got {len(vals)}")
                 poses.append(CameraPose.from_matrix34(
                     np.array(vals).reshape(3, 4),
-                    meta["fx"], meta["fy"], meta["cx"], meta["cy"], t_index=t))
+                    meta["fx"], meta["fy"], meta["cx"], meta["cy"]))
             except ValueError as exc:
                 raise DatasetError(f"{path}:{t + 1}: {exc}") from exc
     return poses

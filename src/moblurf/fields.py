@@ -261,17 +261,13 @@ class SceneModel:
     constants (see :meth:`ParamStore.leaf`).
     """
 
-    def __init__(self, config: FieldConfig, rng: np.random.Generator,
-                 store: ParamStore | None = None):
+    def __init__(self, config: FieldConfig, rng: np.random.Generator):
         # every process that trains or renders holds a model: all of them
         # keep their freed graphs' memory for the next step or frame chunk
         ad.keep_freed_memory()
         self.config = config
-        if store is None:
-            self.store = ParamStore()
-            self._init_params(rng)
-        else:
-            self.store = store
+        self.store = ParamStore()
+        self._init_params(rng)
         self._bind()
 
     def _init_params(self, rng: np.random.Generator):

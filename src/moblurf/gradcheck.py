@@ -23,6 +23,7 @@ from .fields import encode_position
 FD_STEP = 1e-6
 OP_TOL = 1e-4
 END_TO_END_TOL = 1e-3
+TRIALS = 20         # random input points per op case
 
 
 @dataclass
@@ -218,12 +219,11 @@ def _op_cases(rng):
     }
 
 
-def check_op(name: str, seed: int = 0, trials: int = 20,
-             sabotage: str | None = None) -> CheckResult:
+def check_op(name: str, seed: int = 0) -> CheckResult:
     """Compare one op's backward gradients against finite differences
-    (:func:`_fd_grad`) at ``trials`` random input points."""
+    (:func:`_fd_grad`) at :data:`TRIALS` random input points."""
     worst = 0.0
-    for trial in range(trials):
+    for trial in range(TRIALS):
         rng = np.random.default_rng(seed * 1000 + trial)
         cases = _op_cases(rng)
         if name not in cases:
@@ -237,8 +237,6 @@ def check_op(name: str, seed: int = 0, trials: int = 20,
         magnitude = float(np.abs(out.value * w).sum())
         for i, (node, x) in enumerate(zip(nodes, inputs)):
             analytic = node.grad if node.grad is not None else np.zeros_like(x)
-            if sabotage == name:
-                analytic = analytic * 1.01 + 1e-7
             others = [inp.copy() for inp in inputs]
 
             def f(xv, i=i, others=others):
@@ -252,10 +250,9 @@ def check_op(name: str, seed: int = 0, trials: int = 20,
     return CheckResult(name=name, max_rel_err=worst, tol=OP_TOL)
 
 
-def run_op_checks(seed: int = 0, trials: int = 20,
-                  sabotage: str | None = None) -> list[CheckResult]:
+def run_op_checks(seed: int = 0) -> list[CheckResult]:
     names = sorted(_op_cases(np.random.default_rng(0)))
-    return [check_op(n, seed=seed, trials=trials, sabotage=sabotage) for n in names]
+    return [check_op(n, seed=seed) for n in names]
 
 
 # ---------------------------------------------------------------------------
@@ -266,7 +263,6 @@ def _tiny_scene():
     """Compact scene for FD probing: same structure as the desk scene, world
     lengths scaled down 4x so the positional encodings' curvature does not
     drown h^2 truncation at the mandated step size."""
-    import numpy as np_
     from .cameras import CameraPose
     from .scene import AnalyticScene, MovingQuad
 
@@ -276,19 +272,19 @@ def _tiny_scene():
     c = size / 2.0
     quad = MovingQuad(
         half_u=0.62 * s, half_v=0.55 * s,
-        center_fn=lambda tau: np_.array([
-            0.52 * s * np_.sin(2 * np_.pi * 0.8 * tau + 0.4),
-            0.34 * s * np_.cos(2 * np_.pi * 0.6 * tau + 0.9),
+        center_fn=lambda tau: np.array([
+            0.52 * s * np.sin(2 * np.pi * 0.8 * tau + 0.4),
+            0.34 * s * np.cos(2 * np.pi * 0.6 * tau + 0.9),
             3.0 * s,
         ]),
-        angle_fn=lambda tau: 2 * np_.pi * 0.75 * tau,
+        angle_fn=lambda tau: 2 * np.pi * 0.75 * tau,
     )
 
     def pose_fn(tau):
-        center = np_.array([0.05 * s * np_.sin(2 * np_.pi * tau),
-                            0.04 * s * np_.sin(2 * np_.pi * 1.3 * tau + 1.0),
-                            0.0])
-        return CameraPose(np_.eye(3), center, fx, fy, c, c)
+        center = np.array([0.05 * s * np.sin(2 * np.pi * tau),
+                           0.04 * s * np.sin(2 * np.pi * 1.3 * tau + 1.0),
+                           0.0])
+        return CameraPose(np.eye(3), center, fx, fy, c, c)
 
     return AnalyticScene(
         width=size, height=size, fx=fx, fy=fy, cx=c, cy=c,
@@ -314,40 +310,30 @@ def _tiny_trainer(seed: int):
     return Trainer(cfg, dataset)
 
 
-def check_full_loss(kind: str, seed: int = 0, per_group: int = 5,
-                    sabotage: bool = False) -> CheckResult:
+def check_full_loss(kind: str, seed: int = 0) -> CheckResult:
     """FD-verify d(loss)/d(theta) for the stage losses on a 4-ray batch.
 
-    ``kind`` is one of bri_even, bri_odd, mdd, each under its stage's
-    freeze set. Probes the largest-gradient components of each parameter
-    group plus a few random ones; the loss is evaluated with deterministic
-    midpoint sampling. A probe whose window holds a relu kink
-    (:func:`_kinked`) gives way to the group's largest component not yet
-    probed, while one is left.
+    ``kind`` is a step kind of :data:`training.STEPS`, under its freeze set.
+    Probes the three largest-gradient components of each parameter group
+    plus two random ones; the loss is evaluated with deterministic midpoint
+    sampling. A probe whose window holds a relu kink (:func:`_kinked`)
+    gives way to the group's largest component not yet probed, while one
+    is left.
     """
-    from .training import FREEZE_BRI_EVEN, FREEZE_BRI_ODD, FREEZE_MDD
+    from .training import STEPS
 
+    frozen, method = STEPS[kind]
     trainer = _tiny_trainer(seed)
     batch = trainer.sample_batch()
     store = trainer.model.store
-    store.set_frozen_groups({"bri_even": FREEZE_BRI_EVEN, "bri_odd": FREEZE_BRI_ODD,
-                             "mdd": FREEZE_MDD}.get(kind, set()))
-    mask_override = None
-    if kind == "mdd":
-        mask_override = (np.arange(len(batch.rays)) % 2).astype(np.int64)
+    store.set_frozen_groups(frozen)
+    extra = {}
+    if kind == "mdd":   # every other ray dynamic: the local refinement runs
+        extra["mask_override"] = (np.arange(len(batch.rays)) % 2).astype(np.int64)
 
     def build_loss():
         store.begin_step()
-        if kind == "bri_even":
-            loss, _ = trainer.compute_bri_even_loss(batch, rng=None)
-        elif kind == "bri_odd":
-            loss, _ = trainer.compute_bri_odd_loss(batch, rng=None)
-        elif kind == "mdd":
-            loss, _ = trainer.compute_mdd_loss(batch, rng=None,
-                                               mask_override=mask_override)
-        else:
-            raise KeyError(f"unknown loss kind {kind!r}")
-        return loss
+        return getattr(trainer, method)(batch, rng=None, **extra)[0]
 
     loss = build_loss()
     ad.backward(loss)
@@ -361,7 +347,7 @@ def check_full_loss(kind: str, seed: int = 0, per_group: int = 5,
         if not np.any(flat):
             continue
         order = np.argsort(-np.abs(flat))
-        picks = list(order[:max(per_group - 2, 1)])
+        picks = list(order[:3])
         picks += list(rng.choice(flat.size, size=min(2, flat.size), replace=False))
         picks = list(dict.fromkeys(int(i) for i in picks))
         spares = (int(i) for i in order if int(i) not in picks)
@@ -377,16 +363,12 @@ def check_full_loss(kind: str, seed: int = 0, per_group: int = 5,
                 if not _kinked(fp, f0, fm, END_TO_END_TOL):
                     break
             numeric = (fp - fm) / (2 * FD_STEP)
-            analytic = flat[idx] * (1.01 if sabotage else 1.0)
-            worst = max(worst, _rel_err(np.array(analytic), np.array(numeric),
+            worst = max(worst, _rel_err(np.array(flat[idx]), np.array(numeric),
                                         abs(f0), END_TO_END_TOL))
     return CheckResult(name=f"loss:{kind}", max_rel_err=worst, tol=END_TO_END_TOL)
 
 
-def run_all(seed: int = 0, trials: int = 20, sabotage: str | None = None):
+def run_all(seed: int = 0):
     """Full harness: every op plus the three stage losses."""
-    results = run_op_checks(seed=seed, trials=trials, sabotage=sabotage)
-    for kind in ("bri_even", "bri_odd", "mdd"):
-        results.append(check_full_loss(kind, seed=seed,
-                                       sabotage=(sabotage == f"loss:{kind}")))
-    return results
+    return run_op_checks(seed=seed) + [check_full_loss(kind, seed=seed)
+                                       for kind in ("bri_even", "bri_odd", "mdd")]

@@ -81,7 +81,7 @@ def _render_frame(model: SceneModel, pose: CameraPose, t: int, height: int,
     if not 0 <= t < model.config.n_frames:
         raise IndexError(f"time index {t} outside trained range "
                          f"[0, {model.config.n_frames})")
-    rays = rays_for_frame(pose, height, width, near, far, t_index=t)
+    rays = rays_for_frame(pose, t, height, width, near, far)
     rgb = np.empty((height * width, 3))
     p_dy = np.empty(height * width)
     kappa = np.empty(height * width)

@@ -82,9 +82,7 @@ class AnalyticScene:
         return [self.pose_at(t) for t in range(self.n_frames)]
 
     def pose_at(self, t: int) -> CameraPose:
-        pose = self.pose_fn(self.frame_tau(t))
-        pose.t_index = t
-        return pose
+        return self.pose_fn(self.frame_tau(t))
 
 
 def render_sharp(scene: AnalyticScene, pose: CameraPose, tau: float):
@@ -128,15 +126,15 @@ def render_sharp(scene: AnalyticScene, pose: CameraPose, tau: float):
 # presets
 
 
-def _make_pose_fn(fx, fy, cx, cy, center_amp, rot_amp, shake: float = 1.0):
+def _make_pose_fn(fx, fy, cx, cy, center_amp, rot_amp):
     def pose_fn(tau: float) -> CameraPose:
         center = np.array([
-            center_amp[0] * np.sin(2 * np.pi * 2.0 * shake * tau),
-            center_amp[1] * np.sin(2 * np.pi * 2.6 * shake * tau + 1.0),
-            center_amp[2] * np.sin(2 * np.pi * 1.4 * shake * tau + 2.0),
+            center_amp[0] * np.sin(2 * np.pi * 2.0 * tau),
+            center_amp[1] * np.sin(2 * np.pi * 2.6 * tau + 1.0),
+            center_amp[2] * np.sin(2 * np.pi * 1.4 * tau + 2.0),
         ])
-        yaw = rot_amp * np.sin(2 * np.pi * 1.7 * shake * tau + 0.5)
-        pitch = rot_amp * np.sin(2 * np.pi * 2.2 * shake * tau + 1.7)
+        yaw = rot_amp * np.sin(2 * np.pi * 1.7 * tau + 0.5)
+        pitch = rot_amp * np.sin(2 * np.pi * 2.2 * tau + 1.7)
         cy_, sy_ = np.cos(yaw), np.sin(yaw)
         cp_, sp_ = np.cos(pitch), np.sin(pitch)
         r_yaw = np.array([[cy_, 0, sy_], [0, 1, 0], [-sy_, 0, cy_]])
@@ -180,8 +178,7 @@ def moving_quad_scene(size: int = 64, n_frames: int = 24) -> AnalyticScene:
         # stays far below a pixel and surfaces keep a near-zero tilt in the
         # camera frame
         pose_fn=_make_pose_fn(fx, fy, cx, cy,
-                              center_amp=(0.02, 0.015, 0.01), rot_amp=0.0015,
-                              shake=1.0),
+                              center_amp=(0.02, 0.015, 0.01), rot_amp=0.0015),
         quads=[quad, quad2],
         eval_timestamps=[3, 9, 15, 21],
     )

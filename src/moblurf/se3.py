@@ -132,13 +132,10 @@ def slerp(q0, q1, u: float) -> np.ndarray:
     return (np.sin((1.0 - u) * ang) / s) * q0 + (np.sin(u * ang) / s) * q1
 
 
-def average_quaternions(quats, align: bool = True) -> np.ndarray:
-    """Componentwise mean of unit quaternions, renormalized.
-
-    Inputs are expected sign-aligned to the first element; ``align=True``
-    re-applies that alignment defensively. A near-zero mean (antipodal
-    inputs slipping past alignment) is an error, not a silent garbage
-    rotation.
+def average_quaternions(quats) -> np.ndarray:
+    """Componentwise mean of unit quaternions, each first sign-aligned to
+    the first, renormalized. A near-zero mean is an error, not a silent
+    garbage rotation.
     """
     quats = [np.asarray(q, dtype=np.float64) for q in quats]
     if not quats:
@@ -146,13 +143,13 @@ def average_quaternions(quats, align: bool = True) -> np.ndarray:
     ref = quats[0]
     acc = np.zeros(4)
     for q in quats:
-        if align and float(ref @ q) < 0:
+        if float(ref @ q) < 0:
             q = -q
         acc += q
     acc /= len(quats)
     n = np.linalg.norm(acc)
     if n < 1e-8:
-        raise QuaternionError("degenerate quaternion average (antipodal inputs)")
+        raise QuaternionError("degenerate quaternion average")
     return acc / n
 
 

@@ -16,9 +16,10 @@ through them, and Adam skips them.
 from __future__ import annotations
 
 import contextlib
+import math
 import os
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -39,6 +40,10 @@ ALL_GROUPS = {"static", "dynamic", "local", "screw_base", "screw_global"}
 FREEZE_BRI_EVEN = ALL_GROUPS - {"static", "screw_base"}
 FREEZE_BRI_ODD = ALL_GROUPS - {"static", "dynamic"}
 FREEZE_MDD = {"screw_base"}
+# each kind of step: its freeze set and the method that builds its loss
+STEPS = {"bri_even": (FREEZE_BRI_EVEN, "compute_bri_even_loss"),
+         "bri_odd": (FREEZE_BRI_ODD, "compute_bri_odd_loss"),
+         "mdd": (FREEZE_MDD, "compute_mdd_loss")}
 # share of each batch's pixels that carry local geometry supervision
 LG_FRACTION = 0.25
 
@@ -80,19 +85,11 @@ class Batch:
 
 
 class Trainer:
-    def __init__(self, config: TrainConfig, dataset: BlurryDataset,
-                 model: SceneModel | None = None,
-                 rng: np.random.Generator | None = None):
+    def __init__(self, config: TrainConfig, dataset: BlurryDataset):
         self.config = config
         self.dataset = dataset
-        self.rng = rng if rng is not None else np.random.default_rng(config.seed)
-        if model is None:
-            model = SceneModel(config.field_config(dataset.n_frames), self.rng)
-        if model.config.n_frames != dataset.n_frames:
-            raise ValueError(
-                f"model built for {model.config.n_frames} frames, dataset has "
-                f"{dataset.n_frames}")
-        self.model = model
+        self.rng = np.random.default_rng(config.seed)
+        self.model = SceneModel(config.field_config(dataset.n_frames), self.rng)
         self.bri_sched_screw = LrSchedule(config.screw_lr_start, config.screw_lr_end,
                                           config.bri_iters)
         self.bri_sched_mlp = LrSchedule(config.mlp_lr_start, config.mlp_lr_end,
@@ -101,8 +98,7 @@ class Trainer:
                                           config.mdd_iters)
         self.mdd_sched_mlp = LrSchedule(config.mlp_lr_start, config.mlp_lr_end,
                                         config.mdd_iters)
-        h, w = dataset.shape
-        self._h, self._w = h, w
+        self._h, self._w = dataset.shape
         self.history: list[dict] = []
         self.timings: dict = {}     # seconds spent per stage, kept in checkpoints
 
@@ -247,25 +243,24 @@ class Trainer:
         return loss, breakdown
 
     def bri_step(self, iteration: int, batch: Batch | None = None) -> LossBreakdown:
-        even = iteration % 2 == 0
-        return self._step("bri", iteration, FREEZE_BRI_EVEN if even else FREEZE_BRI_ODD,
-                          self.compute_bri_even_loss if even else self.compute_bri_odd_loss,
-                          batch)
+        return self._step("bri", "bri_odd" if iteration % 2 else "bri_even",
+                          iteration, batch)
 
     def mdd_step(self, iteration: int, batch: Batch | None = None) -> LossBreakdown:
-        return self._step("mdd", iteration, FREEZE_MDD, self.compute_mdd_loss, batch)
+        return self._step("mdd", "mdd", iteration, batch)
 
-    def _step(self, stage: str, iteration: int, frozen: set[str], compute,
+    def _step(self, stage: str, kind: str, iteration: int,
               batch: Batch | None) -> LossBreakdown:
-        """One step: fresh leaves under the freeze set ``frozen``, the loss
-        ``compute`` makes of ``batch`` (sampled when None), then the update
-        at the stage's rates."""
+        """One step of ``kind`` (see :data:`STEPS`): fresh leaves under its
+        freeze set, the loss its method makes of ``batch`` (sampled when
+        None), then the update at the stage's rates."""
+        frozen, method = STEPS[kind]
         store = self.model.store
         store.begin_step()
         store.set_frozen_groups(frozen)
         if batch is None:
             batch = self.sample_batch()
-        loss, breakdown = compute(batch, self.rng)
+        loss, breakdown = getattr(self, method)(batch, self.rng)
         if not np.isfinite(breakdown.total):
             raise NumericalError(f"non-finite loss at {stage} iteration {iteration}",
                                  breakdown.as_dict())
@@ -299,28 +294,7 @@ class Trainer:
             out.mkdir(parents=True, exist_ok=True)
             ckpt = out / "checkpoint_latest.ckpt"
             if resume and ckpt.exists():
-                self.model, meta = load_checkpoint(ckpt)
-                state = meta.get("train_state")
-                if not isinstance(state, dict):
-                    raise CheckpointError(f"{ckpt}: meta has no train_state object")
-                start_stage, iteration = state.get("stage"), state.get("iteration")
-                if start_stage not in ("bri", "mdd"):
-                    raise CheckpointError(f"{ckpt}: train_state stage must be \"bri\" "
-                                          f"or \"mdd\", got {start_stage!r}")
-                if type(iteration) is not int or iteration < 0:
-                    raise CheckpointError(f"{ckpt}: train_state iteration must be an "
-                                          f"integer >= 0, got {iteration!r}")
-                start_iter = iteration + 1
-                try:
-                    self.rng.bit_generator.state = state.get("rng_state")
-                except (TypeError, ValueError, KeyError, OverflowError) as exc:
-                    raise CheckpointError(f"{ckpt}: train_state rng_state: {exc}") from exc
-                self.timings = dict(state.get("timings", {}))
-                # drop the lines logged after the checkpoint: those
-                # iterations run again
-                log_bytes = state.get("log_bytes")
-                if log_bytes is not None and (out / "train_log.txt").exists():
-                    os.truncate(out / "train_log.txt", log_bytes)
+                start_stage, start_iter = self._resume(ckpt)
         with (contextlib.nullcontext() if out is None
               else open(out / "train_log.txt", "a" if resume else "w")) as log:
             if start_stage == "bri":
@@ -332,6 +306,48 @@ class Trainer:
         return {"checkpoint": None if out is None else str(out / "checkpoint_final.ckpt"),
                 "timings": {**self.timings,
                             "total_seconds": round(sum(self.timings.values()), 3)}}
+
+    def _resume(self, ckpt: Path) -> tuple[str, int]:
+        """Take the model, RNG state and stage timings of the checkpoint
+        ``ckpt``, all checked first, and cut the log to its length there.
+        Returns the stage and iteration to go on at."""
+        model, meta = load_checkpoint(ckpt)
+        built = asdict(self.config.field_config(self.dataset.n_frames))
+        diff = [f"{k} is {v}, not {built[k]}" for k, v in asdict(model.config).items()
+                if v != built[k]]
+        if diff:
+            raise CheckpointError(f"{ckpt}: field_config does not match this run's "
+                                  f"config and dataset: {', '.join(diff)}")
+        state = meta.get("train_state")
+        if not isinstance(state, dict):
+            raise CheckpointError(f"{ckpt}: meta has no train_state object")
+        stage, iteration = state.get("stage"), state.get("iteration")
+        if stage not in ("bri", "mdd"):
+            raise CheckpointError(f"{ckpt}: train_state stage must be \"bri\" "
+                                  f"or \"mdd\", got {stage!r}")
+        total = self.config.bri_iters if stage == "bri" else self.config.mdd_iters
+        if type(iteration) is not int or not 0 <= iteration < total:
+            raise CheckpointError(f"{ckpt}: train_state iteration must be an "
+                                  f"integer in [0, {total}), got {iteration!r}")
+        timings = state.get("timings", {})
+        if not (isinstance(timings, dict) and all(
+                type(v) in (int, float) and 0 <= v < math.inf for v in timings.values())):
+            raise CheckpointError(f"{ckpt}: train_state timings must be an object of "
+                                  f"finite numbers >= 0, got {timings!r}")
+        log_bytes = state.get("log_bytes")
+        if log_bytes is not None and (type(log_bytes) is not int or log_bytes < 0):
+            raise CheckpointError(f"{ckpt}: train_state log_bytes must be an integer "
+                                  f">= 0, got {log_bytes!r}")
+        try:
+            self.rng.bit_generator.state = state.get("rng_state")
+        except (TypeError, ValueError, KeyError, OverflowError) as exc:
+            raise CheckpointError(f"{ckpt}: train_state rng_state: {exc}") from exc
+        self.model, self.timings = model, dict(timings)
+        # drop the lines logged after the checkpoint: those iterations run again
+        log = ckpt.parent / "train_log.txt"
+        if log_bytes is not None and log.exists():
+            os.truncate(log, log_bytes)
+        return stage, iteration + 1
 
     def _stage_loop(self, stage: str, total: int, start: int, out: Path | None,
                     log, progress: bool):

@@ -460,7 +460,7 @@ def test_in_place_sums_match_allocating_backward(order):
 
 
 def test_every_op_matches_central_differences():
-    results = gc.run_op_checks(seed=1, trials=20)
+    results = gc.run_op_checks(seed=1)
     failed = [(r.name, r.max_rel_err) for r in results if not r.passed]
     assert not failed, f"ops off finite differences: {failed}"
 
@@ -468,14 +468,16 @@ def test_every_op_matches_central_differences():
 @pytest.mark.parametrize("name, seed", [("mlp_heads", 3), ("softplus", 12),
                                         ("softplus", 22), ("mlp_head", 3),
                                         ("encode_position", 7), ("encode_position", 15)])
-def test_difference_quotient_rounding_fails_no_correct_gradient(name, seed):
+def test_difference_quotient_rounding_fails_no_correct_gradient(name, seed,
+                                                                 wrong_gradients):
     # draws whose weighted output sum cancels, so the difference quotient
     # carries rounding of eps * sum|terms| / h, and encode_position draws
     # whose eighth octave gives a central difference h^2 truncation of
     # several tolerances: correct gradients pass, and a 1 % error still
     # fails
     assert gc.check_op(name, seed=seed).passed
-    assert not gc.check_op(name, seed=seed, sabotage=name).passed
+    with wrong_gradients():
+        assert not gc.check_op(name, seed=seed).passed
 
 
 @pytest.mark.parametrize("x0, kinked", [(0.4, True), (-0.4, True), (1.5, False),

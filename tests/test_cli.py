@@ -212,11 +212,12 @@ class TestUsage:
             "render": every | {"--checkpoint", "--dataset", "--out", "--pose-source",
                                "--pose-file", "--timestamps", "--seed"},
             "eval": every | {"--render-dir", "--dataset", "--out"},
-            "gradcheck": every | {"--sabotage", "--seed"},
+            "gradcheck": every | {"--seed"},
         }
 
-    # the flags each once parsed and ignored, and thread counts below one,
-    # which synth exported as OPENBLAS_NUM_THREADS=-2
+    # the flags each once parsed and ignored, the hidden gradcheck test
+    # hook, and thread counts below one, which synth exported as
+    # OPENBLAS_NUM_THREADS=-2
     @pytest.mark.parametrize("args, why", [
         (["train", "--dataset", "{tmp}/d", "--out", "{tmp}/o", "--force"], "--force"),
         (["render", "--checkpoint", "{tmp}/c", "--dataset", "{tmp}/d", "--out", "{tmp}/o",
@@ -230,11 +231,12 @@ class TestUsage:
         (["eval", "--render-dir", "{tmp}/r", "--dataset", "{tmp}/d", "--force"], "--force"),
         (["gradcheck", "--profile", "desk"], "--profile"),
         (["gradcheck", "--force"], "--force"),
+        (["gradcheck", "--sabotage", "x"], "--sabotage"),
         (["gradcheck", "--threads", "0"], "--threads: must be >= 1"),
         (["synth", "--out", "{tmp}/o", "--threads", "-2"], "--threads: must be >= 1"),
     ], ids=["train_force", "render_profile", "render_force", "eval_seed", "eval_profile",
-            "eval_force", "gradcheck_profile", "gradcheck_force", "threads_0",
-            "threads_negative"])
+            "eval_force", "gradcheck_profile", "gradcheck_force", "gradcheck_sabotage",
+            "threads_0", "threads_negative"])
     def test_flag_the_command_does_not_read_is_a_usage_error(self, tmp_path, capsys,
                                                              monkeypatch, args, why):
         monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
@@ -387,7 +389,7 @@ class TestRender:
 
     def test_empty_eval_list_renders_every_frame(self, tmp_path, dataset_dir,
                                                  trained_dir):
-        # the rule predict() follows: no eval_timestamps means every frame
+        # render_frames' rule: no eval_timestamps means every frame
         import shutil
         ds = tmp_path / "ds"
         shutil.copytree(dataset_dir, ds)
@@ -512,13 +514,17 @@ class TestCorruptJson:
         assert_clean_error(res, str(ckpt))
 
     # each once trusted by a resume: a stage in capitals skipped BRI and
-    # exited 0, a text iteration died with a TypeError traceback, and a
-    # missing stage or an empty RNG state printed no file name
+    # exited 0, a text iteration, text timings or a text log length died
+    # with a TypeError traceback, an iteration past the stage's end skipped
+    # the rest of it, and a missing stage or an empty RNG state printed no
+    # file name
     @pytest.mark.parametrize("key, value", [
         ("stage", "BRI"), ("iteration", "3"), ("iteration", True), ("iteration", -1),
-        ("stage", None), ("rng_state", {}),
+        ("stage", None), ("rng_state", {}), ("timings", 5), ("log_bytes", "x"),
+        ("iteration", 999),
     ], ids=["stage_capitals", "iteration_text", "iteration_bool", "iteration_negative",
-            "no_stage", "rng_state_empty"])
+            "no_stage", "rng_state_empty", "timings_number", "log_bytes_text",
+            "iteration_past_stage"])
     def test_resume_checks_train_state_before_any_step(self, tmp_path, dataset_dir,
                                                        trained_dir, capsys, key, value):
         run = tmp_path / "run"
@@ -538,6 +544,32 @@ class TestCorruptJson:
                      "--seed", "0", *TINY_TRAIN, "--resume"])
         err = capsys.readouterr().err
         assert code == 1 and err.startswith(f"error: {ckpt}: train_state {key}"), err
+        assert tree_bytes(run) == kept
+
+    # a checkpoint of another dataset's frame count once trained on and
+    # exited 0, and one of another trunk width silently replaced it
+    @pytest.mark.parametrize("preset, extra, why", [
+        ("moving-quad-64", [], "n_frames is 8, not 24"),
+        (None, ["--set", "trunk_width=8"], "trunk_width is 16, not 8"),
+    ], ids=["other_frame_count", "other_trunk_width"])
+    def test_resume_rejects_checkpoint_of_another_model(self, tmp_path, dataset_dir,
+                                                         trained_dir, capsys, preset,
+                                                         extra, why):
+        run = tmp_path / "run"
+        shutil.copytree(trained_dir, run)
+        ckpt = run / "checkpoint_latest.ckpt"
+        assert ckpt.exists()
+        dataset = dataset_dir
+        if preset:
+            dataset = tmp_path / "ds"
+            assert main(["synth", "--preset", preset, "--out", str(dataset)]) == 0
+        kept = tree_bytes(run)
+        capsys.readouterr()
+        code = main(["train", "--dataset", str(dataset), "--out", str(run),
+                     "--seed", "0", *TINY_TRAIN, *extra, "--resume"])
+        err = capsys.readouterr().err
+        assert code == 1 and err.startswith(f"error: {ckpt}: field_config"), err
+        assert why in err, err
         assert tree_bytes(run) == kept
 
     def test_corrupt_dataset_meta(self, tmp_path, dataset_dir):
@@ -677,7 +709,8 @@ class TestGradcheckCommand:
         out = capsys.readouterr().out
         assert "loss:mdd" in out and "all" in out
 
-    def test_sabotage_fails_naming_op(self, capsys):
-        assert main(["gradcheck", "--seed", "1", "--sabotage", "mlp_relu"]) == 2
-        captured = capsys.readouterr()
-        assert "mlp_relu" in captured.err
+    def test_sabotage_fails_naming_op(self, capsys, wrong_gradients):
+        with wrong_gradients():
+            assert main(["gradcheck", "--seed", "1"]) == 2
+        err = capsys.readouterr().err
+        assert "gradient check FAILED for: " in err and "mlp_relu" in err, err

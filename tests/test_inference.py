@@ -51,7 +51,7 @@ def test_chunks_match_one_pass():
     model = tiny_model(seed=1)
     out = infer_frame(model, pose(), 2, HEIGHT, WIDTH, 1.0, 5.0, 8)
     model.store.begin_step()
-    whole = render_rays(model, rays_for_frame(pose(), HEIGHT, WIDTH, 1.0, 5.0, t_index=2),
+    whole = render_rays(model, rays_for_frame(pose(), 2, HEIGHT, WIDTH, 1.0, 5.0),
                         8, rng=None)
     rgb = ad.value_of(whole.color_full).reshape(HEIGHT, WIDTH, 3)
     assert np.abs(out["rgb"] - rgb).max() < 1e-12

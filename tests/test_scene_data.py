@@ -80,13 +80,6 @@ class TestBlurSynthesis:
         sharp, _, _ = render_sharp(scene, scene.pose_at(t), scene.frame_tau(t))
         assert np.abs(blurry - sharp).max() < 1e-15
 
-    def test_zero_window_is_sharp_frame(self):
-        scene = moving_quad_scene()
-        t = 5
-        blurry = synth_blurry_frame(scene, t, window=0)
-        sharp, _, _ = render_sharp(scene, scene.pose_at(t), scene.frame_tau(t))
-        assert np.array_equal(blurry, sharp)
-
     def test_blurry_is_exact_mean_of_subframes(self):
         # the 9 sub-frames of the default window, 1/8 of a frame apart
         scene = moving_quad_scene()
@@ -121,7 +114,7 @@ class TestBlurSynthesis:
 
 class TestCorruptPose:
     def _poses(self, fn, n=7):
-        return [CameraPose(*fn(t), fx=64, fy=64, cx=32, cy=32, t_index=t)
+        return [CameraPose(*fn(t), fx=64, fy=64, cx=32, cy=32)
                 for t in range(n)]
 
     def test_constant_trajectory_unchanged(self):
@@ -182,11 +175,16 @@ class TestCameraPose:
 
 
 class TestPerturbDepth:
-    def test_identity_when_forced(self):
+    def test_is_clamped_affine_map_of_seed_draws(self):
+        # one scale, then one shift, drawn from the generator; a zero depth
+        # under a negative shift meets the clamp
         depth = np.random.default_rng(0).random((8, 8)) + 2.0
-        out = perturb_depth(depth, np.random.default_rng(1),
-                            scale_range=(1.0, 1.0), shift_range=(0.0, 0.0))
-        assert np.array_equal(out, depth)
+        depth[0, 0] = 0.0
+        draws = np.random.default_rng(2)
+        a, b = draws.uniform(0.5, 2.0), draws.uniform(-0.5, 0.5)
+        out = perturb_depth(depth, np.random.default_rng(2))
+        assert np.array_equal(out, np.maximum(a * depth + b, 1e-3))
+        assert b < 0 and out[0, 0] == 1e-3
 
     def test_deterministic_per_seed(self):
         depth = np.random.default_rng(2).random((8, 8)) + 2.0

@@ -189,12 +189,14 @@ class TestQuaternions:
         b = se3.average_quaternions([q0, -q1])
         assert np.abs(a - b).max() < 1e-12
 
-    def test_average_rejects_antipodal(self):
-        # alignment is the caller's precondition; degenerate pre-"aligned"
-        # input must fail loudly rather than produce a junk rotation
-        q0 = np.array([1.0, 0, 0, 0])
+    def test_average_aligns_antipodal_and_rejects_zero(self):
+        # q and -q are one rotation: each input is aligned to the first, so
+        # the mean is q; an all-zero input has no direction and must fail
+        # loudly rather than produce a junk rotation
+        q = se3.quat_from_matrix(se3.exp_rotation([0.1, 0.2, 0.3]))
+        assert np.abs(se3.average_quaternions([q, -q, q]) - q).max() < 1e-12
         with pytest.raises(se3.QuaternionError):
-            se3.average_quaternions([q0, -q0], align=False)
+            se3.average_quaternions([np.zeros(4)])
 
     def test_average_rejects_empty(self):
         with pytest.raises(se3.QuaternionError):

@@ -10,7 +10,7 @@ from moblurf.data import synthesize_dataset
 from moblurf.fields import load_checkpoint, save_checkpoint
 from moblurf.render import sample_along_ray
 from moblurf.scene import build_preset, moving_quad_scene
-from moblurf.training import (FREEZE_BRI_EVEN, FREEZE_BRI_ODD, FREEZE_MDD,
+from moblurf.training import (FREEZE_BRI_EVEN, FREEZE_BRI_ODD, FREEZE_MDD, STEPS,
                               NumericalError, Trainer)
 from test_autodiff import reference_backward
 
@@ -80,13 +80,11 @@ class TestInterleaveContract:
         store = tr.model.store
         store.values["screw.base"][:] = np.random.default_rng(4).normal(
             0.0, 0.02, size=store.values["screw.base"].shape)
-        frozen, compute = {"bri_even": (FREEZE_BRI_EVEN, tr.compute_bri_even_loss),
-                           "bri_odd": (FREEZE_BRI_ODD, tr.compute_bri_odd_loss),
-                           "mdd": (FREEZE_MDD, tr.compute_mdd_loss)}[kind]
+        frozen, method = STEPS[kind]
         store.set_frozen_groups(frozen)
         store.begin_step()
         batch = tr.sample_batch()
-        loss, _ = compute(batch, rng=None)
+        loss, _ = getattr(tr, method)(batch, rng=None)
         assert isinstance(store.leaf("screw.base"), np.ndarray) == (kind != "bri_even")
         ad.backward(loss)
         assert store.grad("screw.base").any() == (kind == "bri_even")
@@ -559,13 +557,6 @@ class TestRunAndResume:
         assert "iteration" in str(exc.value)
         assert isinstance(exc.value.breakdown, dict)
 
-    def test_dataset_frame_count_mismatch_rejected(self, tiny_dataset):
-        other = synthesize_dataset(moving_quad_scene(size=24, n_frames=4), seed=1)
-        tr = tiny_trainer(tiny_dataset)
-        from moblurf.training import Trainer
-        with pytest.raises(ValueError, match="frames"):
-            Trainer(tr.config, other, model=tr.model)
-
 
 class TestGradientOracleHooks:
     def test_full_loss_checks_pass(self):
@@ -574,11 +565,12 @@ class TestGradientOracleHooks:
             result = check_full_loss(kind, seed=3)
             assert result.passed, f"{kind}: {result.max_rel_err}"
 
-    def test_sabotage_detected(self):
+    def test_sabotage_detected(self, wrong_gradients):
         from moblurf.gradcheck import check_full_loss
-        assert not check_full_loss("bri_odd", seed=3, sabotage=True).passed
+        with wrong_gradients():
+            assert not check_full_loss("bri_odd", seed=3).passed
 
-    def test_mdd_probe_steps_off_a_relu_kink(self, monkeypatch):
+    def test_mdd_probe_steps_off_a_relu_kink(self, monkeypatch, wrong_gradients):
         # at seed 2 a relu kink lies within one probe's window; the probe
         # moves to the next-largest component, and a 1 % error still fails
         from moblurf import gradcheck as gc
@@ -587,4 +579,5 @@ class TestGradientOracleHooks:
         monkeypatch.setattr(gc, "_kinked", lambda *a: flagged.append(kinked(*a)) or flagged[-1])
         assert gc.check_full_loss("mdd", seed=2).passed
         assert any(flagged)
-        assert not gc.check_full_loss("mdd", seed=2, sabotage=True).passed
+        with wrong_gradients():
+            assert not gc.check_full_loss("mdd", seed=2).passed
