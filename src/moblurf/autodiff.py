@@ -308,10 +308,10 @@ class _Stack:
         return grads
 
 
-def mlp(x, layers, *, activate_output: bool = False, u=None, k: int = 1, heads=()):
+def mlp(x, layers, *, u=None, k: int = 1, heads=()):
     """Fully connected stack over the rows of ``x``: layer i of ``layers``,
     a ``(w, b)`` pair, computes ``h @ w + b``, and a relu follows every
-    layer but the last, and the last too with ``activate_output``. One node
+    layer but the last, and the last too when ``heads`` read it. One node
     however many operands are Nodes. The arguments after ``layers`` are
     keyword-only.
 
@@ -325,8 +325,8 @@ def mlp(x, layers, *, activate_output: bool = False, u=None, k: int = 1, heads=(
     ``heads`` are further stacks, each a ``(layers, u, k)`` triple as above,
     that read the stack's last layer as their input, with a relu between
     their layers and none after the last. With heads the node's value is
-    their outputs side by side, in order; the stack's own last layer is
-    hidden.
+    their outputs side by side, in order; the stack's own last layer, its
+    relu applied, is hidden.
 
     The layers run in blocks of about :data:`BLOCK` rows of whole rays of
     every ``k``, each block through all of them, the heads and the output
@@ -356,7 +356,7 @@ def mlp(x, layers, *, activate_output: bool = False, u=None, k: int = 1, heads=(
     if xv.ndim != 2:
         raise ShapeMismatch(f"mlp: x must be rows of features, got shape {xv.shape}")
     n = len(xv)
-    trunk = _Stack("mlp", layers, u, k, xv.shape[1], n, activate_output)
+    trunk = _Stack("mlp", layers, u, k, xv.shape[1], n, bool(heads))
     heads = [_Stack(f"mlp: head {j}", *head, trunk.width, n, False)
              for j, head in enumerate(heads)]
     stacks = [trunk, *heads]

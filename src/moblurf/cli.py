@@ -66,7 +66,7 @@ def _parse_timestamps(text):
 
 
 def cmd_synth(args) -> int:
-    from .config import write_manifest, resolve_config
+    from .config import write_manifest
     from .data import synthesize_dataset, write_dataset
     from .scene import PRESETS, build_preset
 
@@ -81,9 +81,8 @@ def cmd_synth(args) -> int:
     scene = build_preset(args.preset)
     ds = synthesize_dataset(scene, seed=args.seed, preset_name=args.preset)
     write_dataset(ds, out, force=True)
-    write_manifest(out / "manifest.json", resolve_config(args.profile).to_dict(),
-                   args.seed, command="synth",
-                   extras={"preset": args.preset, "out": str(out)})
+    write_manifest(out / "manifest.json", "synth", args.seed,
+                   {"preset": args.preset, "out": str(out)})
     print(f"wrote {ds.n_frames} frames ({ds.shape[0]}x{ds.shape[1]}) to {out}")
     return EXIT_OK
 
@@ -109,9 +108,9 @@ def cmd_train(args) -> int:
     if args.resume and manifest_path.exists():
         manifest = read_manifest(manifest_path)
     else:
-        manifest = write_manifest(manifest_path, config.to_dict(), config.seed,
-                                  command="train",
-                                  extras={"dataset": str(args.dataset), "out": str(out)})
+        manifest = write_manifest(manifest_path, "train", config.seed,
+                                  {"config": config.to_dict(), "profile": args.profile,
+                                   "dataset": str(args.dataset), "out": str(out)})
     trainer = Trainer(config, dataset)
     info = trainer.run(out, resume=args.resume, progress=args.progress)
     manifest["timings"].update(info["timings"])
@@ -134,7 +133,8 @@ def cmd_render(args) -> int:
         raise ConfigError(f"{args.checkpoint}: meta has no train_state object")
     # the config the checkpoint was trained with, as stored (the defaults if
     # it has none); render reads only its n_samples, so a config holding
-    # keys this version has dropped still renders
+    # keys this version has dropped still renders, and its manifest records
+    # the config and its seed
     config = state.get("config") or TrainConfig().to_dict()
     n_samples = config.get("n_samples") if isinstance(config, dict) else None
     if type(n_samples) is not int or n_samples < 1:
@@ -161,9 +161,9 @@ def cmd_render(args) -> int:
     with open(out / "render_meta.json", "w") as f:
         json.dump({"timestamps": timestamps, "pose_source": args.pose_source,
                    "checkpoint": str(args.checkpoint)}, f, indent=2)
-    write_manifest(out / "manifest.json", config, args.seed or 0, command="render",
-                   extras={"checkpoint": str(args.checkpoint),
-                           "dataset": str(args.dataset)})
+    write_manifest(out / "manifest.json", "render", config.get("seed", 0),
+                   {"config": config, "checkpoint": str(args.checkpoint),
+                    "dataset": str(args.dataset)})
     print(f"rendered {len(timestamps)} frames to {out}")
     return EXIT_OK
 
@@ -267,7 +267,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("synth", help="generate a synthetic blurry dataset")
     p.add_argument("--preset", default="moving-quad-64")
     p.add_argument("--out", required=True)
-    common(p, "--seed", "--profile", "--force")
+    common(p, "--seed", "--force")
     p.set_defaults(seed=0, func=cmd_synth)
 
     p = sub.add_parser("train", help="run BRI + MDD training")
@@ -291,7 +291,7 @@ def build_parser() -> argparse.ArgumentParser:
                    default="eval")
     p.add_argument("--pose-file")
     p.add_argument("--timestamps", help="comma-separated frame indices")
-    common(p, "--seed")
+    common(p)
     p.set_defaults(func=cmd_render)
 
     p = sub.add_parser("eval", help="image-quality report for rendered frames")

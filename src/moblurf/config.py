@@ -16,13 +16,11 @@ class ConfigError(ValueError):
 
 
 # what a value of each annotated type must be
-_KINDS = {"int": "an integer", "float": "a finite number", "bool": "true or false",
-          "str": "a string"}
+_KINDS = {"int": "an integer", "float": "a finite number", "bool": "true or false"}
 
 
 @dataclass
 class TrainConfig:
-    profile: str = "desk"
     seed: int = 0
     bri_iters: int = 3000
     mdd_iters: int = 1500
@@ -60,7 +58,7 @@ class TrainConfig:
             number = isinstance(v, (int, float)) and not isinstance(v, bool)
             ok = {"int": number and isinstance(v, int),
                   "float": number and math.isfinite(v),
-                  "bool": isinstance(v, bool), "str": isinstance(v, str)}[f.type]
+                  "bool": isinstance(v, bool)}[f.type]
             if not ok:
                 raise ConfigError(f"{f.name} must be {_KINDS[f.type]}, got {v!r}")
         for name in ("bri_iters", "mdd_iters", "batch_size", "n_samples", "log_every"):
@@ -119,25 +117,24 @@ def resolve_config(profile: str = "desk", file_values: dict | None = None,
         if unknown:
             raise ConfigError(f"unknown {label} keys: {sorted(unknown)}")
         merged.update(source)
-    merged["profile"] = profile
     return TrainConfig(**merged)
 
 
-def write_manifest(path, config: dict, seed: int, command: str,
-                   extras: dict | None = None) -> dict:
-    """Materialize the run manifest (written before work begins)."""
+def write_manifest(path, command: str, seed: int, extras: dict) -> dict:
+    """Materialize the run manifest (written before work begins): the
+    command, its seed, the code's version and platform, empty timings, and
+    ``extras``: the command's inputs and outputs, and the config a run
+    trains or renders with."""
     manifest = {
         "command": command,
-        "config": config,
         "seed": seed,
         "version": _version(),
         "platform": platform.platform(),
         "python": platform.python_version(),
         "created": time.strftime("%Y-%m-%dT%H:%M:%S"),
         "timings": {},
+        **extras,
     }
-    if extras:
-        manifest.update(extras)
     save_manifest(path, manifest)
     return manifest
 

@@ -162,7 +162,7 @@ def init_mlp(store: ParamStore, prefix: str, group: str, sizes,
 class Mlp:
     """Fully connected stack over the ``prefix.{i}.w``/``.b`` parameters of a
     store, evaluated as one :func:`autodiff.mlp` node: a relu between
-    layers and, with ``activate_output``, after the last one too."""
+    layers and, once :meth:`with_heads` binds heads, after the last one too."""
 
     # no per-ray operand until :meth:`per_ray` binds one, no heads until
     # :meth:`with_heads` does
@@ -170,10 +170,9 @@ class Mlp:
     k = 1
     heads = ()
 
-    def __init__(self, store: ParamStore, prefix: str, activate_output: bool = False):
+    def __init__(self, store: ParamStore, prefix: str):
         self.store = store
         self.prefix = prefix
-        self.activate_output = activate_output
         self.n_layers = 0
         while f"{prefix}.{self.n_layers}.w" in store.values:
             self.n_layers += 1
@@ -203,8 +202,8 @@ class Mlp:
         return [(leaf(f"{p}.{i}.w"), leaf(f"{p}.{i}.b")) for i in range(self.n_layers)]
 
     def __call__(self, x):
-        return ad.mlp(x, self.layers(), activate_output=self.activate_output, u=self.u,
-                      k=self.k, heads=[(h.layers(), h.u, h.k) for h in self.heads])
+        return ad.mlp(x, self.layers(), u=self.u, k=self.k,
+                      heads=[(h.layers(), h.u, h.k) for h in self.heads])
 
 
 class FieldSamples:
@@ -302,13 +301,13 @@ class SceneModel:
                "screw_global")
 
     def _bind(self):
-        # the trunks end in their relu, inside their node, and carry their
-        # heads there (see the field evaluations below)
-        self.static_trunk = Mlp(self.store, "static.trunk", activate_output=True)
+        # the trunks carry their heads inside their node, and so end in
+        # their relu (see the field evaluations below)
+        self.static_trunk = Mlp(self.store, "static.trunk")
         self.static_sigma = Mlp(self.store, "static.sigma")
         self.static_rgb = Mlp(self.store, "static.rgb")
         self.static_pst = Mlp(self.store, "static.pst")
-        self.dynamic_trunk = Mlp(self.store, "dynamic.trunk", activate_output=True)
+        self.dynamic_trunk = Mlp(self.store, "dynamic.trunk")
         self.dynamic_sigma = Mlp(self.store, "dynamic.sigma")
         self.dynamic_rgb = Mlp(self.store, "dynamic.rgb")
         self.local_mlp = Mlp(self.store, "local.mlp")
@@ -325,11 +324,11 @@ class SceneModel:
             ("color", "sigma", "p_st"), k)
 
     def dynamic_density(self, enc_x, glo, k: int):
-        """sigma of the dynamic net at encoded points, ``k`` per ray,
-        conditioned on the GLO rows ``glo`` of their rays' frames (see
-        :meth:`glo_lookup`): the trunk and its sigma head alone."""
-        out = self.dynamic_trunk.per_ray(glo, k).with_heads(self.dynamic_sigma)(enc_x)
-        return ad.softplus(ad.reshape(out, (-1,)))
+        """(sigma,) samples of the dynamic net at encoded points, ``k`` per
+        ray, conditioned on the GLO rows ``glo`` of their rays' frames (see
+        :meth:`glo_lookup`): one node, the trunk and its sigma head alone."""
+        return FieldSamples(self.dynamic_trunk.per_ray(glo, k).with_heads(
+            self.dynamic_sigma)(enc_x), ("sigma",), k)
 
     def dynamic_eval_encoded(self, enc_x, enc_d, glo, k: int):
         """(color, sigma) samples at encoded points, ``k`` per ray, and

@@ -115,13 +115,15 @@ def _dense_inputs(rng, sizes=(5, 4, 3, 2), margin=0.05, per_ray=None):
             return [joined, *params]
 
 
-def _mlp(activate_output, k=None):
-    """``ad.mlp`` over x, w0, b0, w1, b1, ... as separate arguments; with
-    ``k``, over x, u, w0, b0, ... with u per ray of k rows of x."""
+def _mlp(k=None):
+    """``ad.mlp`` over x, w0, b0, w1, b1, ... as separate arguments, in the
+    trunks' form: a relu stack of every layer but the last, which is its
+    one head; with ``k``, over x, u, w0, b0, ... with u per ray of k rows of
+    x, the stack's."""
     def op(x, *params):
         u, params = (params[0], params[1:]) if k else (None, params)
-        return ad.mlp(x, list(zip(params[::2], params[1::2])),
-                      activate_output=activate_output, u=u, k=k or 1)
+        layers = list(zip(params[::2], params[1::2]))
+        return ad.mlp(x, layers[:-1], u=u, k=k or 1, heads=[(layers[-1:], None, 1)])
     return op
 
 
@@ -145,15 +147,15 @@ def _heads_inputs(rng, k=2, margin=0.05):
 def _mlp_heads(k=2):
     """``ad.mlp`` over :func:`_heads_inputs`' operands, the heads bound."""
     def op(x, tw0, tb0, tw1, tb1, sw, sb, u, hw0, hb0, hw1, hb1):
-        return ad.mlp(x, [(tw0, tb0), (tw1, tb1)], activate_output=True,
+        return ad.mlp(x, [(tw0, tb0), (tw1, tb1)],
                       heads=[([(sw, sb)], None, 1), ([(hw0, hb0), (hw1, hb1)], u, k)])
     return op
 
 
 def _frozen_weights(inputs):
-    """A relu stack over ``x`` alone, its weights ``inputs[1:]`` constants."""
+    """:func:`_mlp` over ``x`` alone, its weights ``inputs[1:]`` constants."""
     x, *params = inputs
-    return [x], lambda x: _mlp(True)(x, *params)
+    return [x], lambda x: _mlp()(x, *params)
 
 
 # Each case: name -> (input generator, op over nodes). The op may return any
@@ -170,14 +172,15 @@ def _op_cases(rng):
                 lambda x, y: ad.mul(x, y)),
         "div": ([rng.normal(size=b), _away_from_zero(rng, b)],
                 lambda x, y: ad.div(x, y)),
-        # the trunks' form: activated output layer
-        "mlp_relu": (_dense_inputs(rng), _mlp(True)),
+        # the trunks' form: a relu stack read by a head
+        "mlp_relu": (_dense_inputs(rng), _mlp()),
         "mlp_frozen": _frozen_weights(_dense_inputs(rng)),
         # the sigma and staticness heads' form: one linear layer to one
         # column, whose input gradient is a product of inner dimension 1
-        "mlp_head": (_dense_inputs(rng, sizes=(4, 1), margin=0.0), _mlp(False)),
+        "mlp_head": (_dense_inputs(rng, sizes=(4, 1), margin=0.0),
+                     lambda x, w, b: ad.mlp(x, [(w, b)])),
         # the RGB heads' and the dynamic trunk's form: a per-ray operand
-        "mlp_per_ray": (_dense_inputs(rng, per_ray=(2, 2)), _mlp(True, 2)),
+        "mlp_per_ray": (_dense_inputs(rng, per_ray=(2, 2)), _mlp(2)),
         "exp": ([rng.normal(size=b)], ad.exp),
         "log": ([_positive(rng, b)], ad.log),
         # the desk's pos_freqs: bands built by seven doublings

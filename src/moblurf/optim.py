@@ -96,8 +96,13 @@ class ParamStore:
         return h.hexdigest()
 
 
-def adam_step(store: ParamStore, rates: dict[str, float], beta1: float = 0.9,
-              beta2: float = 0.999, eps: float = 1e-8) -> None:
+# Adam's moment decay rates and denominator floor (Kingma and Ba's defaults)
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+
+
+def adam_step(store: ParamStore, rates: dict[str, float]) -> None:
     """One Adam update over all unfrozen parameters, each at its group's
     rate in ``rates``: the screw tables and the MLPs run on different
     schedules. Ends the step, so every gradient reads zero afterwards.
@@ -112,14 +117,14 @@ def adam_step(store: ParamStore, rates: dict[str, float], beta1: float = 0.9,
     for name, (g, lr) in steps.items():
         value = store.values[name]
         t = store.adam_t[name] + 1
-        m = beta1 * store.adam_m[name] + (1.0 - beta1) * g
-        v = beta2 * store.adam_v[name] + (1.0 - beta2) * g * g
-        m_hat = m / (1.0 - beta1 ** t)
-        v_hat = v / (1.0 - beta2 ** t)
+        m = ADAM_BETA1 * store.adam_m[name] + (1.0 - ADAM_BETA1) * g
+        v = ADAM_BETA2 * store.adam_v[name] + (1.0 - ADAM_BETA2) * g * g
+        m_hat = m / (1.0 - ADAM_BETA1 ** t)
+        v_hat = v / (1.0 - ADAM_BETA2 ** t)
         store.adam_t[name] = t
         store.adam_m[name] = m
         store.adam_v[name] = v
-        store.values[name] = value - lr * m_hat / (np.sqrt(v_hat) + eps)
+        store.values[name] = value - lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
     store.begin_step()
 
 

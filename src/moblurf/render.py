@@ -161,10 +161,11 @@ class RenderResult:
     loss that reads ``color_static`` and the motion mask alone (BRI-even)
     builds no node that it does not reach.
 
-    ``dynamic_cut`` marks dynamic samples taken at the values of sample
-    points that carry a graph: the dynamic, full and kappa outputs would
-    then drop the points' gradient, so reading them raises. :meth:`at`
-    re-composites picked samples on a coarser grid, evaluating no field."""
+    ``dynamic_cut`` marks dynamic samples, sigma alone, taken at the values
+    of sample points that carry a graph: the dynamic, full and kappa
+    outputs would then drop the points' gradient, so reading them raises.
+    :meth:`at` re-composites picked samples on a coarser grid, evaluating
+    no field."""
 
     def __init__(self, static, dynamic, grid: SampleGrid, dynamic_cut: bool = False):
         self._static, self._dynamic, self.grid = static, dynamic, grid
@@ -291,23 +292,24 @@ def render_on_grid(model: SceneModel, rays: RayBatch, grid: SampleGrid) -> Rende
 
     A frozen dynamic net sees the samples' values, so it builds no node:
     BRI-even freezes it, trains the base screws that move the samples and
-    reads only the detached dynamicness. The result refuses the dynamic
-    outputs whose gradient that cuts."""
+    reads only the detached dynamicness, so the net runs its sigma head
+    alone. The result refuses the dynamic outputs whose gradient that
+    cuts."""
     n = grid.n_samples
     enc_x, glo = _encoded_samples(model, rays, grid)
     # directions are constant along a ray too: encoded and taken per ray
     enc_d = encode_position(rays.dirs, model.config.dir_freqs)
     static = model.static_eval_encoded(enc_x, enc_d, n)
-    cut = "dynamic" in model.store.frozen and isinstance(enc_x, ad.Node)
-    if cut:
-        enc_x, enc_d = ad.value_of(enc_x), ad.value_of(enc_d)
-    return RenderResult(static, model.dynamic_eval_encoded(enc_x, enc_d, glo, n), grid, cut)
+    if "dynamic" in model.store.frozen and isinstance(enc_x, ad.Node):
+        return RenderResult(static, model.dynamic_density(ad.value_of(enc_x), glo, n),
+                            grid, dynamic_cut=True)
+    return RenderResult(static, model.dynamic_eval_encoded(enc_x, enc_d, glo, n), grid)
 
 
 def render_kappa(model: SceneModel, rays: RayBatch, grid: SampleGrid):
     """Expected dynamic ray distance only (cheap path for neighbor rays),
     at the samples of ``grid``, one row of distances per ray."""
     sigma = model.dynamic_density(*_encoded_samples(model, rays, grid),
-                                  grid.n_samples)
-    _, weights = opacity(ad.reshape(sigma, (len(rays), grid.n_samples)), grid)
+                                  grid.n_samples).sigma
+    _, weights = opacity(sigma, grid)
     return _expected_distance(weights, grid)

@@ -242,25 +242,21 @@ class Trainer:
             breakdown.lg = float(ad.value_of(lg))
         return loss, breakdown
 
-    def bri_step(self, iteration: int, batch: Batch | None = None) -> LossBreakdown:
-        return self._step("bri", "bri_odd" if iteration % 2 else "bri_even",
-                          iteration, batch)
+    def bri_step(self, iteration: int) -> LossBreakdown:
+        return self._step("bri", "bri_odd" if iteration % 2 else "bri_even", iteration)
 
-    def mdd_step(self, iteration: int, batch: Batch | None = None) -> LossBreakdown:
-        return self._step("mdd", "mdd", iteration, batch)
+    def mdd_step(self, iteration: int) -> LossBreakdown:
+        return self._step("mdd", "mdd", iteration)
 
-    def _step(self, stage: str, kind: str, iteration: int,
-              batch: Batch | None) -> LossBreakdown:
+    def _step(self, stage: str, kind: str, iteration: int) -> LossBreakdown:
         """One step of ``kind`` (see :data:`STEPS`): fresh leaves under its
-        freeze set, the loss its method makes of ``batch`` (sampled when
-        None), then the update at the stage's rates."""
+        freeze set, the loss its method makes of a sampled batch, then the
+        update at the stage's rates."""
         frozen, method = STEPS[kind]
         store = self.model.store
         store.begin_step()
         store.set_frozen_groups(frozen)
-        if batch is None:
-            batch = self.sample_batch()
-        loss, breakdown = getattr(self, method)(batch, self.rng)
+        loss, breakdown = getattr(self, method)(self.sample_batch(), self.rng)
         if not np.isfinite(breakdown.total):
             raise NumericalError(f"non-finite loss at {stage} iteration {iteration}",
                                  breakdown.as_dict())
@@ -338,14 +334,19 @@ class Trainer:
         if log_bytes is not None and (type(log_bytes) is not int or log_bytes < 0):
             raise CheckpointError(f"{ckpt}: train_state log_bytes must be an integer "
                                   f">= 0, got {log_bytes!r}")
+        # a cut past the log's end would pad it with NUL bytes
+        log = ckpt.parent / "train_log.txt"
+        size = log.stat().st_size if log.exists() else None
+        if log_bytes is not None and size is not None and log_bytes > size:
+            raise CheckpointError(f"{ckpt}: train_state log_bytes {log_bytes} is past "
+                                  f"the end of {log} ({size} bytes)")
         try:
             self.rng.bit_generator.state = state.get("rng_state")
         except (TypeError, ValueError, KeyError, OverflowError) as exc:
             raise CheckpointError(f"{ckpt}: train_state rng_state: {exc}") from exc
         self.model, self.timings = model, dict(timings)
         # drop the lines logged after the checkpoint: those iterations run again
-        log = ckpt.parent / "train_log.txt"
-        if log_bytes is not None and log.exists():
+        if log_bytes is not None and size is not None:
             os.truncate(log, log_bytes)
         return stage, iteration + 1
 
@@ -354,11 +355,12 @@ class Trainer:
         cfg = self.config
         step = self.bri_step if stage == "bri" else self.mdd_step
         ckpt_every = max(1, int(total * cfg.checkpoint_fraction))
-        # seconds spent in this stage, carried over from a resumed checkpoint
-        t0 = time.time() - self.timings.get(f"{stage}_seconds", 0.0)
+        # seconds spent in this stage, carried over from a resumed checkpoint,
+        # on a clock that a change of the wall clock does not move
+        t0 = time.monotonic() - self.timings.get(f"{stage}_seconds", 0.0)
         for it in range(start, total):
             breakdown = step(it)
-            self.timings[f"{stage}_seconds"] = round(time.time() - t0, 3)
+            self.timings[f"{stage}_seconds"] = round(time.monotonic() - t0, 3)
             screw_rate, mlp_rate = self._rates(stage, it)
             rec = {"stage": stage, "iteration": it,
                    "parity": ("even" if it % 2 == 0 else "odd") if stage == "bri" else "-",

@@ -39,7 +39,7 @@ def test_mlp_shape_error():
         ad.mlp(x, [(np.zeros((3, 3)), np.zeros(3)),
                    (np.zeros((4, 2)), np.zeros(2))])
     # the options are keyword-only: a third positional argument raises
-    # instead of being read as activate_output
+    # instead of being read as u
     with pytest.raises(TypeError):
         ad.mlp(x, [(np.zeros((3, 3)), np.zeros(3))], "relu")
 
@@ -63,12 +63,18 @@ def test_encoding_gradient_at_zero():
     assert np.allclose(x.grad, [[1.0 + 7.0 * np.pi, 0.0, 0.0]])
 
 
+def read_out(width):
+    """A head that reads a stack's activated output as it is: one identity
+    layer, whose products are exact, forward and backward."""
+    return [(np.eye(width), np.zeros(width))], None, 1
+
+
 def test_zero_preactivation_gets_zero_gradient():
     # the relu's kink passes no gradient
     x = ad.Node(np.array([[1.0, -1.0], [2.0, 3.0]]))
     w = ad.Node(np.array([[1.0], [1.0]]))   # row 0 sums to exactly zero
     b = ad.Node(np.zeros(1))
-    ad.backward(ad.sum_(ad.mlp(x, [(w, b)], activate_output=True)))
+    ad.backward(ad.sum_(ad.mlp(x, [(w, b)], heads=[read_out(1)])))
     assert np.array_equal(x.grad, [[0.0, 0.0], [1.0, 1.0]])
     assert np.array_equal(w.grad, [[2.0], [3.0]])
     assert np.array_equal(b.grad, [1.0])
@@ -92,7 +98,7 @@ def _softplus_decode(z, g):
     return np.maximum(z, 0.0) + np.log1p(np.exp(-np.abs(z))), g * slope
 
 
-def _layer_by_layer(x, layers, activate_output, g, decode=False):
+def _layer_by_layer(x, layers, activated, g, decode=False):
     """Output, dx, dws, dbs of the stack evaluated one layer at a time over
     all rows, with the arithmetic of separate dense and relu nodes; with
     ``decode``, of its output decoded by a softplus node as well."""
@@ -100,7 +106,7 @@ def _layer_by_layer(x, layers, activate_output, g, decode=False):
     for i, (w, b) in enumerate(layers):
         z = hs[-1] @ w
         z += b
-        if i < len(layers) - 1 or activate_output:
+        if i < len(layers) - 1 or activated:
             z = np.maximum(z, 0.0)
         hs.append(z)
     out = hs[-1]
@@ -108,7 +114,7 @@ def _layer_by_layer(x, layers, activate_output, g, decode=False):
         out, g = _softplus_decode(out, g)
     dws, dbs = [], []
     for i in reversed(range(len(layers))):
-        if i < len(layers) - 1 or activate_output:
+        if i < len(layers) - 1 or activated:
             g = g * (hs[i + 1] > 0)
         dws.insert(0, hs[i].T @ g)
         dbs.insert(0, g.sum(axis=0))
@@ -126,9 +132,16 @@ def _decoded(out, decode):
     return ad.softplus(out) if decode else out
 
 
-# the ids name the output layer's choice, then the relu stack's output as it
-# is or decoded by softplus
-@pytest.mark.parametrize("activate_output, decode", [
+def _stack(x, layers, activated, **kw):
+    """``ad.mlp`` of ``layers``; ``activated`` reads their relu'd output
+    through :func:`read_out`, as a trunk's heads read it."""
+    heads = [read_out(layers[-1][0].shape[1])] if activated else []
+    return ad.mlp(x, layers, heads=heads, **kw)
+
+
+# the ids name whether a head reads the output layer (True: its relu
+# applied), then the relu stack's output as it is or decoded by softplus
+@pytest.mark.parametrize("activated, decode", [
     pytest.param(False, False, id="False-relu"),
     pytest.param(True, False, id="True-relu"),
     pytest.param(False, True, id="False-softplus"),
@@ -143,16 +156,16 @@ def _decoded(out, decode):
     # dimension 1, taken as a broadcast multiply
     pytest.param(2 * ad.BLOCK + 37, (64, 1), id="one_column_head"),
 ])
-def test_mlp_matches_layer_by_layer_reference(rows, sizes, activate_output, decode):
+def test_mlp_matches_layer_by_layer_reference(rows, sizes, activated, decode):
     x, layers, g = _mlp_inputs(rows, sizes=sizes)
-    out, dx, dws, dbs = _layer_by_layer(x, layers, activate_output, g, decode)
+    out, dx, dws, dbs = _layer_by_layer(x, layers, activated, g, decode)
     # rows cross block boundaries: forward and dx bit for bit, dw and db to
     # rounding of their block-by-block sums
-    plain = _decoded(ad.mlp(x, layers, activate_output=activate_output), decode)
+    plain = _decoded(_stack(x, layers, activated), decode)
     assert type(plain) is np.ndarray and np.array_equal(plain, out)
     xn = ad.Node(x)
     params = [(ad.Node(w), ad.Node(b)) for w, b in layers]
-    node = _decoded(ad.mlp(xn, params, activate_output=activate_output), decode)
+    node = _decoded(_stack(xn, params, activated), decode)
     assert np.array_equal(node.value, out)
     ad.backward(ad.sum_(ad.mul(node, g)))
     assert np.array_equal(xn.grad, dx)
@@ -171,7 +184,7 @@ def test_mlp_gradients_reach_node_operands_only(x_node, trainable, monkeypatch):
     init = ad.Node.__init__
     monkeypatch.setattr(ad.Node, "__init__",
                         lambda self, *a, **k: built.append(1) or init(self, *a, **k))
-    res = ad.mlp(xin, params, activate_output=True)
+    res = _stack(xin, params, True)
     if not (x_node or trainable):
         # nothing to differentiate: a plain array and no graph at all
         assert type(res) is np.ndarray and np.array_equal(res, out)
@@ -202,14 +215,14 @@ def _per_ray_inputs(rays, k, c=4):
 @pytest.mark.parametrize("nodes", ["x_layers", "x_layers_u", "u"])
 # the trunks' form, the RGB heads' (a linear output layer) and the sigma
 # heads' (a linear output layer decoded by softplus)
-@pytest.mark.parametrize("activate_output, decode", [
+@pytest.mark.parametrize("activated, decode", [
     pytest.param(True, False, id="relu-True"),
     pytest.param(False, False, id="relu-False"),
     pytest.param(False, True, id="softplus-False"),
 ])
 @pytest.mark.parametrize("k", [1, 24, 32])
 @pytest.mark.parametrize("rays", [0, 1, 3, None], ids=["0", "1", "3", "3_blocks"])
-def test_mlp_per_ray_matches_joined_input(rays, k, activate_output, decode, nodes):
+def test_mlp_per_ray_matches_joined_input(rays, k, activated, decode, nodes):
     # the per-ray operand is the joined input with the first layer's sum
     # reassociated; 24 rows per ray do not divide BLOCK. ``nodes`` names the
     # operands that are Nodes
@@ -218,18 +231,16 @@ def test_mlp_per_ray_matches_joined_input(rays, k, activate_output, decode, node
     x, u, layers, g, joined = _per_ray_inputs(rays, k)
     ref_in = ad.Node(joined)
     ref_params = [(ad.Node(w), ad.Node(b)) for w, b in layers]
-    ref = _decoded(ad.mlp(ref_in, ref_params, activate_output=activate_output), decode)
+    ref = _decoded(_stack(ref_in, ref_params, activated), decode)
     ad.backward(ad.sum_(ad.mul(ref, g)))
     xin = ad.Node(x) if "x" in nodes else x
     uin = ad.Node(u) if "u" in nodes else u
     params = [(ad.Node(w), ad.Node(b)) if "layers" in nodes else (w, b)
               for w, b in layers]
-    out = _decoded(ad.mlp(xin, params, activate_output=activate_output, u=uin, k=k),
-                   decode)
+    out = _decoded(_stack(xin, params, activated, u=uin, k=k), decode)
     assert _close(out.value, ref.value, rel=1e-14)
     assert np.array_equal(
-        _decoded(ad.mlp(x, layers, activate_output=activate_output, u=u, k=k), decode),
-        out.value)
+        _decoded(_stack(x, layers, activated, u=u, k=k), decode), out.value)
     ad.backward(ad.sum_(ad.mul(out, g)))
     c = u.shape[1]
     if "x" in nodes:
@@ -247,7 +258,7 @@ def test_mlp_per_ray_through_one_layer():
     x, u, layers, g, joined = _per_ray_inputs(5, 3)
     w, b = layers[0]
     un, wn, bn = ad.Node(u), ad.Node(w), ad.Node(b)
-    out = ad.mlp(x, [(wn, bn)], activate_output=True, u=un, k=3)
+    out = _stack(x, [(wn, bn)], True, u=un, k=3)
     ref = np.maximum(joined @ w + b, 0.0)
     assert _close(out.value, ref, rel=1e-14)
     ad.backward(ad.sum_(out))
@@ -323,7 +334,7 @@ def test_mlp_heads_match_separate_nodes(trunk_u, decode):
     # gradients of the trunk output in head order too
     x, u, trunk, heads, gs = _field_inputs(trunk_u)
     ref = _as_nodes(x, u, trunk, heads)
-    h = ad.mlp(ref[0], ref[2], activate_output=True, u=ref[1], k=HEAD_K)
+    h = _stack(ref[0], ref[2], True, u=ref[1], k=HEAD_K)
     outs = [_decoded(ad.mlp(h, ls, u=hu, k=hk), decode) for ls, hu, hk in ref[3]]
     loss = ad.sum_(ad.mul(outs[0], gs[0]))
     for out, g in zip(outs[1:], gs[1:]):
@@ -331,12 +342,11 @@ def test_mlp_heads_match_separate_nodes(trunk_u, decode):
     reference_backward(loss)
 
     got = _as_nodes(x, u, trunk, heads)
-    fused = _decoded(ad.mlp(got[0], got[2], activate_output=True, u=got[1], k=HEAD_K,
-                            heads=got[3]), decode)
+    fused = _decoded(ad.mlp(got[0], got[2], u=got[1], k=HEAD_K, heads=got[3]), decode)
     # forward bit for bit, with and without a graph
     assert np.array_equal(fused.value, np.hstack([o.value for o in outs]))
     assert np.array_equal(
-        _decoded(ad.mlp(x, trunk, activate_output=True, u=u, k=HEAD_K, heads=heads), decode),
+        _decoded(ad.mlp(x, trunk, u=u, k=HEAD_K, heads=heads), decode),
         fused.value)
     ad.backward(ad.sum_(ad.mul(fused, np.hstack(gs))))
     # every gradient bit for bit: the same products, summed in the same order
@@ -349,19 +359,19 @@ def test_mlp_heads_gradients_reach_node_operands_only():
     # gradients, and nothing walks down the trunk
     x, u, trunk, heads, gs = _field_inputs(False)
     _, _, _, node_heads = _as_nodes(x, u, trunk, heads)
-    out = ad.mlp(x, trunk, activate_output=True, heads=node_heads)
+    out = ad.mlp(x, trunk, heads=node_heads)
     assert [p for p, _ in out.parents] == _leaves(None, None, [], node_heads)
     ad.backward(ad.sum_(ad.mul(out, np.hstack(gs))))
-    h = ad.mlp(x, trunk, activate_output=True)
+    h = _stack(x, trunk, True)
     w, b = node_heads[1][0][0]
     assert _close(w.grad, h.T @ gs[1]) and _close(b.grad, gs[1].sum(axis=0))
     # x alone a Node: its gradient walks through the constant heads and
     # trunk, bit for bit as with every operand a Node
     xn = ad.Node(x)
-    ad.backward(ad.sum_(ad.mul(ad.mlp(xn, trunk, activate_output=True, heads=heads),
+    ad.backward(ad.sum_(ad.mul(ad.mlp(xn, trunk, heads=heads),
                                np.hstack(gs))))
     ref = _as_nodes(x, u, trunk, heads)
-    ad.backward(ad.sum_(ad.mul(ad.mlp(ref[0], ref[2], activate_output=True, heads=ref[3]),
+    ad.backward(ad.sum_(ad.mul(ad.mlp(ref[0], ref[2], heads=ref[3]),
                                np.hstack(gs))))
     assert np.array_equal(xn.grad, ref[0].grad)
 
@@ -371,10 +381,9 @@ def test_mlp_head_shape_error():
     x, u, trunk, heads, _ = _field_inputs(False)
     bad = [(np.zeros((15, 1)), np.zeros(1))]
     with pytest.raises(ad.ShapeMismatch, match=r"head 1: layer 0: \(\d+, 16\) @ \(15, 1\)"):
-        ad.mlp(x, trunk, activate_output=True, heads=[heads[0], (bad, None, 1)])
+        ad.mlp(x, trunk, heads=[heads[0], (bad, None, 1)])
     with pytest.raises(ad.ShapeMismatch, match="head 0: per-ray"):
-        ad.mlp(x, trunk, activate_output=True,
-               heads=[(heads[0][0], heads[0][1][:-1], HEAD_K)])
+        ad.mlp(x, trunk, heads=[(heads[0][0], heads[0][1][:-1], HEAD_K)])
 
 
 def test_backward_rejects_nonscalar_root():
@@ -429,9 +438,9 @@ def _fanout_loss(v, order):
     ``concat`` and ``narrow`` views; the leaf ``p`` is used twice. ``order``
     permutes the summed terms, and with them the order of the visits."""
     n, k = FANOUT_ROWS, FANOUT_K
-    h = ad.mlp(v["x"], [(v["w0"], v["b0"])], activate_output=True)
+    h = _stack(v["x"], [(v["w0"], v["b0"])], True)
     s1 = ad.mlp(h, [(v["ws"], v["bs"])])
-    s2 = ad.mlp(h, [(v["ws"], v["bs"])], activate_output=True)
+    s2 = _stack(h, [(v["ws"], v["bs"])], True)
     c = ad.mlp(h, [(v["wc"], v["bc"])], u=v["u"], k=k)
     a = ad.add(h, v["x2"])                       # one array to h and x2
     j = ad.concat([a, ad.reshape(s1, (n, 1)), c], axis=1)

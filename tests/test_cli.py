@@ -91,6 +91,10 @@ class TestSynth:
         meta = json.loads((out / "meta.json").read_text())
         assert meta["n_frames"] == 24
         assert meta["height"] == 64 and meta["width"] == 64
+        # synth trains nothing: its manifest records no training config
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["command"] == "synth" and manifest["seed"] == 0
+        assert manifest["preset"] == "moving-quad-64" and "config" not in manifest
 
     def test_unknown_preset_lists_options(self, tmp_path, capsys):
         code = main(["synth", "--preset", "bogus", "--out", str(tmp_path / "x")])
@@ -115,6 +119,8 @@ class TestTrain:
         assert manifest["command"] == "train"
         assert manifest["config"]["bri_iters"] == 4
         assert manifest["seed"] == 0
+        # the profile flag beside the config, which has no such key
+        assert manifest["profile"] == "desk" and "profile" not in manifest["config"]
         assert "bri_seconds" in manifest["timings"]
 
     def test_config_file_plus_override(self, tmp_path, dataset_dir):
@@ -158,9 +164,12 @@ class TestTrain:
         assert code == 1
 
     @pytest.mark.parametrize("value", [
-        "debug_freeze_check=true", "lg_fraction=0.25", "activation=softplus"])
+        "debug_freeze_check=true", "lg_fraction=0.25", "activation=softplus",
+        "profile=paper"])
     def test_removed_config_key_rejected(self, tmp_path, dataset_dir, capsys, value):
-        # these were options once; every run set them alike, and they are code now
+        # these were options once; every run set the first three alike, and
+        # they are code now; resolve_config overwrote profile with the
+        # --profile flag, so a value set here was silently ignored
         out = tmp_path / "run"
         assert main(["train", "--dataset", str(dataset_dir), "--out", str(out),
                      *TINY_TRAIN, "--set", value]) == 1
@@ -206,18 +215,19 @@ class TestUsage:
                    for name, p in subparsers.choices.items()}
         every = {"-h", "--help", "--threads"}
         assert options == {
-            "synth": every | {"--preset", "--out", "--seed", "--profile", "--force"},
+            "synth": every | {"--preset", "--out", "--seed", "--force"},
             "train": every | {"--dataset", "--out", "--config", "--set", "--resume",
                               "--progress", "--seed", "--profile"},
             "render": every | {"--checkpoint", "--dataset", "--out", "--pose-source",
-                               "--pose-file", "--timestamps", "--seed"},
+                               "--pose-file", "--timestamps"},
             "eval": every | {"--render-dir", "--dataset", "--out"},
             "gradcheck": every | {"--seed"},
         }
 
-    # the flags each once parsed and ignored, the hidden gradcheck test
-    # hook, and thread counts below one, which synth exported as
-    # OPENBLAS_NUM_THREADS=-2
+    # the flags each once parsed and ignored (synth recorded a training
+    # config it never used, render a seed it never drew from), the hidden
+    # gradcheck test hook, and thread counts below one, which synth
+    # exported as OPENBLAS_NUM_THREADS=-2
     @pytest.mark.parametrize("args, why", [
         (["train", "--dataset", "{tmp}/d", "--out", "{tmp}/o", "--force"], "--force"),
         (["render", "--checkpoint", "{tmp}/c", "--dataset", "{tmp}/d", "--out", "{tmp}/o",
@@ -234,9 +244,12 @@ class TestUsage:
         (["gradcheck", "--sabotage", "x"], "--sabotage"),
         (["gradcheck", "--threads", "0"], "--threads: must be >= 1"),
         (["synth", "--out", "{tmp}/o", "--threads", "-2"], "--threads: must be >= 1"),
+        (["synth", "--out", "{tmp}/o", "--profile", "desk"], "--profile"),
+        (["render", "--checkpoint", "{tmp}/c", "--dataset", "{tmp}/d", "--out", "{tmp}/o",
+          "--seed", "1"], "--seed"),
     ], ids=["train_force", "render_profile", "render_force", "eval_seed", "eval_profile",
             "eval_force", "gradcheck_profile", "gradcheck_force", "gradcheck_sabotage",
-            "threads_0", "threads_negative"])
+            "threads_0", "threads_negative", "synth_profile", "render_seed"])
     def test_flag_the_command_does_not_read_is_a_usage_error(self, tmp_path, capsys,
                                                              monkeypatch, args, why):
         monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
@@ -329,20 +342,24 @@ class TestRender:
         assert main(["render", "--checkpoint", str(trained_dir / "checkpoint_final.ckpt"),
                      "--dataset", str(dataset_dir), "--out", str(out),
                      "--timestamps", "1"]) == 0
-        config = json.loads((out / "manifest.json").read_text())["config"]
-        trained = json.loads((trained_dir / "manifest.json").read_text())["config"]
-        assert config == trained
-        assert config["trunk_width"] == 16 and config["n_samples"] == 8
+        manifest = json.loads((out / "manifest.json").read_text())
+        trained = json.loads((trained_dir / "manifest.json").read_text())
+        assert manifest["config"] == trained["config"]
+        assert manifest["config"]["trunk_width"] == 16
+        assert manifest["config"]["n_samples"] == 8
+        # render draws nothing: the seed is the trained one
+        assert manifest["seed"] == trained["seed"] == manifest["config"]["seed"]
 
     def test_checkpoint_with_older_config_keys_renders_the_same(
             self, tmp_path, dataset_dir, trained_dir):
-        # a checkpoint written before three options became code stores them
-        # in its config; render reads only n_samples from it
+        # a checkpoint written before four options became code or went
+        # stores them in its config; render reads only n_samples from it
         from moblurf.fields import load_checkpoint, save_checkpoint
         model, meta = load_checkpoint(trained_dir / "checkpoint_final.ckpt")
         outs = {}
         for name, extra in (("now", {}), ("older", {
-                "activation": "relu", "lg_fraction": 0.25, "debug_freeze_check": False})):
+                "activation": "relu", "lg_fraction": 0.25, "debug_freeze_check": False,
+                "profile": "desk"})):
             ckpt = tmp_path / f"{name}.ckpt"
             state = dict(meta["train_state"])
             state["config"] = {**state["config"], **extra}
@@ -516,15 +533,15 @@ class TestCorruptJson:
     # each once trusted by a resume: a stage in capitals skipped BRI and
     # exited 0, a text iteration, text timings or a text log length died
     # with a TypeError traceback, an iteration past the stage's end skipped
-    # the rest of it, and a missing stage or an empty RNG state printed no
-    # file name
+    # the rest of it, a missing stage or an empty RNG state printed no file
+    # name, and a log length past the log's end padded it with NUL bytes
     @pytest.mark.parametrize("key, value", [
         ("stage", "BRI"), ("iteration", "3"), ("iteration", True), ("iteration", -1),
         ("stage", None), ("rng_state", {}), ("timings", 5), ("log_bytes", "x"),
-        ("iteration", 999),
+        ("iteration", 999), ("log_bytes", 100_000),
     ], ids=["stage_capitals", "iteration_text", "iteration_bool", "iteration_negative",
             "no_stage", "rng_state_empty", "timings_number", "log_bytes_text",
-            "iteration_past_stage"])
+            "iteration_past_stage", "log_bytes_past_the_log"])
     def test_resume_checks_train_state_before_any_step(self, tmp_path, dataset_dir,
                                                        trained_dir, capsys, key, value):
         run = tmp_path / "run"

@@ -124,13 +124,15 @@ class TestMlp:
         ref = x
         for i in range(model.static_trunk.n_layers):
             ref = ref @ store.values[f"static.trunk.{i}.w"] + store.values[f"static.trunk.{i}.b"]
-            # the trunk ends in its activation too
+            # the trunk, read by a head, ends in its activation too
             ref = np.maximum(ref, 0.0)
+        ref = ref @ store.values["static.sigma.0.w"] + store.values["static.sigma.0.b"]
+        trunk = model.static_trunk.with_heads(model.static_sigma)
         store.begin_step()
-        assert np.array_equal(model.static_trunk(x).value, ref)
+        assert np.array_equal(trunk(x).value, ref)
         # a frozen group's weights are constants: plain arrays in and out
         store.set_frozen_groups({"static"})
-        out = model.static_trunk(x)
+        out = trunk(x)
         assert isinstance(out, np.ndarray) and np.array_equal(out, ref)
         store.set_frozen_groups(set())
 

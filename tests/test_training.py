@@ -345,6 +345,24 @@ def test_bri_even_step_builds_only_nodes_its_loss_reaches(tiny_dataset, monkeypa
         tr.bri_step(2 * it)
 
 
+def test_bri_even_dynamic_node_carries_the_sigma_head_alone(tiny_dataset, monkeypatch):
+    # the frozen dynamic net serves only the detached dynamicness: its node
+    # runs the trunk and the sigma head, and no RGB head
+    from moblurf import fields
+    tr = tiny_trainer(tiny_dataset)
+    heads = []
+    call = fields.Mlp.__call__
+
+    def spy(self, x):
+        heads.append((self.prefix, [h.prefix for h in self.heads]))
+        return call(self, x)
+
+    monkeypatch.setattr(fields.Mlp, "__call__", spy)
+    tr.bri_step(0)
+    assert heads == [("static.trunk", ["static.rgb", "static.sigma", "static.pst"]),
+                     ("dynamic.trunk", ["dynamic.sigma"])]
+
+
 def test_mdd_loss_matches_finite_differences_off_the_no_op(monkeypatch):
     # non-zero global screws, a local MLP that moves the refined rows, and
     # half the rows refined: the MDD loss against central differences, with
@@ -400,6 +418,23 @@ def test_mdd_loss_matches_finite_differences_off_the_no_op(monkeypatch):
                 assert abs(g[idx] - numeric) <= 1e-4 * abs(numeric) + 1e-9, (name, idx)
                 checked += 1
     assert checked > 20 and np.abs(grads["screw.global"]).max() > 1e-6
+
+
+class Killed(Exception):
+    pass
+
+
+def timed(tr, clock, kill_at=None):
+    """``tr`` with every step taking 10 seconds of ``clock``; ``kill_at``, a
+    (stage, iteration), dies before its step."""
+    for name in ("bri_step", "mdd_step"):
+        def step(it, orig=getattr(tr, name), stage=name[:3]):
+            if (stage, it) == kill_at:
+                raise Killed
+            clock.now += 10.0
+            return orig(it)
+        setattr(tr, name, step)
+    return tr
 
 
 class TestRunAndResume:
@@ -498,43 +533,43 @@ class TestRunAndResume:
         from types import SimpleNamespace
         from moblurf import training
         clock = SimpleNamespace(now=0.0)
-        monkeypatch.setattr(training, "time", SimpleNamespace(time=lambda: clock.now))
-
-        class Killed(Exception):
-            pass
-
-        def timed(tr, kill_at=None):
-            """Every step takes 10 fake seconds; ``kill_at`` dies before it."""
-            for name in ("bri_step", "mdd_step"):
-                def step(it, batch=None, orig=getattr(tr, name), stage=name[:3]):
-                    if (stage, it) == kill_at:
-                        raise Killed
-                    clock.now += 10.0
-                    return orig(it, batch)
-                setattr(tr, name, step)
-            return tr
-
+        monkeypatch.setattr(training, "time", SimpleNamespace(monotonic=lambda: clock.now))
         out = tmp_path / "run"
         # a checkpoint after every step: the kill loses no finished step
         with pytest.raises(Killed):
-            timed(tiny_trainer(tiny_dataset), kill_at=("bri", 4)).run(out)
-        info = timed(tiny_trainer(tiny_dataset)).run(out, resume=True)
+            timed(tiny_trainer(tiny_dataset), clock, kill_at=("bri", 4)).run(out)
+        info = timed(tiny_trainer(tiny_dataset), clock).run(out, resume=True)
+        assert info["timings"] == {"bri_seconds": 60.0, "mdd_seconds": 40.0,
+                                   "total_seconds": 100.0}
+
+    def test_wall_clock_set_back_mid_stage_still_resumes(self, tiny_dataset, tmp_path,
+                                                          monkeypatch):
+        # the wall clock goes back an hour during BRI step 2: stage seconds
+        # taken from it went negative, were checkpointed, and the resume
+        # refused the run's own checkpoint
+        from types import SimpleNamespace
+        from moblurf import training
+        clock = SimpleNamespace(now=0.0)
+        monkeypatch.setattr(training, "time", SimpleNamespace(
+            monotonic=lambda: clock.now,
+            time=lambda: clock.now - 3600.0 * (clock.now >= 30.0)))
+        out = tmp_path / "run"
+        with pytest.raises(Killed):
+            timed(tiny_trainer(tiny_dataset), clock, kill_at=("bri", 4)).run(out)
+        info = timed(tiny_trainer(tiny_dataset), clock).run(out, resume=True)
         assert info["timings"] == {"bri_seconds": 60.0, "mdd_seconds": 40.0,
                                    "total_seconds": 100.0}
 
     def test_resumed_log_matches_uninterrupted_log(self, tiny_dataset, tmp_path):
-        class Killed(Exception):
-            pass
-
         def trainer(kill_at=None):
             tr = tiny_trainer(tiny_dataset, seed=5, log_every=1,
                               checkpoint_fraction=0.5)
             orig = tr.bri_step
 
-            def step(it, batch=None):
+            def step(it):
                 if it == kill_at:
                     raise Killed
-                return orig(it, batch)
+                return orig(it)
             tr.bri_step = step
             return tr
 
