@@ -1,5 +1,11 @@
 """Reverse-mode automatic differentiation over dense float64 arrays.
 
+Every value an op returns is float64, and every operand is coerced to it,
+but for one case: :func:`mlp` runs its products in the dtype of its
+weights, float32 when inference hands it float32 copies of a field's
+weights, and still returns a float64 value. Training's parameter leaves
+are always float64, so training never runs in float32.
+
 Every op below is polymorphic, and one rule, in :func:`_make`, decides
 what it returns: a :class:`Node` that remembers how to push gradients back
 to its parents when at least one operand is a Node, the plain ndarray
@@ -69,6 +75,12 @@ class Node:
 def value_of(x) -> np.ndarray:
     """Underlying ndarray of a Node, or the input coerced to float64."""
     return x.value if isinstance(x, Node) else _arr(x)
+
+
+def _weight(w) -> np.ndarray:
+    """An :func:`mlp` weight's array: a float32 array as it is, anything
+    else as :func:`value_of` gives it."""
+    return w if getattr(w, "dtype", None) == np.float32 else value_of(w)
 
 
 def _unbroadcast(g: np.ndarray, shape) -> np.ndarray:
@@ -174,8 +186,9 @@ class _Stack:
                  acted_out: bool):
         self.n = n
         self.acted = [True] * (len(layers) - 1) + [acted_out]
-        self.ws = [value_of(w) for w, _ in layers]
-        self.bs = [value_of(b) for _, b in layers]
+        self.ws = [_weight(w) for w, _ in layers]
+        self.bs = [_weight(b) for _, b in layers]
+        self.dtype = self.ws[0].dtype
         self.operands = [p for pair in layers for p in pair]
         self.uv = None if u is None else value_of(u)
         self.k = 1
@@ -197,7 +210,7 @@ class _Stack:
         self.wins = list(self.ws)
         if self.uv is not None:
             self.wins[0], self.w_u = np.split(self.ws[0], [fan_in])
-            self.per_ray = self.uv @ self.w_u
+            self.per_ray = self.uv.astype(self.dtype, copy=False) @ self.w_u
             self.per_ray += self.bs[0]
 
     def allocate(self, graph: bool, span: int, out_rows: int) -> None:
@@ -207,7 +220,7 @@ class _Stack:
         self.span, last = span, len(self.ws) - 1
         # post[i] is layer i's output, its relu applied in place
         self.post = [np.empty((out_rows if i == last else self.n if graph else span,
-                               w.shape[1])) for i, w in enumerate(self.ws)]
+                               w.shape[1]), self.dtype) for i, w in enumerate(self.ws)]
         # each bias as a block of rows: a contiguous add instead of a
         # broadcast one, with the same bits; the per-ray first layer adds its
         # own
@@ -328,6 +341,12 @@ def mlp(x, layers, *, u=None, k: int = 1, heads=()):
     their outputs side by side, in order; the stack's own last layer, its
     relu applied, is hidden.
 
+    The products run in the dtype of the weights: float32 weights (plain
+    arrays; a Node's value is float64) give float32 layer buffers and bias
+    tiles, and each block's input, and ``u`` once, is cast to float32; the
+    value is float64 either way. All weights of all stacks must share one
+    dtype, or the call raises TypeError.
+
     The layers run in blocks of about :data:`BLOCK` rows of whole rays of
     every ``k``, each block through all of them, the heads and the output
     layers too, while it stays in cache; each bias is added from a block of
@@ -360,6 +379,9 @@ def mlp(x, layers, *, u=None, k: int = 1, heads=()):
     heads = [_Stack(f"mlp: head {j}", *head, trunk.width, n, False)
              for j, head in enumerate(heads)]
     stacks = [trunk, *heads]
+    dtypes = {a.dtype for s in stacks for a in (*s.ws, *s.bs)}
+    if len(dtypes) > 1:
+        raise TypeError(f"mlp: weights mix dtypes {sorted(map(str, dtypes))}")
     operands = [x, *(p for s in stacks for p in s.operands)]
     graph = any(isinstance(p, Node) for p in operands)
     blocks = _row_blocks(n, math.lcm(*(s.k for s in stacks)))
@@ -374,9 +396,10 @@ def mlp(x, layers, *, u=None, k: int = 1, heads=()):
     value = np.empty((n, ends[-1])) if heads else trunk.post[-1]
 
     for lo, hi in blocks:
-        h = trunk.forward(xv[lo:hi], lo, hi)
+        h = trunk.forward(xv[lo:hi].astype(trunk.dtype, copy=False), lo, hi)
         for head, c in zip(heads, cols):
             value[lo:hi, c] = head.forward(h, lo, hi)
+    value = value.astype(np.float64, copy=False)
     # what only the forward reads is not kept for the gradient
     for s in stacks:
         s.tiles = s.per_ray = None

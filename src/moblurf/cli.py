@@ -159,7 +159,9 @@ def cmd_render(args) -> int:
         write_depth_raw(out / "kappa" / f"{name}.raw", res["kappa"])
     timestamps = [res["t"] for res in frames]
     with open(out / "render_meta.json", "w") as f:
-        json.dump({"timestamps": timestamps, "pose_source": args.pose_source,
+        json.dump({"timestamps": timestamps,
+                   "render_seconds": [round(res["seconds"], 4) for res in frames],
+                   "pose_source": args.pose_source,
                    "checkpoint": str(args.checkpoint)}, f, indent=2)
     write_manifest(out / "manifest.json", "render", config.get("seed", 0),
                    {"config": config, "checkpoint": str(args.checkpoint),

@@ -2,10 +2,14 @@
 
 Inference casts one ray per pixel, samples deterministic segment midpoints,
 and composites the probabilistic full color. No blur averaging happens
-here; the blur model exists only to explain the training data.
+here; the blur model exists only to explain the training data. The two
+fields' MLPs run on float32 copies of their weights, made once per frame;
+everything else runs in float64, as in training.
 """
 
 from __future__ import annotations
+
+import time
 
 import numpy as np
 
@@ -16,9 +20,11 @@ from .training import NumericalError
 
 # rays per render pass: bounds the rows evaluated at once. 256 rays x 32
 # samples = 8192 rows; of each field only its heads' outputs span them all
-# (5 columns), and every layer of its trunk and heads lives in one buffer
-# of autodiff.BLOCK rows. The encoded samples span them too (3.3 MiB). The
-# size also decides whether a chunk's arrays fit the holes that freed
+# (up to 5 float64 columns, 320 KiB), and every layer of its trunk and
+# heads lives in one float32 buffer of autodiff.BLOCK rows (128 KiB at
+# width 64), beside its block's input cast to float32 (102 KiB at width
+# 51). The float64 encoded samples span them too (3.3 MiB). The size
+# also decides whether a chunk's arrays fit the holes that freed
 # arrays leave in the heap: perfbench's infer-frame, which frees one
 # set-up's dataset after building the next, read 97.3 or 103.7 MB at 512
 # rays, by code layout alone, and 92.0-93.2 MB at 256 in every layout
@@ -35,7 +41,8 @@ def render_frames(model: SceneModel, dataset, timestamps=None, poses=None, *,
     frame when it lists none. ``poses`` (indexed by time) gives the cameras;
     ``None`` renders along the trained base rays. Every index is checked
     before any frame renders. Returns one ``infer_frame`` dict per frame,
-    with its time index under ``t``.
+    with its time index under ``t`` and its render's wall seconds, taken
+    with ``time.perf_counter``, under ``seconds``.
     """
     if model.config.n_frames != dataset.n_frames:
         raise ValueError(f"model built for {model.config.n_frames} frames, "
@@ -50,9 +57,12 @@ def render_frames(model: SceneModel, dataset, timestamps=None, poses=None, *,
         if not 0 <= t < limit:
             raise IndexError(f"time index {t} outside trained range [0, {limit})")
     h, w = dataset.shape
-    return [{"t": t, **render(model, poses[t], t, h, w, dataset.near, dataset.far,
-                              n_samples)}
-            for t in timestamps]
+    frames = []
+    for t in timestamps:
+        start = time.perf_counter()
+        frame = render(model, poses[t], t, h, w, dataset.near, dataset.far, n_samples)
+        frames.append({"t": t, **frame, "seconds": time.perf_counter() - start})
+    return frames
 
 
 def infer_frame(model: SceneModel, pose: CameraPose, t: int, height: int,
@@ -88,9 +98,15 @@ def _render_frame(model: SceneModel, pose: CameraPose, t: int, height: int,
     # forward only: with every group frozen the fields and the base screws
     # are plain arrays, so no graph is built
     store = model.store
-    frozen = store.frozen
+    frozen, values = store.frozen, store.values
     store.set_frozen_groups(set(store.groups()))
     try:
+        # the two fields' MLP weights as float32 copies, so their products
+        # run in float32 (see autodiff.mlp); the GLO codes, the screws and
+        # all else stay float64
+        store.values = {**values, **{name: v.astype(np.float32)
+                                     for name, v in values.items()
+                                     if name.startswith(("static.", "dynamic."))}}
         if base_rays:
             rays = rays.warp(*model.base_screws(rays.t))
         for start in range(0, len(rays), CHUNK):
@@ -100,6 +116,7 @@ def _render_frame(model: SceneModel, pose: CameraPose, t: int, height: int,
             p_dy[rows] = res.p_dy
             kappa[rows] = res.kappa_star
     finally:
+        store.values = values
         store.set_frozen_groups(frozen)
     if not np.all(np.isfinite(rgb)):
         raise NumericalError(f"non-finite pixels in the render of frame {t}")

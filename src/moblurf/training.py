@@ -285,14 +285,16 @@ class Trainer:
         final checkpoint's path (None in memory) and the stage timings."""
         cfg = self.config
         out = None if out_dir is None else Path(out_dir)
-        start_stage, start_iter = "bri", 0
+        start_stage, start_iter, log_mode = "bri", 0, "w"
         if out is not None:
             out.mkdir(parents=True, exist_ok=True)
             ckpt = out / "checkpoint_latest.ckpt"
+            # without a checkpoint the run starts over, and so does its log
             if resume and ckpt.exists():
                 start_stage, start_iter = self._resume(ckpt)
+                log_mode = "a"
         with (contextlib.nullcontext() if out is None
-              else open(out / "train_log.txt", "a" if resume else "w")) as log:
+              else open(out / "train_log.txt", log_mode)) as log:
             if start_stage == "bri":
                 self._stage_loop("bri", cfg.bri_iters, start_iter, out, log, progress)
                 self._save(out, "checkpoint_bri.ckpt", "bri", cfg.bri_iters - 1)

@@ -386,6 +386,32 @@ def test_mlp_head_shape_error():
         ad.mlp(x, trunk, heads=[(heads[0][0], heads[0][1][:-1], HEAD_K)])
 
 
+def _float32(layers):
+    return [(w.astype(np.float32), b.astype(np.float32)) for w, b in layers]
+
+
+@pytest.mark.parametrize("with_heads", [False, True], ids=["stack", "field"])
+def test_mlp_runs_in_its_weights_dtype(with_heads):
+    # float32 weights run the products in float32; the value is float64
+    x, u, trunk, heads, _ = _field_inputs(True)
+    heads = heads if with_heads else []
+    ref = ad.mlp(x, trunk, u=u, k=HEAD_K, heads=heads)
+    got = ad.mlp(x, _float32(trunk), u=u, k=HEAD_K,
+                 heads=[(_float32(ls), hu, hk) for ls, hu, hk in heads])
+    assert got.dtype == np.float64 and got.shape == ref.shape
+    assert not np.array_equal(got, ref)
+    assert np.abs(got - ref).max() <= 1e-5 * np.abs(ref).max()
+
+
+def test_mlp_rejects_weights_of_mixed_dtypes():
+    x, u, trunk, heads, _ = _field_inputs(False)
+    with pytest.raises(TypeError, match="mix dtypes"):
+        ad.mlp(x, _float32(trunk), heads=heads)
+    (w, b), *rest = trunk
+    with pytest.raises(TypeError, match="mix dtypes"):
+        ad.mlp(x, [(w.astype(np.float32), b), *rest])
+
+
 def test_backward_rejects_nonscalar_root():
     x = ad.Node(np.zeros(3))
     with pytest.raises(ad.NonScalarRoot):

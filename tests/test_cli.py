@@ -276,6 +276,11 @@ class TestRender:
             assert (out / "rgb" / f"{t:04d}.png").exists()
             assert (out / "mask" / f"{t:04d}.png").exists()
             assert (out / "p_dy" / f"{t:04d}.raw").exists()
+        # each frame's render seconds, in timestamp order
+        meta = json.loads((out / "render_meta.json").read_text())
+        assert meta["timestamps"] == [1, 5]
+        assert len(meta["render_seconds"]) == 2
+        assert all(type(s) is float and 0 < s < 60 for s in meta["render_seconds"])
 
     def test_train_pose_render(self, tmp_path, dataset_dir, trained_dir):
         out = tmp_path / "frames"

@@ -11,13 +11,13 @@ import moblurf
 from moblurf import autodiff as ad
 from moblurf import inference
 from moblurf.cameras import CameraPose, rays_for_frame
-from moblurf.config import TrainConfig
+from moblurf.config import TrainConfig, resolve_config
 from moblurf.data import synthesize_dataset
 from moblurf.fields import FieldConfig, SceneModel
 from moblurf.inference import CHUNK, infer_frame, infer_frame_base_rays, render_frames
 from moblurf.render import render_rays
 from moblurf.scene import build_preset, static_scene
-from moblurf.training import NumericalError
+from moblurf.training import NumericalError, Trainer
 
 # more pixels than one render pass takes, so frames span two chunks
 HEIGHT, WIDTH = 40, 112
@@ -48,14 +48,18 @@ def test_zero_base_screws_match_plain_inference():
 
 
 def test_chunks_match_one_pass():
+    # a frame runs the fields' MLPs in float32, the one pass here in
+    # float64: float32 rounding (6e-8 relative per operation) moves the
+    # frame's colours by 6.7e-8 at most, so 1e-6 leaves headroom and still
+    # fails a chunk rendered wrong
     model = tiny_model(seed=1)
     out = infer_frame(model, pose(), 2, HEIGHT, WIDTH, 1.0, 5.0, 8)
     model.store.begin_step()
     whole = render_rays(model, rays_for_frame(pose(), 2, HEIGHT, WIDTH, 1.0, 5.0),
                         8, rng=None)
     rgb = ad.value_of(whole.color_full).reshape(HEIGHT, WIDTH, 3)
-    assert np.abs(out["rgb"] - rgb).max() < 1e-12
-    assert np.abs(out["p_dy"] - whole.p_dy.reshape(HEIGHT, WIDTH)).max() < 1e-12
+    assert np.abs(out["rgb"] - rgb).max() < 1e-6
+    assert np.abs(out["p_dy"] - whole.p_dy.reshape(HEIGHT, WIDTH)).max() < 1e-6
 
 
 @pytest.mark.parametrize("fn, frozen", [
@@ -77,6 +81,41 @@ def test_frame_rendering_builds_no_graph(fn, frozen, monkeypatch):
     # the caller's freeze set is back for the next training step
     assert model.store.frozen == frozen
     assert isinstance(model.store.leaf("glo"), ad.Node)
+
+
+@pytest.mark.parametrize("fails", [False, True], ids=["renders", "fails"])
+def test_frame_leaves_the_store_as_it_was(fails, monkeypatch):
+    # the fields run on float32 copies of their weights for one frame: the
+    # store keeps its own float64 arrays, rendered or not
+    model = tiny_model()
+    store = model.store
+    values, digest = dict(store.values), store.checksum()
+    if fails:
+        def broken(*args, **kwargs):
+            raise MemoryError
+
+        monkeypatch.setattr(inference, "render_rays", broken)
+        with pytest.raises(MemoryError):
+            infer_frame(model, pose(), 1, HEIGHT, WIDTH, 1.0, 5.0, 8)
+    else:
+        infer_frame(model, pose(), 1, HEIGHT, WIDTH, 1.0, 5.0, 8)
+    assert store.values.keys() == values.keys()
+    assert all(store.values[name] is v for name, v in values.items())
+    assert all(v.dtype == np.float64 for v in store.values.values())
+    assert store.checksum() == digest
+
+
+def test_training_step_after_a_frame_keeps_its_bits():
+    ds = tiny_dataset()
+    cfg = resolve_config("desk", overrides=dict(
+        seed=4, batch_size=24, n_samples=8, n_latent=2, trunk_depth=2,
+        trunk_width=16, rgb_width=8, local_depth=2, local_width=8, ray_samples=8))
+    plain, rendered = Trainer(cfg, ds), Trainer(cfg, ds)
+    render_frames(rendered.model, ds, [1], n_samples=8)
+    for it in range(2):
+        assert plain.bri_step(it) == rendered.bri_step(it)
+    assert plain.mdd_step(0) == rendered.mdd_step(0)
+    assert plain.model.store.checksum() == rendered.model.store.checksum()
 
 
 @pytest.mark.parametrize("fn", [infer_frame, infer_frame_base_rays])

@@ -584,6 +584,18 @@ class TestRunAndResume:
         assert (out / "train_log.txt").read_bytes() == \
             (tmp_path / "ref" / "train_log.txt").read_bytes()
 
+    def test_resume_without_checkpoint_starts_the_log_over(self, tiny_dataset,
+                                                            tmp_path):
+        # a run killed before its first checkpoint leaves a log and nothing
+        # to resume from: the resumed run is a fresh one, log and all
+        tiny_trainer(tiny_dataset, seed=5).run(tmp_path / "ref")
+        out = tmp_path / "run"
+        out.mkdir()
+        (out / "train_log.txt").write_text("it=0 stage=bri killed\n")
+        tiny_trainer(tiny_dataset, seed=5).run(out, resume=True)
+        assert (out / "train_log.txt").read_bytes() == \
+            (tmp_path / "ref" / "train_log.txt").read_bytes()
+
     def test_nan_parameter_aborts_with_breakdown(self, tiny_dataset):
         tr = tiny_trainer(tiny_dataset)
         tr.model.store.values["static.trunk.0.w"][0, 0] = np.nan
