@@ -25,8 +25,8 @@ They are reported under "ablations" and never change the verdict.
 
 The verdict, every measured value and the stage wall times go to
 `BENCH_acceptance.json` at the repo root; the exit code is 0 only when
-every check passes. A full run takes about 12 minutes on two cores, twice
-that with `--ablations`.
+every check passes. A full run takes about 8 minutes on two cores, about
+12.5 with `--ablations`; the host's speed moves both by up to 1.7x.
 """
 
 from __future__ import annotations

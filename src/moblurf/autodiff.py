@@ -1,10 +1,11 @@
 """Reverse-mode automatic differentiation over dense float64 arrays.
 
 Every value an op returns is float64, and every operand is coerced to it,
-but for one case: :func:`mlp` runs its products in the dtype of its
-weights, float32 when inference hands it float32 copies of a field's
-weights, and still returns a float64 value. Training's parameter leaves
-are always float64, so training never runs in float32.
+but for one case: :func:`mlp` runs its products, forward and backward, in
+the dtype of its weights, float32 for the copies of a field's weights that
+``ParamStore.leaf`` hands out in training and inference alike, and still
+returns a float64 value and float64 gradients. A leaf :class:`Node` may
+therefore hold a float32 value; only :func:`mlp` reads one.
 
 Every op below is polymorphic, and one rule, in :func:`_make`, decides
 what it returns: a :class:`Node` that remembers how to push gradients back
@@ -60,7 +61,9 @@ class Node:
     __slots__ = ("value", "grad", "parents")
 
     def __init__(self, value, parents=()):
-        self.value = _arr(value)
+        # a float32 array stays float32: a field weight's leaf, which only
+        # :func:`mlp` reads (see ParamStore.leaf)
+        self.value = value if _is_float32(value) else _arr(value)
         self.grad = None
         self.parents = parents
 
@@ -77,10 +80,15 @@ def value_of(x) -> np.ndarray:
     return x.value if isinstance(x, Node) else _arr(x)
 
 
+def _is_float32(x) -> bool:
+    return getattr(x, "dtype", None) == np.float32
+
+
 def _weight(w) -> np.ndarray:
-    """An :func:`mlp` weight's array: a float32 array as it is, anything
-    else as :func:`value_of` gives it."""
-    return w if getattr(w, "dtype", None) == np.float32 else value_of(w)
+    """An :func:`mlp` weight's array, of a Node or a plain array: float32 as
+    it is, anything else as :func:`value_of` gives it."""
+    v = w.value if isinstance(w, Node) else w
+    return v if _is_float32(v) else _arr(v)
 
 
 def _unbroadcast(g: np.ndarray, shape) -> np.ndarray:
@@ -252,8 +260,10 @@ class _Stack:
         # the gradient goes down to the lowest layer with a wanted operand
         self.lowest = (0 if want_in or self.uv is not None and want[-1]
                        else want.index(True) // 2)
-        self.dws = [np.zeros_like(w) if t else None for w, t in zip(self.ws, want[::2])]
-        self.dbs = [np.zeros_like(b) if t else None for b, t in zip(self.bs, want[1::2])]
+        # float64 sums of float32 block products: the rounding does not grow
+        # with the number of blocks, and Adam reads them as they are
+        self.dws = [np.zeros(w.shape) if t else None for w, t in zip(self.ws, want[::2])]
+        self.dbs = [np.zeros(b.shape) if t else None for b, t in zip(self.bs, want[1::2])]
         # the rows of each dw that the input rows reach, as views
         self.dwins = [d if d is None else d[:len(w)] for d, w in zip(self.dws, self.wins)]
         # the first layer's gradient summed over each ray's rows
@@ -261,7 +271,7 @@ class _Stack:
                       if self.uv is not None and self.lowest == 0 else None)
         # a block's bias gradient is a product with ones: one BLAS call, where
         # a NumPy sum over the rows loops over them one at a time
-        self.ones = np.ones(self.span)
+        self.ones = np.ones(self.span, self.dtype)
         # each weight transposed for g @ w.T; a one-column weight as its row
         # tiled to a block: each entry of the product is one product then,
         # and a multiply by the tile gives its bits without a BLAS call of
@@ -292,7 +302,8 @@ class _Stack:
                 else:
                     gz, owned = gz * slope, True
             if self.dwins[i] is not None:
-                self.dwins[i] += (h_in if i == 0 else self.post[i - 1][lo:hi]).T @ gz
+                h = h_in.astype(self.dtype, copy=False) if i == 0 else self.post[i - 1][lo:hi]
+                self.dwins[i] += h.T @ gz
             if i == 0 and self.d_ray is not None:
                 self.d_ray[lo // k:hi // k] = gz.reshape(-1, k, gz.shape[1]).sum(axis=1)
             elif self.dbs[i] is not None:
@@ -342,10 +353,14 @@ def mlp(x, layers, *, u=None, k: int = 1, heads=()):
     relu applied, is hidden.
 
     The products run in the dtype of the weights: float32 weights (plain
-    arrays; a Node's value is float64) give float32 layer buffers and bias
-    tiles, and each block's input, and ``u`` once, is cast to float32; the
-    value is float64 either way. All weights of all stacks must share one
-    dtype, or the call raises TypeError.
+    arrays or leaf Nodes) give float32 layer buffers and bias tiles, and
+    each block's input, and ``u`` once, is cast to float32; the value is
+    float64 either way. The backward does the same: each block of the
+    output gradient is cast to float32, and the heads' buffers, the scratch
+    blocks and the bias ones-vector are float32. x's and u's gradients are
+    float64, and so are the weights' and biases', summed block by block in
+    float64 from float32 block products. All weights of all stacks must
+    share one dtype, or the call raises TypeError.
 
     The layers run in blocks of about :data:`BLOCK` rows of whole rays of
     every ``k``, each block through all of them, the heads and the output
@@ -412,14 +427,18 @@ def mlp(x, layers, *, u=None, k: int = 1, heads=()):
         wants = [want[a:b] for a, b in zip(at[:-1], at[1:])]
         deep = trunk.begin_gradients(want[0], wants[0])
         heads_on = [h.begin_gradients(deep, w) for h, w in zip(heads, wants[1:])]
-        dx = (np.empty(xv.shape) if into is None else into) if want[0] else None
-        # with ``into``, each block's product is made here, then added in
-        scratch = None if into is None else np.empty((span, xv.shape[1]))
+        dt = trunk.dtype
+        dx = scratch = None
+        if want[0]:
+            # each block's product is made here, in the weights' dtype, then
+            # added into x's float64 gradient
+            scratch = np.empty((span, xv.shape[1]), dt)
+            dx = np.zeros(xv.shape) if into is None else into
         # a block of the stack's output gradient, the scratch its sums use,
         # and each head's output gradient, copied out of g's columns
-        g_out = np.empty((span, trunk.width)) if heads and deep else None
+        g_out = np.empty((span, trunk.width), dt) if heads and deep else None
         g_sum = np.empty_like(g_out) if len(heads) > 1 and deep else None
-        g_heads = [np.empty((span, h.width)) for h in heads]
+        g_heads = [np.empty((span, h.width), dt) for h in heads]
         for lo, hi in blocks:
             m = hi - lo
             if heads:
@@ -432,7 +451,8 @@ def mlp(x, layers, *, u=None, k: int = 1, heads=()):
                                       g_sum[:m] if j and d_in is not None else None)
                 gz, owned = d_in, True
             else:
-                gz, owned = g[lo:hi], False
+                gz, owned = ((g[lo:hi], False) if g.dtype == dt
+                             else (g[lo:hi].astype(dt), True))
             if deep:
                 trunk.backward(gz, owned, lo, hi, xv[lo:hi],
                                None if dx is None else dx[lo:hi],

@@ -329,6 +329,8 @@ def check_full_loss(kind: str, seed: int = 0) -> CheckResult:
     trainer = _tiny_trainer(seed)
     batch = trainer.sample_batch()
     store = trainer.model.store
+    # central differences at h = 1e-6 need float64 losses
+    store.field_dtype = np.float64
     store.set_frozen_groups(frozen)
     extra = {}
     if kind == "mdd":   # every other ray dynamic: the local refinement runs

@@ -2,9 +2,10 @@
 
 Inference casts one ray per pixel, samples deterministic segment midpoints,
 and composites the probabilistic full color. No blur averaging happens
-here; the blur model exists only to explain the training data. The two
-fields' MLPs run on float32 copies of their weights, made once per frame;
-everything else runs in float64, as in training.
+here; the blur model exists only to explain the training data. As in
+training, the two fields' MLPs run on the float32 copies of their weights
+that ``ParamStore.leaf`` hands out, made once per frame, and everything
+else runs in float64.
 """
 
 from __future__ import annotations
@@ -21,9 +22,10 @@ from .training import NumericalError
 # rays per render pass: bounds the rows evaluated at once. 256 rays x 32
 # samples = 8192 rows; of each field only its heads' outputs span them all
 # (up to 5 float64 columns, 320 KiB), and every layer of its trunk and
-# heads lives in one float32 buffer of autodiff.BLOCK rows (128 KiB at
-# width 64), beside its block's input cast to float32 (102 KiB at width
-# 51). The float64 encoded samples span them too (3.3 MiB). The size
+# heads, run on the weights' float32 copies, lives in one float32 buffer of
+# autodiff.BLOCK rows (128 KiB at width 64), beside its block's input cast
+# to float32 (102 KiB at width 51). The float64 encoded samples span them
+# too (3.3 MiB). The size
 # also decides whether a chunk's arrays fit the holes that freed
 # arrays leave in the heap: perfbench's infer-frame, which frees one
 # set-up's dataset after building the next, read 97.3 or 103.7 MB at 512
@@ -96,17 +98,13 @@ def _render_frame(model: SceneModel, pose: CameraPose, t: int, height: int,
     p_dy = np.empty(height * width)
     kappa = np.empty(height * width)
     # forward only: with every group frozen the fields and the base screws
-    # are plain arrays, so no graph is built
+    # are plain arrays, so no graph is built. The fields' MLP weights are
+    # float32 copies (ParamStore.leaf), made at the first chunk and kept
+    # for the others; restoring the freeze set drops them
     store = model.store
-    frozen, values = store.frozen, store.values
+    frozen = store.frozen
     store.set_frozen_groups(set(store.groups()))
     try:
-        # the two fields' MLP weights as float32 copies, so their products
-        # run in float32 (see autodiff.mlp); the GLO codes, the screws and
-        # all else stay float64
-        store.values = {**values, **{name: v.astype(np.float32)
-                                     for name, v in values.items()
-                                     if name.startswith(("static.", "dynamic."))}}
         if base_rays:
             rays = rays.warp(*model.base_screws(rays.t))
         for start in range(0, len(rays), CHUNK):
@@ -116,7 +114,6 @@ def _render_frame(model: SceneModel, pose: CameraPose, t: int, height: int,
             p_dy[rows] = res.p_dy
             kappa[rows] = res.kappa_star
     finally:
-        store.values = values
         store.set_frozen_groups(frozen)
     if not np.all(np.isfinite(rgb)):
         raise NumericalError(f"non-finite pixels in the render of frame {t}")

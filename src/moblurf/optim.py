@@ -22,10 +22,22 @@ class ParamStore:
     node per parameter per step, so reuse of the same parameter in several
     places accumulates gradients through graph fan-out, and that leaf is
     where ``backward`` leaves the parameter's gradient (``grad(name)``). A
-    frozen group's parameters are constants: ``leaf`` hands out the plain
+    frozen group's parameters are constants: ``leaf`` hands out plain
     arrays, and what is computed from them and from data alone builds no
     graph.
+
+    The two fields' MLP weights (``static.*``, ``dynamic.*``) are handed out
+    as copies in :attr:`field_dtype`, made on a step's first ``leaf`` call.
+    Their gradients, Adam's state and the checkpoints stay float64, and so
+    does every other parameter, ``local.mlp`` too: it is a small share of a
+    step, and its output warps rays.
     """
+
+    # the dtype of the field MLP weights that ``leaf`` hands out: float32
+    # (see autodiff.mlp); float64 where a check needs float64 arithmetic
+    # end to end (gradcheck's stage losses, tests of float64 identities).
+    # A change takes effect at the next ``begin_step``
+    field_dtype = np.float32
 
     def __init__(self):
         self.values: dict[str, np.ndarray] = {}
@@ -34,7 +46,7 @@ class ParamStore:
         self.adam_m: dict[str, np.ndarray] = {}
         self.adam_v: dict[str, np.ndarray] = {}
         self.adam_t: dict[str, int] = {}
-        self._leaves: dict[str, ad.Node] = {}
+        self._leaves: dict[str, ad.Node | np.ndarray] = {}
 
     def add(self, name: str, value, group: str) -> None:
         if name in self.values:
@@ -55,33 +67,40 @@ class ParamStore:
         return sorted(set(self.group_of.values()))
 
     def leaf(self, name: str) -> ad.Node | np.ndarray:
-        if self.is_frozen(name):
-            return self.values[name]
-        node = self._leaves.get(name)
-        if node is None:
-            node = self._leaves[name] = ad.Node(self.values[name])
-        return node
+        """This step's leaf of ``name``: a Node, or a plain array when its
+        group is frozen; a field MLP weight's is its copy in
+        :attr:`field_dtype`."""
+        got = self._leaves.get(name)
+        if got is None:
+            value = self.values[name]
+            if name.startswith(("static.", "dynamic.")):
+                value = value.astype(self.field_dtype, copy=False)
+            got = self._leaves[name] = value if self.is_frozen(name) else ad.Node(value)
+        return got
 
     def grad(self, name: str) -> np.ndarray:
-        """Gradient of the last ``backward`` at this step's leaf of ``name``;
-        zeros when no graph reached it."""
+        """Gradient of the last ``backward`` at this step's leaf of ``name``,
+        float64; zeros when no graph reached it."""
         node = self._leaves.get(name)
-        if node is None or node.grad is None:
+        if not isinstance(node, ad.Node) or node.grad is None:
             return np.zeros_like(self.values[name])
         return node.grad
 
     def begin_step(self) -> None:
-        """Drop cached leaves, and their gradients, so the next forward pass
-        sees current values."""
+        """Drop cached leaves, their copies and gradients, so the next forward
+        pass sees current values under the freeze set it runs with."""
         self._leaves = {}
 
     # freezing -------------------------------------------------------------
 
     def set_frozen_groups(self, frozen: set[str]) -> None:
+        """Freeze exactly the groups ``frozen``. Drops the cached leaves, as
+        ``begin_step`` does: a leaf is what its freeze set made it."""
         unknown = frozen - set(self.groups())
         if unknown:
             raise OptimError(f"unknown freeze groups {sorted(unknown)}")
         self.frozen = set(frozen)
+        self.begin_step()
 
     def is_frozen(self, name: str) -> bool:
         return self.group_of[name] in self.frozen

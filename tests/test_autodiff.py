@@ -403,6 +403,31 @@ def test_mlp_runs_in_its_weights_dtype(with_heads):
     assert np.abs(got - ref).max() <= 1e-5 * np.abs(ref).max()
 
 
+@pytest.mark.parametrize("with_heads", [False, True], ids=["stack", "field"])
+def test_mlp_float32_weight_nodes_give_float64_gradients(with_heads):
+    # float32 weight Nodes, as a training step's field leaves: the backward
+    # runs its products in float32, and every gradient, of x, of u and of
+    # the weights, is float64 and within 1e-5 of the float64 call's. x
+    # reaches two calls, so the second adds its gradient into the first's
+    x, u, trunk, heads, gs = _field_inputs(True)
+    heads = heads if with_heads else []
+    g = np.hstack(gs) if with_heads else np.random.default_rng(3).normal(size=(len(x), 16))
+
+    def gradients(cast):
+        ops = _as_nodes(x, u, cast(trunk), [(cast(ls), hu, hk) for ls, hu, hk in heads])
+        outs = [ad.mlp(ops[0], ops[2], u=ops[1], k=HEAD_K, heads=ops[3]) for _ in range(2)]
+        assert all(o.value.dtype == np.float64 for o in outs)
+        ad.backward(ad.add(ad.sum_(ad.mul(outs[0], g)), ad.sum_(ad.mul(outs[1], -0.5 * g))))
+        return [p.grad for p in _leaves(*ops)]
+
+    want = gradients(lambda ls: ls)
+    got = gradients(_float32)
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert a.dtype == np.float64 and a.shape == b.shape
+        assert 0 < np.linalg.norm(a - b) <= 1e-5 * np.linalg.norm(b)
+
+
 def test_mlp_rejects_weights_of_mixed_dtypes():
     x, u, trunk, heads, _ = _field_inputs(False)
     with pytest.raises(TypeError, match="mix dtypes"):

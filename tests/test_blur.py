@@ -256,6 +256,9 @@ class TestBlurryRender:
         model = tiny_model(n_latent=2, seed=3)
         rng = np.random.default_rng(25)
         store = model.store
+        # float64 fields: the two renders evaluate the same rows in other row
+        # blocks, which may round apart in the last place; 1e-12 is a float64 bound
+        store.field_dtype = np.float64
         store.values["screw.global"][:] = rng.normal(0.0, 0.05, store.values["screw.global"].shape)
         for name in store.names("static") + store.names("dynamic"):
             store.values[name] += rng.normal(0.0, 0.2, store.values[name].shape)

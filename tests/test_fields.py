@@ -120,6 +120,8 @@ class TestMlp:
     def test_forward_matches_dense_arithmetic_bitwise(self):
         model = tiny_model()
         store = model.store
+        # float64 weights, as in the float64 reference
+        store.field_dtype = np.float64
         x = np.random.default_rng(3).normal(size=(50, model.config.pos_dim))
         ref = x
         for i in range(model.static_trunk.n_layers):

@@ -15,6 +15,7 @@ from moblurf.config import TrainConfig, resolve_config
 from moblurf.data import synthesize_dataset
 from moblurf.fields import FieldConfig, SceneModel
 from moblurf.inference import CHUNK, infer_frame, infer_frame_base_rays, render_frames
+from moblurf.optim import ParamStore
 from moblurf.render import render_rays
 from moblurf.scene import build_preset, static_scene
 from moblurf.training import NumericalError, Trainer
@@ -48,18 +49,16 @@ def test_zero_base_screws_match_plain_inference():
 
 
 def test_chunks_match_one_pass():
-    # a frame runs the fields' MLPs in float32, the one pass here in
-    # float64: float32 rounding (6e-8 relative per operation) moves the
-    # frame's colours by 6.7e-8 at most, so 1e-6 leaves headroom and still
-    # fails a chunk rendered wrong
+    # the frame and the one pass here, a training forward pass, run the
+    # fields' MLPs on the same float32 copies of their weights
     model = tiny_model(seed=1)
     out = infer_frame(model, pose(), 2, HEIGHT, WIDTH, 1.0, 5.0, 8)
     model.store.begin_step()
     whole = render_rays(model, rays_for_frame(pose(), 2, HEIGHT, WIDTH, 1.0, 5.0),
                         8, rng=None)
     rgb = ad.value_of(whole.color_full).reshape(HEIGHT, WIDTH, 3)
-    assert np.abs(out["rgb"] - rgb).max() < 1e-6
-    assert np.abs(out["p_dy"] - whole.p_dy.reshape(HEIGHT, WIDTH)).max() < 1e-6
+    assert np.abs(out["rgb"] - rgb).max() < 1e-12
+    assert np.abs(out["p_dy"] - whole.p_dy.reshape(HEIGHT, WIDTH)).max() < 1e-12
 
 
 @pytest.mark.parametrize("fn, frozen", [
@@ -85,8 +84,8 @@ def test_frame_rendering_builds_no_graph(fn, frozen, monkeypatch):
 
 @pytest.mark.parametrize("fails", [False, True], ids=["renders", "fails"])
 def test_frame_leaves_the_store_as_it_was(fails, monkeypatch):
-    # the fields run on float32 copies of their weights for one frame: the
-    # store keeps its own float64 arrays, rendered or not
+    # the fields run on float32 copies of their weights, made for the
+    # frame: the store keeps its own float64 arrays, rendered or not
     model = tiny_model()
     store = model.store
     values, digest = dict(store.values), store.checksum()
@@ -103,6 +102,35 @@ def test_frame_leaves_the_store_as_it_was(fails, monkeypatch):
     assert all(store.values[name] is v for name, v in values.items())
     assert all(v.dtype == np.float64 for v in store.values.values())
     assert store.checksum() == digest
+
+
+def test_frame_makes_its_float32_copies_once(monkeypatch):
+    # one float32 copy of a field weight serves every chunk of a frame; the
+    # next frame makes its own, from the float64 weight as it is then
+    model = tiny_model()
+    store = model.store
+    seen = []
+    leaf = ParamStore.leaf
+
+    def spy(self, name):
+        got = leaf(self, name)
+        if name == "static.trunk.0.w":
+            seen.append(got)
+        return got
+
+    monkeypatch.setattr(ParamStore, "leaf", spy)
+    copies = []
+    for _ in range(2):
+        infer_frame(model, pose(), 1, HEIGHT, WIDTH, 1.0, 5.0, 8)
+        assert len(seen) >= -(-HEIGHT * WIDTH // CHUNK) >= 2
+        assert all(w is seen[0] for w in seen)
+        copies.append(seen[0])
+        seen.clear()
+        store.values["static.trunk.0.w"][0, 0] += 1.0
+    first, second = copies
+    assert type(first) is np.ndarray and first.dtype == np.float32
+    assert second[0, 0] == np.float32(store.values["static.trunk.0.w"][0, 0] - 1.0)
+    assert second[0, 0] != first[0, 0]
 
 
 def test_training_step_after_a_frame_keeps_its_bits():

@@ -1,6 +1,12 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import moblurf
 from moblurf import autodiff as ad
 from moblurf import blur, se3, training
 from moblurf import losses as L
@@ -186,6 +192,9 @@ def _mdd_gradients(tr, batch, mask, rng_state, backward):
 class TestLocalGeometrySubset:
     def test_subset_matches_every_neighbour_rendered(self, tiny_dataset, monkeypatch):
         tr = tiny_trainer(tiny_dataset)
+        # float64 fields: the two lg paths evaluate the same rows in other row
+        # blocks, which may round apart in the last place; 1e-12 is a float64 bound
+        tr.model.store.field_dtype = np.float64
         for it in range(2):
             tr.bri_step(it)
         batch = tr.sample_batch()
@@ -369,9 +378,11 @@ def test_mdd_loss_matches_finite_differences_off_the_no_op(monkeypatch):
     # the latent proposal grid held where the unperturbed render put it
     from moblurf import gradcheck as gc
     tr = gc._tiny_trainer(4)
+    store = tr.model.store
+    # central differences at h = 1e-6 need float64 losses
+    store.field_dtype = np.float64
     for it in range(4):
         tr.bri_step(it)
-    store = tr.model.store
     rng = np.random.default_rng(5)
     store.values["screw.global"][:] = rng.normal(0.0, 0.05, store.values["screw.global"].shape)
     last = max(int(n.split(".")[2]) for n in store.names("local") if n.endswith(".w"))
@@ -628,3 +639,118 @@ class TestGradientOracleHooks:
         assert any(flagged)
         with wrong_gradients():
             assert not gc.check_full_loss("mdd", seed=2).passed
+
+
+# the first steps of a tiny run in a fresh process: its losses and weights
+FRESH_PROCESS_STEPS = """
+import numpy as np
+from moblurf.config import resolve_config
+from moblurf.data import synthesize_dataset
+from moblurf.scene import moving_quad_scene
+from moblurf.training import Trainer
+
+ds = synthesize_dataset(moving_quad_scene(size=24, n_frames=5), seed=3,
+                        preset_name="train-test")
+tr = Trainer(resolve_config("desk", overrides=dict(
+    seed=1, batch_size=24, n_samples=8, n_latent=2, trunk_depth=2, trunk_width=16,
+    rgb_width=8, local_depth=2, local_width=8, ray_samples=8)), ds)
+store = tr.model.store
+assert store.field_dtype == np.float32
+losses = [tr.bri_step(it).total for it in range(4)] + [tr.mdd_step(it).total for it in range(2)]
+print([float.hex(v) for v in losses], store.checksum())
+"""
+
+
+class TestFieldDtype:
+    """Training runs the fields' MLPs on float32 copies of float64 weights."""
+
+    def test_leaves_are_float32_copies_of_the_field_weights_alone(self, tiny_dataset):
+        store = tiny_trainer(tiny_dataset).model.store
+        store.begin_step()
+        for name in store.names():
+            leaf = store.leaf(name)
+            field = name.startswith(("static.", "dynamic."))
+            assert leaf.value.dtype == (np.float32 if field else np.float64), name
+            assert np.array_equal(leaf.value, store.values[name].astype(leaf.value.dtype))
+        # a frozen field weight is a plain float32 array, the same one all step
+        store.set_frozen_groups({"static"})
+        w = store.leaf("static.rgb.0.w")
+        assert type(w) is np.ndarray and w.dtype == np.float32
+        assert store.leaf("static.rgb.0.w") is w
+
+    @pytest.mark.parametrize("kind", ["bri_even", "bri_odd", "mdd"])
+    def test_float32_gradients_match_the_float64_step(self, tiny_dataset, kind):
+        # the same weights, batch and loss on both settings: float32 field
+        # products move every weight gradient by < 1e-6 of its norm on this
+        # model (5.1e-7 at most), so 1e-5 leaves headroom and still fails a
+        # gradient of the wrong layer or sign
+        frozen, method = STEPS[kind]
+        grads = {}
+        for dtype in (np.float64, np.float32):
+            tr = tiny_trainer(tiny_dataset)
+            store = tr.model.store
+            store.field_dtype = np.float64
+            for it in range(4):
+                tr.bri_step(it)
+            store.field_dtype = dtype
+            batch = tr.sample_batch()
+            extra = {}
+            if kind == "mdd":   # every other ray dynamic: the local MLP runs
+                extra["mask_override"] = (np.arange(len(batch.rays)) % 2).astype(np.int64)
+            store.set_frozen_groups(frozen)
+            loss, _ = getattr(tr, method)(batch, None, **extra)
+            ad.backward(loss)
+            grads[dtype] = {name: store.grad(name) for name in store.values}
+        reached = 0
+        for name, want in grads[np.float64].items():
+            got = grads[np.float32][name]
+            assert got.dtype == np.float64, name
+            assert np.linalg.norm(got - want) <= 1e-5 * np.linalg.norm(want), name
+            reached += name.startswith(("static.", "dynamic.")) and bool(want.any())
+        assert reached > 0
+
+    def test_master_weights_moments_and_checkpoint_stay_float64(self, tiny_dataset,
+                                                                tmp_path):
+        tr = tiny_trainer(tiny_dataset)
+        for it in range(2):
+            tr.bri_step(it)
+        tr.mdd_step(0)
+        store = tr.model.store
+        for table in (store.values, store.adam_m, store.adam_v):
+            assert all(v.dtype == np.float64 for v in table.values())
+        # the float64 weights and moments round-trip bit for bit
+        save_checkpoint(tmp_path / "m.ckpt", tr.model)
+        loaded, _ = load_checkpoint(tmp_path / "m.ckpt")
+        assert loaded.store.checksum() == store.checksum()
+        for name in store.values:
+            for table in ("values", "adam_m", "adam_v"):
+                got = getattr(loaded.store, table)[name]
+                assert got.dtype == np.float64
+                assert np.array_equal(got, getattr(store, table)[name]), (table, name)
+
+    @pytest.mark.parametrize("frozen", [set(), {"static"}], ids=["trains", "frozen"])
+    def test_in_place_write_reaches_the_next_step(self, tiny_dataset, frozen):
+        # the float32 copies are a step's: begin_step makes them anew from
+        # the float64 weights, whatever wrote to those in place
+        model = tiny_trainer(tiny_dataset).model
+        store = model.store
+        store.set_frozen_groups(frozen)
+        field = model.static_trunk.with_heads(model.static_sigma)
+        x = np.random.default_rng(6).normal(size=(40, model.config.pos_dim))
+        before = ad.value_of(field(x))
+        store.values["static.sigma.0.b"] += 0.5
+        assert np.array_equal(ad.value_of(field(x)), before)   # the step's copies
+        store.begin_step()
+        assert np.allclose(ad.value_of(field(x)), before + 0.5, rtol=0, atol=1e-6)
+
+    def test_two_processes_give_the_same_bits(self):
+        src = str(Path(moblurf.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        outs = []
+        for _ in range(2):
+            res = subprocess.run([sys.executable, "-c", FRESH_PROCESS_STEPS],
+                                 capture_output=True, text=True, env=env)
+            assert res.returncode == 0, res.stderr
+            outs.append(res.stdout)
+        assert outs[0] == outs[1] and outs[0].strip()
