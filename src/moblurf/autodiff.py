@@ -164,19 +164,30 @@ def div(a, b):
     ])
 
 
-# rows per block of :func:`mlp`: 512 rows of a 64-wide float64 activation
-# are 256 KiB, so a block, its gradient and the temporaries of its backward
-# step stay in a 2 MiB L2 through every layer. Chosen by measurement against
-# 256, 1024 and 2048 rows
+# rows per block of :func:`mlp`'s forward with float32 weights (the fields'):
+# 7 rays of 32 samples, or 28 of 8. A block of a 64-wide layer is
+# 224 * 64 * 64 = 917 504 multiply-adds, under the 10^6 below which OpenBLAS
+# (0.3.31) takes its small-matrix sgemm kernel. Per 512 rows of such a
+# layer (one thread, AVX-512 Xeon): 46.6 us as one 512-row product
+# (90 GFLOP/s), 33.2 us as 224-row ones (126 GFLOP/s); 256 rows, 2^20, are
+# over the bound (89 GFLOP/s). The size is tuned to that BLAS: one without
+# the small-matrix path only pays for the extra calls. The fields' bits do
+# not depend on it
+FORWARD_BLOCK = 224
+# rows per block of :func:`mlp`'s gradient, which walks the activations the
+# graph keeps over all rows. A 224-row gradient makes faster products, but
+# its per-block float64 sums into dW and its extra calls eat the gain: MDD
+# and BRI steps ran 12 and 9 % slower (in-process alternating A/B, same Xeon)
 BLOCK = 512
 
 
-def _row_blocks(n: int, k: int) -> list:
-    """(start, stop) of :func:`mlp`'s row blocks, each of whole runs of ``k``
-    rows. A one-row remainder joins the block before it: NumPy hands a
-    one-row product to gemv, which sums in another order than gemm, so that
-    row would not match the product over all rows bit for bit."""
-    bounds = list(range(0, n, k * max(1, BLOCK // k))) + [n]
+def _row_blocks(n: int, k: int, block: int) -> list:
+    """(start, stop) of :func:`mlp`'s row blocks of about ``block`` rows,
+    each of whole runs of ``k`` rows. A one-row remainder joins the block
+    before it: NumPy hands a one-row product to gemv, which sums in another
+    order than gemm, so that row would not match the product over all rows
+    bit for bit."""
+    bounds = list(range(0, n, k * max(1, block // k))) + [n]
     if len(bounds) > 2 and n - bounds[-2] == 1:
         del bounds[-2]
     return list(zip(bounds[:-1], bounds[1:]))
@@ -223,9 +234,9 @@ class _Stack:
 
     def allocate(self, graph: bool, span: int, out_rows: int) -> None:
         """Allocate the layers' outputs: over all rows with a graph, whose
-        gradient reads them, else over one block of ``span`` rows; the
-        output layer over ``out_rows``."""
-        self.span, last = span, len(self.ws) - 1
+        gradient reads them, else over one forward block of ``span`` rows;
+        the output layer over ``out_rows``."""
+        last = len(self.ws) - 1
         # post[i] is layer i's output, its relu applied in place
         self.post = [np.empty((out_rows if i == last else self.n if graph else span,
                                w.shape[1]), self.dtype) for i, w in enumerate(self.ws)]
@@ -234,6 +245,10 @@ class _Stack:
         # own
         self.tiles = [None if i == 0 and self.uv is not None else np.tile(b, (span, 1))
                       for i, b in enumerate(self.bs)]
+        # the relu's other operand as a block of zeros: a contiguous maximum
+        # takes half the time of one against the scalar, with the same bits
+        self.zeros = [np.zeros((span, w.shape[1]), self.dtype) if acted else None
+                      for w, acted in zip(self.ws, self.acted)]
 
     def forward(self, h, lo: int, hi: int):
         """Rows ``lo:hi`` through every layer; ``h`` is their input."""
@@ -247,13 +262,14 @@ class _Stack:
             else:
                 z += self.tiles[i][:hi - lo]
             if self.acted[i]:
-                np.maximum(z, 0.0, out=z)
+                np.maximum(z, self.zeros[i][:hi - lo], out=z)
             h = z
         return h
 
-    def begin_gradients(self, want_in: bool, want: list) -> bool:
-        """Zeroed sums for the gradients of the operands that ``want`` marks;
-        ``want_in`` marks the input. False when none is wanted."""
+    def begin_gradients(self, want_in: bool, want: list, span: int) -> bool:
+        """Zeroed sums for the gradients of the operands that ``want`` marks,
+        and what gradient blocks of ``span`` rows read; ``want_in`` marks
+        the input. False when none is wanted."""
         if not (want_in or any(want)):
             self.lowest = None
             return False
@@ -271,12 +287,12 @@ class _Stack:
                       if self.uv is not None and self.lowest == 0 else None)
         # a block's bias gradient is a product with ones: one BLAS call, where
         # a NumPy sum over the rows loops over them one at a time
-        self.ones = np.ones(self.span, self.dtype)
+        self.ones = np.ones(span, self.dtype)
         # each weight transposed for g @ w.T; a one-column weight as its row
         # tiled to a block: each entry of the product is one product then,
         # and a multiply by the tile gives its bits without a BLAS call of
         # inner dimension 1 or a broadcast multiply's short inner loops
-        self.wts = [np.tile(w.T, (self.span, 1)) if w.shape[1] == 1 else w.T
+        self.wts = [np.tile(w.T, (span, 1)) if w.shape[1] == 1 else w.T
                     for w in self.wins]
         return True
 
@@ -362,29 +378,33 @@ def mlp(x, layers, *, u=None, k: int = 1, heads=()):
     float64 from float32 block products. All weights of all stacks must
     share one dtype, or the call raises TypeError.
 
-    The layers run in blocks of about :data:`BLOCK` rows of whole rays of
-    every ``k``, each block through all of them, the heads and the output
-    layers too, while it stays in cache; each bias is added from a block of
-    copies of it. Every product is one block's and one stack's, so a row's
-    bits do not depend on how many rows share the call, or on the stacks
-    beside it. They may differ in the last place from one product over all
-    rows: OpenBLAS multiplies small products (under about 10^6
-    multiply-adds) with another kernel, which rounds some widths, such as
-    an RGB head's 3 columns, differently.
+    The forward runs in blocks of about :data:`FORWARD_BLOCK` rows with
+    float32 weights, :data:`BLOCK` with float64 ones, of whole rays of every
+    ``k``, each block through all the layers, the heads and
+    the output layers too, while it stays in cache; each bias is added from
+    a block of copies of it, and each relu takes the maximum with a block of
+    zeros. Every product is one block's and one stack's, so a row's bits do
+    not depend on how many rows share the call, or on the stacks beside it.
+    They may differ in the last place from one product over all rows:
+    OpenBLAS multiplies small products (under about 10^6 multiply-adds)
+    with another kernel, which rounds some widths, such as an RGB head's 3
+    columns, differently.
 
-    The gradient walks the same blocks back, through each head and then
-    through the stack, and makes the gradients of all Node operands in one
-    pass, on the first parent's visit. The heads' gradients of the stack's
-    output are summed in a block-sized buffer in their order, each product
-    made in a scratch block and added, as separate nodes' vjps would be
-    summed; the input gradient is bit-identical to one layer at a time,
-    dw and db are summed block by block, each block's db a product with a
-    ones vector; with ``u``, the first layer's
-    gradient is summed over each ray's rows, and ``u``, ``w_u`` and the
-    first bias take theirs from those per-ray sums. The node then drops its
-    hidden activations, so one backward pass can run through it. Without a
-    Node operand every hidden layer lives in one block-sized buffer; only
-    the value spans all rows.
+    The gradient walks blocks of about :data:`BLOCK` rows, of whole rays
+    too, back over the activations the graph keeps over all rows, through
+    each head and then through the stack, and makes the gradients of all
+    Node operands in one pass, on the first parent's visit. The heads'
+    gradients of the stack's output are summed in a block-sized buffer in
+    their order, each product made in a scratch block and added, as
+    separate nodes' vjps would be summed; the input gradient is
+    bit-identical to one layer at a time, dw and db are summed block by
+    block, each block's db a product with a ones vector; with ``u``, the
+    first layer's gradient is summed over each ray's rows, and ``u``,
+    ``w_u`` and the first bias take theirs from those per-ray sums. The
+    node then drops its hidden activations, so one backward pass can run
+    through it. Without a Node operand every hidden layer lives in one
+    forward-block-sized buffer, only the value spans all rows, and nothing
+    of the gradient's size is allocated.
     """
     xv = value_of(x)
     if xv.ndim != 2:
@@ -399,7 +419,13 @@ def mlp(x, layers, *, u=None, k: int = 1, heads=()):
         raise TypeError(f"mlp: weights mix dtypes {sorted(map(str, dtypes))}")
     operands = [x, *(p for s in stacks for p in s.operands)]
     graph = any(isinstance(p, Node) for p in operands)
-    blocks = _row_blocks(n, math.lcm(*(s.k for s in stacks)))
+    # every block, forward and gradient, holds whole rays of every stack.
+    # Float64 weights keep the gradient's blocks, and with them their bits:
+    # in float64 a product as wide as local.mlp's first layer (488 columns)
+    # rounds a short remainder block differently from the same rows in a
+    # longer block, so 224-row blocks would move its 8-row tail of 232 rows
+    run = math.lcm(*(s.k for s in stacks))
+    blocks = _row_blocks(n, run, FORWARD_BLOCK if trunk.dtype == np.float32 else BLOCK)
     span = max((hi - lo for lo, hi in blocks), default=0)
     # a head's output layer is copied into the value block by block
     trunk.allocate(graph, span, n if graph or not heads else span)
@@ -417,7 +443,7 @@ def mlp(x, layers, *, u=None, k: int = 1, heads=()):
     value = value.astype(np.float64, copy=False)
     # what only the forward reads is not kept for the gradient
     for s in stacks:
-        s.tiles = s.per_ray = None
+        s.tiles = s.zeros = s.per_ray = None
 
     def gradients(g, into):
         """Gradient of every Node operand, in ``operands`` order; x's is
@@ -425,8 +451,10 @@ def mlp(x, layers, *, u=None, k: int = 1, heads=()):
         want = [isinstance(p, Node) for p in operands]
         at = np.cumsum([1] + [len(s.operands) for s in stacks])
         wants = [want[a:b] for a, b in zip(at[:-1], at[1:])]
-        deep = trunk.begin_gradients(want[0], wants[0])
-        heads_on = [h.begin_gradients(deep, w) for h, w in zip(heads, wants[1:])]
+        blocks = _row_blocks(n, run, BLOCK)
+        span = max((hi - lo for lo, hi in blocks), default=0)
+        deep = trunk.begin_gradients(want[0], wants[0], span)
+        heads_on = [h.begin_gradients(deep, w, span) for h, w in zip(heads, wants[1:])]
         dt = trunk.dtype
         dx = scratch = None
         if want[0]:
@@ -502,7 +530,7 @@ def sigmoid(a):
     av = value_of(a)
     # numerically stable in both tails
     e = np.exp(-np.abs(av))
-    ov = np.where(av >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+    ov = np.divide(np.where(av >= 0, 1.0, e), 1.0 + e)
     return _make(ov, [(a, lambda g: g * ov * (1.0 - ov))])
 
 
@@ -540,14 +568,24 @@ def mean(a, axis=None, keepdims=False):
 # 3-vector helpers
 
 
+def _cross(a, b):
+    """``np.cross`` along the last axis, by the same products and differences
+    and with its bits, without its axis moves and copies."""
+    out = np.empty(np.broadcast_shapes(a.shape, b.shape))
+    for i in range(3):
+        j, k = (i + 1) % 3, (i + 2) % 3
+        np.subtract(a[..., j] * b[..., k], a[..., k] * b[..., j], out=out[..., i])
+    return out
+
+
 def cross3(a, b):
     av, bv = value_of(a), value_of(b)
     if av.shape[-1] != 3 or bv.shape[-1] != 3:
         raise ShapeMismatch(f"cross3: last axis must be 3, got {av.shape} x {bv.shape}")
-    out = np.cross(av, bv)
+    out = _cross(av, bv)
     return _make(out, [
-        (a, lambda g: _unbroadcast(np.cross(bv, g), av.shape)),
-        (b, lambda g: _unbroadcast(np.cross(g, av), bv.shape)),
+        (a, lambda g: _unbroadcast(_cross(bv, g), av.shape)),
+        (b, lambda g: _unbroadcast(_cross(g, av), bv.shape)),
     ])
 
 

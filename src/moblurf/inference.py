@@ -23,8 +23,8 @@ from .training import NumericalError
 # samples = 8192 rows; of each field only its heads' outputs span them all
 # (up to 5 float64 columns, 320 KiB), and every layer of its trunk and
 # heads, run on the weights' float32 copies, lives in one float32 buffer of
-# autodiff.BLOCK rows (128 KiB at width 64), beside its block's input cast
-# to float32 (102 KiB at width 51). The float64 encoded samples span them
+# autodiff.FORWARD_BLOCK rows (56 KiB at width 64), beside its block's input
+# cast to float32 (45 KiB at width 51). The float64 encoded samples span them
 # too (3.3 MiB). The size
 # also decides whether a chunk's arrays fit the holes that freed
 # arrays leave in the heap: perfbench's infer-frame, which frees one

@@ -437,6 +437,87 @@ def test_mlp_rejects_weights_of_mixed_dtypes():
         ad.mlp(x, [(w.astype(np.float32), b), *rest])
 
 
+@pytest.mark.parametrize("k", [1, 8, 24, 32])
+@pytest.mark.parametrize("block", [ad.FORWARD_BLOCK, ad.BLOCK], ids=["forward", "gradient"])
+def test_row_blocks_hold_whole_rays_within_the_block(k, block):
+    for n in range(0, 3 * block + 3 * k, k):
+        blocks = ad._row_blocks(n, k, block)
+        # the blocks tile the rows in order
+        ends = [0, *(hi for _, hi in blocks)]
+        assert [lo for lo, _ in blocks] == ends[:-1] and ends[-1] == n
+        sizes = [hi - lo for lo, hi in blocks]
+        assert all(m > 0 and m % k == 0 for m in sizes)
+        # only a one-row remainder, merged into the last block, goes over
+        assert all(m <= block for m in sizes[:-1])
+        assert not sizes or sizes[-1] <= block or (k == 1 and sizes[-1] == block + 1)
+
+
+def _desk_node(kind):
+    """Operands of a desk MLP node, and an output gradient: a field with
+    float32 weights, as in training, past two gradient blocks (the static
+    one on 32 samples per ray: a 4-layer 64-wide trunk, a per-ray RGB head
+    and two one-column heads; the dynamic one on a latent ray's 8: a per-ray
+    trunk, an RGB and a sigma head), or the float64 local.mlp on 232 rays,
+    whose 8-row tail a 224-row block would round differently."""
+    rng = np.random.default_rng(41)
+    dtype = np.float64 if kind == "local" else np.float32
+
+    def layers(*sizes):
+        return [(ad.Node((rng.normal(size=(a, b)) / np.sqrt(a)).astype(dtype)),
+                 ad.Node((rng.normal(size=b) * 0.1).astype(dtype)))
+                for a, b in zip(sizes, sizes[1:])]
+
+    if kind == "local":
+        x = ad.Node(rng.normal(size=(232, 488)))
+        return x, None, 1, layers(488, 64, 64, 64, 64, 6), [], rng.normal(size=(232, 6))
+    k = 8 if kind == "latent" else 32
+    rays = 2 * (ad.BLOCK // k) + 5
+    x = ad.Node(rng.normal(size=(rays * k, 51)))
+    u = ad.Node(rng.normal(size=(rays, 8))) if kind == "latent" else None
+    trunk = layers(51 + (u is not None) * 8, 64, 64, 64, 64)
+    heads = [(layers(64 + 27, 64, 3), ad.Node(rng.normal(size=(rays, 27))), k),
+             (layers(64, 1), None, 1)]
+    if kind == "static":
+        heads.append((layers(64, 1), None, 1))
+    return x, u, k, trunk, heads, rng.normal(size=(rays * k, 3 + len(heads) - 1))
+
+
+@pytest.mark.parametrize("kind", ["static", "latent", "local"])
+def test_forward_block_never_moves_a_bit(kind, monkeypatch):
+    # a node's value and every operand's gradient, byte for byte, with the
+    # forward in its own blocks and in the gradient's
+
+    def run():
+        x, u, k, trunk, heads, g = _desk_node(kind)
+        out = ad.mlp(x, trunk, u=u, k=k, heads=heads)
+        ad.backward(ad.sum_(ad.mul(out, g)))
+        return [out.value, *(a.grad for a in _leaves(x, u, trunk, heads))]
+
+    got = run()
+    monkeypatch.setattr(ad, "FORWARD_BLOCK", ad.BLOCK)
+    want = run()
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def test_cross3_and_sigmoid_keep_numpy_bits():
+    rng = np.random.default_rng(5)
+    for sa, sb in [((1024, 3), (1024, 3)), ((1, 3), (1024, 3)), ((1024, 3), (1, 3)),
+                   ((4, 5, 3), (5, 3))]:
+        a, b = ad.Node(rng.normal(size=sa)), ad.Node(rng.normal(size=sb))
+        out = ad.cross3(a, b)
+        g = rng.normal(size=out.shape)
+        ad.backward(ad.sum_(ad.mul(out, g)))
+        assert out.value.tobytes() == np.cross(a.value, b.value).tobytes()
+        assert a.grad.tobytes() == ad._unbroadcast(np.cross(b.value, g), sa).tobytes()
+        assert b.grad.tobytes() == ad._unbroadcast(np.cross(g, a.value), sb).tobytes()
+    z = np.concatenate([rng.normal(size=1000) * 30, [0.0, -0.0, 800.0, -800.0]])
+    e = np.exp(-np.abs(z))
+    two_branches = np.where(z >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+    assert ad.sigmoid(z).tobytes() == two_branches.tobytes()
+
+
 def test_backward_rejects_nonscalar_root():
     x = ad.Node(np.zeros(3))
     with pytest.raises(ad.NonScalarRoot):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from moblurf import autodiff as ad
-from moblurf.fields import (FieldConfig, SceneModel, encode_position,
+from moblurf.fields import (ENCODE_BLOCK, FieldConfig, SceneModel, encode_position,
                             load_checkpoint, save_checkpoint, CheckpointError,
                             CHECKPOINT_MAGIC)
 
@@ -102,7 +102,9 @@ def encode_octave_doubling(x, num_freqs, g):
 
 
 @pytest.mark.parametrize("num_freqs", [2, 4, 8])
-@pytest.mark.parametrize("shape", [(1, 3), (512, 3), (2049, 3), (5632, 3)])
+# one row, one block, one block and a row, two blocks and a tail
+@pytest.mark.parametrize("shape", [(1, 3), (ENCODE_BLOCK, 3), (ENCODE_BLOCK + 1, 3),
+                                   (2 * ENCODE_BLOCK + 37, 3)])
 def test_encoding_blocks_keep_octave_doubling_bits(shape, num_freqs):
     rng = np.random.default_rng(8)
     x = rng.normal(size=shape) * 4.0
