@@ -16,8 +16,11 @@ README's four criteria on the desk run:
   * mean staticness on truly static pixels      >= 0.8
 
 and that training is reproducible: two fresh processes run the first 20
-steps of a seed (10 BRI, then 10 MDD, on the desk architecture) and must
-agree bit for bit on every loss and on the final weights.
+steps of a seed (10 BRI, then 10 MDD, on the desk architecture), then 10
+more MDD steps on the true motion mask, and must agree bit for bit on every
+loss and on the weights after each part. A fresh model's predicted mask is
+empty, so only the last 10 steps refine rays by the local object-motion
+MLP (LORR), as perfbench's `mdd-train` does.
 
 With `--ablations` it then trains, renders and scores two more desk runs,
 `--set lambda_lg=0` and `--set lambda_sm=0`, again as a concurrent pair.
@@ -106,17 +109,36 @@ def _score(data: Path, run: Path) -> dict:
 
 def first_steps(data: str, seed: int) -> dict:
     """Losses (hex) of the first 2 * PROBE_STEPS steps of a desk-architecture
-    run and a digest of the weights after them."""
+    run and a digest of the weights after them; then the same of
+    PROBE_STEPS more MDD steps with the dataset's true motion mask in place
+    of the predicted one, and the number of rays LORR refined in them."""
+    import numpy as np
+
     from moblurf.config import resolve_config
     from moblurf.data import read_dataset
-    from moblurf.training import Trainer
+    from moblurf.training import FREEZE_MDD, Trainer
 
     cfg = resolve_config("desk", overrides={
         "seed": seed, "bri_iters": PROBE_STEPS, "mdd_iters": PROBE_STEPS})
     trainer = Trainer(cfg, read_dataset(data))
     trainer.run()
-    return {"losses": [rec["total"].hex() for rec in trainer.history],
-            "weights": trainer.model.store.checksum()}
+    out = {"losses": [rec["total"].hex() for rec in trainer.history],
+           "weights": trainer.model.store.checksum()}
+    # MDD steps as Trainer.mdd_step makes them, but for the mask
+    store, truth = trainer.model.store, trainer.dataset.mask_true
+    losses, refined = [], 0
+    for i in range(PROBE_STEPS):
+        store.begin_step()
+        store.set_frozen_groups(FREEZE_MDD)
+        batch = trainer.sample_batch()
+        rays = batch.rays
+        mask = truth[rays.t, rays.uv[:, 1], rays.uv[:, 0]].astype(np.int64)
+        loss, breakdown = trainer.compute_mdd_loss(batch, trainer.rng, mask_override=mask)
+        trainer._optimize(loss, *trainer._rates("mdd", i))
+        losses.append(breakdown.total.hex())
+        refined += int(mask.sum()) * trainer.model.config.n_latent
+    return {**out, "lorr_losses": losses, "lorr_weights": store.checksum(),
+            "lorr_rays": refined}
 
 
 def _reproducible(data: Path, seed: int) -> bool:
@@ -131,7 +153,8 @@ def _reproducible(data: Path, seed: int) -> bool:
             raise SystemExit(f"first-steps probe exited {proc.returncode}:\n"
                              f"{proc.stderr[-3000:]}")
         outs.append(json.loads(proc.stdout.strip().splitlines()[-1]))
-    return outs[0] == outs[1] and len(outs[0]["losses"]) == 2 * PROBE_STEPS
+    return (outs[0] == outs[1] and len(outs[0]["losses"]) == 2 * PROBE_STEPS
+            and len(outs[0]["lorr_losses"]) == PROBE_STEPS and outs[0]["lorr_rays"] > 0)
 
 
 def main(argv=None) -> int:
@@ -174,8 +197,9 @@ def main(argv=None) -> int:
               for name, (thr, what) in CRITERIA.items()}
     checks["first_steps_bit_identical"] = {
         "value": reproducible, "threshold": True, "passed": reproducible,
-        "what": f"{2 * PROBE_STEPS} steps (BRI then MDD) agree bit for bit "
-                "in two fresh processes"}
+        "what": f"{2 * PROBE_STEPS} steps (BRI then MDD), then {PROBE_STEPS} MDD "
+                "steps on the true motion mask, agree bit for bit in two fresh "
+                "processes"}
     passed = all(c["passed"] for c in checks.values())
     report = {
         "schema": "moblurf-acceptance/1",

@@ -5,7 +5,9 @@ but for one case: :func:`mlp` runs its products, forward and backward, in
 the dtype of its weights, float32 for the copies of a field's weights that
 ``ParamStore.leaf`` hands out in training and inference alike, and still
 returns a float64 value and float64 gradients. A leaf :class:`Node` may
-therefore hold a float32 value; only :func:`mlp` reads one.
+therefore hold a float32 value; only :func:`mlp` reads one. It also keeps
+a float32 plain ``x`` as it is: a graph-free render's encoded samples,
+which ``fields.encode_position`` writes in float32 once for both fields.
 
 Every op below is polymorphic, and one rule, in :func:`_make`, decides
 what it returns: a :class:`Node` that remembers how to push gradients back
@@ -85,8 +87,8 @@ def _is_float32(x) -> bool:
 
 
 def _weight(w) -> np.ndarray:
-    """An :func:`mlp` weight's array, of a Node or a plain array: float32 as
-    it is, anything else as :func:`value_of` gives it."""
+    """An :func:`mlp` weight's or input's array, of a Node or a plain
+    array: float32 as it is, anything else as :func:`value_of` gives it."""
     v = w.value if isinstance(w, Node) else w
     return v if _is_float32(v) else _arr(v)
 
@@ -370,13 +372,15 @@ def mlp(x, layers, *, u=None, k: int = 1, heads=()):
 
     The products run in the dtype of the weights: float32 weights (plain
     arrays or leaf Nodes) give float32 layer buffers and bias tiles, and
-    each block's input, and ``u`` once, is cast to float32; the value is
-    float64 either way. The backward does the same: each block of the
-    output gradient is cast to float32, and the heads' buffers, the scratch
-    blocks and the bias ones-vector are float32. x's and u's gradients are
-    float64, and so are the weights' and biases', summed block by block in
-    float64 from float32 block products. All weights of all stacks must
-    share one dtype, or the call raises TypeError.
+    each block's input, and ``u`` once, is cast to float32, unless a plain
+    ``x`` is float32 already: it is read as it is, with the same bits as
+    its float64 source cast block by block. The value is float64 either
+    way. The backward does the same: each block of the output gradient is
+    cast to float32, and the heads' buffers, the scratch blocks and the
+    bias ones-vector are float32. x's and u's gradients are float64, and so
+    are the weights' and biases', summed block by block in float64 from
+    float32 block products. All weights of all stacks must share one dtype,
+    or the call raises TypeError.
 
     The forward runs in blocks of about :data:`FORWARD_BLOCK` rows with
     float32 weights, :data:`BLOCK` with float64 ones, of whole rays of every
@@ -384,11 +388,16 @@ def mlp(x, layers, *, u=None, k: int = 1, heads=()):
     the output layers too, while it stays in cache; each bias is added from
     a block of copies of it, and each relu takes the maximum with a block of
     zeros. Every product is one block's and one stack's, so a row's bits do
-    not depend on how many rows share the call, or on the stacks beside it.
-    They may differ in the last place from one product over all rows:
-    OpenBLAS multiplies small products (under about 10^6 multiply-adds)
-    with another kernel, which rounds some widths, such as an RGB head's 3
-    columns, differently.
+    not depend on the stacks beside it. With float32 weights they do not
+    depend on how many rows share the call either
+    (``test_forward_block_never_moves_a_bit[static]`` and ``[latent]``);
+    with float64 ones a wide layer's may: ``local.mlp``'s 488-column first
+    layer rounds the 8-row tail of 232 rows differently as its own block
+    than inside one 232-row block, so its float64 blocks stay :data:`BLOCK`
+    rows (``test_forward_block_never_moves_a_bit[local]``). A row may differ
+    in the last place from one product over all rows: OpenBLAS multiplies
+    small products (under about 10^6 multiply-adds) with another kernel,
+    which rounds some widths, such as an RGB head's 3 columns, differently.
 
     The gradient walks blocks of about :data:`BLOCK` rows, of whole rays
     too, back over the activations the graph keeps over all rows, through
@@ -406,7 +415,7 @@ def mlp(x, layers, *, u=None, k: int = 1, heads=()):
     forward-block-sized buffer, only the value spans all rows, and nothing
     of the gradient's size is allocated.
     """
-    xv = value_of(x)
+    xv = _weight(x)
     if xv.ndim != 2:
         raise ShapeMismatch(f"mlp: x must be rows of features, got shape {xv.shape}")
     n = len(xv)
@@ -528,9 +537,10 @@ def log(a):
 
 def sigmoid(a):
     av = value_of(a)
-    # numerically stable in both tails
+    # numerically stable in both tails: the numerator is exactly 1 for
+    # a >= 0 and exactly e below, without a select
     e = np.exp(-np.abs(av))
-    ov = np.divide(np.where(av >= 0, 1.0, e), 1.0 + e)
+    ov = np.divide(np.exp(np.minimum(av, 0.0)), 1.0 + e)
     return _make(ov, [(a, lambda g: g * ov * (1.0 - ov))])
 
 

@@ -83,10 +83,17 @@ class FieldConfig:
 ENCODE_BLOCK = 2048
 
 
-def encode_position(x, num_freqs: int):
+def encode_position(x, num_freqs: int, dtype=np.float64):
     """[x, sin(2^k pi x), cos(2^k pi x)] for k = 0..L-1 along the last axis.
 
-    One node. The forward takes one sin and one cos, of pi x, and gets each
+    One node, whose value is float64, when ``x`` is one. A plain ``x``
+    gives a plain array in ``dtype``: the float64 entries rounded to it as
+    each block is copied out, byte for byte the float64 encoding cast to
+    ``dtype``. A graph-free render asks for its fields' float32
+    (``ParamStore.field_dtype``), so both fields read one float32 copy of
+    its samples (see :func:`autodiff.mlp`).
+
+    The forward takes one sin and one cos, of pi x, and gets each
     higher octave from the one below by the double angle:
     sin 2a = 2 sin a cos a, cos 2a = (cos a - sin a)(cos a + sin a). The
     rounding error doubles with each octave, as the error of sin(2^k pi x)
@@ -97,13 +104,13 @@ def encode_position(x, num_freqs: int):
     on feature-major, as a (width, rows) array whose octaves are contiguous
     rows in cache, and copied out of it (forward) or into it (gradient)
     transposed, once. Every entry is computed as over all rows, by the same
-    operations in the same order.
+    operations in the same order, in float64.
     """
     xv = ad.value_of(x)
     *lead, d = xv.shape
     freqs = np.pi * 2.0 ** np.arange(num_freqs)
     width = d * (1 + 2 * num_freqs)
-    out = np.empty((*lead, width))
+    out = np.empty((*lead, width), np.float64 if isinstance(x, ad.Node) else dtype)
     rows = xv.reshape(-1, d)
     n = len(rows)
     flat = out.reshape(n, width)                            # a view of out

@@ -4,8 +4,9 @@ Inference casts one ray per pixel, samples deterministic segment midpoints,
 and composites the probabilistic full color. No blur averaging happens
 here; the blur model exists only to explain the training data. As in
 training, the two fields' MLPs run on the float32 copies of their weights
-that ``ParamStore.leaf`` hands out, made once per frame, and everything
-else runs in float64.
+that ``ParamStore.leaf`` hands out, made once per frame, and both read one
+float32 copy of each chunk's encoded sample points; everything else runs
+in float64.
 """
 
 from __future__ import annotations
@@ -23,15 +24,14 @@ from .training import NumericalError
 # samples = 8192 rows; of each field only its heads' outputs span them all
 # (up to 5 float64 columns, 320 KiB), and every layer of its trunk and
 # heads, run on the weights' float32 copies, lives in one float32 buffer of
-# autodiff.FORWARD_BLOCK rows (56 KiB at width 64), beside its block's input
-# cast to float32 (45 KiB at width 51). The float64 encoded samples span them
-# too (3.3 MiB). The size
-# also decides whether a chunk's arrays fit the holes that freed
-# arrays leave in the heap: perfbench's infer-frame, which frees one
-# set-up's dataset after building the next, read 97.3 or 103.7 MB at 512
-# rays, by code layout alone, and 92.0-93.2 MB at 256 in every layout
-# tried, while each trunk's output still spanned a chunk. A frame's bits
-# do not depend on it for chunks of two rays or more
+# autodiff.FORWARD_BLOCK rows (56 KiB at width 64). The encoded samples
+# span them too, written once in float32 for both fields (1.6 MiB at width
+# 51; 3.3 MiB as float64). The size also decides whether a chunk's arrays
+# fit the holes that freed arrays leave in the heap: perfbench's
+# infer-frame, which frees one set-up's dataset after building the next,
+# read 97.3 or 103.7 MB at 512 rays, by code layout alone, and 92.0-93.2 MB
+# at 256 in every layout tried, while each trunk's output still spanned a
+# chunk. A frame's bits do not depend on it for chunks of two rays or more
 CHUNK = 256
 
 

@@ -7,9 +7,11 @@ staticness probability: transmittance decays through both fields at once,
 
 and each sample contributes its static and dynamic colors weighted by
 p_k and (1 - p_k). Each field's opacities a = 1 - exp(-sigma delta) are
-taken once (``opacity``) and serve both its own composite and the full
-one. Per-ray dynamicness is the probability-weighted mass of (1 - p) over
-the full-model compositing weights.
+taken once per render and serve both its own composite and the full one;
+a field's own weights and the full transmittance are each built once, and
+only when an output reads them. Per-ray dynamicness is the
+probability-weighted mass of (1 - p) over the full-model compositing
+weights.
 
 Functions take either ndarrays or autodiff Nodes and run the identical
 arithmetic on both. Training renders with graph leaves for its unfrozen
@@ -125,11 +127,10 @@ def _alpha(sigmas, grid: SampleGrid):
     return ad.sub(1.0, ad.exp(ad.mul(sigmas, -grid.deltas)))
 
 
-def opacity(sigmas, grid: SampleGrid):
-    """One field's opacities alpha = 1 - exp(-sigma delta) and compositing
-    weights T alpha, with T the exclusive product of (1 - alpha): (B,N) each."""
-    alpha = _alpha(sigmas, grid)
-    return alpha, ad.mul(ad.exclusive_cumprod(ad.sub(1.0, alpha)), alpha)
+def _weights(alpha):
+    """Compositing weights T alpha, with T the exclusive product of
+    (1 - alpha): (B,N)."""
+    return ad.mul(ad.exclusive_cumprod(ad.sub(1.0, alpha)), alpha)
 
 
 def _shade(weights, colors, n: int):
@@ -156,10 +157,13 @@ class RenderResult:
     and dynamic fields' samples (``color`` (B,N,3), ``sigma`` (B,N) and,
     static only, ``p_st`` (B,N)).
 
-    Each output is built on first read, its graph nodes with it. The
-    detached ``w_full`` and ``p_dy`` come from the samples' values, so a
-    loss that reads ``color_static`` and the motion mask alone (BRI-even)
-    builds no node that it does not reach.
+    Each output is built on first read, its graph nodes with it, and so is
+    each part that outputs share: a field's opacities, and the full
+    model's transmittance, which ``color_full`` and the detached ``w_full``
+    and ``p_dy`` read. When either field's samples carry a graph, ``w_full``
+    and ``p_dy`` come from the samples' values instead, so a loss that
+    reads ``color_static`` and the motion mask alone (BRI-even) builds no
+    node that it does not reach; both ways give the same bits.
 
     ``dynamic_cut`` marks dynamic samples, sigma alone, taken at the values
     of sample points that carry a graph: the dynamic, full and kappa
@@ -181,20 +185,21 @@ class RenderResult:
                             self._dynamic_cut)
 
     @cached_property
-    def _opacity_static(self):
-        return opacity(self._static.sigma, self.grid)
+    def _alpha_static(self):
+        return _alpha(self._static.sigma, self.grid)
 
     @cached_property
-    def _opacity_dynamic(self):
+    def _alpha_dynamic(self):
         if self._dynamic_cut:
             raise RuntimeError("the frozen dynamic net saw the sample points' values; "
                                "its composites would drop their gradient")
-        return opacity(self._dynamic.sigma, self.grid)
+        return _alpha(self._dynamic.sigma, self.grid)
 
     @cached_property
     def color_static(self):
         """(B,3) static composite."""
-        return _shade(self._opacity_static[1], self._static.color, self.grid.n_samples)
+        return _shade(_weights(self._alpha_static), self._static.color,
+                      self.grid.n_samples)
 
     @cached_property
     def color_dynamic(self):
@@ -204,7 +209,7 @@ class RenderResult:
     @cached_property
     def weights_dynamic(self):
         """(B,N) dynamic compositing weights."""
-        return self._opacity_dynamic[1]
+        return _weights(self._alpha_dynamic)
 
     @property
     def p_st_samples(self):
@@ -212,12 +217,15 @@ class RenderResult:
         return self._static.p_st
 
     @cached_property
+    def _full(self):
+        return _full_parts(self.p_st_samples, self._alpha_static, self._alpha_dynamic)
+
+    @cached_property
     def color_full(self):
         """(B,3) full composite: each sample's static and dynamic colours
         weighted by T p a^s and T (1 - p) a^d."""
         n = self.grid.n_samples
-        trans, pa_s, pa_d = _full_parts(self.p_st_samples, self._opacity_static[0],
-                                        self._opacity_dynamic[0])
+        trans, pa_s, pa_d = self._full
         contrib = ad.add(
             ad.mul(ad.reshape(ad.mul(trans, pa_s), (-1, n, 1)), self._static.color),
             ad.mul(ad.reshape(ad.mul(trans, pa_d), (-1, n, 1)), self._dynamic.color))
@@ -225,10 +233,14 @@ class RenderResult:
 
     @cached_property
     def _detached(self):
-        # decoded from the samples' values and dropped once w_full is taken
         static, dynamic = self._static.values(), self._dynamic.values()
-        trans, pa_s, pa_d = _full_parts(static.p_st, _alpha(static.sigma, self.grid),
-                                        _alpha(dynamic.sigma, self.grid))
+        if static is self._static and dynamic is self._dynamic:
+            # no graph: the full composite's own arrays
+            trans, pa_s, pa_d = self._full
+        else:
+            # decoded from the samples' values and dropped once w_full is taken
+            trans, pa_s, pa_d = _full_parts(static.p_st, _alpha(static.sigma, self.grid),
+                                            _alpha(dynamic.sigma, self.grid))
         w_full = trans * (pa_s + pa_d)
         return w_full, dynamicness(w_full, static.p_st)
 
@@ -270,12 +282,16 @@ def motion_mask(p_dy: np.ndarray) -> np.ndarray:
 def _encoded_samples(model: SceneModel, rays: RayBatch, grid: SampleGrid):
     """Encoded sample points (B*N, pos_dim), ray by ray, and the rays' GLO
     rows (B, glo_dim): GLO codes are constant along a ray, so the fields
-    take them once per ray."""
+    take them once per ray. Points that carry no graph are encoded in the
+    fields' dtype, one copy that both fields read as it is; the GLO rows,
+    like the encoded directions, stay float64, as the per-ray operand's
+    float64 gradient of its weight rows needs them."""
     b, n = len(rays), grid.n_samples
     o3 = ad.reshape(rays.origins, (b, 1, 3))
     d3 = ad.reshape(rays.dirs, (b, 1, 3))
     pts = ad.add(o3, ad.mul(d3, grid.dists.reshape(b, n, 1)))
-    enc_x = encode_position(ad.reshape(pts, (b * n, 3)), model.config.pos_freqs)
+    enc_x = encode_position(ad.reshape(pts, (b * n, 3)), model.config.pos_freqs,
+                            model.store.field_dtype)
     return enc_x, model.glo_lookup(rays.t)
 
 
@@ -311,5 +327,4 @@ def render_kappa(model: SceneModel, rays: RayBatch, grid: SampleGrid):
     at the samples of ``grid``, one row of distances per ray."""
     sigma = model.dynamic_density(*_encoded_samples(model, rays, grid),
                                   grid.n_samples).sigma
-    _, weights = opacity(sigma, grid)
-    return _expected_distance(weights, grid)
+    return _expected_distance(_weights(_alpha(sigma, grid)), grid)

@@ -501,6 +501,26 @@ def test_forward_block_never_moves_a_bit(kind, monkeypatch):
         assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
+@pytest.mark.parametrize("kind", ["static", "latent"])
+def test_mlp_reads_a_float32_plain_x_as_its_float64_source(kind):
+    # a graph-free render's float32 encoding against the float64 one that
+    # each block used to cast: the value and every weight's and per-ray
+    # operand's gradient, byte for byte
+
+    def run(x):
+        _, u, k, trunk, heads, g = _desk_node(kind)
+        out = ad.mlp(x, trunk, u=u, k=k, heads=heads)
+        ad.backward(ad.sum_(ad.mul(out, g)))
+        return [out.value, *(a.grad for a in _leaves(None, u, trunk, heads))]
+
+    source = _desk_node(kind)[0].value
+    want = run(source)
+    got = run(source.astype(np.float32))
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert a.dtype == b.dtype == np.float64 and a.tobytes() == b.tobytes()
+
+
 def test_cross3_and_sigmoid_keep_numpy_bits():
     rng = np.random.default_rng(5)
     for sa, sb in [((1024, 3), (1024, 3)), ((1, 3), (1024, 3)), ((1024, 3), (1, 3)),
@@ -512,10 +532,19 @@ def test_cross3_and_sigmoid_keep_numpy_bits():
         assert out.value.tobytes() == np.cross(a.value, b.value).tobytes()
         assert a.grad.tobytes() == ad._unbroadcast(np.cross(b.value, g), sa).tobytes()
         assert b.grad.tobytes() == ad._unbroadcast(np.cross(g, a.value), sb).tobytes()
-    z = np.concatenate([rng.normal(size=1000) * 30, [0.0, -0.0, 800.0, -800.0]])
+    # ±0, subnormals, the tails where exp(-|z|) underflows, ±inf: NaN's
+    # sign alone may differ
+    tiny = np.finfo(np.float64).tiny
+    tails = np.arange(700.0, 747.0, 0.5)
+    z = np.concatenate([rng.normal(size=10 ** 6) * 30, tails, -tails,
+                        [0.0, -0.0, tiny, -tiny, tiny / 2, -tiny / 2, 5e-324, -5e-324,
+                         np.inf, -np.inf, np.nan, -np.nan]])
     e = np.exp(-np.abs(z))
     two_branches = np.where(z >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
-    assert ad.sigmoid(z).tobytes() == two_branches.tobytes()
+    got = ad.sigmoid(z)
+    nan = np.isnan(two_branches)
+    assert np.array_equal(np.isnan(got), nan) and nan.sum() == 2
+    assert got[~nan].tobytes() == two_branches[~nan].tobytes()
 
 
 def test_backward_rejects_nonscalar_root():

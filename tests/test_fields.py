@@ -106,16 +106,20 @@ def encode_octave_doubling(x, num_freqs, g):
 @pytest.mark.parametrize("shape", [(1, 3), (ENCODE_BLOCK, 3), (ENCODE_BLOCK + 1, 3),
                                    (2 * ENCODE_BLOCK + 37, 3)])
 def test_encoding_blocks_keep_octave_doubling_bits(shape, num_freqs):
+    # a plain input's encoding in either dtype is the float64 one rounded
+    # to it, byte for byte; a Node's value and gradient stay float64
     rng = np.random.default_rng(8)
     x = rng.normal(size=shape) * 4.0
     g = rng.normal(size=(shape[0], 3 + 6 * num_freqs))
     ref_out, ref_dx = encode_octave_doubling(x, num_freqs, g)
-    node = ad.Node(x)
-    out = encode_position(node, num_freqs)
-    ad.backward(ad.sum_(ad.mul(out, g)))
-    assert np.array_equal(out.value, ref_out)
-    assert np.array_equal(encode_position(x, num_freqs), ref_out)
-    assert np.array_equal(node.grad, ref_dx)
+    for dtype in (np.float64, np.float32):
+        node = ad.Node(x)
+        out = encode_position(node, num_freqs, dtype)
+        ad.backward(ad.sum_(ad.mul(out, g)))
+        assert out.value.dtype == np.float64 and np.array_equal(out.value, ref_out)
+        assert np.array_equal(node.grad, ref_dx)
+        plain = encode_position(x, num_freqs, dtype)
+        assert plain.dtype == dtype and plain.tobytes() == ref_out.astype(dtype).tobytes()
 
 
 class TestMlp:

@@ -6,7 +6,7 @@ import pytest
 
 from moblurf.metrics import (MetricError, MetricReport, evaluate, mask_iou, psnr, ssim,
                              SSIM_C1, SSIM_C2, SSIM_SIGMA, SSIM_WINDOW,
-                             _gaussian_kernel)
+                             _gaussian_taps)
 
 
 class TestPsnr:
@@ -42,9 +42,11 @@ class TestPsnr:
 
 
 def brute_force_ssim(x, y, mask=None):
-    """Direct per-window double loop; independent of the vectorized path."""
+    """Direct per-window double loop over the 2-D window; independent of
+    the separable path."""
     win, sig = SSIM_WINDOW, SSIM_SIGMA
-    kernel = _gaussian_kernel(win, sig)
+    taps = _gaussian_taps(win, sig)
+    kernel = np.outer(taps, taps)
     h, w = x.shape
     vals = []
     half = win // 2

@@ -343,6 +343,49 @@ class TestRenderFull:
         assert np.abs(res_a.p_dy - res_b.p_dy).max() < 1e-12
 
 
+def _graph_free_render(monkeypatch):
+    """A graph-free render of a small model's rays, and the same samples
+    as Nodes; the exclusive products each one's outputs take are counted
+    into the returned list."""
+    from moblurf.cameras import RayBatch
+    from moblurf.fields import FieldConfig, FieldSamples, SceneModel
+    from moblurf.render import render_rays
+    rng = np.random.default_rng(12)
+    model = SceneModel(FieldConfig(n_frames=3, trunk_depth=2, trunk_width=16,
+                                   rgb_width=8, local_depth=2, local_width=8,
+                                   ray_samples=8), rng)
+    store = model.store
+    store.set_frozen_groups(set(store.groups()))
+    dirs = rng.normal(size=(20, 3))
+    rays = RayBatch(origins=rng.normal(size=(20, 3)) * 0.1,
+                    dirs=dirs / np.linalg.norm(dirs, axis=1, keepdims=True),
+                    t=rng.integers(0, 3, size=20), uv=np.zeros((20, 2), int),
+                    near=1.0, far=4.0)
+    res = render_rays(model, rays, 12)
+    static, dynamic = res._static, res._dynamic
+    nodes = RenderResult(*(FieldSamples(ad.Node(s.out), s.heads, s.k)
+                           for s in (static, dynamic)), res.grid)
+    calls = []
+    cumprod = ad.exclusive_cumprod
+    monkeypatch.setattr(ad, "exclusive_cumprod", lambda a: calls.append(1) or cumprod(a))
+    return res, nodes, calls
+
+
+def test_graph_free_render_shares_its_composites_with_the_same_bits(monkeypatch):
+    # a graph-free render takes its detached outputs from the full
+    # composite's arrays, and the full transmittance and the dynamic weights
+    # once each; samples that carry a graph take them from their values: the
+    # same bytes
+    res, nodes, calls = _graph_free_render(monkeypatch)
+    got = [res.color_full, res.p_dy, res.kappa_star, res.w_full]
+    assert len(calls) == 2
+    want = [ad.value_of(nodes.color_full), nodes.p_dy, ad.value_of(nodes.kappa_star),
+            nodes.w_full]
+    for a, b in zip(got, want):
+        assert type(a) is np.ndarray and a.dtype == b.dtype == np.float64
+        assert a.tobytes() == b.tobytes()
+
+
 class TestDynamicness:
     def test_matches_brute_force_normalized_sum(self):
         rng = np.random.default_rng(9)

@@ -709,6 +709,46 @@ class TestFieldDtype:
             reached += name.startswith(("static.", "dynamic.")) and bool(want.any())
         assert reached > 0
 
+    @pytest.mark.parametrize("kind", ["bri_odd", "mdd"])
+    def test_shared_float32_encoding_keeps_the_step_bits(self, tiny_dataset, kind,
+                                                         monkeypatch):
+        # graph-free sample points encoded once in float32, which both fields
+        # read as they are, against the float64 encoding that each field cast
+        # block by block: the losses and every parameter gradient, byte for
+        # byte. The encoded directions stay float64: a float32 copy would
+        # move the float64 gradient of the weight rows that read them
+        from moblurf import fields, render
+        frozen, method = STEPS[kind]
+        seen = {False: set(), True: set()}
+
+        def encoding(as_float64):
+            def encode(x, num_freqs, dtype=np.float64):
+                out = fields.encode_position(x, num_freqs,
+                                             np.float64 if as_float64 else dtype)
+                seen[as_float64].add(getattr(out, "value", out).dtype)
+                return out
+            return encode
+
+        runs = []
+        for as_float64 in (False, True):
+            monkeypatch.setattr(render, "encode_position", encoding(as_float64))
+            tr = tiny_trainer(tiny_dataset)
+            losses = [tr.bri_step(it).total for it in range(4)]
+            store = tr.model.store
+            store.begin_step()
+            store.set_frozen_groups(frozen)
+            batch = tr.sample_batch()
+            extra = {}
+            if kind == "mdd":   # every other ray dynamic: the local MLP runs
+                extra["mask_override"] = (np.arange(len(batch.rays)) % 2).astype(np.int64)
+            loss, _ = getattr(tr, method)(batch, tr.rng, **extra)
+            ad.backward(loss)
+            runs.append(([v.hex() for v in losses], loss.value.tobytes(),
+                         {name: store.grad(name).tobytes() for name in store.values}))
+        assert seen == {False: {np.dtype(np.float32), np.dtype(np.float64)},
+                        True: {np.dtype(np.float64)}}
+        assert runs[0] == runs[1]
+
     def test_master_weights_moments_and_checkpoint_stay_float64(self, tiny_dataset,
                                                                 tmp_path):
         tr = tiny_trainer(tiny_dataset)
