@@ -1,13 +1,13 @@
 """Reverse-mode automatic differentiation over dense float64 arrays.
 
-Every value an op returns is float64, and every operand is coerced to it,
-but for one case: :func:`mlp` runs its products, forward and backward, in
-the dtype of its weights, float32 for the copies of a field's weights that
-``ParamStore.leaf`` hands out in training and inference alike, and still
-returns a float64 value and float64 gradients. A leaf :class:`Node` may
-therefore hold a float32 value; only :func:`mlp` reads one. It also keeps
-a float32 plain ``x`` as it is: a graph-free render's encoded samples,
-which ``fields.encode_position`` writes in float32 once for both fields.
+Every value an op returns is float64, and :func:`value_of` coerces every
+operand to it but a float32 array, which it returns as it is. Two kinds
+exist: the copies of a field's weights that ``ParamStore.leaf`` hands out,
+plain or as leaf :class:`Node` values, in training and inference alike, and
+a graph-free render's encoded samples, which ``fields.encode_position``
+writes in float32 once for both fields. Only :func:`mlp` reads them: it
+runs its products, forward and backward, in the dtype of its weights, and
+still returns a float64 value and float64 gradients.
 
 Every op below is polymorphic, and one rule, in :func:`_make`, decides
 what it returns: a :class:`Node` that remembers how to push gradients back
@@ -48,10 +48,6 @@ class NonScalarRoot(ValueError):
     """Raised when backward() is called on a non-scalar node."""
 
 
-def _arr(x) -> np.ndarray:
-    return np.asarray(x, dtype=np.float64)
-
-
 class Node:
     """One vertex of the computation graph.
 
@@ -65,7 +61,7 @@ class Node:
     def __init__(self, value, parents=()):
         # a float32 array stays float32: a field weight's leaf, which only
         # :func:`mlp` reads (see ParamStore.leaf)
-        self.value = value if _is_float32(value) else _arr(value)
+        self.value = value_of(value)
         self.grad = None
         self.parents = parents
 
@@ -78,19 +74,10 @@ class Node:
 
 
 def value_of(x) -> np.ndarray:
-    """Underlying ndarray of a Node, or the input coerced to float64."""
-    return x.value if isinstance(x, Node) else _arr(x)
-
-
-def _is_float32(x) -> bool:
-    return getattr(x, "dtype", None) == np.float32
-
-
-def _weight(w) -> np.ndarray:
-    """An :func:`mlp` weight's or input's array, of a Node or a plain
-    array: float32 as it is, anything else as :func:`value_of` gives it."""
-    v = w.value if isinstance(w, Node) else w
-    return v if _is_float32(v) else _arr(v)
+    """Underlying ndarray of a Node, or the input coerced to float64; a
+    float32 array, plain or a Node's, is returned as it is, the same object."""
+    v = x.value if isinstance(x, Node) else x
+    return v if getattr(v, "dtype", None) == np.float32 else np.asarray(v, dtype=np.float64)
 
 
 def _unbroadcast(g: np.ndarray, shape) -> np.ndarray:
@@ -118,12 +105,17 @@ def _make(out_value, pairs):
 # elementwise binary ops
 
 
-def add(a, b):
+def _broadcast(name: str, op, a, b):
+    """Both operands' arrays and ``op`` of them, or ShapeMismatch."""
     av, bv = value_of(a), value_of(b)
     try:
-        out = av + bv
+        return av, bv, op(av, bv)
     except ValueError:
-        raise ShapeMismatch(f"add: shapes {av.shape} and {bv.shape} do not broadcast")
+        raise ShapeMismatch(f"{name}: shapes {av.shape} and {bv.shape} do not broadcast")
+
+
+def add(a, b):
+    av, bv, out = _broadcast("add", np.add, a, b)
     return _make(out, [
         (a, lambda g: _unbroadcast(g, av.shape)),
         (b, lambda g: _unbroadcast(g, bv.shape)),
@@ -131,11 +123,7 @@ def add(a, b):
 
 
 def sub(a, b):
-    av, bv = value_of(a), value_of(b)
-    try:
-        out = av - bv
-    except ValueError:
-        raise ShapeMismatch(f"sub: shapes {av.shape} and {bv.shape} do not broadcast")
+    av, bv, out = _broadcast("sub", np.subtract, a, b)
     return _make(out, [
         (a, lambda g: _unbroadcast(g, av.shape)),
         (b, lambda g: _unbroadcast(-g, bv.shape)),
@@ -143,11 +131,7 @@ def sub(a, b):
 
 
 def mul(a, b):
-    av, bv = value_of(a), value_of(b)
-    try:
-        out = av * bv
-    except ValueError:
-        raise ShapeMismatch(f"mul: shapes {av.shape} and {bv.shape} do not broadcast")
+    av, bv, out = _broadcast("mul", np.multiply, a, b)
     return _make(out, [
         (a, lambda g: _unbroadcast(g * bv, av.shape)),
         (b, lambda g: _unbroadcast(g * av, bv.shape)),
@@ -155,26 +139,22 @@ def mul(a, b):
 
 
 def div(a, b):
-    av, bv = value_of(a), value_of(b)
-    try:
-        out = av / bv
-    except ValueError:
-        raise ShapeMismatch(f"div: shapes {av.shape} and {bv.shape} do not broadcast")
+    av, bv, out = _broadcast("div", np.divide, a, b)
     return _make(out, [
         (a, lambda g: _unbroadcast(g / bv, av.shape)),
         (b, lambda g: _unbroadcast(-g * av / (bv * bv), bv.shape)),
     ])
 
 
-# rows per block of :func:`mlp`'s forward with float32 weights (the fields'):
-# 7 rays of 32 samples, or 28 of 8. A block of a 64-wide layer is
-# 224 * 64 * 64 = 917 504 multiply-adds, under the 10^6 below which OpenBLAS
-# (0.3.31) takes its small-matrix sgemm kernel. Per 512 rows of such a
-# layer (one thread, AVX-512 Xeon): 46.6 us as one 512-row product
-# (90 GFLOP/s), 33.2 us as 224-row ones (126 GFLOP/s); 256 rows, 2^20, are
-# over the bound (89 GFLOP/s). The size is tuned to that BLAS: one without
-# the small-matrix path only pays for the extra calls. The fields' bits do
-# not depend on it
+# rows per block of :func:`mlp`'s forward, whatever the weights' dtype:
+# 7 rays of 32 samples, or 28 of 8. A block of a 64-wide layer of the
+# fields' float32 weights is 224 * 64 * 64 = 917 504 multiply-adds, under
+# the 10^6 below which OpenBLAS (0.3.31) takes its small-matrix sgemm
+# kernel. Per 512 rows of such a layer (one thread, AVX-512 Xeon): 46.6 us
+# as one 512-row product (90 GFLOP/s), 33.2 us as 224-row ones
+# (126 GFLOP/s); 256 rows, 2^20, are over the bound (89 GFLOP/s). The size
+# is tuned to that BLAS: one without the small-matrix path only pays for the
+# extra calls. The fields' bits do not depend on it
 FORWARD_BLOCK = 224
 # rows per block of :func:`mlp`'s gradient, which walks the activations the
 # graph keeps over all rows. A 224-row gradient makes faster products, but
@@ -207,8 +187,8 @@ class _Stack:
                  acted_out: bool):
         self.n = n
         self.acted = [True] * (len(layers) - 1) + [acted_out]
-        self.ws = [_weight(w) for w, _ in layers]
-        self.bs = [_weight(b) for _, b in layers]
+        self.ws = [value_of(w) for w, _ in layers]
+        self.bs = [value_of(b) for _, b in layers]
         self.dtype = self.ws[0].dtype
         self.operands = [p for pair in layers for p in pair]
         self.uv = None if u is None else value_of(u)
@@ -370,11 +350,12 @@ def mlp(x, layers, *, u=None, k: int = 1, heads=()):
     their outputs side by side, in order; the stack's own last layer, its
     relu applied, is hidden.
 
-    The products run in the dtype of the weights: float32 weights (plain
-    arrays or leaf Nodes) give float32 layer buffers and bias tiles, and
-    each block's input, and ``u`` once, is cast to float32, unless a plain
-    ``x`` is float32 already: it is read as it is, with the same bits as
-    its float64 source cast block by block. The value is float64 either
+    Every operand is read through :func:`value_of`, so a float32 one stays
+    float32. The products run in the dtype of the weights: float32 weights
+    (plain arrays or leaf Nodes) give float32 layer buffers and bias tiles,
+    and each block's input, and ``u`` once, is cast to float32, unless a
+    plain ``x`` is float32 already: it is read as it is, with the same bits
+    as its float64 source cast block by block. The value is float64 either
     way. The backward does the same: each block of the output gradient is
     cast to float32, and the heads' buffers, the scratch blocks and the
     bias ones-vector are float32. x's and u's gradients are float64, and so
@@ -382,22 +363,20 @@ def mlp(x, layers, *, u=None, k: int = 1, heads=()):
     float32 block products. All weights of all stacks must share one dtype,
     or the call raises TypeError.
 
-    The forward runs in blocks of about :data:`FORWARD_BLOCK` rows with
-    float32 weights, :data:`BLOCK` with float64 ones, of whole rays of every
-    ``k``, each block through all the layers, the heads and
-    the output layers too, while it stays in cache; each bias is added from
-    a block of copies of it, and each relu takes the maximum with a block of
-    zeros. Every product is one block's and one stack's, so a row's bits do
-    not depend on the stacks beside it. With float32 weights they do not
-    depend on how many rows share the call either
-    (``test_forward_block_never_moves_a_bit[static]`` and ``[latent]``);
-    with float64 ones a wide layer's may: ``local.mlp``'s 488-column first
-    layer rounds the 8-row tail of 232 rows differently as its own block
-    than inside one 232-row block, so its float64 blocks stay :data:`BLOCK`
-    rows (``test_forward_block_never_moves_a_bit[local]``). A row may differ
-    in the last place from one product over all rows: OpenBLAS multiplies
-    small products (under about 10^6 multiply-adds) with another kernel,
-    which rounds some widths, such as an RGB head's 3 columns, differently.
+    The forward runs in blocks of about :data:`FORWARD_BLOCK` rows, whatever
+    the weights' dtype, of whole rays of every ``k``, each block through all
+    the layers, the heads and the output layers too, while it stays in
+    cache; each bias is added from a block of copies of it, and each relu
+    takes the maximum with a block of zeros. Every product is one block's
+    and one stack's, so a row's bits do not depend on the stacks beside it.
+    With the fields' float32 weights they do not depend on how many rows
+    share the call either (``test_forward_block_never_moves_a_bit``); with
+    float64 ones a wide layer's may: ``local.mlp``'s 488-column first layer
+    rounds an 8-row tail block otherwise than the same rows inside a longer
+    block. A row may differ in the last place from one product over all
+    rows: OpenBLAS multiplies small products (under about 10^6
+    multiply-adds) with another kernel, which rounds some widths, such as an
+    RGB head's 3 columns, differently.
 
     The gradient walks blocks of about :data:`BLOCK` rows, of whole rays
     too, back over the activations the graph keeps over all rows, through
@@ -415,7 +394,7 @@ def mlp(x, layers, *, u=None, k: int = 1, heads=()):
     forward-block-sized buffer, only the value spans all rows, and nothing
     of the gradient's size is allocated.
     """
-    xv = _weight(x)
+    xv = value_of(x)
     if xv.ndim != 2:
         raise ShapeMismatch(f"mlp: x must be rows of features, got shape {xv.shape}")
     n = len(xv)
@@ -428,13 +407,9 @@ def mlp(x, layers, *, u=None, k: int = 1, heads=()):
         raise TypeError(f"mlp: weights mix dtypes {sorted(map(str, dtypes))}")
     operands = [x, *(p for s in stacks for p in s.operands)]
     graph = any(isinstance(p, Node) for p in operands)
-    # every block, forward and gradient, holds whole rays of every stack.
-    # Float64 weights keep the gradient's blocks, and with them their bits:
-    # in float64 a product as wide as local.mlp's first layer (488 columns)
-    # rounds a short remainder block differently from the same rows in a
-    # longer block, so 224-row blocks would move its 8-row tail of 232 rows
+    # every block, forward and gradient, holds whole rays of every stack
     run = math.lcm(*(s.k for s in stacks))
-    blocks = _row_blocks(n, run, FORWARD_BLOCK if trunk.dtype == np.float32 else BLOCK)
+    blocks = _row_blocks(n, run, FORWARD_BLOCK)
     span = max((hi - lo for lo, hi in blocks), default=0)
     # a head's output layer is copied into the value block by block
     trunk.allocate(graph, span, n if graph or not heads else span)

@@ -68,17 +68,12 @@ def _parse_timestamps(text):
 def cmd_synth(args) -> int:
     from .config import write_manifest
     from .data import synthesize_dataset, write_dataset
-    from .scene import PRESETS, build_preset
+    from .scene import build_preset
 
-    if args.preset not in PRESETS:
-        print(f"error: unknown preset {args.preset!r}; available: "
-              f"{', '.join(sorted(PRESETS))}", file=sys.stderr)
-        return EXIT_VALIDATION
+    scene = build_preset(args.preset)
     out = Path(args.out)
     if out.exists() and any(out.iterdir()) and not args.force:
-        print(f"error: {out} exists and is not empty (pass --force)", file=sys.stderr)
-        return EXIT_VALIDATION
-    scene = build_preset(args.preset)
+        raise ValueError(f"{out} exists and is not empty (pass --force)")
     ds = synthesize_dataset(scene, seed=args.seed, preset_name=args.preset)
     write_dataset(ds, out, force=True)
     write_manifest(out / "manifest.json", "synth", args.seed,
@@ -180,8 +175,7 @@ def cmd_eval(args) -> int:
     render_dir = Path(args.render_dir)
     meta_path = render_dir / "render_meta.json"
     if not meta_path.exists():
-        print(f"error: {render_dir} has no render_meta.json", file=sys.stderr)
-        return EXIT_VALIDATION
+        raise ValueError(f"{render_dir} has no render_meta.json")
     meta = read_json(meta_path)
     stamps = meta.get("timestamps") if isinstance(meta, dict) else None
     if not (isinstance(stamps, list) and all(
@@ -192,8 +186,7 @@ def cmd_eval(args) -> int:
     for t in stamps:
         rgb_path = render_dir / "rgb" / f"{t:04d}.png"
         if not rgb_path.exists():
-            print(f"error: missing rendered frame {rgb_path}", file=sys.stderr)
-            return EXIT_VALIDATION
+            raise ValueError(f"missing rendered frame {rgb_path}")
         frame = {"t": t, "rgb": read_png(rgb_path) / 255.0}
         for key, path, read in (
                 ("mask", render_dir / "mask" / f"{t:04d}.png", lambda p: read_png(p) > 127),
@@ -201,9 +194,8 @@ def cmd_eval(args) -> int:
             if path.exists():
                 frame[key] = read(path)
                 if frame[key].shape != dataset.shape:
-                    print(f"error: {path}: shape {frame[key].shape}, dataset frames "
-                          f"are {dataset.shape}", file=sys.stderr)
-                    return EXIT_VALIDATION
+                    raise ValueError(f"{path}: shape {frame[key].shape}, dataset frames "
+                                     f"are {dataset.shape}")
         frames.append(frame)
     report = evaluate(dataset, frames)
 

@@ -228,7 +228,7 @@ class FieldSamples:
     (``color`` 3 wide, ``sigma`` and ``p_st`` 1 wide). Each head is decoded
     on first read, one row per ray, (B,k,3) or (B,k): colours and
     staticness by sigmoid, densities by softplus, so an output nothing
-    reads builds no node. Unpacks to the decoded heads in that order."""
+    reads builds no node."""
 
     WIDTH = {"color": 3, "sigma": 1, "p_st": 1}
 
@@ -253,18 +253,9 @@ class FieldSamples:
     def p_st(self):
         return self._head("p_st", ad.sigmoid)
 
-    def values(self) -> "FieldSamples":
-        """The same samples, detached: ``self`` when they carry no graph."""
-        if not isinstance(self.out, ad.Node):
-            return self
-        return FieldSamples(self.out.value, self.heads, self.k)
-
     def rows(self, idx: np.ndarray, k: int) -> "FieldSamples":
         """The samples of rows ``idx``, ``k`` per ray: one row gather."""
         return FieldSamples(ad.gather(self.out, idx), self.heads, k)
-
-    def __iter__(self):
-        return (getattr(self, head) for head in self.heads)
 
 
 class SceneModel:

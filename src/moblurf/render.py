@@ -9,7 +9,8 @@ and each sample contributes its static and dynamic colors weighted by
 p_k and (1 - p_k). Each field's opacities a = 1 - exp(-sigma delta) are
 taken once per render and serve both its own composite and the full one;
 a field's own weights and the full transmittance are each built once, and
-only when an output reads them. Per-ray dynamicness is the
+only when an output reads them, and the detached full-model weights read
+the values of that one transmittance. Per-ray dynamicness is the
 probability-weighted mass of (1 - p) over the full-model compositing
 weights.
 
@@ -159,17 +160,16 @@ class RenderResult:
 
     Each output is built on first read, its graph nodes with it, and so is
     each part that outputs share: a field's opacities, and the full
-    model's transmittance, which ``color_full`` and the detached ``w_full``
-    and ``p_dy`` read. When either field's samples carry a graph, ``w_full``
-    and ``p_dy`` come from the samples' values instead, so a loss that
-    reads ``color_static`` and the motion mask alone (BRI-even) builds no
-    node that it does not reach; both ways give the same bits.
+    model's transmittance, which ``color_full`` reads and whose values the
+    detached ``w_full`` and ``p_dy`` read. A loss that reads
+    ``color_static`` and the motion mask alone (BRI-even) therefore builds
+    the full transmittance's nodes without reaching them.
 
     ``dynamic_cut`` marks dynamic samples, sigma alone, taken at the values
-    of sample points that carry a graph: the dynamic, full and kappa
-    outputs would then drop the points' gradient, so reading them raises.
-    :meth:`at` re-composites picked samples on a coarser grid, evaluating
-    no field."""
+    of sample points that carry a graph: the dynamic, full-colour and kappa
+    outputs would then drop the points' gradient, so reading them raises;
+    the detached ``w_full`` and ``p_dy`` still serve. :meth:`at`
+    re-composites picked samples on a coarser grid, evaluating no field."""
 
     def __init__(self, static, dynamic, grid: SampleGrid, dynamic_cut: bool = False):
         self._static, self._dynamic, self.grid = static, dynamic, grid
@@ -190,10 +190,12 @@ class RenderResult:
 
     @cached_property
     def _alpha_dynamic(self):
+        return _alpha(self._dynamic.sigma, self.grid)
+
+    def _refuse_cut(self):
         if self._dynamic_cut:
             raise RuntimeError("the frozen dynamic net saw the sample points' values; "
                                "its composites would drop their gradient")
-        return _alpha(self._dynamic.sigma, self.grid)
 
     @cached_property
     def color_static(self):
@@ -209,6 +211,7 @@ class RenderResult:
     @cached_property
     def weights_dynamic(self):
         """(B,N) dynamic compositing weights."""
+        self._refuse_cut()
         return _weights(self._alpha_dynamic)
 
     @property
@@ -224,6 +227,7 @@ class RenderResult:
     def color_full(self):
         """(B,3) full composite: each sample's static and dynamic colours
         weighted by T p a^s and T (1 - p) a^d."""
+        self._refuse_cut()
         n = self.grid.n_samples
         trans, pa_s, pa_d = self._full
         contrib = ad.add(
@@ -233,16 +237,9 @@ class RenderResult:
 
     @cached_property
     def _detached(self):
-        static, dynamic = self._static.values(), self._dynamic.values()
-        if static is self._static and dynamic is self._dynamic:
-            # no graph: the full composite's own arrays
-            trans, pa_s, pa_d = self._full
-        else:
-            # decoded from the samples' values and dropped once w_full is taken
-            trans, pa_s, pa_d = _full_parts(static.p_st, _alpha(static.sigma, self.grid),
-                                            _alpha(dynamic.sigma, self.grid))
+        trans, pa_s, pa_d = map(ad.value_of, self._full)
         w_full = trans * (pa_s + pa_d)
-        return w_full, dynamicness(w_full, static.p_st)
+        return w_full, dynamicness(w_full, ad.value_of(self.p_st_samples))
 
     @property
     def w_full(self) -> np.ndarray:

@@ -235,6 +235,5 @@ PRESETS = {
 
 def build_preset(name: str) -> AnalyticScene:
     if name not in PRESETS:
-        raise KeyError(f"unknown scene preset {name!r}; choose from "
-                       f"{sorted(PRESETS)}")
+        raise ValueError(f"unknown preset {name!r}; available: {', '.join(sorted(PRESETS))}")
     return PRESETS[name]()

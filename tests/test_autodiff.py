@@ -27,6 +27,27 @@ def test_shape_mismatch_reports_both_shapes():
     assert "(2, 3)" in str(exc.value) and "(4, 5)" in str(exc.value)
 
 
+@pytest.mark.parametrize("name", ["add", "sub", "mul", "div"])
+def test_binary_ops_name_themselves_in_shape_mismatch(name):
+    with pytest.raises(ad.ShapeMismatch,
+                       match=rf"^{name}: shapes \(2, 3\) and \(4, 5\) do not broadcast$"):
+        getattr(ad, name)(ad.Node(np.zeros((2, 3))), np.ones((4, 5)))
+
+
+def test_value_of_keeps_float32_arrays_and_coerces_the_rest():
+    # a float32 array, plain or a Node's, is returned as the same object;
+    # every other input comes back as float64
+    w = np.ones((2, 3), np.float32)
+    assert ad.value_of(w) is w
+    node = ad.Node(w)
+    assert node.value is w and ad.value_of(node) is w
+    for x in (np.arange(3), np.ones(2, np.float16), [1, 2], 3.0, ad.Node([1, 2])):
+        v = ad.value_of(x)
+        assert type(v) is np.ndarray and v.dtype == np.float64
+    f64 = np.zeros(4)
+    assert ad.value_of(f64) is f64
+
+
 def test_mlp_shape_error():
     x = np.zeros((2, 3))
     with pytest.raises(ad.ShapeMismatch):
@@ -457,19 +478,14 @@ def _desk_node(kind):
     float32 weights, as in training, past two gradient blocks (the static
     one on 32 samples per ray: a 4-layer 64-wide trunk, a per-ray RGB head
     and two one-column heads; the dynamic one on a latent ray's 8: a per-ray
-    trunk, an RGB and a sigma head), or the float64 local.mlp on 232 rays,
-    whose 8-row tail a 224-row block would round differently."""
+    trunk, an RGB and a sigma head)."""
     rng = np.random.default_rng(41)
-    dtype = np.float64 if kind == "local" else np.float32
 
     def layers(*sizes):
-        return [(ad.Node((rng.normal(size=(a, b)) / np.sqrt(a)).astype(dtype)),
-                 ad.Node((rng.normal(size=b) * 0.1).astype(dtype)))
+        return [(ad.Node((rng.normal(size=(a, b)) / np.sqrt(a)).astype(np.float32)),
+                 ad.Node((rng.normal(size=b) * 0.1).astype(np.float32)))
                 for a, b in zip(sizes, sizes[1:])]
 
-    if kind == "local":
-        x = ad.Node(rng.normal(size=(232, 488)))
-        return x, None, 1, layers(488, 64, 64, 64, 64, 6), [], rng.normal(size=(232, 6))
     k = 8 if kind == "latent" else 32
     rays = 2 * (ad.BLOCK // k) + 5
     x = ad.Node(rng.normal(size=(rays * k, 51)))
@@ -482,7 +498,7 @@ def _desk_node(kind):
     return x, u, k, trunk, heads, rng.normal(size=(rays * k, 3 + len(heads) - 1))
 
 
-@pytest.mark.parametrize("kind", ["static", "latent", "local"])
+@pytest.mark.parametrize("kind", ["static", "latent"])
 def test_forward_block_never_moves_a_bit(kind, monkeypatch):
     # a node's value and every operand's gradient, byte for byte, with the
     # forward in its own blocks and in the gradient's

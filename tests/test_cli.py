@@ -719,6 +719,17 @@ class TestEval:
         assert str(path) in capsys.readouterr().err
         assert not (frames / "report.json").exists()
 
+    def test_missing_frame_names_the_file(self, tmp_path, dataset_dir, trained_dir, capsys):
+        frames = tmp_path / "frames"
+        assert main(["render", "--checkpoint", str(trained_dir / "checkpoint_final.ckpt"),
+                     "--dataset", str(dataset_dir), "--out", str(frames),
+                     "--timestamps", "1"]) == 0
+        path = frames / "rgb" / "0001.png"
+        path.unlink()
+        assert main(["eval", "--render-dir", str(frames),
+                     "--dataset", str(dataset_dir)]) == 1
+        assert capsys.readouterr().err == f"error: missing rendered frame {path}\n"
+
     def test_eval_without_renders_fails_cleanly(self, tmp_path, dataset_dir):
         code = main(["eval", "--render-dir", str(tmp_path / "empty"),
                      "--dataset", str(dataset_dir)])

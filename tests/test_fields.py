@@ -181,8 +181,8 @@ class TestFieldEval:
         x = rng.uniform(-10, 10, size=(40, 3))
         d = rng.normal(size=(40, 3))
         d /= np.linalg.norm(d, axis=1, keepdims=True)
-        c, sigma, p_st = (ad.value_of(v) for v in
-                          model.static_eval_encoded(*encoded(model, x, d), 1))
+        out = model.static_eval_encoded(*encoded(model, x, d), 1)
+        c, sigma, p_st = (ad.value_of(v) for v in (out.color, out.sigma, out.p_st))
         assert np.all((c >= 0) & (c <= 1))
         assert np.all(sigma >= 0)
         assert np.all((p_st > 0) & (p_st < 1))
@@ -195,9 +195,8 @@ class TestFieldEval:
         d = rng.normal(size=(20, 3))
         d /= np.linalg.norm(d, axis=1, keepdims=True)
         t = rng.integers(0, 5, size=20)
-        c, sigma = (ad.value_of(v) for v in
-                    model.dynamic_eval_encoded(*encoded(model, x, d),
-                                               model.glo_lookup(t), 1))
+        out = model.dynamic_eval_encoded(*encoded(model, x, d), model.glo_lookup(t), 1)
+        c, sigma = ad.value_of(out.color), ad.value_of(out.sigma)
         assert np.all((c >= 0) & (c <= 1)) and np.all(sigma >= 0)
         with pytest.raises(IndexError):
             model.glo_lookup(np.full(20, 7))
@@ -206,15 +205,17 @@ class TestFieldEval:
         a, b = tiny_model(seed=9), tiny_model(seed=9)
         x = np.array([[0.3, -0.2, 2.0]])
         d = np.array([[0.0, 0.0, 1.0]])
-        for va, vb in zip(a.static_eval_encoded(*encoded(a, x, d), 1),
-                          b.static_eval_encoded(*encoded(b, x, d), 1)):
-            assert np.array_equal(ad.value_of(va), ad.value_of(vb))
+        sa = a.static_eval_encoded(*encoded(a, x, d), 1)
+        sb = b.static_eval_encoded(*encoded(b, x, d), 1)
+        for head in ("color", "sigma", "p_st"):
+            assert np.array_equal(ad.value_of(getattr(sa, head)),
+                                  ad.value_of(getattr(sb, head)))
 
     def test_staticness_starts_uniform_static(self):
         model = tiny_model()
         x = np.random.default_rng(3).uniform(-5, 5, size=(30, 3))
         d = np.tile([0.0, 0.0, 1.0], (30, 1))
-        _, _, p_st = model.static_eval_encoded(*encoded(model, x, d), 1)
+        p_st = model.static_eval_encoded(*encoded(model, x, d), 1).p_st
         assert np.allclose(ad.value_of(p_st), 1 / (1 + np.exp(-1.0)))
 
 

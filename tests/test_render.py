@@ -13,9 +13,6 @@ class Samples:
     def __init__(self, color, sigma, p_st=None):
         self.color, self.sigma, self.p_st = color, sigma, p_st
 
-    def values(self):
-        return self
-
 
 def render_full(static_out, dynamic_out, grid):
     """RenderResult of (colors, sigmas, p_st) static and (colors, sigmas)
@@ -372,15 +369,16 @@ def _graph_free_render(monkeypatch):
 
 
 def test_graph_free_render_shares_its_composites_with_the_same_bits(monkeypatch):
-    # a graph-free render takes its detached outputs from the full
-    # composite's arrays, and the full transmittance and the dynamic weights
-    # once each; samples that carry a graph take them from their values: the
-    # same bytes
+    # a render takes its detached outputs from the full composite's arrays,
+    # or their values when the samples carry a graph, and the full
+    # transmittance and the dynamic weights once each: the same bytes either
+    # way, the detached outputs read first or last
     res, nodes, calls = _graph_free_render(monkeypatch)
     got = [res.color_full, res.p_dy, res.kappa_star, res.w_full]
     assert len(calls) == 2
-    want = [ad.value_of(nodes.color_full), nodes.p_dy, ad.value_of(nodes.kappa_star),
-            nodes.w_full]
+    w_full, p_dy = nodes.w_full, nodes.p_dy
+    want = [ad.value_of(nodes.color_full), p_dy, ad.value_of(nodes.kappa_star), w_full]
+    assert len(calls) == 4
     for a, b in zip(got, want):
         assert type(a) is np.ndarray and a.dtype == b.dtype == np.float64
         assert a.tobytes() == b.tobytes()

@@ -270,5 +270,5 @@ class TestSynthesizedInvariants:
     def test_preset_registry(self):
         scene = build_preset("moving-quad-64")
         assert scene.n_frames == 24 and scene.width == 64
-        with pytest.raises(KeyError, match="moving-quad-64"):
+        with pytest.raises(ValueError, match="moving-quad-64"):
             build_preset("no-such-preset")

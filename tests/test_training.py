@@ -335,22 +335,33 @@ def test_mdd_loss_field_rows(tiny_dataset, monkeypatch):
 
 def test_bri_even_step_builds_only_nodes_its_loss_reaches(tiny_dataset, monkeypatch):
     # the BRI-even loss reads the static composite and the detached motion
-    # mask: the full composite, the dynamic composite, the staticness head
-    # and the frozen dynamic net build no node
+    # mask: the frozen dynamic net, the dynamic composite, kappa and the
+    # full composite build no node, and every node the loss does not reach
+    # belongs to the full transmittance, whose values the mask reads
     tr = tiny_trainer(tiny_dataset)
-    built = []
+    built, renders = [], []
     init = ad.Node.__init__
     monkeypatch.setattr(ad.Node, "__init__",
                         lambda self, *a, **k: built.append(self) or init(self, *a, **k))
+    render = training.render_rays
+    monkeypatch.setattr(training, "render_rays",
+                        lambda *a, **k: renders.append(render(*a, **k)) or renders[-1])
     for it in range(2):
         batch = tr.sample_batch()
         built.clear()
+        renders.clear()
         tr.model.store.begin_step()
         tr.model.store.set_frozen_groups(FREEZE_BRI_EVEN)
         loss, _ = tr.compute_bri_even_loss(batch, tr.rng)
+        (res,) = renders
+        assert not isinstance(res._dynamic.out, ad.Node)
+        assert not vars(res).keys() & {"weights_dynamic", "color_dynamic", "kappa_star",
+                                       "color_full"}
         reached = {id(node) for node in ad.topo_order(loss)}
-        assert len(built) > 30
-        assert [node for node in built if id(node) not in reached] == []
+        full = {id(node) for part in res._full for node in ad.topo_order(part)}
+        unreached = [node for node in built if id(node) not in reached]
+        assert len(built) > 30 and unreached
+        assert all(id(node) in full for node in unreached)
         tr.bri_step(2 * it)
 
 
