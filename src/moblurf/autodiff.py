@@ -534,9 +534,7 @@ def sum_(a, axis=None, keepdims=False):
     ov = av.sum(axis=axis, keepdims=keepdims)
 
     def vjp(g):
-        if axis is None:
-            return np.broadcast_to(g, av.shape).copy()
-        if not keepdims:
+        if axis is not None and not keepdims:
             g = np.expand_dims(g, axis)
         return np.broadcast_to(g, av.shape).copy()
 

@@ -45,13 +45,12 @@ def gmrp(model: SceneModel, rays: RayBatch) -> RayBatch:
     """Global motion-aware ray prediction: the copy-major latent bundle."""
     n_latent, b = model.config.n_latent, len(rays)
     tiled = rays.select(np.tile(np.arange(b), n_latent))
-    return tiled.warp(*model.global_screws(tiled.t, np.repeat(np.arange(n_latent), b)))
+    return tiled.warp(model.global_screws(tiled.t, np.repeat(np.arange(n_latent), b)))
 
 
 def lorr(model: SceneModel, rays: RayBatch) -> RayBatch:
     """Local object-motion refinement: per-ray screw from the local MLP."""
-    screw = model.local_screw(rays.origins, rays.dirs, rays.t, rays.near, rays.far)
-    return rays.warp(ad.narrow(screw, 0, 3, axis=1), ad.narrow(screw, 3, 3, axis=1))
+    return rays.warp(model.local_screw(rays.origins, rays.dirs, rays.t, rays.near, rays.far))
 
 
 def blur_average(base_color, latent_colors):

@@ -103,9 +103,11 @@ class RayBatch:
             far=self.far,
         )
 
-    def warp(self, omega, v) -> "RayBatch":
-        """The rays rigidly moved by one screw (omega, v) per row; in the
-        graph when either screw part is a Node."""
+    def warp(self, screw) -> "RayBatch":
+        """The rays rigidly moved by one (B,6) screw row each: rotation omega
+        in columns 0-2, translation v in 3-5 (see :func:`se3.warp_ray`); in
+        the graph when ``screw`` is a Node."""
+        omega, v = ad.narrow(screw, 0, 3, axis=1), ad.narrow(screw, 3, 3, axis=1)
         o, d = se3.warp_ray(self.origins, self.dirs, omega, v)
         return RayBatch(o, d, self.t, self.uv, self.near, self.far)
 

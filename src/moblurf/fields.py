@@ -4,8 +4,8 @@ Houses the static net (color, density, staticness probability), the dynamic
 net (time-conditioned color and density), the local object-motion MLP, the
 per-frame GLO codes, and the screw-axis embedding tables. Each net is one
 :func:`autodiff.mlp` node: its trunk carries its heads, which run inside
-the trunk's row blocks (:meth:`Mlp.with_heads`). Everything lives in one
-ParamStore under these groups:
+the trunk's row blocks, and each evaluation binds its :class:`Mlp` stacks.
+Everything lives in one ParamStore under these groups:
 
   static      static net weights
   dynamic     dynamic net weights + GLO codes
@@ -16,7 +16,6 @@ ParamStore under these groups:
 
 from __future__ import annotations
 
-import copy
 import json
 import os
 import struct
@@ -178,39 +177,18 @@ def init_mlp(store: ParamStore, prefix: str, group: str, sizes,
 class Mlp:
     """Fully connected stack over the ``prefix.{i}.w``/``.b`` parameters of a
     store, evaluated as one :func:`autodiff.mlp` node: a relu between
-    layers and, once :meth:`with_heads` binds heads, after the last one too."""
+    layers and, when ``heads`` read it, after the last one too. ``u`` and
+    ``k`` are the per-ray operand and ``heads`` the stacks that read the last
+    layer inside the node (see :func:`autodiff.mlp`). A field binds its
+    stacks with each call's operands; the call's one argument is the rows
+    that ``perfbench/tracer.py`` counts."""
 
-    # no per-ray operand until :meth:`per_ray` binds one, no heads until
-    # :meth:`with_heads` does
-    u = None
-    k = 1
-    heads = ()
-
-    def __init__(self, store: ParamStore, prefix: str):
-        self.store = store
-        self.prefix = prefix
+    def __init__(self, store: ParamStore, prefix: str, u=None, k: int = 1,
+                 heads: tuple = ()):
+        self.store, self.prefix, self.u, self.k, self.heads = store, prefix, u, k, heads
         self.n_layers = 0
         while f"{prefix}.{self.n_layers}.w" in store.values:
             self.n_layers += 1
-
-    def per_ray(self, u, k: int) -> "Mlp":
-        """This stack with the per-ray rows ``u`` joined to the input of
-        each run of ``k`` consecutive rows (see :func:`autodiff.mlp`); the
-        first weight's trailing rows are ``u``'s. A new binding: ``self``
-        is left as it is, and the call keeps its one argument, the rows
-        that ``perfbench/tracer.py`` counts."""
-        bound = copy.copy(self)
-        bound.u, bound.k = u, k
-        return bound
-
-    def with_heads(self, *heads: "Mlp") -> "Mlp":
-        """This stack with ``heads`` reading its last layer inside its node,
-        each with its own per-ray binding, relus between its layers and a
-        linear output: the call returns their outputs side by side (see
-        :func:`autodiff.mlp`). A new binding, as with :meth:`per_ray`."""
-        bound = copy.copy(self)
-        bound.heads = heads
-        return bound
 
     def layers(self) -> list:
         """The ``(w, b)`` pairs, as the store's leaves for this step."""
@@ -274,7 +252,6 @@ class SceneModel:
         self.config = config
         self.store = ParamStore()
         self._init_params(rng)
-        self._bind()
 
     def _init_params(self, rng: np.random.Generator):
         cfg = self.config
@@ -307,18 +284,6 @@ class SceneModel:
         st.add("screw.global", np.zeros((cfg.n_frames * max(cfg.n_latent, 1), 6)),
                "screw_global")
 
-    def _bind(self):
-        # the trunks carry their heads inside their node, and so end in
-        # their relu (see the field evaluations below)
-        self.static_trunk = Mlp(self.store, "static.trunk")
-        self.static_sigma = Mlp(self.store, "static.sigma")
-        self.static_rgb = Mlp(self.store, "static.rgb")
-        self.static_pst = Mlp(self.store, "static.pst")
-        self.dynamic_trunk = Mlp(self.store, "dynamic.trunk")
-        self.dynamic_sigma = Mlp(self.store, "dynamic.sigma")
-        self.dynamic_rgb = Mlp(self.store, "dynamic.rgb")
-        self.local_mlp = Mlp(self.store, "local.mlp")
-
     # field evaluation -------------------------------------------------------
 
     def static_eval_encoded(self, enc_x, enc_d, k: int):
@@ -326,25 +291,28 @@ class SceneModel:
         per ray, viewed along their rays' encoded unit directions ``enc_d``
         (see :func:`encode_position`): one node, the trunk and its RGB,
         sigma and staticness heads."""
-        return FieldSamples(self.static_trunk.with_heads(
-            self.static_rgb.per_ray(enc_d, k), self.static_sigma, self.static_pst)(enc_x),
-            ("color", "sigma", "p_st"), k)
+        st = self.store
+        field = Mlp(st, "static.trunk", heads=(
+            Mlp(st, "static.rgb", enc_d, k), Mlp(st, "static.sigma"), Mlp(st, "static.pst")))
+        return FieldSamples(field(enc_x), ("color", "sigma", "p_st"), k)
 
     def dynamic_density(self, enc_x, glo, k: int):
         """(sigma,) samples of the dynamic net at encoded points, ``k`` per
         ray, conditioned on the GLO rows ``glo`` of their rays' frames (see
         :meth:`glo_lookup`): one node, the trunk and its sigma head alone."""
-        return FieldSamples(self.dynamic_trunk.per_ray(glo, k).with_heads(
-            self.dynamic_sigma)(enc_x), ("sigma",), k)
+        st = self.store
+        field = Mlp(st, "dynamic.trunk", glo, k, heads=(Mlp(st, "dynamic.sigma"),))
+        return FieldSamples(field(enc_x), ("sigma",), k)
 
     def dynamic_eval_encoded(self, enc_x, enc_d, glo, k: int):
         """(color, sigma) samples at encoded points, ``k`` per ray, and
         their rays' encoded directions, conditioned on the GLO rows ``glo``
         of their rays' frames: one node, the trunk and its RGB and sigma
         heads."""
-        return FieldSamples(self.dynamic_trunk.per_ray(glo, k).with_heads(
-            self.dynamic_rgb.per_ray(enc_d, k), self.dynamic_sigma)(enc_x),
-            ("color", "sigma"), k)
+        st = self.store
+        field = Mlp(st, "dynamic.trunk", glo, k, heads=(
+            Mlp(st, "dynamic.rgb", enc_d, k), Mlp(st, "dynamic.sigma")))
+        return FieldSamples(field(enc_x), ("color", "sigma"), k)
 
     def glo_lookup(self, t_idx):
         self._check_t(t_idx)
@@ -378,20 +346,18 @@ class SceneModel:
         return ad.reshape(enc, (n, cfg.ray_embed_dim))
 
     def local_screw(self, origins, dirs, t_idx, near: float, far: float):
-        """Per-ray refinement screw from the local object-motion MLP."""
+        """(B,6) per-ray refinement screws from the local object-motion MLP."""
         phi = self.ray_embedding(origins, dirs, near, far)
         glo = self.glo_lookup(t_idx)
-        return self.local_mlp(ad.concat([phi, glo], axis=-1))
+        return Mlp(self.store, "local.mlp")(ad.concat([phi, glo], axis=-1))
 
     def base_screws(self, t_idx):
-        """(omega, v) rows of the base screw table for frame indices t_idx."""
+        """(B,6) rows of the base screw table for frame indices t_idx."""
         self._check_t(t_idx)
-        table = self.store.leaf("screw.base")
-        rows = ad.gather(table, np.asarray(t_idx, dtype=np.int64))
-        return ad.narrow(rows, 0, 3, axis=1), ad.narrow(rows, 3, 3, axis=1)
+        return ad.gather(self.store.leaf("screw.base"), np.asarray(t_idx, dtype=np.int64))
 
     def global_screws(self, t_idx, q):
-        """(omega, v) rows of the q-th global screw for frame indices t_idx;
+        """(B,6) rows of the q-th global screw for frame indices t_idx;
         ``q`` is one latent index or one per row."""
         self._check_t(t_idx)
         n = max(self.config.n_latent, 1)
@@ -399,9 +365,7 @@ class SceneModel:
         if q.size and (q.min() < 0 or q.max() >= n):
             raise IndexError(f"latent ray index {q} out of range")
         flat = np.asarray(t_idx, dtype=np.int64) * n + q
-        table = self.store.leaf("screw.global")
-        rows = ad.gather(table, flat)
-        return ad.narrow(rows, 0, 3, axis=1), ad.narrow(rows, 3, 3, axis=1)
+        return ad.gather(self.store.leaf("screw.global"), flat)
 
 
 # ---------------------------------------------------------------------------

@@ -106,7 +106,7 @@ def _render_frame(model: SceneModel, pose: CameraPose, t: int, height: int,
     store.set_frozen_groups(set(store.groups()))
     try:
         if base_rays:
-            rays = rays.warp(*model.base_screws(rays.t))
+            rays = rays.warp(model.base_screws(rays.t))
         for start in range(0, len(rays), CHUNK):
             rows = np.arange(start, min(start + CHUNK, len(rays)))
             res = render_rays(model, rays.select(rows), n_samples, rng=None)

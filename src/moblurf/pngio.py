@@ -60,12 +60,17 @@ def read_png(path) -> np.ndarray:
     idat = b""
     while pos < len(blob):
         length = int.from_bytes(blob[pos:pos + 4], "big")
-        tag = blob[pos + 4:pos + 8]
-        payload = blob[pos + 8:pos + 8 + length]
+        chunk = blob[pos + 4:pos + 8 + length]             # tag and payload
+        crc = blob[pos + 8 + length:pos + 12 + length]
+        tag, payload = chunk[:4], chunk[4:]
         pos += 12 + length
         if pos > len(blob):
             raise PngError(f"{path}: truncated {tag!r} chunk")
+        if int.from_bytes(crc, "big") != zlib.crc32(chunk):
+            raise PngError(f"{path}: CRC mismatch in {tag!r} chunk")
         if tag == b"IHDR":
+            if len(payload) != 13:
+                raise PngError(f"{path}: IHDR has {len(payload)} bytes, not 13")
             width, height, depth, color_type, comp, filt, interlace = \
                 struct.unpack(">IIBBBBB", payload)
             if depth != 8 or interlace != 0 or color_type not in (0, 2):

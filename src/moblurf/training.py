@@ -153,7 +153,7 @@ class Trainer:
     def warp_base(self, rays: RayBatch) -> RayBatch:
         """Base rays = input rays warped by the per-frame screw table: in the
         graph while the ``screw_base`` group trains, constants while frozen."""
-        return rays.warp(*self.model.base_screws(rays.t))
+        return rays.warp(self.model.base_screws(rays.t))
 
     # loss helpers -----------------------------------------------------------
 
@@ -253,9 +253,7 @@ class Trainer:
         freeze set, the loss its method makes of a sampled batch, then the
         update at the stage's rates."""
         frozen, method = STEPS[kind]
-        store = self.model.store
-        store.begin_step()
-        store.set_frozen_groups(frozen)
+        self.model.store.set_frozen_groups(frozen)
         loss, breakdown = getattr(self, method)(self.sample_batch(), self.rng)
         if not np.isfinite(breakdown.total):
             raise NumericalError(f"non-finite loss at {stage} iteration {iteration}",

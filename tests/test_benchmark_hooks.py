@@ -8,8 +8,9 @@ import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 
-from moblurf import fields, inference, se3, training
+from moblurf import blur, fields, inference, render, se3, training
 from moblurf.config import resolve_config
 from moblurf.data import synthesize_dataset
 from moblurf.scene import moving_quad_scene
@@ -55,16 +56,21 @@ def test_install_then_uninstall_restores_every_attribute(monkeypatch):
     assert [k for k, v in before.items() if after[k] is not v] == []
 
 
-def run_units(wl, tmp_path):
-    """One unit of each workload on a tiny model, through the same calls the
-    benchmark makes; their outputs."""
+def tiny_trainer() -> training.Trainer:
     ds = synthesize_dataset(moving_quad_scene(size=24, n_frames=5), seed=3,
                             preset_name="hooks-test")
     cfg = resolve_config("desk", overrides=dict(
         batch_size=24, n_samples=8, n_latent=2, trunk_depth=2, trunk_width=16,
         rgb_width=8, local_depth=2, local_width=8, ray_samples=8,
         bri_iters=4, mdd_iters=2))
-    trainer = training.Trainer(cfg, ds)
+    return training.Trainer(cfg, ds)
+
+
+def run_units(wl, tmp_path):
+    """One unit of each workload on a tiny model, through the same calls the
+    benchmark makes; their outputs."""
+    trainer = tiny_trainer()
+    ds, cfg = trainer.dataset, trainer.config
     out = wl.Outputs()
     assert wl.BriTrain().run_unit(trainer, 0, out) == 2 * cfg.batch_size
     assert wl.MddTrain().run_unit(trainer, 0, out) == cfg.batch_size
@@ -97,3 +103,39 @@ def test_traced_units_match_untraced(monkeypatch, tmp_path):
     spans = tracer.summary(0)
     for name in ("fields.static.trunk", "fields.dynamic.trunk"):
         assert spans[name]["counts"]["rows"] > 0, name
+
+
+@pytest.mark.parametrize("unit", ["render", "bri_even", "lorr"])
+def test_each_field_is_one_traced_call_over_all_its_rows(monkeypatch, unit):
+    # the tracer keys a field's span by its Mlp's prefix and counts its
+    # rows and flops from the Mlp's store and layer count: a render and a
+    # BRI-even step run each field as one trunk call over every sample
+    # row, heads inside it, and LORR runs local.mlp once over its rays
+    traced = load_module(monkeypatch, "tracer")
+    tracer = traced.Tracer()
+    trainer = tiny_trainer()
+    cfg, model, rays = trainer.config, trainer.model, trainer.sample_batch().rays
+    tracer.install()
+    try:
+        if unit == "render":
+            render.render_rays(model, rays, cfg.n_samples)
+        elif unit == "bri_even":
+            trainer.bri_step(0)
+        else:
+            blur.lorr(model, rays)
+    finally:
+        tracer.uninstall()
+    store = model.store
+
+    def count(prefix, rows):
+        macs = sum(v.size for name, v in store.values.items()
+                   if name.startswith(prefix + ".") and name.endswith(".w"))
+        return {"calls": 1, "rows": rows, "flop": 2 * rows * macs}
+
+    samples = cfg.batch_size * cfg.n_samples
+    want = ({"local.mlp": count("local.mlp", cfg.batch_size)} if unit == "lorr" else
+            {p: count(p, samples) for p in ("static.trunk", "dynamic.trunk")})
+    got = {name[len("fields."):]: {"calls": row["calls"], **row["counts"]}
+           for name, row in tracer.summary(0).items()
+           if name[len("fields."):] in traced.MLP_NAMES}
+    assert got == want

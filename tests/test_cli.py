@@ -15,6 +15,7 @@ from moblurf.cli import build_parser, main
 from moblurf.config import TrainConfig, resolve_config
 from moblurf.data import DEPTH_MAGIC
 from moblurf.fields import CHECKPOINT_MAGIC
+from test_scene_data import png_with_empty_ihdr
 
 TINY_TRAIN = [
     "--set", "bri_iters=4", "--set", "mdd_iters=2", "--set", "batch_size=16",
@@ -729,6 +730,19 @@ class TestEval:
         assert main(["eval", "--render-dir", str(frames),
                      "--dataset", str(dataset_dir)]) == 1
         assert capsys.readouterr().err == f"error: missing rendered frame {path}\n"
+
+    def test_frame_with_an_empty_ihdr_names_the_file(self, tmp_path, dataset_dir,
+                                                     trained_dir, capsys):
+        frames = tmp_path / "frames"
+        assert main(["render", "--checkpoint", str(trained_dir / "checkpoint_final.ckpt"),
+                     "--dataset", str(dataset_dir), "--out", str(frames),
+                     "--timestamps", "1"]) == 0
+        path = frames / "rgb" / "0001.png"
+        path.write_bytes(png_with_empty_ihdr())
+        assert main(["eval", "--render-dir", str(frames),
+                     "--dataset", str(dataset_dir)]) == 1
+        assert capsys.readouterr().err == f"error: {path}: IHDR has 0 bytes, not 13\n"
+        assert not (frames / "report.json").exists()
 
     def test_eval_without_renders_fails_cleanly(self, tmp_path, dataset_dir):
         code = main(["eval", "--render-dir", str(tmp_path / "empty"),

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from moblurf import autodiff as ad
-from moblurf.fields import (ENCODE_BLOCK, FieldConfig, SceneModel, encode_position,
+from moblurf.fields import (ENCODE_BLOCK, FieldConfig, Mlp, SceneModel, encode_position,
                             load_checkpoint, save_checkpoint, CheckpointError,
                             CHECKPOINT_MAGIC)
 
@@ -130,12 +130,12 @@ class TestMlp:
         store.field_dtype = np.float64
         x = np.random.default_rng(3).normal(size=(50, model.config.pos_dim))
         ref = x
-        for i in range(model.static_trunk.n_layers):
+        for i in range(model.config.trunk_depth):
             ref = ref @ store.values[f"static.trunk.{i}.w"] + store.values[f"static.trunk.{i}.b"]
             # the trunk, read by a head, ends in its activation too
             ref = np.maximum(ref, 0.0)
         ref = ref @ store.values["static.sigma.0.w"] + store.values["static.sigma.0.b"]
-        trunk = model.static_trunk.with_heads(model.static_sigma)
+        trunk = Mlp(store, "static.trunk", heads=(Mlp(store, "static.sigma"),))
         store.begin_step()
         assert np.array_equal(trunk(x).value, ref)
         # a frozen group's weights are constants: plain arrays in and out
@@ -308,9 +308,8 @@ class TestScrewTables:
     def test_base_rows_match_table(self):
         model = tiny_model()
         model.store.values["screw.base"][:] = np.arange(30).reshape(5, 6)
-        omega, v = model.base_screws(np.array([3, 0]))
-        assert np.array_equal(ad.value_of(omega), [[18, 19, 20], [0, 1, 2]])
-        assert np.array_equal(ad.value_of(v), [[21, 22, 23], [3, 4, 5]])
+        rows = model.base_screws(np.array([3, 0]))
+        assert np.array_equal(ad.value_of(rows), [np.arange(18, 24), np.arange(6)])
 
 
 class TestCheckpoint:

@@ -1,3 +1,5 @@
+import zlib
+
 import numpy as np
 import pytest
 
@@ -33,6 +35,31 @@ class TestPng:
         p.write_bytes(b"hello world, definitely not a png")
         with pytest.raises(PngError):
             read_png(p)
+
+    def test_rejects_a_chunk_whose_crc_does_not_match(self, tmp_path):
+        p = tmp_path / "x.png"
+        write_png(p, np.zeros((4, 4, 3), dtype=np.uint8))
+        blob = bytearray(p.read_bytes())
+        idat = blob.index(b"IDAT")
+        length = int.from_bytes(blob[idat - 4:idat], "big")
+        blob[idat + 4 + length] ^= 0x01             # the first byte of its CRC
+        p.write_bytes(bytes(blob))
+        with pytest.raises(PngError) as err:
+            read_png(p)
+        assert str(err.value) == f"{p}: CRC mismatch in b'IDAT' chunk"
+
+    def test_rejects_an_ihdr_that_is_not_13_bytes(self, tmp_path):
+        p = tmp_path / "x.png"
+        p.write_bytes(png_with_empty_ihdr())
+        with pytest.raises(PngError) as err:
+            read_png(p)
+        assert str(err.value) == f"{p}: IHDR has 0 bytes, not 13"
+
+
+def png_with_empty_ihdr() -> bytes:
+    """A PNG signature and an IHDR chunk with no payload and a valid CRC."""
+    return (b"\x89PNG\r\n\x1a\n" + bytes(4) + b"IHDR"
+            + zlib.crc32(b"IHDR").to_bytes(4, "big"))
 
 
 class TestRenderSharp:

@@ -6,6 +6,7 @@ import pytest
 
 from moblurf import autodiff as ad
 from moblurf import se3
+from moblurf.cameras import RayBatch
 
 
 def random_axis_angles(n, rng, max_angle=np.pi):
@@ -135,6 +136,32 @@ class TestWarpRay:
         o_nd, d_nd = se3.warp_ray(o, d, ad.Node(omega), ad.Node(v))
         assert np.array_equal(o_np, ad.value_of(o_nd))
         assert np.array_equal(d_np, ad.value_of(d_nd))
+
+    @pytest.mark.parametrize("node", [False, True], ids=["plain", "node"])
+    def test_ray_batch_warp_reads_omega_then_v_from_one_row(self, node):
+        # RayBatch.warp takes a (B,6) screw row: the bits of warp_ray on its
+        # two halves and, in the graph, the same gradient of the row
+        rng = np.random.default_rng(6)
+        o = rng.normal(size=(6, 3))
+        d = rng.normal(size=(6, 3))
+        d /= np.linalg.norm(d, axis=1, keepdims=True)
+        screw = np.hstack([random_axis_angles(6, rng, max_angle=1.0),
+                           rng.normal(size=(6, 3)) * 0.1])
+        row, halves = screw, [screw[:, :3], screw[:, 3:]]
+        if node:
+            row, halves = ad.Node(screw), [ad.Node(h) for h in halves]
+        rays = RayBatch(o, d, np.zeros(6, dtype=np.int64), np.zeros((6, 2), dtype=np.int64),
+                        1.0, 5.0)
+        moved = rays.warp(row)
+        got, ref = (moved.origins, moved.dirs), se3.warp_ray(o, d, *halves)
+        for x, y in zip(got, ref):
+            assert isinstance(x, ad.Node) == node
+            assert ad.value_of(x).tobytes() == ad.value_of(y).tobytes()
+        if node:
+            weights = rng.normal(size=(2, 6, 3))
+            for outs in (got, ref):
+                ad.backward(ad.add(*[ad.sum_(ad.mul(x, w)) for x, w in zip(outs, weights)]))
+            assert row.grad.tobytes() == np.hstack([h.grad for h in halves]).tobytes()
 
 
 class TestQuaternions:

@@ -251,7 +251,7 @@ def test_pseudo_depth_is_a_distance_along_the_unit_rays(tiny_dataset):
             point = o[0] + ds.pseudo_depth[t[i], pv[i], pu[i]] * pix[0]
             assert np.allclose(r.origins[i] + dist[i] * r.dirs[i], point,
                                rtol=0, atol=1e-12)
-        w = r.warp(screws[t, :3], screws[t, 3:])
+        w = r.warp(screws[t])
         for i in range(k):
             omega, shift = screws[t[i], :3], screws[t[i], 3:]
             moved = (se3.exp_rotation(omega) @ (r.origins[i] + dist[i] * r.dirs[i])
@@ -783,10 +783,11 @@ class TestFieldDtype:
     def test_in_place_write_reaches_the_next_step(self, tiny_dataset, frozen):
         # the float32 copies are a step's: begin_step makes them anew from
         # the float64 weights, whatever wrote to those in place
+        from moblurf.fields import Mlp
         model = tiny_trainer(tiny_dataset).model
         store = model.store
         store.set_frozen_groups(frozen)
-        field = model.static_trunk.with_heads(model.static_sigma)
+        field = Mlp(store, "static.trunk", heads=(Mlp(store, "static.sigma"),))
         x = np.random.default_rng(6).normal(size=(40, model.config.pos_dim))
         before = ad.value_of(field(x))
         store.values["static.sigma.0.b"] += 0.5
