@@ -128,7 +128,6 @@ def first_steps(data: str, seed: int) -> dict:
     store, truth = trainer.model.store, trainer.dataset.mask_true
     losses, refined = [], 0
     for i in range(PROBE_STEPS):
-        store.begin_step()
         store.set_frozen_groups(FREEZE_MDD)
         batch = trainer.sample_batch()
         rays = batch.rays

@@ -83,12 +83,15 @@ def cmd_synth(args) -> int:
 
 
 def cmd_train(args) -> int:
-    from .config import (read_json, read_manifest, resolve_config, save_manifest,
-                         write_manifest)
+    from .config import (ConfigError, read_json, read_manifest, resolve_config,
+                         save_manifest, write_manifest)
     from .data import read_dataset
     from .training import Trainer
 
-    file_values = read_json(args.config) if args.config else None
+    file_values = read_json(args.config) if args.config else {}
+    if not isinstance(file_values, dict):
+        raise ConfigError(f"{args.config}: expected a JSON object, "
+                          f"got {type(file_values).__name__}")
     overrides = _parse_overrides(args.set)
     if args.seed is not None:
         overrides["seed"] = args.seed

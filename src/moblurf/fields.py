@@ -1,10 +1,10 @@
 """Learnable scene components.
 
-Houses the static net (color, density, staticness probability), the dynamic
-net (time-conditioned color and density), the local object-motion MLP, the
-per-frame GLO codes, and the screw-axis embedding tables. Each net is one
-:func:`autodiff.mlp` node: its trunk carries its heads, which run inside
-the trunk's row blocks, and each evaluation binds its :class:`Mlp` stacks.
+Houses the static net (heads ``rgb``, ``sigma`` and staticness ``pst``), the
+dynamic net (time-conditioned ``rgb`` and ``sigma``), the local object-motion
+MLP, the per-frame GLO codes, and the screw-axis embedding tables.
+:meth:`SceneModel.field` binds a net's :class:`Mlp` stacks and runs them as one
+:func:`autodiff.mlp` node, the heads it names inside the trunk's row blocks.
 Everything lives in one ParamStore under these groups:
 
   static      static net weights
@@ -195,45 +195,46 @@ class Mlp:
         leaf, p = self.store.leaf, self.prefix
         return [(leaf(f"{p}.{i}.w"), leaf(f"{p}.{i}.b")) for i in range(self.n_layers)]
 
+    @property
+    def width(self) -> int:
+        """The output layer's width: its bias's length."""
+        return len(self.store.values[f"{self.prefix}.{self.n_layers - 1}.b"])
+
     def __call__(self, x):
         return ad.mlp(x, self.layers(), u=self.u, k=self.k,
                       heads=[(h.layers(), h.u, h.k) for h in self.heads])
 
 
 class FieldSamples:
-    """A field's output at ``k`` samples per ray, one row per sample: the
-    pre-activation columns of its heads, in the order ``heads`` names them
-    (``color`` 3 wide, ``sigma`` and ``p_st`` 1 wide). Each head is decoded
-    on first read, one row per ray, (B,k,3) or (B,k): colours and
-    staticness by sigmoid, densities by softplus, so an output nothing
-    reads builds no node."""
+    """A field's output at ``k`` samples per ray, one row per sample: its
+    heads' pre-activation columns, ``cols`` mapping each head's name to its
+    ``(start, width)``. A head is decoded on first read, under its weights'
+    name, one row per ray, (B,k,3) or (B,k): ``rgb`` and ``pst`` by sigmoid,
+    ``sigma`` by softplus, so an output nothing reads builds no node."""
 
-    WIDTH = {"color": 3, "sigma": 1, "p_st": 1}
-
-    def __init__(self, out, heads: tuple, k: int):
-        self.out, self.heads, self.k = out, heads, k
+    def __init__(self, out, cols: dict, k: int):
+        self.out, self.cols, self.k = out, cols, k
 
     def _head(self, name: str, activation):
-        start = sum(self.WIDTH[h] for h in self.heads[:self.heads.index(name)])
-        width = self.WIDTH[name]
+        start, width = self.cols[name]
         col = ad.narrow(self.out, start, width, axis=1)
         return activation(ad.reshape(col, (-1, self.k, width) if width > 1 else (-1, self.k)))
 
     @cached_property
-    def color(self):
-        return self._head("color", ad.sigmoid)
+    def rgb(self):
+        return self._head("rgb", ad.sigmoid)
 
     @cached_property
     def sigma(self):
         return self._head("sigma", ad.softplus)
 
     @cached_property
-    def p_st(self):
-        return self._head("p_st", ad.sigmoid)
+    def pst(self):
+        return self._head("pst", ad.sigmoid)
 
     def rows(self, idx: np.ndarray, k: int) -> "FieldSamples":
         """The samples of rows ``idx``, ``k`` per ray: one row gather."""
-        return FieldSamples(ad.gather(self.out, idx), self.heads, k)
+        return FieldSamples(ad.gather(self.out, idx), self.cols, k)
 
 
 class SceneModel:
@@ -286,33 +287,17 @@ class SceneModel:
 
     # field evaluation -------------------------------------------------------
 
-    def static_eval_encoded(self, enc_x, enc_d, k: int):
-        """(color, sigma, p_st) samples at encoded points ``enc_x``, ``k``
-        per ray, viewed along their rays' encoded unit directions ``enc_d``
-        (see :func:`encode_position`): one node, the trunk and its RGB,
-        sigma and staticness heads."""
-        st = self.store
-        field = Mlp(st, "static.trunk", heads=(
-            Mlp(st, "static.rgb", enc_d, k), Mlp(st, "static.sigma"), Mlp(st, "static.pst")))
-        return FieldSamples(field(enc_x), ("color", "sigma", "p_st"), k)
-
-    def dynamic_density(self, enc_x, glo, k: int):
-        """(sigma,) samples of the dynamic net at encoded points, ``k`` per
-        ray, conditioned on the GLO rows ``glo`` of their rays' frames (see
-        :meth:`glo_lookup`): one node, the trunk and its sigma head alone."""
-        st = self.store
-        field = Mlp(st, "dynamic.trunk", glo, k, heads=(Mlp(st, "dynamic.sigma"),))
-        return FieldSamples(field(enc_x), ("sigma",), k)
-
-    def dynamic_eval_encoded(self, enc_x, enc_d, glo, k: int):
-        """(color, sigma) samples at encoded points, ``k`` per ray, and
-        their rays' encoded directions, conditioned on the GLO rows ``glo``
-        of their rays' frames: one node, the trunk and its RGB and sigma
-        heads."""
-        st = self.store
-        field = Mlp(st, "dynamic.trunk", glo, k, heads=(
-            Mlp(st, "dynamic.rgb", enc_d, k), Mlp(st, "dynamic.sigma")))
-        return FieldSamples(field(enc_x), ("color", "sigma"), k)
+    def field(self, net: str, heads: tuple, enc_x, k: int, enc_d=None, glo=None):
+        """Samples of the ``static`` or ``dynamic`` ``net`` at encoded points
+        ``enc_x``, ``k`` per ray: one node, its trunk and the ``heads``
+        (``rgb``, ``sigma``, ``pst``) in that order. ``rgb`` reads the rays'
+        encoded unit directions ``enc_d``, and the trunk, when they are
+        given, the GLO rows ``glo`` of their frames (see :meth:`glo_lookup`)."""
+        bound = [Mlp(self.store, f"{net}.{h}", enc_d if h == "rgb" else None, k) for h in heads]
+        out = Mlp(self.store, f"{net}.trunk", glo, k, heads=bound)(enc_x)
+        starts = np.cumsum([0] + [m.width for m in bound])
+        cols = {h: (int(a), m.width) for h, a, m in zip(heads, starts, bound)}
+        return FieldSamples(out, cols, k)
 
     def glo_lookup(self, t_idx):
         self._check_t(t_idx)
@@ -435,7 +420,11 @@ def load_checkpoint(path):
                 raise CheckpointError(
                     f"{path}: unsupported checkpoint version {header['version']}")
             listed = [(a["name"], a["kind"], a["shape"]) for a in header["arrays"]]
-            adam_t = {k: int(v) for k, v in header["adam_t"].items()}
+            adam_t = header["adam_t"]
+            for name, t in adam_t.items():
+                if type(t) is not int or t < 0:
+                    raise CheckpointError(f"{path}: adam_t of {name} is {t!r}, "
+                                          f"not an integer >= 0")
             field_config = dict(header["field_config"])
             if field_config.pop("activation", "relu") != "relu":
                 raise CheckpointError(f"{path}: trunk activation is not relu")

@@ -1,7 +1,8 @@
 """Training objectives.
 
 All losses are means over the ray batch rather than raw sums, so the
-weighting constants are batch-size independent.
+weighting constants are batch-size independent. One photometric term
+serves the masked static fit and the unmasked dynamic and full ones.
 """
 
 from __future__ import annotations
@@ -13,22 +14,13 @@ from . import autodiff as ad
 DEGENERATE_CROSS_NORM = 1e-8
 
 
-def photometric(rendered, target):
-    """Mean over the batch of per-ray squared color error."""
+def photometric(rendered, target, mask=None):
+    """Mean over the batch of per-ray squared color error. A ray whose
+    ``mask`` (binary, gradient-detached) is 1 contributes exactly zero; the
+    denominator stays the full batch size."""
     diff = ad.sub(rendered, target)
-    n = ad.value_of(rendered).shape[0]
-    return ad.div(ad.sum_(ad.mul(diff, diff)), float(max(n, 1)))
-
-
-def masked_photometric(rendered, target, mask):
-    """Photometric error restricted to rays with mask == 0, batch mean.
-
-    ``mask`` is a binary, gradient-detached array; masked rays contribute
-    exactly zero, the denominator stays the full batch size.
-    """
-    mask = np.asarray(ad.value_of(mask))
-    keep = (1.0 - mask.astype(np.float64)).reshape(-1, 1)
-    diff = ad.mul(ad.sub(rendered, target), keep)
+    if mask is not None:
+        diff = ad.mul(diff, (1.0 - ad.value_of(mask)).reshape(-1, 1))
     n = ad.value_of(rendered).shape[0]
     return ad.div(ad.sum_(ad.mul(diff, diff)), float(max(n, 1)))
 

@@ -155,8 +155,8 @@ def _full_parts(p_st, alpha_s, alpha_d):
 
 class RenderResult:
     """Per-ray outputs of a full render of B rays on ``grid`` from the static
-    and dynamic fields' samples (``color`` (B,N,3), ``sigma`` (B,N) and,
-    static only, ``p_st`` (B,N)).
+    and dynamic fields' samples (``rgb`` (B,N,3), ``sigma`` (B,N) and,
+    static only, ``pst`` (B,N)).
 
     Each output is built on first read, its graph nodes with it, and so is
     each part that outputs share: a field's opacities, and the full
@@ -200,13 +200,13 @@ class RenderResult:
     @cached_property
     def color_static(self):
         """(B,3) static composite."""
-        return _shade(_weights(self._alpha_static), self._static.color,
+        return _shade(_weights(self._alpha_static), self._static.rgb,
                       self.grid.n_samples)
 
     @cached_property
     def color_dynamic(self):
         """(B,3) dynamic composite."""
-        return _shade(self.weights_dynamic, self._dynamic.color, self.grid.n_samples)
+        return _shade(self.weights_dynamic, self._dynamic.rgb, self.grid.n_samples)
 
     @cached_property
     def weights_dynamic(self):
@@ -217,7 +217,7 @@ class RenderResult:
     @property
     def p_st_samples(self):
         """(B,N) staticness probabilities."""
-        return self._static.p_st
+        return self._static.pst
 
     @cached_property
     def _full(self):
@@ -231,8 +231,8 @@ class RenderResult:
         n = self.grid.n_samples
         trans, pa_s, pa_d = self._full
         contrib = ad.add(
-            ad.mul(ad.reshape(ad.mul(trans, pa_s), (-1, n, 1)), self._static.color),
-            ad.mul(ad.reshape(ad.mul(trans, pa_d), (-1, n, 1)), self._dynamic.color))
+            ad.mul(ad.reshape(ad.mul(trans, pa_s), (-1, n, 1)), self._static.rgb),
+            ad.mul(ad.reshape(ad.mul(trans, pa_d), (-1, n, 1)), self._dynamic.rgb))
         return ad.sum_(contrib, axis=1)
 
     @cached_property
@@ -301,27 +301,29 @@ def render_rays(model: SceneModel, rays: RayBatch, n_samples: int,
 
 def render_on_grid(model: SceneModel, rays: RayBatch, grid: SampleGrid) -> RenderResult:
     """Evaluate both fields at every sample of ``grid`` on every ray and
-    composite the batch.
+    composite the batch: the static net's ``rgb``, ``sigma`` and ``pst``
+    heads, the dynamic net's ``rgb`` and ``sigma`` (:meth:`SceneModel.field`).
 
     A frozen dynamic net sees the samples' values, so it builds no node:
     BRI-even freezes it, trains the base screws that move the samples and
-    reads only the detached dynamicness, so the net runs its sigma head
+    reads only the detached dynamicness, so the net runs its ``sigma`` head
     alone. The result refuses the dynamic outputs whose gradient that
     cuts."""
     n = grid.n_samples
     enc_x, glo = _encoded_samples(model, rays, grid)
     # directions are constant along a ray too: encoded and taken per ray
     enc_d = encode_position(rays.dirs, model.config.dir_freqs)
-    static = model.static_eval_encoded(enc_x, enc_d, n)
+    static = model.field("static", ("rgb", "sigma", "pst"), enc_x, n, enc_d)
     if "dynamic" in model.store.frozen and isinstance(enc_x, ad.Node):
-        return RenderResult(static, model.dynamic_density(ad.value_of(enc_x), glo, n),
-                            grid, dynamic_cut=True)
-    return RenderResult(static, model.dynamic_eval_encoded(enc_x, enc_d, glo, n), grid)
+        sigma = model.field("dynamic", ("sigma",), ad.value_of(enc_x), n, glo=glo)
+        return RenderResult(static, sigma, grid, dynamic_cut=True)
+    dynamic = model.field("dynamic", ("rgb", "sigma"), enc_x, n, enc_d, glo)
+    return RenderResult(static, dynamic, grid)
 
 
 def render_kappa(model: SceneModel, rays: RayBatch, grid: SampleGrid):
     """Expected dynamic ray distance only (cheap path for neighbor rays),
     at the samples of ``grid``, one row of distances per ray."""
-    sigma = model.dynamic_density(*_encoded_samples(model, rays, grid),
-                                  grid.n_samples).sigma
+    enc_x, glo = _encoded_samples(model, rays, grid)
+    sigma = model.field("dynamic", ("sigma",), enc_x, grid.n_samples, glo=glo).sigma
     return _expected_distance(_weights(_alpha(sigma, grid)), grid)

@@ -202,7 +202,7 @@ class Trainer:
         base = self.warp_base(batch.rays)
         res = render_rays(self.model, base, self.config.n_samples, rng)
         mask = motion_mask(res.p_dy)
-        loss = L.masked_photometric(res.color_static, batch.targets, mask)
+        loss = L.photometric(res.color_static, batch.targets, mask)
         breakdown = LossBreakdown(mphoto_static=float(ad.value_of(loss)))
         return loss, breakdown
 
@@ -226,7 +226,7 @@ class Trainer:
         """Masked static, dynamic, full, staticness and lg terms of a sharp
         (``RenderResult``) or blurry (``BlurryRender``) render; the lg term
         reads the depth of the sharp render ``sharp``."""
-        mphoto = L.masked_photometric(res.color_static, batch.targets, mask)
+        mphoto = L.photometric(res.color_static, batch.targets, mask)
         photo_d = L.photometric(res.color_dynamic, batch.targets)
         photo_f = L.photometric(res.color_full, batch.targets)
         sm = L.staticness_max(res.p_st_samples, self.config.lambda_sm)

@@ -140,6 +140,20 @@ class TestTrain:
         assert manifest["config"]["bri_iters"] == 2
         assert manifest["config"]["mdd_iters"] == 1  # flag beats file
 
+    @pytest.mark.parametrize("text, kind", [
+        ("5", "int"), ('"desk"', "str"), ("[1, 2]", "list"), ("null", "NoneType")])
+    def test_config_file_that_is_not_an_object(self, tmp_path, dataset_dir, text, kind):
+        # each once passed the file check: 5 died with a TypeError traceback,
+        # "desk" and [1, 2] were read as lists of keys, null as no file
+        cfg_file = tmp_path / "cfg.json"
+        cfg_file.write_text(text)
+        out = tmp_path / "run"
+        res = run_cli("train", "--dataset", str(dataset_dir), "--out", str(out),
+                      *TINY_TRAIN, "--config", str(cfg_file))
+        assert res.returncode == 1
+        assert res.stderr == f"error: {cfg_file}: expected a JSON object, got {kind}\n"
+        assert not out.exists()
+
     def test_resume_keeps_manifest(self, tmp_path, dataset_dir):
         out = tmp_path / "run"
         args = ["train", "--dataset", str(dataset_dir), "--out", str(out),
@@ -507,6 +521,18 @@ class TestCorruptJson:
                       "--out", str(tmp_path / "frames"))
         assert_clean_error(res, str(ckpt))
         assert res.stderr.startswith(f"error: {ckpt}:"), res.stderr
+        assert not (tmp_path / "frames").exists()
+
+    def test_negative_adam_count_fails_before_any_frame(self, tmp_path, dataset_dir,
+                                                       trained_dir):
+        # it once loaded, and the next Adam step divided 0/0 into the weights
+        ckpt = tmp_path / "bad.ckpt"
+        rewrite_header(trained_dir / "checkpoint_final.ckpt", ckpt,
+                       lambda h: h["adam_t"].update({"glo": -1}))
+        res = run_cli("render", "--checkpoint", str(ckpt), "--dataset", str(dataset_dir),
+                      "--out", str(tmp_path / "frames"))
+        assert res.returncode == 1
+        assert res.stderr == f"error: {ckpt}: adam_t of glo is -1, not an integer >= 0\n"
         assert not (tmp_path / "frames").exists()
 
     @pytest.mark.parametrize("case", ["meta_list", "train_state_string",

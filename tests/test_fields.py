@@ -174,6 +174,9 @@ class TestGlo:
         assert np.all(g[[0, 2, 4]] == 0.0)
 
 
+STATIC = ("rgb", "sigma", "pst")
+
+
 class TestFieldEval:
     def test_static_output_ranges(self):
         model = tiny_model()
@@ -181,8 +184,9 @@ class TestFieldEval:
         x = rng.uniform(-10, 10, size=(40, 3))
         d = rng.normal(size=(40, 3))
         d /= np.linalg.norm(d, axis=1, keepdims=True)
-        out = model.static_eval_encoded(*encoded(model, x, d), 1)
-        c, sigma, p_st = (ad.value_of(v) for v in (out.color, out.sigma, out.p_st))
+        enc_x, enc_d = encoded(model, x, d)
+        out = model.field("static", STATIC, enc_x, 1, enc_d)
+        c, sigma, p_st = (ad.value_of(v) for v in (out.rgb, out.sigma, out.pst))
         assert np.all((c >= 0) & (c <= 1))
         assert np.all(sigma >= 0)
         assert np.all((p_st > 0) & (p_st < 1))
@@ -195,8 +199,9 @@ class TestFieldEval:
         d = rng.normal(size=(20, 3))
         d /= np.linalg.norm(d, axis=1, keepdims=True)
         t = rng.integers(0, 5, size=20)
-        out = model.dynamic_eval_encoded(*encoded(model, x, d), model.glo_lookup(t), 1)
-        c, sigma = ad.value_of(out.color), ad.value_of(out.sigma)
+        enc_x, enc_d = encoded(model, x, d)
+        out = model.field("dynamic", ("rgb", "sigma"), enc_x, 1, enc_d, model.glo_lookup(t))
+        c, sigma = ad.value_of(out.rgb), ad.value_of(out.sigma)
         assert np.all((c >= 0) & (c <= 1)) and np.all(sigma >= 0)
         with pytest.raises(IndexError):
             model.glo_lookup(np.full(20, 7))
@@ -205,9 +210,9 @@ class TestFieldEval:
         a, b = tiny_model(seed=9), tiny_model(seed=9)
         x = np.array([[0.3, -0.2, 2.0]])
         d = np.array([[0.0, 0.0, 1.0]])
-        sa = a.static_eval_encoded(*encoded(a, x, d), 1)
-        sb = b.static_eval_encoded(*encoded(b, x, d), 1)
-        for head in ("color", "sigma", "p_st"):
+        enc_x, enc_d = encoded(a, x, d)
+        sa, sb = (m.field("static", STATIC, enc_x, 1, enc_d) for m in (a, b))
+        for head in STATIC:
             assert np.array_equal(ad.value_of(getattr(sa, head)),
                                   ad.value_of(getattr(sb, head)))
 
@@ -215,8 +220,32 @@ class TestFieldEval:
         model = tiny_model()
         x = np.random.default_rng(3).uniform(-5, 5, size=(30, 3))
         d = np.tile([0.0, 0.0, 1.0], (30, 1))
-        p_st = model.static_eval_encoded(*encoded(model, x, d), 1).p_st
+        enc_x, enc_d = encoded(model, x, d)
+        p_st = model.field("static", STATIC, enc_x, 1, enc_d).pst
         assert np.allclose(ad.value_of(p_st), 1 / (1 + np.exp(-1.0)))
+
+    @pytest.mark.parametrize("heads, cols", [
+        (STATIC, {"rgb": (0, 3), "sigma": (3, 1), "pst": (4, 1)}),
+        (("pst", "rgb", "sigma"), {"pst": (0, 1), "rgb": (1, 3), "sigma": (4, 1)}),
+        (("sigma",), {"sigma": (0, 1)}),
+    ])
+    def test_each_head_keeps_its_bytes_whatever_runs_beside_it(self, heads, cols):
+        # a graph-free field decodes each head it is asked for to the same
+        # bytes in any order and company; its columns follow the order given
+        model = tiny_model()
+        model.store.set_frozen_groups(set(model.store.groups()))
+        rng = np.random.default_rng(4)
+        x = rng.uniform(-5, 5, size=(24, 3))
+        d = rng.normal(size=(8, 3))
+        d /= np.linalg.norm(d, axis=1, keepdims=True)
+        enc_x, enc_d = encoded(model, x, d)
+        want = model.field("static", STATIC, enc_x, 3, enc_d)
+        got = model.field("static", heads, enc_x, 3, enc_d if "rgb" in heads else None)
+        assert list(got.cols.items()) == list(cols.items())
+        for head in heads:
+            a, b = getattr(got, head), getattr(want, head)
+            assert type(a) is np.ndarray and a.shape == b.shape
+            assert a.tobytes() == b.tobytes()
 
 
 class TestRayEmbedding:
@@ -329,6 +358,19 @@ class TestCheckpoint:
             assert loaded.store.adam_t[name] == model.store.adam_t[name]
             assert loaded.store.group_of[name] == model.store.group_of[name]
         assert loaded.config == model.config
+
+    @pytest.mark.parametrize("count", [-1, 1.5, "3", True])
+    def test_rejects_an_adam_count_that_is_not_a_whole_number(self, tmp_path, count):
+        # each once loaded through int(); -1 then made the next Adam step
+        # divide 0/0 and write NaN weights
+        model = tiny_model()
+        model.store.adam_t["static.sigma.0.b"] = count
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, model, {})
+        with pytest.raises(CheckpointError) as err:
+            load_checkpoint(path)
+        assert str(err.value) == (f"{path}: adam_t of static.sigma.0.b is {count!r}, "
+                                  f"not an integer >= 0")
 
     def test_rejects_bad_magic(self, tmp_path):
         path = tmp_path / "junk.ckpt"

@@ -27,13 +27,13 @@ class TestMaskedPhotometric:
     def test_fully_masked_batch_is_zero(self):
         rng = np.random.default_rng(1)
         a, b = rng.random((4, 3)), rng.random((4, 3))
-        out = L.masked_photometric(a, b, np.ones(4))
+        out = L.photometric(a, b, np.ones(4))
         assert float(ad.value_of(out)) == 0.0
 
     def test_unmasked_equals_photometric(self):
         rng = np.random.default_rng(2)
         a, b = rng.random((4, 3)), rng.random((4, 3))
-        assert float(ad.value_of(L.masked_photometric(a, b, np.zeros(4)))) == \
+        assert float(ad.value_of(L.photometric(a, b, np.zeros(4)))) == \
             pytest.approx(float(ad.value_of(L.photometric(a, b))))
 
     def test_mixed_mask_hand_sum(self):
@@ -41,7 +41,7 @@ class TestMaskedPhotometric:
         target = np.zeros((4, 3))
         mask = np.array([0, 1, 0, 1])
         expected = (1.0 + 0.0 + 1.0 + 0.0) / 4.0
-        out = L.masked_photometric(rendered, target, mask)
+        out = L.photometric(rendered, target, mask)
         assert float(ad.value_of(out)) == pytest.approx(expected)
 
     def test_never_exceeds_unmasked(self):
@@ -49,8 +49,19 @@ class TestMaskedPhotometric:
         for _ in range(10):
             a, b = rng.random((6, 3)), rng.random((6, 3))
             mask = rng.integers(0, 2, size=6)
-            assert float(ad.value_of(L.masked_photometric(a, b, mask))) <= \
+            assert float(ad.value_of(L.photometric(a, b, mask))) <= \
                 float(ad.value_of(L.photometric(a, b))) + 1e-15
+
+    def test_zero_mask_keeps_every_bit_of_value_and_gradient(self):
+        rng = np.random.default_rng(4)
+        a, b = rng.random((6, 3)), rng.random((6, 3))
+        runs = []
+        for mask in (None, np.zeros(6)):
+            rendered = ad.Node(a)
+            out = L.photometric(rendered, b) if mask is None else L.photometric(rendered, b, mask)
+            ad.backward(out)
+            runs.append((ad.value_of(out).tobytes(), rendered.grad.tobytes()))
+        assert runs[0] == runs[1]
 
 
 # the loss weights of the default training configuration

@@ -10,8 +10,8 @@ class Samples:
     """One field's decoded samples as plain arrays, in the form of
     ``fields.FieldSamples``."""
 
-    def __init__(self, color, sigma, p_st=None):
-        self.color, self.sigma, self.p_st = color, sigma, p_st
+    def __init__(self, rgb, sigma, pst=None):
+        self.rgb, self.sigma, self.pst = rgb, sigma, pst
 
 
 def render_full(static_out, dynamic_out, grid):
@@ -360,7 +360,7 @@ def _graph_free_render(monkeypatch):
                     near=1.0, far=4.0)
     res = render_rays(model, rays, 12)
     static, dynamic = res._static, res._dynamic
-    nodes = RenderResult(*(FieldSamples(ad.Node(s.out), s.heads, s.k)
+    nodes = RenderResult(*(FieldSamples(ad.Node(s.out), s.cols, s.k)
                            for s in (static, dynamic)), res.grid)
     calls = []
     cumprod = ad.exclusive_cumprod
