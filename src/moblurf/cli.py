@@ -190,15 +190,17 @@ def cmd_eval(args) -> int:
         rgb_path = render_dir / "rgb" / f"{t:04d}.png"
         if not rgb_path.exists():
             raise ValueError(f"missing rendered frame {rgb_path}")
-        frame = {"t": t, "rgb": read_png(rgb_path) / 255.0}
-        for key, path, read in (
-                ("mask", render_dir / "mask" / f"{t:04d}.png", lambda p: read_png(p) > 127),
-                ("p_dy", render_dir / "p_dy" / f"{t:04d}.raw", read_depth_raw)):
+        frame = {"t": t}
+        for key, path, read, shape in (
+                ("rgb", rgb_path, lambda p: read_png(p) / 255.0, (*dataset.shape, 3)),
+                ("mask", render_dir / "mask" / f"{t:04d}.png", lambda p: read_png(p) > 127,
+                 dataset.shape),
+                ("p_dy", render_dir / "p_dy" / f"{t:04d}.raw", read_depth_raw, dataset.shape)):
             if path.exists():
                 frame[key] = read(path)
-                if frame[key].shape != dataset.shape:
+                if frame[key].shape != shape:
                     raise ValueError(f"{path}: shape {frame[key].shape}, dataset frames "
-                                     f"are {dataset.shape}")
+                                     f"are {shape}")
         frames.append(frame)
     report = evaluate(dataset, frames)
 

@@ -73,12 +73,10 @@ class FieldConfig:
         return self.ray_samples * (3 + 6 * self.ray_freqs)
 
 
-# rows per block of :func:`encode_position`. Per 8192 x 3 input at L = 8, in
-# blocks of 512, 1024, 2048, 4096 and 8192 rows, the forward took 3.00,
-# 2.49, 2.50, 2.48 and 2.74 ms and the gradient 1.81, 1.71, 1.78, 1.96 and
-# 5.10 ms (medians, one thread, AVX-512 Xeon): the gradient's two
-# feature-major blocks, 0.8 MiB each at 2048 rows, fit a 2 MiB L2. The bits
-# do not depend on it
+# rows per block of :func:`encode_position`: a float64 feature-major block,
+# 0.8 MiB at 2048 rows and L = 8, and the stored bands the gradient reads
+# beside it fit a 2 MiB L2 (timings in CHANGES.md, "sized for OpenBLAS's
+# small-matrix sgemm"). The bits do not depend on it
 ENCODE_BLOCK = 2048
 
 
@@ -87,7 +85,7 @@ def encode_position(x, num_freqs: int, dtype=np.float64):
 
     One node, whose value is float64, when ``x`` is one. A plain ``x``
     gives a plain array in ``dtype``: the float64 entries rounded to it as
-    each block is copied out, byte for byte the float64 encoding cast to
+    each block is stored, byte for byte the float64 encoding cast to
     ``dtype``. A graph-free render asks for its fields' float32
     (``ParamStore.field_dtype``), so both fields read one float32 copy of
     its samples (see :func:`autodiff.mlp`).
@@ -97,30 +95,33 @@ def encode_position(x, num_freqs: int, dtype=np.float64):
     sin 2a = 2 sin a cos a, cos 2a = (cos a - sin a)(cos a + sin a). The
     rounding error doubles with each octave, as the error of sin(2^k pi x)
     taken directly grows with its rounded argument, so both are about as
-    accurate. The gradient reads sin and cos back from the output.
+    accurate.
 
-    Both run in blocks of :data:`ENCODE_BLOCK` rows. A block is worked
-    on feature-major, as a (width, rows) array whose octaves are contiguous
-    rows in cache, and copied out of it (forward) or into it (gradient)
-    transposed, once. Every entry is computed as over all rows, by the same
-    operations in the same order, in float64.
+    The encoding is stored feature-major, one (width, rows) array whose
+    octaves are contiguous rows, and returned as its transpose, a view that
+    the fields' products read in place with the bits of a row-major copy.
+    Both passes run in blocks of :data:`ENCODE_BLOCK` rows, in float64: the
+    forward copies each block into the store as it is, and the gradient
+    reads sin and cos there and transposes only the output gradient in.
+    Every entry is computed as over all rows, by the same operations in the
+    same order.
     """
     xv = ad.value_of(x)
     *lead, d = xv.shape
     freqs = np.pi * 2.0 ** np.arange(num_freqs)
     width = d * (1 + 2 * num_freqs)
-    out = np.empty((*lead, width), np.float64 if isinstance(x, ad.Node) else dtype)
     rows = xv.reshape(-1, d)
     n = len(rows)
-    flat = out.reshape(n, width)                            # a view of out
+    # the encoding feature-major: row j holds feature j of every input row
+    fm = np.empty((width, n), np.float64 if isinstance(x, ad.Node) else dtype)
     blocks = [slice(lo, lo + ENCODE_BLOCK) for lo in range(0, n, ENCODE_BLOCK)]
     span = min(n, ENCODE_BLOCK)
     # octave k's sin and cos as rows of a feature-major block
     sin_at = [slice(d * (1 + 2 * k), d * (2 + 2 * k)) for k in range(num_freqs)]
     cos_at = [slice(d * (2 + 2 * k), d * (3 + 2 * k)) for k in range(num_freqs)]
-    fm = np.empty((width, span))
+    buf = np.empty((width, span))
     for blk in blocks:
-        t = fm[:, :len(rows[blk])]
+        t = buf[:, :len(rows[blk])]
         t[:d] = rows[blk].T
         # pi x in the first sin rows, then its cos, then its sin in place
         np.multiply(t[:d], np.pi, out=t[sin_at[0]])
@@ -133,16 +134,15 @@ def encode_position(x, num_freqs: int, dtype=np.float64):
             s *= c0
             np.subtract(c0, s0, out=c)
             c *= c0 + s0
-        flat[blk] = t.T
+        fm[:, blk] = t
 
     def vjp(g):
         g = g.reshape(n, width)
         dx = np.empty(rows.shape)
-        gfm, ofm = np.empty((width, span)), np.empty((width, span))
+        gfm = np.empty((width, span))
         for blk in blocks:
-            gt, ot = gfm[:, :len(rows[blk])], ofm[:, :len(rows[blk])]
+            gt, ot = gfm[:, :len(rows[blk])], fm[:, blk]
             gt[:] = g[blk].T
-            ot[:] = flat[blk].T
             # x's columns first, then one frequency at a time, as a chain of
             # per-frequency sin and cos nodes would sum them
             acc = gt[:d]
@@ -154,6 +154,8 @@ def encode_position(x, num_freqs: int, dtype=np.float64):
             dx[blk] = acc.T
         return dx.reshape(xv.shape)
 
+    # its transpose, the rows as the caller gave them: a view
+    out = fm.T.reshape(*lead, width)
     return ad._make(out, [(x, vjp)])
 
 

@@ -727,7 +727,7 @@ class TestEval:
             assert key in row
         assert (frames / "report.txt").read_text().startswith("frame")
 
-    @pytest.mark.parametrize("rel", ["mask/0001.png", "p_dy/0001.raw"])
+    @pytest.mark.parametrize("rel", ["rgb/0001.png", "mask/0001.png", "p_dy/0001.raw"])
     def test_misshapen_map_names_the_file(self, tmp_path, dataset_dir, trained_dir,
                                           capsys, rel):
         from moblurf.data import write_depth_raw
@@ -737,7 +737,9 @@ class TestEval:
                      "--dataset", str(dataset_dir), "--out", str(frames),
                      "--timestamps", "1"]) == 0
         path = frames / rel
-        if rel.startswith("mask"):
+        if rel.startswith("rgb"):
+            write_png(path, np.zeros((8, 8, 3), dtype=np.uint8))
+        elif rel.startswith("mask"):
             write_png(path, np.zeros((8, 8), dtype=np.uint8))
         else:
             write_depth_raw(path, np.zeros((8, 8)))

@@ -122,6 +122,72 @@ def test_encoding_blocks_keep_octave_doubling_bits(shape, num_freqs):
         assert plain.dtype == dtype and plain.tobytes() == ref_out.astype(dtype).tobytes()
 
 
+def layout_case(rays, k):
+    """A model with the desk fields' widths, ``rays`` rays of ``k`` sample
+    points, their unit directions and frames, and an output gradient for
+    each field."""
+    model = tiny_model(trunk_depth=4, trunk_width=64, rgb_width=64)
+    rng = np.random.default_rng(100 * rays + k)
+    x = rng.normal(size=(rays * k, 3)) * 2.0
+    d = rng.normal(size=(rays, 3))
+    d /= np.linalg.norm(d, axis=1, keepdims=True)
+    t = rng.integers(0, model.config.n_frames, rays)
+    return model, x, d, t, (rng.normal(size=(rays * k, 5)), rng.normal(size=(rays * k, 4)))
+
+
+def field_values(model, enc_x, enc_d, t, k):
+    """Both fields' heads over encoded points and directions, as rendering
+    evaluates them."""
+    return (model.field("static", ("rgb", "sigma", "pst"), enc_x, k, enc_d).out,
+            model.field("dynamic", ("rgb", "sigma"), enc_x, k, enc_d, model.glo_lookup(t)).out)
+
+
+# one ray, one row at k = 1; a few rays; several encoding blocks of rows at
+# k = 32; three forward blocks of rows and an 8-row tail at k = 1
+@pytest.mark.parametrize("k", [1, 8, 32])
+@pytest.mark.parametrize("rays", [1, 2, 32, 256, 3 * 224 + 8])
+class TestEncodingLayout:
+    """The fields read an encoding where :func:`encode_position` stores it,
+    feature-major, through its transpose: the same bytes as over a
+    row-major copy."""
+
+    def test_plain_encoding_keeps_field_bytes(self, rays, k):
+        model, x, d, t, _ = layout_case(rays, k)
+        store = model.store
+        store.set_frozen_groups(set(store.groups()))
+        enc_x = encode_position(x, model.config.pos_freqs, store.field_dtype)
+        enc_d = encode_position(d, model.config.dir_freqs)
+        # no transposed copy-out: each is the transpose of what was written
+        assert enc_x.T.flags.c_contiguous and enc_d.T.flags.c_contiguous
+        got = field_values(model, enc_x, enc_d, t, k)
+        want = field_values(model, np.ascontiguousarray(enc_x), np.ascontiguousarray(enc_d),
+                            t, k)
+        for a, b in zip(got, want):
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+    def test_node_encoding_keeps_value_and_gradient_bytes(self, rays, k):
+        model, x, d, t, gs = layout_case(rays, k)
+        store = model.store
+        store.set_frozen_groups(set())
+        enc_x = encode_position(ad.Node(x), model.config.pos_freqs).value
+        enc_d = encode_position(ad.Node(d), model.config.dir_freqs).value
+        assert enc_x.T.flags.c_contiguous and enc_d.T.flags.c_contiguous
+        trained = [n for n in sorted(store.values) if store.group_of[n] in ("static", "dynamic")]
+
+        def run(enc_x, enc_d):
+            store.begin_step()
+            ex, ed = ad.Node(enc_x), ad.Node(enc_d)
+            outs = field_values(model, ex, ed, t, k)
+            ad.backward(ad.add(*(ad.sum_(ad.mul(o, g)) for o, g in zip(outs, gs))))
+            return [o.value for o in outs] + [ex.grad, ed.grad] + [store.grad(n) for n in trained]
+
+        got = run(enc_x, enc_d)
+        want = run(np.ascontiguousarray(enc_x), np.ascontiguousarray(enc_d))
+        assert len(got) == len(want) == 4 + len(trained)
+        for a, b in zip(got, want):
+            assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
 class TestMlp:
     def test_forward_matches_dense_arithmetic_bitwise(self):
         model = tiny_model()
