@@ -3,7 +3,7 @@
     python3 acceptance/run.py [--seed 0] [--work DIR] [--out BENCH_acceptance.json]
                               [--ablations]
 
-At one seed it synthesizes `moving-quad-64`, trains the `desk` profile and
+At one seed it synthesizes `moving-quad-64`, trains the default (desk) config and
 the N_b = 0 ablation (`--set n_latent=0`) as two concurrent processes with
 one BLAS thread each, renders both along the trained base rays
 (`render --pose-source train`) and scores them (`eval`), all through the
@@ -85,7 +85,7 @@ def _train(data: Path, work: Path, seed: int, runs: dict) -> dict:
     their manifests' timings."""
     procs = {name: subprocess.Popen(
         _moblurf("train", "--dataset", str(data), "--out", str(work / name),
-                 "--profile", "desk", "--seed", str(seed), *extra),
+                 "--seed", str(seed), *extra),
         env=_env(), stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True)
         for name, extra in runs.items()}
     timings = {}
@@ -119,7 +119,7 @@ def first_steps(data: str, seed: int) -> dict:
     from moblurf.data import read_dataset
     from moblurf.training import FREEZE_MDD, Trainer
 
-    cfg = resolve_config("desk", overrides={
+    cfg = resolve_config(overrides={
         "seed": seed, "bri_iters": PROBE_STEPS, "mdd_iters": PROBE_STEPS})
     trainer = Trainer(cfg, read_dataset(data))
     trainer.run()

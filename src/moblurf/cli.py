@@ -95,7 +95,7 @@ def cmd_train(args) -> int:
     overrides = _parse_overrides(args.set)
     if args.seed is not None:
         overrides["seed"] = args.seed
-    config = resolve_config(args.profile, file_values, overrides)
+    config = resolve_config(file_values=file_values, overrides=overrides)
     dataset = read_dataset(args.dataset)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -107,7 +107,7 @@ def cmd_train(args) -> int:
         manifest = read_manifest(manifest_path)
     else:
         manifest = write_manifest(manifest_path, "train", config.seed,
-                                  {"config": config.to_dict(), "profile": args.profile,
+                                  {"config": config.to_dict(),
                                    "dataset": str(args.dataset), "out": str(out)})
     trainer = Trainer(config, dataset)
     info = trainer.run(out, resume=args.resume, progress=args.progress)
@@ -254,7 +254,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--seed": dict(type=int, default=None),
         "--threads": dict(type=_positive_int, default=None,
                           help="cap worker/BLAS threads"),
-        "--profile": dict(choices=("paper", "desk"), default="desk"),
         "--force": dict(action="store_true"),
     }
 
@@ -272,14 +271,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("train", help="run BRI + MDD training")
     p.add_argument("--dataset", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--config", help="JSON config file (profile defaults "
-                                    "overridden by file, then --set)")
+    p.add_argument("--config", help="JSON config file (defaults overridden "
+                                    "by file, then --set)")
     p.add_argument("--set", action="append", metavar="KEY=VALUE",
                    help="override one config value")
     p.add_argument("--resume", action="store_true")
     p.add_argument("--progress", action="store_true",
                    help="echo log lines to stdout")
-    common(p, "--seed", "--profile")
+    common(p, "--seed")
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("render", help="render sharp frames from a checkpoint")

@@ -1,4 +1,4 @@
-"""Run configuration, named scale profiles, and the run manifest."""
+"""Run configuration and the run manifest."""
 
 from __future__ import annotations
 
@@ -8,7 +8,7 @@ import platform
 import time
 from dataclasses import dataclass, asdict, fields
 
-from .fields import FieldConfig
+from .fields import Architecture, FieldConfig
 
 
 class ConfigError(ValueError):
@@ -16,49 +16,38 @@ class ConfigError(ValueError):
 
 
 # what a value of each annotated type must be
-_KINDS = {"int": "an integer", "float": "a finite number", "bool": "true or false"}
+_KINDS = {"int": "an integer", "float": "a finite number"}
 
 
 @dataclass
-class TrainConfig:
+class TrainConfig(Architecture):
+    """A run's settings: the architecture (see :class:`Architecture`) and
+    the training keys below, at their desk-scale defaults."""
+
     seed: int = 0
     bri_iters: int = 3000
     mdd_iters: int = 1500
     batch_size: int = 256
     n_samples: int = 32
-    n_latent: int = 4
-    trunk_depth: int = 4
-    trunk_width: int = 64
-    rgb_depth: int = 2
-    rgb_width: int = 64
-    local_depth: int = 4
-    local_width: int = 64
-    pos_freqs: int = 8
-    dir_freqs: int = 4
-    glo_dim: int = 8
-    ray_samples: int = 32
-    ray_freqs: int = 2
     screw_lr_start: float = 1e-4
     screw_lr_end: float = 1e-6
     mlp_lr_start: float = 1e-3
     mlp_lr_end: float = 1e-4
     lambda_sm: float = 0.002
     lambda_lg: float = 0.075
-    lg_dynamic_only_mdd: bool = True
     checkpoint_fraction: float = 0.1
     log_every: int = 25
 
     def __post_init__(self):
         """Every value checked before any work: the type its field is
-        annotated with (a bool is not an int, a float is not an int, an int
-        is a float), then its range; the architecture's by
+        annotated with (a bool is not a number, a float is not an int, an
+        int is a float), then its range; the architecture's by
         :class:`FieldConfig`."""
         for f in fields(self):
             v = getattr(self, f.name)
             number = isinstance(v, (int, float)) and not isinstance(v, bool)
             ok = {"int": number and isinstance(v, int),
-                  "float": number and math.isfinite(v),
-                  "bool": isinstance(v, bool)}[f.type]
+                  "float": number and math.isfinite(v)}[f.type]
             if not ok:
                 raise ConfigError(f"{f.name} must be {_KINDS[f.type]}, got {v!r}")
         for name in ("bri_iters", "mdd_iters", "batch_size", "n_samples", "log_every"):
@@ -82,34 +71,23 @@ class TrainConfig:
     def field_config(self, n_frames: int) -> FieldConfig:
         """The architecture for ``n_frames`` frames, from this config's options."""
         return FieldConfig(n_frames=n_frames, **{
-            f.name: getattr(self, f.name) for f in fields(FieldConfig)
-            if f.name != "n_frames"})
+            f.name: getattr(self, f.name) for f in fields(Architecture)})
 
     def to_dict(self) -> dict:
         return asdict(self)
 
-
-PROFILES = {
-    # full-scale settings; impractical without accelerators but kept as the
-    # named reference configuration
-    "paper": dict(bri_iters=200_000, mdd_iters=100_000,
-                  batch_size=128, n_samples=128, n_latent=6,
-                  trunk_depth=9, trunk_width=256, rgb_depth=2, rgb_width=128,
-                  local_depth=8, local_width=128),
-    # desk scale, the TrainConfig defaults: fits a full two-stage run in tens
-    # of minutes on CPUs
-    "desk": {},
-}
 
 _VALID_KEYS = {f.name for f in fields(TrainConfig)}
 
 
 def resolve_config(profile: str = "desk", file_values: dict | None = None,
                    overrides: dict | None = None) -> TrainConfig:
-    """Profile defaults, then config-file values, then explicit overrides."""
-    if profile not in PROFILES:
-        raise ConfigError(f"unknown profile {profile!r}; choose from {sorted(PROFILES)}")
-    merged = dict(PROFILES[profile])
+    """The defaults, then config-file values, then explicit overrides.
+    ``profile`` names the defaults and must be ``"desk"``: the one set there
+    is, a name the benchmark's workloads still pass."""
+    if profile != "desk":
+        raise ConfigError(f"unknown profile {profile!r}; the only one is \"desk\"")
+    merged = {}
     for source, label in ((file_values, "config file"), (overrides, "override")):
         if not source:
             continue

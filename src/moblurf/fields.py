@@ -19,7 +19,7 @@ from __future__ import annotations
 import json
 import os
 import struct
-from dataclasses import dataclass, asdict
+from dataclasses import asdict, dataclass, field
 from functools import cached_property
 from pathlib import Path
 
@@ -37,22 +37,30 @@ class CheckpointError(RuntimeError):
 
 
 @dataclass
-class FieldConfig:
-    """Architecture and encoding hyperparameters."""
+class Architecture:
+    """The fields' architecture and encodings, declared once: a
+    :class:`FieldConfig` builds a model from them and a run's
+    ``TrainConfig`` sets them, at these desk-scale defaults."""
 
-    n_frames: int
-    n_latent: int = 6
+    n_latent: int = 4
     pos_freqs: int = 8
     dir_freqs: int = 4
     glo_dim: int = 8
     ray_samples: int = 32
     ray_freqs: int = 2
-    trunk_depth: int = 9
-    trunk_width: int = 256
+    trunk_depth: int = 4
+    trunk_width: int = 64
     rgb_depth: int = 2
-    rgb_width: int = 128
-    local_depth: int = 8
-    local_width: int = 128
+    rgb_width: int = 64
+    local_depth: int = 4
+    local_width: int = 64
+
+
+@dataclass
+class FieldConfig(Architecture):
+    """An architecture for ``n_frames`` frames: what a model is built from."""
+
+    n_frames: int = field(kw_only=True)
 
     def __post_init__(self):
         for name, v in asdict(self).items():

@@ -309,7 +309,7 @@ def _tiny_trainer(seed: int):
         seed=seed, batch_size=4, n_samples=8, n_latent=2,
         trunk_depth=2, trunk_width=24, rgb_width=16,
         local_depth=2, local_width=16, ray_samples=8,
-        pos_freqs=5, dir_freqs=3, ray_freqs=2, lg_dynamic_only_mdd=False))
+        pos_freqs=5, dir_freqs=3, ray_freqs=2))
     return Trainer(cfg, dataset)
 
 
@@ -333,8 +333,9 @@ def check_full_loss(kind: str, seed: int = 0) -> CheckResult:
     store.field_dtype = np.float64
     store.set_frozen_groups(frozen)
     extra = {}
-    if kind == "mdd":   # every other ray dynamic: the local refinement runs
-        extra["mask_override"] = (np.arange(len(batch.rays)) % 2).astype(np.int64)
+    if kind == "mdd":   # every other ray dynamic, the one lg ray first: the
+        # local refinement runs, and the lg term supervises that ray
+        extra["mask_override"] = (np.arange(len(batch.rays)) + 1) % 2
 
     def build_loss():
         store.begin_step()

@@ -68,10 +68,7 @@ class LossBreakdown:
                 + self.sm + self.lg)
 
     def as_dict(self) -> dict:
-        d = {k: getattr(self, k) for k in
-             ("photo_dynamic", "photo_full", "mphoto_static", "sm", "lg")}
-        d["total"] = self.total
-        return d
+        return {**asdict(self), "total": self.total}
 
 
 @dataclass
@@ -218,8 +215,8 @@ class Trainer:
         base = self.warp_base(batch.rays)
         blur = blurry_render(self.model, base, self.config.n_samples, rng,
                              mask_override=mask_override)
-        supervise = blur.mask[:batch.lg_count].astype(bool) \
-            if self.config.lg_dynamic_only_mdd else np.ones(batch.lg_count, dtype=bool)
+        # the lg term supervises the lg pixels the motion mask marks dynamic
+        supervise = blur.mask[:batch.lg_count].astype(bool)
         return self._all_terms(batch, blur, blur.mask, blur.base, supervise, base, rng)
 
     def _all_terms(self, batch: Batch, res, mask, sharp, supervise, base, rng):
@@ -305,7 +302,8 @@ class Trainer:
 
     def _resume(self, ckpt: Path) -> tuple[str, int]:
         """Take the model, RNG state and stage timings of the checkpoint
-        ``ckpt``, all checked first, and cut the log to its length there.
+        ``ckpt``, all checked first, as is the config it was trained with
+        against this run's, and cut the log to its length there.
         Returns the stage and iteration to go on at."""
         model, meta = load_checkpoint(ckpt)
         built = asdict(self.config.field_config(self.dataset.n_frames))
@@ -317,6 +315,18 @@ class Trainer:
         state = meta.get("train_state")
         if not isinstance(state, dict):
             raise CheckpointError(f"{ckpt}: meta has no train_state object")
+        # the run goes on with the settings it started with; keys this
+        # version dropped are ignored, as render ignores them
+        stored = state.get("config")
+        if not isinstance(stored, dict):
+            raise CheckpointError(f"{ckpt}: train_state config must be an object, "
+                                  f"got {stored!r}")
+        diff = [f"{k} is {v}, not {stored[k]}" if k in stored else f"{k} is {v}, not stored"
+                for k, v in self.config.to_dict().items()
+                if k not in stored or stored[k] != v]
+        if diff:
+            raise CheckpointError(f"{ckpt}: this run's config is not the one it was "
+                                  f"trained with: {', '.join(diff)}")
         stage, iteration = state.get("stage"), state.get("iteration")
         if stage not in ("bri", "mdd"):
             raise CheckpointError(f"{ckpt}: train_state stage must be \"bri\" "

@@ -10,6 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from conftest import tiny_arch
 from moblurf import blur, fields, inference, render, se3, training
 from moblurf.config import resolve_config
 from moblurf.data import synthesize_dataset
@@ -59,10 +60,8 @@ def test_install_then_uninstall_restores_every_attribute(monkeypatch):
 def tiny_trainer() -> training.Trainer:
     ds = synthesize_dataset(moving_quad_scene(size=24, n_frames=5), seed=3,
                             preset_name="hooks-test")
-    cfg = resolve_config("desk", overrides=dict(
-        batch_size=24, n_samples=8, n_latent=2, trunk_depth=2, trunk_width=16,
-        rgb_width=8, local_depth=2, local_width=8, ray_samples=8,
-        bri_iters=4, mdd_iters=2))
+    cfg = resolve_config("desk", overrides=tiny_arch(
+        batch_size=24, n_samples=8, bri_iters=4, mdd_iters=2))
     return training.Trainer(cfg, ds)
 
 

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from conftest import tiny_arch
 from moblurf import autodiff as ad
 from moblurf import blur
 from moblurf import se3
@@ -12,9 +13,7 @@ from moblurf.training import FREEZE_BRI_EVEN, FREEZE_BRI_ODD, FREEZE_MDD
 
 
 def tiny_model(n_latent=2, seed=0):
-    cfg = FieldConfig(n_frames=4, n_latent=n_latent, trunk_depth=2,
-                      trunk_width=16, rgb_depth=2, rgb_width=8,
-                      local_depth=2, local_width=8, ray_samples=8)
+    cfg = FieldConfig(**tiny_arch(n_frames=4, n_latent=n_latent))
     return SceneModel(cfg, np.random.default_rng(seed))
 
 

@@ -12,7 +12,7 @@ import pytest
 
 import moblurf
 from moblurf.cli import build_parser, main
-from moblurf.config import TrainConfig, resolve_config
+from moblurf.config import ConfigError, TrainConfig, resolve_config
 from moblurf.data import DEPTH_MAGIC
 from moblurf.fields import CHECKPOINT_MAGIC
 from test_scene_data import png_with_empty_ihdr
@@ -120,8 +120,8 @@ class TestTrain:
         assert manifest["command"] == "train"
         assert manifest["config"]["bri_iters"] == 4
         assert manifest["seed"] == 0
-        # the profile flag beside the config, which has no such key
-        assert manifest["profile"] == "desk" and "profile" not in manifest["config"]
+        # there is one set of defaults, and no profile to name
+        assert "profile" not in manifest and "profile" not in manifest["config"]
         assert "bri_seconds" in manifest["timings"]
 
     def test_config_file_plus_override(self, tmp_path, dataset_dir):
@@ -168,10 +168,45 @@ class TestTrain:
         assert merged["timings"]["bri_seconds"] == first["timings"]["bri_seconds"]
         assert merged["timings"]["total_seconds"] >= first["timings"]["total_seconds"]
 
+    def test_resume_refuses_settings_the_run_did_not_start_with(
+            self, tmp_path, dataset_dir, trained_dir, capsys):
+        # such a resume once trained on with them and exited 0, while the
+        # manifest kept the first run's values
+        run = tmp_path / "run"
+        shutil.copytree(trained_dir, run)
+        ckpt = run / "checkpoint_latest.ckpt"
+        shutil.copy(run / "checkpoint_bri.ckpt", ckpt)   # as if killed after BRI
+        kept = tree_bytes(run)
+        code = main(["train", "--dataset", str(dataset_dir), "--out", str(run),
+                     "--seed", "7", *TINY_TRAIN, "--set", "lambda_lg=0",
+                     "--set", "mdd_iters=3", "--resume"])
+        err = capsys.readouterr().err
+        assert code == 1 and err.startswith(f"error: {ckpt}: this run's config"), err
+        for why in ("seed is 7, not 0", "mdd_iters is 3, not 2", "lambda_lg is 0, not 0.075"):
+            assert why in err, err
+        assert tree_bytes(run) == kept
+
+    @pytest.mark.parametrize("edit, code, why", [
+        (lambda c: c.update(lg_dynamic_only_mdd=True), 0, None),
+        (lambda c: c.pop("lambda_sm"), 1, "lambda_sm is 0.002, not stored"),
+    ], ids=["dropped_key", "missing_key"])
+    def test_resume_ignores_dropped_keys_and_refuses_missing_ones(
+            self, tmp_path, dataset_dir, trained_dir, capsys, edit, code, why):
+        run = tmp_path / "run"
+        shutil.copytree(trained_dir, run)
+        rewrite_header(run / "checkpoint_bri.ckpt", run / "checkpoint_latest.ckpt",
+                       lambda h: edit(h["meta"]["train_state"]["config"]))
+        capsys.readouterr()
+        assert main(["train", "--dataset", str(dataset_dir), "--out", str(run),
+                     "--seed", "0", *TINY_TRAIN, "--resume"]) == code
+        assert why is None or why in capsys.readouterr().err
+
     def test_desk_profile_is_the_default_config(self):
-        # train resolves the desk profile; render falls back to TrainConfig()
+        # train resolves the defaults; render falls back to TrainConfig()
         # for a checkpoint without a config: the two must agree
-        assert resolve_config("desk") == TrainConfig()
+        assert resolve_config("desk") == resolve_config() == TrainConfig()
+        with pytest.raises(ConfigError, match="paper"):
+            resolve_config("paper")
 
     def test_unknown_config_key_rejected(self, tmp_path, dataset_dir):
         code = main(["train", "--dataset", str(dataset_dir),
@@ -180,11 +215,11 @@ class TestTrain:
 
     @pytest.mark.parametrize("value", [
         "debug_freeze_check=true", "lg_fraction=0.25", "activation=softplus",
-        "profile=paper"])
+        "profile=paper", "lg_dynamic_only_mdd=false"])
     def test_removed_config_key_rejected(self, tmp_path, dataset_dir, capsys, value):
-        # these were options once; every run set the first three alike, and
-        # they are code now; resolve_config overwrote profile with the
-        # --profile flag, so a value set here was silently ignored
+        # these were options once; every run set the first three and the
+        # last alike, and they are code now; resolve_config overwrote profile
+        # with the profile flag, so a value set here was silently ignored
         out = tmp_path / "run"
         assert main(["train", "--dataset", str(dataset_dir), "--out", str(out),
                      *TINY_TRAIN, "--set", value]) == 1
@@ -232,7 +267,7 @@ class TestUsage:
         assert options == {
             "synth": every | {"--preset", "--out", "--seed", "--force"},
             "train": every | {"--dataset", "--out", "--config", "--set", "--resume",
-                              "--progress", "--seed", "--profile"},
+                              "--progress", "--seed"},
             "render": every | {"--checkpoint", "--dataset", "--out", "--pose-source",
                                "--pose-file", "--timestamps"},
             "eval": every | {"--render-dir", "--dataset", "--out"},
@@ -240,10 +275,13 @@ class TestUsage:
         }
 
     # the flags each once parsed and ignored (synth recorded a training
-    # config it never used, render a seed it never drew from), the hidden
-    # gradcheck test hook, and thread counts below one, which synth
-    # exported as OPENBLAS_NUM_THREADS=-2
+    # config it never used, render a seed it never drew from), train's
+    # profile flag, which named the one set of defaults or a scale no run
+    # could train, the hidden gradcheck test hook, and thread counts below
+    # one, which synth exported as OPENBLAS_NUM_THREADS=-2
     @pytest.mark.parametrize("args, why", [
+        (["train", "--dataset", "{tmp}/d", "--out", "{tmp}/o", "--profile", "desk"],
+         "--profile"),
         (["train", "--dataset", "{tmp}/d", "--out", "{tmp}/o", "--force"], "--force"),
         (["render", "--checkpoint", "{tmp}/c", "--dataset", "{tmp}/d", "--out", "{tmp}/o",
           "--profile", "desk"], "--profile"),
@@ -262,9 +300,10 @@ class TestUsage:
         (["synth", "--out", "{tmp}/o", "--profile", "desk"], "--profile"),
         (["render", "--checkpoint", "{tmp}/c", "--dataset", "{tmp}/d", "--out", "{tmp}/o",
           "--seed", "1"], "--seed"),
-    ], ids=["train_force", "render_profile", "render_force", "eval_seed", "eval_profile",
-            "eval_force", "gradcheck_profile", "gradcheck_force", "gradcheck_sabotage",
-            "threads_0", "threads_negative", "synth_profile", "render_seed"])
+    ], ids=["train_profile", "train_force", "render_profile", "render_force", "eval_seed",
+            "eval_profile", "eval_force", "gradcheck_profile", "gradcheck_force",
+            "gradcheck_sabotage", "threads_0", "threads_negative", "synth_profile",
+            "render_seed"])
     def test_flag_the_command_does_not_read_is_a_usage_error(self, tmp_path, capsys,
                                                              monkeypatch, args, why):
         monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
@@ -372,14 +411,14 @@ class TestRender:
 
     def test_checkpoint_with_older_config_keys_renders_the_same(
             self, tmp_path, dataset_dir, trained_dir):
-        # a checkpoint written before four options became code or went
+        # a checkpoint written before five options became code or went
         # stores them in its config; render reads only n_samples from it
         from moblurf.fields import load_checkpoint, save_checkpoint
         model, meta = load_checkpoint(trained_dir / "checkpoint_final.ckpt")
         outs = {}
         for name, extra in (("now", {}), ("older", {
                 "activation": "relu", "lg_fraction": 0.25, "debug_freeze_check": False,
-                "profile": "desk"})):
+                "profile": "desk", "lg_dynamic_only_mdd": True})):
             ckpt = tmp_path / f"{name}.ckpt"
             state = dict(meta["train_state"])
             state["config"] = {**state["config"], **extra}

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from conftest import tiny_arch
 from moblurf import autodiff as ad
 from moblurf.fields import (ENCODE_BLOCK, FieldConfig, Mlp, SceneModel, encode_position,
                             load_checkpoint, save_checkpoint, CheckpointError,
@@ -8,11 +9,7 @@ from moblurf.fields import (ENCODE_BLOCK, FieldConfig, Mlp, SceneModel, encode_p
 
 
 def tiny_config(**kw):
-    defaults = dict(n_frames=5, n_latent=2, trunk_depth=2, trunk_width=16,
-                    rgb_depth=2, rgb_width=8, local_depth=2, local_width=8,
-                    ray_samples=8)
-    defaults.update(kw)
-    return FieldConfig(**defaults)
+    return FieldConfig(**tiny_arch(n_frames=5, **kw))
 
 
 def tiny_model(seed=0, **kw):

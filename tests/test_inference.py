@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import moblurf
+from conftest import tiny_arch
 from moblurf import autodiff as ad
 from moblurf import inference
 from moblurf.cameras import CameraPose, rays_for_frame
@@ -25,10 +26,7 @@ HEIGHT, WIDTH = 40, 112
 
 
 def tiny_model(seed=0):
-    cfg = FieldConfig(n_frames=3, n_latent=2, trunk_depth=2, trunk_width=16,
-                      rgb_depth=2, rgb_width=8, local_depth=2, local_width=8,
-                      ray_samples=8)
-    return SceneModel(cfg, np.random.default_rng(seed))
+    return SceneModel(FieldConfig(**tiny_arch(n_frames=3)), np.random.default_rng(seed))
 
 
 def pose():
@@ -135,9 +133,7 @@ def test_frame_makes_its_float32_copies_once(monkeypatch):
 
 def test_training_step_after_a_frame_keeps_its_bits():
     ds = tiny_dataset()
-    cfg = resolve_config("desk", overrides=dict(
-        seed=4, batch_size=24, n_samples=8, n_latent=2, trunk_depth=2,
-        trunk_width=16, rgb_width=8, local_depth=2, local_width=8, ray_samples=8))
+    cfg = resolve_config("desk", overrides=tiny_arch(seed=4, batch_size=24, n_samples=8))
     plain, rendered = Trainer(cfg, ds), Trainer(cfg, ds)
     render_frames(rendered.model, ds, [1], n_samples=8)
     for it in range(2):

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from conftest import tiny_arch
 from moblurf import autodiff as ad
 from moblurf.render import (UNIFORM_FLOOR, RenderResult, SampleGrid, dynamicness,
                             motion_mask, sample_along_ray, sample_from_weights)
@@ -348,9 +349,7 @@ def _graph_free_render(monkeypatch):
     from moblurf.fields import FieldConfig, FieldSamples, SceneModel
     from moblurf.render import render_rays
     rng = np.random.default_rng(12)
-    model = SceneModel(FieldConfig(n_frames=3, trunk_depth=2, trunk_width=16,
-                                   rgb_width=8, local_depth=2, local_width=8,
-                                   ray_samples=8), rng)
+    model = SceneModel(FieldConfig(**tiny_arch(n_frames=3)), rng)
     store = model.store
     store.set_frozen_groups(set(store.groups()))
     dirs = rng.normal(size=(20, 3))

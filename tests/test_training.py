@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import moblurf
+from conftest import tiny_arch
 from moblurf import autodiff as ad
 from moblurf import blur, se3, training
 from moblurf import losses as L
@@ -28,12 +29,9 @@ def tiny_dataset():
 
 
 def tiny_trainer(dataset, seed=0, **overrides):
-    base = dict(seed=seed, batch_size=24, n_samples=8, n_latent=2,
-                trunk_depth=2, trunk_width=16, rgb_width=8,
-                local_depth=2, local_width=8, ray_samples=8,
-                bri_iters=6, mdd_iters=4, log_every=2)
-    base.update(overrides)
-    return Trainer(resolve_config("desk", overrides=base), dataset)
+    base = tiny_arch(seed=seed, batch_size=24, n_samples=8, bri_iters=6, mdd_iters=4,
+                     log_every=2)
+    return Trainer(resolve_config("desk", overrides=base | overrides), dataset)
 
 
 class TestInterleaveContract:
@@ -123,20 +121,32 @@ class TestDeterminism:
         assert tr1.model.store.checksum() != tr2.model.store.checksum()
 
 
+def test_loss_breakdown_dict_lists_each_term_then_the_total():
+    bd = training.LossBreakdown(photo_dynamic=1.0, photo_full=2.0, mphoto_static=3.0,
+                                sm=4.0, lg=5.0)
+    assert list(bd.as_dict().items()) == [
+        ("photo_dynamic", 1.0), ("photo_full", 2.0), ("mphoto_static", 3.0),
+        ("sm", 4.0), ("lg", 5.0), ("total", 15.0)]
+
+
 class TestNoOpStart:
     def test_first_mdd_loss_matches_bri_odd_loss(self, tiny_dataset):
         # with zero screw tables and the zero-init refinement MLP, the blur
-        # model is a no-op: the MDD loss on a batch equals the BRI odd loss
-        tr = tiny_trainer(tiny_dataset, lg_dynamic_only_mdd=False)
+        # model is a no-op: the MDD loss on a batch equals the BRI odd loss.
+        # A staticness bias of -20 marks every ray dynamic in both: LORR
+        # refines every ray, and the lg term supervises every lg pixel
+        tr = tiny_trainer(tiny_dataset)
         for it in range(4):
             tr.bri_step(it)
+        tr.model.store.values["static.pst.0.b"][:] = -20.0
         batch = tr.sample_batch()
         tr.model.store.begin_step()
-        loss_bri, _ = tr.compute_bri_odd_loss(batch, rng=None)
+        loss_bri, bd_bri = tr.compute_bri_odd_loss(batch, rng=None)
         tr.model.store.begin_step()
-        loss_mdd, _ = tr.compute_mdd_loss(batch, rng=None)
+        loss_mdd, bd_mdd = tr.compute_mdd_loss(batch, rng=None)
         assert float(ad.value_of(loss_mdd)) == pytest.approx(
             float(ad.value_of(loss_bri)), abs=1e-9)
+        assert bd_mdd.lg == pytest.approx(bd_bri.lg, abs=1e-9) and bd_bri.lg > 0
 
     def test_masked_out_batch_gives_local_mlp_zero_gradient(self, tiny_dataset):
         tr = tiny_trainer(tiny_dataset)
@@ -326,7 +336,7 @@ def test_mdd_loss_field_rows(tiny_dataset, monkeypatch):
     cfg = tr.config
     b, n_latent = len(batch.rays), cfg.n_latent
     supervised = mask[:batch.lg_count].sum()
-    assert tr.config.lg_dynamic_only_mdd and 0 < supervised < batch.lg_count
+    assert 0 < supervised < batch.lg_count
     field_rows = b * cfg.n_samples + n_latent * b * blur.LATENT_SAMPLES
     assert rows == {"static.trunk": field_rows,
                     "dynamic.trunk": field_rows + 2 * supervised * cfg.n_samples,
@@ -639,17 +649,34 @@ class TestGradientOracleHooks:
         with wrong_gradients():
             assert not check_full_loss("bri_odd", seed=3).passed
 
+    @pytest.mark.parametrize("seed", [0, 1, 3])
+    def test_mdd_check_reaches_the_lg_term(self, monkeypatch, seed):
+        # the check's mask marks its batch's one lg pixel dynamic, so the
+        # MDD loss it differentiates holds an lg term
+        from moblurf import gradcheck as gc
+        lg = []
+        compute = Trainer.compute_mdd_loss
+
+        def spy(self, *args, **kwargs):
+            loss, breakdown = compute(self, *args, **kwargs)
+            lg.append(breakdown.lg)
+            return loss, breakdown
+
+        monkeypatch.setattr(Trainer, "compute_mdd_loss", spy)
+        assert gc.check_full_loss("mdd", seed=seed).passed
+        assert lg[0] > 0
+
     def test_mdd_probe_steps_off_a_relu_kink(self, monkeypatch, wrong_gradients):
-        # at seed 2 a relu kink lies within one probe's window; the probe
+        # at seed 6 a relu kink lies within one probe's window; the probe
         # moves to the next-largest component, and a 1 % error still fails
         from moblurf import gradcheck as gc
         flagged = []
         kinked = gc._kinked
         monkeypatch.setattr(gc, "_kinked", lambda *a: flagged.append(kinked(*a)) or flagged[-1])
-        assert gc.check_full_loss("mdd", seed=2).passed
+        assert gc.check_full_loss("mdd", seed=6).passed
         assert any(flagged)
         with wrong_gradients():
-            assert not gc.check_full_loss("mdd", seed=2).passed
+            assert not gc.check_full_loss("mdd", seed=6).passed
 
 
 # the first steps of a tiny run in a fresh process: its losses and weights
@@ -662,14 +689,12 @@ from moblurf.training import Trainer
 
 ds = synthesize_dataset(moving_quad_scene(size=24, n_frames=5), seed=3,
                         preset_name="train-test")
-tr = Trainer(resolve_config("desk", overrides=dict(
-    seed=1, batch_size=24, n_samples=8, n_latent=2, trunk_depth=2, trunk_width=16,
-    rgb_width=8, local_depth=2, local_width=8, ray_samples=8)), ds)
+tr = Trainer(resolve_config("desk", overrides=%r), ds)
 store = tr.model.store
 assert store.field_dtype == np.float32
 losses = [tr.bri_step(it).total for it in range(4)] + [tr.mdd_step(it).total for it in range(2)]
 print([float.hex(v) for v in losses], store.checksum())
-"""
+""" % (tiny_arch(seed=1, batch_size=24, n_samples=8),)
 
 
 class TestFieldDtype:
