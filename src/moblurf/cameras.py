@@ -63,15 +63,20 @@ def frame_pixel_grid(height: int, width: int) -> np.ndarray:
     return np.stack([u.ravel(), v.ravel()], axis=1)
 
 
-def rays_for_pixels(pose: CameraPose, uv: np.ndarray):
-    """Per-pixel world rays: (origins, unit dirs, unit-camera-z dirs)."""
+def pixel_dirs(pose: CameraPose, uv: np.ndarray) -> np.ndarray:
+    """Each pixel's unit-camera-z direction, in world coordinates."""
     uv = np.asarray(uv, dtype=np.float64)
     dirs_cam = np.stack([
         (uv[:, 0] - pose.cx) / pose.fx,
         (uv[:, 1] - pose.cy) / pose.fy,
         np.ones(len(uv)),
     ], axis=1)
-    pix_dirs = dirs_cam @ pose.rotation.T
+    return dirs_cam @ pose.rotation.T
+
+
+def rays_for_pixels(pose: CameraPose, uv: np.ndarray):
+    """Per-pixel world rays: (origins, unit dirs, unit-camera-z dirs)."""
+    pix_dirs = pixel_dirs(pose, uv)
     norms = np.linalg.norm(pix_dirs, axis=1, keepdims=True)
     dirs = pix_dirs / norms
     origins = np.broadcast_to(pose.center, dirs.shape).copy()

@@ -49,15 +49,20 @@ class DatasetError(RuntimeError):
 # synthesis
 
 
-def synth_blurry_frame(scene: AnalyticScene, t: int):
-    """Average 2*WINDOW+1 sharp sub-frames around frame t (linear color)."""
+def synth_blurry_frame(scene: AnalyticScene, t: int, renders: dict):
+    """Average 2*WINDOW+1 sharp sub-frames around frame t (linear color).
+
+    ``renders`` maps an exposure instant tau to its sharp color: a sub-frame
+    whose tau it holds is read from it, and each one rendered is added to it.
+    """
     tau_t = scene.frame_tau(t)
     step = scene.frame_delta() / SUBRATE
     subframes = []
     for k in range(-WINDOW, WINDOW + 1):
         tau = tau_t + k * step
-        rgb, _, _ = render_sharp(scene, scene.pose_fn(tau), tau)
-        subframes.append(rgb)
+        if tau not in renders:
+            renders[tau] = render_sharp(scene, scene.pose_fn(tau), tau)[0]
+        subframes.append(renders[tau])
     return np.mean(subframes, axis=0)
 
 
@@ -130,6 +135,10 @@ def synthesize_dataset(scene: AnalyticScene, seed: int,
     poses_true = scene.true_poses()
     blur, sharp, masks, depths, pseudo = [], [], [], [], []
     poses_corrupt = []
+    # each exposure instant is rendered once: the sharp frame is its window's
+    # center sub-frame, and a window's last sub-frame is the next window's
+    # first whenever the two tau are the same float
+    renders = {}
     for t in range(scene.n_frames):
         tau = scene.frame_tau(t)
         rgb, depth, mask = render_sharp(scene, poses_true[t], tau)
@@ -137,7 +146,10 @@ def synthesize_dataset(scene: AnalyticScene, seed: int,
         masks.append(mask)
         depths.append(depth)
         pseudo.append(perturb_depth(depth, rng).astype(np.float32).astype(np.float64))
-        blur.append(_quantize(synth_blurry_frame(scene, t)) / 255.0)
+        renders[tau] = rgb
+        blur.append(_quantize(synth_blurry_frame(scene, t, renders)) / 255.0)
+        last = max(renders)
+        renders = {last: renders[last]}
         poses_corrupt.append(synth_corrupt_pose(poses_true, t))
     meta = {
         "version": DATASET_VERSION,

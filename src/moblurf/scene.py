@@ -14,7 +14,7 @@ from typing import Callable
 
 import numpy as np
 
-from .cameras import CameraPose, frame_pixel_grid, rays_for_pixels
+from .cameras import CameraPose, frame_pixel_grid, pixel_dirs
 
 
 def _smooth_rgb(ax, ay, phases):
@@ -91,26 +91,28 @@ def render_sharp(scene: AnalyticScene, pose: CameraPose, tau: float):
     rgb is float64 in [0,1], z_depth is camera-frame depth (so a plane
     orthogonal to the optical axis has constant depth), and the mask flags
     pixels whose first hit is a dynamic quad.
+
+    A hit point at camera depth D is the camera center + D * pix_dir; only its
+    world x and y are built, each with the per-element operations of that sum.
     """
     uv = frame_pixel_grid(scene.height, scene.width)
-    origins, _dirs, pix_dirs = rays_for_pixels(pose, uv)
+    px, py, dz = pixel_dirs(pose, uv).T
+    ox, oy, oz = pose.center
 
     # background plane z = bg_z in world; depth along unit-camera-z dirs
-    dz = pix_dirs[:, 2]
-    depth = (scene.bg_z - origins[:, 2]) / dz
-    hit = origins + depth[:, None] * pix_dirs
-    rgb = scene.bg_texture(hit[:, 0], hit[:, 1])
+    depth = (scene.bg_z - oz) / dz
+    rgb = scene.bg_texture(ox + depth * px, oy + depth * py)
     mask = np.zeros(len(uv), dtype=bool)
 
     for quad in scene.quads:
         center = np.asarray(quad.center_fn(tau), dtype=np.float64)
         ang = float(quad.angle_fn(tau))
-        d_q = (center[2] - origins[:, 2]) / dz
-        pt = origins + d_q[:, None] * pix_dirs
-        rel = pt[:, :2] - center[:2]
+        d_q = (center[2] - oz) / dz
+        rel_x = ox + d_q * px - center[0]
+        rel_y = oy + d_q * py - center[1]
         ca, sa = np.cos(-ang), np.sin(-ang)
-        lu = ca * rel[:, 0] - sa * rel[:, 1]
-        lv = sa * rel[:, 0] + ca * rel[:, 1]
+        lu = ca * rel_x - sa * rel_y
+        lv = sa * rel_x + ca * rel_y
         inside = (np.abs(lu) <= quad.half_u) & (np.abs(lv) <= quad.half_v) \
             & (d_q > 0) & (d_q < depth)
         if inside.any():

@@ -1,7 +1,8 @@
-"""The README quotes some of the code's block and chunk sizes, the number
-of checks ``moblurf gradcheck`` runs, the default config and the paper's
-config file, by value; each quote must give the value the code holds, so
-that changing one of them cannot leave the documentation stale."""
+"""The README quotes some of the code's block and chunk sizes, the blur
+window, the number of checks ``moblurf gradcheck`` runs, the default config
+and the paper's config file, by value; each quote must give the value the
+code holds, so that changing one of them cannot leave the documentation
+stale."""
 
 import json
 import re
@@ -11,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from moblurf import autodiff, gradcheck, inference
+from moblurf import autodiff, data, gradcheck, inference
 from moblurf.config import TrainConfig, resolve_config
 from moblurf.fields import ENCODE_BLOCK, Architecture
 
@@ -27,6 +28,12 @@ README = (Path(__file__).resolve().parents[1] / "README.md").read_text()
 def test_readme_quotes_the_value_the_code_holds(quote, value):
     quoted = [int(n) for n in re.findall(quote, README)]
     assert quoted and all(n == value for n in quoted), (quoted, value)
+
+
+def test_readme_quotes_the_blur_window():
+    quoted = re.findall(r"(\d+)x-subsampled exposure averages of (\d+)\s+sub-frames",
+                        README)
+    assert quoted == [(str(data.SUBRATE), str(2 * data.WINDOW + 1))]
 
 
 def test_readme_counts_the_checks_gradcheck_runs():

@@ -3,14 +3,14 @@ import zlib
 import numpy as np
 import pytest
 
-from moblurf import se3
-from moblurf.cameras import CameraPose
+from moblurf import data, se3
+from moblurf.cameras import CameraPose, frame_pixel_grid, rays_for_pixels
 from moblurf.data import (BlurryDataset, DatasetError, perturb_depth,
                           read_dataset, read_depth_raw, synth_blurry_frame,
                           synth_corrupt_pose, synthesize_dataset,
                           write_dataset, write_depth_raw)
 from moblurf.pngio import PngError, read_png, write_png
-from moblurf.scene import (build_preset, moving_quad_scene, render_sharp,
+from moblurf.scene import (PRESETS, build_preset, moving_quad_scene, render_sharp,
                            static_scene, streak_scene)
 
 
@@ -54,6 +54,49 @@ class TestPng:
         with pytest.raises(PngError) as err:
             read_png(p)
         assert str(err.value) == f"{p}: IHDR has 0 bytes, not 13"
+
+    # the writer emits filter 0 only; frames from other encoders use all five
+    @pytest.mark.parametrize("filters", [[0], [1], [2], [3], [4], [3, 1, 4, 0, 2]],
+                             ids=["none", "sub", "up", "average", "paeth", "mixed"])
+    @pytest.mark.parametrize("channels", [1, 3], ids=["gray", "rgb"])
+    def test_reads_every_scanline_filter(self, tmp_path, channels, filters):
+        # evenly spaced levels up to 255: Paeth's distances tie, sums wrap
+        img = (np.random.default_rng(channels).integers(0, 6, size=(7, 5, channels))
+               * 51).astype(np.uint8)
+        img = img[:, :, 0] if channels == 1 else img
+        p = tmp_path / "f.png"
+        p.write_bytes(png_with_filters(img, filters))
+        assert np.array_equal(read_png(p), img)
+
+
+def png_with_filters(img: np.ndarray, filters: list) -> bytes:
+    """An 8-bit gray or RGB PNG whose row r is stored under filter type
+    ``filters[r % len(filters)]``, encoded as the PNG specification defines."""
+    h, w = img.shape[:2]
+    bpp = 1 if img.ndim == 2 else 3
+    rows = img.reshape(h, w * bpp).astype(np.int64)
+    raw = b""
+    prev = np.zeros(w * bpp, dtype=np.int64)
+    for r, x in enumerate(rows):
+        ftype = filters[r % len(filters)]
+        a = np.concatenate([np.zeros(bpp, dtype=np.int64), x[:-bpp]])     # left
+        c = np.concatenate([np.zeros(bpp, dtype=np.int64), prev[:-bpp]])  # upper left
+        b = prev
+        p = a + b - c
+        pa, pb, pc = np.abs(p - a), np.abs(p - b), np.abs(p - c)
+        paeth = np.where((pa <= pb) & (pa <= pc), a, np.where(pb <= pc, b, c))
+        pred = [0, a, b, (a + b) // 2, paeth][ftype]
+        raw += bytes([ftype]) + ((x - pred) % 256).astype(np.uint8).tobytes()
+        prev = x
+
+    def chunk(tag, payload):
+        return (len(payload).to_bytes(4, "big") + tag + payload
+                + zlib.crc32(tag + payload).to_bytes(4, "big"))
+
+    ihdr = (w.to_bytes(4, "big") + h.to_bytes(4, "big")
+            + bytes([8, 0 if bpp == 1 else 2, 0, 0, 0]))
+    return (b"\x89PNG\r\n\x1a\n" + chunk(b"IHDR", ihdr)
+            + chunk(b"IDAT", zlib.compress(raw)) + chunk(b"IEND", b""))
 
 
 def png_with_empty_ihdr() -> bytes:
@@ -99,31 +142,109 @@ class TestRenderSharp:
         assert np.array_equal(mask, expected)
 
 
+def reference_render(scene, pose, tau):
+    """``render_sharp``'s formula with whole ray origins and hit points, which
+    its x-and-y-only hit points must match bit for bit."""
+    uv = frame_pixel_grid(scene.height, scene.width)
+    origins, _dirs, pix_dirs = rays_for_pixels(pose, uv)
+    dz = pix_dirs[:, 2]
+    depth = (scene.bg_z - origins[:, 2]) / dz
+    hit = origins + depth[:, None] * pix_dirs
+    rgb = scene.bg_texture(hit[:, 0], hit[:, 1])
+    mask = np.zeros(len(uv), dtype=bool)
+    for quad in scene.quads:
+        center = np.asarray(quad.center_fn(tau), dtype=np.float64)
+        ang = float(quad.angle_fn(tau))
+        d_q = (center[2] - origins[:, 2]) / dz
+        rel = (origins + d_q[:, None] * pix_dirs)[:, :2] - center[:2]
+        ca, sa = np.cos(-ang), np.sin(-ang)
+        lu = ca * rel[:, 0] - sa * rel[:, 1]
+        lv = sa * rel[:, 0] + ca * rel[:, 1]
+        inside = (np.abs(lu) <= quad.half_u) & (np.abs(lv) <= quad.half_v) \
+            & (d_q > 0) & (d_q < depth)
+        if inside.any():
+            rgb[inside] = quad.texture(lu[inside], lv[inside])
+            depth[inside] = d_q[inside]
+            mask[inside] = True
+    h, w = scene.height, scene.width
+    return (rgb.reshape(h, w, 3), depth.reshape(h, w), mask.reshape(h, w))
+
+
+def window_taus(scene, t):
+    """The 9 sub-frame instants of frame t's window, 1/8 of a frame apart."""
+    return [scene.frame_tau(t) + k * scene.frame_delta() / 8 for k in range(-4, 5)]
+
+
+def quantized(frame):
+    return np.clip(np.round(frame * 255.0), 0, 255).astype(np.uint8) / 255.0
+
+
 class TestBlurSynthesis:
     def test_static_scene_blurry_equals_sharp(self):
         scene = static_scene()
         t = 2
-        blurry = synth_blurry_frame(scene, t)
+        blurry = synth_blurry_frame(scene, t, {})
         sharp, _, _ = render_sharp(scene, scene.pose_at(t), scene.frame_tau(t))
         assert np.abs(blurry - sharp).max() < 1e-15
 
     def test_blurry_is_exact_mean_of_subframes(self):
-        # the 9 sub-frames of the default window, 1/8 of a frame apart
-        scene = moving_quad_scene()
-        t = 7
-        taus = [scene.frame_tau(t) + k * scene.frame_delta() / 8 for k in range(-4, 5)]
-        subframes = [render_sharp(scene, scene.pose_fn(tau), tau)[0] for tau in taus]
-        blurry = synth_blurry_frame(scene, t)
-        assert np.abs(blurry - np.mean(subframes, axis=0)).max() < 1e-15
-        # the quad moves within the window, so the mean is not the centre frame
-        assert np.abs(blurry - subframes[4]).max() > 0.1
+        for name, t in [("moving-quad-64", 7), ("static-64", 2), ("streak-64", 4)]:
+            scene = build_preset(name)
+            taus = window_taus(scene, t)
+            subframes = [render_sharp(scene, scene.pose_fn(tau), tau) for tau in taus]
+            for tau, got in zip(taus, subframes):
+                want = reference_render(scene, scene.pose_fn(tau), tau)
+                assert all(np.array_equal(a, b) for a, b in zip(got, want))
+            colors = [rgb for rgb, _, _ in subframes]
+            blurry = synth_blurry_frame(scene, t, {})
+            assert np.array_equal(blurry, np.mean(colors, axis=0))
+            # where a quad moves within the window, the mean is not the center frame
+            assert (np.abs(blurry - colors[4]).max() > 0.1) == (name != "static-64")
+
+    @pytest.mark.parametrize("name", sorted(PRESETS))
+    def test_dataset_equals_one_render_per_subframe(self, name, monkeypatch):
+        # each exposure instant is rendered once, keyed by its exact tau:
+        # moving-quad-64 has 199 distinct instants among its 24 frames and 216
+        # sub-frames, and 6 of its 23 window boundaries miss by rounding
+        scene = build_preset(name)
+        poses_true = scene.true_poses()
+        frames = [render_sharp(scene, poses_true[t], scene.frame_tau(t))
+                  for t in range(scene.n_frames)]
+        blur = [quantized(np.mean([render_sharp(scene, scene.pose_fn(tau), tau)[0]
+                                   for tau in window_taus(scene, t)], axis=0))
+                for t in range(scene.n_frames)]
+        instants = {tau for t in range(scene.n_frames) for tau in window_taus(scene, t)}
+        rendered = []
+
+        def recording_render(scene, pose, tau):
+            rendered.append(tau)
+            return render_sharp(scene, pose, tau)
+
+        monkeypatch.setattr(data, "render_sharp", recording_render)
+        for seed in (0, 1):
+            rendered.clear()
+            ds = synthesize_dataset(scene, seed)
+            assert sorted(rendered) == sorted(instants)
+            rng = np.random.default_rng(seed)
+            assert np.array_equal(ds.sharp, np.stack([quantized(f[0]) for f in frames]))
+            assert np.array_equal(ds.depth_true, np.stack([f[1] for f in frames]))
+            assert np.array_equal(ds.mask_true, np.stack([f[2] for f in frames]))
+            assert np.array_equal(ds.blur, np.stack(blur))
+            assert np.array_equal(ds.pseudo_depth, np.stack([
+                perturb_depth(f[1], rng).astype(np.float32).astype(np.float64)
+                for f in frames]))
+            for t, pose in enumerate(ds.poses_corrupt):
+                want = synth_corrupt_pose(poses_true, t)
+                assert np.array_equal(pose.as_matrix34(), want.as_matrix34())
+            for got, want in zip(ds.poses_true, poses_true):
+                assert np.array_equal(got.as_matrix34(), want.as_matrix34())
 
     def test_streak_length_matches_box_filter_prediction(self):
         # bright quad at uniform velocity on a dark background: the blurred
         # edge ramp spans exactly (speed * window span) pixels
         scene = streak_scene()
         t = scene.n_frames // 2
-        blurry = synth_blurry_frame(scene, t)
+        blurry = synth_blurry_frame(scene, t, {})
         quad = scene.quads[0]
         z = quad.center_fn(0.0)[2]
         speed_px = 2.4 * scene.frame_delta() * scene.fx / z
