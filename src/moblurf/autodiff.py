@@ -19,8 +19,8 @@ freezes every group and builds none at all.
 
 Ops are as coarse as the hot path needs: :func:`mlp` is a whole fully
 connected relu stack (matmuls, biases and relus), with the heads that read
-its last layer, in one node, evaluated in cache-sized row blocks, so a
-field costs one node and one backward visit.
+its last layer, in one node, evaluated layer by layer over cache-sized
+spans of rows, so a field costs one node and one backward visit.
 
 A vector-Jacobian product may return a view of the incoming gradient
 (``add``, ``reshape``, ``concat``), so :func:`backward` writes into a
@@ -146,7 +146,7 @@ def div(a, b):
     ])
 
 
-# rows per block of :func:`mlp`'s forward, whatever the weights' dtype:
+# rows per product of :func:`mlp`'s forward, whatever the weights' dtype:
 # 7 rays of 32 samples, or 28 of 8. A block of a 64-wide layer of the
 # fields' float32 weights is 224 * 64 * 64 = 917 504 multiply-adds, under
 # the 10^6 below which OpenBLAS (0.3.31) takes its small-matrix sgemm
@@ -156,6 +156,15 @@ def div(a, b):
 # is tuned to that BLAS: one without the small-matrix path only pays for the
 # extra calls. The fields' bits do not depend on it
 FORWARD_BLOCK = 224
+# rows per span of :func:`mlp`'s forward, whole forward blocks: each layer
+# runs over a span before the next, so its bias add, per-ray add and relu
+# are one call per span, not per block. The two fields' graph-free forward
+# over a 512-ray chunk (16 384 rows, float32, one thread, same Xeon) ran
+# 7 % faster than block by block at spans of 672 to 1 792 rows (median of
+# 100 interleaved repeats) and 7 % slower at 3 584, where a 64-wide layer's
+# input, output, bias span and zeros (1 KiB a row) outgrow the 2 MiB L2;
+# 896 is the fastest with the least memory. The bits do not depend on it
+FORWARD_SPAN = 896
 # rows per block of :func:`mlp`'s gradient, which walks the activations the
 # graph keeps over all rows. A 224-row gradient makes faster products, but
 # its per-block float64 sums into dW and its extra calls eat the gain: MDD
@@ -214,30 +223,50 @@ class _Stack:
             self.per_ray = self.uv.astype(self.dtype, copy=False) @ self.w_u
             self.per_ray += self.bs[0]
 
-    def allocate(self, graph: bool, span: int, out_rows: int) -> None:
-        """Allocate the layers' outputs: over all rows with a graph, whose
-        gradient reads them, else over one forward block of ``span`` rows;
-        the output layer over ``out_rows``."""
+    def allocate(self, span: int, bufs, out) -> None:
+        """Point the layers at the arrays they write. A hidden layer ``i``
+        writes ``bufs[i % 2]``, flat, viewed as ``span`` rows, or, when
+        ``bufs`` is None (a graph, whose gradient reads it), its own array
+        over all rows; the output layer writes ``out``, or, when that is
+        None, is hidden too."""
         last = len(self.ws) - 1
         # post[i] is layer i's output, its relu applied in place
-        self.post = [np.empty((out_rows if i == last else self.n if graph else span,
-                               w.shape[1]), self.dtype) for i, w in enumerate(self.ws)]
-        # each bias as a block of rows: a contiguous add instead of a
+        self.post = [out if i == last and out is not None
+                     else np.empty((self.n, w.shape[1]), self.dtype) if bufs is None
+                     else bufs[i % 2][:span * w.shape[1]].reshape(span, w.shape[1])
+                     for i, w in enumerate(self.ws)]
+
+    def begin_forward(self, span: int, zeros: dict) -> None:
+        """What only the forward reads, over ``span`` rows. ``zeros`` holds
+        one span of zeros per width, shared by every stack of the call."""
+        # each bias as a span of rows: a contiguous add instead of a
         # broadcast one, with the same bits; the per-ray first layer adds its
         # own
         self.tiles = [None if i == 0 and self.uv is not None else np.tile(b, (span, 1))
                       for i, b in enumerate(self.bs)]
-        # the relu's other operand as a block of zeros: a contiguous maximum
+        # the relu's other operand as a span of zeros: a contiguous maximum
         # takes half the time of one against the scalar, with the same bits
-        self.zeros = [np.zeros((span, w.shape[1]), self.dtype) if acted else None
+        for w, acted in zip(self.ws, self.acted):
+            if acted and w.shape[1] not in zeros:
+                zeros[w.shape[1]] = np.zeros((span, w.shape[1]), self.dtype)
+        self.zeros = [zeros[w.shape[1]] if acted else None
                       for w, acted in zip(self.ws, self.acted)]
 
-    def forward(self, h, lo: int, hi: int):
-        """Rows ``lo:hi`` through every layer; ``h`` is their input."""
+    def forward(self, h, blocks):
+        """The rows of ``blocks``, one span, through every layer, each layer
+        over all of them before the next; ``h`` is their input. A layer's
+        product is one per block, or one over the span when that stays
+        under the 10^6 multiply-adds of OpenBLAS's small-matrix kernel (a
+        narrow head's), whose rows have the bits of their blocks' products."""
+        lo, hi = blocks[0][0], blocks[-1][1]
         for i, wv in enumerate(self.wins):
             rows = slice(lo, hi) if len(self.post[i]) == self.n else slice(hi - lo)
             z = self.post[i][rows]
-            np.matmul(h, wv, out=z)
+            if (hi - lo) * wv.size <= 10 ** 6:
+                np.matmul(h, wv, out=z)
+            else:
+                for a, b in blocks:
+                    np.matmul(h[a - lo:b - lo], wv, out=z[a - lo:b - lo])
             if self.tiles[i] is None:
                 by_ray = z.reshape(-1, self.k, z.shape[1])     # a view of z
                 by_ray += self.per_ray[lo // self.k:hi // self.k, None]
@@ -363,20 +392,25 @@ def mlp(x, layers, *, u=None, k: int = 1, heads=()):
     float32 block products. All weights of all stacks must share one dtype,
     or the call raises TypeError.
 
-    The forward runs in blocks of about :data:`FORWARD_BLOCK` rows, whatever
-    the weights' dtype, of whole rays of every ``k``, each block through all
-    the layers, the heads and the output layers too, while it stays in
-    cache; each bias is added from a block of copies of it, and each relu
-    takes the maximum with a block of zeros. Every product is one block's
-    and one stack's, so a row's bits do not depend on the stacks beside it.
-    With the fields' float32 weights they do not depend on how many rows
-    share the call either (``test_forward_block_never_moves_a_bit``); with
-    float64 ones a wide layer's may: ``local.mlp``'s 488-column first layer
-    rounds an 8-row tail block otherwise than the same rows inside a longer
-    block. A row may differ in the last place from one product over all
-    rows: OpenBLAS multiplies small products (under about 10^6
-    multiply-adds) with another kernel, which rounds some widths, such as an
-    RGB head's 3 columns, differently.
+    The forward cuts the rows into blocks of about :data:`FORWARD_BLOCK`
+    rows, whatever the weights' dtype, of whole rays of every ``k``, and
+    groups them into spans of about :data:`FORWARD_SPAN` rows, whole blocks.
+    Each span runs through the stack and then each head layer by layer, the
+    output layers too, while it stays in cache: a layer's product is one per
+    block, or one over the span when that stays under OpenBLAS's
+    small-matrix bound of 10^6 multiply-adds (a narrow head's), and then one
+    bias add, from a span of copies of the bias, one per-ray add and one
+    relu, a maximum with a span of zeros, run over the whole span; each
+    head's columns are copied into the value once per span. A product under
+    the bound gives each row the bits it has in its block's product, so a
+    row's bits do not depend on the span, nor on the stacks beside it. With
+    the fields' float32 weights they do not depend on how many rows share
+    the call either (``test_forward_block_never_moves_a_bit``); with float64
+    ones a wide layer's may: ``local.mlp``'s 488-column first layer rounds
+    an 8-row tail block otherwise than the same rows inside a longer block.
+    A row may differ in the last place from one product over all rows:
+    OpenBLAS multiplies small products with another kernel, which rounds
+    some widths, such as an RGB head's 3 columns, differently.
 
     The gradient walks blocks of about :data:`BLOCK` rows, of whole rays
     too, back over the activations the graph keeps over all rows, through
@@ -390,9 +424,11 @@ def mlp(x, layers, *, u=None, k: int = 1, heads=()):
     first layer's gradient is summed over each ray's rows, and ``u``,
     ``w_u`` and the first bias take theirs from those per-ray sums. The
     node then drops its hidden activations, so one backward pass can run
-    through it. Without a Node operand every hidden layer lives in one
-    forward-block-sized buffer, only the value spans all rows, and nothing
-    of the gradient's size is allocated.
+    through it. Without a Node operand the hidden layers of each stack
+    alternate between two span-sized buffers, the heads' first hidden layer
+    taking the one that the stack's output is not in, the relus of all
+    stacks share one span of zeros per width, only the value spans all
+    rows, and nothing of the gradient's size is allocated.
     """
     xv = value_of(x)
     if xv.ndim != 2:
@@ -410,20 +446,37 @@ def mlp(x, layers, *, u=None, k: int = 1, heads=()):
     # every block, forward and gradient, holds whole rays of every stack
     run = math.lcm(*(s.k for s in stacks))
     blocks = _row_blocks(n, run, FORWARD_BLOCK)
-    span = max((hi - lo for lo, hi in blocks), default=0)
-    # a head's output layer is copied into the value block by block
-    trunk.allocate(graph, span, n if graph or not heads else span)
+    per = max(1, FORWARD_SPAN // FORWARD_BLOCK)
+    spans = [blocks[i:i + per] for i in range(0, len(blocks), per)]
+    span = max((part[-1][1] - part[0][0] for part in spans), default=0)
+    dt = trunk.dtype
+    # without a graph, the hidden layers alternate between two span buffers;
+    # a head's first hidden layer takes the one the trunk's output is not
+    # in, a second one a third buffer
+    bufs = None
+    if not graph:
+        wide = span * max(w.shape[1] for s in stacks for w in s.ws)
+        bufs = [np.empty(wide, dt) for _ in range(2 + any(len(h.ws) > 2 for h in heads))]
+    trunk.allocate(span, bufs, None if heads else np.empty((n, trunk.width), dt))
+    free = bufs and [bufs[len(trunk.ws) % 2], bufs[-1]]
     for head in heads:
-        head.allocate(graph, span, span)
+        # a head's output layer is copied into the value span by span
+        head.allocate(span, free, np.empty((span, head.width), dt))
     # the heads' columns of the value
     ends = np.cumsum([0] + [h.width for h in heads])
     cols = [slice(a, b) for a, b in zip(ends[:-1], ends[1:])]
     value = np.empty((n, ends[-1])) if heads else trunk.post[-1]
+    # made after what outlives the forward, so that freeing it leaves no
+    # hole under that in the heap
+    zeros = {}
+    for s in stacks:
+        s.begin_forward(span, zeros)
 
-    for lo, hi in blocks:
-        h = trunk.forward(xv[lo:hi].astype(trunk.dtype, copy=False), lo, hi)
+    for part in spans:
+        lo, hi = part[0][0], part[-1][1]
+        h = trunk.forward(xv[lo:hi].astype(dt, copy=False), part)
         for head, c in zip(heads, cols):
-            value[lo:hi, c] = head.forward(h, lo, hi)
+            value[lo:hi, c] = head.forward(h, part)
     value = value.astype(np.float64, copy=False)
     # what only the forward reads is not kept for the gradient
     for s in stacks:
@@ -439,7 +492,6 @@ def mlp(x, layers, *, u=None, k: int = 1, heads=()):
         span = max((hi - lo for lo, hi in blocks), default=0)
         deep = trunk.begin_gradients(want[0], wants[0], span)
         heads_on = [h.begin_gradients(deep, w, span) for h, w in zip(heads, wants[1:])]
-        dt = trunk.dtype
         dx = scratch = None
         if want[0]:
             # each block's product is made here, in the weights' dtype, then

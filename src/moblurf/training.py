@@ -226,13 +226,18 @@ class Trainer:
         mphoto = L.photometric(res.color_static, batch.targets, mask)
         photo_d = L.photometric(res.color_dynamic, batch.targets)
         photo_f = L.photometric(res.color_full, batch.targets)
-        sm = L.staticness_max(res.p_st_samples, self.config.lambda_sm)
-        loss = ad.add(ad.add(ad.add(mphoto, photo_d), photo_f), sm)
+        loss = ad.add(ad.add(mphoto, photo_d), photo_f)
         breakdown = LossBreakdown(
             photo_dynamic=float(ad.value_of(photo_d)),
             photo_full=float(ad.value_of(photo_f)),
             mphoto_static=float(ad.value_of(mphoto)),
-            sm=float(ad.value_of(sm)))
+            sm=math.inf)
+        # a staticness logit below about -745 rounds its sigmoid to exactly
+        # 0, where the term is infinite: the step reports a diverged run
+        if ad.value_of(res.p_st_samples).min(initial=1.0) > 0.0:
+            sm = L.staticness_max(res.p_st_samples, self.config.lambda_sm)
+            loss = ad.add(loss, sm)
+            breakdown.sm = float(ad.value_of(sm))
         lg = self._lg_terms(batch, sharp, supervise, base, rng)
         if lg is not None:
             loss = ad.add(loss, lg)

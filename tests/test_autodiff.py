@@ -473,48 +473,90 @@ def test_row_blocks_hold_whole_rays_within_the_block(k, block):
         assert not sizes or sizes[-1] <= block or (k == 1 and sizes[-1] == block + 1)
 
 
-def _desk_node(kind):
+def _desk_node(kind, plain=False):
     """Operands of a desk MLP node, and an output gradient: a field with
     float32 weights, as in training, past two gradient blocks (the static
     one on 32 samples per ray: a 4-layer 64-wide trunk, a per-ray RGB head
     and two one-column heads; the dynamic one on a latent ray's 8: a per-ray
-    trunk, an RGB and a sigma head)."""
+    trunk, an RGB and a sigma head). ``rows`` is the static one with no
+    per-ray operand, one row per ray, on 9 forward blocks, the last holding
+    a one-row remainder. With ``plain``, every operand is a plain array and
+    x is float32, as a graph-free render passes them."""
     rng = np.random.default_rng(41)
+    leaf = (lambda a: a) if plain else ad.Node
 
     def layers(*sizes):
-        return [(ad.Node((rng.normal(size=(a, b)) / np.sqrt(a)).astype(np.float32)),
-                 ad.Node((rng.normal(size=b) * 0.1).astype(np.float32)))
+        return [(leaf((rng.normal(size=(a, b)) / np.sqrt(a)).astype(np.float32)),
+                 leaf((rng.normal(size=b) * 0.1).astype(np.float32)))
                 for a, b in zip(sizes, sizes[1:])]
 
-    k = 8 if kind == "latent" else 32
-    rays = 2 * (ad.BLOCK // k) + 5
-    x = ad.Node(rng.normal(size=(rays * k, 51)))
-    u = ad.Node(rng.normal(size=(rays, 8))) if kind == "latent" else None
+    k = {"static": 32, "latent": 8, "rows": 1}[kind]
+    rays = 2 * (ad.BLOCK // k) + 5 if k > 1 else 9 * ad.FORWARD_BLOCK + 1
+    x = rng.normal(size=(rays * k, 51))
+    x = x.astype(np.float32) if plain else ad.Node(x)
+    u = leaf(rng.normal(size=(rays, 8))) if kind == "latent" else None
     trunk = layers(51 + (u is not None) * 8, 64, 64, 64, 64)
-    heads = [(layers(64 + 27, 64, 3), ad.Node(rng.normal(size=(rays, 27))), k),
+    heads = [(layers(64, 64, 3), None, 1) if kind == "rows" else
+             (layers(64 + 27, 64, 3), leaf(rng.normal(size=(rays, 27))), k),
              (layers(64, 1), None, 1)]
-    if kind == "static":
+    if kind != "latent":
         heads.append((layers(64, 1), None, 1))
     return x, u, k, trunk, heads, rng.normal(size=(rays * k, 3 + len(heads) - 1))
+
+
+def _value_and_gradients(x, u, k, trunk, heads, g):
+    """A node's value and, when it has a graph, every operand's gradient."""
+    out = ad.mlp(x, trunk, u=u, k=k, heads=heads)
+    if not isinstance(out, ad.Node):
+        return [out]
+    ad.backward(ad.sum_(ad.mul(out, g)))
+    return [out.value, *(a.grad for a in _leaves(x, u, trunk, heads))]
+
+
+def _assert_same_bytes(got, want):
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
 @pytest.mark.parametrize("kind", ["static", "latent"])
 def test_forward_block_never_moves_a_bit(kind, monkeypatch):
     # a node's value and every operand's gradient, byte for byte, with the
     # forward in its own blocks and in the gradient's
+    got = _value_and_gradients(*_desk_node(kind))
+    monkeypatch.setattr(ad, "FORWARD_BLOCK", ad.BLOCK)
+    _assert_same_bytes(got, _value_and_gradients(*_desk_node(kind)))
+
+
+@pytest.mark.parametrize("plain", [False, True], ids=["graph", "plain"])
+@pytest.mark.parametrize("kind", ["static", "latent", "rows"])
+def test_forward_span_never_moves_a_bit(kind, plain, monkeypatch):
+    # the value and, with a graph, every operand's gradient, byte for byte,
+    # with one forward block per span (each layer block by block) and with
+    # spans of several blocks, whose last is ragged: fewer blocks, the last
+    # of them partial or, one row per ray, holding a one-row remainder
+    spans = [3 * ad.FORWARD_BLOCK, ad.FORWARD_SPAN]
+    monkeypatch.setattr(ad, "FORWARD_SPAN", ad.FORWARD_BLOCK)
+    want = _value_and_gradients(*_desk_node(kind, plain))
+    for span in spans:
+        monkeypatch.setattr(ad, "FORWARD_SPAN", span)
+        _assert_same_bytes(_value_and_gradients(*_desk_node(kind, plain)), want)
+
+
+@pytest.mark.parametrize("rows", [232, 460])
+def test_forward_span_keeps_float64_bits(rows, monkeypatch):
+    # local.mlp's shape in float64, as training runs it: a 488-wide first
+    # layer, whose tail block rounds as it does alone, and a 6-column output
+    # layer, one product over a span of two or three blocks
+    x, layers, g = _mlp_inputs(rows, seed=43, sizes=(488, 64, 64, 64, 64, 6))
 
     def run():
-        x, u, k, trunk, heads, g = _desk_node(kind)
-        out = ad.mlp(x, trunk, u=u, k=k, heads=heads)
-        ad.backward(ad.sum_(ad.mul(out, g)))
-        return [out.value, *(a.grad for a in _leaves(x, u, trunk, heads))]
+        nodes = [(ad.Node(w), ad.Node(b)) for w, b in layers]
+        return _value_and_gradients(ad.Node(x), None, 1, nodes, [], g)
 
-    got = run()
-    monkeypatch.setattr(ad, "FORWARD_BLOCK", ad.BLOCK)
     want = run()
-    assert len(got) == len(want)
-    for a, b in zip(got, want):
-        assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+    monkeypatch.setattr(ad, "FORWARD_SPAN", ad.FORWARD_BLOCK)
+    _assert_same_bytes(run(), want)
 
 
 @pytest.mark.parametrize("kind", ["static", "latent"])

@@ -1,3 +1,4 @@
+import math
 import os
 import subprocess
 import sys
@@ -635,6 +636,18 @@ class TestRunAndResume:
             tr.bri_step(1)
         assert "iteration" in str(exc.value)
         assert isinstance(exc.value.breakdown, dict)
+
+    def test_saturated_staticness_aborts_with_breakdown(self, tiny_dataset):
+        # a logit of -800 rounds the staticness sigmoid to exactly 0: the
+        # term is infinite, a diverged run (exit 2), not bad input (exit 1)
+        tr = tiny_trainer(tiny_dataset)
+        tr.model.store.values["static.pst.0.b"][:] = -800.0
+        with pytest.raises(NumericalError) as exc:
+            tr.bri_step(1)
+        breakdown = exc.value.breakdown
+        assert breakdown["sm"] == breakdown["total"] == math.inf
+        assert all(math.isfinite(breakdown[k])
+                   for k in ("photo_dynamic", "photo_full", "mphoto_static"))
 
 
 class TestGradientOracleHooks:
