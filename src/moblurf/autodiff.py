@@ -21,15 +21,6 @@ Ops are as coarse as the hot path needs: :func:`mlp` is a whole fully
 connected relu stack (matmuls, biases and relus), with the heads that read
 its last layer, in one node, evaluated layer by layer over cache-sized
 spans of rows, so a field costs one node and one backward visit.
-
-A vector-Jacobian product may return a view of the incoming gradient
-(``add``, ``reshape``, ``concat``), so :func:`backward` writes into a
-gradient array only when it owns it: when it allocated the array to sum two
-contributions, or when an ``mlp`` or ``narrow`` vjp returned it (those are
-always fresh). Every later contribution is added into an owned array in
-place, an ``mlp``'s input gradient block by block and a ``narrow``'s into
-its slice; any other array is never mutated, and the first sum into it
-allocates.
 """
 
 from __future__ import annotations
@@ -299,18 +290,16 @@ class _Stack:
         # a block's bias gradient is a product with ones: one BLAS call, where
         # a NumPy sum over the rows loops over them one at a time
         self.ones = np.ones(span, self.dtype)
-        # each weight transposed for g @ w.T; a one-column weight as its row
-        # tiled to a block: each entry of the product is one product then,
-        # and a multiply by the tile gives its bits without a BLAS call of
-        # inner dimension 1 or a broadcast multiply's short inner loops
-        self.wts = [np.tile(w.T, (span, 1)) if w.shape[1] == 1 else w.T
-                    for w in self.wins]
+        # each weight transposed for g @ w.T; a one-column weight's is a row,
+        # which multiplies g broadcast: each entry of the product is one
+        # product then, with its bits, and no BLAS call of inner dimension 1
+        self.wts = [w.T for w in self.wins]
         return True
 
     def _times_t(self, i: int, g, out=None):
         """``g @ wins[i].T`` (see :meth:`begin_gradients`)."""
         if self.wins[i].shape[1] == 1:
-            return np.multiply(self.wts[i][:len(g)], g, out=out)
+            return np.multiply(self.wts[i], g, out=out)
         return np.matmul(g, self.wts[i], out=out)
 
     def backward(self, gz, owned: bool, lo: int, hi: int, h_in, d_in=None,
@@ -482,9 +471,8 @@ def mlp(x, layers, *, u=None, k: int = 1, heads=()):
     for s in stacks:
         s.tiles = s.zeros = s.per_ray = None
 
-    def gradients(g, into):
-        """Gradient of every Node operand, in ``operands`` order; x's is
-        added into ``into`` when that is given."""
+    def gradients(g):
+        """Gradient of every Node operand, in ``operands`` order."""
         want = [isinstance(p, Node) for p in operands]
         at = np.cumsum([1] + [len(s.operands) for s in stacks])
         wants = [want[a:b] for a, b in zip(at[:-1], at[1:])]
@@ -497,7 +485,7 @@ def mlp(x, layers, *, u=None, k: int = 1, heads=()):
             # each block's product is made here, in the weights' dtype, then
             # added into x's float64 gradient
             scratch = np.empty((span, xv.shape[1]), dt)
-            dx = np.zeros(xv.shape) if into is None else into
+            dx = np.zeros(xv.shape)
         # a block of the stack's output gradient, the scratch its sums use,
         # and each head's output gradient, copied out of g's columns
         g_out = np.empty((span, trunk.width), dt) if heads and deep else None
@@ -529,19 +517,10 @@ def mlp(x, layers, *, u=None, k: int = 1, heads=()):
     served = {}
 
     def vjp(j):
-        def pull(g, into=None):
-            """Operand j's gradient, a fresh array; with ``into``, an array
-            that backward owns holding j's gradient so far, added into it."""
+        def pull(g):
             if not served:
-                served.update((i, d) for i, d in enumerate(
-                    gradients(g, into if j == 0 else None)) if d is not None)
-            d = served.pop(j)
-            if into is None:
-                return d
-            if d is not into:
-                into += d
-            return into
-        pull.fresh = True   # see backward
+                served.update((i, d) for i, d in enumerate(gradients(g)) if d is not None)
+            return served.pop(j)
         return pull
 
     return _make(value, [(p, vjp(j)) for j, p in enumerate(operands)])
@@ -668,17 +647,11 @@ def narrow(a, start, length, axis=0):
                for i in range(av.ndim))
     ov = av[sl]
 
-    def vjp(g, into=None):
-        """A fresh zero-padded gradient; with ``into``, an array that
-        backward owns, ``g`` added into its slice."""
-        if into is None:
-            into = np.zeros_like(av)
-            into[sl] = g
-        else:
-            into[sl] += g
-        return into
+    def vjp(g):
+        full = np.zeros_like(av)
+        full[sl] = g
+        return full
 
-    vjp.fresh = True    # see backward
     return _make(ov, [(a, vjp)])
 
 
@@ -793,14 +766,8 @@ def backward(root: Node):
     An interior node's gradient is dropped once its vjps have run; leaves,
     parameter leaves (``ParamStore.leaf``) among them, keep theirs.
 
-    A node owns its gradient array for this pass when backward allocated it,
-    summing two contributions, or an ``mlp`` or ``narrow`` vjp returned it.
-    Later contributions are added into an owned array in place (an ``mlp``
-    vjp adds its input gradient into it block by block, a ``narrow`` vjp
-    into its slice alone, where a sum would add zeros); an array that is
-    not owned may be a view of another node's gradient and is never written
-    to. Sums run in the same order either way, so the bits do not depend on
-    it, but for the sign of a zero.
+    A vjp may return a view of its incoming gradient, so no gradient array
+    is written to: each later contribution is summed into a new array.
     """
     if not isinstance(root, Node):
         raise TypeError("backward expects a Node")
@@ -810,26 +777,12 @@ def backward(root: Node):
     for node in order:
         node.grad = None
     root.grad = np.ones_like(root.value)
-    # the nodes whose gradient array is this pass's own; they stay alive in
-    # ``order`` until it ends
-    owned = set()
     for node in reversed(order):
         if node.grad is None:
             continue
         for parent, vjp in node.parents:
-            fresh = getattr(vjp, "fresh", False)
-            if parent.grad is None:
-                parent.grad = vjp(node.grad)
-                if fresh:
-                    owned.add(parent)
-            elif parent in owned:
-                if fresh:
-                    vjp(node.grad, into=parent.grad)
-                else:
-                    parent.grad += vjp(node.grad)
-            else:
-                parent.grad = parent.grad + vjp(node.grad)
-                owned.add(parent)
+            contrib = vjp(node.grad)
+            parent.grad = contrib if parent.grad is None else parent.grad + contrib
         if node.parents:
             node.grad = None
 

@@ -201,7 +201,10 @@ def read_depth_raw(path) -> np.ndarray:
     if len(payload) != 4 * h * w:
         raise DatasetError(f"{path}: depth payload is {len(payload)} bytes, "
                            f"expected {4 * h * w} for {h}x{w}")
-    return np.frombuffer(payload, dtype="<f4").reshape(h, w).astype(np.float64)
+    depth = np.frombuffer(payload, dtype="<f4").reshape(h, w).astype(np.float64)
+    if not np.isfinite(depth).all():
+        raise DatasetError(f"{path}: depth values are not all finite")
+    return depth
 
 
 def _write_poses(path, poses: list) -> None:

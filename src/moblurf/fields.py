@@ -414,7 +414,9 @@ def load_checkpoint(path):
     ``field_config``, in ``save_checkpoint``'s order, with their shapes and
     groups; the payload must end after the last of them, and ``meta`` must
     be an object. A ``field_config`` that names the trunk activation, as
-    those written before relu became the only one do, must name relu."""
+    those written before relu became the only one do, must name relu. Every
+    stored entry must be finite, and Adam's second moments ``adam_v``, whose
+    square root the next update divides by, must be >= 0."""
     with open(path, "rb") as f:
         magic = f.read(len(CHECKPOINT_MAGIC))
         if magic != CHECKPOINT_MAGIC:
@@ -458,8 +460,12 @@ def load_checkpoint(path):
             data = f.read(8 * count)
             if len(data) != 8 * count:
                 raise CheckpointError(f"{path}: truncated payload at {name}")
-            getattr(store, ARRAY_KINDS[kind])[name] = \
-                np.frombuffer(data, dtype="<f8").reshape(shape).astype(np.float64)
+            arr = np.frombuffer(data, dtype="<f8").reshape(shape).astype(np.float64)
+            if not np.isfinite(arr).all():
+                raise CheckpointError(f"{path}: {kind} of {name} is not all finite")
+            if kind == "adam_v" and (arr < 0).any():
+                raise CheckpointError(f"{path}: adam_v of {name} has a negative entry")
+            getattr(store, ARRAY_KINDS[kind])[name] = arr
         if f.read(1):
             raise CheckpointError(f"{path}: data after the last array")
         store.adam_t = adam_t

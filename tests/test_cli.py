@@ -383,15 +383,19 @@ class TestRender:
 
     def test_non_finite_render_is_numerical_error(self, tmp_path, dataset_dir,
                                                   trained_dir):
+        # a finite checkpoint loads, but its bias is past float32's range:
+        # the fields' float32 copy is inf, and the RGB head's next layer
+        # sums inf and -inf into NaN pixels
         from moblurf.fields import load_checkpoint, save_checkpoint
         model, meta = load_checkpoint(trained_dir / "checkpoint_final.ckpt")
-        model.store.values["static.rgb.0.b"][:] = np.nan
-        ckpt = tmp_path / "nan.ckpt"
+        model.store.values["static.rgb.0.b"][:] = 1e300
+        ckpt = tmp_path / "huge.ckpt"
         save_checkpoint(ckpt, model, meta)
         out = tmp_path / "frames"
-        code = main(["render", "--checkpoint", str(ckpt), "--dataset", str(dataset_dir),
-                     "--out", str(out), "--pose-source", "eval", "--timestamps", "1"])
-        assert code == 2
+        res = run_cli("render", "--checkpoint", str(ckpt), "--dataset", str(dataset_dir),
+                      "--out", str(out), "--pose-source", "eval", "--timestamps", "1")
+        assert res.returncode == 2, res.stderr
+        assert "numerical failure: non-finite pixels" in res.stderr, res.stderr
         assert not (out / "rgb" / "0001.png").exists()
 
     def test_manifest_records_checkpoint_config(self, tmp_path, dataset_dir,
@@ -500,6 +504,68 @@ class TestTruncatedFiles:
         res = run_cli("render", "--checkpoint", str(ckpt), "--dataset", str(dataset_dir),
                       "--out", str(tmp_path / "frames"))
         assert_clean_error(res, str(ckpt))
+        assert not (tmp_path / "frames").exists()
+
+
+class TestNonFiniteFiles:
+    @pytest.mark.parametrize("rel", ["depth_pseudo/0000.raw", "depth_true/0000.raw"])
+    def test_non_finite_dataset_depth(self, tmp_path, dataset_dir, rel):
+        # a NaN pseudo-depth once trained to exit 0: lg_loss dropped its
+        # pixels as degenerate
+        ds = tmp_path / "ds"
+        shutil.copytree(dataset_dir, ds)
+        path = ds / rel
+        raw = path.read_bytes()
+        head = len(DEPTH_MAGIC) + 8     # magic, height and width
+        nan = np.full((len(raw) - head) // 4, np.nan, "<f4")
+        path.write_bytes(raw[:head] + nan.tobytes())
+        res = run_cli("train", "--dataset", str(ds), "--out", str(tmp_path / "run"),
+                      *TINY_TRAIN)
+        assert_clean_error(res, str(path))
+        assert not (tmp_path / "run").exists()
+
+    def test_non_finite_rendered_depth_fails_eval(self, tmp_path, dataset_dir,
+                                                  trained_dir, capsys):
+        from moblurf.data import write_depth_raw
+        frames = tmp_path / "frames"
+        assert main(["render", "--checkpoint", str(trained_dir / "checkpoint_final.ckpt"),
+                     "--dataset", str(dataset_dir), "--out", str(frames),
+                     "--timestamps", "1"]) == 0
+        path = frames / "p_dy" / "0001.raw"
+        p_dy = np.zeros((64, 64))
+        p_dy[3, 5] = np.inf
+        write_depth_raw(path, p_dy)
+        assert main(["eval", "--render-dir", str(frames),
+                     "--dataset", str(dataset_dir)]) == 1
+        assert capsys.readouterr().err == \
+            f"error: {path}: depth values are not all finite\n"
+        assert not (frames / "report.json").exists()
+
+    # a NaN weight once loaded and rendered to a numerical failure (exit 2);
+    # a negative Adam v would have turned the first resumed update into NaN
+    @pytest.mark.parametrize("kind, name, bad, command, why", [
+        ("value", "static.trunk.1.w", np.nan, "render", "is not all finite"),
+        ("adam_m", "dynamic.rgb.0.b", -np.inf, "render", "is not all finite"),
+        ("adam_v", "glo", np.nan, "resume", "is not all finite"),
+        ("adam_v", "local.mlp.0.w", -1e-12, "resume", "has a negative entry")],
+        ids=["nan_value", "inf_adam_m", "nan_adam_v", "negative_adam_v"])
+    def test_bad_checkpoint_entry(self, tmp_path, dataset_dir, trained_dir, kind,
+                                  name, bad, command, why):
+        from moblurf.fields import ARRAY_KINDS, load_checkpoint, save_checkpoint
+        run = tmp_path / "run"
+        shutil.copytree(trained_dir, run)
+        ckpt = run / "checkpoint_latest.ckpt"
+        model, meta = load_checkpoint(run / "checkpoint_bri.ckpt")
+        getattr(model.store, ARRAY_KINDS[kind])[name].flat[0] = bad
+        save_checkpoint(ckpt, model, meta)
+        if command == "resume":
+            res = run_cli("train", "--dataset", str(dataset_dir), "--out", str(run),
+                          "--seed", "0", *TINY_TRAIN, "--resume")
+        else:
+            res = run_cli("render", "--checkpoint", str(ckpt), "--dataset",
+                          str(dataset_dir), "--out", str(tmp_path / "frames"))
+        assert res.returncode == 1, res.stderr
+        assert res.stderr == f"error: {ckpt}: {kind} of {name} {why}\n"
         assert not (tmp_path / "frames").exists()
 
 

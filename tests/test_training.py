@@ -17,10 +17,9 @@ from moblurf.config import resolve_config
 from moblurf.data import synthesize_dataset
 from moblurf.fields import load_checkpoint, save_checkpoint
 from moblurf.render import sample_along_ray
-from moblurf.scene import build_preset, moving_quad_scene
+from moblurf.scene import moving_quad_scene
 from moblurf.training import (FREEZE_BRI_EVEN, FREEZE_BRI_ODD, FREEZE_MDD, STEPS,
                               NumericalError, Trainer)
-from test_autodiff import reference_backward
 
 
 @pytest.fixture(scope="module")
@@ -187,7 +186,7 @@ def lg_terms_every_neighbour(self, batch, sharp, supervise, base_rays, rng):
                      lam=self.config.lambda_lg)
 
 
-def _mdd_gradients(tr, batch, mask, rng_state, backward):
+def _mdd_gradients(tr, batch, mask, rng_state):
     """Loss value, every parameter gradient and the RNG state after one MDD
     forward and backward pass from ``rng_state``."""
     store = tr.model.store
@@ -195,7 +194,7 @@ def _mdd_gradients(tr, batch, mask, rng_state, backward):
     store.begin_step()
     tr.rng.bit_generator.state = rng_state
     loss, _ = tr.compute_mdd_loss(batch, tr.rng, mask_override=mask)
-    backward(loss)
+    ad.backward(loss)
     grads = {n: store.grad(n).copy() for n in store.values}
     return float(ad.value_of(loss)), grads, tr.rng.bit_generator.state
 
@@ -216,12 +215,11 @@ class TestLocalGeometrySubset:
                             lambda model, rays, grid: rendered.append(len(rays))
                             or kappa(model, rays, grid))
         state = tr.rng.bit_generator.state
-        loss, grads, after = _mdd_gradients(tr, batch, mask, state, ad.backward)
+        loss, grads, after = _mdd_gradients(tr, batch, mask, state)
         m = int(mask[:batch.lg_count].sum())
         assert rendered == [2 * m] and 0 < m < batch.lg_count
         monkeypatch.setattr(Trainer, "_lg_terms", lg_terms_every_neighbour)
-        ref_loss, ref_grads, ref_after = _mdd_gradients(tr, batch, mask, state,
-                                                        ad.backward)
+        ref_loss, ref_grads, ref_after = _mdd_gradients(tr, batch, mask, state)
         assert rendered == [2 * m, 2 * batch.lg_count]
         assert after == ref_after
         assert loss == pytest.approx(ref_loss, rel=1e-12)
@@ -234,9 +232,9 @@ class TestLocalGeometrySubset:
         batch = tr.sample_batch()
         mask = np.ones(len(batch.rays), dtype=np.int64)
         state = tr.rng.bit_generator.state
-        loss, grads, after = _mdd_gradients(tr, batch, mask, state, ad.backward)
+        loss, grads, after = _mdd_gradients(tr, batch, mask, state)
         monkeypatch.setattr(Trainer, "_lg_terms", lg_terms_every_neighbour)
-        ref = _mdd_gradients(tr, batch, mask, state, ad.backward)
+        ref = _mdd_gradients(tr, batch, mask, state)
         assert (loss, after) == (ref[0], ref[2])
         for name, g in ref[1].items():
             assert np.array_equal(grads[name], g), name
@@ -269,26 +267,6 @@ def test_pseudo_depth_is_a_distance_along_the_unit_rays(tiny_dataset):
                      + se3.translation_matrix(omega) @ shift)
             assert np.allclose(w.origins[i] + dist[i] * w.dirs[i], moved,
                                rtol=0, atol=1e-12)
-
-
-def test_desk_mdd_step_gradients_match_allocating_backward(monkeypatch):
-    # one desk-sized MDD step on moving-quad-64 with the true motion mask,
-    # rendering every lg neighbour as before the subset: in-place sums give
-    # every gradient of the always-allocating backward bit for bit
-    monkeypatch.setattr(Trainer, "_lg_terms", lg_terms_every_neighbour)
-    ds = synthesize_dataset(build_preset("moving-quad-64"), seed=3,
-                            preset_name="moving-quad-64")
-    tr = Trainer(resolve_config("desk", overrides={"seed": 3}), ds)
-    batch = tr.sample_batch()
-    rays = batch.rays
-    mask = ds.mask_true[rays.t, rays.uv[:, 1], rays.uv[:, 0]].astype(np.int64)
-    state = tr.rng.bit_generator.state
-    loss, grads, after = _mdd_gradients(tr, batch, mask, state, ad.backward)
-    ref = _mdd_gradients(tr, batch, mask, state, reference_backward)
-    assert (loss, after) == (ref[0], ref[2])
-    assert grads.keys() == ref[1].keys()
-    for name, g in ref[1].items():
-        assert np.array_equal(grads[name], g), name
 
 
 def test_mdd_step_builds_only_nodes_its_loss_reaches(tiny_dataset, monkeypatch):
