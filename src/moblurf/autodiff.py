@@ -272,6 +272,7 @@ class _Stack:
         """Zeroed sums for the gradients of the operands that ``want`` marks,
         and what gradient blocks of ``span`` rows read; ``want_in`` marks
         the input. False when none is wanted."""
+        self.want_in = want_in
         if not (want_in or any(want)):
             self.lowest = None
             return False
@@ -296,27 +297,17 @@ class _Stack:
         self.wts = [w.T for w in self.wins]
         return True
 
-    def _times_t(self, i: int, g, out=None):
-        """``g @ wins[i].T`` (see :meth:`begin_gradients`)."""
-        if self.wins[i].shape[1] == 1:
-            return np.multiply(self.wts[i], g, out=out)
-        return np.matmul(g, self.wts[i], out=out)
-
-    def backward(self, gz, owned: bool, lo: int, hi: int, h_in, d_in=None,
-                 scratch=None) -> None:
+    def backward(self, gz, lo: int, hi: int, h_in):
         """Walk ``gz``, the gradient of rows ``lo:hi`` of the output, back
         through the layers, whose input rows are ``h_in``, and add to the
-        sums; ``owned`` says ``gz`` may be written. With ``d_in``, the rows'
-        input gradient is written into it, or, with ``scratch``, made there
-        and then added in."""
+        sums. ``gz`` is written only where a relu follows its layer, and the
+        output layer's has one only in a stack with heads, whose gradient
+        the caller makes. The rows' input gradient is returned when
+        ``want_in`` asks for it, else None."""
         k = self.k
         for i in range(len(self.ws) - 1, self.lowest - 1, -1):
             if self.acted[i]:
-                slope = self.post[i][lo:hi] > 0
-                if owned:
-                    gz *= slope
-                else:
-                    gz, owned = gz * slope, True
+                gz *= self.post[i][lo:hi] > 0
             if self.dwins[i] is not None:
                 h = h_in.astype(self.dtype, copy=False) if i == 0 else self.post[i - 1][lo:hi]
                 self.dwins[i] += h.T @ gz
@@ -324,12 +315,11 @@ class _Stack:
                 self.d_ray[lo // k:hi // k] = gz.reshape(-1, k, gz.shape[1]).sum(axis=1)
             elif self.dbs[i] is not None:
                 self.dbs[i] += self.ones[:len(gz)] @ gz
-            if i > self.lowest:
-                gz, owned = self._times_t(i, gz), True
-            elif scratch is not None:
-                d_in += self._times_t(0, gz, scratch)
-            elif d_in is not None:
-                self._times_t(0, gz, d_in)
+            if i > self.lowest or self.want_in:
+                # gz @ wins[i].T (see begin_gradients)
+                gz = (self.wts[i] * gz if self.wins[i].shape[1] == 1
+                      else gz @ self.wts[i])
+        return gz if self.want_in else None
 
     def gradients(self, want: list) -> list:
         """The gradients of the operands, in order, None where not wanted;
@@ -375,8 +365,8 @@ def mlp(x, layers, *, u=None, k: int = 1, heads=()):
     plain ``x`` is float32 already: it is read as it is, with the same bits
     as its float64 source cast block by block. The value is float64 either
     way. The backward does the same: each block of the output gradient is
-    cast to float32, and the heads' buffers, the scratch blocks and the
-    bias ones-vector are float32. x's and u's gradients are float64, and so
+    cast to float32, and so are the input-gradient blocks the stacks return
+    and the bias ones-vector. x's and u's gradients are float64, and so
     are the weights' and biases', summed block by block in float64 from
     float32 block products. All weights of all stacks must share one dtype,
     or the call raises TypeError.
@@ -404,16 +394,16 @@ def mlp(x, layers, *, u=None, k: int = 1, heads=()):
     The gradient walks blocks of about :data:`BLOCK` rows, of whole rays
     too, back over the activations the graph keeps over all rows, through
     each head and then through the stack, and makes the gradients of all
-    Node operands in one pass, on the first parent's visit. The heads'
-    gradients of the stack's output are summed in a block-sized buffer in
-    their order, each product made in a scratch block and added, as
-    separate nodes' vjps would be summed; the input gradient is
-    bit-identical to one layer at a time, dw and db are summed block by
-    block, each block's db a product with a ones vector; with ``u``, the
-    first layer's gradient is summed over each ray's rows, and ``u``,
-    ``w_u`` and the first bias take theirs from those per-ray sums. The
-    node then drops its hidden activations, so one backward pass can run
-    through it. Without a Node operand the hidden layers of each stack
+    Node operands in one pass, on the first parent's visit. One rule joins
+    the stacks: each returns its block's input gradient, the heads' blocks
+    are summed in head order, as separate nodes' vjps would be, into the
+    stack's output gradient, and the stack's block is added into x's
+    zeroed gradient. The input gradient is bit-identical to one layer at a
+    time; dw and db are summed block by block, each block's db a product
+    with a ones vector; with ``u``, the first layer's gradient is summed
+    over each ray's rows, and ``u``, ``w_u`` and the first bias take theirs
+    from those per-ray sums. The node then drops its hidden activations, so
+    one backward pass can run through it. Without a Node operand the hidden layers of each stack
     alternate between two span-sized buffers, the heads' first hidden layer
     taking the one that the stack's output is not in, the relus of all
     stacks share one span of zeros per width, only the value spans all
@@ -480,35 +470,17 @@ def mlp(x, layers, *, u=None, k: int = 1, heads=()):
         span = max((hi - lo for lo, hi in blocks), default=0)
         deep = trunk.begin_gradients(want[0], wants[0], span)
         heads_on = [h.begin_gradients(deep, w, span) for h, w in zip(heads, wants[1:])]
-        dx = scratch = None
-        if want[0]:
-            # each block's product is made here, in the weights' dtype, then
-            # added into x's float64 gradient
-            scratch = np.empty((span, xv.shape[1]), dt)
-            dx = np.zeros(xv.shape)
-        # a block of the stack's output gradient, the scratch its sums use,
-        # and each head's output gradient, copied out of g's columns
-        g_out = np.empty((span, trunk.width), dt) if heads and deep else None
-        g_sum = np.empty_like(g_out) if len(heads) > 1 and deep else None
-        g_heads = [np.empty((span, h.width), dt) for h in heads]
+        dx = np.zeros(xv.shape) if want[0] else None
         for lo, hi in blocks:
-            m = hi - lo
-            if heads:
-                d_in = None if g_out is None else g_out[:m]
-                for j, (head, c) in enumerate(zip(heads, cols)):
-                    if heads_on[j]:
-                        gz = g_heads[j][:m]
-                        gz[...] = g[lo:hi, c]
-                        head.backward(gz, True, lo, hi, trunk.post[-1][lo:hi], d_in,
-                                      g_sum[:m] if j and d_in is not None else None)
-                gz, owned = d_in, True
-            else:
-                gz, owned = ((g[lo:hi], False) if g.dtype == dt
-                             else (g[lo:hi].astype(dt), True))
+            gz = None if heads else g[lo:hi].astype(dt, copy=False)
+            for head, c, on in zip(heads, cols, heads_on):
+                if on:
+                    d = head.backward(g[lo:hi, c].astype(dt), lo, hi, trunk.post[-1][lo:hi])
+                    gz = d if gz is None else np.add(gz, d, out=gz)
             if deep:
-                trunk.backward(gz, owned, lo, hi, xv[lo:hi],
-                               None if dx is None else dx[lo:hi],
-                               None if scratch is None else scratch[:m])
+                d = trunk.backward(gz, lo, hi, xv[lo:hi])
+                if dx is not None:
+                    dx[lo:hi] += d
         # the node's one visit is over: its activations go with it
         return [dx, *(d for s, w in zip(stacks, wants) for d in s.gradients(w))]
 

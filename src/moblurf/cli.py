@@ -97,6 +97,7 @@ def cmd_train(args) -> int:
         overrides["seed"] = args.seed
     config = resolve_config(file_values=file_values, overrides=overrides)
     dataset = read_dataset(args.dataset)
+    trainer = Trainer(config, dataset)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     manifest_path = out / "manifest.json"
@@ -109,7 +110,6 @@ def cmd_train(args) -> int:
         manifest = write_manifest(manifest_path, "train", config.seed,
                                   {"config": config.to_dict(),
                                    "dataset": str(args.dataset), "out": str(out)})
-    trainer = Trainer(config, dataset)
     info = trainer.run(out, resume=args.resume, progress=args.progress)
     manifest["timings"].update(info["timings"])
     save_manifest(manifest_path, manifest)

@@ -26,7 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from . import autodiff as ad
-from .optim import ParamStore
+from .optim import FIELD_PREFIXES, ParamStore
 
 CHECKPOINT_MAGIC = b"MBRFCKP1"
 CHECKPOINT_VERSION = 1
@@ -465,6 +465,10 @@ def load_checkpoint(path):
                 raise CheckpointError(f"{path}: {kind} of {name} is not all finite")
             if kind == "adam_v" and (arr < 0).any():
                 raise CheckpointError(f"{path}: adam_v of {name} has a negative entry")
+            # a field weight is used as a float32 copy, where this would be inf
+            if (kind == "value" and name.startswith(FIELD_PREFIXES)
+                    and (np.abs(arr) > np.finfo(np.float32).max).any()):
+                raise CheckpointError(f"{path}: value of {name} is beyond float32's range")
             getattr(store, ARRAY_KINDS[kind])[name] = arr
         if f.read(1):
             raise CheckpointError(f"{path}: data after the last array")

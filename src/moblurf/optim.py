@@ -10,6 +10,10 @@ import numpy as np
 from . import autodiff as ad
 
 
+# the two fields' MLP weights, which ``ParamStore.leaf`` hands out in field_dtype
+FIELD_PREFIXES = ("static.", "dynamic.")
+
+
 class OptimError(RuntimeError):
     pass
 
@@ -73,7 +77,7 @@ class ParamStore:
         got = self._leaves.get(name)
         if got is None:
             value = self.values[name]
-            if name.startswith(("static.", "dynamic.")):
+            if name.startswith(FIELD_PREFIXES):
                 value = value.astype(self.field_dtype, copy=False)
             got = self._leaves[name] = value if self.is_frozen(name) else ad.Node(value)
         return got

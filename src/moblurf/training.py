@@ -83,6 +83,10 @@ class Batch:
 
 class Trainer:
     def __init__(self, config: TrainConfig, dataset: BlurryDataset):
+        self._h, self._w = dataset.shape
+        if min(dataset.shape) < 2:
+            raise ValueError(f"frames of {self._w}x{self._h} pixels cannot train: the lg "
+                             f"loss needs each pixel's right and down neighbours")
         self.config = config
         self.dataset = dataset
         self.rng = np.random.default_rng(config.seed)
@@ -95,7 +99,6 @@ class Trainer:
                                           config.mdd_iters)
         self.mdd_sched_mlp = LrSchedule(config.mlp_lr_start, config.mlp_lr_end,
                                         config.mdd_iters)
-        self._h, self._w = dataset.shape
         self.history: list[dict] = []
         self.timings: dict = {}     # seconds spent per stage, kept in checkpoints
 

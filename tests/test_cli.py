@@ -1,4 +1,5 @@
 import argparse
+import dataclasses
 import filecmp
 import json
 import os
@@ -123,6 +124,22 @@ class TestTrain:
         # there is one set of defaults, and no profile to name
         assert "profile" not in manifest and "profile" not in manifest["config"]
         assert "bri_seconds" in manifest["timings"]
+
+    @pytest.mark.parametrize("size", [{"width": 1}, {"height": 1}], ids=["w1", "h1"])
+    def test_one_pixel_frames_are_refused(self, tmp_path, capsys, size):
+        # the lg loss samples each pixel's right and down neighbours: such
+        # frames once died in sampling with "error: high <= 0"
+        from moblurf.data import synthesize_dataset, write_dataset
+        from moblurf.scene import static_scene
+        scene = dataclasses.replace(static_scene(size=8, n_frames=2), **size)
+        ds = tmp_path / "ds"
+        write_dataset(synthesize_dataset(scene, seed=0), ds)
+        h, w = scene.height, scene.width
+        assert main(["train", "--dataset", str(ds), "--out", str(tmp_path / "run"),
+                     *TINY_TRAIN]) == 1
+        err = capsys.readouterr().err
+        assert f"frames of {w}x{h} pixels" in err and "right and down neighbours" in err
+        assert not (tmp_path / "run").exists()
 
     def test_config_file_plus_override(self, tmp_path, dataset_dir):
         cfg_file = tmp_path / "cfg.json"
@@ -383,12 +400,17 @@ class TestRender:
 
     def test_non_finite_render_is_numerical_error(self, tmp_path, dataset_dir,
                                                   trained_dir):
-        # a finite checkpoint loads, but its bias is past float32's range:
-        # the fields' float32 copy is inf, and the RGB head's next layer
-        # sums inf and -inf into NaN pixels
+        # a checkpoint inside float32's range loads, but the static trunk's
+        # last layer outputs 3e38, the RGB head's first layer sums those
+        # into inf, and its output layer sums inf and -inf into NaN pixels
         from moblurf.fields import load_checkpoint, save_checkpoint
         model, meta = load_checkpoint(trained_dir / "checkpoint_final.ckpt")
-        model.store.values["static.rgb.0.b"][:] = 1e300
+        values = model.store.values
+        values["static.trunk.1.w"][:] = 0.0
+        values["static.trunk.1.b"][:] = 3e38
+        values["static.rgb.0.w"][:] = 1.0
+        values["static.rgb.1.w"][0::2] = 1.0
+        values["static.rgb.1.w"][1::2] = -1.0
         ckpt = tmp_path / "huge.ckpt"
         save_checkpoint(ckpt, model, meta)
         out = tmp_path / "frames"
@@ -541,14 +563,18 @@ class TestNonFiniteFiles:
             f"error: {path}: depth values are not all finite\n"
         assert not (frames / "report.json").exists()
 
-    # a NaN weight once loaded and rendered to a numerical failure (exit 2);
-    # a negative Adam v would have turned the first resumed update into NaN
+    # a NaN weight, or a field weight whose float32 copy is inf, once loaded
+    # and rendered to a numerical failure (exit 2); a negative Adam v would
+    # have turned the first resumed update into NaN
     @pytest.mark.parametrize("kind, name, bad, command, why", [
         ("value", "static.trunk.1.w", np.nan, "render", "is not all finite"),
+        ("value", "static.rgb.0.b", 1e300, "render", "is beyond float32's range"),
+        ("value", "dynamic.trunk.0.w", -1e39, "resume", "is beyond float32's range"),
         ("adam_m", "dynamic.rgb.0.b", -np.inf, "render", "is not all finite"),
         ("adam_v", "glo", np.nan, "resume", "is not all finite"),
         ("adam_v", "local.mlp.0.w", -1e-12, "resume", "has a negative entry")],
-        ids=["nan_value", "inf_adam_m", "nan_adam_v", "negative_adam_v"])
+        ids=["nan_value", "huge_field_value", "huge_field_value_resume",
+             "inf_adam_m", "nan_adam_v", "negative_adam_v"])
     def test_bad_checkpoint_entry(self, tmp_path, dataset_dir, trained_dir, kind,
                                   name, bad, command, why):
         from moblurf.fields import ARRAY_KINDS, load_checkpoint, save_checkpoint
