@@ -138,28 +138,18 @@ def div(a, b):
 
 
 # rows per product of :func:`mlp`'s forward, whatever the weights' dtype:
-# 7 rays of 32 samples, or 28 of 8. A block of a 64-wide layer of the
-# fields' float32 weights is 224 * 64 * 64 = 917 504 multiply-adds, under
-# the 10^6 below which OpenBLAS (0.3.31) takes its small-matrix sgemm
-# kernel. Per 512 rows of such a layer (one thread, AVX-512 Xeon): 46.6 us
-# as one 512-row product (90 GFLOP/s), 33.2 us as 224-row ones
-# (126 GFLOP/s); 256 rows, 2^20, are over the bound (89 GFLOP/s). The size
-# is tuned to that BLAS: one without the small-matrix path only pays for the
-# extra calls. The fields' bits do not depend on it
+# 7 rays of 32 samples, or 28 of 8, so that a block of a 64-wide layer stays
+# under the 10^6 multiply-adds below which OpenBLAS takes its small-matrix
+# sgemm kernel (timings in CHANGES.md, "sized for OpenBLAS's small-matrix
+# sgemm"). The fields' bits do not depend on it
 FORWARD_BLOCK = 224
 # rows per span of :func:`mlp`'s forward, whole forward blocks: each layer
-# runs over a span before the next, so its bias add, per-ray add and relu
-# are one call per span, not per block. The two fields' graph-free forward
-# over a 512-ray chunk (16 384 rows, float32, one thread, same Xeon) ran
-# 7 % faster than block by block at spans of 672 to 1 792 rows (median of
-# 100 interleaved repeats) and 7 % slower at 3 584, where a 64-wide layer's
-# input, output, bias span and zeros (1 KiB a row) outgrow the 2 MiB L2;
-# 896 is the fastest with the least memory. The bits do not depend on it
+# runs over a span, in L2, before the next (timings in CHANGES.md, "layer by
+# layer over spans of whole forward blocks"). The bits do not depend on it
 FORWARD_SPAN = 896
 # rows per block of :func:`mlp`'s gradient, which walks the activations the
-# graph keeps over all rows. A 224-row gradient makes faster products, but
-# its per-block float64 sums into dW and its extra calls eat the gain: MDD
-# and BRI steps ran 12 and 9 % slower (in-process alternating A/B, same Xeon)
+# graph keeps over all rows (timings of other sizes in CHANGES.md, "sized for
+# OpenBLAS's small-matrix sgemm" and the FOUND line on `BLOCK`)
 BLOCK = 512
 
 
@@ -177,15 +167,16 @@ def _row_blocks(n: int, k: int, block: int) -> list:
 
 class _Stack:
     """One fully connected stack of :func:`mlp`, the trunk or a head: its
-    weights and biases, its optional per-ray operand, and, once
-    :meth:`allocate` has run, the arrays its layers write. ``operands`` are
-    its w0, b0, w1, b1, ... and then its u, if it has one; ``width`` is
-    its input's width (``self.width`` its output's) and ``n`` the rows';
-    ``acted_out`` says whether the relu follows the output layer too."""
+    weights and biases, its optional per-ray operand, and ``post``, set by
+    :func:`mlp`: for each layer the array over all rows that keeps its
+    output for the gradient, or None where a new span is written instead.
+    ``operands`` are its w0, b0, w1, b1, ... and then its u, if it has one;
+    ``width`` is its input's width (``self.width`` its output's) and ``n``
+    the rows'; ``acted_out`` says whether the relu follows the output layer
+    too."""
 
     def __init__(self, name: str, layers, u, k: int, width: int, n: int,
                  acted_out: bool):
-        self.n = n
         self.acted = [True] * (len(layers) - 1) + [acted_out]
         self.ws = [value_of(w) for w, _ in layers]
         self.bs = [value_of(b) for _, b in layers]
@@ -214,19 +205,6 @@ class _Stack:
             self.per_ray = self.uv.astype(self.dtype, copy=False) @ self.w_u
             self.per_ray += self.bs[0]
 
-    def allocate(self, span: int, bufs, out) -> None:
-        """Point the layers at the arrays they write. A hidden layer ``i``
-        writes ``bufs[i % 2]``, flat, viewed as ``span`` rows, or, when
-        ``bufs`` is None (a graph, whose gradient reads it), its own array
-        over all rows; the output layer writes ``out``, or, when that is
-        None, is hidden too."""
-        last = len(self.ws) - 1
-        # post[i] is layer i's output, its relu applied in place
-        self.post = [out if i == last and out is not None
-                     else np.empty((self.n, w.shape[1]), self.dtype) if bufs is None
-                     else bufs[i % 2][:span * w.shape[1]].reshape(span, w.shape[1])
-                     for i, w in enumerate(self.ws)]
-
     def begin_forward(self, span: int, zeros: dict) -> None:
         """What only the forward reads, over ``span`` rows. ``zeros`` holds
         one span of zeros per width, shared by every stack of the call."""
@@ -245,14 +223,15 @@ class _Stack:
 
     def forward(self, h, blocks):
         """The rows of ``blocks``, one span, through every layer, each layer
-        over all of them before the next; ``h`` is their input. A layer's
-        product is one per block, or one over the span when that stays
-        under the 10^6 multiply-adds of OpenBLAS's small-matrix kernel (a
-        narrow head's), whose rows have the bits of their blocks' products."""
+        over all of them before the next; ``h`` is their input. A layer
+        writes its rows of ``post``, or a new span-sized array. Its product
+        is one per block, or one over the span when that stays under the
+        10^6 multiply-adds of OpenBLAS's small-matrix kernel (a narrow
+        head's), whose rows have the bits of their blocks' products."""
         lo, hi = blocks[0][0], blocks[-1][1]
         for i, wv in enumerate(self.wins):
-            rows = slice(lo, hi) if len(self.post[i]) == self.n else slice(hi - lo)
-            z = self.post[i][rows]
+            z = (np.empty((hi - lo, wv.shape[1]), self.dtype) if self.post[i] is None
+                 else self.post[i][lo:hi])
             if (hi - lo) * wv.size <= 10 ** 6:
                 np.matmul(h, wv, out=z)
             else:
@@ -360,7 +339,7 @@ def mlp(x, layers, *, u=None, k: int = 1, heads=()):
 
     Every operand is read through :func:`value_of`, so a float32 one stays
     float32. The products run in the dtype of the weights: float32 weights
-    (plain arrays or leaf Nodes) give float32 layer buffers and bias tiles,
+    (plain arrays or leaf Nodes) give float32 layer outputs and bias tiles,
     and each block's input, and ``u`` once, is cast to float32, unless a
     plain ``x`` is float32 already: it is read as it is, with the same bits
     as its float64 source cast block by block. The value is float64 either
@@ -403,11 +382,16 @@ def mlp(x, layers, *, u=None, k: int = 1, heads=()):
     with a ones vector; with ``u``, the first layer's gradient is summed
     over each ray's rows, and ``u``, ``w_u`` and the first bias take theirs
     from those per-ray sums. The node then drops its hidden activations, so
-    one backward pass can run through it. Without a Node operand the hidden layers of each stack
-    alternate between two span-sized buffers, the heads' first hidden layer
-    taking the one that the stack's output is not in, the relus of all
-    stacks share one span of zeros per width, only the value spans all
-    rows, and nothing of the gradient's size is allocated.
+    one backward pass can run through it.
+
+    One rule places the layers' outputs: with a Node operand, each stack
+    keeps over all rows what its gradient reads, the output of each relu'd
+    layer; every other layer output, each one without a Node operand, is a
+    new array of one span. The value is one float64 array over all rows,
+    into which each span of the heads, or of a stack without heads, is
+    copied. So a graph-free call holds, beyond its value, a few spans of
+    layers, the bias tiles and one span of zeros per width, and allocates
+    nothing of the gradient's size.
     """
     xv = value_of(x)
     if xv.ndim != 2:
@@ -429,22 +413,17 @@ def mlp(x, layers, *, u=None, k: int = 1, heads=()):
     spans = [blocks[i:i + per] for i in range(0, len(blocks), per)]
     span = max((part[-1][1] - part[0][0] for part in spans), default=0)
     dt = trunk.dtype
-    # without a graph, the hidden layers alternate between two span buffers;
-    # a head's first hidden layer takes the one the trunk's output is not
-    # in, a second one a third buffer
-    bufs = None
-    if not graph:
-        wide = span * max(w.shape[1] for s in stacks for w in s.ws)
-        bufs = [np.empty(wide, dt) for _ in range(2 + any(len(h.ws) > 2 for h in heads))]
-    trunk.allocate(span, bufs, None if heads else np.empty((n, trunk.width), dt))
-    free = bufs and [bufs[len(trunk.ws) % 2], bufs[-1]]
-    for head in heads:
-        # a head's output layer is copied into the value span by span
-        head.allocate(span, free, np.empty((span, head.width), dt))
-    # the heads' columns of the value
-    ends = np.cumsum([0] + [h.width for h in heads])
+    # with a graph, each stack keeps over all rows what its gradient reads,
+    # the output of each relu'd layer; every other layer output is a new
+    # array of one span
+    for s in stacks:
+        s.post = [np.empty((n, w.shape[1]), dt) if graph and acted else None
+                  for w, acted in zip(s.ws, s.acted)]
+    # the output stacks' columns of the value
+    outs = heads or [trunk]
+    ends = np.cumsum([0] + [s.width for s in outs])
     cols = [slice(a, b) for a, b in zip(ends[:-1], ends[1:])]
-    value = np.empty((n, ends[-1])) if heads else trunk.post[-1]
+    value = np.empty((n, ends[-1]))
     # made after what outlives the forward, so that freeing it leaves no
     # hole under that in the heap
     zeros = {}
@@ -454,9 +433,9 @@ def mlp(x, layers, *, u=None, k: int = 1, heads=()):
     for part in spans:
         lo, hi = part[0][0], part[-1][1]
         h = trunk.forward(xv[lo:hi].astype(dt, copy=False), part)
-        for head, c in zip(heads, cols):
-            value[lo:hi, c] = head.forward(h, part)
-    value = value.astype(np.float64, copy=False)
+        for s, c in zip(outs, cols):
+            value[lo:hi, c] = h if s is trunk else s.forward(h, part)
+        del h   # before the next span's layers are made
     # what only the forward reads is not kept for the gradient
     for s in stacks:
         s.tiles = s.zeros = s.per_ray = None

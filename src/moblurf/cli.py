@@ -35,8 +35,6 @@ def _parse_value(text: str):
             return cast(text)
         except ValueError:
             pass
-    if text.lower() in ("true", "false"):
-        return text.lower() == "true"
     return text
 
 
@@ -86,7 +84,7 @@ def cmd_train(args) -> int:
     from .config import (ConfigError, read_json, read_manifest, resolve_config,
                          save_manifest, write_manifest)
     from .data import read_dataset
-    from .training import Trainer
+    from .training import Trainer, resumes
 
     file_values = read_json(args.config) if args.config else {}
     if not isinstance(file_values, dict):
@@ -104,7 +102,7 @@ def cmd_train(args) -> int:
     # a resumed run keeps the first run's manifest, read before training so
     # a corrupt one fails first; its timings come from the run, which carries
     # the seconds of the part before the last checkpoint
-    if args.resume and manifest_path.exists():
+    if resumes(out, args.resume) and manifest_path.exists():
         manifest = read_manifest(manifest_path)
     else:
         manifest = write_manifest(manifest_path, "train", config.seed,

@@ -124,11 +124,15 @@ class MetricReport:
         return list(dict.fromkeys(k for r in self.rows for k in r if k != "frame"))
 
     def means(self) -> dict:
+        """Each column's mean over its finite values; a column with none
+        averages to the one value all its cells hold, an infinity, or to
+        NaN when they differ or one is NaN."""
         out = {}
         for k in self.columns():
-            finite = [r[k] for r in self.rows
-                      if r.get(k) is not None and np.isfinite(r[k])]
-            out[k] = float(np.mean(finite)) if finite else math.inf
+            vals = [r[k] for r in self.rows if r.get(k) is not None]
+            finite = [v for v in vals if math.isfinite(v)]
+            out[k] = float(np.mean(finite) if finite
+                           else vals[0] if len(set(vals)) == 1 else math.nan)
         return out
 
     def to_json_dict(self) -> dict:
@@ -137,9 +141,9 @@ class MetricReport:
 
     def to_json(self) -> str:
         def sanitize(v):
-            # strict JSON has no Infinity literal
+            # strict JSON has no Infinity or NaN literal: "inf", "-inf", "nan"
             if isinstance(v, float) and not math.isfinite(v):
-                return "inf" if v > 0 else "-inf"
+                return str(float(v))
             if isinstance(v, dict):
                 return {k: sanitize(x) for k, x in v.items()}
             if isinstance(v, list):

@@ -48,6 +48,13 @@ STEPS = {"bri_even": (FREEZE_BRI_EVEN, "compute_bri_even_loss"),
 LG_FRACTION = 0.25
 
 
+def resumes(out_dir, resume: bool) -> bool:
+    """Whether a run into ``out_dir`` goes on from the checkpoint it left
+    there: ``resume`` asks for it and ``checkpoint_latest.ckpt`` exists.
+    Otherwise the run starts over, and so do its log and its manifest."""
+    return resume and (Path(out_dir) / "checkpoint_latest.ckpt").exists()
+
+
 class NumericalError(RuntimeError):
     def __init__(self, message: str, breakdown: dict | None = None):
         super().__init__(message)
@@ -291,10 +298,8 @@ class Trainer:
         start_stage, start_iter, log_mode = "bri", 0, "w"
         if out is not None:
             out.mkdir(parents=True, exist_ok=True)
-            ckpt = out / "checkpoint_latest.ckpt"
-            # without a checkpoint the run starts over, and so does its log
-            if resume and ckpt.exists():
-                start_stage, start_iter = self._resume(ckpt)
+            if resumes(out, resume):
+                start_stage, start_iter = self._resume(out / "checkpoint_latest.ckpt")
                 log_mode = "a"
         with (contextlib.nullcontext() if out is None
               else open(out / "train_log.txt", log_mode)) as log:

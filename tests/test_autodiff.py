@@ -1,4 +1,5 @@
 import functools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -475,7 +476,7 @@ def test_row_blocks_hold_whole_rays_within_the_block(k, block):
         assert not sizes or sizes[-1] <= block or (k == 1 and sizes[-1] == block + 1)
 
 
-def _desk_node(kind, plain=False):
+def _desk_node(kind, plain=False, rays=None):
     """Operands of a desk MLP node, and an output gradient: a field with
     float32 weights, as in training, past two gradient blocks (the static
     one on 32 samples per ray: a 4-layer 64-wide trunk, a per-ray RGB head
@@ -483,7 +484,8 @@ def _desk_node(kind, plain=False):
     trunk, an RGB and a sigma head). ``rows`` is the static one with no
     per-ray operand, one row per ray, on 9 forward blocks, the last holding
     a one-row remainder. With ``plain``, every operand is a plain array and
-    x is float32, as a graph-free render passes them."""
+    x is float32, as a graph-free render passes them. ``rays`` overrides
+    the number of rays."""
     rng = np.random.default_rng(41)
     leaf = (lambda a: a) if plain else ad.Node
 
@@ -493,7 +495,7 @@ def _desk_node(kind, plain=False):
                 for a, b in zip(sizes, sizes[1:])]
 
     k = {"static": 32, "latent": 8, "rows": 1}[kind]
-    rays = 2 * (ad.BLOCK // k) + 5 if k > 1 else 9 * ad.FORWARD_BLOCK + 1
+    rays = rays or (2 * (ad.BLOCK // k) + 5 if k > 1 else 9 * ad.FORWARD_BLOCK + 1)
     x = rng.normal(size=(rays * k, 51))
     x = x.astype(np.float32) if plain else ad.Node(x)
     u = leaf(rng.normal(size=(rays, 8))) if kind == "latent" else None
@@ -559,6 +561,21 @@ def test_forward_span_keeps_float64_bits(rows, monkeypatch):
     want = run()
     monkeypatch.setattr(ad, "FORWARD_SPAN", ad.FORWARD_BLOCK)
     _assert_same_bytes(run(), want)
+
+
+def test_graph_free_forward_holds_little_beyond_its_value():
+    # a graph-free call writes its layers a span at a time: over 20 000
+    # rows of the static field, its peak stays under its value plus one
+    # 64-wide float32 layer over all rows (4.9 MiB)
+    x, u, k, trunk, heads, _ = _desk_node("static", plain=True, rays=625)
+    tracemalloc.start()
+    try:
+        value = ad.mlp(x, trunk, u=u, k=k, heads=heads)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert value.shape == (20000, 5) and value.dtype == np.float64
+    assert peak < value.nbytes + len(x) * 64 * 4
 
 
 @pytest.mark.parametrize("kind", ["static", "latent"])

@@ -15,7 +15,7 @@ import moblurf
 from moblurf.cli import build_parser, main
 from moblurf.config import ConfigError, TrainConfig, resolve_config
 from moblurf.data import DEPTH_MAGIC
-from moblurf.fields import CHECKPOINT_MAGIC
+from moblurf.fields import CHECKPOINT_MAGIC, load_checkpoint
 from test_scene_data import png_with_empty_ihdr
 
 TINY_TRAIN = [
@@ -184,6 +184,20 @@ class TestTrain:
         # first run's BRI time is the only one there is
         assert merged["timings"]["bri_seconds"] == first["timings"]["bri_seconds"]
         assert merged["timings"]["total_seconds"] >= first["timings"]["total_seconds"]
+
+    def test_resume_without_a_checkpoint_writes_a_new_manifest(self, tmp_path,
+                                                                dataset_dir):
+        # the run starts over without a checkpoint to go on from; its
+        # manifest once kept the first run's, which named seed 0
+        out = tmp_path / "run"
+        args = ["train", "--dataset", str(dataset_dir), "--out", str(out), *TINY_TRAIN]
+        assert main(args + ["--seed", "0"]) == 0
+        (out / "checkpoint_latest.ckpt").unlink()
+        assert main(args + ["--seed", "5", "--resume"]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        _, meta = load_checkpoint(out / "checkpoint_final.ckpt")
+        assert meta["train_state"]["config"]["seed"] == 5
+        assert manifest["seed"] == manifest["config"]["seed"] == 5
 
     def test_resume_refuses_settings_the_run_did_not_start_with(
             self, tmp_path, dataset_dir, trained_dir, capsys):

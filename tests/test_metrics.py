@@ -144,6 +144,24 @@ class TestMetricReport:
         assert data["frames"][0]["psnr"] == "inf"
         assert "inf" in rep.to_text()
 
+    @pytest.mark.parametrize("values, mean", [
+        ([-math.inf, -math.inf], -math.inf), ([math.inf], math.inf),
+        ([math.inf, -math.inf], math.nan), ([math.nan, math.inf], math.nan),
+        ([np.float64(-np.inf), -math.inf], -math.inf)],
+        ids=["minus_inf", "inf", "mixed_signs", "nan", "numpy_minus_inf"])
+    def test_column_without_a_finite_value_keeps_its_sign(self, values, mean):
+        # a render of a dataset whose blurry frames are its sharp ones has
+        # psnr_gain -inf on every frame: its mean once read +inf
+        rep = MetricReport()
+        for t, v in enumerate(values):
+            rep.add(t, psnr_gain=v)
+        got = rep.means()["psnr_gain"]
+        assert type(got) is float
+        assert got == mean or math.isnan(got) and math.isnan(mean)
+        # a NaN once went to JSON as "-inf", while the text printed nan
+        assert json.loads(rep.to_json())["means"]["psnr_gain"] == str(mean)
+        assert rep.to_text().splitlines()[-1].split() == ["mean", str(mean)]
+
     def test_columns_are_the_union_of_all_rows(self):
         # a fully dynamic frame has no static_p_st; a frame without a mask
         # file has no mask_iou
