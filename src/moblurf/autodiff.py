@@ -247,26 +247,19 @@ class _Stack:
             h = z
         return h
 
-    def begin_gradients(self, want_in: bool, want: list, span: int) -> bool:
-        """Zeroed sums for the gradients of the operands that ``want`` marks,
-        and what gradient blocks of ``span`` rows read; ``want_in`` marks
-        the input. False when none is wanted."""
+    def begin_gradients(self, want_in: bool, span: int) -> None:
+        """Zeroed sums for the gradients of every weight and bias, and what
+        gradient blocks of ``span`` rows read; ``want_in`` says whether the
+        input's gradient is made."""
         self.want_in = want_in
-        if not (want_in or any(want)):
-            self.lowest = None
-            return False
-        # the gradient goes down to the lowest layer with a wanted operand
-        self.lowest = (0 if want_in or self.uv is not None and want[-1]
-                       else want.index(True) // 2)
         # float64 sums of float32 block products: the rounding does not grow
         # with the number of blocks, and Adam reads them as they are
-        self.dws = [np.zeros(w.shape) if t else None for w, t in zip(self.ws, want[::2])]
-        self.dbs = [np.zeros(b.shape) if t else None for b, t in zip(self.bs, want[1::2])]
+        self.dws = [np.zeros(w.shape) for w in self.ws]
+        self.dbs = [np.zeros(b.shape) for b in self.bs]
         # the rows of each dw that the input rows reach, as views
-        self.dwins = [d if d is None else d[:len(w)] for d, w in zip(self.dws, self.wins)]
+        self.dwins = [d[:len(w)] for d, w in zip(self.dws, self.wins)]
         # the first layer's gradient summed over each ray's rows
-        self.d_ray = (np.empty((len(self.uv), self.ws[0].shape[1]))
-                      if self.uv is not None and self.lowest == 0 else None)
+        self.d_ray = None if self.uv is None else np.empty((len(self.uv), self.ws[0].shape[1]))
         # a block's bias gradient is a product with ones: one BLAS call, where
         # a NumPy sum over the rows loops over them one at a time
         self.ones = np.ones(span, self.dtype)
@@ -274,46 +267,40 @@ class _Stack:
         # which multiplies g broadcast: each entry of the product is one
         # product then, with its bits, and no BLAS call of inner dimension 1
         self.wts = [w.T for w in self.wins]
-        return True
 
     def backward(self, gz, lo: int, hi: int, h_in):
         """Walk ``gz``, the gradient of rows ``lo:hi`` of the output, back
-        through the layers, whose input rows are ``h_in``, and add to the
+        through every layer, whose input rows are ``h_in``, and add to the
         sums. ``gz`` is written only where a relu follows its layer, and the
         output layer's has one only in a stack with heads, whose gradient
         the caller makes. The rows' input gradient is returned when
         ``want_in`` asks for it, else None."""
         k = self.k
-        for i in range(len(self.ws) - 1, self.lowest - 1, -1):
+        for i in range(len(self.ws) - 1, -1, -1):
             if self.acted[i]:
                 gz *= self.post[i][lo:hi] > 0
-            if self.dwins[i] is not None:
-                h = h_in.astype(self.dtype, copy=False) if i == 0 else self.post[i - 1][lo:hi]
-                self.dwins[i] += h.T @ gz
+            h = h_in.astype(self.dtype, copy=False) if i == 0 else self.post[i - 1][lo:hi]
+            self.dwins[i] += h.T @ gz
             if i == 0 and self.d_ray is not None:
                 self.d_ray[lo // k:hi // k] = gz.reshape(-1, k, gz.shape[1]).sum(axis=1)
-            elif self.dbs[i] is not None:
+            else:
                 self.dbs[i] += self.ones[:len(gz)] @ gz
-            if i > self.lowest or self.want_in:
+            if i > 0 or self.want_in:
                 # gz @ wins[i].T (see begin_gradients)
                 gz = (self.wts[i] * gz if self.wins[i].shape[1] == 1
                       else gz @ self.wts[i])
         return gz if self.want_in else None
 
-    def gradients(self, want: list) -> list:
-        """The gradients of the operands, in order, None where not wanted;
-        the layers' outputs are dropped."""
+    def gradients(self) -> list:
+        """The gradients of the operands, in order, u's None when u is not a
+        Node; the layers' outputs are dropped."""
         self.post = None
-        if self.lowest is None:
-            return [None] * len(self.operands)
-        if self.d_ray is not None:
-            if self.dws[0] is not None:
-                self.dws[0][len(self.wins[0]):] = self.uv.T @ self.d_ray
-            if self.dbs[0] is not None:
-                self.dbs[0] += self.d_ray.sum(axis=0)
         grads = [d for pair in zip(self.dws, self.dbs) for d in pair]
-        if self.uv is not None:
-            grads.append(self.d_ray @ self.w_u.T if want[-1] else None)
+        if self.d_ray is not None:
+            self.dws[0][len(self.wins[0]):] = self.uv.T @ self.d_ray
+            self.dbs[0] += self.d_ray.sum(axis=0)
+            u = self.operands[-1]
+            grads.append(self.d_ray @ self.w_u.T if isinstance(u, Node) else None)
         return grads
 
 
@@ -372,17 +359,19 @@ def mlp(x, layers, *, u=None, k: int = 1, heads=()):
 
     The gradient walks blocks of about :data:`BLOCK` rows, of whole rays
     too, back over the activations the graph keeps over all rows, through
-    each head and then through the stack, and makes the gradients of all
-    Node operands in one pass, on the first parent's visit. One rule joins
-    the stacks: each returns its block's input gradient, the heads' blocks
-    are summed in head order, as separate nodes' vjps would be, into the
-    stack's output gradient, and the stack's block is added into x's
-    zeroed gradient. The input gradient is bit-identical to one layer at a
-    time; dw and db are summed block by block, each block's db a product
-    with a ones vector; with ``u``, the first layer's gradient is summed
-    over each ray's rows, and ``u``, ``w_u`` and the first bias take theirs
-    from those per-ray sums. The node then drops its hidden activations, so
-    one backward pass can run through it.
+    every layer of each head and then of the stack, in one pass, on the
+    first parent's visit. Each stack sums the gradients of all its weights
+    and biases, x's and u's are made when they are Nodes, and those of
+    operands that are not Nodes are dropped. One rule joins the stacks:
+    each returns its block's input gradient, the heads' blocks are summed
+    in head order, as separate nodes' vjps would be, into the stack's
+    output gradient, and the stack's block is added into x's zeroed
+    gradient. The input gradient is bit-identical to one layer at a time;
+    dw and db are summed block by block, each block's db a product with a
+    ones vector; with ``u``, the first layer's gradient is summed over each
+    ray's rows, and ``u``, ``w_u`` and the first bias take theirs from
+    those per-ray sums. The node then drops its hidden activations, so one
+    backward pass can run through it.
 
     One rule places the layers' outputs: with a Node operand, each stack
     keeps over all rows what its gradient reads, the output of each relu'd
@@ -441,27 +430,25 @@ def mlp(x, layers, *, u=None, k: int = 1, heads=()):
         s.tiles = s.zeros = s.per_ray = None
 
     def gradients(g):
-        """Gradient of every Node operand, in ``operands`` order."""
-        want = [isinstance(p, Node) for p in operands]
-        at = np.cumsum([1] + [len(s.operands) for s in stacks])
-        wants = [want[a:b] for a, b in zip(at[:-1], at[1:])]
+        """Gradient of every operand, in ``operands`` order, x's None when x
+        is not a Node."""
         blocks = _row_blocks(n, run, BLOCK)
         span = max((hi - lo for lo, hi in blocks), default=0)
-        deep = trunk.begin_gradients(want[0], wants[0], span)
-        heads_on = [h.begin_gradients(deep, w, span) for h, w in zip(heads, wants[1:])]
-        dx = np.zeros(xv.shape) if want[0] else None
+        want_x = isinstance(x, Node)
+        trunk.begin_gradients(want_x, span)
+        for head in heads:
+            head.begin_gradients(True, span)
+        dx = np.zeros(xv.shape) if want_x else None
         for lo, hi in blocks:
             gz = None if heads else g[lo:hi].astype(dt, copy=False)
-            for head, c, on in zip(heads, cols, heads_on):
-                if on:
-                    d = head.backward(g[lo:hi, c].astype(dt), lo, hi, trunk.post[-1][lo:hi])
-                    gz = d if gz is None else np.add(gz, d, out=gz)
-            if deep:
-                d = trunk.backward(gz, lo, hi, xv[lo:hi])
-                if dx is not None:
-                    dx[lo:hi] += d
+            for head, c in zip(heads, cols):
+                d = head.backward(g[lo:hi, c].astype(dt), lo, hi, trunk.post[-1][lo:hi])
+                gz = d if gz is None else np.add(gz, d, out=gz)
+            d = trunk.backward(gz, lo, hi, xv[lo:hi])
+            if want_x:
+                dx[lo:hi] += d
         # the node's one visit is over: its activations go with it
-        return [dx, *(d for s, w in zip(stacks, wants) for d in s.gradients(w))]
+        return [dx, *(d for s in stacks for d in s.gradients())]
 
     # the gradients are made once per backward visit and handed out one
     # parent at a time; once the last parent has its own, nothing is kept
@@ -470,7 +457,8 @@ def mlp(x, layers, *, u=None, k: int = 1, heads=()):
     def vjp(j):
         def pull(g):
             if not served:
-                served.update((i, d) for i, d in enumerate(gradients(g)) if d is not None)
+                served.update((i, d) for i, (p, d) in enumerate(zip(operands, gradients(g)))
+                              if isinstance(p, Node))
             return served.pop(j)
         return pull
 

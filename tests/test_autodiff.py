@@ -198,33 +198,44 @@ def test_mlp_matches_layer_by_layer_reference(rows, sizes, activated, decode):
 
 
 @pytest.mark.parametrize("x_node", [False, True], ids=["plain_x", "node_x"])
-@pytest.mark.parametrize("trainable", [False, True], ids=["frozen", "trainable"])
+# the (w, b) pairs that are Nodes: none, the output layer's alone, or all
+@pytest.mark.parametrize("trainable", ["frozen", "last_layer", "trainable"])
 def test_mlp_gradients_reach_node_operands_only(x_node, trainable, monkeypatch):
     x, layers, g = _mlp_inputs(ad.BLOCK + 5)
     out, dx, dws, dbs = _layer_by_layer(x, layers, True, g)
     xin = ad.Node(x) if x_node else x
-    params = [(ad.Node(w), ad.Node(b)) if trainable else (w, b) for w, b in layers]
+    nodes_from = {"frozen": len(layers), "last_layer": len(layers) - 1, "trainable": 0}
+    params = [(ad.Node(w), ad.Node(b)) if i >= nodes_from[trainable] else (w, b)
+              for i, (w, b) in enumerate(layers)]
     built = []
     init = ad.Node.__init__
     monkeypatch.setattr(ad.Node, "__init__",
                         lambda self, *a, **k: built.append(1) or init(self, *a, **k))
     res = _stack(xin, params, True)
-    if not (x_node or trainable):
+    operands = [xin, *(p for pair in params for p in pair)]
+    if not any(isinstance(p, ad.Node) for p in operands):
         # nothing to differentiate: a plain array and no graph at all
         assert type(res) is np.ndarray and np.array_equal(res, out)
         assert not built
         return
     assert isinstance(res, ad.Node) and np.array_equal(res.value, out)
     # one parent per Node operand, none for the constants
-    nodes = [p for p in (xin, *(p for pair in params for p in pair))
-             if isinstance(p, ad.Node)]
+    nodes = [p for p in operands if isinstance(p, ad.Node)]
     assert [p for p, _ in res.parents] == nodes
     ad.backward(ad.sum_(ad.mul(res, g)))
     if x_node:
         assert np.array_equal(xin.grad, dx)
-    if trainable:
-        for (w, b), dw, db in zip(params, dws, dbs):
+    for (w, b), dw, db in zip(params, dws, dbs):
+        if isinstance(w, ad.Node):
             assert _close(w.grad, dw) and _close(b.grad, db)
+    # each Node operand's gradient has the bits it has when every operand
+    # is a Node: the same products, whatever the constants' gradients
+    ref = [ad.Node(x), *(ad.Node(p) for pair in layers for p in pair)]
+    ref_layers = list(zip(ref[1::2], ref[2::2]))
+    ad.backward(ad.sum_(ad.mul(_stack(ref[0], ref_layers, True), g)))
+    for p, r in zip(operands, ref):
+        if isinstance(p, ad.Node):
+            assert np.array_equal(p.grad, r.grad)
 
 
 def _per_ray_inputs(rays, k, c=4):
@@ -379,9 +390,14 @@ def test_mlp_heads_match_separate_nodes(trunk_u, decode):
 
 
 def test_mlp_heads_gradients_reach_node_operands_only():
-    # a frozen trunk under trainable heads: the heads' weights get their
-    # gradients, and nothing walks down the trunk
+    # a frozen trunk under trainable heads, then x alone a Node: each Node
+    # operand's gradient has the bits it has when every operand is a Node.
+    # The gradient walks down the trunk in both, and the constants'
+    # gradients are dropped
     x, u, trunk, heads, gs = _field_inputs(False)
+    ref = _as_nodes(x, u, trunk, heads)
+    ad.backward(ad.sum_(ad.mul(ad.mlp(ref[0], ref[2], heads=ref[3]),
+                               np.hstack(gs))))
     _, _, _, node_heads = _as_nodes(x, u, trunk, heads)
     out = ad.mlp(x, trunk, heads=node_heads)
     assert [p for p, _ in out.parents] == _leaves(None, None, [], node_heads)
@@ -389,13 +405,11 @@ def test_mlp_heads_gradients_reach_node_operands_only():
     h = _stack(x, trunk, True)
     w, b = node_heads[1][0][0]
     assert _close(w.grad, h.T @ gs[1]) and _close(b.grad, gs[1].sum(axis=0))
-    # x alone a Node: its gradient walks through the constant heads and
-    # trunk, bit for bit as with every operand a Node
+    for a, r in zip(_leaves(None, None, [], node_heads), _leaves(None, None, [], ref[3])):
+        assert np.array_equal(a.grad, r.grad)
+    # x alone a Node: its gradient walks through the constant heads and trunk
     xn = ad.Node(x)
     ad.backward(ad.sum_(ad.mul(ad.mlp(xn, trunk, heads=heads),
-                               np.hstack(gs))))
-    ref = _as_nodes(x, u, trunk, heads)
-    ad.backward(ad.sum_(ad.mul(ad.mlp(ref[0], ref[2], heads=ref[3]),
                                np.hstack(gs))))
     assert np.array_equal(xn.grad, ref[0].grad)
 

@@ -138,3 +138,15 @@ def test_each_field_is_one_traced_call_over_all_its_rows(monkeypatch, unit):
            for name, row in tracer.summary(0).items()
            if name[len("fields."):] in traced.MLP_NAMES}
     assert got == want
+
+
+def test_same_bits_digest_is_repeatable():
+    # acceptance/same_bits.py runs the workloads above at the benchmark's
+    # own scale: two calls at one seed give one digest, another seed another
+    path = PERFBENCH.parent / "acceptance" / "same_bits.py"
+    spec = importlib.util.spec_from_file_location("same_bits", path)
+    same_bits = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(same_bits)
+    first = same_bits.digest(5, 1)
+    assert len(first) == 64 and same_bits.digest(5, 1) == first
+    assert same_bits.digest(6, 1) != first

@@ -372,6 +372,57 @@ def test_bri_even_dynamic_node_carries_the_sigma_head_alone(tiny_dataset, monkey
                      ("dynamic.trunk", ["dynamic.sigma"])]
 
 
+def test_every_mlp_node_of_a_step_has_all_its_weights_as_nodes(tiny_dataset, monkeypatch):
+    # ad.mlp's gradient sums the gradients of every weight and bias of every
+    # stack, and makes x's and u's only when they are Nodes. That wastes no
+    # work while each freeze set freezes whole nets and a frozen net's
+    # inputs are detached: every mlp node of a BRI-even, BRI-odd and
+    # true-mask MDD step holds all its weights as Nodes. The x and u skips
+    # run: BRI-odd and MDD read a plain x, BRI-odd a plain per-ray u (the
+    # static field of BRI-even reads points warped by the trained base
+    # screws)
+    tr = tiny_trainer(tiny_dataset)
+    store = tr.model.store
+    made = []
+    mlp = ad.mlp
+
+    def spy(x, layers, **kw):
+        out = mlp(x, layers, **kw)
+        if isinstance(out, ad.Node):
+            made.append((x, layers, kw))
+        return out
+
+    def mdd_true_mask():
+        store.begin_step()
+        store.set_frozen_groups(FREEZE_MDD)
+        batch = tr.sample_batch()
+        rays = batch.rays
+        mask = tr.dataset.mask_true[rays.t, rays.uv[:, 1], rays.uv[:, 0]]
+        assert mask.any()
+        loss, _ = tr.compute_mdd_loss(batch, tr.rng, mask_override=mask.astype(np.int64))
+        ad.backward(loss)
+
+    monkeypatch.setattr(ad, "mlp", spy)
+    calls = {}
+    for kind, step in (("bri_even", lambda: tr.bri_step(0)),
+                       ("bri_odd", lambda: tr.bri_step(1)), ("mdd", mdd_true_mask)):
+        step()
+        calls[kind] = made[:]
+        made.clear()
+    for kind, kind_calls in calls.items():
+        assert kind_calls, kind
+        for x, layers, kw in kind_calls:
+            stacks = [layers, *(ls for ls, _, _ in kw.get("heads", ()))]
+            assert all(isinstance(p, ad.Node) for ls in stacks for pair in ls for p in pair)
+    plain = lambda a: a is not None and not isinstance(a, ad.Node)
+    for kind in ("bri_odd", "mdd"):
+        assert any(plain(x) for x, _, _ in calls[kind]), kind
+    assert any(plain(u) for _, _, kw in calls["bri_odd"]
+               for u in (kw.get("u"), *(hu for _, hu, _ in kw.get("heads", ()))))
+    # LORR's local.mlp ran in the MDD step: a node without heads
+    assert any(not kw.get("heads") for _, _, kw in calls["mdd"])
+
+
 def test_mdd_loss_matches_finite_differences_off_the_no_op(monkeypatch):
     # non-zero global screws, a local MLP that moves the refined rows, and
     # half the rows refined: the MDD loss against central differences, with
