@@ -50,7 +50,7 @@ def gmrp(model: SceneModel, rays: RayBatch) -> RayBatch:
 
 def lorr(model: SceneModel, rays: RayBatch) -> RayBatch:
     """Local object-motion refinement: per-ray screw from the local MLP."""
-    return rays.warp(model.local_screw(rays.origins, rays.dirs, rays.t, rays.near, rays.far))
+    return rays.warp(model.local_screw(rays))
 
 
 def blur_average(base_color, latent_colors):
@@ -109,7 +109,7 @@ def blurry_render(model: SceneModel, base_rays: RayBatch, n_samples: int,
     if len(dyn):
         rows = np.arange(len(latent))
         rows[dyn] = len(latent) + np.arange(len(dyn))
-        latent = _concat_rays([latent, lorr(model, latent.select(dyn))]).select(rows)
+        latent = RayBatch.concat([latent, lorr(model, latent.select(dyn))]).select(rows)
     res = render_on_grid(model, latent, grid.select(np.tile(np.arange(b), n_latent)))
     blurred = {}
     for name in ("color_static", "color_dynamic", "color_full"):
@@ -119,14 +119,3 @@ def blurry_render(model: SceneModel, base_rays: RayBatch, n_samples: int,
     return BlurryRender(base=base, mask=mask, p_st_samples=base.p_st_samples,
                         lorr_rays=len(dyn), **blurred)
 
-
-def _concat_rays(parts: list[RayBatch]) -> RayBatch:
-    first = parts[0]
-    return RayBatch(
-        origins=ad.concat([p.origins for p in parts], axis=0),
-        dirs=ad.concat([p.dirs for p in parts], axis=0),
-        t=np.concatenate([p.t for p in parts]),
-        uv=np.concatenate([p.uv for p in parts]),
-        near=first.near,
-        far=first.far,
-    )

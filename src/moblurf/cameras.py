@@ -116,10 +116,40 @@ class RayBatch:
         o, d = se3.warp_ray(self.origins, self.dirs, omega, v)
         return RayBatch(o, d, self.t, self.uv, self.near, self.far)
 
+    def points(self, dists):
+        """The points o + d t at distances ``dists`` along the rays, (k,)
+        shared by every ray or (B,k) one row per ray: (B*k,3) rows, ray by
+        ray, in the graph when the rays are."""
+        b, k = len(self), np.shape(dists)[-1]
+        pts = ad.add(ad.reshape(self.origins, (b, 1, 3)),
+                     ad.mul(ad.reshape(self.dirs, (b, 1, 3)), np.reshape(dists, (-1, k, 1))))
+        return ad.reshape(pts, (b * k, 3))
+
+    @staticmethod
+    def concat(parts: list["RayBatch"]) -> "RayBatch":
+        """The rays of ``parts`` in turn, under the first part's bounds; in
+        the graph when any part's rays are."""
+        return RayBatch(ad.concat([p.origins for p in parts], axis=0),
+                        ad.concat([p.dirs for p in parts], axis=0),
+                        np.concatenate([p.t for p in parts]),
+                        np.concatenate([p.uv for p in parts]), parts[0].near, parts[0].far)
+
+
+def pixel_rays(poses, t, uv, near: float, far: float) -> tuple[RayBatch, np.ndarray]:
+    """The rays of pixels ``uv`` (B,2) of frames ``t`` (B,), each from its
+    frame's pose ``poses[t]``, and each ray's |pix_dir|: its distance per
+    unit of camera depth, which a rigid warp keeps."""
+    t = np.asarray(t, dtype=np.int64)
+    origins, dirs, scale = np.empty((len(t), 3)), np.empty((len(t), 3)), np.empty(len(t))
+    for ti in np.unique(t):
+        rows = np.flatnonzero(t == ti)
+        o, d, p = rays_for_pixels(poses[ti], uv[rows])
+        origins[rows], dirs[rows], scale[rows] = o, d, np.linalg.norm(p, axis=1)
+    return RayBatch(origins, dirs, t, uv, near, far), scale
+
 
 def rays_for_frame(pose: CameraPose, t: int, height: int, width: int, near: float,
                    far: float) -> RayBatch:
     """Every pixel's ray of frame ``t`` seen from ``pose``, row-major."""
     uv = frame_pixel_grid(height, width)
-    origins, dirs, _ = rays_for_pixels(pose, uv)
-    return RayBatch(origins, dirs, np.full(len(uv), t, dtype=np.int64), uv, near, far)
+    return pixel_rays({t: pose}, np.full(len(uv), t), uv, near, far)[0]

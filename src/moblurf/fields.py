@@ -26,6 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from . import autodiff as ad
+from .cameras import RayBatch
 from .optim import FIELD_PREFIXES, ParamStore
 
 CHECKPOINT_MAGIC = b"MBRFCKP1"
@@ -322,28 +323,23 @@ class SceneModel:
 
     # ray-level pieces ---------------------------------------------------------
 
-    def ray_embedding(self, origins, dirs, near: float, far: float):
+    def ray_embedding(self, rays: RayBatch):
         """Fixed-size code for a ray: encoded points at uniform distances.
 
         Samples ``ray_samples`` points evenly over [near, far] along the unit
         direction, positionally encodes each with ``ray_freqs`` frequencies,
         and concatenates. Sensitive to both origin and direction.
         """
-        if near >= far:
-            raise ValueError(f"ray embedding needs near < far, got {near} >= {far}")
+        if rays.near >= rays.far:
+            raise ValueError(f"ray embedding needs near < far, got {rays.near} >= {rays.far}")
         cfg = self.config
-        n = ad.value_of(origins).shape[0]
-        k = cfg.ray_samples
-        dists = np.linspace(near, far, k).reshape(1, k, 1)
-        pts = ad.add(ad.reshape(origins, (n, 1, 3)),
-                     ad.mul(ad.reshape(dirs, (n, 1, 3)), dists))
-        enc = encode_position(ad.reshape(pts, (n * k, 3)), cfg.ray_freqs)
-        return ad.reshape(enc, (n, cfg.ray_embed_dim))
+        pts = rays.points(np.linspace(rays.near, rays.far, cfg.ray_samples))
+        return ad.reshape(encode_position(pts, cfg.ray_freqs), (len(rays), cfg.ray_embed_dim))
 
-    def local_screw(self, origins, dirs, t_idx, near: float, far: float):
+    def local_screw(self, rays: RayBatch):
         """(B,6) per-ray refinement screws from the local object-motion MLP."""
-        phi = self.ray_embedding(origins, dirs, near, far)
-        glo = self.glo_lookup(t_idx)
+        phi = self.ray_embedding(rays)
+        glo = self.glo_lookup(rays.t)
         return Mlp(self.store, "local.mlp")(ad.concat([phi, glo], axis=-1))
 
     def base_screws(self, t_idx):

@@ -176,10 +176,11 @@ def evaluate(dataset, frames) -> MetricReport:
     Each frame is a dict with its time index ``t`` and ``rgb`` (H,W,3) in
     [0,1]. PSNR and SSIM, of the render and of the blurry baseline, are
     also scored inside the true motion mask (``*_moving``) and outside it
-    (``*_static``); a region a frame lacks leaves its cells blank. A binary
-    ``mask`` adds ``mask_iou``; a dynamicness map ``p_dy`` adds
-    ``static_p_st``, the mean staticness over the truly static pixels (none
-    on a frame without static pixels).
+    (``*_static``); a region a frame lacks leaves its cells blank, and a
+    frame under the SSIM window its SSIM cells. A binary ``mask`` adds
+    ``mask_iou``; a dynamicness map ``p_dy`` adds ``static_p_st``, the mean
+    staticness over the truly static pixels (none on a frame without static
+    pixels).
     """
     report = MetricReport()
     for frame in frames:
@@ -188,10 +189,12 @@ def evaluate(dataset, frames) -> MetricReport:
         if pred.shape != sharp.shape:
             raise MetricError(f"frame {t}: rendered shape {pred.shape} vs "
                               f"dataset {sharp.shape}")
-        row = {"psnr": psnr(pred, sharp), "ssim": ssim(pred, sharp),
-               "baseline_psnr": psnr(blur, sharp), "baseline_ssim": ssim(blur, sharp)}
-        row["psnr_gain"] = row["psnr"] - row["baseline_psnr"]
         moving = dataset.mask_true[t]
+        windowed = _window_centers(moving).size > 0
+        row = {"psnr": psnr(pred, sharp), "ssim": ssim(pred, sharp) if windowed else None,
+               "baseline_psnr": psnr(blur, sharp),
+               "baseline_ssim": ssim(blur, sharp) if windowed else None}
+        row["psnr_gain"] = row["psnr"] - row["baseline_psnr"]
         for region, px in (("moving", moving), ("static", ~moving)):
             for prefix, img in (("", pred), ("baseline_", blur)):
                 if px.any():
@@ -203,5 +206,5 @@ def evaluate(dataset, frames) -> MetricReport:
         static_px = ~dataset.mask_true[t]
         if "p_dy" in frame and static_px.any():
             row["static_p_st"] = float((1.0 - frame["p_dy"])[static_px].mean())
-        report.add(t, **row)
+        report.add(t, **{k: v for k, v in row.items() if v is not None})
     return report

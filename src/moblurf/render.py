@@ -283,11 +283,7 @@ def _encoded_samples(model: SceneModel, rays: RayBatch, grid: SampleGrid):
     fields' dtype, one copy that both fields read as it is; the GLO rows,
     like the encoded directions, stay float64, as the per-ray operand's
     float64 gradient of its weight rows needs them."""
-    b, n = len(rays), grid.n_samples
-    o3 = ad.reshape(rays.origins, (b, 1, 3))
-    d3 = ad.reshape(rays.dirs, (b, 1, 3))
-    pts = ad.add(o3, ad.mul(d3, grid.dists.reshape(b, n, 1)))
-    enc_x = encode_position(ad.reshape(pts, (b * n, 3)), model.config.pos_freqs,
+    enc_x = encode_position(rays.points(grid.dists), model.config.pos_freqs,
                             model.store.field_dtype)
     return enc_x, model.glo_lookup(rays.t)
 

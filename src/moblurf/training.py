@@ -27,7 +27,7 @@ import numpy as np
 from . import autodiff as ad
 from . import losses as L
 from .blur import blurry_render
-from .cameras import RayBatch, rays_for_pixels
+from .cameras import RayBatch, pixel_rays
 from .config import TrainConfig
 from .data import BlurryDataset
 from .fields import CheckpointError, SceneModel, save_checkpoint, load_checkpoint
@@ -81,11 +81,9 @@ class LossBreakdown:
 @dataclass
 class Batch:
     rays: RayBatch          # input rays from corrupted poses, detached
+    scale: np.ndarray       # (B,) the rays' |pix_dir| (cameras.pixel_rays)
     targets: np.ndarray     # (B,3) blurry colors
     lg_count: int           # first lg_count rows carry geometry supervision
-    neighbors: RayBatch | None   # (2K,) right then down neighbor rays
-    pdist: np.ndarray | None     # (3,K) pseudo-depth at p, p+du, p+dv, as
-                                 # distances along the unit rays
 
 
 class Trainer:
@@ -114,46 +112,29 @@ class Trainer:
     def sample_batch(self) -> Batch:
         b = self.config.batch_size
         k = int(round(b * LG_FRACTION))
-        h, w = self._h, self._w
-        n = self.dataset.n_frames
-        t = self.rng.integers(0, n, size=b)
+        h, w, ds = self._h, self._w, self.dataset
+        t = self.rng.integers(0, ds.n_frames, size=b)
         u = np.empty(b, dtype=np.int64)
         v = np.empty(b, dtype=np.int64)
         u[:k] = self.rng.integers(0, w - 1, size=k)
         v[:k] = self.rng.integers(0, h - 1, size=k)
         u[k:] = self.rng.integers(0, w, size=b - k)
         v[k:] = self.rng.integers(0, h, size=b - k)
-        rays, scale = self._input_rays(t, u, v)
-        targets = self.dataset.blur[t, v, u]
-        neighbors = None
-        pdist = None
-        if k:
-            t3 = np.concatenate([t[:k], t[:k]])
-            u3 = np.concatenate([u[:k] + 1, u[:k]])
-            v3 = np.concatenate([v[:k], v[:k] + 1])
-            neighbors, nb_scale = self._input_rays(t3, u3, v3)
-            pd = self.dataset.pseudo_depth
-            pdist = np.stack([pd[t[:k], v[:k], u[:k]] * scale[:k],
-                              pd[t[:k], v[:k], u[:k] + 1] * nb_scale[:k],
-                              pd[t[:k], v[:k] + 1, u[:k]] * nb_scale[k:]])
-        return Batch(rays=rays, targets=targets, lg_count=k,
-                     neighbors=neighbors, pdist=pdist)
+        rays, scale = pixel_rays(ds.poses_corrupt, t, np.stack([u, v], axis=1), ds.near, ds.far)
+        return Batch(rays=rays, scale=scale, targets=ds.blur[t, v, u], lg_count=k)
 
-    def _input_rays(self, t, u, v) -> tuple[RayBatch, np.ndarray]:
-        """The rays of pixels (u, v) of frames t from the corrupted poses,
-        and each ray's |pix_dir|: its distance per unit of camera depth,
-        which a rigid warp keeps."""
-        ds = self.dataset
-        b = len(t)
-        origins = np.empty((b, 3))
-        dirs = np.empty((b, 3))
-        scale = np.empty(b)
-        uv = np.stack([u, v], axis=1)
-        for ti in np.unique(t):
-            rows = np.where(t == ti)[0]
-            o, d, p = rays_for_pixels(ds.poses_corrupt[ti], uv[rows])
-            origins[rows], dirs[rows], scale[rows] = o, d, np.linalg.norm(p, axis=1)
-        return RayBatch(origins, dirs, t.astype(np.int64), uv, ds.near, ds.far), scale
+    def _neighbours(self, batch: Batch) -> tuple[RayBatch, np.ndarray]:
+        """The right then down neighbour rays (2K,) of the batch's K lg
+        pixels, and the (3,K) pseudo-depths at each pixel and at its right
+        and down neighbours, as distances along their unit rays."""
+        ds, k = self.dataset, batch.lg_count
+        t, uv = batch.rays.t[:k], batch.rays.uv[:k]
+        nb, nb_scale = pixel_rays(ds.poses_corrupt, np.tile(t, 2),
+                                  np.concatenate([uv + (1, 0), uv + (0, 1)]), ds.near, ds.far)
+        pd = ds.pseudo_depth
+        pdist = np.concatenate([pd[t, uv[:, 1], uv[:, 0]] * batch.scale[:k],
+                                pd[nb.t, nb.uv[:, 1], nb.uv[:, 0]] * nb_scale])
+        return nb, pdist.reshape(3, k)
 
     # ray warping ------------------------------------------------------------
 
@@ -168,7 +149,7 @@ class Trainer:
                   base_rays: RayBatch, rng):
         """Local geometry loss over the supervised subset of lg pixels, whose
         depth is the sharp render ``sharp``'s κ*, read only when some pixel
-        is supervised.
+        is supervised: only then are the neighbour rays built.
 
         Only the supervised pixels' neighbours are rendered. Their jitter is
         drawn for all 2k neighbours first, so the random stream, and every
@@ -176,18 +157,15 @@ class Trainer:
         k = batch.lg_count
         if k == 0 or not supervise.any():
             return None
-        kappa_primary = sharp.kappa_star
-        nb = self.warp_base(batch.neighbors)
+        nb, pdist = self._neighbours(batch)
+        nb = self.warp_base(nb)
         grid = sample_along_ray(nb.near, nb.far, self.config.n_samples, 2 * k, rng)
-        pdist = batch.pdist
         keep = np.flatnonzero(supervise)
         m = len(keep)
-        # with every pixel supervised (BRI-odd) the rows stay as they are
-        if m < k:
-            both = np.concatenate([keep, k + keep])
-            nb, grid = nb.select(both), grid.select(both)
-            base_rays, kappa_primary = base_rays.select(keep), ad.gather(kappa_primary, keep)
-            pdist = pdist[:, keep]
+        both = np.concatenate([keep, k + keep])
+        nb, grid = nb.select(both), grid.select(both)
+        base_rays, kappa_primary = base_rays.select(keep), ad.gather(sharp.kappa_star, keep)
+        pdist = pdist[:, keep]
         kappa_n = render_kappa(self.model, nb, grid)
         # origins, dirs and kappa of the pixel and its right and down neighbours
         rows = [[ad.narrow(x, s, m, axis=0) for x in (r.origins, r.dirs, kap)]

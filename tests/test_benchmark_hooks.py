@@ -150,3 +150,30 @@ def test_same_bits_digest_is_repeatable():
     first = same_bits.digest(5, 1)
     assert len(first) == 64 and same_bits.digest(5, 1) == first
     assert same_bits.digest(6, 1) != first
+
+
+def test_same_bits_against_another_checkout(tmp_path):
+    # --against runs the other checkout's same_bits.py on its own src: a
+    # copy of this one gives the same digest, a change that moves a loss
+    # bit another, and the run exits 1
+    import shutil
+    import subprocess
+    root = PERFBENCH.parent
+    for part in ("src", "perfbench", "acceptance"):
+        shutil.copytree(root / part, tmp_path / part,
+                        ignore=shutil.ignore_patterns("__pycache__", "results"))
+
+    def against():
+        proc = subprocess.run([sys.executable, str(root / "acceptance" / "same_bits.py"),
+                               "--units", "1", "--against", str(tmp_path)],
+                              capture_output=True, text=True)
+        return proc.returncode, [line.split()[0] for line in proc.stdout.splitlines()]
+
+    code, digests = against()
+    assert code == 0 and len(digests) == 2 and digests[0] == digests[1]
+    training_py = tmp_path / "src" / "moblurf" / "training.py"
+    text = training_py.read_text()
+    assert "LG_FRACTION = 0.25\n" in text
+    training_py.write_text(text.replace("LG_FRACTION = 0.25\n", "LG_FRACTION = 0.5\n"))
+    code, moved = against()
+    assert code == 1 and moved[0] == digests[0] and moved[1] != digests[0]

@@ -3,6 +3,7 @@ import pytest
 
 from conftest import tiny_arch
 from moblurf import autodiff as ad
+from moblurf.cameras import RayBatch
 from moblurf.fields import (ENCODE_BLOCK, FieldConfig, Mlp, SceneModel, encode_position,
                             load_checkpoint, save_checkpoint, CheckpointError,
                             CHECKPOINT_MAGIC)
@@ -14,6 +15,12 @@ def tiny_config(**kw):
 
 def tiny_model(seed=0, **kw):
     return SceneModel(tiny_config(**kw), np.random.default_rng(seed))
+
+
+def ray_batch(o, d, t=0, near=1.0, far=5.0):
+    """The rays of origins ``o`` and directions ``d`` at frames ``t``."""
+    t = np.broadcast_to(t, (len(o),)).astype(np.int64)
+    return RayBatch(o, d, t, np.zeros((len(o), 2), dtype=np.int64), near, far)
 
 
 def encode_per_frequency(x, num_freqs):
@@ -316,27 +323,27 @@ class TestRayEmbedding:
         model = tiny_model(ray_samples=32)
         o = np.zeros((3, 3))
         d = np.tile([0.0, 0.0, 1.0], (3, 1))
-        emb = model.ray_embedding(o, d, near=1.0, far=5.0)
+        emb = model.ray_embedding(ray_batch(o, d, near=1.0, far=5.0))
         assert ad.value_of(emb).shape == (3, 32 * 15)
 
     def test_identical_rays_identical_embeddings(self):
         model = tiny_model()
         o = np.tile([0.1, 0.2, 0.0], (2, 1))
         d = np.tile([0.0, 0.0, 1.0], (2, 1))
-        emb = ad.value_of(model.ray_embedding(o, d, 1.0, 5.0))
+        emb = ad.value_of(model.ray_embedding(ray_batch(o, d)))
         assert np.array_equal(emb[0], emb[1])
 
     def test_direction_changes_embedding(self):
         model = tiny_model()
         o = np.zeros((2, 3))
         d = np.array([[0.0, 0.0, 1.0], [0.0, 0.1, 0.99498743710662]])
-        emb = ad.value_of(model.ray_embedding(o, d, 1.0, 5.0))
+        emb = ad.value_of(model.ray_embedding(ray_batch(o, d)))
         assert not np.array_equal(emb[0], emb[1])
 
     def test_rejects_bad_bounds(self):
         model = tiny_model()
         with pytest.raises(ValueError):
-            model.ray_embedding(np.zeros((1, 3)), np.ones((1, 3)), 5.0, 5.0)
+            model.ray_embedding(ray_batch(np.zeros((1, 3)), np.ones((1, 3)), near=5.0, far=5.0))
 
 
 class TestLocalScrew:
@@ -344,7 +351,7 @@ class TestLocalScrew:
         model = tiny_model()
         o = np.random.default_rng(4).normal(size=(6, 3))
         d = np.tile([0.0, 0.0, 1.0], (6, 1))
-        screw = ad.value_of(model.local_screw(o, d, np.zeros(6, dtype=int), 1.0, 5.0))
+        screw = ad.value_of(model.local_screw(ray_batch(o, d, np.zeros(6, dtype=int))))
         assert np.all(screw == 0.0)
 
     def test_deterministic_per_ray_and_time(self):
@@ -352,8 +359,8 @@ class TestLocalScrew:
         model.store.values["local.mlp.2.w"] += 0.05  # make output nonzero
         o = np.array([[0.1, 0.0, 0.0]])
         d = np.array([[0.0, 0.0, 1.0]])
-        s1 = ad.value_of(model.local_screw(o, d, np.array([2]), 1.0, 5.0))
-        s2 = ad.value_of(model.local_screw(o, d, np.array([2]), 1.0, 5.0))
+        s1 = ad.value_of(model.local_screw(ray_batch(o, d, np.array([2]))))
+        s2 = ad.value_of(model.local_screw(ray_batch(o, d, np.array([2]))))
         assert np.array_equal(s1, s2)
 
     def test_finite_difference_on_final_weight(self):
@@ -367,7 +374,7 @@ class TestLocalScrew:
 
         def loss():
             store.begin_step()
-            screw = model.local_screw(o, d, t, 1.0, 5.0)
+            screw = model.local_screw(ray_batch(o, d, t))
             return ad.sum_(ad.mul(screw, w))
 
         ad.backward(loss())

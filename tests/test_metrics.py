@@ -218,6 +218,31 @@ class TestEvaluate:
         with pytest.raises(MetricError, match="frame 1"):
             evaluate(ds, [{"t": 1, "rgb": np.zeros((8, 8, 3))}])
 
+    @pytest.mark.parametrize("size", [10, 11])
+    def test_frame_under_the_ssim_window_scores_psnr_alone(self, size):
+        # a 10x10 frame has no 11x11 window center: its SSIM cells stay
+        # blank, as a region's do, while ssim() itself still refuses it
+        from types import SimpleNamespace
+        rng = np.random.default_rng(2)
+        sharp = rng.random((1, size, size, 3))
+        mask = np.zeros((1, size, size), dtype=bool)
+        mask[0, 2:5, 2:5] = True
+        ds = SimpleNamespace(sharp=sharp, blur=np.clip(sharp + 0.1, 0, 1), mask_true=mask)
+        pred = np.clip(sharp[0] + 0.05, 0, 1)
+        rep = evaluate(ds, [{"t": 0, "rgb": pred}])
+        row = rep.rows[0]
+        assert row["psnr"] == psnr(pred, sharp[0])
+        assert row["baseline_psnr"] == psnr(ds.blur[0], sharp[0])
+        assert row["psnr_moving"] == psnr(pred, sharp[0], mask[0])
+        if size == 11:
+            assert row["ssim"] == ssim(pred, sharp[0])
+            assert row["baseline_ssim"] == ssim(ds.blur[0], sharp[0])
+        else:
+            assert [c for c in rep.columns() if "ssim" in c] == []
+            assert "ssim" not in rep.to_json_dict()["means"]
+            with pytest.raises(MetricError, match="smaller than 11x11 window"):
+                ssim(pred, sharp[0])
+
 
 class TestRegions:
     @pytest.fixture(scope="class")

@@ -164,6 +164,55 @@ class TestWarpRay:
             assert row.grad.tobytes() == np.hstack([h.grad for h in halves]).tobytes()
 
 
+class TestRayBatch:
+    @pytest.mark.parametrize("per_ray", [False, True], ids=["shared", "per-ray"])
+    @pytest.mark.parametrize("node", [False, True], ids=["plain", "node"])
+    def test_points_are_origin_plus_distance_times_direction(self, per_ray, node):
+        # o + d t, ray by ray, at (k,) distances every ray shares or (B,k)
+        # per ray: its bytes, and in the graph the origin and direction
+        # gradients of the expression render and the ray embedding wrote out
+        rng = np.random.default_rng(8)
+        o, d = rng.normal(size=(2, 5, 3))
+        dists = rng.uniform(1.0, 5.0, size=(5, 4) if per_ray else (4,))
+        o_in, d_in = (ad.Node(o), ad.Node(d)) if node else (o, d)
+        rays = RayBatch(o_in, d_in, np.arange(5), np.zeros((5, 2), dtype=np.int64), 1.0, 5.0)
+        pts = rays.points(dists)
+        assert isinstance(pts, ad.Node) == node
+        want = o[:, None] + d[:, None] * dists[..., None]
+        assert ad.value_of(pts).tobytes() == want.reshape(20, 3).tobytes()
+        if node:
+            o_ref, d_ref = ad.Node(o), ad.Node(d)
+            ref = ad.reshape(ad.add(ad.reshape(o_ref, (5, 1, 3)),
+                                    ad.mul(ad.reshape(d_ref, (5, 1, 3)),
+                                           np.reshape(dists, (-1, 4, 1)))), (20, 3))
+            w = rng.normal(size=(20, 3))
+            for p in (pts, ref):
+                ad.backward(ad.sum_(ad.mul(p, w)))
+            assert o_in.grad.tobytes() == o_ref.grad.tobytes()
+            assert d_in.grad.tobytes() == d_ref.grad.tobytes()
+            w3 = w.reshape(5, 4, 3)
+            assert np.allclose(o_in.grad, w3.sum(axis=1), rtol=1e-12, atol=1e-15)
+            assert np.allclose(d_in.grad, (w3 * np.reshape(dists, (-1, 4, 1))).sum(axis=1),
+                               rtol=1e-12, atol=1e-15)
+
+    def test_concat_keeps_rows_and_passes_gradients_to_both_parts(self):
+        rng = np.random.default_rng(9)
+        parts = [RayBatch(ad.Node(rng.normal(size=(n, 3))), ad.Node(rng.normal(size=(n, 3))),
+                          rng.integers(0, 4, size=n), rng.integers(0, 9, size=(n, 2)), 1.0, 5.0)
+                 for n in (3, 2)]
+        both = RayBatch.concat(parts)
+        assert len(both) == 5 and (both.near, both.far) == (1.0, 5.0)
+        for name in ("origins", "dirs", "t", "uv"):
+            assert np.array_equal(ad.value_of(getattr(both, name)), np.concatenate(
+                [ad.value_of(getattr(p, name)) for p in parts]))
+        w = rng.normal(size=(2, 5, 3))
+        ad.backward(ad.add(ad.sum_(ad.mul(both.origins, w[0])),
+                           ad.sum_(ad.mul(both.dirs, w[1]))))
+        for part, rows in zip(parts, (slice(0, 3), slice(3, 5))):
+            assert np.array_equal(part.origins.grad, w[0, rows])
+            assert np.array_equal(part.dirs.grad, w[1, rows])
+
+
 class TestQuaternions:
     def test_roundtrip_matrix_quat_matrix(self):
         rng = np.random.default_rng(6)

@@ -171,7 +171,8 @@ def lg_terms_every_neighbour(self, batch, sharp, supervise, base_rays, rng):
     if k == 0 or not supervise.any():
         return None
     kappa_primary = sharp.kappa_star
-    nb = self.warp_base(batch.neighbors)
+    neighbours, pdist = self._neighbours(batch)
+    nb = self.warp_base(neighbours)
     kappa_n = training.render_kappa(self.model, nb, sample_along_ray(
         nb.near, nb.far, self.config.n_samples, 2 * k, rng))
     rows = [[ad.narrow(x, s, k, axis=0) for x in (r.origins, r.dirs, kap)]
@@ -181,7 +182,7 @@ def lg_terms_every_neighbour(self, batch, sharp, supervise, base_rays, rng):
         *[L.surface_points(o, d, kap) for o, d, kap in rows])
     cr_true, ok_true = L.local_geometry_cross(
         *[L.surface_points(ad.value_of(o), ad.value_of(d), dist)
-          for (o, d, _), dist in zip(rows, batch.pdist)])
+          for (o, d, _), dist in zip(rows, pdist)])
     return L.lg_loss(cr_pred, ok_pred & supervise, cr_true, ok_true, n_pixels=k,
                      lam=self.config.lambda_lg)
 
@@ -249,11 +250,12 @@ def test_pseudo_depth_is_a_distance_along_the_unit_rays(tiny_dataset):
     k = batch.lg_count
     t, (u, v) = batch.rays.t[:k], batch.rays.uv[:k].T
     pixels = [(u, v), (u + 1, v), (u, v + 1)]
+    neighbours, pdist = tr._neighbours(batch)
     rays = [batch.rays.select(np.arange(k)),
-            batch.neighbors.select(np.arange(k)),
-            batch.neighbors.select(np.arange(k, 2 * k))]
+            neighbours.select(np.arange(k)),
+            neighbours.select(np.arange(k, 2 * k))]
     screws = np.random.default_rng(4).normal(0.0, 0.1, size=(ds.n_frames, 6))
-    for (pu, pv), r, dist in zip(pixels, rays, batch.pdist):
+    for (pu, pv), r, dist in zip(pixels, rays, pdist):
         for i in range(k):
             pose = ds.poses_corrupt[t[i]]
             o, _, pix = rays_for_pixels(pose, np.array([[pu[i], pv[i]]]))
@@ -267,6 +269,32 @@ def test_pseudo_depth_is_a_distance_along_the_unit_rays(tiny_dataset):
                      + se3.translation_matrix(omega) @ shift)
             assert np.allclose(w.origins[i] + dist[i] * w.dirs[i], moved,
                                rtol=0, atol=1e-12)
+
+
+def test_neighbour_rays_are_built_only_for_a_supervised_lg_pixel(tiny_dataset, monkeypatch):
+    # sample_batch makes the batch's pixel rays; the lg term makes its
+    # neighbours' only once it supervises a pixel: always at BRI-odd, at
+    # MDD when the motion mask marks an lg pixel dynamic, never at BRI-even
+    tr = tiny_trainer(tiny_dataset)
+    calls = []
+    make = training.pixel_rays
+    monkeypatch.setattr(training, "pixel_rays", lambda *a: calls.append(a) or make(*a))
+    b = tr.config.batch_size
+
+    def mdd(dynamic_rows):
+        mask = np.zeros(b, dtype=np.int64)
+        mask[dynamic_rows] = 1
+        tr.model.store.begin_step()
+        tr.model.store.set_frozen_groups(FREEZE_MDD)
+        tr.compute_mdd_loss(tr.sample_batch(), tr.rng, mask_override=mask)
+
+    counts = []
+    for step in (lambda: tr.bri_step(0), lambda: tr.bri_step(1), lambda: mdd([]),
+                 lambda: mdd([0])):
+        calls.clear()
+        step()
+        counts.append(len(calls))
+    assert counts == [1, 2, 1, 2]
 
 
 def test_mdd_step_builds_only_nodes_its_loss_reaches(tiny_dataset, monkeypatch):
