@@ -1,19 +1,22 @@
-"""Does a change keep every bit? One sha256 over perfbench's workloads.
+"""Does a change keep every bit? One sha256 per perfbench workload, and one
+over them all.
 
     python3 acceptance/same_bits.py [--seed 5] [--units 4] [--against DIR]
 
 Runs ``--units`` units of each workload of ``perfbench/workloads.py``
 (``bri-train``, ``mdd-train``, ``infer-frame``) at ``--seed``, untimed and
 without warm-up, in one process with one BLAS thread, as perfbench does,
-and in a temporary directory. It prints one sha256 over each workload's
+and in a temporary directory. Each workload's sha256 covers its
 ``Outputs.comparable()`` (every loss, frame digest and PSNR) and, for the
 two training workloads, the weights' ``store.checksum()`` after the last
-unit. Run it in two checkouts, a change and its parent: when the change
-keeps every bit, the two lines are equal. ``--against DIR`` does both: it
-runs ``DIR/acceptance/same_bits.py`` at the same ``--seed`` and ``--units``
-in a subprocess, which imports ``DIR``'s own ``src``, prints that digest and
-this checkout's, and exits 1 when they differ. 4 units take about 3 s on a
-2-vCPU Xeon.
+unit; the combined one, on the line ``all``, covers the same bytes of every
+workload in turn. It prints one ``name digest`` line each. Run it in two
+checkouts, a change and its parent: where the change keeps every bit, the
+lines are equal. ``--against DIR`` does both: it runs this script on
+``DIR``'s own ``perfbench`` and ``src`` at the same ``--seed`` and
+``--units`` in a subprocess, prints ``name`` this checkout's digest, DIR's
+and ``same`` or ``differs`` for each line, and exits 1 when any differs. 4
+units take about 3 s on a 2-vCPU Xeon.
 """
 
 from __future__ import annotations
@@ -27,13 +30,14 @@ import sys
 import tempfile
 from pathlib import Path
 
-PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+ROOT = Path(__file__).resolve().parent.parent
 
 
-def load(name: str):
-    """perfbench's module ``name``, loaded from its file as it is."""
+def load(name: str, root: Path = ROOT):
+    """perfbench's module ``name`` in checkout ``root``, loaded from its file
+    as it is."""
     spec = importlib.util.spec_from_file_location(f"perfbench_{name}",
-                                                  PERFBENCH / f"{name}.py")
+                                                  root / "perfbench" / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     # dataclasses look their module up in sys.modules while it runs
     sys.modules[spec.name] = module
@@ -44,21 +48,26 @@ def load(name: str):
     return module
 
 
-def digest(seed: int, units: int) -> str:
-    """sha256 over ``units`` units of every workload at ``seed``."""
-    wl = load("workloads")
-    h = hashlib.sha256()
+def digests(seed: int, units: int, root: Path = ROOT) -> dict:
+    """sha256 over ``units`` units of each workload of checkout ``root`` at
+    ``seed``, by name, and over all of them in turn, under ``all``."""
+    wl = load("workloads", root)
+    every = hashlib.sha256()
+    out = {}
     for name, workload in wl.WORKLOADS.items():
-        out = wl.Outputs()
+        outputs = wl.Outputs()
         with tempfile.TemporaryDirectory() as tmp:
             state = workload.setup(seed, Path(tmp))
             for i in range(units):
-                workload.run_unit(state, i, out)
-        h.update(name.encode())
-        h.update(json.dumps(out.comparable(), sort_keys=True).encode())
-        if isinstance(state, wl.Trainer):
-            h.update(state.model.store.checksum().encode())
-    return h.hexdigest()
+                workload.run_unit(state, i, outputs)
+        h = hashlib.sha256()
+        for part in (name, json.dumps(outputs.comparable(), sort_keys=True),
+                     *([state.model.store.checksum()] if isinstance(state, wl.Trainer) else [])):
+            h.update(part.encode())
+            every.update(part.encode())
+        out[name] = h.hexdigest()
+    out["all"] = every.hexdigest()
+    return out
 
 
 def main(argv=None) -> int:
@@ -66,7 +75,9 @@ def main(argv=None) -> int:
     ap.add_argument("--seed", type=int, default=5)
     ap.add_argument("--units", type=int, default=4, help="units of each workload")
     ap.add_argument("--against", metavar="DIR",
-                    help="another checkout: compare its digest with this one's")
+                    help="another checkout: compare its digests with this one's")
+    # the checkout whose perfbench and src run: --against's subprocess
+    ap.add_argument("--root", type=Path, default=ROOT, help=argparse.SUPPRESS)
     args = ap.parse_args(argv)
     if args.units < 1:
         ap.error("--units must be at least 1")
@@ -74,22 +85,25 @@ def main(argv=None) -> int:
     if args.against is not None:
         # the other checkout runs first, in a process of its own
         proc = subprocess.run(
-            [sys.executable, str(Path(args.against) / "acceptance" / "same_bits.py"),
+            [sys.executable, str(Path(__file__).resolve()), "--root", args.against,
              "--seed", str(args.seed), "--units", str(args.units)],
             capture_output=True, text=True)
         if proc.returncode:
             sys.stderr.write(proc.stderr)
             return proc.returncode
-        theirs = proc.stdout.split()[-1]
-    bench = load("run")
+        theirs = dict(line.split() for line in proc.stdout.splitlines())
+    bench = load("run", args.root)
     bench.set_thread_caps()
     bench.import_program()
-    mine = digest(args.seed, args.units)
+    mine = digests(args.seed, args.units, args.root)
     if theirs is None:
-        print(mine)
+        for name, d in mine.items():
+            print(f"{name:<12} {d}")
         return 0
-    print(f"{mine}  {PERFBENCH.parent}")
-    print(f"{theirs}  {Path(args.against).resolve()}")
+    print(f"# {ROOT} against {Path(args.against).resolve()}")
+    for name, d in mine.items():
+        print(f"{name:<12} {d} {theirs.get(name, '-'):<64} "
+              f"{'same' if theirs.get(name) == d else 'differs'}")
     return 0 if mine == theirs else 1
 
 

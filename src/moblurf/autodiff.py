@@ -137,20 +137,23 @@ def div(a, b):
     ])
 
 
+# multiply-adds of a product at or below which OpenBLAS takes its
+# small-matrix gemm kernel, which runs :func:`mlp`'s 64-wide products
+# fastest (timings in CHANGES.md, "sized for OpenBLAS's small-matrix sgemm")
+SMALL_PRODUCT = 10 ** 6
 # rows per product of :func:`mlp`'s forward, whatever the weights' dtype:
 # 7 rays of 32 samples, or 28 of 8, so that a block of a 64-wide layer stays
-# under the 10^6 multiply-adds below which OpenBLAS takes its small-matrix
-# sgemm kernel (timings in CHANGES.md, "sized for OpenBLAS's small-matrix
-# sgemm"). The fields' bits do not depend on it
+# under SMALL_PRODUCT. The fields' bits do not depend on it
 FORWARD_BLOCK = 224
 # rows per span of :func:`mlp`'s forward, whole forward blocks: each layer
 # runs over a span, in L2, before the next (timings in CHANGES.md, "layer by
 # layer over spans of whole forward blocks"). The bits do not depend on it
 FORWARD_SPAN = 896
 # rows per block of :func:`mlp`'s gradient, which walks the activations the
-# graph keeps over all rows (timings of other sizes in CHANGES.md, "sized for
-# OpenBLAS's small-matrix sgemm" and the FOUND line on `BLOCK`)
-BLOCK = 512
+# graph keeps over all rows; each block adds one product to every dw and db
+# (timings of other sizes in CHANGES.md, "gradient products sized for
+# OpenBLAS")
+BLOCK = 1024
 
 
 def _row_blocks(n: int, k: int, block: int) -> list:
@@ -225,14 +228,14 @@ class _Stack:
         """The rows of ``blocks``, one span, through every layer, each layer
         over all of them before the next; ``h`` is their input. A layer
         writes its rows of ``post``, or a new span-sized array. Its product
-        is one per block, or one over the span when that stays under the
-        10^6 multiply-adds of OpenBLAS's small-matrix kernel (a narrow
-        head's), whose rows have the bits of their blocks' products."""
+        is one per block, or one over the span when that stays under
+        SMALL_PRODUCT (a narrow head's), whose rows have the bits of their
+        blocks' products."""
         lo, hi = blocks[0][0], blocks[-1][1]
         for i, wv in enumerate(self.wins):
             z = (np.empty((hi - lo, wv.shape[1]), self.dtype) if self.post[i] is None
                  else self.post[i][lo:hi])
-            if (hi - lo) * wv.size <= 10 ** 6:
+            if (hi - lo) * wv.size <= SMALL_PRODUCT:
                 np.matmul(h, wv, out=z)
             else:
                 for a, b in blocks:
@@ -247,10 +250,10 @@ class _Stack:
             h = z
         return h
 
-    def begin_gradients(self, want_in: bool, span: int) -> None:
+    def begin_gradients(self, want_in: bool, span: int, n: int) -> None:
         """Zeroed sums for the gradients of every weight and bias, and what
-        gradient blocks of ``span`` rows read; ``want_in`` says whether the
-        input's gradient is made."""
+        gradient blocks of ``span`` rows, of ``n`` in all, read; ``want_in``
+        says whether the input's gradient is made."""
         self.want_in = want_in
         # float64 sums of float32 block products: the rounding does not grow
         # with the number of blocks, and Adam reads them as they are
@@ -263,10 +266,22 @@ class _Stack:
         # a block's bias gradient is a product with ones: one BLAS call, where
         # a NumPy sum over the rows loops over them one at a time
         self.ones = np.ones(span, self.dtype)
-        # each weight transposed for g @ w.T; a one-column weight's is a row,
-        # which multiplies g broadcast: each entry of the product is one
-        # product then, with its bits, and no BLAS call of inner dimension 1
-        self.wts = [w.T for w in self.wins]
+        # each weight transposed for g @ w.T, and its rows per product. A
+        # square weight whose forward block fits SMALL_PRODUCT (64 x 64) is
+        # copied to contiguous rows and multiplied in runs under
+        # SMALL_PRODUCT: faster than the view, and each run of 2 rows or more
+        # gives every row the bits of the view's product over all rows, which
+        # a node that fits one run makes. The view stays elsewhere, where the
+        # small kernel would change the bits (CHANGES.md, "gradient products
+        # sized for OpenBLAS"). A one-column weight's is a row, which
+        # multiplies g broadcast: each entry of the product is one product
+        # then, with its bits, and no BLAS call of inner dimension 1
+        self.wts, self.runs = [], []
+        for w in self.wins:
+            run = SMALL_PRODUCT // w.size
+            copied = w.shape[0] == w.shape[1] and FORWARD_BLOCK <= run < n
+            self.wts.append(np.ascontiguousarray(w.T) if copied else w.T)
+            self.runs.append(run if copied else n)
 
     def backward(self, gz, lo: int, hi: int, h_in):
         """Walk ``gz``, the gradient of rows ``lo:hi`` of the output, back
@@ -287,8 +302,14 @@ class _Stack:
                 self.dbs[i] += self.ones[:len(gz)] @ gz
             if i > 0 or self.want_in:
                 # gz @ wins[i].T (see begin_gradients)
-                gz = (self.wts[i] * gz if self.wins[i].shape[1] == 1
-                      else gz @ self.wts[i])
+                wt = self.wts[i]
+                if wt.shape[0] == 1:
+                    gz = wt * gz
+                else:
+                    d = np.empty((len(gz), wt.shape[1]), self.dtype)
+                    for a, b in _row_blocks(len(gz), 1, self.runs[i]):
+                        np.matmul(gz[a:b], wt, out=d[a:b])
+                    gz = d
         return gz if self.want_in else None
 
     def gradients(self) -> list:
@@ -343,7 +364,7 @@ def mlp(x, layers, *, u=None, k: int = 1, heads=()):
     Each span runs through the stack and then each head layer by layer, the
     output layers too, while it stays in cache: a layer's product is one per
     block, or one over the span when that stays under OpenBLAS's
-    small-matrix bound of 10^6 multiply-adds (a narrow head's), and then one
+    small-matrix bound :data:`SMALL_PRODUCT` (a narrow head's), and then one
     bias add, from a span of copies of the bias, one per-ray add and one
     relu, a maximum with a span of zeros, run over the whole span; each
     head's columns are copied into the value once per span. A product under
@@ -351,8 +372,8 @@ def mlp(x, layers, *, u=None, k: int = 1, heads=()):
     row's bits do not depend on the span, nor on the stacks beside it. With
     the fields' float32 weights they do not depend on how many rows share
     the call either (``test_forward_block_never_moves_a_bit``); with float64
-    ones a wide layer's may: ``local.mlp``'s 488-column first layer rounds
-    an 8-row tail block otherwise than the same rows inside a longer block.
+    ones a wide layer's may: ``local.mlp``'s 480-wide first layer rounds a
+    short tail block otherwise than the same rows inside a longer block.
     A row may differ in the last place from one product over all rows:
     OpenBLAS multiplies small products with another kernel, which rounds
     some widths, such as an RGB head's 3 columns, differently.
@@ -366,11 +387,16 @@ def mlp(x, layers, *, u=None, k: int = 1, heads=()):
     each returns its block's input gradient, the heads' blocks are summed
     in head order, as separate nodes' vjps would be, into the stack's
     output gradient, and the stack's block is added into x's zeroed
-    gradient. The input gradient is bit-identical to one layer at a time;
-    dw and db are summed block by block, each block's db a product with a
-    ones vector; with ``u``, the first layer's gradient is summed over each
-    ray's rows, and ``u``, ``w_u`` and the first bias take theirs from
-    those per-ray sums. The node then drops its hidden activations, so one
+    gradient. The input gradient is bit-identical to one layer at a time
+    (``test_mlp_value_and_input_gradients_keep_layer_by_layer_bits``): a
+    64 x 64 layer's runs through a copy of w.T in runs of rows under
+    :data:`SMALL_PRODUCT` (see ``_Stack.begin_gradients``). Other layers'
+    products through the transposed view round a last block of under 19
+    rows otherwise than the same rows of a longer one. dw and db are
+    summed block by block, each block's db a product with a ones vector;
+    with ``u``, the first layer's gradient is summed over each ray's rows,
+    and ``u``, ``w_u`` and the first bias take theirs from those per-ray
+    sums. The node then drops its hidden activations, so one
     backward pass can run through it.
 
     One rule places the layers' outputs: with a Node operand, each stack
@@ -435,9 +461,9 @@ def mlp(x, layers, *, u=None, k: int = 1, heads=()):
         blocks = _row_blocks(n, run, BLOCK)
         span = max((hi - lo for lo, hi in blocks), default=0)
         want_x = isinstance(x, Node)
-        trunk.begin_gradients(want_x, span)
+        trunk.begin_gradients(want_x, span, n)
         for head in heads:
-            head.begin_gradients(True, span)
+            head.begin_gradients(True, span, n)
         dx = np.zeros(xv.shape) if want_x else None
         for lo, hi in blocks:
             gz = None if heads else g[lo:hi].astype(dt, copy=False)

@@ -64,14 +64,18 @@ def frame_pixel_grid(height: int, width: int) -> np.ndarray:
 
 
 def pixel_dirs(pose: CameraPose, uv: np.ndarray) -> np.ndarray:
-    """Each pixel's unit-camera-z direction, in world coordinates."""
+    """Each pixel's unit-camera-z direction, in world coordinates, with the
+    bits it has among any other pixels: a lone pixel is rotated as two
+    copies of itself, since NumPy hands a one-row product to gemv, which
+    rounds otherwise than the product of two rows or more."""
     uv = np.asarray(uv, dtype=np.float64)
     dirs_cam = np.stack([
         (uv[:, 0] - pose.cx) / pose.fx,
         (uv[:, 1] - pose.cy) / pose.fy,
         np.ones(len(uv)),
     ], axis=1)
-    return dirs_cam @ pose.rotation.T
+    rows = dirs_cam[[0, 0]] if len(uv) == 1 else dirs_cam
+    return (rows @ pose.rotation.T)[:len(uv)]
 
 
 def rays_for_pixels(pose: CameraPose, uv: np.ndarray):

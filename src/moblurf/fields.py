@@ -337,10 +337,11 @@ class SceneModel:
         return ad.reshape(encode_position(pts, cfg.ray_freqs), (len(rays), cfg.ray_embed_dim))
 
     def local_screw(self, rays: RayBatch):
-        """(B,6) per-ray refinement screws from the local object-motion MLP."""
+        """(B,6) per-ray refinement screws from the local object-motion MLP,
+        which reads each ray's embedding and, as its per-ray operand, the GLO
+        row of its frame: the weights' rows are [w_phi; w_glo]."""
         phi = self.ray_embedding(rays)
-        glo = self.glo_lookup(rays.t)
-        return Mlp(self.store, "local.mlp")(ad.concat([phi, glo], axis=-1))
+        return Mlp(self.store, "local.mlp", u=self.glo_lookup(rays.t))(phi)
 
     def base_screws(self, t_idx):
         """(B,6) rows of the base screw table for frame indices t_idx."""

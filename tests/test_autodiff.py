@@ -172,8 +172,9 @@ def _stack(x, layers, activated, **kw):
     pytest.param(True, True, id="True-softplus"),
 ])
 @pytest.mark.parametrize("rows, sizes", [
+    # inside one block, at its end and across one or two block boundaries
     *(pytest.param(rows, MLP_SIZES, id=str(rows))
-      for rows in (0, 1, ad.BLOCK, ad.BLOCK + 1, 2 * ad.BLOCK + 37)),
+      for rows in (0, 1, 512, 513, 1061, ad.BLOCK, ad.BLOCK + 1, 2 * ad.BLOCK + 37)),
     # a trunk's 64-wide output layer, blocked with the hidden ones
     pytest.param(3 * ad.BLOCK + 37, (64, 64, 64), id="wide_out"),
     # the sigma and staticness heads' form: dx is a product of inner
@@ -563,18 +564,117 @@ def test_forward_span_never_moves_a_bit(kind, plain, monkeypatch):
 
 @pytest.mark.parametrize("rows", [232, 460])
 def test_forward_span_keeps_float64_bits(rows, monkeypatch):
-    # local.mlp's shape in float64, as training runs it: a 488-wide first
-    # layer, whose tail block rounds as it does alone, and a 6-column output
-    # layer, one product over a span of two or three blocks
-    x, layers, g = _mlp_inputs(rows, seed=43, sizes=(488, 64, 64, 64, 64, 6))
+    # local.mlp's shape in float64, as training runs it: a 480-wide first
+    # layer with an 8-wide per-ray operand, whose tail block rounds as it
+    # does alone, and a 6-column output layer, one product over a span of
+    # two or three blocks
+    joined, layers, g = _mlp_inputs(rows, seed=43, sizes=(488, 64, 64, 64, 64, 6))
+    x, u = joined[:, :480].copy(), joined[:, 480:].copy()
 
     def run():
         nodes = [(ad.Node(w), ad.Node(b)) for w, b in layers]
-        return _value_and_gradients(ad.Node(x), None, 1, nodes, [], g)
+        return _value_and_gradients(ad.Node(x), ad.Node(u), 1, nodes, [], g)
 
     want = run()
     monkeypatch.setattr(ad, "FORWARD_SPAN", ad.FORWARD_BLOCK)
     _assert_same_bytes(run(), want)
+
+
+def _per_ray_layers(h, u, k, layers, acted_out):
+    """Every layer's output, over all rows at once, of a stack whose first
+    layer reads the per-ray operand ``u`` too (see ``ad.mlp``)."""
+    hs = [h]
+    for i, (w, b) in enumerate(layers):
+        if i == 0 and u is not None:
+            z = h @ w[:h.shape[1]]
+            per_ray = u.astype(w.dtype) @ w[h.shape[1]:]
+            per_ray += b
+            z.reshape(-1, k, z.shape[1])[...] += per_ray[:, None]
+        else:
+            z = hs[-1] @ w
+            z += b
+        hs.append(np.maximum(z, 0) if i < len(layers) - 1 or acted_out else z)
+    return hs
+
+
+def _per_ray_gradients(hs, u, k, layers, acted_out, gz):
+    """The input's and u's gradients of :func:`_per_ray_layers`' stack,
+    one product over all rows per layer, in the weights' dtype."""
+    du = None
+    for i in reversed(range(len(layers))):
+        if i < len(layers) - 1 or acted_out:
+            gz = gz * (hs[i + 1] > 0)
+        w = layers[i][0]
+        if i == 0 and u is not None:
+            d_ray = gz.reshape(-1, k, gz.shape[1]).sum(axis=1).astype(np.float64)
+            du = d_ray @ w[hs[0].shape[1]:].T
+        gz = gz @ w[:hs[i].shape[1]].T
+    return gz, du
+
+
+def _layer_by_layer_node(x, u, k, trunk, heads, g):
+    """An ``ad.mlp`` node's value, x's gradient and then each per-ray
+    operand's, u's and the heads' in order, evaluated one layer at a time
+    over all rows: the products as NumPy makes them, one per layer, in the
+    weights' dtype, and the heads' input gradients summed in head order."""
+    dt = trunk[0][0].dtype
+    hs = _per_ray_layers(x.astype(dt), u, k, trunk, bool(heads))
+    if not heads:
+        dx, du = _per_ray_gradients(hs, u, k, trunk, False, g.astype(dt))
+        return [hs[-1].astype(np.float64), dx.astype(np.float64), du]
+    outs, gz, dus, c = [], None, [], 0
+    for layers, hu, hk in heads:
+        head = _per_ray_layers(hs[-1], hu, hk, layers, False)
+        width = layers[-1][0].shape[1]
+        d, dhu = _per_ray_gradients(head, hu, hk, layers, False,
+                                    g[:, c:c + width].astype(dt))
+        outs.append(head[-1])
+        dus.append(dhu)
+        gz = d if gz is None else gz + d
+        c += width
+    dx, du = _per_ray_gradients(hs, u, k, trunk, True, gz)
+    return [np.hstack(outs).astype(np.float64), dx.astype(np.float64), du, *dus]
+
+
+def _wide_node(rows, dtype):
+    """Operands of a field node over ``rows`` rows, one per ray, and an
+    output gradient: a 51-wide x and an 8-wide u under a 4-layer 64-wide
+    trunk, whose 64 x 64 layers' input gradient runs through a copy of w.T,
+    a per-ray RGB head, whose first layer's does too, and two one-column
+    heads."""
+    rng = np.random.default_rng(47)
+
+    def layers(*sizes):
+        return [((rng.normal(size=(a, b)) / np.sqrt(a)).astype(dtype),
+                 (rng.normal(size=b) * 0.1).astype(dtype))
+                for a, b in zip(sizes, sizes[1:])]
+
+    x, u = rng.normal(size=(rows, 51)), rng.normal(size=(rows, 8))
+    heads = [(layers(64 + 27, 64, 3), rng.normal(size=(rows, 27)), 1),
+             (layers(64, 1), None, 1), (layers(64, 1), None, 1)]
+    return x, u, 1, layers(51 + 8, 64, 64, 64, 64), heads, rng.normal(size=(rows, 5))
+
+
+RUN = ad.SMALL_PRODUCT // (64 * 64)    # rows per product of a 64 x 64 w.T
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["float32", "float64"])
+@pytest.mark.parametrize("rows", [1, 2, RUN, RUN + 1, 2 * RUN + 1, ad.BLOCK, ad.BLOCK + 1,
+                                  3 * ad.BLOCK + 37])
+def test_mlp_value_and_input_gradients_keep_layer_by_layer_bits(rows, dtype):
+    # the value and x's and the per-ray operands' gradients, byte for byte,
+    # against one product over all rows per layer: the gradient's blocks,
+    # the copied w.T's runs of rows, a one-row remainder merged into the run
+    # before it, and a node of one row change none of their bits
+    x, u, k, trunk, heads, g = _wide_node(rows, dtype)
+    want = _layer_by_layer_node(x, u, k, trunk, heads, g)
+    xn, un = ad.Node(x), ad.Node(u)
+    node_heads = [(ls, hu if hu is None else ad.Node(hu), hk) for ls, hu, hk in heads]
+    out = ad.mlp(xn, [(ad.Node(w), ad.Node(b)) for w, b in trunk], u=un, k=k,
+                 heads=node_heads)
+    ad.backward(ad.sum_(ad.mul(out, g)))
+    got = [out.value, xn.grad, un.grad, *(hu.grad for _, hu, _ in node_heads if hu is not None)]
+    _assert_same_bytes(got, [w for w in want if w is not None])
 
 
 def test_graph_free_forward_holds_little_beyond_its_value():

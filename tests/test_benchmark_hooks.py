@@ -142,24 +142,31 @@ def test_each_field_is_one_traced_call_over_all_its_rows(monkeypatch, unit):
 
 def test_same_bits_digest_is_repeatable():
     # acceptance/same_bits.py runs the workloads above at the benchmark's
-    # own scale: two calls at one seed give one digest, another seed another
+    # own scale: two calls at one seed give one digest per workload and one
+    # over them all, another seed other training runs (infer-frame renders
+    # one fixed model, and its first frame does not depend on the seed)
     path = PERFBENCH.parent / "acceptance" / "same_bits.py"
     spec = importlib.util.spec_from_file_location("same_bits", path)
     same_bits = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(same_bits)
-    first = same_bits.digest(5, 1)
-    assert len(first) == 64 and same_bits.digest(5, 1) == first
-    assert same_bits.digest(6, 1) != first
+    first = same_bits.digests(5, 1)
+    assert list(first) == ["bri-train", "mdd-train", "infer-frame", "all"]
+    assert all(len(d) == 64 for d in first.values())
+    assert same_bits.digests(5, 1) == first
+    other = same_bits.digests(6, 1)
+    assert [name for name, d in first.items() if other[name] != d] == [
+        "bri-train", "mdd-train", "all"]
 
 
 def test_same_bits_against_another_checkout(tmp_path):
-    # --against runs the other checkout's same_bits.py on its own src: a
-    # copy of this one gives the same digest, a change that moves a loss
-    # bit another, and the run exits 1
+    # --against runs same_bits.py on the other checkout's own src: a copy of
+    # this one gives the same digests, a change that moves a training loss
+    # bit names the training workloads and the combined digest, not
+    # infer-frame, and the run exits 1
     import shutil
     import subprocess
     root = PERFBENCH.parent
-    for part in ("src", "perfbench", "acceptance"):
+    for part in ("src", "perfbench"):
         shutil.copytree(root / part, tmp_path / part,
                         ignore=shutil.ignore_patterns("__pycache__", "results"))
 
@@ -167,13 +174,19 @@ def test_same_bits_against_another_checkout(tmp_path):
         proc = subprocess.run([sys.executable, str(root / "acceptance" / "same_bits.py"),
                                "--units", "1", "--against", str(tmp_path)],
                               capture_output=True, text=True)
-        return proc.returncode, [line.split()[0] for line in proc.stdout.splitlines()]
+        rows = [line.split() for line in proc.stdout.splitlines()[1:]]
+        return proc.returncode, {name: (mine, theirs, verdict)
+                                 for name, mine, theirs, verdict in rows}
 
-    code, digests = against()
-    assert code == 0 and len(digests) == 2 and digests[0] == digests[1]
+    code, rows = against()
+    assert code == 0 and list(rows) == ["bri-train", "mdd-train", "infer-frame", "all"]
+    assert all(mine == theirs and verdict == "same" for mine, theirs, verdict in rows.values())
     training_py = tmp_path / "src" / "moblurf" / "training.py"
     text = training_py.read_text()
     assert "LG_FRACTION = 0.25\n" in text
     training_py.write_text(text.replace("LG_FRACTION = 0.25\n", "LG_FRACTION = 0.5\n"))
     code, moved = against()
-    assert code == 1 and moved[0] == digests[0] and moved[1] != digests[0]
+    assert code == 1
+    assert [name for name, (_, _, verdict) in moved.items() if verdict == "differs"] == [
+        "bri-train", "mdd-train", "all"]
+    assert all(moved[name][0] == rows[name][0] for name in rows)

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from moblurf import data, se3
-from moblurf.cameras import CameraPose, frame_pixel_grid, rays_for_pixels
+from moblurf.cameras import (CameraPose, frame_pixel_grid, pixel_rays, rays_for_frame,
+                             rays_for_pixels)
 from moblurf.data import (BlurryDataset, DatasetError, perturb_depth,
                           read_dataset, read_depth_raw, synth_blurry_frame,
                           synth_corrupt_pose, synthesize_dataset,
@@ -320,6 +321,21 @@ class TestCameraPose:
         CameraPose(**kwargs)
         with pytest.raises(ValueError, match="finite"):
             CameraPose(**{**kwargs, field: value})
+
+    def test_a_lone_pixel_has_the_ray_of_its_frame_row(self):
+        # a frame's only pixel in a batch gets the bits of the same pixel
+        # among the whole frame's: one row of a rotation product would go to
+        # gemv, which rounds otherwise
+        pose = CameraPose(se3.exp_rotation(np.array([0.3, -0.2, 0.1])),
+                          np.array([0.1, -0.2, 0.3]), 70.0, 64.0, 31.5, 32.5)
+        frame = rays_for_frame(pose, 0, 64, 64, 1.0, 5.0)
+        uv = frame_pixel_grid(64, 64)
+        _, scale = pixel_rays({0: pose}, np.zeros(len(uv)), uv, 1.0, 5.0)
+        for i in range(len(uv)):
+            ray, lone_scale = pixel_rays({0: pose}, [0], uv[i:i + 1], 1.0, 5.0)
+            assert ray.dirs.tobytes() == frame.dirs[i:i + 1].tobytes()
+            assert ray.origins.tobytes() == frame.origins[i:i + 1].tobytes()
+            assert lone_scale.tobytes() == scale[i:i + 1].tobytes()
 
 
 class TestPerturbDepth:
