@@ -15,8 +15,13 @@ checkouts, a change and its parent: where the change keeps every bit, the
 lines are equal. ``--against DIR`` does both: it runs this script on
 ``DIR``'s own ``perfbench`` and ``src`` at the same ``--seed`` and
 ``--units`` in a subprocess, prints ``name`` this checkout's digest, DIR's
-and ``same`` or ``differs`` for each line, and exits 1 when any differs. 4
-units take about 3 s on a 2-vCPU Xeon.
+and ``same`` or ``differs`` for each line, and exits 1 when any differs. A
+workload that differs also gets the largest relative difference between
+the two checkouts of any step's loss (``max_rel_loss``, the training
+workloads) or of any frame's PSNR (``max_rel_psnr``, ``infer-frame``), or
+``-`` where the two ran other numbers of them: a change that moves the
+numbers by rounding alone shows it there. 4 units take about 3 s on a
+2-vCPU Xeon.
 """
 
 from __future__ import annotations
@@ -25,6 +30,7 @@ import argparse
 import hashlib
 import importlib.util
 import json
+import math
 import subprocess
 import sys
 import tempfile
@@ -48,9 +54,11 @@ def load(name: str, root: Path = ROOT):
     return module
 
 
-def digests(seed: int, units: int, root: Path = ROOT) -> dict:
+def digests(seed: int, units: int, root: Path = ROOT, numbers: dict = None) -> dict:
     """sha256 over ``units`` units of each workload of checkout ``root`` at
-    ``seed``, by name, and over all of them in turn, under ``all``."""
+    ``seed``, by name, and over all of them in turn, under ``all``. A
+    ``numbers`` dict gets, by name, ``("loss", every step's loss)`` for a
+    training workload and ``("psnr", every frame's PSNR)`` for inference."""
     wl = load("workloads", root)
     every = hashlib.sha256()
     out = {}
@@ -66,8 +74,20 @@ def digests(seed: int, units: int, root: Path = ROOT) -> dict:
             h.update(part.encode())
             every.update(part.encode())
         out[name] = h.hexdigest()
+        if numbers is not None:
+            numbers[name] = (("loss", outputs.losses) if outputs.losses else
+                             ("psnr", [outputs.psnr[t] for t in sorted(outputs.psnr)]))
     out["all"] = every.hexdigest()
     return out
+
+
+def max_rel(mine: list, theirs: list):
+    """Largest |a - b| / |b| over paired numbers, or None where the lists
+    do not pair."""
+    if len(mine) != len(theirs) or not mine:
+        return None
+    return max(abs(a - b) / abs(b) if b else (0.0 if a == b else math.inf)
+               for a, b in zip(mine, theirs))
 
 
 def main(argv=None) -> int:
@@ -76,8 +96,10 @@ def main(argv=None) -> int:
     ap.add_argument("--units", type=int, default=4, help="units of each workload")
     ap.add_argument("--against", metavar="DIR",
                     help="another checkout: compare its digests with this one's")
-    # the checkout whose perfbench and src run: --against's subprocess
+    # the checkout whose perfbench and src run, and JSON output: --against's
+    # subprocess
     ap.add_argument("--root", type=Path, default=ROOT, help=argparse.SUPPRESS)
+    ap.add_argument("--json", action="store_true", help=argparse.SUPPRESS)
     args = ap.parse_args(argv)
     if args.units < 1:
         ap.error("--units must be at least 1")
@@ -86,25 +108,34 @@ def main(argv=None) -> int:
         # the other checkout runs first, in a process of its own
         proc = subprocess.run(
             [sys.executable, str(Path(__file__).resolve()), "--root", args.against,
-             "--seed", str(args.seed), "--units", str(args.units)],
+             "--seed", str(args.seed), "--units", str(args.units), "--json"],
             capture_output=True, text=True)
         if proc.returncode:
             sys.stderr.write(proc.stderr)
             return proc.returncode
-        theirs = dict(line.split() for line in proc.stdout.splitlines())
+        theirs = json.loads(proc.stdout)
     bench = load("run", args.root)
     bench.set_thread_caps()
     bench.import_program()
-    mine = digests(args.seed, args.units, args.root)
+    numbers = {}
+    mine = digests(args.seed, args.units, args.root, numbers)
+    if args.json:
+        print(json.dumps({"digests": mine, "numbers": numbers}))
+        return 0
     if theirs is None:
         for name, d in mine.items():
             print(f"{name:<12} {d}")
         return 0
     print(f"# {ROOT} against {Path(args.against).resolve()}")
     for name, d in mine.items():
-        print(f"{name:<12} {d} {theirs.get(name, '-'):<64} "
-              f"{'same' if theirs.get(name) == d else 'differs'}")
-    return 0 if mine == theirs else 1
+        other = theirs["digests"].get(name)
+        line = f"{name:<12} {d} {other or '-':<64} {'same' if other == d else 'differs'}"
+        if other != d and name in numbers:
+            kind, values = numbers[name]
+            rel = max_rel(values, theirs["numbers"].get(name, (kind, []))[1])
+            line += f" max_rel_{kind} {'-' if rel is None else f'{rel:.3g}'}"
+        print(line)
+    return 0 if mine == theirs["digests"] else 1
 
 
 if __name__ == "__main__":

@@ -145,27 +145,30 @@ SMALL_PRODUCT = 10 ** 6
 # 7 rays of 32 samples, or 28 of 8, so that a block of a 64-wide layer stays
 # under SMALL_PRODUCT. The fields' bits do not depend on it
 FORWARD_BLOCK = 224
-# rows per span of :func:`mlp`'s forward, whole forward blocks: each layer
-# runs over a span, in L2, before the next (timings in CHANGES.md, "layer by
-# layer over spans of whole forward blocks"). The bits do not depend on it
+# rows per span of :func:`mlp`, forward and gradient, whole forward blocks:
+# each layer runs over a span, in L2, before the next (timings in CHANGES.md,
+# "layer by layer over spans of whole forward blocks")
 FORWARD_SPAN = 896
-# rows per block of :func:`mlp`'s gradient, which walks the activations the
-# graph keeps over all rows; each block adds one product to every dw and db
-# (timings of other sizes in CHANGES.md, "gradient products sized for
-# OpenBLAS")
-BLOCK = 1024
 
 
-def _row_blocks(n: int, k: int, block: int) -> list:
-    """(start, stop) of :func:`mlp`'s row blocks of about ``block`` rows,
-    each of whole runs of ``k`` rows. A one-row remainder joins the block
-    before it: NumPy hands a one-row product to gemv, which sums in another
-    order than gemm, so that row would not match the product over all rows
-    bit for bit."""
-    bounds = list(range(0, n, k * max(1, block // k))) + [n]
+def _spans(n: int, k: int) -> list:
+    """:func:`mlp`'s spans of ``n`` rows, each a list of (start, stop) row
+    blocks, in order: blocks of about :data:`FORWARD_BLOCK` rows of whole
+    runs of ``k`` rows, grouped into spans of about :data:`FORWARD_SPAN`.
+    A one-row remainder joins the block before it: NumPy hands a one-row
+    product to gemv, which sums in another order than gemm, so that row
+    would not match the product over all rows bit for bit. A last span under
+    :data:`FORWARD_BLOCK` rows joins the span before it (see
+    ``_Stack.begin_gradients``)."""
+    bounds = list(range(0, n, k * max(1, FORWARD_BLOCK // k))) + [n]
     if len(bounds) > 2 and n - bounds[-2] == 1:
         del bounds[-2]
-    return list(zip(bounds[:-1], bounds[1:]))
+    blocks = list(zip(bounds[:-1], bounds[1:]))
+    per = max(1, FORWARD_SPAN // FORWARD_BLOCK)
+    spans = [blocks[i:i + per] for i in range(0, len(blocks), per)]
+    if len(spans) > 1 and spans[-1][-1][1] - spans[-1][0][0] < FORWARD_BLOCK:
+        spans[-2:] = [spans[-2] + spans[-1]]
+    return spans
 
 
 class _Stack:
@@ -250,47 +253,48 @@ class _Stack:
             h = z
         return h
 
-    def begin_gradients(self, want_in: bool, span: int, n: int) -> None:
+    def begin_gradients(self, want_in: bool, span: int, blocked: bool) -> None:
         """Zeroed sums for the gradients of every weight and bias, and what
-        gradient blocks of ``span`` rows, of ``n`` in all, read; ``want_in``
-        says whether the input's gradient is made."""
+        spans of up to ``span`` rows read; ``blocked`` says whether the node
+        has more than one block, ``want_in`` whether the input's gradient is
+        made."""
         self.want_in = want_in
-        # float64 sums of float32 block products: the rounding does not grow
-        # with the number of blocks, and Adam reads them as they are
+        # float64 sums of float32 span products: the rounding does not grow
+        # with the number of spans, and Adam reads them as they are
         self.dws = [np.zeros(w.shape) for w in self.ws]
         self.dbs = [np.zeros(b.shape) for b in self.bs]
         # the rows of each dw that the input rows reach, as views
         self.dwins = [d[:len(w)] for d, w in zip(self.dws, self.wins)]
         # the first layer's gradient summed over each ray's rows
         self.d_ray = None if self.uv is None else np.empty((len(self.uv), self.ws[0].shape[1]))
-        # a block's bias gradient is a product with ones: one BLAS call, where
+        # a span's bias gradient is a product with ones: one BLAS call, where
         # a NumPy sum over the rows loops over them one at a time
         self.ones = np.ones(span, self.dtype)
-        # each weight transposed for g @ w.T, and its rows per product. A
+        # each weight transposed for gz @ w.T. In a node of several blocks, a
         # square weight whose forward block fits SMALL_PRODUCT (64 x 64) is
-        # copied to contiguous rows and multiplied in runs under
-        # SMALL_PRODUCT: faster than the view, and each run of 2 rows or more
-        # gives every row the bits of the view's product over all rows, which
-        # a node that fits one run makes. The view stays elsewhere, where the
-        # small kernel would change the bits (CHANGES.md, "gradient products
-        # sized for OpenBLAS"). A one-column weight's is a row, which
-        # multiplies g broadcast: each entry of the product is one product
-        # then, with its bits, and no BLAS call of inner dimension 1
-        self.wts, self.runs = [], []
-        for w in self.wins:
-            run = SMALL_PRODUCT // w.size
-            copied = w.shape[0] == w.shape[1] and FORWARD_BLOCK <= run < n
-            self.wts.append(np.ascontiguousarray(w.T) if copied else w.T)
-            self.runs.append(run if copied else n)
+        # copied to contiguous rows and multiplied block by block: faster than
+        # the view, and a product of 2 rows or more gives each row the bits of
+        # the view's product over all rows. Every other weight multiplies a
+        # whole span through the view, which rounds products of under 24 rows
+        # otherwise: only a node's one span is that short, and its product is
+        # the one over all rows (CHANGES.md, "one row tiling"). A one-column
+        # weight's is a row, which multiplies gz broadcast: each entry of the
+        # product is one product then, with its bits, and no BLAS call of
+        # inner dimension 1
+        self.copied = [blocked and w.shape[0] == w.shape[1]
+                       and FORWARD_BLOCK * w.size <= SMALL_PRODUCT for w in self.wins]
+        self.wts = [np.ascontiguousarray(w.T) if c else w.T
+                    for w, c in zip(self.wins, self.copied)]
 
-    def backward(self, gz, lo: int, hi: int, h_in):
-        """Walk ``gz``, the gradient of rows ``lo:hi`` of the output, back
-        through every layer, whose input rows are ``h_in``, and add to the
-        sums. ``gz`` is written only where a relu follows its layer, and the
-        output layer's has one only in a stack with heads, whose gradient
-        the caller makes. The rows' input gradient is returned when
-        ``want_in`` asks for it, else None."""
+    def backward(self, gz, blocks, h_in):
+        """Walk ``gz``, the gradient of the output's rows of ``blocks``, one
+        span, back through every layer, whose input rows are ``h_in``, and
+        add to the sums. ``gz`` is written only where a relu follows its
+        layer, and the output layer's has one only in a stack with heads,
+        whose gradient the caller makes. The rows' input gradient is
+        returned when ``want_in`` asks for it, else None."""
         k = self.k
+        lo, hi = blocks[0][0], blocks[-1][1]
         for i in range(len(self.ws) - 1, -1, -1):
             if self.acted[i]:
                 gz *= self.post[i][lo:hi] > 0
@@ -306,9 +310,9 @@ class _Stack:
                 if wt.shape[0] == 1:
                     gz = wt * gz
                 else:
-                    d = np.empty((len(gz), wt.shape[1]), self.dtype)
-                    for a, b in _row_blocks(len(gz), 1, self.runs[i]):
-                        np.matmul(gz[a:b], wt, out=d[a:b])
+                    d = np.empty((hi - lo, wt.shape[1]), self.dtype)
+                    for a, b in blocks if self.copied[i] else [(lo, hi)]:
+                        np.matmul(gz[a - lo:b - lo], wt, out=d[a - lo:b - lo])
                     gz = d
         return gz if self.want_in else None
 
@@ -351,19 +355,19 @@ def mlp(x, layers, *, u=None, k: int = 1, heads=()):
     and each block's input, and ``u`` once, is cast to float32, unless a
     plain ``x`` is float32 already: it is read as it is, with the same bits
     as its float64 source cast block by block. The value is float64 either
-    way. The backward does the same: each block of the output gradient is
-    cast to float32, and so are the input-gradient blocks the stacks return
+    way. The backward does the same: each span of the output gradient is
+    cast to float32, and so are the input-gradient spans the stacks return
     and the bias ones-vector. x's and u's gradients are float64, and so
-    are the weights' and biases', summed block by block in float64 from
-    float32 block products. All weights of all stacks must share one dtype,
+    are the weights' and biases', summed span by span in float64 from
+    float32 span products. All weights of all stacks must share one dtype,
     or the call raises TypeError.
 
-    The forward cuts the rows into blocks of about :data:`FORWARD_BLOCK`
-    rows, whatever the weights' dtype, of whole rays of every ``k``, and
-    groups them into spans of about :data:`FORWARD_SPAN` rows, whole blocks.
-    Each span runs through the stack and then each head layer by layer, the
-    output layers too, while it stays in cache: a layer's product is one per
-    block, or one over the span when that stays under OpenBLAS's
+    One tiling, :func:`_spans`, serves both passes: blocks of about
+    :data:`FORWARD_BLOCK` rows, whatever the weights' dtype, of whole rays
+    of every ``k``, in spans of about :data:`FORWARD_SPAN` rows. In the
+    forward, each span runs through the stack and then each head layer by
+    layer, the output layers too, while it stays in cache: a layer's product
+    is one per block, or one over the span when under OpenBLAS's
     small-matrix bound :data:`SMALL_PRODUCT` (a narrow head's), and then one
     bias add, from a span of copies of the bias, one per-ray add and one
     relu, a maximum with a span of zeros, run over the whole span; each
@@ -373,31 +377,27 @@ def mlp(x, layers, *, u=None, k: int = 1, heads=()):
     the fields' float32 weights they do not depend on how many rows share
     the call either (``test_forward_block_never_moves_a_bit``); with float64
     ones a wide layer's may: ``local.mlp``'s 480-wide first layer rounds a
-    short tail block otherwise than the same rows inside a longer block.
-    A row may differ in the last place from one product over all rows:
+    short tail block otherwise than the same rows inside a longer block. A
+    row may differ in the last place from one product over all rows:
     OpenBLAS multiplies small products with another kernel, which rounds
     some widths, such as an RGB head's 3 columns, differently.
 
-    The gradient walks blocks of about :data:`BLOCK` rows, of whole rays
-    too, back over the activations the graph keeps over all rows, through
-    every layer of each head and then of the stack, in one pass, on the
-    first parent's visit. Each stack sums the gradients of all its weights
-    and biases, x's and u's are made when they are Nodes, and those of
-    operands that are not Nodes are dropped. One rule joins the stacks:
-    each returns its block's input gradient, the heads' blocks are summed
-    in head order, as separate nodes' vjps would be, into the stack's
-    output gradient, and the stack's block is added into x's zeroed
-    gradient. The input gradient is bit-identical to one layer at a time
-    (``test_mlp_value_and_input_gradients_keep_layer_by_layer_bits``): a
-    64 x 64 layer's runs through a copy of w.T in runs of rows under
-    :data:`SMALL_PRODUCT` (see ``_Stack.begin_gradients``). Other layers'
-    products through the transposed view round a last block of under 19
-    rows otherwise than the same rows of a longer one. dw and db are
-    summed block by block, each block's db a product with a ones vector;
-    with ``u``, the first layer's gradient is summed over each ray's rows,
-    and ``u``, ``w_u`` and the first bias take theirs from those per-ray
-    sums. The node then drops its hidden activations, so one
-    backward pass can run through it.
+    The gradient walks the same spans back over the activations the graph
+    keeps over all rows, through every layer of each head and then of the
+    stack, in one pass, on the first parent's visit. Each stack sums the
+    gradients of all its weights and biases, x's and u's are made when they
+    are Nodes, and those of operands that are not Nodes are dropped. One
+    rule joins the stacks: each returns its span's input gradient, the
+    heads' are summed in head order, as separate nodes' vjps would be, into
+    the stack's output gradient, and the stack's is added into x's zeroed
+    gradient. The input gradient is bit-identical to one layer at a time: a
+    64 x 64 layer's is one product per block through a copy of w.T, every
+    other layer's one per span through the view (see
+    ``_Stack.begin_gradients``). dw and db are summed span by span, each
+    span's db a product with a ones vector; with ``u``, the first layer's
+    gradient is summed over each ray's rows, and ``u``, ``w_u`` and the
+    first bias take theirs from those per-ray sums. The node then drops its
+    hidden activations, so one backward pass can run through it.
 
     One rule places the layers' outputs: with a Node operand, each stack
     keeps over all rows what its gradient reads, the output of each relu'd
@@ -421,11 +421,9 @@ def mlp(x, layers, *, u=None, k: int = 1, heads=()):
         raise TypeError(f"mlp: weights mix dtypes {sorted(map(str, dtypes))}")
     operands = [x, *(p for s in stacks for p in s.operands)]
     graph = any(isinstance(p, Node) for p in operands)
-    # every block, forward and gradient, holds whole rays of every stack
+    # every block holds whole rays of every stack
     run = math.lcm(*(s.k for s in stacks))
-    blocks = _row_blocks(n, run, FORWARD_BLOCK)
-    per = max(1, FORWARD_SPAN // FORWARD_BLOCK)
-    spans = [blocks[i:i + per] for i in range(0, len(blocks), per)]
+    spans = _spans(n, run)
     span = max((part[-1][1] - part[0][0] for part in spans), default=0)
     dt = trunk.dtype
     # with a graph, each stack keeps over all rows what its gradient reads,
@@ -458,19 +456,18 @@ def mlp(x, layers, *, u=None, k: int = 1, heads=()):
     def gradients(g):
         """Gradient of every operand, in ``operands`` order, x's None when x
         is not a Node."""
-        blocks = _row_blocks(n, run, BLOCK)
-        span = max((hi - lo for lo, hi in blocks), default=0)
         want_x = isinstance(x, Node)
-        trunk.begin_gradients(want_x, span, n)
-        for head in heads:
-            head.begin_gradients(True, span, n)
+        blocked = sum(map(len, spans)) > 1
+        for s in stacks:
+            s.begin_gradients(want_x or s is not trunk, span, blocked)
         dx = np.zeros(xv.shape) if want_x else None
-        for lo, hi in blocks:
+        for part in spans:
+            lo, hi = part[0][0], part[-1][1]
             gz = None if heads else g[lo:hi].astype(dt, copy=False)
             for head, c in zip(heads, cols):
-                d = head.backward(g[lo:hi, c].astype(dt), lo, hi, trunk.post[-1][lo:hi])
+                d = head.backward(g[lo:hi, c].astype(dt), part, trunk.post[-1][lo:hi])
                 gz = d if gz is None else np.add(gz, d, out=gz)
-            d = trunk.backward(gz, lo, hi, xv[lo:hi])
+            d = trunk.backward(gz, part, xv[lo:hi])
             if want_x:
                 dx[lo:hi] += d
         # the node's one visit is over: its activations go with it
@@ -757,10 +754,10 @@ def keep_freed_memory() -> None:
 
     Under glibc's self-adjusting thresholds the heap top goes back to the OS
     unless a surviving array happens to lie above the freed graph, and the
-    next training step faults it all in again: ~65k page faults, ~40 % of a
-    BRI step, switched on or off by small changes in allocation order; a
-    64x64 frame took ~27k. Fixed thresholds keep arrays up to 32 MiB on the
-    heap and the heap at its peak.
+    next training step or frame faults it all in again, as small changes in
+    allocation order decide. Fixed thresholds keep arrays up to 32 MiB on the
+    heap and the heap at its peak (timings in CHANGES.md, "a step without
+    keep_freed_memory").
     """
     try:
         mallopt = ctypes.CDLL(None).mallopt

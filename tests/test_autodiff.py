@@ -1,4 +1,5 @@
 import functools
+import math
 import tracemalloc
 
 import numpy as np
@@ -105,6 +106,8 @@ def test_zero_preactivation_gets_zero_gradient():
 
 
 MLP_SIZES = (9, 16, 16, 3)   # two hidden layers, an RGB head's 3-wide output
+# mlp's row tiling, as the module sets it: the tests below monkeypatch it
+BLOCK, SPAN = ad.FORWARD_BLOCK, ad.FORWARD_SPAN
 
 
 def _mlp_inputs(rows, seed=11, sizes=MLP_SIZES):
@@ -172,20 +175,21 @@ def _stack(x, layers, activated, **kw):
     pytest.param(True, True, id="True-softplus"),
 ])
 @pytest.mark.parametrize("rows, sizes", [
-    # inside one block, at its end and across one or two block boundaries
+    # inside one span, at its end, past it by a short last span of 128 to
+    # 165 rows that joins it, and across two span boundaries
     *(pytest.param(rows, MLP_SIZES, id=str(rows))
-      for rows in (0, 1, 512, 513, 1061, ad.BLOCK, ad.BLOCK + 1, 2 * ad.BLOCK + 37)),
+      for rows in (0, 1, 512, 513, SPAN, SPAN + 1, 1024, 1025, 1061, 2085)),
     # a trunk's 64-wide output layer, blocked with the hidden ones
-    pytest.param(3 * ad.BLOCK + 37, (64, 64, 64), id="wide_out"),
+    pytest.param(3 * SPAN + 37, (64, 64, 64), id="wide_out"),
     # the sigma and staticness heads' form: dx is a product of inner
     # dimension 1, taken as a broadcast multiply
-    pytest.param(2 * ad.BLOCK + 37, (64, 1), id="one_column_head"),
+    pytest.param(2 * SPAN + 37, (64, 1), id="one_column_head"),
 ])
 def test_mlp_matches_layer_by_layer_reference(rows, sizes, activated, decode):
     x, layers, g = _mlp_inputs(rows, sizes=sizes)
     out, dx, dws, dbs = _layer_by_layer(x, layers, activated, g, decode)
-    # rows cross block boundaries: forward and dx bit for bit, dw and db to
-    # rounding of their block-by-block sums
+    # rows cross span boundaries: forward and dx bit for bit, dw and db to
+    # rounding of their span-by-span sums
     plain = _decoded(_stack(x, layers, activated), decode)
     assert type(plain) is np.ndarray and np.array_equal(plain, out)
     xn = ad.Node(x)
@@ -202,7 +206,7 @@ def test_mlp_matches_layer_by_layer_reference(rows, sizes, activated, decode):
 # the (w, b) pairs that are Nodes: none, the output layer's alone, or all
 @pytest.mark.parametrize("trainable", ["frozen", "last_layer", "trainable"])
 def test_mlp_gradients_reach_node_operands_only(x_node, trainable, monkeypatch):
-    x, layers, g = _mlp_inputs(ad.BLOCK + 5)
+    x, layers, g = _mlp_inputs(SPAN + 5)
     out, dx, dws, dbs = _layer_by_layer(x, layers, True, g)
     xin = ad.Node(x) if x_node else x
     nodes_from = {"frozen": len(layers), "last_layer": len(layers) - 1, "trainable": 0}
@@ -260,10 +264,10 @@ def _per_ray_inputs(rays, k, c=4):
 @pytest.mark.parametrize("rays", [0, 1, 3, None], ids=["0", "1", "3", "3_blocks"])
 def test_mlp_per_ray_matches_joined_input(rays, k, activated, decode, nodes):
     # the per-ray operand is the joined input with the first layer's sum
-    # reassociated; 24 rows per ray do not divide BLOCK. ``nodes`` names the
-    # operands that are Nodes
+    # reassociated; 24 rows per ray do not divide FORWARD_BLOCK. ``nodes``
+    # names the operands that are Nodes
     if rays is None:
-        rays = 2 * (ad.BLOCK // k) + 2      # two full blocks and a third
+        rays = 2 * (SPAN // k) + 2      # two full spans and a third
     x, u, layers, g, joined = _per_ray_inputs(rays, k)
     ref_in = ad.Node(joined)
     ref_params = [(ad.Node(w), ad.Node(b)) for w, b in layers]
@@ -325,7 +329,7 @@ def test_mlp_per_ray_shape_errors():
         ad.mlp(x, layers, u=u[:, :2], k=4)
 
 
-HEAD_RAYS, HEAD_K = 2 * (ad.BLOCK // 8) + 3, 8   # two full blocks and a third
+HEAD_RAYS, HEAD_K = 2 * (SPAN // 8) + 3, 8   # two full spans and a third
 
 
 def _field_inputs(trunk_u):
@@ -477,10 +481,10 @@ def test_mlp_rejects_weights_of_mixed_dtypes():
 
 
 @pytest.mark.parametrize("k", [1, 8, 24, 32])
-@pytest.mark.parametrize("block", [ad.FORWARD_BLOCK, ad.BLOCK], ids=["forward", "gradient"])
+@pytest.mark.parametrize("block", [BLOCK], ids=["forward"])
 def test_row_blocks_hold_whole_rays_within_the_block(k, block):
     for n in range(0, 3 * block + 3 * k, k):
-        blocks = ad._row_blocks(n, k, block)
+        blocks = [b for span in ad._spans(n, k) for b in span]
         # the blocks tile the rows in order
         ends = [0, *(hi for _, hi in blocks)]
         assert [lo for lo, _ in blocks] == ends[:-1] and ends[-1] == n
@@ -491,16 +495,38 @@ def test_row_blocks_hold_whole_rays_within_the_block(k, block):
         assert not sizes or sizes[-1] <= block or (k == 1 and sizes[-1] == block + 1)
 
 
+@pytest.mark.parametrize("k", [1, 8, 24, 32])
+def test_spans_hold_whole_blocks_in_order(k, monkeypatch):
+    # spans of the module's size, of one block and of three blocks: each
+    # cuts the rows into the same blocks, in order, and holds ``per`` of
+    # them but the last, which holds at least one full block unless it is
+    # the only span, and at most one block more than ``per``
+    for n in range(0, 3 * SPAN + 3 * k, k):
+        blocks = None
+        for span in (SPAN, BLOCK, 3 * BLOCK):
+            monkeypatch.setattr(ad, "FORWARD_SPAN", span)
+            spans = ad._spans(n, k)
+            flat = [b for part in spans for b in part]
+            assert blocks is None or flat == blocks
+            blocks = flat
+            per = span // BLOCK
+            assert all(len(part) == per for part in spans[:-1])
+            if len(spans) > 1:
+                last = spans[-1]
+                assert 1 <= len(last) <= per + 1
+                assert last[-1][1] - last[0][0] >= blocks[0][1] - blocks[0][0]
+
+
 def _desk_node(kind, plain=False, rays=None):
     """Operands of a desk MLP node, and an output gradient: a field with
-    float32 weights, as in training, past two gradient blocks (the static
-    one on 32 samples per ray: a 4-layer 64-wide trunk, a per-ray RGB head
-    and two one-column heads; the dynamic one on a latent ray's 8: a per-ray
-    trunk, an RGB and a sigma head). ``rows`` is the static one with no
-    per-ray operand, one row per ray, on 9 forward blocks, the last holding
-    a one-row remainder. With ``plain``, every operand is a plain array and
-    x is float32, as a graph-free render passes them. ``rays`` overrides
-    the number of rays."""
+    float32 weights, as in training, over two full spans and a short third,
+    which joins the second (the static one on 32 samples per ray: a 4-layer
+    64-wide trunk, a per-ray RGB head and two one-column heads; the dynamic
+    one on a latent ray's 8: a per-ray trunk, an RGB and a sigma head).
+    ``rows`` is the static one with no per-ray operand, one row per ray, on
+    9 forward blocks, the last holding a one-row remainder. With ``plain``,
+    every operand is a plain array and x is float32, as a graph-free render
+    passes them. ``rays`` overrides the number of rays."""
     rng = np.random.default_rng(41)
     leaf = (lambda a: a) if plain else ad.Node
 
@@ -510,7 +536,7 @@ def _desk_node(kind, plain=False, rays=None):
                 for a, b in zip(sizes, sizes[1:])]
 
     k = {"static": 32, "latent": 8, "rows": 1}[kind]
-    rays = rays or (2 * (ad.BLOCK // k) + 5 if k > 1 else 9 * ad.FORWARD_BLOCK + 1)
+    rays = rays or (2 * (SPAN // k) + 5 if k > 1 else 9 * BLOCK + 1)
     x = rng.normal(size=(rays * k, 51))
     x = x.astype(np.float32) if plain else ad.Node(x)
     u = leaf(rng.normal(size=(rays, 8))) if kind == "latent" else None
@@ -524,12 +550,15 @@ def _desk_node(kind, plain=False, rays=None):
 
 
 def _value_and_gradients(x, u, k, trunk, heads, g):
-    """A node's value and, when it has a graph, every operand's gradient."""
+    """A node's value and, when it has a graph, the gradients of x and of
+    the per-ray operands; then those of the weights and biases."""
     out = ad.mlp(x, trunk, u=u, k=k, heads=heads)
     if not isinstance(out, ad.Node):
-        return [out]
+        return [out], []
     ad.backward(ad.sum_(ad.mul(out, g)))
-    return [out.value, *(a.grad for a in _leaves(x, u, trunk, heads))]
+    inputs = [a.grad for a in (x, u, *(hu for _, hu, _ in heads)) if a is not None]
+    weights = _leaves(None, None, trunk, [(ls, None, hk) for ls, _, hk in heads])
+    return [out.value, *inputs], [a.grad for a in weights]
 
 
 def _assert_same_bytes(got, want):
@@ -538,28 +567,132 @@ def _assert_same_bytes(got, want):
         assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
+def _per_ray_layers(h, u, k, layers, acted_out, blocks):
+    """Every layer's output, one layer at a time over all rows, of a stack
+    whose first layer reads the per-ray operand ``u`` too (see ``ad.mlp``),
+    each product one per (start, stop) row block of ``blocks``."""
+    hs = [h]
+    for i, (w, b) in enumerate(layers):
+        win = w[:hs[-1].shape[1]]
+        z = np.empty((len(h), w.shape[1]), w.dtype)
+        for lo, hi in blocks:
+            np.matmul(hs[-1][lo:hi], win, out=z[lo:hi])
+        if i == 0 and u is not None:
+            per_ray = u.astype(w.dtype) @ w[h.shape[1]:]
+            per_ray += b
+            z.reshape(-1, k, z.shape[1])[...] += per_ray[:, None]
+        else:
+            z += b
+        hs.append(np.maximum(z, 0) if i < len(layers) - 1 or acted_out else z)
+    return hs
+
+
+def _per_ray_gradients(hs, u, k, layers, acted_out, gz, spans):
+    """The input's and u's gradients of :func:`_per_ray_layers`' stack,
+    one product over all rows per layer, in the weights' dtype, and each
+    layer's weight and bias gradient as ``ad.mlp`` sums them: in float64,
+    span by span over the (start, stop) rows of ``spans``, each span's a
+    product in the weights' dtype, the bias's one with ones; with ``u``,
+    the first layer's u rows and bias from its gradient summed per ray."""
+    du, grads = None, []
+    for i in reversed(range(len(layers))):
+        if i < len(layers) - 1 or acted_out:
+            gz = gz * (hs[i + 1] > 0)
+        w, fan_in = layers[i][0], hs[i].shape[1]
+        dw, db = np.zeros(w.shape), np.zeros(w.shape[1])
+        for lo, hi in spans:
+            dw[:fan_in] += hs[i][lo:hi].T @ gz[lo:hi]
+        if i == 0 and u is not None:
+            d_ray = gz.reshape(-1, k, gz.shape[1]).sum(axis=1).astype(np.float64)
+            dw[fan_in:] = u.T @ d_ray
+            db += d_ray.sum(axis=0)
+            du = d_ray @ w[fan_in:].T
+        else:
+            for lo, hi in spans:
+                db += np.ones(hi - lo, gz.dtype) @ gz[lo:hi]
+        grads[:0] = [dw, db]
+        gz = gz @ w[:fan_in].T
+    return gz, du, grads
+
+
+def _layer_by_layer_node(x, u, k, trunk, heads, g, spans=None):
+    """An ``ad.mlp`` node's value, x's gradient and each per-ray operand's,
+    u's and the heads' in order, evaluated one layer at a time over all
+    rows: the products as NumPy makes them, in the weights' dtype, and the
+    heads' input gradients summed in head order; then the weights' and
+    biases' gradients, the trunk's and each head's in order. ``spans`` is
+    ``ad._spans``' tiling: each forward product is one per block of it, and
+    the weights' sums run span by span; by default one product and one
+    span cover all rows. The operands are plain arrays."""
+    spans = [[(0, len(x))]] if spans is None else spans
+    blocks = [b for part in spans for b in part]
+    bounds = [(part[0][0], part[-1][1]) for part in spans]
+    dt = trunk[0][0].dtype
+    hs = _per_ray_layers(x.astype(dt), u, k, trunk, bool(heads), blocks)
+    if not heads:
+        dx, du, grads = _per_ray_gradients(hs, u, k, trunk, False, g.astype(dt), bounds)
+        return [a for a in (hs[-1].astype(np.float64), dx.astype(np.float64), du)
+                if a is not None], grads
+    outs, gz, dus, head_grads, c = [], None, [], [], 0
+    for layers, hu, hk in heads:
+        head = _per_ray_layers(hs[-1], hu, hk, layers, False, blocks)
+        width = layers[-1][0].shape[1]
+        d, dhu, grads = _per_ray_gradients(head, hu, hk, layers, False,
+                                           g[:, c:c + width].astype(dt), bounds)
+        outs.append(head[-1])
+        dus.append(dhu)
+        head_grads += grads
+        gz = d if gz is None else gz + d
+        c += width
+    dx, du, grads = _per_ray_gradients(hs, u, k, trunk, True, gz, bounds)
+    inputs = [np.hstack(outs).astype(np.float64), dx.astype(np.float64), du, *dus]
+    return [a for a in inputs if a is not None], grads + head_grads
+
+
+def _oracle(x, u, k, trunk, heads, g):
+    """:func:`_layer_by_layer_node` of a node's operands, Nodes or not, on
+    the spans ``ad.mlp`` cuts them into at the sizes set now."""
+    v = lambda a: None if a is None else ad.value_of(a)
+    pairs = lambda ls: [(v(w), v(b)) for w, b in ls]
+    spans = ad._spans(len(v(x)), math.lcm(k, *(hk for _, _, hk in heads)))
+    return _layer_by_layer_node(v(x), v(u), k, pairs(trunk),
+                                [(pairs(ls), v(hu), hk) for ls, hu, hk in heads], g, spans)
+
+
+def _assert_node_keeps_its_bits(node, want):
+    """The node's value and its gradients of x and of the per-ray operands
+    byte for byte ``want``, and every weight's and bias's gradient, byte for
+    byte, the float64 sum, span by span, of each span's product, on the
+    spans of the sizes set now."""
+    inputs, weights = _value_and_gradients(*node)
+    _assert_same_bytes(inputs, want)
+    _assert_same_bytes(weights, _oracle(*node)[1] if weights else [])
+
+
 @pytest.mark.parametrize("kind", ["static", "latent"])
 def test_forward_block_never_moves_a_bit(kind, monkeypatch):
-    # a node's value and every operand's gradient, byte for byte, with the
-    # forward in its own blocks and in the gradient's
-    got = _value_and_gradients(*_desk_node(kind))
-    monkeypatch.setattr(ad, "FORWARD_BLOCK", ad.BLOCK)
-    _assert_same_bytes(got, _value_and_gradients(*_desk_node(kind)))
+    # a node's value and its gradients of x and of the per-ray operands,
+    # byte for byte, with forward blocks of the module's size and of one
+    # span, whose 64 x 64 layers' gradient runs through the transposed view
+    want = _value_and_gradients(*_desk_node(kind))[0]
+    _assert_node_keeps_its_bits(_desk_node(kind), want)
+    monkeypatch.setattr(ad, "FORWARD_BLOCK", SPAN)
+    _assert_node_keeps_its_bits(_desk_node(kind), want)
 
 
 @pytest.mark.parametrize("plain", [False, True], ids=["graph", "plain"])
 @pytest.mark.parametrize("kind", ["static", "latent", "rows"])
 def test_forward_span_never_moves_a_bit(kind, plain, monkeypatch):
-    # the value and, with a graph, every operand's gradient, byte for byte,
-    # with one forward block per span (each layer block by block) and with
-    # spans of several blocks, whose last is ragged: fewer blocks, the last
-    # of them partial or, one row per ray, holding a one-row remainder
-    spans = [3 * ad.FORWARD_BLOCK, ad.FORWARD_SPAN]
-    monkeypatch.setattr(ad, "FORWARD_SPAN", ad.FORWARD_BLOCK)
-    want = _value_and_gradients(*_desk_node(kind, plain))
-    for span in spans:
+    # the value and, with a graph, x's and the per-ray operands' gradients,
+    # byte for byte, with one forward block per span (each layer block by
+    # block) and with spans of several blocks, whose last is ragged: fewer
+    # blocks, the last of them partial or, one row per ray, holding a
+    # one-row remainder
+    monkeypatch.setattr(ad, "FORWARD_SPAN", BLOCK)
+    want = _value_and_gradients(*_desk_node(kind, plain))[0]
+    for span in [BLOCK, 3 * BLOCK, SPAN]:
         monkeypatch.setattr(ad, "FORWARD_SPAN", span)
-        _assert_same_bytes(_value_and_gradients(*_desk_node(kind, plain)), want)
+        _assert_node_keeps_its_bits(_desk_node(kind, plain), want)
 
 
 @pytest.mark.parametrize("rows", [232, 460])
@@ -571,77 +704,22 @@ def test_forward_span_keeps_float64_bits(rows, monkeypatch):
     joined, layers, g = _mlp_inputs(rows, seed=43, sizes=(488, 64, 64, 64, 64, 6))
     x, u = joined[:, :480].copy(), joined[:, 480:].copy()
 
-    def run():
-        nodes = [(ad.Node(w), ad.Node(b)) for w, b in layers]
-        return _value_and_gradients(ad.Node(x), ad.Node(u), 1, nodes, [], g)
+    def node():
+        return (ad.Node(x), ad.Node(u), 1, [(ad.Node(w), ad.Node(b)) for w, b in layers],
+                [], g)
 
-    want = run()
-    monkeypatch.setattr(ad, "FORWARD_SPAN", ad.FORWARD_BLOCK)
-    _assert_same_bytes(run(), want)
-
-
-def _per_ray_layers(h, u, k, layers, acted_out):
-    """Every layer's output, over all rows at once, of a stack whose first
-    layer reads the per-ray operand ``u`` too (see ``ad.mlp``)."""
-    hs = [h]
-    for i, (w, b) in enumerate(layers):
-        if i == 0 and u is not None:
-            z = h @ w[:h.shape[1]]
-            per_ray = u.astype(w.dtype) @ w[h.shape[1]:]
-            per_ray += b
-            z.reshape(-1, k, z.shape[1])[...] += per_ray[:, None]
-        else:
-            z = hs[-1] @ w
-            z += b
-        hs.append(np.maximum(z, 0) if i < len(layers) - 1 or acted_out else z)
-    return hs
+    want = _value_and_gradients(*node())[0]
+    _assert_node_keeps_its_bits(node(), want)
+    monkeypatch.setattr(ad, "FORWARD_SPAN", BLOCK)
+    _assert_node_keeps_its_bits(node(), want)
 
 
-def _per_ray_gradients(hs, u, k, layers, acted_out, gz):
-    """The input's and u's gradients of :func:`_per_ray_layers`' stack,
-    one product over all rows per layer, in the weights' dtype."""
-    du = None
-    for i in reversed(range(len(layers))):
-        if i < len(layers) - 1 or acted_out:
-            gz = gz * (hs[i + 1] > 0)
-        w = layers[i][0]
-        if i == 0 and u is not None:
-            d_ray = gz.reshape(-1, k, gz.shape[1]).sum(axis=1).astype(np.float64)
-            du = d_ray @ w[hs[0].shape[1]:].T
-        gz = gz @ w[:hs[i].shape[1]].T
-    return gz, du
-
-
-def _layer_by_layer_node(x, u, k, trunk, heads, g):
-    """An ``ad.mlp`` node's value, x's gradient and then each per-ray
-    operand's, u's and the heads' in order, evaluated one layer at a time
-    over all rows: the products as NumPy makes them, one per layer, in the
-    weights' dtype, and the heads' input gradients summed in head order."""
-    dt = trunk[0][0].dtype
-    hs = _per_ray_layers(x.astype(dt), u, k, trunk, bool(heads))
-    if not heads:
-        dx, du = _per_ray_gradients(hs, u, k, trunk, False, g.astype(dt))
-        return [hs[-1].astype(np.float64), dx.astype(np.float64), du]
-    outs, gz, dus, c = [], None, [], 0
-    for layers, hu, hk in heads:
-        head = _per_ray_layers(hs[-1], hu, hk, layers, False)
-        width = layers[-1][0].shape[1]
-        d, dhu = _per_ray_gradients(head, hu, hk, layers, False,
-                                    g[:, c:c + width].astype(dt))
-        outs.append(head[-1])
-        dus.append(dhu)
-        gz = d if gz is None else gz + d
-        c += width
-    dx, du = _per_ray_gradients(hs, u, k, trunk, True, gz)
-    return [np.hstack(outs).astype(np.float64), dx.astype(np.float64), du, *dus]
-
-
-def _wide_node(rows, dtype):
-    """Operands of a field node over ``rows`` rows, one per ray, and an
-    output gradient: a 51-wide x and an 8-wide u under a 4-layer 64-wide
-    trunk, whose 64 x 64 layers' input gradient runs through a copy of w.T,
-    a per-ray RGB head, whose first layer's does too, and two one-column
-    heads."""
+def _wide_node(rows, dtype, k):
+    """Operands of a field node over ``rows`` rows, rounded up to whole
+    rays of ``k``, and an output gradient: a 51-wide x and an 8-wide per-ray
+    u under a 4-layer 64-wide trunk, whose 64 x 64 layers' input gradient
+    runs through a copy of w.T, a per-ray RGB head, whose first layer's
+    does too, and two one-column heads."""
     rng = np.random.default_rng(47)
 
     def layers(*sizes):
@@ -649,32 +727,39 @@ def _wide_node(rows, dtype):
                  (rng.normal(size=b) * 0.1).astype(dtype))
                 for a, b in zip(sizes, sizes[1:])]
 
-    x, u = rng.normal(size=(rows, 51)), rng.normal(size=(rows, 8))
-    heads = [(layers(64 + 27, 64, 3), rng.normal(size=(rows, 27)), 1),
+    rays = -(-rows // k)
+    x, u = rng.normal(size=(rays * k, 51)), rng.normal(size=(rays, 8))
+    heads = [(layers(64 + 27, 64, 3), rng.normal(size=(rays, 27)), k),
              (layers(64, 1), None, 1), (layers(64, 1), None, 1)]
-    return x, u, 1, layers(51 + 8, 64, 64, 64, 64), heads, rng.normal(size=(rows, 5))
+    return x, u, k, layers(51 + 8, 64, 64, 64, 64), heads, rng.normal(size=(rays * k, 5))
 
 
-RUN = ad.SMALL_PRODUCT // (64 * 64)    # rows per product of a 64 x 64 w.T
+RUN = ad.SMALL_PRODUCT // (64 * 64)    # rows of a 64 x 64 product under SMALL_PRODUCT
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["float32", "float64"])
-@pytest.mark.parametrize("rows", [1, 2, RUN, RUN + 1, 2 * RUN + 1, ad.BLOCK, ad.BLOCK + 1,
-                                  3 * ad.BLOCK + 37])
+@pytest.mark.parametrize("rows", sorted({
+    1, 2, 23, 24, BLOCK - 1, BLOCK + 1, RUN, RUN + 1, 2 * RUN + 1,
+    SPAN + 2, SPAN + 23, SPAN + 24, 1024, 1025, 1026, 1042, 1047, 2056, 2070,
+    3 * SPAN + 37, 3 * 1024 + 37}))
 def test_mlp_value_and_input_gradients_keep_layer_by_layer_bits(rows, dtype):
     # the value and x's and the per-ray operands' gradients, byte for byte,
-    # against one product over all rows per layer: the gradient's blocks,
-    # the copied w.T's runs of rows, a one-row remainder merged into the run
-    # before it, and a node of one row change none of their bits
-    x, u, k, trunk, heads, g = _wide_node(rows, dtype)
-    want = _layer_by_layer_node(x, u, k, trunk, heads, g)
-    xn, un = ad.Node(x), ad.Node(u)
-    node_heads = [(ls, hu if hu is None else ad.Node(hu), hk) for ls, hu, hk in heads]
-    out = ad.mlp(xn, [(ad.Node(w), ad.Node(b)) for w, b in trunk], u=un, k=k,
-                 heads=node_heads)
-    ad.backward(ad.sum_(ad.mul(out, g)))
-    got = [out.value, xn.grad, un.grad, *(hu.grad for _, hu, _ in node_heads if hu is not None)]
-    _assert_same_bytes(got, [w for w in want if w is not None])
+    # against one product over all rows per layer, at 1, 8 and 32 rows per
+    # ray: the forward's blocks and spans, a short last block or span, the
+    # copied w.T's products of one block, and a node of one row change none
+    # of their bits. Past 1024 and 2048, a tail of 2 to 23 rows is one that
+    # the transposed view rounds otherwise than a longer product
+    for k in (1, 8, 32):
+        x, u, k, trunk, heads, g = _wide_node(rows, dtype, k)
+        want = _layer_by_layer_node(x, u, k, trunk, heads, g)[0]
+        xn, un = ad.Node(x), ad.Node(u)
+        node_heads = [(ls, hu if hu is None else ad.Node(hu), hk) for ls, hu, hk in heads]
+        out = ad.mlp(xn, [(ad.Node(w), ad.Node(b)) for w, b in trunk], u=un, k=k,
+                     heads=node_heads)
+        ad.backward(ad.sum_(ad.mul(out, g)))
+        got = [out.value, xn.grad, un.grad,
+               *(hu.grad for _, hu, _ in node_heads if hu is not None)]
+        _assert_same_bytes(got, want)
 
 
 def test_graph_free_forward_holds_little_beyond_its_value():
@@ -754,7 +839,7 @@ def test_backward_accumulates_shared_subexpressions():
     assert np.allclose(y.grad, 3.0)
 
 
-FANOUT_ROWS, FANOUT_K = 2 * ad.BLOCK + 40, 8
+FANOUT_ROWS, FANOUT_K = 2 * SPAN + 40, 8
 
 
 def _fanout_leaves():

@@ -4,6 +4,7 @@
 here, in the fast suite, and not only in the benchmark's own tests."""
 
 import importlib.util
+import math
 import sys
 from pathlib import Path
 
@@ -152,7 +153,12 @@ def test_same_bits_digest_is_repeatable():
     first = same_bits.digests(5, 1)
     assert list(first) == ["bri-train", "mdd-train", "infer-frame", "all"]
     assert all(len(d) == 64 for d in first.values())
-    assert same_bits.digests(5, 1) == first
+    # the numbers --against compares: every step's loss, every frame's PSNR
+    numbers = {}
+    assert same_bits.digests(5, 1, numbers=numbers) == first
+    assert {name: kind for name, (kind, _) in numbers.items()} == {
+        "bri-train": "loss", "mdd-train": "loss", "infer-frame": "psnr"}
+    assert all(values and all(np.isfinite(values)) for _, values in numbers.values())
     other = same_bits.digests(6, 1)
     assert [name for name, d in first.items() if other[name] != d] == [
         "bri-train", "mdd-train", "all"]
@@ -162,7 +168,8 @@ def test_same_bits_against_another_checkout(tmp_path):
     # --against runs same_bits.py on the other checkout's own src: a copy of
     # this one gives the same digests, a change that moves a training loss
     # bit names the training workloads and the combined digest, not
-    # infer-frame, and the run exits 1
+    # infer-frame, with the largest relative difference of their losses,
+    # and the run exits 1
     import shutil
     import subprocess
     root = PERFBENCH.parent
@@ -175,18 +182,21 @@ def test_same_bits_against_another_checkout(tmp_path):
                                "--units", "1", "--against", str(tmp_path)],
                               capture_output=True, text=True)
         rows = [line.split() for line in proc.stdout.splitlines()[1:]]
-        return proc.returncode, {name: (mine, theirs, verdict)
-                                 for name, mine, theirs, verdict in rows}
+        return proc.returncode, {name: rest for name, *rest in rows}
 
     code, rows = against()
     assert code == 0 and list(rows) == ["bri-train", "mdd-train", "infer-frame", "all"]
-    assert all(mine == theirs and verdict == "same" for mine, theirs, verdict in rows.values())
+    assert all(len(row) == 3 and row[0] == row[1] and row[2] == "same"
+               for row in rows.values())
     training_py = tmp_path / "src" / "moblurf" / "training.py"
     text = training_py.read_text()
     assert "LG_FRACTION = 0.25\n" in text
     training_py.write_text(text.replace("LG_FRACTION = 0.25\n", "LG_FRACTION = 0.5\n"))
     code, moved = against()
     assert code == 1
-    assert [name for name, (_, _, verdict) in moved.items() if verdict == "differs"] == [
+    assert [name for name, row in moved.items() if row[2] == "differs"] == [
         "bri-train", "mdd-train", "all"]
     assert all(moved[name][0] == rows[name][0] for name in rows)
+    for name in ("bri-train", "mdd-train"):
+        assert moved[name][3] == "max_rel_loss" and 0 < float(moved[name][4]) < math.inf
+    assert len(moved["infer-frame"]) == len(moved["all"]) == 3

@@ -22,10 +22,9 @@ README = (Path(__file__).resolve().parents[1] / "README.md").read_text()
 @pytest.mark.parametrize("quote, value", [
     (r"`FORWARD_BLOCK` \((\d+)\)", autodiff.FORWARD_BLOCK),
     (r"`FORWARD_SPAN` \((\d+)\)", autodiff.FORWARD_SPAN),
-    (r"`BLOCK` \((\d+)\)", autodiff.BLOCK),
     (r"`ENCODE_BLOCK` \((\d+)\)", ENCODE_BLOCK),
     (r"`inference\.CHUNK` = (\d+)", inference.CHUNK),
-], ids=["FORWARD_BLOCK", "FORWARD_SPAN", "BLOCK", "ENCODE_BLOCK", "CHUNK"])
+], ids=["FORWARD_BLOCK", "FORWARD_SPAN", "ENCODE_BLOCK", "CHUNK"])
 def test_readme_quotes_the_value_the_code_holds(quote, value):
     quoted = [int(n) for n in re.findall(quote, README)]
     assert quoted and all(n == value for n in quoted), (quoted, value)
