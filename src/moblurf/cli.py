@@ -81,15 +81,12 @@ def cmd_synth(args) -> int:
 
 
 def cmd_train(args) -> int:
-    from .config import (ConfigError, read_json, read_manifest, resolve_config,
-                         save_manifest, write_manifest)
+    from .config import (read_json, read_manifest, resolve_config, save_manifest,
+                         write_manifest)
     from .data import read_dataset
     from .training import Trainer, resumes
 
     file_values = read_json(args.config) if args.config else {}
-    if not isinstance(file_values, dict):
-        raise ConfigError(f"{args.config}: expected a JSON object, "
-                          f"got {type(file_values).__name__}")
     overrides = _parse_overrides(args.set)
     if args.seed is not None:
         overrides["seed"] = args.seed
@@ -117,11 +114,9 @@ def cmd_train(args) -> int:
 
 def cmd_render(args) -> int:
     from .config import ConfigError, TrainConfig, write_manifest
-    from .data import read_dataset, read_poses, write_depth_raw
+    from .data import read_dataset, read_poses, write_frame
     from .fields import load_checkpoint
     from .inference import render_frames
-    from .pngio import write_png
-    import numpy as np
 
     model, meta = load_checkpoint(args.checkpoint)
     state = meta.get("train_state")
@@ -144,15 +139,10 @@ def cmd_render(args) -> int:
     frames = render_frames(model, dataset, _parse_timestamps(args.timestamps), poses,
                            n_samples=n_samples)
     out = Path(args.out)
-    for sub in ("rgb", "mask", "p_dy", "kappa"):
-        (out / sub).mkdir(parents=True, exist_ok=True)
+    out.mkdir(parents=True, exist_ok=True)
     for res in frames:
-        name = f"{res['t']:04d}"
-        write_png(out / "rgb" / f"{name}.png",
-                  np.clip(np.round(res["rgb"] * 255), 0, 255).astype(np.uint8))
-        write_png(out / "mask" / f"{name}.png", (res["mask"] * 255).astype(np.uint8))
-        write_depth_raw(out / "p_dy" / f"{name}.raw", res["p_dy"])
-        write_depth_raw(out / "kappa" / f"{name}.raw", res["kappa"])
+        for sub in ("rgb", "mask", "p_dy", "kappa"):
+            write_frame(out, sub, res["t"], res[sub])
     timestamps = [res["t"] for res in frames]
     with open(out / "render_meta.json", "w") as f:
         json.dump({"timestamps": timestamps,
@@ -168,38 +158,24 @@ def cmd_render(args) -> int:
 
 def cmd_eval(args) -> int:
     from .config import ConfigError, read_json
-    from .data import read_dataset, read_depth_raw
+    from .data import frame_path, read_dataset, read_frame
     from .metrics import evaluate
-    from .pngio import read_png
 
     dataset = read_dataset(args.dataset)
     render_dir = Path(args.render_dir)
     meta_path = render_dir / "render_meta.json"
     if not meta_path.exists():
         raise ValueError(f"{render_dir} has no render_meta.json")
-    meta = read_json(meta_path)
-    stamps = meta.get("timestamps") if isinstance(meta, dict) else None
+    stamps = read_json(meta_path).get("timestamps")
     if not (isinstance(stamps, list) and all(
             type(t) is int and 0 <= t < dataset.n_frames for t in stamps)):
         raise ConfigError(f"{meta_path}: timestamps must be a list of frame "
                           f"indices in [0, {dataset.n_frames})")
-    frames = []
-    for t in stamps:
-        rgb_path = render_dir / "rgb" / f"{t:04d}.png"
-        if not rgb_path.exists():
-            raise ValueError(f"missing rendered frame {rgb_path}")
-        frame = {"t": t}
-        for key, path, read, shape in (
-                ("rgb", rgb_path, lambda p: read_png(p) / 255.0, (*dataset.shape, 3)),
-                ("mask", render_dir / "mask" / f"{t:04d}.png", lambda p: read_png(p) > 127,
-                 dataset.shape),
-                ("p_dy", render_dir / "p_dy" / f"{t:04d}.raw", read_depth_raw, dataset.shape)):
-            if path.exists():
-                frame[key] = read(path)
-                if frame[key].shape != shape:
-                    raise ValueError(f"{path}: shape {frame[key].shape}, dataset frames "
-                                     f"are {shape}")
-        frames.append(frame)
+    # every frame needs its rgb; its mask and p_dy are scored where present
+    frames = [{"t": t, **{sub: read_frame(render_dir, sub, t, dataset.shape)
+                          for sub in ("rgb", "mask", "p_dy")
+                          if sub == "rgb" or frame_path(render_dir, sub, t).exists()}}
+              for t in stamps]
     report = evaluate(dataset, frames)
 
     out = Path(args.out) if args.out else render_dir

@@ -120,7 +120,7 @@ def write_manifest(path, command: str, seed: int, extras: dict) -> dict:
 def read_manifest(path) -> dict:
     """The run manifest at ``path``, as :func:`write_manifest` wrote it."""
     manifest = read_json(path)
-    if not isinstance(manifest, dict) or not isinstance(manifest.get("timings"), dict):
+    if not isinstance(manifest.get("timings"), dict):
         raise ConfigError(f"{path}: not a run manifest")
     return manifest
 
@@ -130,14 +130,17 @@ def save_manifest(path, manifest: dict) -> None:
         json.dump(manifest, f, indent=2, sort_keys=True)
 
 
-def read_json(path):
-    """The JSON document in the file at ``path``; a malformed one raises
-    :class:`ConfigError` naming the file."""
+def read_json(path) -> dict:
+    """The JSON object in the file at ``path``; a malformed file, or one
+    holding another JSON value, raises :class:`ConfigError` naming it."""
     try:
         with open(path) as f:
-            return json.load(f)
+            value = json.load(f)
     except ValueError as exc:   # bad JSON or bad UTF-8
         raise ConfigError(f"{path}: corrupt JSON: {exc}") from exc
+    if not isinstance(value, dict):
+        raise ConfigError(f"{path}: expected a JSON object, got {type(value).__name__}")
+    return value
 
 
 def _version() -> str:

@@ -39,6 +39,11 @@ DATASET_VERSION = "MBRFDS1"
 DEPTH_MAGIC = b"MBRFDPT1"
 # a blurry frame: 2 * WINDOW + 1 sub-frames, 1 / SUBRATE of a frame apart
 WINDOW, SUBRATE = 4, 8
+# the kind of frame each per-frame directory, a dataset's or a render's, holds:
+# colour is 8-bit RGB PNG, a mask 0/255 PNG, a map MBRFDPT1 float32 .raw
+FRAME_KINDS = {"blur": "colour", "sharp": "colour", "rgb": "colour",
+               "mask_true": "mask", "mask": "mask",
+               "depth_pseudo": "map", "depth_true": "map", "p_dy": "map", "kappa": "map"}
 
 
 class DatasetError(RuntimeError):
@@ -207,6 +212,40 @@ def read_depth_raw(path) -> np.ndarray:
     return depth
 
 
+def frame_path(root, sub, t: int) -> Path:
+    """The file of frame ``t`` in the per-frame directory ``sub`` of ``root``."""
+    return Path(root) / sub / f"{t:04d}.{'raw' if FRAME_KINDS[sub] == 'map' else 'png'}"
+
+
+def write_frame(root, sub, t: int, frame: np.ndarray) -> None:
+    """Write frame ``t`` of directory ``sub``, making the directory."""
+    path = frame_path(root, sub, t)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    kind = FRAME_KINDS[sub]
+    if kind == "map":
+        write_depth_raw(path, frame)
+    else:
+        write_png(path, _quantize(frame) if kind == "colour"
+                  else (frame * 255).astype(np.uint8))
+
+
+def read_frame(root, sub, t: int, shape) -> np.ndarray:
+    """Frame ``t`` of directory ``sub``, whose frames are ``shape`` = (H, W)
+    pixels: colour in [0, 1], a mask as bool, a map as float64. A missing
+    file, or one of another shape, raises :class:`DatasetError` naming it."""
+    path = frame_path(root, sub, t)
+    if not path.exists():
+        raise DatasetError(f"{path}: missing frame file")
+    kind = FRAME_KINDS[sub]
+    frame = read_depth_raw(path) if kind == "map" else read_png(path)
+    expect = (*shape, 3) if kind == "colour" else tuple(shape)
+    if frame.shape != expect:
+        raise DatasetError(f"{path}: shape {frame.shape}, expected {expect}")
+    if kind == "colour":
+        return frame / 255.0
+    return frame > 127 if kind == "mask" else frame
+
+
 def _write_poses(path, poses: list) -> None:
     with open(path, "w") as f:
         for pose in poses:
@@ -236,17 +275,12 @@ def write_dataset(ds: BlurryDataset, path, force: bool = False) -> None:
     root = Path(path)
     if root.exists() and any(root.iterdir()) and not force:
         raise DatasetError(f"{root} exists and is not empty (use force to overwrite)")
-    for sub in ("blur", "sharp", "depth_pseudo", "depth_true", "mask_true"):
-        (root / sub).mkdir(parents=True, exist_ok=True)
+    for sub, frames in (("blur", ds.blur), ("sharp", ds.sharp), ("mask_true", ds.mask_true),
+                        ("depth_pseudo", ds.pseudo_depth), ("depth_true", ds.depth_true)):
+        for t in range(ds.n_frames):
+            write_frame(root, sub, t, frames[t])
     with open(root / "meta.json", "w") as f:
         json.dump(ds.meta, f, indent=2, sort_keys=True)
-    for t in range(ds.n_frames):
-        write_png(root / "blur" / f"{t:04d}.png", _quantize(ds.blur[t]))
-        write_png(root / "sharp" / f"{t:04d}.png", _quantize(ds.sharp[t]))
-        write_png(root / "mask_true" / f"{t:04d}.png",
-                  (ds.mask_true[t] * 255).astype(np.uint8))
-        write_depth_raw(root / "depth_pseudo" / f"{t:04d}.raw", ds.pseudo_depth[t])
-        write_depth_raw(root / "depth_true" / f"{t:04d}.raw", ds.depth_true[t])
     _write_poses(root / "poses_corrupt.txt", ds.poses_corrupt)
     _write_poses(root / "poses_true.txt", ds.poses_true)
 
@@ -298,25 +332,10 @@ def read_dataset(path) -> BlurryDataset:
     except ValueError as exc:
         raise DatasetError(f"{meta_path}: corrupt JSON: {exc}") from exc
     _check_meta(meta, meta_path)
-    n, h, w = meta["n_frames"], meta["height"], meta["width"]
-
-    def load_frames(sub, loader, expect_shape):
-        out = []
-        for t in range(n):
-            p = root / sub / f"{t:04d}.{'raw' if 'depth' in sub else 'png'}"
-            if not p.exists():
-                raise DatasetError(f"{root}: missing {p.relative_to(root)}")
-            arr = loader(p)
-            if arr.shape != expect_shape:
-                raise DatasetError(f"{p}: shape {arr.shape}, expected {expect_shape}")
-            out.append(arr)
-        return np.stack(out)
-
-    blur = load_frames("blur", read_png, (h, w, 3)) / 255.0
-    sharp = load_frames("sharp", read_png, (h, w, 3)) / 255.0
-    mask = load_frames("mask_true", read_png, (h, w)) > 127
-    pseudo = load_frames("depth_pseudo", read_depth_raw, (h, w))
-    depth_true = load_frames("depth_true", read_depth_raw, (h, w))
+    n, shape = meta["n_frames"], (meta["height"], meta["width"])
+    blur, sharp, mask, pseudo, depth_true = (
+        np.stack([read_frame(root, sub, t, shape) for t in range(n)])
+        for sub in ("blur", "sharp", "mask_true", "depth_pseudo", "depth_true"))
     poses_corrupt = read_poses(root / "poses_corrupt.txt", meta)
     poses_true = read_poses(root / "poses_true.txt", meta)
     if len(poses_corrupt) != n or len(poses_true) != n:

@@ -838,6 +838,27 @@ class TestCorruptJson:
         res = run_cli("eval", "--render-dir", str(frames), "--dataset", str(dataset_dir))
         assert_clean_error(res, str(meta))
 
+    # every JSON file a command reads goes through config.read_json, which
+    # holds it to a JSON object
+    @pytest.mark.parametrize("name", ["cfg.json", "manifest.json", "render_meta.json"])
+    def test_json_file_holding_a_list(self, tmp_path, dataset_dir, trained_dir, capsys,
+                                      name):
+        run, frames = tmp_path / "run", tmp_path / "frames"
+        # as if killed after BRI, so that train --resume reads the manifest
+        shutil.copytree(trained_dir, run)
+        shutil.copy(run / "checkpoint_bri.ckpt", run / "checkpoint_latest.ckpt")
+        frames.mkdir()
+        path = {"cfg.json": tmp_path, "manifest.json": run,
+                "render_meta.json": frames}[name] / name
+        train = ["train", "--dataset", str(dataset_dir), "--seed", "0", *TINY_TRAIN]
+        argv = {"cfg.json": [*train, "--out", str(tmp_path / "new"), "--config", str(path)],
+                "manifest.json": [*train, "--out", str(run), "--resume"],
+                "render_meta.json": ["eval", "--render-dir", str(frames),
+                                     "--dataset", str(dataset_dir)]}[name]
+        path.write_text("[1, 2]")
+        assert main(argv) == 1
+        assert capsys.readouterr().err == f"error: {path}: expected a JSON object, got list\n"
+
     @pytest.mark.parametrize("text", ["#", "[]"])
     def test_corrupt_manifest_fails_before_resuming(self, tmp_path, dataset_dir,
                                                     trained_dir, text):
@@ -872,37 +893,55 @@ class TestEval:
             assert key in row
         assert (frames / "report.txt").read_text().startswith("frame")
 
-    @pytest.mark.parametrize("rel", ["rgb/0001.png", "mask/0001.png", "p_dy/0001.raw"])
+    @staticmethod
+    def damage_and_eval(tmp_path, dataset_dir, trained_dir, rel, damage):
+        """Render frame 1 of a copy of the dataset, apply ``damage`` to the
+        path of frame file ``rel``, a render's (rgb, mask, p_dy) or else the
+        dataset copy's, and run eval over both; the path and eval's code."""
+        from moblurf.data import frame_path
+        ds, frames = tmp_path / "ds", tmp_path / "frames"
+        shutil.copytree(dataset_dir, ds)
+        assert main(["render", "--checkpoint", str(trained_dir / "checkpoint_final.ckpt"),
+                     "--dataset", str(ds), "--out", str(frames), "--timestamps", "1"]) == 0
+        sub = rel.split("/")[0]
+        path = (frames if sub in ("rgb", "mask", "p_dy") else ds) / rel
+        assert path == frame_path(path.parents[1], sub, 1)
+        damage(path)
+        code = main(["eval", "--render-dir", str(frames), "--dataset", str(ds)])
+        assert not (frames / "report.json").exists()
+        return path, code
+
+    # a render's frame files, and a dataset's of each kind: all are read
+    # through data.read_frame, with one wording
+    @pytest.mark.parametrize("rel", ["rgb/0001.png", "mask/0001.png", "p_dy/0001.raw",
+                                     "blur/0001.png", "mask_true/0001.png",
+                                     "depth_pseudo/0001.raw"])
     def test_misshapen_map_names_the_file(self, tmp_path, dataset_dir, trained_dir,
                                           capsys, rel):
-        from moblurf.data import write_depth_raw
-        from moblurf.pngio import write_png
-        frames = tmp_path / "frames"
-        assert main(["render", "--checkpoint", str(trained_dir / "checkpoint_final.ckpt"),
-                     "--dataset", str(dataset_dir), "--out", str(frames),
-                     "--timestamps", "1"]) == 0
-        path = frames / rel
-        if rel.startswith("rgb"):
-            write_png(path, np.zeros((8, 8, 3), dtype=np.uint8))
-        elif rel.startswith("mask"):
-            write_png(path, np.zeros((8, 8), dtype=np.uint8))
-        else:
-            write_depth_raw(path, np.zeros((8, 8)))
-        assert main(["eval", "--render-dir", str(frames),
-                     "--dataset", str(dataset_dir)]) == 1
-        assert str(path) in capsys.readouterr().err
-        assert not (frames / "report.json").exists()
+        from moblurf.data import FRAME_KINDS, write_frame
+        sub = rel.split("/")[0]
+        shape = (8, 8, 3) if FRAME_KINDS[sub] == "colour" else (8, 8)
+        path, code = self.damage_and_eval(
+            tmp_path, dataset_dir, trained_dir, rel,
+            lambda path: write_frame(path.parents[1], sub, 1, np.zeros(shape)))
+        assert code == 1
+        assert capsys.readouterr().err == (f"error: {path}: shape {shape}, "
+                                           f"expected {(64, 64) + shape[2:]}\n")
 
     def test_missing_frame_names_the_file(self, tmp_path, dataset_dir, trained_dir, capsys):
-        frames = tmp_path / "frames"
-        assert main(["render", "--checkpoint", str(trained_dir / "checkpoint_final.ckpt"),
-                     "--dataset", str(dataset_dir), "--out", str(frames),
-                     "--timestamps", "1"]) == 0
-        path = frames / "rgb" / "0001.png"
-        path.unlink()
-        assert main(["eval", "--render-dir", str(frames),
-                     "--dataset", str(dataset_dir)]) == 1
-        assert capsys.readouterr().err == f"error: missing rendered frame {path}\n"
+        path, code = self.damage_and_eval(tmp_path, dataset_dir, trained_dir,
+                                          "rgb/0001.png", Path.unlink)
+        assert code == 1
+        assert capsys.readouterr().err == f"error: {path}: missing frame file\n"
+
+    @pytest.mark.parametrize("rel", ["blur/0001.png", "mask_true/0001.png",
+                                     "depth_pseudo/0001.raw"])
+    def test_missing_dataset_frame_names_the_file(self, tmp_path, dataset_dir, trained_dir,
+                                                  capsys, rel):
+        path, code = self.damage_and_eval(tmp_path, dataset_dir, trained_dir, rel,
+                                          Path.unlink)
+        assert code == 1
+        assert capsys.readouterr().err == f"error: {path}: missing frame file\n"
 
     def test_frame_with_an_empty_ihdr_names_the_file(self, tmp_path, dataset_dir,
                                                      trained_dir, capsys):

@@ -1,6 +1,7 @@
 """The README quotes some of the code's block and chunk sizes, the blur
-window, the number of checks ``moblurf gradcheck`` runs, the default config
-and the paper's config file, by value; each quote must give the value the
+window, the number of checks ``moblurf gradcheck`` runs, the default config,
+the paper's config file and the per-frame files of the dataset and render
+directory layouts, by value; each quote must give the value the
 code holds, so that changing one of them cannot leave the documentation
 stale."""
 
@@ -61,3 +62,20 @@ def test_readme_paper_config_is_a_valid_config_file():
     cfg = resolve_config("desk", file_values=values)
     assert {k: getattr(cfg, k) for k in values} == values
     assert (cfg.n_samples, cfg.n_latent, cfg.trunk_depth, cfg.trunk_width) == (128, 6, 9, 256)
+
+
+def test_readme_layouts_name_the_frame_files_data_writes():
+    # each layout block's per-frame lines, as "sub/0000.ext", against the
+    # file data.frame_path names; the two blocks together list every
+    # directory of data.FRAME_KINDS
+    listed = {}
+    for layout in ("Dataset", "Render"):
+        block = re.search(rf"## {layout} directory layout\n.*?```\n(.*?)```", README, re.S)
+        listed[layout] = re.findall(r"^(\w+)/(\d{4})\.(\w+) \.\.\.", block[1], re.M)
+    assert [sub for sub, _, _ in listed["Dataset"]] == [
+        "blur", "sharp", "depth_pseudo", "depth_true", "mask_true"]
+    assert [sub for sub, _, _ in listed["Render"]] == ["rgb", "mask", "p_dy", "kappa"]
+    for sub, t, ext in listed["Dataset"] + listed["Render"]:
+        assert data.frame_path(Path(), sub, int(t)) == Path(sub, f"{t}.{ext}")
+    assert sorted(sub for sub, _, _ in listed["Dataset"] + listed["Render"]) == \
+        sorted(data.FRAME_KINDS)

@@ -424,6 +424,65 @@ class TestDatasetIO:
             read_depth_raw(p)
 
 
+class TestFrameCodec:
+    @staticmethod
+    def frame(kind, shape):
+        """Every value a frame of ``kind`` stores exactly: colours k/255 for
+        every k, both mask values, float32 maps from tiny to huge."""
+        n = int(np.prod(shape))
+        if kind == "colour":
+            return (np.arange(3 * n) % 256).reshape(*shape, 3) / 255.0
+        if kind == "mask":
+            return np.arange(n).reshape(shape) % 3 == 0
+        f32 = np.finfo(np.float32)
+        vals = np.array([0.0, -0.0, f32.tiny, -f32.max, f32.max, 1 / 3, np.pi, 6.0])
+        return np.resize(vals, shape).astype(np.float32).astype(np.float64)
+
+    @pytest.mark.parametrize("sub", sorted(data.FRAME_KINDS))
+    def test_every_directory_round_trips(self, tmp_path, sub):
+        kind = data.FRAME_KINDS[sub]
+        frame = self.frame(kind, (16, 17))
+        data.write_frame(tmp_path / "out", sub, 7, frame)
+        path = data.frame_path(tmp_path / "out", sub, 7)
+        assert path == tmp_path / "out" / sub / ("0007.raw" if kind == "map" else "0007.png")
+        back = data.read_frame(tmp_path / "out", sub, 7, (16, 17))
+        assert back.dtype == (bool if kind == "mask" else np.float64)
+        assert back.shape == frame.shape and np.array_equal(back, frame)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_render_frames_keep_their_bytes(self, tmp_path, dtype):
+        # what moblurf render wrote before data.py held the codec, as the oracle
+        rng = np.random.default_rng(4)
+        x = rng.uniform(-0.1, 1.1, (9, 11, 3)).astype(dtype)
+        x.flat[:256] = (np.arange(256) + 0.5) / 255     # ties round half to even
+        m = rng.random((9, 11)) < 0.3
+        write_png(tmp_path / "rgb.png", np.clip(np.round(x * 255), 0, 255).astype(np.uint8))
+        write_png(tmp_path / "mask.png", (m * 255).astype(np.uint8))
+        data.write_frame(tmp_path, "rgb", 0, x)
+        data.write_frame(tmp_path, "mask", 0, m)
+        assert data.frame_path(tmp_path, "rgb", 0).read_bytes() == \
+            (tmp_path / "rgb.png").read_bytes()
+        assert data.frame_path(tmp_path, "mask", 0).read_bytes() == \
+            (tmp_path / "mask.png").read_bytes()
+
+    @pytest.mark.parametrize("sub", sorted(data.FRAME_KINDS))
+    def test_rejects_a_missing_file(self, tmp_path, sub):
+        path = data.frame_path(tmp_path, sub, 2)
+        with pytest.raises(DatasetError) as exc:
+            data.read_frame(tmp_path, sub, 2, (4, 4))
+        assert str(exc.value) == f"{path}: missing frame file"
+
+    @pytest.mark.parametrize("sub", sorted(data.FRAME_KINDS))
+    def test_rejects_a_wrong_shape(self, tmp_path, sub):
+        kind = data.FRAME_KINDS[sub]
+        data.write_frame(tmp_path, sub, 2, self.frame(kind, (4, 5)))
+        with pytest.raises(DatasetError) as exc:
+            data.read_frame(tmp_path, sub, 2, (4, 4))
+        got, want = ((4, 5, 3), (4, 4, 3)) if kind == "colour" else ((4, 5), (4, 4))
+        assert str(exc.value) == \
+            f"{data.frame_path(tmp_path, sub, 2)}: shape {got}, expected {want}"
+
+
 class TestSynthesizedInvariants:
     def test_mask_consistent_with_first_hit(self):
         ds = synthesize_dataset(moving_quad_scene(size=32, n_frames=4), seed=1)
