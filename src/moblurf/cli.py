@@ -117,11 +117,10 @@ def cmd_render(args) -> int:
     from .data import read_dataset, read_poses, write_frame
     from .fields import load_checkpoint
     from .inference import render_frames
+    from .training import train_state
 
     model, meta = load_checkpoint(args.checkpoint)
-    state = meta.get("train_state")
-    if not isinstance(state, dict):
-        raise ConfigError(f"{args.checkpoint}: meta has no train_state object")
+    state = train_state(meta, args.checkpoint)
     # the config the checkpoint was trained with, as stored (the defaults if
     # it has none); render reads only its n_samples, so a config holding
     # keys this version has dropped still renders, and its manifest records
@@ -164,13 +163,11 @@ def cmd_eval(args) -> int:
     dataset = read_dataset(args.dataset)
     render_dir = Path(args.render_dir)
     meta_path = render_dir / "render_meta.json"
-    if not meta_path.exists():
-        raise ValueError(f"{render_dir} has no render_meta.json")
     stamps = read_json(meta_path).get("timestamps")
-    if not (isinstance(stamps, list) and all(
+    if not (isinstance(stamps, list) and stamps and all(
             type(t) is int and 0 <= t < dataset.n_frames for t in stamps)):
-        raise ConfigError(f"{meta_path}: timestamps must be a list of frame "
-                          f"indices in [0, {dataset.n_frames})")
+        raise ConfigError(f"{meta_path}: timestamps must be a non-empty list of "
+                          f"frame indices in [0, {dataset.n_frames})")
     # every frame needs its rgb; its mask and p_dy are scored where present
     frames = [{"t": t, **{sub: read_frame(render_dir, sub, t, dataset.shape)
                           for sub in ("rgb", "mask", "p_dy")

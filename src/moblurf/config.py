@@ -29,10 +29,6 @@ class TrainConfig(Architecture):
     mdd_iters: int = 1500
     batch_size: int = 256
     n_samples: int = 32
-    screw_lr_start: float = 1e-4
-    screw_lr_end: float = 1e-6
-    mlp_lr_start: float = 1e-3
-    mlp_lr_end: float = 1e-4
     lambda_sm: float = 0.002
     lambda_lg: float = 0.075
     checkpoint_fraction: float = 0.1
@@ -55,9 +51,6 @@ class TrainConfig(Architecture):
                 raise ConfigError(f"{name} must be positive")
         if self.seed < 0:
             raise ConfigError("seed must be >= 0")
-        for name in ("screw_lr_start", "screw_lr_end", "mlp_lr_start", "mlp_lr_end"):
-            if getattr(self, name) <= 0:
-                raise ConfigError(f"{name} must be positive")
         for name in ("lambda_sm", "lambda_lg"):
             if getattr(self, name) < 0:
                 raise ConfigError(f"{name} must be >= 0")

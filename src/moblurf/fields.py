@@ -27,10 +27,17 @@ import numpy as np
 
 from . import autodiff as ad
 from .cameras import RayBatch
-from .optim import FIELD_PREFIXES, ParamStore
+from .optim import FIELD_PREFIXES, MLP_LR, SCREW_LR, ParamStore
 
 CHECKPOINT_MAGIC = b"MBRFCKP1"
 CHECKPOINT_VERSION = 1
+
+# the GLO code's width, the ray embedding's octaves and the colour heads' layers
+GLO_DIM, RAY_FREQS, RGB_DEPTH = 8, 2, 2
+# keys that older configs and field_configs hold, at the one value each may hold
+RETIRED = {"glo_dim": GLO_DIM, "ray_freqs": RAY_FREQS, "rgb_depth": RGB_DEPTH,
+           "screw_lr_start": SCREW_LR[0], "screw_lr_end": SCREW_LR[1],
+           "mlp_lr_start": MLP_LR[0], "mlp_lr_end": MLP_LR[1], "activation": "relu"}
 
 
 class CheckpointError(RuntimeError):
@@ -46,12 +53,9 @@ class Architecture:
     n_latent: int = 4
     pos_freqs: int = 8
     dir_freqs: int = 4
-    glo_dim: int = 8
     ray_samples: int = 32
-    ray_freqs: int = 2
     trunk_depth: int = 4
     trunk_width: int = 64
-    rgb_depth: int = 2
     rgb_width: int = 64
     local_depth: int = 4
     local_width: int = 64
@@ -79,7 +83,7 @@ class FieldConfig(Architecture):
 
     @property
     def ray_embed_dim(self) -> int:
-        return self.ray_samples * (3 + 6 * self.ray_freqs)
+        return self.ray_samples * (3 + 6 * RAY_FREQS)
 
 
 # rows per block of :func:`encode_position`: a float64 feature-major block,
@@ -269,8 +273,8 @@ class SceneModel:
         cfg = self.config
         st = self.store
         trunk = [cfg.trunk_width] * cfg.trunk_depth
-        rgb = [cfg.trunk_width + cfg.dir_dim] + [cfg.rgb_width] * (cfg.rgb_depth - 1) + [3]
-        local = [cfg.ray_embed_dim + cfg.glo_dim] + [cfg.local_width] * cfg.local_depth + [6]
+        rgb = [cfg.trunk_width + cfg.dir_dim] + [cfg.rgb_width] * (RGB_DEPTH - 1) + [3]
+        local = [cfg.ray_embed_dim + GLO_DIM] + [cfg.local_width] * cfg.local_depth + [6]
         # static: trunk(gamma(x)) -> heads
         init_mlp(st, "static.trunk", "static", [cfg.pos_dim] + trunk, rng)
         init_mlp(st, "static.sigma", "static", [cfg.trunk_width, 1], rng)
@@ -281,10 +285,10 @@ class SceneModel:
         init_mlp(st, "static.pst", "static", [cfg.trunk_width, 1], rng, zero_last=True)
         st.values["static.pst.0.b"][:] = 1.0
         # dynamic: trunk(gamma(x), glo(t)) -> heads
-        init_mlp(st, "dynamic.trunk", "dynamic", [cfg.pos_dim + cfg.glo_dim] + trunk, rng)
+        init_mlp(st, "dynamic.trunk", "dynamic", [cfg.pos_dim + GLO_DIM] + trunk, rng)
         init_mlp(st, "dynamic.sigma", "dynamic", [cfg.trunk_width, 1], rng)
         init_mlp(st, "dynamic.rgb", "dynamic", rgb, rng)
-        st.add("glo", rng.normal(0.0, 0.01, size=(cfg.n_frames, cfg.glo_dim)), "dynamic")
+        st.add("glo", rng.normal(0.0, 0.01, size=(cfg.n_frames, GLO_DIM)), "dynamic")
         # near-empty initial density: surfaces condense faster than a fog
         # that must first be carved away
         st.values["static.sigma.0.b"][:] = -2.0
@@ -327,14 +331,14 @@ class SceneModel:
         """Fixed-size code for a ray: encoded points at uniform distances.
 
         Samples ``ray_samples`` points evenly over [near, far] along the unit
-        direction, positionally encodes each with ``ray_freqs`` frequencies,
+        direction, positionally encodes each with :data:`RAY_FREQS` frequencies,
         and concatenates. Sensitive to both origin and direction.
         """
         if rays.near >= rays.far:
             raise ValueError(f"ray embedding needs near < far, got {rays.near} >= {rays.far}")
         cfg = self.config
         pts = rays.points(np.linspace(rays.near, rays.far, cfg.ray_samples))
-        return ad.reshape(encode_position(pts, cfg.ray_freqs), (len(rays), cfg.ray_embed_dim))
+        return ad.reshape(encode_position(pts, RAY_FREQS), (len(rays), cfg.ray_embed_dim))
 
     def local_screw(self, rays: RayBatch):
         """(B,6) per-ray refinement screws from the local object-motion MLP,
@@ -410,8 +414,8 @@ def load_checkpoint(path):
     The header must list the arrays of a model built from its
     ``field_config``, in ``save_checkpoint``'s order, with their shapes and
     groups; the payload must end after the last of them, and ``meta`` must
-    be an object. A ``field_config`` that names the trunk activation, as
-    those written before relu became the only one do, must name relu. Every
+    be an object. A key of :data:`RETIRED` in ``field_config``, as older
+    ones hold, must hold the table's value. Every
     stored entry must be finite, and Adam's second moments ``adam_v``, whose
     square root the next update divides by, must be >= 0."""
     with open(path, "rb") as f:
@@ -435,8 +439,9 @@ def load_checkpoint(path):
                     raise CheckpointError(f"{path}: adam_t of {name} is {t!r}, "
                                           f"not an integer >= 0")
             field_config = dict(header["field_config"])
-            if field_config.pop("activation", "relu") != "relu":
-                raise CheckpointError(f"{path}: trunk activation is not relu")
+            for key, fixed in RETIRED.items():
+                if field_config.pop(key, fixed) != fixed:
+                    raise CheckpointError(f"{path}: field_config {key} is not {fixed!r}")
             model = SceneModel(FieldConfig(**field_config), np.random.default_rng(0))
             store = model.store
             if (listed != [(name, kind, list(store.values[name].shape))

@@ -309,7 +309,7 @@ def _tiny_trainer(seed: int):
         seed=seed, batch_size=4, n_samples=8, n_latent=2,
         trunk_depth=2, trunk_width=24, rgb_width=16,
         local_depth=2, local_width=16, ray_samples=8,
-        pos_freqs=5, dir_freqs=3, ray_freqs=2))
+        pos_freqs=5, dir_freqs=3))
     return Trainer(cfg, dataset)
 
 

@@ -36,10 +36,10 @@ def render_frames(model: SceneModel, dataset, timestamps=None, poses=None, *,
 
     ``timestamps`` defaults to the dataset's ``eval_timestamps``, or every
     frame when it lists none. ``poses`` (indexed by time) gives the cameras;
-    ``None`` renders along the trained base rays. Every index is checked
-    before any frame renders. Returns one ``infer_frame`` dict per frame,
-    with its time index under ``t`` and its render's wall seconds, taken
-    with ``time.perf_counter``, under ``seconds``.
+    ``None`` renders along the trained base rays. The list must be non-empty
+    and every index is checked before any frame renders. One ``infer_frame``
+    dict per frame, its time index under ``t`` and its render's wall seconds,
+    by ``time.perf_counter``, under ``seconds``.
     """
     if model.config.n_frames != dataset.n_frames:
         raise ValueError(f"model built for {model.config.n_frames} frames, "
@@ -47,6 +47,8 @@ def render_frames(model: SceneModel, dataset, timestamps=None, poses=None, *,
     if timestamps is None:
         timestamps = dataset.meta.get("eval_timestamps") or range(dataset.n_frames)
     timestamps = [int(t) for t in timestamps]
+    if not timestamps:
+        raise ValueError("no frame to render: the list of time indices is empty")
     render = infer_frame_base_rays if poses is None else infer_frame
     poses = dataset.poses_corrupt if poses is None else poses
     limit = min(dataset.n_frames, len(poses))

@@ -152,8 +152,6 @@ class MetricReport:
         return json.dumps(sanitize(self.to_json_dict()), indent=2)
 
     def to_text(self) -> str:
-        if not self.rows:
-            return "(no frames)\n"
         keys = self.columns()
         width = {k: max(14, len(k)) for k in keys}
 

@@ -123,6 +123,8 @@ class ParamStore:
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
+# each stage's (start, end) learning rates of the screw tables and of the MLPs
+SCREW_LR, MLP_LR = (1e-4, 1e-6), (1e-3, 1e-4)
 
 
 def adam_step(store: ParamStore, rates: dict[str, float]) -> None:

@@ -278,7 +278,7 @@ def motion_mask(p_dy: np.ndarray) -> np.ndarray:
 
 def _encoded_samples(model: SceneModel, rays: RayBatch, grid: SampleGrid):
     """Encoded sample points (B*N, pos_dim), ray by ray, and the rays' GLO
-    rows (B, glo_dim): GLO codes are constant along a ray, so the fields
+    rows (B, GLO_DIM): GLO codes are constant along a ray, so the fields
     take them once per ray. Points that carry no graph are encoded in the
     fields' dtype, one copy that both fields read as it is; the GLO rows,
     like the encoded directions, stay float64, as the per-ray operand's

@@ -30,8 +30,8 @@ from .blur import blurry_render
 from .cameras import RayBatch, pixel_rays
 from .config import TrainConfig
 from .data import BlurryDataset
-from .fields import CheckpointError, SceneModel, save_checkpoint, load_checkpoint
-from .optim import LrSchedule, adam_step
+from .fields import RETIRED, CheckpointError, SceneModel, load_checkpoint, save_checkpoint
+from .optim import MLP_LR, SCREW_LR, LrSchedule, adam_step
 from .render import motion_mask, render_kappa, render_rays, sample_along_ray
 
 ALL_GROUPS = {"static", "dynamic", "local", "screw_base", "screw_global"}
@@ -53,6 +53,14 @@ def resumes(out_dir, resume: bool) -> bool:
     there: ``resume`` asks for it and ``checkpoint_latest.ckpt`` exists.
     Otherwise the run starts over, and so do its log and its manifest."""
     return resume and (Path(out_dir) / "checkpoint_latest.ckpt").exists()
+
+
+def train_state(meta: dict, ckpt) -> dict:
+    """The ``train_state`` object of checkpoint ``ckpt``'s ``meta``, which
+    ``render`` and a resume both read."""
+    if not isinstance(meta.get("train_state"), dict):
+        raise CheckpointError(f"{ckpt}: meta has no train_state object")
+    return meta["train_state"]
 
 
 class NumericalError(RuntimeError):
@@ -96,14 +104,10 @@ class Trainer:
         self.dataset = dataset
         self.rng = np.random.default_rng(config.seed)
         self.model = SceneModel(config.field_config(dataset.n_frames), self.rng)
-        self.bri_sched_screw = LrSchedule(config.screw_lr_start, config.screw_lr_end,
-                                          config.bri_iters)
-        self.bri_sched_mlp = LrSchedule(config.mlp_lr_start, config.mlp_lr_end,
-                                        config.bri_iters)
-        self.mdd_sched_screw = LrSchedule(config.screw_lr_start, config.screw_lr_end,
-                                          config.mdd_iters)
-        self.mdd_sched_mlp = LrSchedule(config.mlp_lr_start, config.mlp_lr_end,
-                                        config.mdd_iters)
+        self.bri_sched_screw = LrSchedule(*SCREW_LR, config.bri_iters)
+        self.bri_sched_mlp = LrSchedule(*MLP_LR, config.bri_iters)
+        self.mdd_sched_screw = LrSchedule(*SCREW_LR, config.mdd_iters)
+        self.mdd_sched_mlp = LrSchedule(*MLP_LR, config.mdd_iters)
         self.history: list[dict] = []
         self.timings: dict = {}     # seconds spent per stage, kept in checkpoints
 
@@ -303,18 +307,16 @@ class Trainer:
         if diff:
             raise CheckpointError(f"{ckpt}: field_config does not match this run's "
                                   f"config and dataset: {', '.join(diff)}")
-        state = meta.get("train_state")
-        if not isinstance(state, dict):
-            raise CheckpointError(f"{ckpt}: meta has no train_state object")
-        # the run goes on with the settings it started with; keys this
-        # version dropped are ignored, as render ignores them
+        state = train_state(meta, ckpt)
+        # the run goes on with the settings it started with, each retired key
+        # at its one value; other dropped keys are ignored, as render ignores them
         stored = state.get("config")
         if not isinstance(stored, dict):
             raise CheckpointError(f"{ckpt}: train_state config must be an object, "
                                   f"got {stored!r}")
+        expected = self.config.to_dict() | {k: v for k, v in RETIRED.items() if k in stored}
         diff = [f"{k} is {v}, not {stored[k]}" if k in stored else f"{k} is {v}, not stored"
-                for k, v in self.config.to_dict().items()
-                if k not in stored or stored[k] != v]
+                for k, v in expected.items() if k not in stored or stored[k] != v]
         if diff:
             raise CheckpointError(f"{ckpt}: this run's config is not the one it was "
                                   f"trained with: {', '.join(diff)}")

@@ -217,20 +217,30 @@ class TestTrain:
             assert why in err, err
         assert tree_bytes(run) == kept
 
+    # a retired key stored at its one value is ignored; one at another is
+    # refused, or the run would go on at the constant without a word
     @pytest.mark.parametrize("edit, code, why", [
         (lambda c: c.update(lg_dynamic_only_mdd=True), 0, None),
         (lambda c: c.pop("lambda_sm"), 1, "lambda_sm is 0.002, not stored"),
-    ], ids=["dropped_key", "missing_key"])
+        (lambda c: c.update(mlp_lr_start=0.001), 0, None),
+        (lambda c: c.update(mlp_lr_start=0.0005), 1, "mlp_lr_start is 0.001, not 0.0005"),
+    ], ids=["dropped_key", "missing_key", "retired_key", "retired_key_other_value"])
     def test_resume_ignores_dropped_keys_and_refuses_missing_ones(
             self, tmp_path, dataset_dir, trained_dir, capsys, edit, code, why):
         run = tmp_path / "run"
         shutil.copytree(trained_dir, run)
+        (run / "checkpoint_final.ckpt").unlink()
         rewrite_header(run / "checkpoint_bri.ckpt", run / "checkpoint_latest.ckpt",
                        lambda h: edit(h["meta"]["train_state"]["config"]))
         capsys.readouterr()
         assert main(["train", "--dataset", str(dataset_dir), "--out", str(run),
                      "--seed", "0", *TINY_TRAIN, "--resume"]) == code
         assert why is None or why in capsys.readouterr().err
+        if code == 0:
+            # it ends at the weights of the run it resumes
+            final = [load_checkpoint(d / "checkpoint_final.ckpt")[0].store.checksum()
+                     for d in (run, trained_dir)]
+            assert final[0] == final[1]
 
     def test_desk_profile_is_the_default_config(self):
         # train resolves the defaults; render falls back to TrainConfig()
@@ -246,11 +256,14 @@ class TestTrain:
 
     @pytest.mark.parametrize("value", [
         "debug_freeze_check=true", "lg_fraction=0.25", "activation=softplus",
-        "profile=paper", "lg_dynamic_only_mdd=false"])
+        "profile=paper", "lg_dynamic_only_mdd=false", "screw_lr_start=1e-4",
+        "screw_lr_end=1e-6", "mlp_lr_start=0.001", "mlp_lr_end=0.0001", "glo_dim=8",
+        "ray_freqs=2", "rgb_depth=2"])
     def test_removed_config_key_rejected(self, tmp_path, dataset_dir, capsys, value):
-        # these were options once; every run set the first three and the
-        # last alike, and they are code now; resolve_config overwrote profile
-        # with the profile flag, so a value set here was silently ignored
+        # these were options once; every run set the first three, the fifth
+        # and the last seven alike, and they are code now; resolve_config
+        # overwrote profile with the profile flag, so a value set here was
+        # silently ignored
         out = tmp_path / "run"
         assert main(["train", "--dataset", str(dataset_dir), "--out", str(out),
                      *TINY_TRAIN, "--set", value]) == 1
@@ -468,7 +481,7 @@ class TestRender:
                          "--out", str(outs[name]), "--timestamps", "1,5"]) == 0
             config = json.loads((outs[name] / "manifest.json").read_text())["config"]
             assert config == state["config"]
-        assert len(config) == 30
+        assert len(config) == len(dataclasses.fields(TrainConfig)) + 5
         for sub in ("rgb", "mask", "p_dy", "kappa"):
             assert tree_bytes(outs["now"] / sub) == tree_bytes(outs["older"] / sub)
 
@@ -486,6 +499,44 @@ class TestRender:
                          "--out", str(outs[name]), "--timestamps", "1,5"]) == 0
         for sub in ("rgb", "mask", "p_dy", "kappa"):
             assert tree_bytes(outs["now"] / sub) == tree_bytes(outs["relu"] / sub)
+
+    def test_checkpoint_with_retired_architecture_keys_renders_the_same(
+            self, tmp_path, dataset_dir, trained_dir):
+        # checkpoints written while these were options store them in their
+        # field_config, at the one value every run set
+        final = trained_dir / "checkpoint_final.ckpt"
+        older = tmp_path / "older.ckpt"
+        rewrite_header(final, older, lambda h: h["field_config"].update(
+            glo_dim=8, ray_freqs=2, rgb_depth=2))
+        outs = {}
+        for name, ckpt in (("now", final), ("older", older)):
+            outs[name] = tmp_path / name
+            assert main(["render", "--checkpoint", str(ckpt), "--dataset", str(dataset_dir),
+                         "--out", str(outs[name]), "--timestamps", "1,5"]) == 0
+        for sub in ("rgb", "mask", "p_dy", "kappa"):
+            assert tree_bytes(outs["now"] / sub) == tree_bytes(outs["older"] / sub)
+
+    def test_checkpoint_with_a_retired_key_at_another_value_is_refused(
+            self, tmp_path, dataset_dir, trained_dir):
+        # its model would need another GLO width than the one fields builds
+        ckpt = tmp_path / "glo16.ckpt"
+        rewrite_header(trained_dir / "checkpoint_final.ckpt", ckpt,
+                       lambda h: h["field_config"].update(glo_dim=16))
+        out = tmp_path / "frames"
+        res = run_cli("render", "--checkpoint", str(ckpt), "--dataset", str(dataset_dir),
+                      "--out", str(out))
+        assert_clean_error(res, f"{ckpt}: field_config glo_dim is not 8")
+        assert not out.exists()
+
+    def test_empty_timestamp_list_renders_nothing(self, tmp_path, dataset_dir, trained_dir,
+                                                  capsys):
+        # it once wrote a render directory of no frame, which eval scored
+        out = tmp_path / "x"
+        assert main(["render", "--checkpoint", str(trained_dir / "checkpoint_final.ckpt"),
+                     "--dataset", str(dataset_dir), "--out", str(out),
+                     "--timestamps", ","]) == 1
+        assert "no frame to render" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_out_of_range_timestamp(self, tmp_path, dataset_dir, trained_dir):
         code = main(["render", "--checkpoint", str(trained_dir / "checkpoint_final.ckpt"),
@@ -826,10 +877,12 @@ class TestCorruptJson:
         assert_clean_error(res, str(meta))
 
     # valid JSON of the wrong shape: no timestamps, strings, an index past
-    # the last frame, a bool (a boolean index to NumPy), a top-level list
+    # the last frame, a bool (a boolean index to NumPy), a top-level list,
+    # and an empty list, once scored as a report of no frames and exit 0
     @pytest.mark.parametrize("text", ['{}', '{"timestamps": ["a"]}',
                                       '{"timestamps": [999]}',
-                                      '{"timestamps": [true]}', '[1, 2]'])
+                                      '{"timestamps": [true]}', '[1, 2]',
+                                      '{"timestamps": []}'])
     def test_misshapen_render_meta(self, tmp_path, dataset_dir, text):
         frames = tmp_path / "frames"
         frames.mkdir()
@@ -837,6 +890,7 @@ class TestCorruptJson:
         meta.write_text(text)
         res = run_cli("eval", "--render-dir", str(frames), "--dataset", str(dataset_dir))
         assert_clean_error(res, str(meta))
+        assert not (frames / "report.json").exists()
 
     # every JSON file a command reads goes through config.read_json, which
     # holds it to a JSON object

@@ -186,6 +186,9 @@ def test_render_frames_checks_before_rendering(monkeypatch):
         render_frames(model, ds, [0, 2], ds.poses_true[:2], n_samples=8)
     with pytest.raises(ValueError, match="model built for 3 frames, dataset has 4"):
         render_frames(model, tiny_dataset(n_frames=4), [0], n_samples=8)
+    # an empty list once rendered nothing, which eval then scored as a success
+    with pytest.raises(ValueError, match="no frame to render"):
+        render_frames(model, ds, [], n_samples=8)
     assert rendered == []
 
 

@@ -1,9 +1,9 @@
 """The README quotes some of the code's block and chunk sizes, the blur
 window, the number of checks ``moblurf gradcheck`` runs, the default config,
-the paper's config file and the per-frame files of the dataset and render
-directory layouts, by value; each quote must give the value the
-code holds, so that changing one of them cannot leave the documentation
-stale."""
+the retired config keys' fixed values, the paper's config file and the
+per-frame files of the dataset and render directory layouts, by value;
+each quote must give the value the code holds, so that changing one of
+them cannot leave the documentation stale."""
 
 import json
 import re
@@ -15,7 +15,7 @@ import pytest
 
 from moblurf import autodiff, data, gradcheck, inference
 from moblurf.config import TrainConfig, resolve_config
-from moblurf.fields import ENCODE_BLOCK, Architecture
+from moblurf.fields import ENCODE_BLOCK, RETIRED, Architecture
 
 README = (Path(__file__).resolve().parents[1] / "README.md").read_text()
 
@@ -51,8 +51,17 @@ def test_readme_quotes_the_defaults():
     assert quoted == [tuple(str(v) for v in (
         cfg.n_samples, cfg.n_latent, cfg.bri_iters, cfg.mdd_iters,
         cfg.trunk_depth, cfg.trunk_width))]
-    counts = re.findall(r"The (\d+) config keys are the (\d+) of the architecture", README)
-    assert counts == [(str(len(fields(TrainConfig))), str(len(fields(Architecture))))]
+    counts = re.findall(r"The (\d+) config keys are the (\d+) of the architecture"
+                        r".*?and (\d+) of training", README, re.S)
+    n, arch = len(fields(TrainConfig)), len(fields(Architecture))
+    assert counts == [(str(n), str(arch), str(n - arch))]
+
+
+def test_readme_lists_the_retired_keys_at_their_fixed_values():
+    table = re.search(r"\| retired key \| fixed value \|\n\|---\|---\|\n((?:\|.*\n)+)", README)
+    rows = re.findall(r"^\| `(\w+)` \| `?(.*?)`? \|$", table[1], re.M)
+    assert {key: json.loads(value) for key, value in rows} == RETIRED
+    assert len(rows) == len(RETIRED)
 
 
 def test_readme_paper_config_is_a_valid_config_file():
